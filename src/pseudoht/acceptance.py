@@ -25,10 +25,10 @@ from .catalog import (
     BASE_IDS,
     _CATALOG_SPECS,
     base_algebra,
+    render_table,
     table_layout,
 )
-from .cli import check_pair, render_table
-from .core import scalar_product
+from .core import MapClass, scalar_product
 from .extension import ExtensionStep, extend, pair_index, standard_algebra
 from .morphism import (
     canonical_map,
@@ -39,14 +39,16 @@ from .morphism import (
     verify_homomorphism,
 )
 from .obstruction import (
+    ParityConstraint,
+    _iter_grid,
     adjoint_rank,
+    check_pair,
     gram_det,
     sbg_decision,
     verify_parity_cycle,
     verify_sbg_no_witness,
 )
 from .sums import block_volume_element, build_sum, sum_sbg, swap_isomorphism
-from .core import MapClass
 
 
 @dataclass
@@ -243,7 +245,6 @@ def criterion_4_nonisomorphism(seed: int = 0, quick: bool = False) -> CriterionR
         fail(f"(3,2) vs (2,3): got {cert.kind}")
     else:
         cycle = cert.payload["parity"]["cycle"]
-        from .obstruction import ParityConstraint
         cyc = [ParityConstraint(c["a"], c["b"], c["rhs"]) for c in cycle]
         if not verify_parity_cycle(base_algebra(3, 2), cyc).ok:
             fail("(3,2) vs (2,3): cycle does not re-verify")
@@ -270,7 +271,7 @@ def criterion_5_surjectivity(seed: int = 0, quick: bool = False) -> CriterionRep
         n_center = a.dim_center
         bad = 0
         count = 0
-        for x in _grid8():
+        for x in _iter_grid(8, 1):
             count += 1
             norm = sum(s * e * e for s, e in zip(a.module_signs, x))
             g = gram_det(a, list(x))
@@ -305,19 +306,6 @@ def criterion_5_surjectivity(seed: int = 0, quick: bool = False) -> CriterionRep
     if adjoint_rank(big, x) != big.dim_center:
         fail("null witness in n_(11,2) is not surjective")
     return done()
-
-
-def _grid8():
-    point = [-1] * 8
-    while True:
-        yield tuple(point)
-        i = 0
-        while i < 8 and point[i] == 1:
-            point[i] = -1
-            i += 1
-        if i == 8:
-            return
-        point[i] += 1
 
 
 def criterion_6_sbg(seed: int = 0, quick: bool = False) -> CriterionReport:

@@ -317,16 +317,11 @@ def bracket(a: PseudoHTypeAlgebra, x: Sequence[Rational],
     """Center coordinates of [x, y], extended bilinearly from the tensor."""
     if len(x) != a.dim_module or len(y) != a.dim_module:
         raise ValueError("bracket arguments must have module length")
+    xs = {i: Fraction(e) for i, e in enumerate(x, start=1) if e}
+    ys = {j: Fraction(e) for j, e in enumerate(y, start=1) if e}
     out = [Fraction(0)] * a.dim_center
-    xs = [(i, Fraction(e)) for i, e in enumerate(x, start=1) if e]
-    ys = [(j, Fraction(e)) for j, e in enumerate(y, start=1) if e]
-    pair = a.tensor.bracket_pair
-    for i, xi in xs:
-        for j, yj in ys:
-            hit = pair(i, j)
-            if hit is not None:
-                k, s = hit
-                out[k - 1] += s * xi * yj
+    for k, c in bracket_sparse(a, xs, ys).items():
+        out[k - 1] = c
     return tuple(out)
 
 
@@ -373,18 +368,24 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
     return SignedPermutationOp(tuple(image), tuple(sign))
 
 
-def j_of_center_vector(a: PseudoHTypeAlgebra, z: Sequence[Rational],
-                       x: Sequence[Rational]) -> Vector:
-    """Apply J_Z for an arbitrary center vector Z to a module vector."""
-    out = [Fraction(0)] * a.dim_module
-    for k, zk in enumerate(z, start=1):
-        if zk:
-            op = j_operator(a, k)
-            for alpha, xa in enumerate(x, start=1):
-                if xa:
-                    beta, s = op.apply_basis(alpha)
-                    out[beta - 1] += Fraction(zk) * Fraction(xa) * s
-    return tuple(out)
+def j_of_center_vector(a: PseudoHTypeAlgebra, z: Mapping[int, Rational],
+                       x: Mapping[int, Rational]) -> dict[int, Rational]:
+    """Apply J_Z for an arbitrary center vector Z to a module vector.
+
+    Both vectors are {index: coefficient} dictionaries, and so is the
+    result, with zero entries dropped; integer input gives integer output.
+    """
+    out: dict[int, Rational] = {}
+    for k, zk in z.items():
+        op = j_operator(a, k)
+        for alpha, xa in x.items():
+            beta, s = op.apply_basis(alpha)
+            c = out.get(beta, 0) + zk * xa * s
+            if c:
+                out[beta] = c
+            else:
+                out.pop(beta, None)
+    return out
 
 
 def verify_integral_basis(a: PseudoHTypeAlgebra) -> Verdict:
@@ -573,19 +574,22 @@ class DegenerateKernelError(ValueError):
         super().__init__(f"degenerate metric on ker(ad_v) for v = {v}")
 
 
-def adjoint_rows(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> list[list[Fraction]]:
-    """Rows of the matrix of ad_x: column b holds the coords of [x, v_b]."""
-    rows = [[Fraction(0)] * a.dim_module for _ in range(a.dim_center)]
+def adjoint_rows(a: PseudoHTypeAlgebra,
+                 x: Sequence[Rational]) -> list[list[Rational]]:
+    """Rows of the matrix of ad_x: column b holds the coords of [x, v_b].
+
+    Entries keep the number type of x, so integer input gives integer rows.
+    """
+    rows = [[0] * a.dim_module for _ in range(a.dim_center)]
     pair = a.tensor.bracket_pair
     for alpha, xa in enumerate(x, start=1):
         if not xa:
             continue
-        f = Fraction(xa)
         for beta in range(1, a.dim_module + 1):
             hit = pair(alpha, beta)
             if hit is not None:
                 k, s = hit
-                rows[k - 1][beta - 1] += s * f
+                rows[k - 1][beta - 1] += s * xa
     return rows
 
 

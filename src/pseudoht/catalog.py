@@ -1,4 +1,4 @@
-"""Hardcoded base algebras and the minimal-module dimension table.
+"""Hardcoded base algebras, their table renderer, and module dimensions.
 
 The fourteen constructible signatures are exactly the ones whose commutator
 tables are published; each table below is a literal transcription, row by
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import (
     BaseProvenance,
@@ -301,6 +301,36 @@ def table_layout(table_id: BaseTableId) -> TableLayout:
     )
 
 
+def render_table(a: PseudoHTypeAlgebra, fmt: str = "md",
+                 display_order: Optional[Sequence[int]] = None) -> str:
+    """Commutator table regenerated from the structure tensor."""
+    if display_order is None:
+        if isinstance(a.provenance, BaseProvenance) and (a.r, a.s) in BASE_IDS:
+            display_order = table_layout((a.r, a.s)).display_order
+        else:
+            display_order = range(1, a.dim_module + 1)
+    order = list(display_order)
+
+    def cell(i: int, j: int) -> str:
+        hit = a.tensor.bracket_pair(i, j)
+        if hit is None:
+            return "0"
+        k, s = hit
+        return ("-" if s < 0 else "") + a.center_labels[k - 1]
+
+    header = ["[r,c]"] + [a.module_labels[i - 1] for i in order]
+    rows = [[a.module_labels[i - 1]] + [cell(i, j) for j in order]
+            for i in order]
+    if fmt == "md":
+        lines = ["| " + " | ".join(header) + " |",
+                 "|" + "|".join([" --- "] * len(header)) + "|"]
+        lines += ["| " + " | ".join(row) + " |" for row in rows]
+        return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+    raise ValueError(f"unknown table format {fmt!r}")
+
+
 def _labels(table_id: BaseTableId, n: int, dim_center: int
             ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     lay = table_layout(table_id)
@@ -349,6 +379,13 @@ def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:
     )
 
 
+def base_blocks(r: int, s: int) -> Optional[BlockSets]:
+    """Canonical block sets of a catalog algebra, read without building it."""
+    if (r, s) not in _CATALOG_SPECS:
+        raise UnsupportedSignatureError(r, s)
+    return _CATALOG_SPECS[(r, s)].get("blocks")
+
+
 def aligned_factor_0_8() -> PseudoHTypeAlgebra:
     """The (0,8) algebra in the sign-adjusted basis shared with (8,0).
 
@@ -364,11 +401,24 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
         module_labels=tuple(f"v{i}" for i in range(1, 17)),
         center_labels=tuple(f"Z{k}~" for k in range(1, 9)),
         provenance=BaseProvenance(0, 8),
-        blocks=_blocks(set(range(1, 9)), (), (), set(range(9, 17))),
+        blocks=base_blocks(0, 8),
     )
 
 
 # --- minimal module dimensions ---------------------------------------------
+
+# Largest module dimension any construction may build: twice the 4096 of
+# the largest module the tests and the benchmark build.  Larger requests are
+# refused with a ValueError before anything is allocated.
+MAX_MODULE_DIM = 8192
+
+
+def require_module_budget(dim: int) -> None:
+    """Raise ValueError when a module of dimension dim would exceed the budget."""
+    if dim > MAX_MODULE_DIM:
+        raise ValueError(f"module dimension {dim} exceeds the budget of "
+                         f"{MAX_MODULE_DIM} (MAX_MODULE_DIM)")
+
 
 # Seeded only from stated or exhibited values: the printed bases for the
 # catalog ids, and the dimension counts used by the non-isomorphism argument

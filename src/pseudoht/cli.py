@@ -12,66 +12,17 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import PseudoHTypeAlgebra, algebra_to_dict
-from .catalog import BASE_IDS, UnsupportedSignatureError, table_layout
-from .core import Signature
-from .extension import (
-    ExtensionStep,
-    extension_chain,
-    standard_algebra,
-    standard_chain,
-)
-from .morphism import (
-    canonical_map,
-    center_signature_obstruction,
-    morphism_to_dict,
-    verify_conjugation,
-    verify_homomorphism,
-)
-from .obstruction import (
-    Certificate,
-    parity_certificate,
-    sbg_decision,
-    surjectivity_scan,
-    verify_parity_cycle,
-)
+from . import acceptance
+from .algebra import algebra_to_dict
+from .catalog import UnsupportedSignatureError, base_algebra, render_table
+from .extension import ExtensionStep, extension_chain, standard_algebra
+from .obstruction import check_pair, sbg_decision
 from .sums import build_sum, sum_sbg, sum_to_dict
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
-
-
-def render_table(a: PseudoHTypeAlgebra, fmt: str = "md",
-                 display_order: Optional[Sequence[int]] = None) -> str:
-    """Commutator table regenerated from the structure tensor."""
-    if display_order is None:
-        from .algebra import BaseProvenance
-        if isinstance(a.provenance, BaseProvenance) and (a.r, a.s) in BASE_IDS:
-            display_order = table_layout((a.r, a.s)).display_order
-        else:
-            display_order = range(1, a.dim_module + 1)
-    order = list(display_order)
-
-    def cell(i: int, j: int) -> str:
-        hit = a.tensor.bracket_pair(i, j)
-        if hit is None:
-            return "0"
-        k, s = hit
-        return ("-" if s < 0 else "") + a.center_labels[k - 1]
-
-    header = ["[r,c]"] + [a.module_labels[i - 1] for i in order]
-    rows = [[a.module_labels[i - 1]] + [cell(i, j) for j in order]
-            for i in order]
-    if fmt == "md":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join([" --- "] * len(header)) + "|"]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -92,7 +43,6 @@ def _cmd_build(args) -> int:
             if args.extend:
                 print("--sum cannot be combined with --extend", file=sys.stderr)
                 return EXIT_ERROR
-            from .catalog import base_algebra
             mu, nu = args.sum
             summed = build_sum(base_algebra(args.r, args.s), mu, nu)
             _emit_json(sum_to_dict(summed), args.out)
@@ -112,83 +62,11 @@ def _cmd_build(args) -> int:
 def _cmd_table(args) -> int:
     try:
         algebra = standard_algebra(args.r, args.s)
-    except UnsupportedSignatureError as exc:
+    except (UnsupportedSignatureError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
     _emit(render_table(algebra, fmt=args.format), args.out)
     return EXIT_OK
-
-
-def _constructible(r: int, s: int) -> bool:
-    return standard_chain(r, s) is not None
-
-
-def check_pair(r1: int, s1: int, r2: int, s2: int, anti_only: bool = False,
-               seed: int = 0) -> Certificate:
-    """Certificate for "is n_{r1,s1} isomorphic to n_{r2,s2}".
-
-    With anti_only the question is restricted to maps whose center block is
-    an anti-isometry (the interesting automorphism class).
-    """
-    sig1, sig2 = Signature(r1, s1), Signature(r2, s2)
-    verdict, reason = center_signature_obstruction(sig1, sig2)
-    if verdict == "IMPOSSIBLE":
-        kind = ("NOT_ISO_DIM" if "dimension" in reason else "NOT_ISO_SIGNATURE")
-        return Certificate(kind, {"reason": reason,
-                                  "src": [r1, s1], "dst": [r2, s2]})
-
-    same = (r1, s1) == (r2, s2)
-    if same and not anti_only:
-        return Certificate("ISO", {
-            "note": "identity automorphism",
-            "src": [r1, s1], "dst": [r2, s2]})
-
-    cmap = canonical_map(r1, s1) if (r2, s2) == (s1, r1) else None
-    if cmap is not None:
-        f = cmap.to_morphism()
-        hom = verify_homomorphism(f)
-        con = verify_conjugation(f)
-        if hom.ok and con.ok:
-            return Certificate("ISO", {"morphism": morphism_to_dict(f)})
-        raise RuntimeError(
-            f"canonical map failed verification: {hom.detail or con.detail}")
-
-    if not (_constructible(r1, s1) and _constructible(r2, s2)):
-        return Certificate("INCONCLUSIVE", {
-            "reason": "no canonical isomorphism and a side is not constructible",
-            "src": [r1, s1], "dst": [r2, s2]})
-    src = standard_algebra(r1, s1)
-    dst = standard_algebra(r2, s2)
-    scan = surjectivity_scan(dst, seed=seed, stop_on_violation=True)
-    outcome = parity_certificate(src, dst, scan=scan, seed=seed)
-    if not scan.equivalence_holds:
-        return Certificate("INCONCLUSIVE", {
-            "reason": ("parity argument does not apply: destination has "
-                       "null vectors with surjective adjoint"),
-            "precondition": scan.json_dict()})
-    if outcome.feasible:
-        return Certificate("INCONCLUSIVE", {
-            "reason": "parity system is satisfiable; no refutation",
-            "parity": outcome.json_dict()})
-    recheck = verify_parity_cycle(src, outcome.cycle)
-    if not recheck.ok:
-        raise RuntimeError(f"solver produced a bad cycle: {recheck.detail}")
-    steps = [
-        "center dimensions and minimal module dimensions agree",
-        "destination signature is the swap (or equal), the only candidate",
-        "any isomorphism can be rescaled to an anti-isometric center block",
-        "destination adjoint maps are surjective exactly off the null cone "
-        "(surjectivity scan attached)",
-        "the induced sign-parity system on the source basis is infeasible; "
-        "odd cycle attached and re-verified",
-    ]
-    return Certificate("NOT_ISO_PARITY", {
-        "src": [r1, s1], "dst": [r2, s2],
-        "anti_isometric_center_only": anti_only,
-        "steps": steps,
-        "parity": outcome.json_dict(),
-        "cycle_reverified": recheck.ok,
-    })
 
 
 def _cmd_check(args) -> int:
@@ -209,7 +87,6 @@ def _cmd_check(args) -> int:
 def _cmd_sbg(args) -> int:
     try:
         if args.sum is not None:
-            from .catalog import base_algebra
             mu, nu = args.sum
             cert = sum_sbg(build_sum(base_algebra(args.r, args.s), mu, nu),
                            seed=args.seed)
@@ -223,9 +100,7 @@ def _cmd_sbg(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .acceptance import run_all
-
-    reports = run_all(quick=args.quick, seed=args.seed)
+    reports = acceptance.run_all(quick=args.quick, seed=args.seed)
     failed = 0
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

@@ -7,6 +7,7 @@ commutator-table conventions used throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -152,24 +153,19 @@ class ExactMatrix:
         return all(e == 0 for row in self.entries for e in row)
 
 
-def _int_rows(m: ExactMatrix) -> list[list[int]]:
-    """Clear denominators row by row; rank is unchanged."""
+def _int_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
+    """Clear denominators row by row; rank is unchanged.
+
+    Returns the integer rows and the product of the row multipliers, by
+    which the determinant is scaled.
+    """
     out = []
+    scale = 1
     for row in m.entries:
-        lcm = 1
-        for e in row:
-            d = e.denominator
-            if d != 1:
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
-        out.append([int(e * lcm) for e in row])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        lcm = math.lcm(*(e.denominator for e in row))
+        scale *= lcm
+        out.append([e.numerator * (lcm // e.denominator) for e in row])
+    return out, scale
 
 
 def _int_rank(rows: list[list[int]]) -> int:
@@ -239,27 +235,15 @@ def exact_rank(m: ExactMatrix) -> int:
     """Rank over the rationals."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    return _int_rank(_int_rows(m))
+    return _int_rank(_int_rows(m)[0])
 
 
 def exact_det(m: ExactMatrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in m.entries:
-        lcm = 1
-        for e in row:
-            d = e.denominator
-            if d != 1:
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
-        scale *= lcm
-        int_rows.append([int(e * lcm) for e in row])
-    return Fraction(_int_det(int_rows)) / scale
+    int_rows, scale = _int_rows(m)
+    return Fraction(_int_det(int_rows), scale)
 
 
 def nullspace(m: ExactMatrix) -> list[Vector]:

@@ -28,6 +28,7 @@ from .catalog import (
     UnsupportedSignatureError,
     aligned_factor_0_8,
     base_algebra,
+    require_module_budget,
 )
 from .core import Signature
 
@@ -81,18 +82,6 @@ _PARENT_SIGN = {
         1 if j in (2, 3, 4, 5, 13, 14, 15, 16) else -1 for j in range(1, 17)),
 }
 
-_FACTOR_BLOCKS = {
-    ExtensionStep.BY_8_0: BlockSets(frozenset(range(1, 9)), frozenset(),
-                                    frozenset(range(9, 17)), frozenset()),
-    ExtensionStep.BY_0_8: BlockSets(frozenset(range(1, 9)), frozenset(),
-                                    frozenset(), frozenset(range(9, 17))),
-    ExtensionStep.BY_4_4: BlockSets(frozenset({1, 6, 7, 8}),
-                                    frozenset({13, 14, 15, 16}),
-                                    frozenset({2, 3, 4, 5}),
-                                    frozenset({9, 10, 11, 12})),
-}
-
-
 def _center_layout(step: ExtensionStep, r: int, s: int
                    ) -> tuple[Signature, tuple[int, ...], tuple[int, ...]]:
     """New signature plus final positions of parent and factor center vectors.
@@ -118,9 +107,10 @@ def _center_layout(step: ExtensionStep, r: int, s: int
 
 def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     """Extend an algebra by one Bott-periodicity step."""
+    two_l = a.dim_module
+    require_module_budget(16 * two_l)
     factor = _factor(step)
     parent_sign = _PARENT_SIGN[step]
-    two_l = a.dim_module
     sig, parent_center, factor_center = _center_layout(step, a.r, a.s)
 
     def flat(i: int, j: int) -> int:
@@ -161,9 +151,9 @@ def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
         f"{a.module_labels[i - 1]}*{factor.module_labels[j - 1]}"
         for f in order
         for i, j in [((f - 1) // 16 + 1, (f - 1) % 16 + 1)])
-    center_labels = _extended_center_labels(a, factor, sig, parent_center,
-                                            factor_center)
-    blocks = _extend_blocks(a.blocks, step, pair_to_final, two_l, flat)
+    # parent and factor positions partition 1..dim, so every label is Z<pos>
+    center_labels = tuple(f"Z{k}" for k in range(1, sig.dim + 1))
+    blocks = _extend_blocks(a.blocks, factor.blocks, step, pair_to_final, flat)
     return PseudoHTypeAlgebra(
         center_sig=sig,
         module_signs=metric,
@@ -175,22 +165,12 @@ def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     )
 
 
-def _extended_center_labels(a, factor, sig, parent_center, factor_center):
-    labels = [""] * sig.dim
-    for k, pos in enumerate(parent_center, start=1):
-        labels[pos - 1] = f"Z{pos}"
-    for k, pos in enumerate(factor_center, start=1):
-        labels[pos - 1] = f"Z{pos}"
-    return tuple(labels)
-
-
-def _extend_blocks(parent: Optional[BlockSets], step: ExtensionStep,
-                   pair_to_final: Sequence[int], two_l: int,
+def _extend_blocks(parent: Optional[BlockSets], fb: BlockSets,
+                   step: ExtensionStep, pair_to_final: Sequence[int],
                    flat) -> Optional[BlockSets]:
     """Push the canonical quarter sets through one extension step."""
     if parent is None:
         return None
-    fb = _FACTOR_BLOCKS[step]
 
     def prod(par: frozenset[int], fac: frozenset[int]) -> frozenset[int]:
         return frozenset(pair_to_final[flat(i, j)] for i in par for j in fac)
@@ -223,6 +203,7 @@ def extension_chain(base_id: tuple[int, int],
                     steps: Sequence[ExtensionStep]) -> PseudoHTypeAlgebra:
     """Fold extend() over a step list starting from a catalog base."""
     algebra = base_algebra(*base_id)
+    require_module_budget(algebra.dim_module * 16 ** len(steps))
     for step in steps:
         algebra = extend(algebra, step)
     return algebra

@@ -3,8 +3,12 @@
 A morphism n -> n' is a block matrix (A 0 // B C): A acts on modules, C on
 centers, B is the irrelevant lower-left block.  The canonical isomorphisms
 between n_{r,s} and n_{s,r} are built recursively: pinned base maps for the
-published low signatures, then one uniform tensor-step constructor that
-covers every inductive theorem.  Verification never trusts the
+published low signatures, then `_step_map`, the one tensor-step
+constructor.  It extends the source of a smaller map by a step and the
+target by the mirror step ((8,0) and (0,8) swap, (4,4) stays), twisting
+the 16-dimensional factor by the (4,4) automorphism on a (4,4) step and
+by the identity otherwise.  phi_{r,8}, phi_{r+4,4}, phi_{r+8,s} and
+phi_{r+4,s+4} are all this step.  Verification never trusts the
 construction: homomorphism and conjugation checks run on the matrices.
 """
 
@@ -16,11 +20,13 @@ from typing import Optional
 
 from .algebra import (
     PseudoHTypeAlgebra,
+    SignedPermutationOp,
     Verdict,
     bracket_sparse,
+    j_of_center_vector,
     j_operator,
 )
-from .catalog import base_algebra, min_module_dim
+from .catalog import base_algebra, base_blocks, min_module_dim
 from .core import ExactMatrix, MapClass, Signature, classify_map, exact_det
 from .extension import (
     ExtensionStep,
@@ -125,21 +131,6 @@ def _apply_sparse_rows(rows, x, scale_out, scale_in):
     return out
 
 
-def _j_sparse(a: PseudoHTypeAlgebra, z: dict[int, Fraction],
-              x: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for k, zk in z.items():
-        op = j_operator(a, k)
-        for alpha, xa in x.items():
-            beta, s = op.apply_basis(alpha)
-            c = out.get(beta, Fraction(0)) + zk * xa * s
-            if c:
-                out[beta] = c
-            else:
-                out.pop(beta, None)
-    return out
-
-
 def verify_conjugation(f: LieMorphism) -> Verdict:
     """A^tau J_Z A = J_{C^tau Z} for every center basis vector Z of dst.
 
@@ -168,7 +159,7 @@ def verify_conjugation(f: LieMorphism) -> Verdict:
                 else:
                     y.pop(img, None)
             lhs = _apply_sparse_rows(arows, y, g_src, g_dst)
-            rhs = _j_sparse(src, ctau_z, {alpha: Fraction(1)})
+            rhs = j_of_center_vector(src, ctau_z, {alpha: Fraction(1)})
             if lhs != rhs:
                 return Verdict(False, (k, alpha),
                                "conjugation relation fails at this center index")
@@ -251,32 +242,21 @@ class CanonicalMap:
     module_sign: tuple[int, ...]
     center_image: tuple[int, ...]
 
+    def module_op(self) -> SignedPermutationOp:
+        return SignedPermutationOp(self.module_image, self.module_sign)
+
+    def center_op(self) -> SignedPermutationOp:
+        return SignedPermutationOp(self.center_image,
+                                   (1,) * len(self.center_image))
+
     def to_morphism(self) -> LieMorphism:
-        n = self.src.dim_module
-        rows = [[0] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            rows[self.module_image[a - 1] - 1][a - 1] = self.module_sign[a - 1]
-        m = self.src.dim_center
-        crow = [[0] * m for _ in range(m)]
-        for k in range(1, m + 1):
-            crow[self.center_image[k - 1] - 1][k - 1] = 1
-        return LieMorphism(self.src, self.dst,
-                           ExactMatrix.from_rows(rows),
-                           ExactMatrix.from_rows(crow))
+        return LieMorphism(self.src, self.dst, self.module_op().matrix(),
+                           self.center_op().matrix())
 
     def inverse(self) -> "CanonicalMap":
-        n = self.src.dim_module
-        image = [0] * n
-        sign = [0] * n
-        for a in range(1, n + 1):
-            image[self.module_image[a - 1] - 1] = a
-            sign[self.module_image[a - 1] - 1] = self.module_sign[a - 1]
-        m = self.src.dim_center
-        cimage = [0] * m
-        for k in range(1, m + 1):
-            cimage[self.center_image[k - 1] - 1] = k
-        return CanonicalMap(self.dst, self.src, tuple(image), tuple(sign),
-                            tuple(cimage))
+        module = self.module_op().inverse()
+        return CanonicalMap(self.dst, self.src, module.image, module.sign,
+                            self.center_op().inverse().image)
 
 
 def _pinned_map(src, dst, module_pairs, center_pairs) -> CanonicalMap:
@@ -329,31 +309,33 @@ def _auto_44() -> CanonicalMap:
         {1: 5, 2: 6, 3: 8, 4: 7, 5: 1, 6: 2, 7: 4, 8: 3})
 
 
-_FACTOR_IDENTITY_16 = (tuple(range(1, 17)), (1,) * 16)
+# The target side of a tensor step: (8,0) and (0,8) swap, (4,4) stays.
+_MIRROR = {ExtensionStep.BY_8_0: ExtensionStep.BY_0_8,
+           ExtensionStep.BY_0_8: ExtensionStep.BY_8_0,
+           ExtensionStep.BY_4_4: ExtensionStep.BY_4_4}
 
 
-def _factor_map_44() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    m = _auto_44()
-    return m.module_image, m.module_sign, m.center_image
-
-
-def _step_map(sub: CanonicalMap, src_step: ExtensionStep,
-              dst_step: ExtensionStep,
-              factor_module: tuple[tuple[int, ...], tuple[int, ...]],
-              factor_center: tuple[int, ...],
-              factor_b_src: frozenset[int]) -> CanonicalMap:
+def _step_map(sub: CanonicalMap, step: ExtensionStep) -> CanonicalMap:
     """One tensor induction step applied to a canonical map.
 
-    Sends x_i (x) u_a to +-(phi(x_i) (x) phi_f(u_a)), with the extra minus
-    exactly when x_i lies in the B part of the source parent and u_a in the
-    B part of the source factor.  Center indices follow the parent and
-    factor permutations through the recorded extension layouts.
+    Extends the source by `step` and the target by its mirror, and sends
+    x_i (x) u_a to +-(phi(x_i) (x) phi_f(u_a)).  The factor map phi_f is
+    the (4,4) automorphism on a (4,4) step and the identity otherwise.  The
+    extra minus appears exactly when x_i lies in the B part of the source
+    parent and u_a in the B part of the source factor.  Center indices
+    follow the parent and factor permutations through the recorded
+    extension layouts.
     """
-    src = extend(sub.src, src_step)
-    dst = extend(sub.dst, dst_step)
+    src = extend(sub.src, step)
+    dst = extend(sub.dst, _MIRROR[step])
     sprov = src.provenance
     dprov = dst.provenance
-    f_img, f_sign = factor_module
+    if step is ExtensionStep.BY_4_4:
+        twist = _auto_44()
+        f_module, f_center = twist.module_op(), twist.center_image
+    else:
+        f_module, f_center = SignedPermutationOp.identity(16), tuple(range(1, 9))
+    b_factor = base_blocks(*step.delta).b_side
     b_parent = sub.src.blocks.b_side if sub.src.blocks else frozenset()
 
     n = src.dim_module
@@ -364,11 +346,12 @@ def _step_map(sub: CanonicalMap, src_step: ExtensionStep,
         psign = sub.module_sign[i - 1]
         in_b_parent = i in b_parent
         for j in range(1, 17):
+            fj, fsign = f_module.apply_basis(j)
             src_idx = sprov.pair_to_final[16 * (i - 1) + j - 1]
-            dst_idx = dprov.pair_to_final[16 * (pi - 1) + f_img[j - 1] - 1]
-            tau = -1 if (in_b_parent and j in factor_b_src) else 1
+            dst_idx = dprov.pair_to_final[16 * (pi - 1) + fj - 1]
+            tau = -1 if (in_b_parent and j in b_factor) else 1
             image[src_idx - 1] = dst_idx
-            sign[src_idx - 1] = tau * psign * f_sign[j - 1]
+            sign[src_idx - 1] = tau * psign * fsign
 
     m = src.dim_center
     cimage = [0] * m
@@ -377,45 +360,8 @@ def _step_map(sub: CanonicalMap, src_step: ExtensionStep,
         cimage[pos - 1] = dprov.parent_center_to_final[sub.center_image[k - 1] - 1]
     for kf in range(1, 9):
         pos = sprov.factor_center_to_final[kf - 1]
-        cimage[pos - 1] = dprov.factor_center_to_final[factor_center[kf - 1] - 1]
+        cimage[pos - 1] = dprov.factor_center_to_final[f_center[kf - 1] - 1]
     return CanonicalMap(src, dst, tuple(image), tuple(sign), tuple(cimage))
-
-
-_B_80 = frozenset(range(9, 17))
-_B_08 = frozenset(range(9, 17))
-_B_44 = frozenset({2, 3, 4, 5, 9, 10, 11, 12})
-
-
-def _step_by_8(sub: CanonicalMap) -> CanonicalMap:
-    """phi_{r+8,s}: extend the source by (8,0) and the target by (0,8)."""
-    return _step_map(sub, ExtensionStep.BY_8_0, ExtensionStep.BY_0_8,
-                     _FACTOR_IDENTITY_16, tuple(range(1, 9)), _B_80)
-
-
-def _step_by_44(sub: CanonicalMap) -> CanonicalMap:
-    """phi_{r+4,s+4}: extend both sides by (4,4), twisting by the (4,4) map."""
-    img, sgn, ctr = _factor_map_44()
-    return _step_map(sub, ExtensionStep.BY_4_4, ExtensionStep.BY_4_4,
-                     (img, sgn), ctr, _B_44)
-
-
-def _map_r8(r: int) -> Optional[CanonicalMap]:
-    """phi_{r,8}: n_{r,8} -> n_{8,r} from the definite base map."""
-    base = _map_definite(r)
-    if base is None:
-        return None
-    return _step_map(base, ExtensionStep.BY_0_8, ExtensionStep.BY_8_0,
-                     _FACTOR_IDENTITY_16, tuple(range(1, 9)), _B_08)
-
-
-def _map_r4_4(r: int) -> Optional[CanonicalMap]:
-    """phi_{r+4,4}: n_{r+4,4} -> n_{4,r+4} from the definite base map."""
-    base = _map_definite(r)
-    if base is None:
-        return None
-    img, sgn, ctr = _factor_map_44()
-    return _step_map(base, ExtensionStep.BY_4_4, ExtensionStep.BY_4_4,
-                     (img, sgn), ctr, _B_44)
 
 
 def _map_definite(r: int) -> Optional[CanonicalMap]:
@@ -425,7 +371,7 @@ def _map_definite(r: int) -> Optional[CanonicalMap]:
     if r > 8 and r % 8 in (0, 1, 2, 4):
         sub = _map_definite(r - 8)
         if sub is not None:
-            return _step_by_8(sub)
+            return _step_map(sub, ExtensionStep.BY_8_0)
     return None
 
 
@@ -437,22 +383,20 @@ def _canonical_map(r: int, s: int, allow_inverse: bool = True
         return _map_definite(r)
     if r == s and (r, s) in ((1, 1), (2, 2), (4, 4)):
         return {1: _auto_11, 2: _auto_22, 4: _auto_44}[r]()
-    if s == 8 and r >= 1 and r % 8 in (0, 1, 2, 4):
-        got = _map_r8(r)
-        if got is not None:
-            return got
-    if s == 4 and r >= 5 and (r - 4) % 8 in (0, 1, 2, 4):
-        got = _map_r4_4(r - 4)
-        if got is not None:
-            return got
-    if r >= 9 and s >= 1:
-        sub = _canonical_map(r - 8, s)
-        if sub is not None and sub.src.blocks is not None:
-            return _step_by_8(sub)
-    if r >= 5 and s >= 5:
-        sub = _canonical_map(r - 4, s - 4)
-        if sub is not None and sub.src.blocks is not None:
-            return _step_by_44(sub)
+    # phi_{r,8} and phi_{r+4,4}: one step on top of a definite base map
+    for step in (ExtensionStep.BY_0_8, ExtensionStep.BY_4_4):
+        dr, ds = step.delta
+        if s == ds:
+            base = _map_definite(r - dr)
+            if base is not None:
+                return _step_map(base, step)
+    # phi_{r+8,s} and phi_{r+4,s+4}: one step on top of a smaller map
+    for step in (ExtensionStep.BY_8_0, ExtensionStep.BY_4_4):
+        dr, ds = step.delta
+        if r > dr and s > ds:
+            sub = _canonical_map(r - dr, s - ds)
+            if sub is not None and sub.src.blocks is not None:
+                return _step_map(sub, step)
     if allow_inverse:
         rev = _canonical_map(s, r, allow_inverse=False)
         if rev is not None:

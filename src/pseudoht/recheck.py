@@ -13,8 +13,8 @@ from typing import Mapping
 
 from .algebra import PseudoHTypeAlgebra, Verdict
 from .catalog import base_algebra, min_module_dim
-from .core import ExactMatrix, Signature
-from .extension import ExtensionStep, extend
+from .core import ExactMatrix, exact_rank
+from .extension import ExtensionStep, extend, standard_algebra
 from .morphism import LieMorphism, classify_morphism, verify_homomorphism
 from .obstruction import (
     ParityConstraint,
@@ -44,16 +44,12 @@ def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
     raise ValueError(f"cannot rebuild an algebra from provenance {prov!r}")
 
 
-def _int_matrix(rows) -> ExactMatrix:
-    return ExactMatrix.from_rows([[Fraction(e) for e in row] for row in rows])
-
-
 def _recheck_iso(payload: Mapping) -> Verdict:
     m = payload["morphism"]
     src = rebuild_from_provenance(m["src"]["provenance"])
     dst = rebuild_from_provenance(m["dst"]["provenance"])
-    f = LieMorphism(src, dst, _int_matrix(m["A"]), _int_matrix(m["C"]),
-                    _int_matrix(m["B"]))
+    f = LieMorphism(src, dst, ExactMatrix.from_rows(m["A"]),
+                    ExactMatrix.from_rows(m["C"]), ExactMatrix.from_rows(m["B"]))
     hom = verify_homomorphism(f)
     if not hom.ok:
         return Verdict(False, hom.witness, "embedded map is not a homomorphism")
@@ -62,8 +58,6 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     if stated and stated.get("center_action") != cls.center_action.value:
         return Verdict(False, None, "stated center action does not match")
     # invertibility of the blocks makes the homomorphism an isomorphism
-    from .core import exact_rank
-
     if exact_rank(f.A) != f.A.rows or exact_rank(f.C) != f.C.rows:
         return Verdict(False, None, "a block of the embedded map is singular")
     return Verdict(True)
@@ -92,8 +86,6 @@ def _recheck_signature(payload: Mapping) -> Verdict:
 
 def _recheck_parity(payload: Mapping) -> Verdict:
     r1, s1 = payload["src"]
-    from .extension import standard_algebra
-
     src = standard_algebra(int(r1), int(s1))
     cycle = [ParityConstraint(int(c["a"]), int(c["b"]), int(c["rhs"]))
              for c in payload["parity"]["cycle"]]
@@ -114,8 +106,6 @@ def _recheck_sbg_no(payload: Mapping) -> Verdict:
         mu, nu = payload["sum"]
         a = build_sum(base_algebra(int(r), int(s)), int(mu), int(nu)).algebra
     else:
-        from .extension import standard_algebra
-
         a = standard_algebra(int(r), int(s))
     z0 = [Fraction(e) for e in payload["z0"]]
     v = [Fraction(e) for e in payload["witness_v"]]

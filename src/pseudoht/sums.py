@@ -18,10 +18,10 @@ from .algebra import (
     SignedPermutationOp,
     SumProvenance,
     StructureTensor,
-    j_operator,
+    algebra_to_dict,
 )
-from .catalog import BASE_IDS, UnsupportedSignatureError
-from .core import ExactMatrix
+from .catalog import BASE_IDS, UnsupportedSignatureError, require_module_budget
+from .extension import volume_involution
 from .morphism import LieMorphism
 from .obstruction import Certificate, sbg_decision, verify_sbg_no_witness
 
@@ -59,6 +59,7 @@ def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
             f"two non-equivalent module types require r - s = 3 mod 4; "
             f"got ({r},{s})")
     per = base.dim_module
+    require_module_budget(per * (mu + nu))
     entries = []
     for b, btype in enumerate([1] * mu + [2] * nu):
         off = b * per
@@ -106,10 +107,7 @@ def block_volume_element(sum_algebra: DirectSumAlgebra, block: int
     block.  None means the composition is not a scalar multiple of the
     identity, which happens when the minimal module is reducible.
     """
-    view = _block_view(sum_algebra, block)
-    op = j_operator(view, 1)
-    for k in range(2, view.dim_center + 1):
-        op = op.compose(j_operator(view, k))
+    op = volume_involution(_block_view(sum_algebra, block))
     return op.scalar_action(), op
 
 
@@ -126,22 +124,13 @@ def swap_isomorphism(sum_algebra: DirectSumAlgebra) -> LieMorphism:
     mu, nu = sum_algebra.mu, sum_algebra.nu
     target = build_sum(base, nu, mu)
     per = sum_algebra.block_dim
-    n = sum_algebra.algebra.dim_module
-    rows = [[0] * n for _ in range(n)]
-
-    def place(src_block: int, dst_block: int) -> None:
-        for i in range(per):
-            rows[dst_block * per + i][src_block * per + i] = 1
-
-    for j in range(mu):          # type-1 sources -> target type-2 slots
-        place(j, nu + j)
-    for q in range(nu):          # type-2 sources -> target type-1 slots
-        place(mu + q, q)
-    c = ExactMatrix.from_rows(
-        [[-1 if i == j else 0 for j in range(base.dim_center)]
-         for i in range(base.dim_center)])
-    return LieMorphism(sum_algebra.algebra, target.algebra,
-                       ExactMatrix.from_rows(rows), c)
+    # type-1 source j -> target block nu + j; type-2 source q -> block q
+    targets = [nu + j for j in range(mu)] + list(range(nu))
+    image = tuple(t * per + i for t in targets for i in range(1, per + 1))
+    module = SignedPermutationOp(image, (1,) * len(image))
+    center = SignedPermutationOp.identity(base.dim_center).negate()
+    return LieMorphism(sum_algebra.algebra, target.algebra, module.matrix(),
+                       center.matrix())
 
 
 def sum_sbg(sum_algebra: DirectSumAlgebra, samples: int = 100,
@@ -172,8 +161,6 @@ def sum_sbg(sum_algebra: DirectSumAlgebra, samples: int = 100,
 
 
 def sum_to_dict(sum_algebra: DirectSumAlgebra) -> dict:
-    from .algebra import algebra_to_dict
-
     data = algebra_to_dict(sum_algebra.algebra)
     data["blocks"] = [{"type": 1, "count": sum_algebra.mu},
                       {"type": 2, "count": sum_algebra.nu}]

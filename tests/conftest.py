@@ -1,0 +1,9 @@
+import pytest
+
+from pseudoht.acceptance import run_all
+
+
+@pytest.fixture(scope="session")
+def paper_reports():
+    """One full `verify-paper` run (seed 0), shared by every criterion test."""
+    return run_all()

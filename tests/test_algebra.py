@@ -9,12 +9,14 @@ from pseudoht.algebra import (
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     StructureTensor,
+    adjoint_rows,
     algebra_from_json,
     algebra_to_dict,
     algebra_to_json,
     bd_decomposition,
     block_decomposition,
     bracket,
+    j_of_center_vector,
     j_operator,
     verify_admissible,
     verify_clifford,
@@ -256,3 +258,29 @@ def test_all_verifiers_quantify_over_every_center_index():
     # exercised on the widest catalog entry to touch all k, m pairs
     a = base_algebra(4, 4)
     assert verify_clifford(a).ok and verify_htype(a).ok
+
+
+def test_adjoint_rows_keep_the_number_type():
+    a = base_algebra(3, 2)
+    x = [1, 0, -2, 0, 0, 1, 0, 0]
+    rows = adjoint_rows(a, x)
+    assert all(type(e) is int for row in rows for e in row)
+    half = adjoint_rows(a, [Fraction(e, 2) for e in x])
+    assert half == [[Fraction(e, 2) for e in row] for row in rows]
+    # column b holds the center coordinates of [x, v_b]
+    for b in range(1, a.dim_module + 1):
+        column = tuple(row[b - 1] for row in rows)
+        assert column == bracket(a, x, basis_vector(b, 8))
+
+
+def test_j_of_center_vector_is_sparse_and_linear():
+    a = base_algebra(2, 2)
+    j1, j3 = j_operator(a, 1), j_operator(a, 3)
+    got = j_of_center_vector(a, {1: 1, 3: 2}, {5: 1})
+    want = {}
+    for op, c in ((j1, 1), (j3, 2)):
+        b, s = op.apply_basis(5)
+        want[b] = want.get(b, 0) + c * s
+    assert got == {b: c for b, c in want.items() if c}
+    assert all(type(c) is int for c in got.values())
+    assert j_of_center_vector(a, {}, {5: 1}) == {}

@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import pytest
+
+import pseudoht
 from pseudoht.algebra import algebra_from_dict
-from pseudoht.catalog import base_algebra
+from pseudoht.catalog import MAX_MODULE_DIM, base_algebra
 from pseudoht.cli import main, render_table
 
 
@@ -171,3 +179,26 @@ def test_verify_paper_reporting(tmp_path, capsys, monkeypatch):
     summary = json.loads(path.read_text())
     assert summary["passed"] == 1 and summary["failed"] == 1
     assert summary["criteria"][1]["failures"] == ["broken detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "80", "0"),
+    ("check", "80", "0", "0", "80"),
+    ("build", "2", "0", "--extend", "8,0", "8,0", "8,0"),
+    ("build", "0", "1", "--sum", "100000000", "0"),
+    ("table", "80", "0"),
+])
+def test_module_budget_refuses_before_building(argv):
+    # each request asks for a module far beyond MAX_MODULE_DIM (n_(80,0)
+    # alone would need dimension 1.1e12); run in a child process so that a
+    # missing guard costs a timeout rather than the test run's memory
+    src = str(Path(pseudoht.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pseudoht.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert f"budget of {MAX_MODULE_DIM}" in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 10.0

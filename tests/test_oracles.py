@@ -1,10 +1,6 @@
 """Cross-checks that run through independently transcribed data paths."""
 
-from pseudoht.acceptance import (
-    PERMUTATION_TABLE_8_0,
-    criterion_2_axioms,
-    run_all,
-)
+from pseudoht.acceptance import PERMUTATION_TABLE_8_0, criterion_2_axioms
 from pseudoht.algebra import SignedPermutationOp, j_operator
 from pseudoht.catalog import base_algebra
 from pseudoht.core import ExactMatrix, exact_rank
@@ -84,7 +80,6 @@ def test_quick_mode_skips_the_double_extension():
     assert full.checks == quick.checks + 1
 
 
-def test_run_all_reports_every_criterion():
-    reports = run_all(quick=True)
-    assert [rep.number for rep in reports] == list(range(1, 9))
-    assert sum(0 if rep.passed else 1 for rep in reports) == 1  # criterion 7
+def test_run_all_reports_every_criterion(paper_reports):
+    assert [rep.number for rep in paper_reports] == list(range(1, 9))
+    assert sum(0 if rep.passed else 1 for rep in paper_reports) == 1  # criterion 7
