@@ -23,10 +23,10 @@ from .algebra import (
 )
 from .catalog import (
     BASE_IDS,
-    _CATALOG_SPECS,
     base_algebra,
     render_table,
     table_layout,
+    table_text,
 )
 from .core import MapClass, scalar_product
 from .extension import ExtensionStep, extend, pair_index, standard_algebra
@@ -40,10 +40,10 @@ from .morphism import (
 )
 from .obstruction import (
     ParityConstraint,
-    _iter_grid,
     adjoint_rank,
     check_pair,
     gram_det,
+    iter_grid,
     sbg_decision,
     verify_parity_cycle,
     verify_sbg_no_witness,
@@ -106,12 +106,12 @@ u8   u7   -u5  u6   u3   -u4  -u2  -u1
 
 def _expected_table_md(table_id) -> str:
     """Markdown assembled straight from the stored transcription text."""
-    entry = _CATALOG_SPECS[table_id]
     lay = table_layout(table_id)
     a = base_algebra(*table_id)
     order = lay.display_order
     deco = "~" if lay.center_tilde else ""
-    rows_text = [line.split() for line in entry["text"].strip().splitlines()]
+    rows_text = [line.split()
+                 for line in table_text(table_id).strip().splitlines()]
     header = ["[r,c]"] + [a.module_labels[i - 1] for i in order]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join([" --- "] * len(header)) + "|"]
@@ -271,7 +271,7 @@ def criterion_5_surjectivity(seed: int = 0, quick: bool = False) -> CriterionRep
         n_center = a.dim_center
         bad = 0
         count = 0
-        for x in _iter_grid(8, 1):
+        for x in iter_grid(8, 1):
             count += 1
             norm = sum(s * e * e for s, e in zip(a.module_signs, x))
             g = gram_det(a, list(x))

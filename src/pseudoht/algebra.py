@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -21,7 +20,10 @@ from .core import (
     Rational,
     Signature,
     Vector,
+    basis_vector,
+    clear_denominators,
     epsilon,
+    exact,
     exact_rank,
     gram_matrix,
     nullspace,
@@ -126,11 +128,11 @@ class SignedPermutationOp:
         return self.image[a - 1], self.sign[a - 1]
 
     def apply(self, x: Sequence[Rational]) -> Vector:
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for a, xa in enumerate(x, start=1):
             if xa:
                 b, s = self.apply_basis(a)
-                out[b - 1] += s * Fraction(xa)
+                out[b - 1] += s * exact(xa)
         return tuple(out)
 
     def compose(self, other: "SignedPermutationOp") -> "SignedPermutationOp":
@@ -317,25 +319,25 @@ def bracket(a: PseudoHTypeAlgebra, x: Sequence[Rational],
     """Center coordinates of [x, y], extended bilinearly from the tensor."""
     if len(x) != a.dim_module or len(y) != a.dim_module:
         raise ValueError("bracket arguments must have module length")
-    xs = {i: Fraction(e) for i, e in enumerate(x, start=1) if e}
-    ys = {j: Fraction(e) for j, e in enumerate(y, start=1) if e}
-    out = [Fraction(0)] * a.dim_center
+    xs = {i: exact(e) for i, e in enumerate(x, start=1) if e}
+    ys = {j: exact(e) for j, e in enumerate(y, start=1) if e}
+    out = [0] * a.dim_center
     for k, c in bracket_sparse(a, xs, ys).items():
         out[k - 1] = c
     return tuple(out)
 
 
-def bracket_sparse(a: PseudoHTypeAlgebra, x: Mapping[int, Fraction],
-                   y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def bracket_sparse(a: PseudoHTypeAlgebra, x: Mapping[int, Rational],
+                   y: Mapping[int, Rational]) -> dict[int, Rational]:
     """bracket() on {index: coefficient} dictionaries; zero entries dropped."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     pair = a.tensor.bracket_pair
     for i, xi in x.items():
         for j, yj in y.items():
             hit = pair(i, j)
             if hit is not None:
                 k, s = hit
-                c = out.get(k, Fraction(0)) + s * xi * yj
+                c = out.get(k, 0) + s * xi * yj
                 if c:
                     out[k] = c
                 else:
@@ -375,9 +377,20 @@ def j_of_center_vector(a: PseudoHTypeAlgebra, z: Mapping[int, Rational],
     Both vectors are {index: coefficient} dictionaries, and so is the
     result, with zero entries dropped; integer input gives integer output.
     """
+    return apply_j_operators({k: j_operator(a, k) for k in z}, z, x)
+
+
+def apply_j_operators(ops: Mapping[int, SignedPermutationOp],
+                      z: Mapping[int, Rational],
+                      x: Mapping[int, Rational]) -> dict[int, Rational]:
+    """j_of_center_vector() with the operators given: ops[k] is J_{Z_k}.
+
+    A caller that applies many J_Z of one algebra derives the operators
+    once and passes them here.
+    """
     out: dict[int, Rational] = {}
     for k, zk in z.items():
-        op = j_operator(a, k)
+        op = ops[k]
         for alpha, xa in x.items():
             beta, s = op.apply_basis(alpha)
             c = out.get(beta, 0) + zk * xa * s
@@ -604,12 +617,11 @@ def verify_general_htype(a: PseudoHTypeAlgebra, samples: int = 100,
     [-5, 5].  A degenerate metric on ker(ad_v) raises DegenerateKernelError.
     """
     rng = random.Random(seed)
-    vectors: list[Vector] = [
-        tuple(Fraction(1 if i == alpha else 0) for i in range(1, a.dim_module + 1))
-        for alpha in range(1, a.dim_module + 1)]
+    vectors: list[Vector] = [basis_vector(alpha, a.dim_module)
+                             for alpha in range(1, a.dim_module + 1)]
     accepted = 0
     while accepted < samples:
-        v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(a.dim_module))
+        v = tuple(rng.randint(-5, 5) for _ in range(a.dim_module))
         if any(v) and scalar_product(v, v, a.module_signs) != 0:
             vectors.append(v)
             accepted += 1
@@ -621,23 +633,26 @@ def verify_general_htype(a: PseudoHTypeAlgebra, samples: int = 100,
 
 
 def _check_general_at(a: PseudoHTypeAlgebra, v: Vector) -> Verdict:
-    vv = scalar_product(v, v, a.module_signs)
-    m = ExactMatrix.from_rows(adjoint_rows(a, v))
+    """Both checks on the integer vector L*v, with integer bases of the
+    kernel and its complement: the identity is homogeneous of degree 2 in
+    v and in the pair (b, b'), and surjectivity depends on spaces only."""
+    w, _ = clear_denominators(v)
+    vv = scalar_product(w, w, a.module_signs)
+    m = ExactMatrix.from_rows(adjoint_rows(a, w))
     kernel = nullspace(m)
     if kernel:
         g = gram_matrix(kernel, a.module_signs)
         if exact_rank(g) != len(kernel):
             raise DegenerateKernelError(v)
         # complement = vectors orthogonal to every kernel element
-        ortho_rows = [[Fraction(a.module_sign(j + 1)) * kv[j]
-                       for j in range(a.dim_module)] for kv in kernel]
+        ortho_rows = [[s * e for s, e in zip(a.module_signs, kv)]
+                      for kv in kernel]
         comp = nullspace(ExactMatrix.from_rows(ortho_rows))
     else:
         comp = nullspace(ExactMatrix.zero(1, a.dim_module))
-    if exact_rank(ExactMatrix.from_rows([list(m.apply(b)) for b in comp])) \
-            != a.dim_center:
-        return Verdict(False, (v,), "ad_v is not surjective on the complement")
     images = [m.apply(b) for b in comp]
+    if exact_rank(ExactMatrix.from_rows(images)) != a.dim_center:
+        return Verdict(False, (v,), "ad_v is not surjective on the complement")
     for i, bi in enumerate(comp):
         for j in range(i, len(comp)):
             lhs = scalar_product(images[i], images[j], a.center_sig)

@@ -379,6 +379,13 @@ def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:
     )
 
 
+def table_text(table_id: BaseTableId) -> str:
+    """The stored transcription of a published commutator table."""
+    if table_id not in _CATALOG_SPECS:
+        raise UnsupportedSignatureError(*table_id)
+    return _CATALOG_SPECS[table_id]["text"]
+
+
 def base_blocks(r: int, s: int) -> Optional[BlockSets]:
     """Canonical block sets of a catalog algebra, read without building it."""
     if (r, s) not in _CATALOG_SPECS:

@@ -1,8 +1,10 @@
-"""Exact rational linear algebra over signed scalar-product spaces.
+"""Exact linear algebra over signed scalar-product spaces.
 
-Everything here is arbitrary-precision rational arithmetic; no floating
-point anywhere.  Basis indices in the public API are 1-based, matching the
-commutator-table conventions used throughout the package.
+Integers stay integers: a Fraction appears only where a non-integer
+rational arrives, and rank, determinant and nullspace clear its
+denominators and run one fraction-free elimination on integers.  No
+floating point anywhere.  Basis indices in the public API are 1-based,
+matching the commutator-table conventions used throughout the package.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
-Vector = tuple[Fraction, ...]
+Vector = tuple[Rational, ...]
 
 
 @dataclass(frozen=True)
@@ -59,27 +61,32 @@ def metric_signs(metric: MetricLike) -> tuple[int, ...]:
     return signs
 
 
+def exact(e) -> Rational:
+    """An int stays an int; anything else becomes a Fraction."""
+    return e if type(e) is int else Fraction(e)
+
+
 def as_vector(entries: Sequence[Rational]) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(exact(e) for e in entries)
 
 
 def basis_vector(i: int, dim: int) -> Vector:
     """The i-th standard basis vector (1-based) in dimension dim."""
     if not 1 <= i <= dim:
         raise IndexError(f"index {i} out of range for dimension {dim}")
-    return tuple(Fraction(1 if j == i else 0) for j in range(1, dim + 1))
+    return tuple(1 if j == i else 0 for j in range(1, dim + 1))
 
 
 def scalar_product(x: Sequence[Rational], y: Sequence[Rational],
-                   metric: MetricLike) -> Fraction:
+                   metric: MetricLike) -> Rational:
     """Signed scalar product sum(eps_i * x_i * y_i)."""
     signs = metric_signs(metric)
     if len(x) != len(signs) or len(y) != len(signs):
         raise ValueError(
             f"length mismatch: vectors of length {len(x)}, {len(y)} "
             f"against metric of length {len(signs)}")
-    return sum((Fraction(xi) * Fraction(yi) if s > 0 else -Fraction(xi) * Fraction(yi)
-                for xi, yi, s in zip(x, y, signs)), Fraction(0))
+    return sum(exact(xi) * exact(yi) if s > 0 else -exact(xi) * exact(yi)
+               for xi, yi, s in zip(x, y, signs))
 
 
 class MapClass(Enum):
@@ -90,15 +97,19 @@ class MapClass(Enum):
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable rational matrix with exact rank and determinant."""
+    """Immutable rational matrix with exact rank and determinant.
+
+    Entries keep their number type: int entries stay int, and any other
+    entry becomes a Fraction.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Rational, ...], ...]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
-        data = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        data = tuple(tuple(exact(e) for e in row) for row in rows)
         n = len(data)
         m = len(data[0]) if n else 0
         if any(len(row) != m for row in data):
@@ -114,7 +125,7 @@ class ExactMatrix:
     def zero(rows: int, cols: int) -> "ExactMatrix":
         return ExactMatrix.from_rows([[0] * cols for _ in range(rows)])
 
-    def get(self, i: int, j: int) -> Fraction:
+    def get(self, i: int, j: int) -> Rational:
         """Entry at row i, column j, both 1-based."""
         return self.entries[i - 1][j - 1]
 
@@ -133,19 +144,18 @@ class ExactMatrix:
             raise ValueError("dimension mismatch in matrix product")
         ot = tuple(zip(*other.entries))
         data = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ot)
+            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
             for row in self.entries)
         return ExactMatrix(self.rows, other.cols, data)
 
     def apply(self, x: Sequence[Rational]) -> Vector:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        xs = [Fraction(e) for e in x]
-        return tuple(sum((a * b for a, b in zip(row, xs)), Fraction(0))
-                     for row in self.entries)
+        xs = [exact(e) for e in x]
+        return tuple(sum(a * b for a, b in zip(row, xs)) for row in self.entries)
 
     def scale(self, c: Rational) -> "ExactMatrix":
-        f = Fraction(c)
+        f = exact(c)
         return ExactMatrix(self.rows, self.cols,
                            tuple(tuple(f * e for e in row) for row in self.entries))
 
@@ -153,8 +163,18 @@ class ExactMatrix:
         return all(e == 0 for row in self.entries for e in row)
 
 
+def clear_denominators(v: Sequence[Rational]) -> tuple[list[int], int]:
+    """The integer vector L*v and L, the lcm of the denominators of v.
+
+    Integers pass through with L = 1: they have numerator and denominator
+    attributes too.
+    """
+    lcm = math.lcm(*(e.denominator for e in v))
+    return [e.numerator * (lcm // e.denominator) for e in v], lcm
+
+
 def _int_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; rank is unchanged.
+    """Clear denominators row by row; rank and nullspace are unchanged.
 
     Returns the integer rows and the product of the row multipliers, by
     which the determinant is scaled.
@@ -162,80 +182,76 @@ def _int_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
     out = []
     scale = 1
     for row in m.entries:
-        lcm = math.lcm(*(e.denominator for e in row))
+        ints, lcm = clear_denominators(row)
+        out.append(ints)
         scale *= lcm
-        out.append([e.numerator * (lcm // e.denominator) for e in row])
     return out, scale
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss-style) elimination rank of an integer matrix."""
-    m = [row[:] for row in rows]
+def _bareiss(rows: Sequence[Sequence[int]], jordan: bool = False
+             ) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Returns the reduced rows, the pivot columns and the sign of the row
+    permutation.  Row i of the result holds the pivot of column pivots[i];
+    every division is exact.  In Jordan mode the rows above each pivot are
+    cleared as well, after which every pivot equals the last one.
+    """
+    m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank = 0
+    pivots: list[int] = []
+    sign = 1
     prev = 1
+    r = 0
     for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+        piv = r
+        while piv < nr and m[piv][col] == 0:
+            piv += 1
+        if piv == nr:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, nr):
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        mr = m[r]
+        p = mr[col]
+        for i in range(r + 1, nr):
             mi = m[i]
             f = mi[col]
-            mr = m[rank]
             for j in range(col + 1, nc):
                 mi[j] = (mi[j] * p - f * mr[j]) // prev
             mi[col] = 0
+        if jordan:
+            for i in range(r):
+                mi = m[i]
+                f = mi[col]
+                for j in range(nc):
+                    mi[j] = (mi[j] * p - f * mr[j]) // prev
+        pivots.append(col)
         prev = p
-        rank += 1
-        if rank == nr:
+        r += 1
+        if r == nr:
             break
-    return rank
+    return m, pivots, sign
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss determinant of a square integer matrix."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mk = m[k]
-            f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * p - f * mk[j]) // prev
-            mi[k] = 0
-        prev = p
-    return sign * m[n - 1][n - 1]
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix given as a list of rows."""
+    return len(_bareiss(rows)[1])
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix given as a list of rows."""
+    n = len(rows)
+    m, pivots, sign = _bareiss(rows)
+    if len(pivots) < n:
+        return 0
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def exact_rank(m: ExactMatrix) -> int:
     """Rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _int_rank(_int_rows(m)[0])
+    return int_rank(_int_rows(m)[0])
 
 
 def exact_det(m: ExactMatrix) -> Fraction:
@@ -243,41 +259,27 @@ def exact_det(m: ExactMatrix) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     int_rows, scale = _int_rows(m)
-    return Fraction(_int_det(int_rows), scale)
+    return Fraction(int_det(int_rows), scale)
 
 
 def nullspace(m: ExactMatrix) -> list[Vector]:
-    """Basis of the right nullspace {x : Mx = 0}, exact."""
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [e / p for e in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * g for e, g in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
+    """Integer basis of the right nullspace {x : Mx = 0}, exact.
+
+    One vector per free column fc of the fraction-free reduced form, whose
+    pivots all equal d: it has d at fc and, at each pivot column, minus
+    the entry in column fc of that pivot's row.
+    """
+    red, pivots, _ = _bareiss(_int_rows(m)[0], jordan=True)
+    d = red[len(pivots) - 1][pivots[-1]] if pivots else 1
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        v = [0] * m.cols
+        v[fc] = d
         for ri, pc in enumerate(pivots):
-            v[pc] = -a[ri][fc]
+            v[pc] = -red[ri][fc]
         basis.append(tuple(v))
     return basis
 
@@ -306,7 +308,7 @@ def classify_map(m: ExactMatrix, metric_from: MetricLike,
     for i, ci in enumerate(cols):
         for j in range(i, len(cols)):
             got = scalar_product(ci, cols[j], signs_to)
-            want = Fraction(signs_from[i]) if i == j else Fraction(0)
+            want = signs_from[i] if i == j else 0
             if got != want:
                 iso = False
             if got != -want:

@@ -22,12 +22,19 @@ from .algebra import (
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     Verdict,
+    apply_j_operators,
     bracket_sparse,
-    j_of_center_vector,
     j_operator,
 )
 from .catalog import base_algebra, base_blocks, min_module_dim
-from .core import ExactMatrix, MapClass, Signature, classify_map, exact_det
+from .core import (
+    ExactMatrix,
+    MapClass,
+    Rational,
+    Signature,
+    classify_map,
+    exact_det,
+)
 from .extension import (
     ExtensionStep,
     UnsupportedSignatureError,
@@ -63,8 +70,8 @@ class MorphismClass:
     integral: bool
 
 
-def _sparse_columns(m: ExactMatrix) -> list[dict[int, Fraction]]:
-    cols: list[dict[int, Fraction]] = [dict() for _ in range(m.cols)]
+def _sparse_columns(m: ExactMatrix) -> list[dict[int, Rational]]:
+    cols: list[dict[int, Rational]] = [dict() for _ in range(m.cols)]
     for i, row in enumerate(m.entries, start=1):
         for j, e in enumerate(row):
             if e:
@@ -72,7 +79,7 @@ def _sparse_columns(m: ExactMatrix) -> list[dict[int, Fraction]]:
     return cols
 
 
-def _sparse_rows(m: ExactMatrix) -> list[dict[int, Fraction]]:
+def _sparse_rows(m: ExactMatrix) -> list[dict[int, Rational]]:
     return [{j: e for j, e in enumerate(row, start=1) if e}
             for row in m.entries]
 
@@ -104,7 +111,7 @@ def verify_homomorphism(f: LieMorphism) -> Verdict:
         xa = acols[alpha - 1]
         for beta in range(alpha + 1, n + 1):
             rhs = bracket_sparse(dst, xa, acols[beta - 1])
-            lhs: dict[int, Fraction] = {}
+            lhs: dict[int, Rational] = {}
             hit = src.tensor.bracket_pair(alpha, beta)
             if hit is not None:
                 k, s = hit
@@ -119,11 +126,11 @@ def verify_homomorphism(f: LieMorphism) -> Verdict:
 
 def _apply_sparse_rows(rows, x, scale_out, scale_in):
     """y = D_out M D_in x for sparse row storage and +-1 diagonal scalings."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for beta, xb in x.items():
         f = xb * scale_in[beta - 1]
         for i, e in rows[beta - 1].items():
-            c = out.get(i, Fraction(0)) + e * f * scale_out[i - 1]
+            c = out.get(i, 0) + e * f * scale_out[i - 1]
             if c:
                 out[i] = c
             else:
@@ -138,6 +145,8 @@ def verify_conjugation(f: LieMorphism) -> Verdict:
     products, so A^tau = G_src A^T G_dst and likewise for C.
     """
     src, dst = f.src, f.dst
+    src_j = {k: j_operator(src, k) for k in range(1, src.dim_center + 1)}
+    dst_j = {k: j_operator(dst, k) for k in range(1, dst.dim_center + 1)}
     acols = _sparse_columns(f.A)
     arows = _sparse_rows(f.A)  # row beta of A = column beta of A^T
     crows = _sparse_rows(f.C)
@@ -148,18 +157,10 @@ def verify_conjugation(f: LieMorphism) -> Verdict:
     for k in range(1, dst.dim_center + 1):
         ctau_z = {m: gz_src[m - 1] * e * gz_dst[k - 1]
                   for m, e in crows[k - 1].items()}
-        jz = j_operator(dst, k)
         for alpha in range(1, src.dim_module + 1):
-            y: dict[int, Fraction] = {}
-            for b, xa in acols[alpha - 1].items():
-                img, s = jz.apply_basis(b)
-                c = y.get(img, Fraction(0)) + xa * s
-                if c:
-                    y[img] = c
-                else:
-                    y.pop(img, None)
+            y = apply_j_operators(dst_j, {k: 1}, acols[alpha - 1])
             lhs = _apply_sparse_rows(arows, y, g_src, g_dst)
-            rhs = j_of_center_vector(src, ctau_z, {alpha: Fraction(1)})
+            rhs = apply_j_operators(src_j, ctau_z, {alpha: 1})
             if lhs != rhs:
                 return Verdict(False, (k, alpha),
                                "conjugation relation fails at this center index")
@@ -196,13 +197,13 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     two_l = f.src.dim_module
     cols = _sparse_columns(f.A)
     if all(len(c) == 1 and abs(next(iter(c.values()))) == 1 for c in cols):
-        d = Fraction(1)  # signed permutation block: |det(A^tau A)| = 1
+        d = 1  # signed permutation block: |det(A^tau A)| = 1
     else:
         d = abs(exact_det(f.A.transpose().mul(f.A)))
     if d == 0:
         raise ValueError("module block is singular; cannot normalize")
     if d == 1:
-        mu = Fraction(1)
+        mu = 1
     else:
         mu = _nth_root_of_fraction(Fraction(1) / d, 2 * two_l)
         if mu is None:
@@ -213,7 +214,7 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     gz_dst = f.dst.center_sig.signs()
     c = g.C
     ctau = ExactMatrix.from_rows(
-        [[Fraction(gz_src[m]) * c.entries[k][m] * gz_dst[k]
+        [[gz_src[m] * c.entries[k][m] * gz_dst[k]
           for k in range(c.rows)] for m in range(c.cols)])
     cct = c.mul(ctau)
     n = cct.rows

@@ -18,7 +18,6 @@ from .algebra import (
     PseudoHTypeAlgebra,
     Verdict,
     adjoint_rows,
-    bracket,
     j_of_center_vector,
 )
 from .core import (
@@ -26,11 +25,11 @@ from .core import (
     Rational,
     Signature,
     Vector,
-    _int_det,
-    _int_rank,
     as_vector,
+    clear_denominators,
     exact_det,
     exact_rank,
+    int_rank,
     scalar_product,
 )
 from .extension import standard_algebra, standard_chain
@@ -59,21 +58,20 @@ def adjoint_matrix(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> AdjointMatri
 
 
 def gram_det(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> Fraction:
-    """Exact det(M_X M_X^T) for the adjoint matrix of X."""
-    if all(isinstance(e, int) for e in x):
-        m = adjoint_rows(a, x)
-        n = len(m)
-        gram = [[sum(m[i][c] * m[j][c] for c in range(len(m[0])))
-                 for j in range(n)] for i in range(n)]
-        return Fraction(_int_det(gram))
-    m = adjoint_matrix(a, x).matrix
-    return exact_det(m.mul(m.transpose()))
+    """Exact det(M_X M_X^T) for the adjoint matrix of X.
+
+    Computed on the integer vector L*X, whose adjoint matrix is L*M_X, so
+    the determinant of its Gram matrix carries a factor L^(2 dim z).
+    """
+    ints, lcm = clear_denominators(x)
+    m = adjoint_matrix(a, ints).matrix
+    return exact_det(m.mul(m.transpose())) / lcm ** (2 * a.dim_center)
 
 
 def adjoint_rank(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> int:
-    if all(isinstance(e, int) for e in x):
-        return _int_rank(adjoint_rows(a, x))
-    return exact_rank(adjoint_matrix(a, x).matrix)
+    """Rank of ad_X, computed on the integer vector L*X of equal rank."""
+    ints, _ = clear_denominators(x)
+    return exact_rank(adjoint_matrix(a, ints).matrix)
 
 
 @dataclass
@@ -104,7 +102,8 @@ class ScanReport:
         }
 
 
-def _iter_grid(dim: int, radius: int):
+def iter_grid(dim: int, radius: int):
+    """Every integer point of the cube [-radius, radius]^dim."""
     point = [-radius] * dim
     while True:
         yield tuple(point)
@@ -162,15 +161,15 @@ def surjectivity_scan(a: PseudoHTypeAlgebra, grid_radius: int = 1,
             return False
         report.points += 1
         norm = sum(s * e * e for s, e in zip(a.module_signs, x))
-        full = _int_rank(adjoint_rows(a, x)) == n_center
+        full = int_rank(adjoint_rows(a, x)) == n_center
         if norm == 0 and full:
-            report.null_full_rank.append(tuple(Fraction(e) for e in x))
+            report.null_full_rank.append(x)
         if norm != 0 and not full:
-            report.nonnull_rank_deficient.append(tuple(Fraction(e) for e in x))
+            report.nonnull_rank_deficient.append(x)
         return stop_on_violation and not report.equivalence_holds
 
     if exhaustive:
-        for x in _iter_grid(dim, grid_radius):
+        for x in iter_grid(dim, grid_radius):
             if visit(x):
                 return report
     for _ in range(random_samples):
@@ -282,7 +281,7 @@ def sbg_decision(a: PseudoHTypeAlgebra, samples: int = 100,
             x = tuple(rng.randint(-5, 5) for _ in range(a.dim_module))
             if not any(x):
                 continue
-            if _int_rank(adjoint_rows(a, x)) != a.dim_center:
+            if int_rank(adjoint_rows(a, x)) != a.dim_center:
                 return Certificate("SBG_NO", {
                     "signature": [r, s],
                     "witness_v": [str(e) for e in x],
@@ -314,17 +313,21 @@ def sbg_decision(a: PseudoHTypeAlgebra, samples: int = 100,
 
 def verify_sbg_no_witness(a: PseudoHTypeAlgebra, z0: Sequence[Rational],
                           v: Sequence[Rational]) -> Verdict:
-    """Re-check an SBG_NO certificate: image(ad_v) misses the dual of Z_0."""
-    z0v = as_vector(z0)
-    vv = as_vector(v)
-    if not any(z0v) or not any(vv):
+    """Re-check an SBG_NO certificate: image(ad_v) misses the dual of Z_0.
+
+    Both conditions are homogeneous, so they are checked on the integer
+    vectors L*Z_0 and L*v; column beta of ad_v holds [v, v_beta].
+    """
+    if len(z0) != a.dim_center or len(v) != a.dim_module:
+        return Verdict(False, None, "certificate vectors have the wrong length")
+    z0i, _ = clear_denominators(z0)
+    vi, _ = clear_denominators(v)
+    if not any(z0i) or not any(vi):
         return Verdict(False, None, "certificate vectors must be nonzero")
-    if scalar_product(z0v, z0v, a.center_sig) != 0:
+    if scalar_product(z0i, z0i, a.center_sig) != 0:
         return Verdict(False, None, "Z_0 is not a null vector")
-    for beta in range(1, a.dim_module + 1):
-        e = [Fraction(1 if i == beta else 0) for i in range(1, a.dim_module + 1)]
-        img = bracket(a, vv, e)
-        if scalar_product(z0v, img, a.center_sig) != 0:
+    for beta, img in enumerate(zip(*adjoint_rows(a, vi)), start=1):
+        if scalar_product(z0i, img, a.center_sig) != 0:
             return Verdict(False, (beta,),
                            "image of ad_v leaves the complement of Z_0")
     return Verdict(True)

@@ -162,15 +162,19 @@ def test_nullspace_basic():
 
 
 def test_nullspace_dimension_theorem():
+    # integer and rational matrices alike get an integer basis
     rng = random.Random(5)
-    for _ in range(80):
+    for trial in range(160):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 6)
+        den = 1 if trial < 80 else 4
         m = ExactMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, den))
+              for _ in range(cols)] for _ in range(rows)])
         basis = nullspace(m)
         assert len(basis) == cols - exact_rank(m)
         for v in basis:
+            assert all(type(e) is int for e in v)
             assert all(e == 0 for e in m.apply(v))
 
 

@@ -1,7 +1,8 @@
 """Import layering of the package, checked on the source with `ast`.
 
 The CLI is the top layer: no package module may import it.  Imports sit at
-module level, where the dependency graph between modules is visible.
+module level, where the dependency graph between modules is visible, and
+name only public names: a module's underscored names are its own.
 """
 
 import ast
@@ -50,4 +51,16 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         offenders.append(f"{path.name}:{node.lineno} "
                                          f"in {func.name}")
+    assert offenders == []
+
+
+def test_no_module_imports_a_private_name():
+    offenders = []
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        offenders.append(f"{path.name}:{node.lineno} "
+                                         f"{alias.name}")
     assert offenders == []

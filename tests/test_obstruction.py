@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoht.catalog import base_algebra
 from pseudoht.core import basis_vector, scalar_product
@@ -220,6 +223,37 @@ def test_sbg_witness_verifier_rejects_bad_data():
     assert not verify_sbg_no_witness(a, [1, 0], [0, 1, 1, 0]).ok  # not null
     assert not verify_sbg_no_witness(a, [1, 1], [1, 0, 0, 0]).ok  # wrong v
     assert not verify_sbg_no_witness(a, [0, 0], [0, 1, 1, 0]).ok  # zero Z_0
+
+
+def test_sbg_witness_verifier_refuses_wrong_lengths():
+    a = base_algebra(1, 1)
+    assert verify_sbg_no_witness(a, [1, 1], [0, 1, 1, 0]).ok
+    assert not verify_sbg_no_witness(a, [1, 1, 0], [0, 1, 1, 0]).ok
+    assert not verify_sbg_no_witness(a, [1, 1], [0, 1, 1]).ok
+    assert not verify_sbg_no_witness(a, [1, 1], [0, 1, 1, 0, 0]).ok
+
+
+def test_sbg_witness_verifier_accepts_rational_multiples():
+    a = base_algebra(1, 1)
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    assert verify_sbg_no_witness(a, [half, half], [0, third, third, 0]).ok
+    assert not verify_sbg_no_witness(a, [half, half], [third, 0, 0, 0]).ok
+
+
+rationals = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 2), (2, 3), (3, 3), (1, 1)]),
+       st.lists(rationals, min_size=8, max_size=8))
+def test_gram_det_and_rank_under_clearing_denominators(rs, x):
+    a = base_algebra(*rs)
+    x = x[:a.dim_module]
+    lcm = math.lcm(*(e.denominator for e in x))
+    lx = [int(lcm * e) for e in x]
+    assert gram_det(a, x) * lcm ** (2 * a.dim_center) == gram_det(a, lx)
+    assert adjoint_rank(a, x) == adjoint_rank(a, lx)
 
 
 def test_parity_system_shape():

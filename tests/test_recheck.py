@@ -59,6 +59,17 @@ def test_recheck_sbg_certificates():
         sbg_decision(base_algebra(4, 0)).json_dict()).ok  # evidence record
 
 
+def test_recheck_refuses_sbg_witness_of_wrong_length():
+    cert = sbg_decision(base_algebra(1, 1)).json_dict()
+    assert recheck_certificate(cert).ok
+    padded = json.loads(json.dumps(cert))
+    padded["z0"].append("0")
+    assert not recheck_certificate(padded).ok
+    short = json.loads(json.dumps(cert))
+    short["witness_v"].pop()
+    assert not recheck_certificate(short).ok
+
+
 def test_recheck_round_trips_through_cli_json(capsys):
     main(["check", "5", "4", "4", "5"])
     cert = json.loads(capsys.readouterr().out)
