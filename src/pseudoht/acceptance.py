@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
-    j_operator,
+    j_operators,
     verify_admissible,
     verify_clifford,
     verify_general_htype,
@@ -140,7 +140,7 @@ def criterion_1_tables(seed: int = 0, quick: bool = False) -> CriterionReport:
         if got != want:
             fail(f"table {tid} deviates from the transcription")
     eight = base_algebra(8, 0)
-    ops = [j_operator(eight, k) for k in range(1, 9)]
+    ops = j_operators(eight)
     rows = [line.split() for line in PERMUTATION_TABLE_8_0.strip().splitlines()]
     for j in range(1, 17):
         for k in range(1, 9):

@@ -11,9 +11,10 @@ All indices in the public API are 1-based.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     ExactMatrix,
@@ -137,14 +138,10 @@ class SignedPermutationOp:
 
     def compose(self, other: "SignedPermutationOp") -> "SignedPermutationOp":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        image = []
-        sign = []
-        for a in range(1, self.dim + 1):
-            b, s1 = other.apply_basis(a)
-            c, s2 = self.apply_basis(b)
-            image.append(c)
-            sign.append(s1 * s2)
-        return SignedPermutationOp(tuple(image), tuple(sign))
+        image = tuple(self.image[b - 1] for b in other.image)
+        sign = tuple(s * self.sign[b - 1]
+                     for b, s in zip(other.image, other.sign))
+        return SignedPermutationOp(image, sign)
 
     def inverse(self) -> "SignedPermutationOp":
         image = [0] * self.dim
@@ -358,16 +355,64 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
         raise IntegralBasisError(
             f"multiple partners for (k, a) pairs {a.tensor._partner_conflicts[:3]}")
     ez = a.center_sign(k)
+    partner = a.tensor._partner
+    g = a.module_signs
     image = []
     sign = []
     for alpha in range(1, a.dim_module + 1):
-        hit = a.tensor.partner(k, alpha)
+        hit = partner.get((k, alpha))
         if hit is None:
             raise IntegralBasisError(f"no partner for center {k}, vector {alpha}")
         beta, s = hit
         image.append(beta)
-        sign.append(ez * s * a.module_sign(beta))
+        sign.append(ez * s * g[beta - 1])
     return SignedPermutationOp(tuple(image), tuple(sign))
+
+
+def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
+    """(J_{Z_1}, ..., J_{Z_n}): j_operator() for every center index.
+
+    Derived on first use and kept on the algebra object, so the hot loops
+    of the verifiers, the conjugation check and the SBG witness search
+    derive each operator once per algebra.
+    """
+    return _derived(a, "_j_operators", lambda alg: tuple(
+        j_operator(alg, k) for k in range(1, alg.dim_center + 1)))
+
+
+_Links = tuple[tuple[int, int, int], ...]
+
+
+def _adjacency(a: PseudoHTypeAlgebra) -> tuple[_Links, ...]:
+    """adj[alpha] = ((beta, k, s), ...) with [v_alpha, v_beta] = s * Z_k.
+
+    All three indices are 0-based here, for direct list indexing; each
+    module index has exactly dim z links on an integral basis.
+    """
+    def build(alg: PseudoHTypeAlgebra) -> tuple[_Links, ...]:
+        adj: list[list[tuple[int, int, int]]] = [
+            [] for _ in range(alg.dim_module)]
+        for (i, j, k, s) in alg.tensor.entries:
+            adj[i - 1].append((j - 1, k - 1, s))
+            adj[j - 1].append((i - 1, k - 1, -s))
+        return tuple(tuple(links) for links in adj)
+
+    return _derived(a, "_adjacency", build)
+
+
+def _derived(a: PseudoHTypeAlgebra, name: str,
+             build: Callable[[PseudoHTypeAlgebra], tuple]) -> tuple:
+    """A table computed from the algebra's fields, kept on the instance.
+
+    The fields are frozen, so the table cannot go stale, and it is not a
+    field, so ==, hash, repr and the JSON form never see it.  Two threads
+    that both miss build the same value; either one may be kept.
+    """
+    value = a.__dict__.get(name)
+    if value is None:
+        value = build(a)
+        object.__setattr__(a, name, value)
+    return value
 
 
 def j_of_center_vector(a: PseudoHTypeAlgebra, z: Mapping[int, Rational],
@@ -377,7 +422,11 @@ def j_of_center_vector(a: PseudoHTypeAlgebra, z: Mapping[int, Rational],
     Both vectors are {index: coefficient} dictionaries, and so is the
     result, with zero entries dropped; integer input gives integer output.
     """
-    return apply_j_operators({k: j_operator(a, k) for k in z}, z, x)
+    for k in z:
+        if not 1 <= k <= a.dim_center:
+            raise IndexError(f"center index {k} out of range")
+    ops = j_operators(a)
+    return apply_j_operators({k: ops[k - 1] for k in z}, z, x)
 
 
 def apply_j_operators(ops: Mapping[int, SignedPermutationOp],
@@ -385,15 +434,16 @@ def apply_j_operators(ops: Mapping[int, SignedPermutationOp],
                       x: Mapping[int, Rational]) -> dict[int, Rational]:
     """j_of_center_vector() with the operators given: ops[k] is J_{Z_k}.
 
-    A caller that applies many J_Z of one algebra derives the operators
-    once and passes them here.
+    A caller that applies the J operators of two algebras side by side,
+    as the conjugation check does, passes each one's j_operators() here.
     """
     out: dict[int, Rational] = {}
     for k, zk in z.items():
         op = ops[k]
+        image, sign = op.image, op.sign
         for alpha, xa in x.items():
-            beta, s = op.apply_basis(alpha)
-            c = out.get(beta, 0) + zk * xa * s
+            beta = image[alpha - 1]
+            c = out.get(beta, 0) + zk * xa * sign[alpha - 1]
             if c:
                 out[beta] = c
             else:
@@ -415,28 +465,48 @@ def verify_integral_basis(a: PseudoHTypeAlgebra) -> Verdict:
     return Verdict(True)
 
 
+def _signed_lookup(op: SignedPermutationOp) -> list[int]:
+    """op as signed indices: t[b] = sign[b] * image[b] and t[-b] = -t[b].
+
+    Entry 0 is unused; negative b reads from the end of the list, so the
+    composite J(J'(v_a)) is t[t'[a]] in signed-index form.
+    """
+    signed = [s * b for b, s in zip(op.image, op.sign)]
+    return [0, *signed, *(-t for t in reversed(signed))]
+
+
+def _first_difference(xs: list, ys: list) -> Optional[int]:
+    """1-based position of the first entry where xs and ys differ, or None."""
+    if xs == ys:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(xs, ys), start=1) if x != y)
+
+
 def verify_clifford(a: PseudoHTypeAlgebra) -> Verdict:
-    """J_k J_m + J_m J_k = -2 <Z_k, Z_m> Id on the recovered operators."""
-    n = a.dim_center
-    ops = [j_operator(a, k) for k in range(1, n + 1)]
+    """J_k J_m + J_m J_k = -2 <Z_k, Z_m> Id on the recovered operators.
+
+    Both sides are compared as signed-index lists over the basis: J_k J_m
+    must equal -J_m J_k for k != m and -<Z_k,Z_k> Id for k = m.  The
+    witness is the first basis index where they differ.
+    """
+    n_mod = a.dim_module
+    luts = [_signed_lookup(op) for op in j_operators(a)]
+    n = len(luts)
     for k in range(n):
+        lk = luts[k]
         for m in range(k, n):
-            km = ops[k].compose(ops[m])
+            lm = luts[m]
+            km = [lk[b] for b in lm[1:n_mod + 1]]
             if k == m:
-                want = -a.center_sign(k + 1)
-                for alpha in range(1, a.dim_module + 1):
-                    beta, s = km.apply_basis(alpha)
-                    if beta != alpha or s != want:
-                        return Verdict(False, (k + 1, m + 1, alpha),
-                                       "J_k^2 is not -<Z_k,Z_k> Id")
+                ez = a.center_sign(k + 1)
+                want = [-ez * alpha for alpha in range(1, n_mod + 1)]
+                detail = "J_k^2 is not -<Z_k,Z_k> Id"
             else:
-                mk = ops[m].compose(ops[k])
-                for alpha in range(1, a.dim_module + 1):
-                    b1, s1 = km.apply_basis(alpha)
-                    b2, s2 = mk.apply_basis(alpha)
-                    if b1 != b2 or s1 != -s2:
-                        return Verdict(False, (k + 1, m + 1, alpha),
-                                       "J_k J_m + J_m J_k does not vanish")
+                want = [lm[-b] for b in lk[1:n_mod + 1]]
+                detail = "J_k J_m + J_m J_k does not vanish"
+            alpha = _first_difference(km, want)
+            if alpha is not None:
+                return Verdict(False, (k + 1, m + 1, alpha), detail)
     return Verdict(True)
 
 
@@ -447,17 +517,14 @@ def verify_admissible(a: PseudoHTypeAlgebra) -> Verdict:
     orbit pairs: <J_k v_a, v_b> is nonzero only at b = image(a), so it
     suffices that image is an involution there with matching signs.
     """
-    for k in range(1, a.dim_center + 1):
-        op = j_operator(a, k)
-        for alpha in range(1, a.dim_module + 1):
-            beta, s = op.apply_basis(alpha)
-            back, s_back = op.apply_basis(beta)
-            if back != alpha:
+    g = a.module_signs
+    for k, op in enumerate(j_operators(a), start=1):
+        image, sign = op.image, op.sign
+        for alpha, (beta, s) in enumerate(zip(image, sign), start=1):
+            if image[beta - 1] != alpha:
                 return Verdict(False, (k, alpha, beta),
                                "skew-adjointness fails: orbit does not return")
-            lhs = s * a.module_sign(beta)
-            rhs = -s_back * a.module_sign(alpha)
-            if lhs != rhs:
+            if s * g[beta - 1] != -sign[beta - 1] * g[alpha - 1]:
                 return Verdict(False, (k, alpha, beta),
                                "skew-adjointness fails on this pair")
     return Verdict(True)
@@ -469,21 +536,29 @@ def verify_htype(a: PseudoHTypeAlgebra) -> Verdict:
     <J_k v_a, J_m v_a> = <Z_k, Z_m> <v_a, v_a> for all k, m, a; the companion
     identity <J_k v_a, J_k v_b> = <Z_k, Z_k> <v_a, v_b> holds off-diagonal for
     free (a signed permutation sends distinct basis vectors to orthogonal
-    ones) and its diagonal is the k = m case below.
+    ones) and its diagonal is the k = m case below.  With +-1 signs the
+    left side is <v_b, v_b> at k = m (b = image_k(a)), and for k != m it
+    vanishes exactly when image_k(a) != image_m(a).
     """
-    n = a.dim_center
-    ops = [j_operator(a, k) for k in range(1, n + 1)]
+    ops = j_operators(a)
+    g = list(a.module_signs)
+    minus_g = [-e for e in g]
+    n = len(ops)
     for k in range(n):
+        ik = ops[k].image
         for m in range(k, n):
-            for alpha in range(1, a.dim_module + 1):
-                bk, sk = ops[k].apply_basis(alpha)
-                bm, sm = ops[m].apply_basis(alpha)
-                lhs = sk * sm * a.module_sign(bk) if bk == bm else 0
-                want = (a.center_sign(k + 1) * a.module_sign(alpha)
-                        if k == m else 0)
-                if lhs != want:
-                    return Verdict(False, (k + 1, m + 1, alpha),
-                                   "composition identity fails")
+            if k == m:
+                got = [g[b - 1] for b in ik]
+                alpha = _first_difference(got, g if a.center_sign(k + 1) > 0
+                                          else minus_g)
+            elif any(map(operator.eq, ik, ops[m].image)):
+                alpha = next(i for i, (bk, bm) in enumerate(
+                    zip(ik, ops[m].image), start=1) if bk == bm)
+            else:
+                alpha = None
+            if alpha is not None:
+                return Verdict(False, (k + 1, m + 1, alpha),
+                               "composition identity fails")
     return Verdict(True)
 
 
@@ -592,17 +667,13 @@ def adjoint_rows(a: PseudoHTypeAlgebra,
     """Rows of the matrix of ad_x: column b holds the coords of [x, v_b].
 
     Entries keep the number type of x, so integer input gives integer rows.
+    Each nonzero x_alpha walks the dim z bracket links of v_alpha.
     """
     rows = [[0] * a.dim_module for _ in range(a.dim_center)]
-    pair = a.tensor.bracket_pair
-    for alpha, xa in enumerate(x, start=1):
-        if not xa:
-            continue
-        for beta in range(1, a.dim_module + 1):
-            hit = pair(alpha, beta)
-            if hit is not None:
-                k, s = hit
-                rows[k - 1][beta - 1] += s * xa
+    for xa, links in zip(x, _adjacency(a)):
+        if xa:
+            for beta, k, s in links:
+                rows[k][beta] += s * xa
     return rows
 
 

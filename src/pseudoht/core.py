@@ -66,8 +66,15 @@ def exact(e) -> Rational:
     return e if type(e) is int else Fraction(e)
 
 
+def _all_int(entries: Sequence[Rational]) -> bool:
+    """Every entry is exactly an int (not a bool, not a Fraction)."""
+    return set(map(type, entries)) <= {int}
+
+
 def as_vector(entries: Sequence[Rational]) -> Vector:
-    return tuple(exact(e) for e in entries)
+    if _all_int(entries):
+        return tuple(entries)
+    return tuple(map(exact, entries))
 
 
 def basis_vector(i: int, dim: int) -> Vector:
@@ -109,7 +116,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
-        data = tuple(tuple(exact(e) for e in row) for row in rows)
+        data = tuple(map(as_vector, rows))
         n = len(data)
         m = len(data[0]) if n else 0
         if any(len(row) != m for row in data):
@@ -169,6 +176,8 @@ def clear_denominators(v: Sequence[Rational]) -> tuple[list[int], int]:
     Integers pass through with L = 1: they have numerator and denominator
     attributes too.
     """
+    if _all_int(v):
+        return list(v), 1
     lcm = math.lcm(*(e.denominator for e in v))
     return [e.numerator * (lcm // e.denominator) for e in v], lcm
 

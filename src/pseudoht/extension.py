@@ -21,7 +21,7 @@ from .algebra import (
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     StructureTensor,
-    j_operator,
+    j_operators,
 )
 from .catalog import (
     BASE_IDS,
@@ -59,9 +59,9 @@ def volume_involution(factor: PseudoHTypeAlgebra) -> SignedPermutationOp:
     For the three 16-dimensional factors this is diagonal +-1 on the
     integral basis, squares to the identity and anticommutes with each J_k.
     """
-    op = j_operator(factor, 1)
-    for k in range(2, factor.dim_center + 1):
-        op = op.compose(j_operator(factor, k))
+    op, *rest = j_operators(factor)
+    for jk in rest:
+        op = op.compose(jk)
     return op
 
 

@@ -9,6 +9,7 @@ the solver.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,11 +62,20 @@ def gram_det(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> Fraction:
     """Exact det(M_X M_X^T) for the adjoint matrix of X.
 
     Computed on the integer vector L*X, whose adjoint matrix is L*M_X, so
-    the determinant of its Gram matrix carries a factor L^(2 dim z).
+    the determinant of its Gram matrix carries a factor L^(2 dim z).  The
+    Gram matrix is symmetric: its upper triangle is filled from the
+    integer adjoint rows and mirrored.
     """
+    if len(x) != a.dim_module:
+        raise ValueError("X must have module length")
     ints, lcm = clear_denominators(x)
-    m = adjoint_matrix(a, ints).matrix
-    return exact_det(m.mul(m.transpose())) / lcm ** (2 * a.dim_center)
+    rows = adjoint_rows(a, ints)
+    n = len(rows)
+    gram = [[0] * n for _ in range(n)]
+    for i, ri in enumerate(rows):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, ri, rows[j]))
+    return exact_det(ExactMatrix.from_rows(gram)) / lcm ** (2 * a.dim_center)
 
 
 def adjoint_rank(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> int:

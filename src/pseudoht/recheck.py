@@ -57,8 +57,11 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     stated = m.get("class", {})
     if stated and stated.get("center_action") != cls.center_action.value:
         return Verdict(False, None, "stated center action does not match")
-    # invertibility of the blocks makes the homomorphism an isomorphism
-    if exact_rank(f.A) != f.A.rows or exact_rank(f.C) != f.C.rows:
+    # invertibility of the blocks makes the homomorphism an isomorphism; an
+    # integral A has one +-1 per row and column, a signed permutation
+    c_invertible = exact_rank(f.C) == f.C.rows
+    a_invertible = cls.integral or exact_rank(f.A) == f.A.rows
+    if not (a_invertible and c_invertible):
         return Verdict(False, None, "a block of the embedded map is singular")
     return Verdict(True)
 

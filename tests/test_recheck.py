@@ -1,7 +1,9 @@
 import json
 
+import pseudoht.recheck as recheck
 from pseudoht.catalog import base_algebra
 from pseudoht.cli import check_pair, main
+from pseudoht.core import exact_rank
 from pseudoht.obstruction import sbg_decision
 from pseudoht.recheck import rebuild_from_provenance, recheck_certificate
 from pseudoht.sums import build_sum, sum_sbg
@@ -25,6 +27,31 @@ def test_recheck_iso_certificate():
     # a corrupted matrix entry must be caught
     cert["morphism"]["A"][0][0] = -cert["morphism"]["A"][0][0]
     assert not recheck_certificate(cert).ok
+
+
+def test_recheck_ranks_blocks_that_are_not_signed_permutations(monkeypatch):
+    ranked = []
+    monkeypatch.setattr(recheck, "exact_rank",
+                        lambda m: ranked.append(m.rows) or exact_rank(m))
+    cert = check_pair(4, 0, 0, 4).json_dict()
+    m = cert["morphism"]
+    assert recheck_certificate(cert).ok
+    assert ranked == [4]   # the signed-permutation A needs no elimination
+    del m["class"]
+    # all-zero blocks preserve every bracket, but are no isomorphism
+    zero = json.loads(json.dumps(cert))
+    for key in ("A", "B", "C"):
+        zero["morphism"][key] = [[0] * len(row) for row in m[key]]
+    verdict = recheck_certificate(zero)
+    assert not verdict.ok
+    assert verdict.detail == "a block of the embedded map is singular"
+    # (2A, 4C) is an isomorphism too; its blocks are ranked, not pattern-read
+    scaled = json.loads(json.dumps(cert))
+    scaled["morphism"]["A"] = [[2 * e for e in row] for row in m["A"]]
+    scaled["morphism"]["C"] = [[4 * e for e in row] for row in m["C"]]
+    ranked.clear()
+    assert recheck_certificate(scaled).ok
+    assert sorted(ranked) == [4, 8]
 
 
 def test_recheck_parity_certificate():
