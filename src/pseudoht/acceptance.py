@@ -252,6 +252,13 @@ def criterion_4_nonisomorphism(seed: int = 0, quick: bool = False) -> CriterionR
     cert = check_pair(3, 3, 3, 3, anti_only=True, seed=seed)
     if cert.kind != "NOT_ISO_PARITY":
         fail(f"(3,3) anti-isometric automorphism: got {cert.kind}")
+    # the other side of the Witt-index bound: dim z = 13 does not exceed the
+    # Witt index 64 of n_(2,11), the scan finds a null surjective adjoint
+    # (criterion 5's witness), and the pair stays open
+    rep.checks += 1
+    cert = check_pair(11, 2, 2, 11, seed=seed)
+    if cert.kind != "INCONCLUSIVE":
+        fail(f"(11,2) vs (2,11): got {cert.kind}")
     rep.checks += 1
     cert = check_pair(3, 0, 0, 3, seed=seed)
     if cert.kind != "NOT_ISO_DIM" or "4 vs 8" not in cert.payload["reason"]:

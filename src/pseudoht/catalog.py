@@ -9,7 +9,9 @@ them (a single wrong sign breaks the Clifford or composition identities).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -327,7 +329,9 @@ def render_table(a: PseudoHTypeAlgebra, fmt: str = "md",
         lines += ["| " + " | ".join(row) + " |" for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+        return buf.getvalue()
     raise ValueError(f"unknown table format {fmt!r}")
 
 

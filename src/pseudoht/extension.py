@@ -220,16 +220,25 @@ def standard_chain(r: int, s: int
     Peels the last step preferring (8,0), then (0,8), then (4,4); returns
     None when no chain reaches a catalog id.
     """
-    if r < 0 or s < 0:
+    return _chain(r, s, set())
+
+
+def _chain(r: int, s: int, dead: set[tuple[int, int]]
+           ) -> Optional[tuple[tuple[int, int], list[ExtensionStep]]]:
+    """standard_chain's search; dead holds the signatures known to reach no
+    catalog id, so that each is explored once (the unmemoized search is
+    exponential in r + s when no chain exists)."""
+    if r < 0 or s < 0 or (r, s) in dead:
         return None
     if (r, s) in BASE_IDS:
         return (r, s), []
     for step in _STEP_PREFERENCE:
         dp, dq = step.delta
-        sub = standard_chain(r - dp, s - dq)
+        sub = _chain(r - dp, s - dq, dead)
         if sub is not None:
             base, steps = sub
             return base, steps + [step]
+    dead.add((r, s))
     return None
 
 

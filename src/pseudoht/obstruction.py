@@ -4,7 +4,8 @@ check_pair combines them with the canonical isomorphisms into one
 certificate per signature pair.  Everything returns re-checkable evidence:
 SBG answers carry explicit witness vectors, parity infeasibility carries an
 odd cycle whose constraint product can be multiplied out independently of
-the solver.
+the solver, and the parity precondition is the Witt-index bound, whose
+record recheck re-derives from the destination algebra.
 """
 
 from __future__ import annotations
@@ -110,6 +111,42 @@ class ScanReport:
             "nonnull_rank_deficient": [[str(e) for e in v]
                                        for v in self.nonnull_rank_deficient[:5]],
         }
+
+
+@dataclass(frozen=True)
+class WittBound:
+    """The parity precondition as a theorem about the module metric.
+
+    The composition identity ad_X ad_X^tau = <X,X> Id_z makes ad_X onto for
+    every non-null X.  For a null X, <J_Z X, J_W X> = <Z,W> <X,X> = 0, so
+    the image of ad_X^tau is totally isotropic and rank ad_X is at most the
+    Witt index w = min(p, q) of the module metric of signature (p, q).
+    Hence ad_X is surjective exactly off the null cone whenever dim z > w.
+    """
+
+    algebra: str
+    dim_center: int
+    module_signature: tuple[int, int]
+
+    @property
+    def equivalence_holds(self) -> bool:
+        return self.dim_center > min(self.module_signature)
+
+    def json_dict(self) -> dict:
+        return {
+            "algebra": self.algebra,
+            "proof": "witt-index",
+            "dim_center": self.dim_center,
+            "module_signature": list(self.module_signature),
+            "equivalence_holds": self.equivalence_holds,
+        }
+
+
+def witt_bound(a: PseudoHTypeAlgebra) -> WittBound:
+    """The Witt-index precondition record of a; a theorem only for an
+    algebra that passes verify_clifford, verify_admissible and verify_htype."""
+    p = a.module_signs.count(1)
+    return WittBound(a.name(), a.dim_center, (p, a.dim_module - p))
 
 
 def iter_grid(dim: int, radius: int):
@@ -241,15 +278,18 @@ def check_pair(r1: int, s1: int, r2: int, s2: int, anti_only: bool = False,
         return Certificate("INCONCLUSIVE", {
             "reason": "no canonical isomorphism and a side is not constructible",
             "src": [r1, s1], "dst": [r2, s2]})
-    src = standard_algebra(r1, s1)
     dst = standard_algebra(r2, s2)
-    scan = surjectivity_scan(dst, seed=seed, stop_on_violation=True)
-    outcome = parity_certificate(src, dst, scan=scan, seed=seed)
-    if not scan.equivalence_holds:
+    if not witt_bound(dst).equivalence_holds:
+        scan = surjectivity_scan(dst, seed=seed, stop_on_violation=True)
         return Certificate("INCONCLUSIVE", {
             "reason": ("parity argument does not apply: destination has "
-                       "null vectors with surjective adjoint"),
+                       "null vectors with surjective adjoint"
+                       if not scan.equivalence_holds else
+                       "parity precondition unproved: dim z does not exceed "
+                       "the Witt index, and a scan is no proof"),
             "precondition": scan.json_dict()})
+    src = standard_algebra(r1, s1)
+    outcome = parity_certificate(src, dst, seed=seed)
     if outcome.feasible:
         return Certificate("INCONCLUSIVE", {
             "reason": "parity system is satisfiable; no refutation",
@@ -261,8 +301,8 @@ def check_pair(r1: int, s1: int, r2: int, s2: int, anti_only: bool = False,
         "center dimensions and minimal module dimensions agree",
         "destination signature is the swap (or equal), the only candidate",
         "any isomorphism can be rescaled to an anti-isometric center block",
-        "destination adjoint maps are surjective exactly off the null cone "
-        "(surjectivity scan attached)",
+        "destination ad_X is onto exactly off the null cone: dim z exceeds "
+        "the module Witt index",
         "the induced sign-parity system on the source basis is infeasible; "
         "odd cycle attached and re-verified",
     ]
@@ -359,7 +399,7 @@ class ParityOutcome:
     feasible: bool
     assignment: Optional[dict[int, int]] = None
     cycle: Optional[tuple[ParityConstraint, ...]] = None
-    precondition: Optional["ScanReport"] = None
+    precondition: Optional[WittBound | ScanReport] = None
 
     def json_dict(self) -> dict:
         out: dict = {"feasible": self.feasible}
@@ -493,20 +533,21 @@ def verify_parity_cycle(src: PseudoHTypeAlgebra,
 
 
 def parity_certificate(src: PseudoHTypeAlgebra, dst: PseudoHTypeAlgebra,
-                       scan: Optional[ScanReport] = None,
                        seed: int = 0) -> ParityOutcome:
     """Sign-parity system for an isomorphism src -> dst with anti-isometric
     center action.
 
     The system itself only sees src; dst enters through the precondition
-    that ad_X be surjective exactly off the null cone, checked by a
-    surjectivity scan and attached to the outcome.  An INFEASIBLE outcome
-    refutes such an isomorphism only when that precondition held.
+    that ad_X be surjective exactly off the null cone.  Where the Witt-index
+    bound proves it, its record is attached and no scan runs; elsewhere a
+    surjectivity scan of dst is attached instead.  An INFEASIBLE outcome
+    refutes such an isomorphism only under the proved precondition.
     """
-    if scan is None:
-        scan = surjectivity_scan(dst, seed=seed)
+    precondition = witt_bound(dst)
+    if not precondition.equivalence_holds:
+        precondition = surjectivity_scan(dst, seed=seed)
     outcome = solve_parity(parity_system(src), src.dim_module)
     return ParityOutcome(feasible=outcome.feasible,
                          assignment=outcome.assignment,
                          cycle=outcome.cycle,
-                         precondition=scan)
+                         precondition=precondition)

@@ -3,7 +3,9 @@
 A certificate is only worth its payload: everything needed to re-check it
 is embedded, and this module replays those checks from the JSON form alone,
 reconstructing the algebras from their provenance records.  The solver or
-search that produced a certificate is never consulted.
+search that produced a certificate is never consulted.  The fields a check
+reads are parsed first; a payload that does not fit is refused with
+Verdict(False), never with an exception.
 """
 
 from __future__ import annotations
@@ -11,17 +13,71 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import PseudoHTypeAlgebra, Verdict
+from .algebra import (
+    PseudoHTypeAlgebra,
+    Verdict,
+    verify_admissible,
+    verify_clifford,
+    verify_htype,
+)
 from .catalog import base_algebra, min_module_dim
-from .core import ExactMatrix, exact_rank
-from .extension import ExtensionStep, extend, standard_algebra
-from .morphism import LieMorphism, classify_morphism, verify_homomorphism
+from .core import ExactMatrix, Signature, exact_rank
+from .extension import ExtensionStep, extend, standard_algebra, standard_chain
+from .morphism import (
+    LieMorphism,
+    center_signature_obstruction,
+    classify_morphism,
+    verify_homomorphism,
+)
 from .obstruction import (
     ParityConstraint,
     verify_parity_cycle,
     verify_sbg_no_witness,
+    witt_bound,
 )
-from .sums import build_sum
+from .sums import build_sum, require_sum_counts
+
+# Largest r + s a certificate may name.  No module of a larger center fits
+# catalog.MAX_MODULE_DIM (the minimal module grows 16-fold per 8 center
+# dimensions), and the dimension and chain searches recurse once per 8 of
+# them, so the bound also keeps them far from the recursion limit.
+MAX_CENTER_DIM = 256
+
+
+class _Malformed(ValueError):
+    """A certificate field is missing or does not have its required shape."""
+
+
+def _field(payload, key: str):
+    if not isinstance(payload, Mapping) or key not in payload:
+        raise _Malformed(f"missing field {key!r}")
+    return payload[key]
+
+
+def _ints(value, n: int, what: str) -> tuple[int, ...]:
+    """value as n JSON integers; strings, floats and booleans are refused."""
+    if (not isinstance(value, list) or len(value) != n
+            or any(type(e) is not int for e in value)):
+        raise _Malformed(f"{what} must be a list of {n} integers")
+    return tuple(value)
+
+
+def _signature(payload, key: str) -> tuple[int, int]:
+    r, s = _ints(_field(payload, key), 2, key)
+    if r < 0 or s < 0 or r + s > MAX_CENTER_DIM:
+        raise _Malformed(f"{key} must be two counts with r + s at most "
+                         f"{MAX_CENTER_DIM}")
+    return r, s
+
+
+def _rationals(payload, key: str) -> list[Fraction]:
+    value = _field(payload, key)
+    if not isinstance(value, list):
+        raise _Malformed(f"{key} must be a list")
+    try:
+        return [Fraction(e) for e in value]
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise _Malformed(f"{key} must hold rational numbers") from None
 
 
 def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
@@ -67,8 +123,8 @@ def _recheck_iso(payload: Mapping) -> Verdict:
 
 
 def _recheck_dims(payload: Mapping) -> Verdict:
-    r1, s1 = payload["src"]
-    r2, s2 = payload["dst"]
+    r1, s1 = _signature(payload, "src")
+    r2, s2 = _signature(payload, "dst")
     if r1 + s1 != r2 + s2:
         return Verdict(True)
     try:
@@ -80,60 +136,121 @@ def _recheck_dims(payload: Mapping) -> Verdict:
 
 
 def _recheck_signature(payload: Mapping) -> Verdict:
-    r1, s1 = payload["src"]
-    r2, s2 = payload["dst"]
+    r1, s1 = _signature(payload, "src")
+    r2, s2 = _signature(payload, "dst")
     if (r2, s2) in {(r1, s1), (s1, r1)}:
         return Verdict(False, None, "destination signature is a candidate")
     return Verdict(True)
 
 
 def _recheck_parity(payload: Mapping) -> Verdict:
-    r1, s1 = payload["src"]
-    src = standard_algebra(int(r1), int(s1))
-    cycle = [ParityConstraint(int(c["a"]), int(c["b"]), int(c["rhs"]))
-             for c in payload["parity"]["cycle"]]
-    verdict = verify_parity_cycle(src, cycle)
-    if not verdict.ok:
-        return verdict
-    pre = payload["parity"].get("precondition", {})
-    if not pre.get("equivalence_holds", False):
-        return Verdict(False, None,
-                       "recorded precondition scan did not hold; the parity "
-                       "argument does not refute anything here")
+    """Re-derive the whole refutation: the pair is a parity question, the
+    destination satisfies the axioms the Witt-index bound rests on, the
+    recorded precondition is that bound and it holds, and the odd cycle
+    re-verifies on the source."""
+    src = _signature(payload, "src")
+    dst = _signature(payload, "dst")
+    anti_only = _field(payload, "anti_isometric_center_only")
+    if type(anti_only) is not bool:
+        raise _Malformed("anti_isometric_center_only must be a boolean")
+    parity = _field(payload, "parity")
+    edges = _field(parity, "cycle")
+    if not isinstance(edges, list):
+        raise _Malformed("cycle must be a list")
+    cycle = [ParityConstraint(*_ints([_field(e, k) for k in ("a", "b", "rhs")],
+                                     3, "a cycle edge"))
+             for e in edges]
+    recorded = _field(parity, "precondition")
+
+    # POSSIBLE also means that dst is src or its swap
+    verdict, reason = center_signature_obstruction(Signature(*src),
+                                                   Signature(*dst))
+    if verdict != "POSSIBLE":
+        return Verdict(False, None, f"not a parity question: {reason}")
+    if dst == src and anti_only is not True:
+        return Verdict(False, None, "an automorphism is refuted only among "
+                                    "anti-isometric center actions")
+    try:
+        src_algebra = standard_algebra(*src)
+        dst_algebra = standard_algebra(*dst)
+    except ValueError as exc:
+        return Verdict(False, None, str(exc))
+    for check in (verify_clifford, verify_admissible, verify_htype):
+        axiom = check(dst_algebra)
+        if not axiom.ok:
+            return Verdict(False, axiom.witness,
+                           f"destination fails {check.__name__}: {axiom.detail}")
+    bound = witt_bound(dst_algebra)
+    if recorded != bound.json_dict():
+        return Verdict(False, None, "recorded precondition is not the "
+                                    "Witt-index record of the destination")
+    if not bound.equivalence_holds:
+        return Verdict(False, None, "dim z does not exceed the Witt index; "
+                                    "the parity argument refutes nothing here")
+    return verify_parity_cycle(src_algebra, cycle)
+
+
+def _recheck_sbg_yes(payload: Mapping) -> Verdict:
+    """On a definite center J_Z^2 = -<Z,Z> Id with <Z,Z> != 0 for Z != 0,
+    so ad_v^tau Z = J_Z v vanishes only at Z = 0 and every ad_v with v != 0
+    is onto.  The signature only has to be definite and constructible; no
+    algebra is built."""
+    r, s = _signature(payload, "signature")
+    if r != 0 and s != 0:
+        return Verdict(False, None, "SBG_YES needs a definite center")
+    if "sum" in payload:
+        mu, nu = _ints(payload["sum"], 2, "sum")
+        try:
+            require_sum_counts(base_algebra(r, s), mu, nu)
+        except ValueError as exc:
+            return Verdict(False, None, str(exc))
+    elif standard_chain(r, s) is None:
+        return Verdict(False, None, f"n_({r},{s}) is not constructible")
     return Verdict(True)
 
 
 def _recheck_sbg_no(payload: Mapping) -> Verdict:
-    r, s = payload["signature"]
-    if "sum" in payload:
-        mu, nu = payload["sum"]
-        a = build_sum(base_algebra(int(r), int(s)), int(mu), int(nu)).algebra
-    else:
-        a = standard_algebra(int(r), int(s))
-    z0 = [Fraction(e) for e in payload["z0"]]
-    v = [Fraction(e) for e in payload["witness_v"]]
+    r, s = _signature(payload, "signature")
+    z0 = _rationals(payload, "z0")
+    v = _rationals(payload, "witness_v")
+    try:
+        if "sum" in payload:
+            mu, nu = _ints(payload["sum"], 2, "sum")
+            a = build_sum(base_algebra(r, s), mu, nu).algebra
+        else:
+            a = standard_algebra(r, s)
+    except ValueError as exc:
+        return Verdict(False, None, str(exc))
     return verify_sbg_no_witness(a, z0, v)
+
+
+_RECHECKS = {
+    "ISO": _recheck_iso,
+    "NOT_ISO_DIM": _recheck_dims,
+    "NOT_ISO_SIGNATURE": _recheck_signature,
+    "NOT_ISO_PARITY": _recheck_parity,
+    "SBG_YES": _recheck_sbg_yes,
+    "SBG_NO": _recheck_sbg_no,
+}
 
 
 def recheck_certificate(cert: Mapping) -> Verdict:
     """Replay the checks behind a serialized certificate.
 
     ISO certificates re-verify the embedded morphism; NOT_ISO_* certificates
-    re-establish the obstruction; SBG_NO re-checks the witness pair.
-    SBG_YES and INCONCLUSIVE carry sampling records rather than proofs and
-    are accepted as such.
+    re-establish the obstruction, NOT_ISO_PARITY with the Witt-index bound
+    re-derived from the rebuilt destination; SBG_NO re-checks the witness
+    pair, and SBG_YES holds for every definite constructible signature.
+    INCONCLUSIVE claims nothing and is accepted as an evidence record.
     """
+    if not isinstance(cert, Mapping):
+        return Verdict(False, None, "a certificate is a JSON object")
     kind = cert.get("kind")
-    if kind == "ISO":
-        return _recheck_iso(cert)
-    if kind == "NOT_ISO_DIM":
-        return _recheck_dims(cert)
-    if kind == "NOT_ISO_SIGNATURE":
-        return _recheck_signature(cert)
-    if kind == "NOT_ISO_PARITY":
-        return _recheck_parity(cert)
-    if kind == "SBG_NO":
-        return _recheck_sbg_no(cert)
-    if kind in ("SBG_YES", "INCONCLUSIVE"):
+    if kind == "INCONCLUSIVE":
         return Verdict(True, None, "evidence record; nothing to refute")
-    return Verdict(False, None, f"unknown certificate kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _RECHECKS:
+        return Verdict(False, None, f"unknown certificate kind {kind!r}")
+    try:
+        return _RECHECKS[kind](cert)
+    except _Malformed as exc:
+        return Verdict(False, None, f"malformed {kind} certificate: {exc}")

@@ -47,8 +47,9 @@ class DirectSumAlgebra:
         return index * self.block_dim
 
 
-def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
-    """mu copies of the base block plus nu copies of the negated-J block."""
+def require_sum_counts(base: PseudoHTypeAlgebra, mu: int, nu: int) -> None:
+    """Raise ValueError unless build_sum(base, mu, nu) is a valid sum within
+    the module budget; builds nothing."""
     r, s = base.r, base.s
     if (r, s) not in BASE_IDS:
         raise UnsupportedSignatureError(r, s, what="direct-sum base")
@@ -58,8 +59,14 @@ def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
         raise ValueError(
             f"two non-equivalent module types require r - s = 3 mod 4; "
             f"got ({r},{s})")
+    require_module_budget(base.dim_module * (mu + nu))
+
+
+def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
+    """mu copies of the base block plus nu copies of the negated-J block."""
+    require_sum_counts(base, mu, nu)
+    r, s = base.r, base.s
     per = base.dim_module
-    require_module_budget(per * (mu + nu))
     entries = []
     for b, btype in enumerate([1] * mu + [2] * nu):
         off = b * per

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -92,8 +93,12 @@ def test_table_cells_with_decorations(capsys):
 def test_table_csv_format(capsys):
     _, out, _ = run_cli(capsys, "table", "2", "0", "--format", "csv")
     lines = out.splitlines()
-    assert lines[0] == "[r,c],w1,w2,w3,w4"
+    assert lines[0] == '"[r,c]",w1,w2,w3,w4'
     assert lines[1] == "w1,0,0,Z1,Z2"
+    # the quoted corner cell keeps the header as wide as every row
+    rows = list(csv.reader(lines))
+    assert {len(row) for row in rows} == {5}
+    assert rows[0][0] == "[r,c]"
 
 
 def test_table_output_is_stable(capsys):
@@ -153,7 +158,7 @@ def test_render_table_for_extended_algebra_uses_natural_order():
     from pseudoht.extension import standard_algebra
 
     text = render_table(standard_algebra(9, 0), fmt="csv")
-    assert text.splitlines()[0].startswith("[r,c],w1*u1,")
+    assert text.splitlines()[0].startswith('"[r,c]",w1*u1,')
 
 
 def test_check_reversed_pair_also_refuted(capsys):

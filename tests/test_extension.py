@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pseudoht.algebra import (
@@ -209,6 +211,15 @@ def test_standard_chain_policy():
     assert [s.value for s in steps] == ["0,8", "8,0"]
     assert standard_chain(5, 1) is None
     assert standard_chain(3, 0) is None
+
+
+def test_standard_chain_refuses_unreachable_signatures_at_once():
+    # every dead end is explored once; the unmemoized search is exponential
+    # in r + s here and did not finish (45, 46) in under a second
+    start = time.perf_counter()
+    assert standard_chain(45, 46) is None
+    assert standard_chain(101, 103) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_standard_algebra_provenance_serialization():

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudoht.obstruction as obstruction
 from pseudoht.catalog import base_algebra
 from pseudoht.core import basis_vector, scalar_product
-from pseudoht.extension import ExtensionStep, extend, pair_index
+from pseudoht.extension import (
+    ExtensionStep,
+    extend,
+    pair_index,
+    standard_algebra,
+)
 from pseudoht.obstruction import (
     ParityConstraint,
+    WittBound,
     adjoint_matrix,
     adjoint_rank,
     gram_det,
@@ -21,6 +28,7 @@ from pseudoht.obstruction import (
     surjectivity_scan,
     verify_parity_cycle,
     verify_sbg_no_witness,
+    witt_bound,
 )
 
 # ---------------------------------------------------------------------------
@@ -158,6 +166,61 @@ def test_exhaustive_grid_equivalence_on_3_2():
     rep = surjectivity_scan(base_algebra(3, 2), grid_radius=1, random_samples=0)
     assert rep.points == 3 ** 8 - 1
     assert rep.equivalence_holds
+    assert witt_bound(base_algebra(3, 2)).equivalence_holds   # 5 > 4
+
+
+@pytest.mark.parametrize("rs", [(2, 3), (3, 3)])
+def test_witt_bound_proves_what_the_exhaustive_scan_sees(rs):
+    a = base_algebra(*rs)
+    bound = witt_bound(a)
+    assert bound == WittBound(a.name(), a.dim_center, (4, 4))
+    assert bound.equivalence_holds            # dim z = 5, 6 > 4
+    assert bound.json_dict() == {
+        "algebra": a.name(), "proof": "witt-index",
+        "dim_center": a.dim_center, "module_signature": [4, 4],
+        "equivalence_holds": True}
+    scan = surjectivity_scan(a, grid_radius=1, random_samples=0)
+    assert scan.points == 3 ** 8 - 1
+    assert scan.equivalence_holds
+
+
+@pytest.mark.parametrize("rs", [(11, 2), (7, 6), (7, 7), (11, 3),
+                                (2, 11), (6, 7), (3, 11)])
+def test_witt_bound_does_not_reach_the_open_pairs(rs):
+    a = standard_algebra(*rs)
+    bound = witt_bound(a)
+    assert bound.module_signature == (64, 64)
+    assert bound.dim_center in (13, 14)
+    assert not bound.equivalence_holds
+
+
+def test_parity_refutations_run_no_scan(monkeypatch):
+    scans = []
+    real = obstruction.surjectivity_scan
+    monkeypatch.setattr(obstruction, "surjectivity_scan",
+                        lambda *a, **k: scans.append(a[0].name()) or real(*a, **k))
+    assert obstruction.check_pair(3, 2, 2, 3).kind == "NOT_ISO_PARITY"
+    assert obstruction.check_pair(3, 3, 3, 3, anti_only=True).kind \
+        == "NOT_ISO_PARITY"
+    assert scans == []
+    # where the bound fails the scan still runs, and finds the violation
+    cert = obstruction.check_pair(11, 2, 2, 11)
+    assert scans == ["n_(2,11)"]
+    assert cert.kind == "INCONCLUSIVE"
+    assert cert.payload["precondition"]["null_full_rank"]
+
+
+def test_a_scan_without_violation_is_inconclusive(monkeypatch):
+    # no constructible pair reaches this branch: fake a bound that fails on
+    # n_(2,3), whose scan then finds nothing
+    monkeypatch.setattr(obstruction, "witt_bound", lambda a: WittBound(
+        a.name(), a.dim_center, (a.dim_center, a.dim_center)))
+    monkeypatch.setattr(obstruction, "surjectivity_scan",
+                        lambda a, **k: obstruction.ScanReport(a.name(), 1, 7))
+    cert = obstruction.check_pair(3, 2, 2, 3)
+    assert cert.kind == "INCONCLUSIVE"
+    assert cert.payload["reason"].startswith("parity precondition unproved")
+    assert cert.payload["precondition"]["equivalence_holds"] is True
 
 
 def test_null_vectors_in_1_1():

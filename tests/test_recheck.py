@@ -1,6 +1,7 @@
 import json
 
 import pseudoht.recheck as recheck
+from pseudoht.algebra import Verdict
 from pseudoht.catalog import base_algebra
 from pseudoht.cli import check_pair, main
 from pseudoht.core import exact_rank
@@ -105,3 +106,111 @@ def test_recheck_round_trips_through_cli_json(capsys):
 
 def test_unknown_kind_rejected():
     assert not recheck_certificate({"kind": "SOMETHING"}).ok
+
+
+def _check_json(capsys, *argv):
+    main(["check", *argv])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_recheck_refuses_automorphism_refutation_without_anti_flag(capsys):
+    cert = _check_json(capsys, "3", "3", "3", "3", "--auto", "--anti")
+    assert cert["kind"] == "NOT_ISO_PARITY"
+    assert recheck_certificate(cert).ok
+    # n_(3,3) is isomorphic to itself: without the anti-isometric
+    # restriction the certificate would refute the identity
+    cert["anti_isometric_center_only"] = False
+    assert not recheck_certificate(cert).ok
+
+
+def test_recheck_refuses_parity_forgeries():
+    cert = check_pair(3, 2, 2, 3).json_dict()
+    assert cert["parity"]["precondition"]["proof"] == "witt-index"
+    for dst in ([3, 2], [4, 1], [1, 4]):
+        forged = json.loads(json.dumps(cert))
+        forged["dst"] = dst
+        assert not recheck_certificate(forged).ok
+    # a bare flag, or an old-style scan record, is no proof
+    stripped = json.loads(json.dumps(cert))
+    stripped["parity"]["precondition"] = {"equivalence_holds": True}
+    assert not recheck_certificate(stripped).ok
+    scanned = json.loads(json.dumps(cert))
+    scanned["parity"]["precondition"] = {
+        "algebra": "n_(2,3)", "grid_radius": 1, "points": 10560,
+        "equivalence_holds": True, "null_full_rank": [],
+        "nonnull_rank_deficient": []}
+    assert not recheck_certificate(scanned).ok
+    # the record of a bound that fails refutes nothing, even if it is exact
+    assert recheck_certificate(check_pair(11, 2, 2, 11).json_dict()).ok
+    open_pair = json.loads(json.dumps(cert))
+    open_pair.update(src=[11, 2], dst=[2, 11])
+    open_pair["parity"]["precondition"] = {
+        "algebra": "n_(2,11)", "proof": "witt-index", "dim_center": 13,
+        "module_signature": [64, 64], "equivalence_holds": False}
+    verdict = recheck_certificate(open_pair)
+    assert not verdict.ok and "Witt index" in verdict.detail
+
+
+def test_parity_recheck_rests_on_the_destination_axioms(monkeypatch):
+    cert = check_pair(3, 2, 2, 3).json_dict()
+    monkeypatch.setattr(recheck, "verify_htype",
+                        lambda a: Verdict(False, (1, 2, 3), "fails"))
+    verdict = recheck_certificate(cert)
+    assert not verdict.ok and verdict.detail.startswith("destination fails")
+
+
+def test_recheck_refuses_malformed_payloads_without_raising():
+    cert = check_pair(3, 2, 2, 3).json_dict()
+
+    def mutated(edit):
+        forged = json.loads(json.dumps(cert))
+        edit(forged)
+        return forged
+
+    payloads = [
+        None, [], "NOT_ISO_PARITY", {}, {"kind": ["ISO"]},
+        mutated(lambda c: c.update(src=[1])),
+        mutated(lambda c: c.update(src=["3", "2"])),
+        mutated(lambda c: c.update(src=[True, 2])),
+        mutated(lambda c: c.update(dst=[10 ** 9, 0])),
+        mutated(lambda c: c.update(src=[45, 46], dst=[46, 45])),
+        mutated(lambda c: c.pop("parity")),
+        mutated(lambda c: c.pop("anti_isometric_center_only")),
+        mutated(lambda c: c.update(anti_isometric_center_only="yes")),
+        mutated(lambda c: c["parity"].pop("precondition")),
+        mutated(lambda c: c["parity"].update(cycle="x")),
+        mutated(lambda c: c["parity"]["cycle"][0].update(a="x")),
+        mutated(lambda c: c["parity"]["cycle"][0].pop("rhs")),
+        mutated(lambda c: c["parity"]["cycle"].append(7)),
+        {"kind": "SBG_YES"},
+        {"kind": "SBG_YES", "signature": "x"},
+        {"kind": "SBG_YES", "signature": [8, 0], "sum": [1]},
+        {"kind": "SBG_NO", "signature": [1, 1], "z0": ["1/0", "1"],
+         "witness_v": ["0", "1", "1", "0"]},
+        {"kind": "SBG_NO", "signature": [1, 1], "z0": "11",
+         "witness_v": ["0", "1", "1", "0"]},
+        {"kind": "NOT_ISO_DIM", "src": [1, 0]},
+        {"kind": "NOT_ISO_SIGNATURE", "src": "x", "dst": [1, 1]},
+    ]
+    for payload in payloads:
+        verdict = recheck_certificate(payload)
+        assert verdict.ok is False, payload
+
+
+def test_recheck_accepts_sbg_yes_only_on_definite_constructible_signatures():
+    for r, s in ((8, 0), (0, 9), (16, 0)):
+        assert recheck_certificate({"kind": "SBG_YES", "signature": [r, s],
+                                    "samples": 100, "seed": 0}).ok
+    summed = sum_sbg(build_sum(base_algebra(0, 1), 3, 2)).json_dict()
+    assert summed["kind"] == "SBG_YES" and recheck_certificate(summed).ok
+    # sbg 1 1 is SBG_NO; (3,0) has no construction; (0,2) has one module
+    # type; a sum needs a block and a catalog base
+    for forged in ({"kind": "SBG_YES", "signature": [1, 1]},
+                   {"kind": "SBG_YES", "signature": [3, 0]},
+                   {"kind": "SBG_YES", "signature": [0, 0]},
+                   {"kind": "SBG_YES", "signature": [0, 2], "sum": [1, 1]},
+                   {"kind": "SBG_YES", "signature": [8, 0], "sum": [0, 0]},
+                   {"kind": "SBG_YES", "signature": [9, 0], "sum": [1, 0]},
+                   {"kind": "SBG_YES", "signature": [8, 0],
+                    "sum": [10 ** 6, 0]}):
+        assert not recheck_certificate(forged).ok, forged
