@@ -196,11 +196,9 @@ def _check_canonical(r: int, s: int, fail, expect_swap_sign: int = -1) -> None:
         fail(f"no canonical isomorphism for ({r},{s})")
         return
     f = cmap.to_morphism()
-    if not verify_homomorphism(f).ok:
-        fail(f"phi_({r},{s}) is not a homomorphism")
-        return
     if not verify_conjugation(f).ok:
         fail(f"phi_({r},{s}) fails the conjugation relation")
+        return
     cls = classify_morphism(f)
     if not cls.integral or cls.center_action is not MapClass.ANTI_ISOMETRY:
         fail(f"phi_({r},{s}) has class {cls}")

@@ -162,6 +162,22 @@ class SignedPermutationOp:
         first = self.sign[0]
         return first if all(s == first for s in self.sign) else None
 
+    @staticmethod
+    def from_matrix(m: ExactMatrix) -> Optional["SignedPermutationOp"]:
+        """The op whose matrix() is m, or None if m is not a signed
+        permutation matrix: one +-1 in every row and every column."""
+        if m.rows != m.cols:
+            return None
+        image = [0] * m.cols
+        sign = [0] * m.cols
+        for b, row in enumerate(m.entries, start=1):
+            hits = [a for a, e in enumerate(row) if e]
+            if len(hits) != 1 or row[hits[0]] not in (1, -1) or image[hits[0]]:
+                return None
+            image[hits[0]] = b
+            sign[hits[0]] = int(row[hits[0]])
+        return SignedPermutationOp(tuple(image), tuple(sign))
+
     def matrix(self) -> ExactMatrix:
         rows = [[0] * self.dim for _ in range(self.dim)]
         for a in range(1, self.dim + 1):
@@ -313,33 +329,12 @@ class Verdict:
 
 def bracket(a: PseudoHTypeAlgebra, x: Sequence[Rational],
             y: Sequence[Rational]) -> Vector:
-    """Center coordinates of [x, y], extended bilinearly from the tensor."""
+    """Center coordinates of [x, y]: the matrix of ad_x applied to y."""
     if len(x) != a.dim_module or len(y) != a.dim_module:
         raise ValueError("bracket arguments must have module length")
-    xs = {i: exact(e) for i, e in enumerate(x, start=1) if e}
-    ys = {j: exact(e) for j, e in enumerate(y, start=1) if e}
-    out = [0] * a.dim_center
-    for k, c in bracket_sparse(a, xs, ys).items():
-        out[k - 1] = c
-    return tuple(out)
-
-
-def bracket_sparse(a: PseudoHTypeAlgebra, x: Mapping[int, Rational],
-                   y: Mapping[int, Rational]) -> dict[int, Rational]:
-    """bracket() on {index: coefficient} dictionaries; zero entries dropped."""
-    out: dict[int, Rational] = {}
-    pair = a.tensor.bracket_pair
-    for i, xi in x.items():
-        for j, yj in y.items():
-            hit = pair(i, j)
-            if hit is not None:
-                k, s = hit
-                c = out.get(k, 0) + s * xi * yj
-                if c:
-                    out[k] = c
-                else:
-                    out.pop(k, None)
-    return out
+    ys = [exact(e) for e in y]
+    return tuple(sum(e * yb for e, yb in zip(row, ys) if e)
+                 for row in adjoint_rows(a, [exact(e) for e in x]))
 
 
 def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:

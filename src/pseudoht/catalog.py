@@ -431,6 +431,24 @@ def require_module_budget(dim: int) -> None:
                          f"{MAX_MODULE_DIM} (MAX_MODULE_DIM)")
 
 
+# Largest r + s any signature may have.  No module of a larger center fits
+# MAX_MODULE_DIM (the minimal module grows 16-fold per 8 center dimensions),
+# and the dimension and chain searches recurse once per 8 of them, so the
+# bound also keeps them far from the recursion limit.
+MAX_CENTER_DIM = 256
+
+
+def require_center_budget(r: int, s: int) -> None:
+    """Raise ValueError when the center of signature (r, s) exceeds the budget.
+
+    A plain ValueError, not UnsupportedSignatureError: an oversized
+    signature is refused, never compared as if its dimension were unknown.
+    """
+    if r + s > MAX_CENTER_DIM:
+        raise ValueError(f"center dimension {r + s} exceeds the budget of "
+                         f"{MAX_CENTER_DIM} (MAX_CENTER_DIM)")
+
+
 # Seeded only from stated or exhibited values: the printed bases for the
 # catalog ids, and the dimension counts used by the non-isomorphism argument
 # for the remaining definite signatures.
@@ -451,6 +469,7 @@ def min_module_dim(r: int, s: int) -> int:
     down to a seeded base entry.  Every reduction route must agree; a
     signature that reaches no seeded entry raises.
     """
+    require_center_budget(r, s)
     results = set()
     _reduce_dim(r, s, 1, results, {})
     if not results:

@@ -136,9 +136,6 @@ class ExactMatrix:
         """Entry at row i, column j, both 1-based."""
         return self.entries[i - 1][j - 1]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i - 1]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j - 1] for row in self.entries)
 
@@ -165,9 +162,6 @@ class ExactMatrix:
         f = exact(c)
         return ExactMatrix(self.rows, self.cols,
                            tuple(tuple(f * e for e in row) for row in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
 
 
 def clear_denominators(v: Sequence[Rational]) -> tuple[list[int], int]:

@@ -28,6 +28,7 @@ from .catalog import (
     UnsupportedSignatureError,
     aligned_factor_0_8,
     base_algebra,
+    require_center_budget,
     require_module_budget,
 )
 from .core import Signature
@@ -218,8 +219,10 @@ def standard_chain(r: int, s: int
     """Deterministic reduction of (r, s) to a catalog base plus steps.
 
     Peels the last step preferring (8,0), then (0,8), then (4,4); returns
-    None when no chain reaches a catalog id.
+    None when no chain reaches a catalog id, and raises ValueError above
+    the center budget.
     """
+    require_center_budget(r, s)
     return _chain(r, s, set())
 
 

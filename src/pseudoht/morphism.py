@@ -1,15 +1,18 @@
 """Lie algebra morphisms in block form and the canonical isomorphism family.
 
 A morphism n -> n' is a block matrix (A 0 // B C): A acts on modules, C on
-centers, B is the irrelevant lower-left block.  The canonical isomorphisms
-between n_{r,s} and n_{s,r} are built recursively: pinned base maps for the
-published low signatures, then `_step_map`, the one tensor-step
-constructor.  It extends the source of a smaller map by a step and the
-target by the mirror step ((8,0) and (0,8) swap, (4,4) stays), twisting
-the 16-dimensional factor by the (4,4) automorphism on a (4,4) step and
-by the identity otherwise.  phi_{r,8}, phi_{r+4,4}, phi_{r+8,s} and
-phi_{r+4,s+4} are all this step.  Verification never trusts the
-construction: homomorphism and conjugation checks run on the matrices.
+centers.  The lower-left block B maps the module into the center, which is
+central, so it enters no bracket and no invertibility test and is not
+stored.  The canonical isomorphisms between n_{r,s} and n_{s,r} are built
+recursively: pinned base maps for the published low signatures, then
+`_step_map`, the one tensor-step constructor.  It extends the source of a
+smaller map by a step and the target by the mirror step ((8,0) and (0,8)
+swap, (4,4) stays), twisting the 16-dimensional factor by the (4,4)
+automorphism on a (4,4) step and by the identity otherwise.  phi_{r,8},
+phi_{r+4,4}, phi_{r+8,s} and phi_{r+4,s+4} are all this step.  Verification
+never trusts the construction: the conjugation relation A^tau J_Z A =
+J_{C^tau Z}, which is the homomorphism property read through the scalar
+products, runs on the matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .algebra import (
     SignedPermutationOp,
     Verdict,
     apply_j_operators,
-    bracket_sparse,
     j_operator,  # perfbench's self-test reads morphism.j_operator
     j_operators,
 )
@@ -49,20 +51,12 @@ class LieMorphism:
     dst: PseudoHTypeAlgebra
     A: ExactMatrix
     C: ExactMatrix
-    B: Optional[ExactMatrix] = None
 
     def __post_init__(self) -> None:
         if self.A.rows != self.dst.dim_module or self.A.cols != self.src.dim_module:
             raise ValueError("module block shape mismatch")
         if self.C.rows != self.dst.dim_center or self.C.cols != self.src.dim_center:
             raise ValueError("center block shape mismatch")
-        if self.B is not None and (self.B.rows != self.dst.dim_center
-                                   or self.B.cols != self.src.dim_module):
-            raise ValueError("lower-left block shape mismatch")
-
-    def b_block(self) -> ExactMatrix:
-        return self.B if self.B is not None else ExactMatrix.zero(
-            self.dst.dim_center, self.src.dim_module)
 
 
 @dataclass(frozen=True)
@@ -86,43 +80,10 @@ def _sparse_rows(m: ExactMatrix) -> list[dict[int, Rational]]:
 
 
 def classify_morphism(f: LieMorphism) -> MorphismClass:
-    integral = True
-    for m in (f.A, f.C):
-        for row in m.entries:
-            for e in row:
-                if e not in (-1, 0, 1):
-                    integral = False
-        for j in range(1, m.cols + 1):
-            if sum(1 for e in m.column(j) if e) != 1:
-                integral = False
-        for i in range(1, m.rows + 1):
-            if sum(1 for e in m.row(i) if e) != 1:
-                integral = False
+    integral = all(SignedPermutationOp.from_matrix(m) is not None
+                   for m in (f.A, f.C))
     action = classify_map(f.C, f.src.center_sig, f.dst.center_sig)
     return MorphismClass(center_action=action, integral=integral)
-
-
-def verify_homomorphism(f: LieMorphism) -> Verdict:
-    """C([x,y]) = [Ax, Ay] on all basis pairs; bilinearity does the rest."""
-    acols = _sparse_columns(f.A)
-    ccols = _sparse_columns(f.C)
-    src, dst = f.src, f.dst
-    n = src.dim_module
-    for alpha in range(1, n + 1):
-        xa = acols[alpha - 1]
-        for beta in range(alpha + 1, n + 1):
-            rhs = bracket_sparse(dst, xa, acols[beta - 1])
-            lhs: dict[int, Rational] = {}
-            hit = src.tensor.bracket_pair(alpha, beta)
-            if hit is not None:
-                k, s = hit
-                for i, c in ccols[k - 1].items():
-                    if s * c:
-                        lhs[i] = s * c
-            if lhs != rhs:
-                return Verdict(False, (alpha, beta),
-                               "bracket not preserved on this basis pair")
-    return Verdict(True)
 
 
 def _apply_sparse_rows(rows, x, scale_out, scale_in):
@@ -139,11 +100,16 @@ def _apply_sparse_rows(rows, x, scale_out, scale_in):
     return out
 
 
-def verify_conjugation(f: LieMorphism) -> Verdict:
-    """A^tau J_Z A = J_{C^tau Z} for every center basis vector Z of dst.
+def _relation_defect(f: LieMorphism) -> Optional[tuple[int, int, int]]:
+    """First (k, alpha, beta) with A^tau J_{Z_k} A v_alpha and
+    J_{C^tau Z_k} v_alpha differing in coordinate beta, or None.
 
     The adjoints are taken with respect to the module and center scalar
-    products, so A^tau = G_src A^T G_dst and likewise for C.
+    products, so A^tau = G_src A^T G_dst and likewise for C.  Pairing with
+    v_beta through <J_Z x, y> = <Z, [x, y]> turns that coordinate into the
+    Z_k coordinate of [A v_alpha, A v_beta] - C [v_alpha, v_beta]: the
+    relation holds exactly when f preserves brackets, and a defect has
+    beta != alpha.
     """
     src, dst = f.src, f.dst
     src_j = dict(enumerate(j_operators(src), start=1))
@@ -163,9 +129,29 @@ def verify_conjugation(f: LieMorphism) -> Verdict:
             lhs = _apply_sparse_rows(arows, y, g_src, g_dst)
             rhs = apply_j_operators(src_j, ctau_z, {alpha: 1})
             if lhs != rhs:
-                return Verdict(False, (k, alpha),
-                               "conjugation relation fails at this center index")
-    return Verdict(True)
+                return k, alpha, min(b for b in lhs.keys() | rhs.keys()
+                                     if lhs.get(b) != rhs.get(b))
+    return None
+
+
+def verify_homomorphism(f: LieMorphism) -> Verdict:
+    """C([x,y]) = [Ax, Ay] for all x, y: the conjugation relation read
+    through the scalar products; a failure names a basis pair."""
+    defect = _relation_defect(f)
+    if defect is None:
+        return Verdict(True)
+    _k, alpha, beta = defect
+    return Verdict(False, (min(alpha, beta), max(alpha, beta)),
+                   "bracket not preserved on this basis pair")
+
+
+def verify_conjugation(f: LieMorphism) -> Verdict:
+    """A^tau J_Z A = J_{C^tau Z} for every center basis vector Z of dst."""
+    defect = _relation_defect(f)
+    if defect is None:
+        return Verdict(True)
+    return Verdict(False, defect[:2],
+                   "conjugation relation fails at this center index")
 
 
 def _nth_root_of_fraction(x: Fraction, n: int) -> Optional[Fraction]:
@@ -196,8 +182,7 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     asserting that the product really is +-identity.
     """
     two_l = f.src.dim_module
-    cols = _sparse_columns(f.A)
-    if all(len(c) == 1 and abs(next(iter(c.values()))) == 1 for c in cols):
+    if SignedPermutationOp.from_matrix(f.A) is not None:
         d = 1  # signed permutation block: |det(A^tau A)| = 1
     else:
         d = abs(exact_det(f.A.transpose().mul(f.A)))
@@ -210,7 +195,7 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
         if mu is None:
             raise ValueError(
                 f"|det(A^tau A)| = {d} has no exact rational (2*dim)-th root")
-    g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu), f.B)
+    g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu))
     gz_src = f.src.center_sig.signs()
     gz_dst = f.dst.center_sig.signs()
     c = g.C
@@ -485,8 +470,6 @@ def morphism_to_dict(f: LieMorphism) -> dict:
                 "provenance": f.dst.provenance.json_dict()},
         "A": [[int(e) if e.denominator == 1 else str(e) for e in row]
               for row in f.A.entries],
-        "B": [[int(e) if e.denominator == 1 else str(e) for e in row]
-              for row in f.b_block().entries],
         "C": [[int(e) if e.denominator == 1 else str(e) for e in row]
               for row in f.C.entries],
         "class": {"center_action": cls.center_action.value,

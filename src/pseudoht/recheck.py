@@ -15,18 +15,18 @@ from typing import Mapping
 
 from .algebra import (
     PseudoHTypeAlgebra,
+    SignedPermutationOp,
     Verdict,
     verify_admissible,
     verify_clifford,
     verify_htype,
 )
-from .catalog import base_algebra, min_module_dim
-from .core import ExactMatrix, Signature, exact_rank
+from .catalog import MAX_CENTER_DIM, base_algebra, min_module_dim
+from .core import ExactMatrix, Signature, classify_map, exact_rank
 from .extension import ExtensionStep, extend, standard_algebra, standard_chain
 from .morphism import (
     LieMorphism,
     center_signature_obstruction,
-    classify_morphism,
     verify_homomorphism,
 )
 from .obstruction import (
@@ -36,12 +36,6 @@ from .obstruction import (
     witt_bound,
 )
 from .sums import build_sum, require_sum_counts
-
-# Largest r + s a certificate may name.  No module of a larger center fits
-# catalog.MAX_MODULE_DIM (the minimal module grows 16-fold per 8 center
-# dimensions), and the dimension and chain searches recurse once per 8 of
-# them, so the bound also keeps them far from the recursion limit.
-MAX_CENTER_DIM = 256
 
 
 class _Malformed(ValueError):
@@ -105,18 +99,19 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     src = rebuild_from_provenance(m["src"]["provenance"])
     dst = rebuild_from_provenance(m["dst"]["provenance"])
     f = LieMorphism(src, dst, ExactMatrix.from_rows(m["A"]),
-                    ExactMatrix.from_rows(m["C"]), ExactMatrix.from_rows(m["B"]))
+                    ExactMatrix.from_rows(m["C"]))
     hom = verify_homomorphism(f)
     if not hom.ok:
         return Verdict(False, hom.witness, "embedded map is not a homomorphism")
-    cls = classify_morphism(f)
+    action = classify_map(f.C, src.center_sig, dst.center_sig)
     stated = m.get("class", {})
-    if stated and stated.get("center_action") != cls.center_action.value:
+    if stated and stated.get("center_action") != action.value:
         return Verdict(False, None, "stated center action does not match")
-    # invertibility of the blocks makes the homomorphism an isomorphism; an
-    # integral A has one +-1 per row and column, a signed permutation
+    # invertibility of the blocks makes the homomorphism an isomorphism; a
+    # signed permutation A needs no elimination
     c_invertible = exact_rank(f.C) == f.C.rows
-    a_invertible = cls.integral or exact_rank(f.A) == f.A.rows
+    a_invertible = (SignedPermutationOp.from_matrix(f.A) is not None
+                    or exact_rank(f.A) == f.A.rows)
     if not (a_invertible and c_invertible):
         return Verdict(False, None, "a block of the embedded map is singular")
     return Verdict(True)

@@ -24,7 +24,7 @@ from pseudoht.algebra import (
     verify_htype,
 )
 from pseudoht.catalog import BASE_IDS, base_algebra
-from pseudoht.core import basis_vector, scalar_product
+from pseudoht.core import ExactMatrix, basis_vector, scalar_product
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
@@ -250,6 +250,10 @@ def test_signed_permutation_basics():
     assert op.compose(op.inverse()) == SignedPermutationOp.identity(2)
     m = op.matrix()
     assert m.entries == ((0, -1), (1, 0))
+    assert SignedPermutationOp.from_matrix(m) == op
+    for rows in ([[1, 1], [0, 0]], [[1, 0], [1, 0]], [[2, 0], [0, 1]],
+                 [[1, 0]], [[0, 0], [0, 1]]):
+        assert SignedPermutationOp.from_matrix(ExactMatrix.from_rows(rows)) is None
     with pytest.raises(ValueError):
         SignedPermutationOp((1, 1), (1, 1))
 

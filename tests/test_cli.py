@@ -10,7 +10,7 @@ import pytest
 
 import pseudoht
 from pseudoht.algebra import algebra_from_dict
-from pseudoht.catalog import MAX_MODULE_DIM, base_algebra
+from pseudoht.catalog import MAX_CENTER_DIM, MAX_MODULE_DIM, base_algebra
 from pseudoht.cli import main, render_table
 
 
@@ -207,3 +207,18 @@ def test_module_budget_refuses_before_building(argv):
     assert f"budget of {MAX_MODULE_DIM}" in proc.stderr
     assert proc.stdout == ""
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "100000", "0", "0", "100001"),
+    ("sbg", "100000", "0"),
+    ("build", "100000", "0"),
+    ("table", "100000", "0"),
+])
+def test_center_budget_refuses_oversized_signatures(capsys, argv):
+    # the dimension and chain searches recurse once per 8 center dimensions;
+    # above MAX_CENTER_DIM they are refused before the first call
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert f"budget of {MAX_CENTER_DIM}" in err

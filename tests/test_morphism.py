@@ -136,6 +136,11 @@ def test_normalize_rejects_singular_module_block():
     f = LieMorphism(a, a, ExactMatrix.zero(2, 2), ExactMatrix.identity(1))
     with pytest.raises(ValueError):
         normalize_isomorphism(f)
+    # one +-1 in every column, but both in the same row
+    f = LieMorphism(a, a, ExactMatrix.from_rows([[1, 1], [0, 0]]),
+                    ExactMatrix.identity(1))
+    with pytest.raises(ValueError, match="module block is singular"):
+        normalize_isomorphism(f)
 
 
 def test_conjugation_fails_for_wrong_center_block():
@@ -160,7 +165,7 @@ def test_center_signature_obstruction_cases():
 
 def test_morphism_json_shape():
     d = morphism_to_dict(canonical_isomorphism(2, 0))
-    assert set(d) == {"src", "dst", "A", "B", "C", "class"}
+    assert set(d) == {"src", "dst", "A", "C", "class"}
     assert d["class"] == {"center_action": "ANTI_ISOMETRY", "integral": True}
     assert all(all(isinstance(e, int) for e in row) for row in d["A"])
 

@@ -1,11 +1,23 @@
 """Cross-checks that run through independently transcribed data paths."""
 
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pseudoht.morphism as morphism
 from pseudoht.acceptance import PERMUTATION_TABLE_8_0, criterion_2_axioms
 from pseudoht.algebra import SignedPermutationOp, j_operator
 from pseudoht.catalog import base_algebra
 from pseudoht.core import ExactMatrix, exact_rank
-from pseudoht.morphism import canonical_isomorphism, verify_conjugation, verify_homomorphism
-from pseudoht.obstruction import parity_certificate, solve_parity, parity_system
+from pseudoht.morphism import (
+    LieMorphism,
+    canonical_isomorphism,
+    canonical_map,
+    verify_conjugation,
+    verify_homomorphism,
+)
+from pseudoht.obstruction import check_pair, parity_certificate, parity_system, solve_parity
 from pseudoht.sums import build_sum, swap_isomorphism
 
 from test_obstruction import printed_m32  # printed-matrix oracle
@@ -65,12 +77,106 @@ def test_parity_soundness_against_canonical_maps():
                                 base_algebra(r1, s1).dim_module).feasible
 
 
+def pair_brackets(f, alpha, beta):
+    """([A v_alpha, A v_beta], C [v_alpha, v_beta]) as {index: coefficient}
+    center vectors with zeros dropped, read straight off the two tensors."""
+    def nonzero(column):
+        return [(i, e) for i, e in enumerate(column, start=1) if e]
+
+    lhs, rhs = {}, {}
+    for i, xi in nonzero(f.A.column(alpha)):
+        for j, xj in nonzero(f.A.column(beta)):
+            hit = f.dst.tensor.bracket_pair(i, j)
+            if hit is not None:
+                k, s = hit
+                lhs[k] = lhs.get(k, 0) + s * xi * xj
+    hit = f.src.tensor.bracket_pair(alpha, beta)
+    if hit is not None:
+        k, s = hit
+        rhs = {i: s * c for i, c in nonzero(f.C.column(k))}
+    return {k: c for k, c in lhs.items() if c}, rhs
+
+
+def bracket_pair_defect(f):
+    """The first basis pair alpha < beta with [A v_alpha, A v_beta] !=
+    C [v_alpha, v_beta], or None: the homomorphism property checked pair by
+    pair, the reference for the conjugation relation."""
+    n = f.src.dim_module
+    for alpha in range(1, n + 1):
+        for beta in range(alpha + 1, n + 1):
+            lhs, rhs = pair_brackets(f, alpha, beta)
+            if lhs != rhs:
+                return alpha, beta
+    return None
+
+
 def test_conjugation_holds_for_independent_verified_morphisms():
-    # the conjugation relation is a consequence for any verified isomorphism
-    # with invertible module block; cross-check it on maps built elsewhere
+    # the conjugation relation is the homomorphism property read through
+    # <J_Z x, y> = <Z, [x, y]>, with no condition on the blocks; cross-check
+    # both against the pairwise reference on maps built elsewhere
     f = swap_isomorphism(build_sum(base_algebra(0, 1), 1, 1))
+    assert bracket_pair_defect(f) is None
     assert verify_homomorphism(f).ok
     assert verify_conjugation(f).ok
+
+
+# canonical maps with module dimension 4..64
+ORACLE_FAMILY = [(2, 0), (4, 0), (8, 0), (9, 0), (10, 0), (1, 8), (8, 1),
+                 (5, 4), (4, 5), (6, 4), (1, 1), (2, 2), (4, 4), (5, 5), (0, 2)]
+
+
+@st.composite
+def mutated_maps(draw):
+    cmap = canonical_map(*draw(st.sampled_from(ORACLE_FAMILY)))
+    n = cmap.src.dim_module
+    index = st.integers(0, n - 1)
+    sign = list(cmap.module_sign)
+    for i in draw(st.lists(index, max_size=2)):
+        sign[i] = -sign[i]
+    image = list(cmap.module_image)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
+        image[i], image[j] = image[j], image[i]
+    f = replace(cmap, module_image=tuple(image),
+                module_sign=tuple(sign)).to_morphism()
+    return LieMorphism(f.src, f.dst, f.A,
+                       f.C.scale(draw(st.sampled_from((1, 1, -1, 2)))))
+
+
+@given(mutated_maps())
+@settings(max_examples=40, deadline=None)
+def test_one_relation_agrees_with_the_pairwise_reference(f):
+    hom, con = verify_homomorphism(f), verify_conjugation(f)
+    defect = bracket_pair_defect(f)
+    assert hom.ok == con.ok == (defect is None)
+    if not hom.ok:
+        alpha, beta = hom.witness
+        assert alpha < beta
+        lhs, rhs = pair_brackets(f, alpha, beta)
+        assert lhs != rhs
+
+
+def test_each_center_index_is_checked():
+    # negating the image of one center vector breaks the relation at one
+    # index k only; both checks must see it, whichever k it is
+    f = canonical_isomorphism(5, 4)
+    for m in range(f.C.cols):
+        c = [list(row) for row in f.C.entries]
+        for row in c:
+            row[m] = -row[m]
+        bad = LieMorphism(f.src, f.dst, f.A, ExactMatrix.from_rows(c))
+        k = next(i for i, row in enumerate(c, start=1) if row[m])
+        assert verify_conjugation(bad).witness[0] == k
+        lhs, rhs = pair_brackets(bad, *verify_homomorphism(bad).witness)
+        assert lhs != rhs
+
+
+def test_check_pair_runs_the_relation_once(monkeypatch):
+    calls = []
+    inner = morphism._relation_defect
+    monkeypatch.setattr(morphism, "_relation_defect",
+                        lambda f: calls.append(f) or inner(f))
+    assert check_pair(9, 8, 8, 9).kind == "ISO"
+    assert len(calls) == 1
 
 
 def test_quick_mode_skips_the_double_extension():
