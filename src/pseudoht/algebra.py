@@ -14,7 +14,7 @@ import json
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     ExactMatrix,
@@ -39,14 +39,13 @@ class IntegralBasisError(ValueError):
 class StructureTensor:
     """Sparse antisymmetric tensor A^k_{ab} with entries in {-1,+1}.
 
-    Entries are canonically stored with a < b; both orientations are
-    available through lookups.  Construction rejects two different center
-    indices on the same (a, b) pair, since an integral basis sends each
-    bracket to a single +-Z_k.
+    Only the entries are stored, canonically with a < b; lookups read the
+    link table derived from them on first use.  Construction rejects two
+    different center indices on the same (a, b) pair, since an integral
+    basis sends each bracket to a single +-Z_k.
     """
 
-    __slots__ = ("dim_module", "dim_center", "entries", "_pair", "_partner",
-                 "_partner_conflicts")
+    __slots__ = ("dim_module", "dim_center", "entries", "_links")
 
     def __init__(self, dim_module: int, dim_center: int,
                  entries: Iterable[tuple[int, int, int, int]]):
@@ -69,32 +68,14 @@ class StructureTensor:
                     f"pair ({a},{b}) maps to more than one center direction")
             canon[(a, b)] = (k, s)
         self.entries = tuple(sorted((a, b, k, s) for (a, b), (k, s) in canon.items()))
-        pair = {}
-        partner: dict[tuple[int, int], tuple[int, int]] = {}
-        conflicts = []
-        for (a, b, k, s) in self.entries:
-            pair[(a, b)] = (k, s)
-            pair[(b, a)] = (k, -s)
-            for (x, y, sg) in ((a, b, s), (b, a, -s)):
-                if (k, x) in partner:
-                    conflicts.append((k, x))
-                else:
-                    partner[(k, x)] = (y, sg)
-        self._pair = pair
-        self._partner = partner
-        self._partner_conflicts = tuple(conflicts)
 
     def bracket_pair(self, a: int, b: int) -> Optional[tuple[int, int]]:
         """(k, sign) with [v_a, v_b] = sign * Z_k, or None."""
-        return self._pair.get((a, b))
-
-    def partner(self, k: int, a: int) -> Optional[tuple[int, int]]:
-        """(b, sign) with [v_a, v_b] = sign * Z_k, or None."""
-        return self._partner.get((k, a))
-
-    def entry(self, a: int, b: int, k: int) -> int:
-        hit = self._pair.get((a, b))
-        return hit[1] if hit is not None and hit[0] == k else 0
+        if 1 <= a <= self.dim_module:
+            for beta, k, s in _link_table(self).links[a - 1]:
+                if beta == b - 1:
+                    return k + 1, s
+        return None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, StructureTensor)
@@ -346,21 +327,21 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
     """
     if not 1 <= k <= a.dim_center:
         raise IndexError(f"center index {k} out of range")
-    if a.tensor._partner_conflicts:
+    table = _link_table(a.tensor)
+    if table.conflicts:
         raise IntegralBasisError(
-            f"multiple partners for (k, a) pairs {a.tensor._partner_conflicts[:3]}")
+            f"multiple partners for (k, a) pairs {table.conflicts[:3]}")
     ez = a.center_sign(k)
-    partner = a.tensor._partner
     g = a.module_signs
     image = []
     sign = []
-    for alpha in range(1, a.dim_module + 1):
-        hit = partner.get((k, alpha))
+    for alpha, links in enumerate(table.links, start=1):
+        hit = _partner(links, k - 1)
         if hit is None:
             raise IntegralBasisError(f"no partner for center {k}, vector {alpha}")
         beta, s = hit
-        image.append(beta)
-        sign.append(ez * s * g[beta - 1])
+        image.append(beta + 1)
+        sign.append(ez * s * g[beta])
     return SignedPermutationOp(tuple(image), tuple(sign))
 
 
@@ -378,35 +359,59 @@ def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
 _Links = tuple[tuple[int, int, int], ...]
 
 
-def _adjacency(a: PseudoHTypeAlgebra) -> tuple[_Links, ...]:
-    """adj[alpha] = ((beta, k, s), ...) with [v_alpha, v_beta] = s * Z_k.
+class _LinkTable(NamedTuple):
+    """links[alpha]: the (beta, k, s) with [v_alpha, v_beta] = s * Z_k,
+    0-based for direct list indexing and in increasing k (one per k on an
+    integral basis); conflicts: each 1-based (k, a) that an entry gives a
+    second partner, in entries order."""
 
-    All three indices are 0-based here, for direct list indexing; each
-    module index has exactly dim z links on an integral basis.
-    """
-    def build(alg: PseudoHTypeAlgebra) -> tuple[_Links, ...]:
+    links: tuple[_Links, ...]
+    conflicts: tuple[tuple[int, int], ...]
+
+
+def _link_table(t: StructureTensor) -> _LinkTable:
+    """The tensor's _LinkTable, derived on first use and kept on the tensor."""
+    def build(t: StructureTensor) -> _LinkTable:
+        n_z = t.dim_center
         adj: list[list[tuple[int, int, int]]] = [
-            [] for _ in range(alg.dim_module)]
-        for (i, j, k, s) in alg.tensor.entries:
-            adj[i - 1].append((j - 1, k - 1, s))
-            adj[j - 1].append((i - 1, k - 1, -s))
-        return tuple(tuple(links) for links in adj)
+            [] for _ in range(t.dim_module)]
+        seen = bytearray(t.dim_module * n_z)
+        conflicts = []
+        for (a, b, k, s) in t.entries:
+            i, j, k0 = a - 1, b - 1, k - 1
+            for x, slot in ((a, i * n_z + k0), (b, j * n_z + k0)):
+                if seen[slot]:
+                    conflicts.append((k, x))
+                seen[slot] = 1
+            adj[i].append((j, k0, s))
+            adj[j].append((i, k0, -s))
+        by_center = operator.itemgetter(1)
+        return _LinkTable(tuple(tuple(sorted(links, key=by_center))
+                                for links in adj),
+                          tuple(conflicts))
 
-    return _derived(a, "_adjacency", build)
+    return _derived(t, "_links", build)
 
 
-def _derived(a: PseudoHTypeAlgebra, name: str,
-             build: Callable[[PseudoHTypeAlgebra], tuple]) -> tuple:
-    """A table computed from the algebra's fields, kept on the instance.
+def _partner(links: _Links, k: int) -> Optional[tuple[int, int]]:
+    """(beta, s) of the link with 0-based center k (links[k] on an
+    integral basis), or None."""
+    if k < len(links) and links[k][1] == k:
+        return links[k][0], links[k][2]
+    return next(((beta, s) for beta, kk, s in links if kk == k), None)
 
-    The fields are frozen, so the table cannot go stale, and it is not a
-    field, so ==, hash, repr and the JSON form never see it.  Two threads
-    that both miss build the same value; either one may be kept.
+
+def _derived(obj, name: str, build: Callable) -> tuple:
+    """A table computed from an algebra's or tensor's fields, kept on it.
+
+    The fields are never reassigned, so the table cannot go stale, and it
+    is not a field, so ==, hash, repr and the JSON form never see it.  Two
+    threads that both miss build the same value; either one may be kept.
     """
-    value = a.__dict__.get(name)
+    value = getattr(obj, name, None)
     if value is None:
-        value = build(a)
-        object.__setattr__(a, name, value)
+        value = build(obj)
+        object.__setattr__(obj, name, value)
     return value
 
 
@@ -448,14 +453,14 @@ def apply_j_operators(ops: Mapping[int, SignedPermutationOp],
 
 def verify_integral_basis(a: PseudoHTypeAlgebra) -> Verdict:
     """Antisymmetry, +-1 entries, and the exactly-one-partner property."""
-    t = a.tensor
-    if t._partner_conflicts:
-        return Verdict(False, t._partner_conflicts[0],
+    table = _link_table(a.tensor)
+    if table.conflicts:
+        return Verdict(False, table.conflicts[0],
                        "a (center, vector) pair has several partners")
-    for k in range(1, a.dim_center + 1):
-        for alpha in range(1, a.dim_module + 1):
-            if t.partner(k, alpha) is None:
-                return Verdict(False, (k, alpha),
+    for k in range(a.dim_center):
+        for alpha, links in enumerate(table.links, start=1):
+            if _partner(links, k) is None:
+                return Verdict(False, (k + 1, alpha),
                                "no partner for this (center, vector) pair")
     return Verdict(True)
 
@@ -557,26 +562,17 @@ def verify_htype(a: PseudoHTypeAlgebra) -> Verdict:
     return Verdict(True)
 
 
-def commutation_graph(a: PseudoHTypeAlgebra) -> dict[int, set[int]]:
-    """Adjacency over basis indices: an edge where the bracket is nonzero."""
-    adj: dict[int, set[int]] = {i: set() for i in range(1, a.dim_module + 1)}
-    for (i, j, _k, _s) in a.tensor.entries:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
 def block_decomposition(a: PseudoHTypeAlgebra
                         ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Split the basis into two commuting halves, or None.
 
-    This is a 2-coloring of the commutation graph; a valid split exists iff
-    the graph is bipartite and its components can be oriented to give two
-    equal halves.  Ties are broken by putting each component's side that
-    contains its lowest index into the first half, preferring the unflipped
-    orientation when both balance.
+    This is a 2-coloring of the commutation graph (the link table); a valid
+    split exists iff the graph is bipartite and its components can be
+    oriented to give two equal halves.  Ties are broken by putting each
+    component's side that contains its lowest index into the first half,
+    preferring the unflipped orientation when both balance.
     """
-    adj = commutation_graph(a)
+    adj = _link_table(a.tensor).links
     n = a.dim_module
     color: dict[int, int] = {}
     components: list[tuple[list[int], list[int]]] = []
@@ -588,7 +584,7 @@ def block_decomposition(a: PseudoHTypeAlgebra
         side: tuple[list[int], list[int]] = ([start], [])
         while queue:
             u = queue.pop()
-            for w in adj[u]:
+            for w in (beta + 1 for beta, _k, _s in adj[u - 1]):
                 if w not in color:
                     color[w] = 1 - color[u]
                     side[color[w]].append(w)
@@ -665,7 +661,7 @@ def adjoint_rows(a: PseudoHTypeAlgebra,
     Each nonzero x_alpha walks the dim z bracket links of v_alpha.
     """
     rows = [[0] * a.dim_module for _ in range(a.dim_center)]
-    for xa, links in zip(x, _adjacency(a)):
+    for xa, links in zip(x, _link_table(a.tensor).links):
         if xa:
             for beta, k, s in links:
                 rows[k][beta] += s * xa

@@ -305,24 +305,25 @@ def table_layout(table_id: BaseTableId) -> TableLayout:
 
 def render_table(a: PseudoHTypeAlgebra, fmt: str = "md",
                  display_order: Optional[Sequence[int]] = None) -> str:
-    """Commutator table regenerated from the structure tensor."""
+    """Commutator table regenerated from the structure tensor: each entry
+    fills its two cells, and every other cell is 0."""
     if display_order is None:
         if isinstance(a.provenance, BaseProvenance) and (a.r, a.s) in BASE_IDS:
             display_order = table_layout((a.r, a.s)).display_order
         else:
             display_order = range(1, a.dim_module + 1)
     order = list(display_order)
-
-    def cell(i: int, j: int) -> str:
-        hit = a.tensor.bracket_pair(i, j)
-        if hit is None:
-            return "0"
-        k, s = hit
-        return ("-" if s < 0 else "") + a.center_labels[k - 1]
-
+    shown: dict[int, list[int]] = {}  # basis index -> its table positions
+    for pos, i in enumerate(order):
+        shown.setdefault(i, []).append(pos)
+    rows = [[a.module_labels[i - 1]] + ["0"] * len(order) for i in order]
+    for (i, j, k, s) in a.tensor.entries:
+        label = a.center_labels[k - 1]
+        for x, y, sign in ((i, j, s), (j, i, -s)):
+            for row in shown.get(x, ()):
+                for col in shown.get(y, ()):
+                    rows[row][col + 1] = ("-" if sign < 0 else "") + label
     header = ["[r,c]"] + [a.module_labels[i - 1] for i in order]
-    rows = [[a.module_labels[i - 1]] + [cell(i, j) for j in order]
-            for i in order]
     if fmt == "md":
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join([" --- "] * len(header)) + "|"]

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import acceptance
 from .algebra import algebra_to_dict
-from .catalog import UnsupportedSignatureError, base_algebra, render_table
+from .catalog import base_algebra, render_table
 from .extension import ExtensionStep, extension_chain, standard_algebra
 from .obstruction import check_pair, sbg_decision
 from .sums import build_sum, sum_sbg, sum_to_dict
@@ -38,44 +38,32 @@ def _emit_json(data: dict, out: Optional[str]) -> None:
 
 
 def _cmd_build(args) -> int:
-    try:
-        if args.sum is not None:
-            if args.extend:
-                print("--sum cannot be combined with --extend", file=sys.stderr)
-                return EXIT_ERROR
-            mu, nu = args.sum
-            summed = build_sum(base_algebra(args.r, args.s), mu, nu)
-            _emit_json(sum_to_dict(summed), args.out)
-            return EXIT_OK
+    if args.sum is not None:
         if args.extend:
-            steps = [ExtensionStep.parse(s) for s in args.extend]
-            algebra = extension_chain((args.r, args.s), steps)
-        else:
-            algebra = standard_algebra(args.r, args.s)
-    except (UnsupportedSignatureError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
+            print("--sum cannot be combined with --extend", file=sys.stderr)
+            return EXIT_ERROR
+        mu, nu = args.sum
+        summed = build_sum(base_algebra(args.r, args.s), mu, nu)
+        _emit_json(sum_to_dict(summed), args.out)
+        return EXIT_OK
+    if args.extend:
+        steps = [ExtensionStep.parse(s) for s in args.extend]
+        algebra = extension_chain((args.r, args.s), steps)
+    else:
+        algebra = standard_algebra(args.r, args.s)
     _emit_json(algebra_to_dict(algebra), args.out)
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    try:
-        algebra = standard_algebra(args.r, args.s)
-    except (UnsupportedSignatureError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
+    algebra = standard_algebra(args.r, args.s)
     _emit(render_table(algebra, fmt=args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    try:
-        cert = check_pair(args.r1, args.s1, args.r2, args.s2,
-                          anti_only=args.anti, seed=args.seed)
-    except (UnsupportedSignatureError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
+    cert = check_pair(args.r1, args.s1, args.r2, args.s2,
+                      anti_only=args.anti, seed=args.seed)
     _emit_json(cert.json_dict(), args.out)
     if cert.kind == "ISO":
         return EXIT_OK
@@ -85,16 +73,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sbg(args) -> int:
-    try:
-        if args.sum is not None:
-            mu, nu = args.sum
-            cert = sum_sbg(build_sum(base_algebra(args.r, args.s), mu, nu),
-                           seed=args.seed)
-        else:
-            cert = sbg_decision(standard_algebra(args.r, args.s), seed=args.seed)
-    except (UnsupportedSignatureError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
+    if args.sum is not None:
+        mu, nu = args.sum
+        cert = sum_sbg(build_sum(base_algebra(args.r, args.s), mu, nu),
+                       seed=args.seed)
+    else:
+        cert = sbg_decision(standard_algebra(args.r, args.s), seed=args.seed)
     _emit_json(cert.json_dict(), args.out)
     return EXIT_OK
 
@@ -185,8 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; a request the package refuses with a ValueError
+    (bad signature or step, module over budget) exits EXIT_ERROR."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

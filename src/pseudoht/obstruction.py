@@ -10,6 +10,7 @@ record recheck re-derives from the destination algebra.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass, field
@@ -149,17 +150,10 @@ def witt_bound(a: PseudoHTypeAlgebra) -> WittBound:
 
 
 def iter_grid(dim: int, radius: int):
-    """Every integer point of the cube [-radius, radius]^dim."""
-    point = [-radius] * dim
-    while True:
-        yield tuple(point)
-        i = 0
-        while i < dim and point[i] == radius:
-            point[i] = -radius
-            i += 1
-        if i == dim:
-            return
-        point[i] += 1
+    """Every integer point of the cube [-radius, radius]^dim, the first
+    coordinate running fastest."""
+    return (point[::-1] for point in
+            itertools.product(range(-radius, radius + 1), repeat=dim))
 
 
 def _random_null_vector(a: PseudoHTypeAlgebra, rng: random.Random
@@ -337,17 +331,7 @@ def sbg_decision(a: PseudoHTypeAlgebra, samples: int = 100,
         return Certificate("SBG_YES", {"signature": [r, s],
                                        "samples": samples, "seed": seed})
 
-    z0 = [0] * a.dim_center
-    z0[0] = 1
-    z0[r] = 1
-    v = None
-    for alpha in range(1, a.dim_module + 1):
-        cand = j_of_center_vector(a, {1: 1, r + 1: 1}, {alpha: 1})
-        if cand:
-            v = [cand.get(i, 0) for i in range(1, a.dim_module + 1)]
-            break
-    if v is None:  # would contradict the nonzero kernel of J_{Z_0}
-        raise RuntimeError("no witness found; J_{Z_0} vanished identically")
+    z0, v = null_direction_witness(a)
     verdict = verify_sbg_no_witness(a, z0, v)
     if not verdict.ok:
         raise RuntimeError(f"witness failed verification: {verdict.detail}")
@@ -356,6 +340,22 @@ def sbg_decision(a: PseudoHTypeAlgebra, samples: int = 100,
         "z0": [str(e) for e in z0],
         "witness_v": [str(e) for e in v],
     })
+
+
+def null_direction_witness(a: PseudoHTypeAlgebra
+                           ) -> tuple[list[int], list[int]]:
+    """Integer (Z_0, v) on an indefinite center: the null Z_0 = Z_1 + Z_{r+1}
+    and v = J_{Z_0} v_alpha for the first v_alpha it does not annihilate."""
+    r = a.r
+    z0 = [0] * a.dim_center
+    z0[0] = 1
+    z0[r] = 1
+    for alpha in range(1, a.dim_module + 1):
+        cand = j_of_center_vector(a, {1: 1, r + 1: 1}, {alpha: 1})
+        if cand:
+            return z0, [cand.get(i, 0) for i in range(1, a.dim_module + 1)]
+    # would contradict the nonzero kernel of J_{Z_0}
+    raise RuntimeError("no witness found; J_{Z_0} vanished identically")
 
 
 def verify_sbg_no_witness(a: PseudoHTypeAlgebra, z0: Sequence[Rational],
@@ -422,7 +422,8 @@ class _ParityUnionFind:
         self.parent = list(range(n + 1))
         self.parity = [0] * (n + 1)  # parity of the path to the parent
         self.rank = [0] * (n + 1)
-        self.forest: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n + 1)}
+        self.forest: dict[int, list[tuple[int, ParityConstraint]]] = {
+            i: [] for i in range(n + 1)}
 
     def find(self, a: int) -> tuple[int, int]:
         p = 0
@@ -444,31 +445,30 @@ class _ParityUnionFind:
         self.parity[rb] = pa ^ pb ^ want
         if self.rank[ra] == self.rank[rb]:
             self.rank[ra] += 1
-        self.forest[c.a].append((c.b, want))
-        self.forest[c.b].append((c.a, want))
+        self.forest[c.a].append((c.b, c))
+        self.forest[c.b].append((c.a, c))
         return True
 
 
-def _forest_path(forest, a: int, b: int) -> Optional[list[tuple[int, int, int]]]:
-    """Path a -> b through accepted edges, as (u, v, parity) steps."""
-    prev: dict[int, tuple[int, int]] = {a: (0, 0)}
+def _forest_path(forest, a: int, b: int) -> Optional[list[ParityConstraint]]:
+    """Path a -> b through accepted edges, as the constraints on it."""
+    prev: dict[int, tuple[int, Optional[ParityConstraint]]] = {a: (0, None)}
     queue = [a]
     while queue:
         u = queue.pop(0)
         if u == b:
             break
-        for (w, par) in forest[u]:
+        for (w, c) in forest[u]:
             if w not in prev:
-                prev[w] = (u, par)
+                prev[w] = (u, c)
                 queue.append(w)
     if b not in prev:
         return None
     path = []
     node = b
     while node != a:
-        u, par = prev[node]
-        path.append((u, node, par))
-        node = u
+        node, c = prev[node]
+        path.append(c)
     path.reverse()
     return path
 
@@ -481,12 +481,7 @@ def solve_parity(constraints: Sequence[ParityConstraint],
         if not uf.union(c):
             path = _forest_path(uf.forest, c.a, c.b)
             assert path is not None, "conflicting edge must close a tree path"
-            lookup = {}
-            for cc in constraints:
-                lookup[(cc.a, cc.b)] = cc
-                lookup[(cc.b, cc.a)] = cc
-            cycle = [lookup[(u, v)] for (u, v, _p) in path] + [c]
-            return ParityOutcome(feasible=False, cycle=tuple(cycle))
+            return ParityOutcome(feasible=False, cycle=(*path, c))
     assignment: dict[int, int] = {}
     for v in range(1, n + 1):
         root, par = uf.find(v)

@@ -23,7 +23,12 @@ from .algebra import (
 )
 from .catalog import MAX_CENTER_DIM, base_algebra, min_module_dim
 from .core import ExactMatrix, Signature, classify_map, exact_rank
-from .extension import ExtensionStep, extend, standard_algebra, standard_chain
+from .extension import (
+    ExtensionStep,
+    extension_chain,
+    standard_algebra,
+    standard_chain,
+)
 from .morphism import (
     LieMorphism,
     center_signature_obstruction,
@@ -64,47 +69,70 @@ def _signature(payload, key: str) -> tuple[int, int]:
     return r, s
 
 
-def _rationals(payload, key: str) -> list[Fraction]:
+def _list(payload, key: str) -> list:
     value = _field(payload, key)
     if not isinstance(value, list):
         raise _Malformed(f"{key} must be a list")
+    return value
+
+
+_NOT_RATIONAL = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _rationals(payload, key: str) -> list[Fraction]:
+    value = _list(payload, key)
     try:
         return [Fraction(e) for e in value]
-    except (TypeError, ValueError, ZeroDivisionError):
+    except _NOT_RATIONAL:
+        raise _Malformed(f"{key} must hold rational numbers") from None
+
+
+def _matrix(payload, key: str, rows: int, cols: int) -> ExactMatrix:
+    value = _list(payload, key)
+    if len(value) != rows or any(not isinstance(row, list) or len(row) != cols
+                                 for row in value):
+        raise _Malformed(f"{key} must be a {rows} x {cols} list of rows")
+    try:
+        return ExactMatrix.from_rows(value)
+    except _NOT_RATIONAL:
         raise _Malformed(f"{key} must hold rational numbers") from None
 
 
 def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
-    """Reconstruct an algebra from its serialized provenance record."""
-    kind = prov.get("kind")
+    """Reconstruct an algebra from its serialized provenance record; a
+    record of the wrong shape raises ValueError."""
+    kind = _field(prov, "kind")
     if kind == "base":
-        r, s = prov["id"]
-        return base_algebra(int(r), int(s))
+        return base_algebra(*_ints(_field(prov, "id"), 2, "id"))
     if kind == "extended":
-        r0, s0 = prov["base"]
-        a = base_algebra(int(r0), int(s0))
-        for p, q in prov["steps"]:
-            a = extend(a, ExtensionStep.parse(f"{p},{q}"))
-        return a
+        steps = [ExtensionStep.parse("{},{}".format(*_ints(st, 2, "a step")))
+                 for st in _list(prov, "steps")]
+        return extension_chain(_ints(_field(prov, "base"), 2, "base"), steps)
     if kind == "sum":
-        r, s = prov["base"]
-        counts = {b["type"]: b["count"] for b in prov["blocks"]}
-        return build_sum(base_algebra(int(r), int(s)),
+        counts = dict(_ints([_field(b, "type"), _field(b, "count")], 2, "a block")
+                      for b in _list(prov, "blocks"))
+        return build_sum(base_algebra(*_ints(_field(prov, "base"), 2, "base")),
                          counts.get(1, 0), counts.get(2, 0)).algebra
-    raise ValueError(f"cannot rebuild an algebra from provenance {prov!r}")
+    raise _Malformed(f"cannot rebuild an algebra from provenance {prov!r}")
 
 
 def _recheck_iso(payload: Mapping) -> Verdict:
     m = payload["morphism"]
-    src = rebuild_from_provenance(m["src"]["provenance"])
-    dst = rebuild_from_provenance(m["dst"]["provenance"])
-    f = LieMorphism(src, dst, ExactMatrix.from_rows(m["A"]),
-                    ExactMatrix.from_rows(m["C"]))
+    try:
+        src, dst = [rebuild_from_provenance(_field(_field(m, side), "provenance"))
+                    for side in ("src", "dst")]
+    except ValueError as exc:  # also a record naming no buildable algebra
+        raise _Malformed(str(exc)) from None
+    f = LieMorphism(src, dst,
+                    _matrix(m, "A", dst.dim_module, src.dim_module),
+                    _matrix(m, "C", dst.dim_center, src.dim_center))
+    stated = m.get("class") or {}
+    if not isinstance(stated, Mapping):
+        raise _Malformed("class must be an object")
     hom = verify_homomorphism(f)
     if not hom.ok:
         return Verdict(False, hom.witness, "embedded map is not a homomorphism")
     action = classify_map(f.C, src.center_sig, dst.center_sig)
-    stated = m.get("class", {})
     if stated and stated.get("center_action") != action.value:
         return Verdict(False, None, "stated center action does not match")
     # invertibility of the blocks makes the homomorphism an isomorphism; a
@@ -149,12 +177,9 @@ def _recheck_parity(payload: Mapping) -> Verdict:
     if type(anti_only) is not bool:
         raise _Malformed("anti_isometric_center_only must be a boolean")
     parity = _field(payload, "parity")
-    edges = _field(parity, "cycle")
-    if not isinstance(edges, list):
-        raise _Malformed("cycle must be a list")
     cycle = [ParityConstraint(*_ints([_field(e, k) for k in ("a", "b", "rhs")],
                                      3, "a cycle edge"))
-             for e in edges]
+             for e in _list(parity, "cycle")]
     recorded = _field(parity, "precondition")
 
     # POSSIBLE also means that dst is src or its swap

@@ -10,7 +10,6 @@ types.  Brackets between distinct copies vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
@@ -23,7 +22,12 @@ from .algebra import (
 from .catalog import BASE_IDS, UnsupportedSignatureError, require_module_budget
 from .extension import volume_involution
 from .morphism import LieMorphism
-from .obstruction import Certificate, sbg_decision, verify_sbg_no_witness
+from .obstruction import (
+    Certificate,
+    null_direction_witness,
+    sbg_decision,
+    verify_sbg_no_witness,
+)
 
 
 @dataclass(frozen=True)
@@ -88,33 +92,21 @@ def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
     return DirectSumAlgebra(base=base, mu=mu, nu=nu, algebra=combined)
 
 
-def _block_view(sum_algebra: DirectSumAlgebra, block: int) -> PseudoHTypeAlgebra:
-    """One copy of the module as a standalone algebra, read off the sum."""
-    base = sum_algebra.base
-    per = base.dim_module
-    off = sum_algebra.block_offset(block)
-    entries = [(i - off, j - off, k, sg)
-               for (i, j, k, sg) in sum_algebra.algebra.tensor.entries
-               if off < i <= off + per and off < j <= off + per]
-    return PseudoHTypeAlgebra(
-        center_sig=base.center_sig,
-        module_signs=base.module_signs,
-        tensor=StructureTensor(per, base.dim_center, entries),
-        module_labels=base.module_labels,
-        center_labels=base.center_labels,
-        provenance=base.provenance,
-    )
-
-
 def block_volume_element(sum_algebra: DirectSumAlgebra, block: int
                          ) -> tuple[Optional[int], SignedPermutationOp]:
     """Compose all center operators on one block; (+1, -1, or None) plus op.
 
-    The operators are recovered from the sum's own tensor restricted to the
-    block.  None means the composition is not a scalar multiple of the
-    identity, which happens when the minimal module is reducible.
+    The operators are the sum's own, read off its tensor; brackets between
+    copies vanish, so each maps every block to itself, and the composite
+    is restricted to the block.  None means the composition is not a
+    scalar multiple of the identity, which happens when the minimal module
+    is reducible.
     """
-    op = volume_involution(_block_view(sum_algebra, block))
+    per = sum_algebra.block_dim
+    off = sum_algebra.block_offset(block)
+    whole = volume_involution(sum_algebra.algebra)
+    op = SignedPermutationOp(tuple(b - off for b in whole.image[off:off + per]),
+                             whole.sign[off:off + per])
     return op.scalar_action(), op
 
 
@@ -152,10 +144,8 @@ def sum_sbg(sum_algebra: DirectSumAlgebra, samples: int = 100,
         cert = sbg_decision(a, samples=samples, seed=seed)
         return Certificate(cert.kind, {
             **cert.payload, "sum": [sum_algebra.mu, sum_algebra.nu]})
-    base_cert = sbg_decision(sum_algebra.base, samples=samples, seed=seed)
-    z0 = [Fraction(e) for e in base_cert.payload["z0"]]
-    v_base = [Fraction(e) for e in base_cert.payload["witness_v"]]
-    v = v_base + [Fraction(0)] * (a.dim_module - len(v_base))
+    z0, v_base = null_direction_witness(sum_algebra.base)
+    v = v_base + [0] * (a.dim_module - len(v_base))
     verdict = verify_sbg_no_witness(a, z0, v)
     if not verdict.ok:
         raise RuntimeError(f"padded witness failed verification: {verdict.detail}")

@@ -14,6 +14,8 @@ from pseudoht.catalog import (
     base_algebra,
     base_table_entries,
     min_module_dim,
+    render_table,
+    table_layout,
 )
 from pseudoht.core import basis_vector
 
@@ -128,3 +130,24 @@ def test_catalog_blocks_commute_where_present():
             for i in side:
                 for j in side:
                     assert a.tensor.bracket_pair(i, j) is None
+
+
+def _cell_by_cell(a, order):
+    """render_table's rows, one bracket_pair lookup per cell."""
+    def cell(i, j):
+        hit = a.tensor.bracket_pair(i, j)
+        if hit is None:
+            return "0"
+        k, s = hit
+        return ("-" if s < 0 else "") + a.center_labels[k - 1]
+    return [[a.module_labels[i - 1]] + [cell(i, j) for j in order]
+            for i in order]
+
+
+def test_render_table_matches_a_lookup_per_cell():
+    for r, s in BASE_IDS:
+        a = base_algebra(r, s)
+        for order in (table_layout((r, s)).display_order,
+                      (a.dim_module, 1, a.dim_module, 2), (2,)):
+            body = render_table(a, "csv", order).splitlines()[1:]
+            assert body == [",".join(row) for row in _cell_by_cell(a, order)]

@@ -5,15 +5,21 @@ A reference written here with SignedPermutationOp.compose and apply_basis
 pins their verdicts, witnesses and details on corrupted algebras; the
 counting fixture shows the operators are derived lazily, once per object,
 and that keeping them changes neither equality, hashing nor the JSON form.
+A structure tensor stores its entries only; its pair and vertex lookups are
+derived on first use, and they must agree with the entries.
 """
 
 import dataclasses
+import functools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pseudoht.algebra as algebra
 from pseudoht.algebra import (
+    IntegralBasisError,
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     StructureTensor,
@@ -26,10 +32,12 @@ from pseudoht.algebra import (
     verify_admissible,
     verify_clifford,
     verify_htype,
+    verify_integral_basis,
 )
 from pseudoht.catalog import BASE_IDS, base_algebra
 from pseudoht.extension import ExtensionStep, extend
 from pseudoht.obstruction import sbg_decision
+from pseudoht.sums import build_sum
 
 
 # --- reference verifiers on composed operators -------------------------------
@@ -198,12 +206,124 @@ def derivations(monkeypatch):
     return calls
 
 
+STORED = ("dim_module", "dim_center", "entries")
+
+
+def _derived_on(a: PseudoHTypeAlgebra) -> list[str]:
+    """Names of everything the algebra and its tensor hold beyond their
+    fields."""
+    t = a.tensor
+    fields = {f.name for f in dataclasses.fields(a)}
+    return sorted([name for name in vars(a) if name not in fields]
+                  + [name for name in StructureTensor.__slots__
+                     if name not in STORED and hasattr(t, name)])
+
+
 def test_construction_derives_nothing(derivations):
     a = base_algebra(4, 4)
     big = extend(base_algebra(1, 0), ExtensionStep.BY_8_0)
     back = algebra_from_json(algebra_to_json(big))
+    summed = build_sum(base_algebra(2, 3), 2, 1).algebra
     assert back.tensor == big.tensor and a.dim_center == 8
+    for built in (a, big, back, summed):
+        assert _derived_on(built) == []
     assert derivations == []
+
+
+def test_lookups_are_derived_once_on_the_tensor():
+    a = base_algebra(3, 2)
+    assert a.tensor.bracket_pair(1, 2) is not None
+    assert _derived_on(a) == ["_links"]
+    table = algebra._link_table(a.tensor)
+    assert algebra._link_table(a.tensor) is table
+    assert verify_integral_basis(a).ok and verify_clifford(a).ok
+    assert algebra._link_table(a.tensor) is table
+    assert _derived_on(a) == ["_j_operators", "_links"]
+
+
+# --- the lazy lookups against the entries ------------------------------------
+
+ALGEBRAS = [(rs, None) for rs in BASE_IDS] + [
+    (rs, step) for rs in BASE_IDS for step in ExtensionStep]
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_algebra(rs, step) -> PseudoHTypeAlgebra:
+    base = base_algebra(*rs)
+    return base if step is None else extend(base, step)
+
+
+def _scan(t: StructureTensor, a: int, b: int):
+    lo, hi = min(a, b), max(a, b)
+    for (i, j, k, s) in t.entries:
+        if (i, j) == (lo, hi):
+            return k, s if a < b else -s
+    return None
+
+
+@given(st.sampled_from(ALGEBRAS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bracket_pair_agrees_with_a_scan_of_the_entries(which, data):
+    t = _catalog_algebra(*which).tensor
+    index = st.integers(min_value=1, max_value=t.dim_module)
+    a = data.draw(index)
+    b = data.draw(st.one_of(index, st.just(a)))
+    assert t.bracket_pair(a, b) == _scan(t, a, b)
+    assert t.bracket_pair(a, a) is None
+
+
+def _j_outcomes(a: PseudoHTypeAlgebra) -> list:
+    out = []
+    for k in range(1, a.dim_center + 1):
+        try:
+            out.append(j_operator(a, k).image[:3])
+        except IntegralBasisError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _with_entries(a: PseudoHTypeAlgebra, entries) -> PseudoHTypeAlgebra:
+    return dataclasses.replace(
+        a, tensor=StructureTensor(a.dim_module, a.dim_center, entries))
+
+
+def test_one_removed_entry_leaves_its_pairs_without_partners():
+    # the first missing partner in center-major order
+    a = base_algebra(3, 2)
+    e = a.tensor.entries
+    cases = {0: ((2, 1), 2, "no partner for center 2, vector 1"),
+             10: ((5, 3), 5, "no partner for center 5, vector 3"),
+             19: ((1, 7), 1, "no partner for center 1, vector 7")}
+    for i, (witness, k, message) in cases.items():
+        bad = _with_entries(a, e[:i] + e[i + 1:])
+        assert verify_integral_basis(bad) == Verdict(
+            False, witness, "no partner for this (center, vector) pair")
+        outcomes = _j_outcomes(bad)
+        assert outcomes[k - 1] == message
+        assert [o for o in outcomes if isinstance(o, str)] == [message]
+    assert _j_outcomes(_with_entries(a, e[1:]))[0] == (4, 3, 2)
+    big = base_algebra(4, 4)
+    e = big.tensor.entries
+    assert verify_integral_basis(_with_entries(big, e[:32] + e[33:])).witness \
+        == (7, 5)
+    assert verify_integral_basis(_with_entries(big, e[:63])).witness == (1, 12)
+
+
+def test_a_doubled_partner_is_reported_in_entries_order():
+    a = base_algebra(3, 2)
+    e = a.tensor.entries
+    for extra, conflicts in (((1, 7, 2, 1), ((2, 1), (2, 7))),
+                             ((1, 8, 5, -1), ((5, 1), (5, 8)))):
+        bad = _with_entries(a, e + (extra,))
+        assert verify_integral_basis(bad) == Verdict(
+            False, conflicts[0], "a (center, vector) pair has several partners")
+        assert _j_outcomes(bad) == [
+            f"multiple partners for (k, a) pairs {conflicts}"] * 5
+    big = base_algebra(4, 4)
+    bad = _with_entries(big, big.tensor.entries + ((1, 16, 8, -1),))
+    assert verify_integral_basis(bad).witness == (8, 1)
+    assert _j_outcomes(bad)[0] == \
+        "multiple partners for (k, a) pairs ((8, 1), (8, 16))"
 
 
 def test_verifiers_and_sbg_derive_each_operator_once(derivations):

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import pseudoht.extension as extension
 import pseudoht.recheck as recheck
 from pseudoht.algebra import Verdict
 from pseudoht.catalog import base_algebra
@@ -219,3 +222,89 @@ def test_recheck_accepts_sbg_yes_only_on_definite_constructible_signatures():
                    {"kind": "SBG_YES", "signature": [8, 0],
                     "sum": [10 ** 6, 0]}):
         assert not recheck_certificate(forged).ok, forged
+
+
+def _iso_mutation(edit):
+    def mutate(cert):
+        edit(cert["morphism"])
+        return cert
+    return mutate
+
+
+def _set(key, value):
+    return _iso_mutation(lambda m: m.update({key: value}))
+
+
+def _set_provenance(value):
+    return _iso_mutation(lambda m: m["src"].update(provenance=value))
+
+
+ISO_MUTATIONS = {
+    "A missing": _iso_mutation(lambda m: m.pop("A")),
+    "C missing": _iso_mutation(lambda m: m.pop("C")),
+    "A ragged": _iso_mutation(lambda m: m["A"][0].pop()),
+    "A not a list": _set("A", "1"),
+    "A row not a list": _iso_mutation(lambda m: m["A"].__setitem__(0, 7)),
+    "A entry not rational": _iso_mutation(lambda m: m["A"][0].__setitem__(0, "x")),
+    "A entry a zero denominator": _iso_mutation(
+        lambda m: m["A"][0].__setitem__(0, "1/0")),
+    "A entry infinite": _iso_mutation(
+        lambda m: m["A"][0].__setitem__(0, float("inf"))),
+    "A entry null": _iso_mutation(lambda m: m["A"][0].__setitem__(0, None)),
+    "A row missing": _iso_mutation(lambda m: m["A"].pop()),
+    "A wrongly shaped": _iso_mutation(
+        lambda m: m.update(A=[row[:-1] for row in m["A"]])),
+    "C wrongly shaped": _iso_mutation(lambda m: m.update(C=m["C"][:-1])),
+    "class not an object": _set("class", "integral"),
+    "class a list": _set("class", [1]),
+    "src missing": _iso_mutation(lambda m: m.pop("src")),
+    "src not an object": _set("src", [1, 8]),
+    "provenance missing": _iso_mutation(lambda m: m["dst"].pop("provenance")),
+    "provenance null": _set_provenance(None),
+    "provenance unknown kind": _set_provenance({"kind": "mystery"}),
+    "provenance kind missing": _set_provenance({"id": [1, 8]}),
+    "base id not integers": _set_provenance({"kind": "base", "id": ["1", "8"]}),
+    "base id unsupported": _set_provenance({"kind": "base", "id": [5, 5]}),
+    "extension steps not a list": _set_provenance(
+        {"kind": "extended", "base": [1, 0], "steps": "8,0"}),
+    "extension step malformed": _set_provenance(
+        {"kind": "extended", "base": [1, 0], "steps": [[8]]}),
+    "extension step unknown": _set_provenance(
+        {"kind": "extended", "base": [1, 0], "steps": [[2, 2]]}),
+    "extension base null": _set_provenance(
+        {"kind": "extended", "base": None, "steps": []}),
+    "sum blocks malformed": _set_provenance(
+        {"kind": "sum", "base": [2, 3], "blocks": [{"type": 1}]}),
+    "sum blocks not a list": _set_provenance(
+        {"kind": "sum", "base": [2, 3], "blocks": 3}),
+    "sum over the budget": _set_provenance(
+        {"kind": "sum", "base": [2, 3],
+         "blocks": [{"type": 1, "count": 10 ** 6}]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISO_MUTATIONS))
+def test_recheck_refuses_malformed_iso_fields(name):
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    assert cert["kind"] == "ISO" and recheck_certificate(cert).ok
+    verdict = recheck_certificate(ISO_MUTATIONS[name](cert))
+    assert verdict.ok is False
+
+
+def test_iso_recheck_refuses_an_extension_chain_before_building_it(monkeypatch):
+    monkeypatch.setattr(extension, "extend", lambda *args: pytest.fail(
+        "an over-budget chain was extended"))
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    cert["morphism"]["src"]["provenance"] = {
+        "kind": "extended", "base": [8, 0], "steps": [[8, 0]] * 6}
+    verdict = recheck_certificate(cert)
+    assert verdict.ok is False and "budget" in verdict.detail
+
+
+def test_iso_recheck_still_raises_on_a_missing_morphism():
+    # the identity certificate carries no morphism; the benchmark counts
+    # the KeyError as a known defect
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    del cert["morphism"]
+    with pytest.raises(KeyError):
+        recheck_certificate(cert)

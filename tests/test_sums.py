@@ -13,7 +13,7 @@ from pseudoht.algebra import (
 from pseudoht.catalog import UnsupportedSignatureError, base_algebra
 from pseudoht.core import MapClass, basis_vector, classify_map
 from pseudoht.morphism import verify_homomorphism
-from pseudoht.obstruction import verify_sbg_no_witness
+from pseudoht.obstruction import sbg_decision, verify_sbg_no_witness
 from pseudoht.sums import (
     block_volume_element,
     build_sum,
@@ -39,11 +39,13 @@ def test_single_block_sum_is_the_base():
 
 def test_type2_block_negates_the_operators():
     s = build_sum(base_algebra(0, 1), 1, 1)
-    from pseudoht.sums import _block_view
-
-    j1_type1 = j_operator(_block_view(s, 0), 1)
-    j1_type2 = j_operator(_block_view(s, 1), 1)
-    assert j1_type2 == j1_type1.negate()
+    per = s.block_dim
+    j1 = j_operator(s.algebra, 1)
+    j1_type1 = list(zip(j1.image[:per], j1.sign[:per]))
+    j1_type2 = [(b - per, sg) for b, sg in zip(j1.image[per:], j1.sign[per:])]
+    base_j1 = j_operator(s.base, 1)
+    assert j1_type1 == list(zip(base_j1.image, base_j1.sign))
+    assert j1_type2 == [(b, -sg) for b, sg in j1_type1]
 
 
 @pytest.mark.parametrize("mu,nu", [(1, 0), (1, 1), (2, 1)])
@@ -134,6 +136,11 @@ def test_sum_sbg_cases():
     # the witness is supported on the first block only
     per = s.block_dim
     assert any(v[:per]) and not any(v[per:])
+    # it is the base algebra's witness, zero-padded, in the same decimal form
+    base = sbg_decision(base_algebra(2, 3)).payload
+    assert cert.payload["z0"] == base["z0"]
+    assert cert.payload["witness_v"] == \
+        base["witness_v"] + ["0"] * (len(v) - per)
 
 
 def test_sum_json_blocks_field():
