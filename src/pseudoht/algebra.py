@@ -30,6 +30,7 @@ from .core import (
     nullspace,
     scalar_product,
 )
+from .jsonout import Records, dumps
 
 
 class IntegralBasisError(ValueError):
@@ -729,19 +730,32 @@ def _check_general_at(a: PseudoHTypeAlgebra, v: Vector) -> Verdict:
 # JSON form: deterministic key order, 1-based indices.
 # ---------------------------------------------------------------------------
 
-def algebra_to_dict(a: PseudoHTypeAlgebra) -> dict:
+def _algebra_fields(a: PseudoHTypeAlgebra, structure) -> dict:
     return {
         "r": a.r,
         "s": a.s,
         "dim_v": a.dim_module,
         "module_metric": list(a.module_signs),
-        "structure": [{"i": i, "j": j, "k": k, "sign": s}
-                      for (i, j, k, s) in a.tensor.entries],
+        "structure": structure,
         "provenance": a.provenance.json_dict(),
     }
 
 
+def algebra_to_dict(a: PseudoHTypeAlgebra) -> dict:
+    return _algebra_fields(a, [{"i": i, "j": j, "k": k, "sign": s}
+                               for (i, j, k, s) in a.tensor.entries])
+
+
+def algebra_json(a: PseudoHTypeAlgebra, extra: Optional[Mapping] = None) -> str:
+    """The text of ``json.dumps({**algebra_to_dict(a), **extra}, indent=2)``,
+    written from the tensor entries without building a dict per entry."""
+    tree = _algebra_fields(a, Records(("i", "j", "k", "sign"), a.tensor.entries))
+    return dumps({**tree, **(extra or {})})
+
+
 def algebra_to_json(a: PseudoHTypeAlgebra, indent: Optional[int] = None) -> str:
+    """json.dumps of algebra_to_dict(a) with the caller's indent; the CLI
+    writes algebra_json instead."""
     return json.dumps(algebra_to_dict(a), indent=indent)
 
 

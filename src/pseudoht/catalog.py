@@ -10,6 +10,7 @@ them (a single wrong sign breaks the Clifford or composition identities).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 from dataclasses import dataclass
@@ -350,16 +351,23 @@ def _labels(table_id: BaseTableId, n: int, dim_center: int
 def base_table_entries(table_id: BaseTableId) -> list[tuple[int, int, int, int]]:
     if table_id not in _CATALOG_SPECS:
         raise UnsupportedSignatureError(*table_id)
+    return list(_verified_entries(table_id, _CHECKSUMS[table_id]))
+
+
+@functools.cache
+def _verified_entries(table_id: BaseTableId, expected: str
+                      ) -> tuple[tuple[int, int, int, int], ...]:
+    """The parsed table, checked against the digest it is cached under: a
+    different expected digest is a different key, so it is checked anew."""
     entry = _CATALOG_SPECS[table_id]
     dim_center = table_id[0] + table_id[1]
     entries = _parse_table(entry["text"], entry["order"], dim_center,
                            entry.get("center_offset", 1))
     digest = hashlib.sha256(repr(sorted(entries)).encode()).hexdigest()
-    expected = _CHECKSUMS[table_id]
     if expected and digest != expected:
         raise RuntimeError(
             f"transcription checksum mismatch for {table_id}: {digest}")
-    return entries
+    return tuple(entries)
 
 
 def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:

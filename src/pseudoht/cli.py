@@ -13,11 +13,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import acceptance
-from .algebra import algebra_to_dict
+from .algebra import algebra_json
 from .catalog import base_algebra, render_table
 from .extension import ExtensionStep, extension_chain, standard_algebra
+from .jsonout import dumps
 from .obstruction import check_pair, sbg_decision
-from .sums import build_sum, sum_sbg, sum_to_dict
+from .sums import build_sum, sum_json, sum_sbg
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -33,8 +34,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(data: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(data, indent=2) + "\n", out)
+def _emit_json(text: str, out: Optional[str]) -> None:
+    """Write JSON text made by the one emitter, jsonout: the bytes of
+    json.dumps(obj, indent=2) plus a newline."""
+    _emit(text + "\n", out)
 
 
 def _cmd_build(args) -> int:
@@ -44,14 +47,14 @@ def _cmd_build(args) -> int:
             return EXIT_ERROR
         mu, nu = args.sum
         summed = build_sum(base_algebra(args.r, args.s), mu, nu)
-        _emit_json(sum_to_dict(summed), args.out)
+        _emit_json(sum_json(summed), args.out)
         return EXIT_OK
     if args.extend:
         steps = [ExtensionStep.parse(s) for s in args.extend]
         algebra = extension_chain((args.r, args.s), steps)
     else:
         algebra = standard_algebra(args.r, args.s)
-    _emit_json(algebra_to_dict(algebra), args.out)
+    _emit_json(algebra_json(algebra), args.out)
     return EXIT_OK
 
 
@@ -64,7 +67,7 @@ def _cmd_table(args) -> int:
 def _cmd_check(args) -> int:
     cert = check_pair(args.r1, args.s1, args.r2, args.s2,
                       anti_only=args.anti, seed=args.seed)
-    _emit_json(cert.json_dict(), args.out)
+    _emit_json(dumps(cert.json_dict()), args.out)
     if cert.kind == "ISO":
         return EXIT_OK
     if cert.kind.startswith("NOT_ISO"):
@@ -79,7 +82,7 @@ def _cmd_sbg(args) -> int:
                        seed=args.seed)
     else:
         cert = sbg_decision(standard_algebra(args.r, args.s), seed=args.seed)
-    _emit_json(cert.json_dict(), args.out)
+    _emit_json(dumps(cert.json_dict()), args.out)
     return EXIT_OK
 
 
@@ -96,7 +99,7 @@ def _cmd_verify(args) -> int:
     summary = {"criteria": [rep.json_dict() for rep in reports],
                "passed": len(reports) - failed, "failed": failed}
     if args.out:
-        _emit_json(summary, args.out)
+        _emit_json(dumps(summary), args.out)
     else:
         print(json.dumps(summary if args.verbose else
                          {"passed": summary["passed"],

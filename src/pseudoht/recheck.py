@@ -123,6 +123,12 @@ def _recheck_iso(payload: Mapping) -> Verdict:
                     for side in ("src", "dst")]
     except ValueError as exc:  # also a record naming no buildable algebra
         raise _Malformed(str(exc)) from None
+    for side, algebra in (("src", src), ("dst", dst)):
+        stated_sig = _ints([_field(m[side], "r"), _field(m[side], "s")], 2,
+                           f"{side} r and s")
+        if stated_sig != (algebra.r, algebra.s):
+            return Verdict(False, None, f"stated {side} signature {stated_sig} "
+                                        f"is not the rebuilt {algebra.name()}")
     f = LieMorphism(src, dst,
                     _matrix(m, "A", dst.dim_module, src.dim_module),
                     _matrix(m, "C", dst.dim_center, src.dim_center))

@@ -17,6 +17,7 @@ from .algebra import (
     SignedPermutationOp,
     SumProvenance,
     StructureTensor,
+    algebra_json,
     algebra_to_dict,
 )
 from .catalog import BASE_IDS, UnsupportedSignatureError, require_module_budget
@@ -157,8 +158,18 @@ def sum_sbg(sum_algebra: DirectSumAlgebra, samples: int = 100,
     })
 
 
+def _blocks_record(sum_algebra: DirectSumAlgebra) -> list[dict]:
+    return [{"type": 1, "count": sum_algebra.mu},
+            {"type": 2, "count": sum_algebra.nu}]
+
+
 def sum_to_dict(sum_algebra: DirectSumAlgebra) -> dict:
     data = algebra_to_dict(sum_algebra.algebra)
-    data["blocks"] = [{"type": 1, "count": sum_algebra.mu},
-                      {"type": 2, "count": sum_algebra.nu}]
+    data["blocks"] = _blocks_record(sum_algebra)
     return data
+
+
+def sum_json(sum_algebra: DirectSumAlgebra) -> str:
+    """The text of ``json.dumps(sum_to_dict(sum_algebra), indent=2)``."""
+    return algebra_json(sum_algebra.algebra,
+                        extra={"blocks": _blocks_record(sum_algebra)})

@@ -222,3 +222,70 @@ def test_center_budget_refuses_oversized_signatures(capsys, argv):
     assert code == 3 and out == ""
     assert err.count("\n") == 1
     assert f"budget of {MAX_CENTER_DIM}" in err
+
+
+BYTE_IDENTITY_REQUESTS = [
+    ("build", "8", "0", "--extend", "8,0", "8,0"),
+    ("build", "2", "3", "--sum", "2", "1"),
+    ("extend", "4", "4", "0,8"),
+    ("check", "9", "1", "1", "9"),        # ISO
+    ("check", "3", "2", "2", "3"),        # NOT_ISO_PARITY
+    ("check", "3", "0", "0", "3"),        # NOT_ISO_DIM
+    ("check", "11", "2", "2", "11"),      # INCONCLUSIVE
+    ("sbg", "8", "0"),
+    ("sbg", "2", "3", "--sum", "2", "1"),
+]
+
+
+def _indent2(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_cli_json_is_json_dumps_indent_2(capsys):
+    from pseudoht.algebra import algebra_to_dict
+    from pseudoht.extension import ExtensionStep, extension_chain
+    from pseudoht.sums import build_sum, sum_to_dict
+
+    outs = {}
+    for argv in BYTE_IDENTITY_REQUESTS:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1, 2) and out == _indent2(out), argv
+        outs[argv[:2]] = out
+    # the build path writes from the tensor; it must equal the dict path
+    steps = [ExtensionStep.parse("8,0")] * 2
+    assert outs[("build", "8")] == json.dumps(
+        algebra_to_dict(extension_chain((8, 0), steps)), indent=2) + "\n"
+    assert outs[("build", "2")] == json.dumps(
+        sum_to_dict(build_sum(base_algebra(2, 3), 2, 1)), indent=2) + "\n"
+    assert outs[("extend", "4")] == json.dumps(algebra_to_dict(
+        extension_chain((4, 4), [ExtensionStep.parse("0,8")])), indent=2) + "\n"
+
+
+def test_verify_paper_report_is_json_dumps_indent_2(tmp_path, capsys,
+                                                   monkeypatch, paper_reports):
+    # the session's verify-paper reports, written by the CLI
+    import pseudoht.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda **kw: paper_reports)
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify-paper", "--out", str(path))
+    assert code == 1          # criterion 7 is red by design
+    text = path.read_text()
+    assert text == _indent2(text)
+
+
+def test_build_writes_from_the_tensor_without_dicts(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build serialized through a dict")
+
+    # every binding of the two names in the package, imported ones included
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pseudoht":
+            for attr in ("algebra_to_dict", "sum_to_dict"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for argv in (("build", "3", "2"), ("build", "1", "0", "--extend", "8,0"),
+                 ("extend", "1", "0", "0,8"),
+                 ("build", "0", "1", "--sum", "1", "1")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["structure"], argv

@@ -2,7 +2,8 @@
 
 The CLI is the top layer: no package module may import it.  Imports sit at
 module level, where the dependency graph between modules is visible, and
-name only public names: a module's underscored names are its own.
+name only public names: a module's underscored names are its own.  Indented
+JSON is written by one emitter, `jsonout`.
 """
 
 import ast
@@ -63,4 +64,37 @@ def test_no_module_imports_a_private_name():
                     if alias.name.startswith("_"):
                         offenders.append(f"{path.name}:{node.lineno} "
                                          f"{alias.name}")
+    assert offenders == []
+
+
+# algebra_to_json(a, indent) is public API that hands the caller's own
+# indent to json.dumps; the CLI writes nothing through it
+INDENT_ALLOWED = ("algebra.py", "algebra_to_json")
+
+
+def _calls_by_function(node, func=None):
+    """(name of the enclosing top-level function or None, call node)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, func or child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield func, child
+        yield from _calls_by_function(child, func)
+
+
+def test_only_jsonout_writes_indented_json():
+    offenders = []
+    for path in MODULES:
+        if path.name == "jsonout.py":
+            continue
+        for func, call in _calls_by_function(_parse(path)):
+            callee = call.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else \
+                getattr(callee, "id", None)
+            # a ** argument may carry an indent too
+            indented = any(kw.arg in ("indent", None) for kw in call.keywords)
+            if (name in ("dumps", "dump", "JSONEncoder") and indented
+                    and (path.name, func) != INDENT_ALLOWED):
+                offenders.append(f"{path.name}:{call.lineno} in {func}")
     assert offenders == []

@@ -308,3 +308,33 @@ def test_iso_recheck_still_raises_on_a_missing_morphism():
     del cert["morphism"]
     with pytest.raises(KeyError):
         recheck_certificate(cert)
+
+
+def test_iso_recheck_compares_the_stated_signatures():
+    cert = check_pair(4, 0, 0, 4).json_dict()
+    assert recheck_certificate(cert).ok
+    forged = json.loads(json.dumps(cert))
+    forged["morphism"]["src"]["r"] = 7
+    forged["morphism"]["dst"]["s"] = 9
+    verdict = recheck_certificate(forged)
+    assert verdict.ok is False and "signature" in verdict.detail
+    for side, key in (("src", "r"), ("dst", "s")):
+        one = json.loads(json.dumps(cert))
+        one["morphism"][side][key] += 1
+        assert recheck_certificate(one).ok is False
+
+
+@pytest.mark.parametrize("value", [True, 4.0, "4", None])
+def test_iso_recheck_refuses_a_stated_signature_that_is_no_integer(value):
+    # True == 1 and 4.0 == 4 in Python; JSON keeps them apart
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    assert cert["morphism"]["src"]["r"] == 1
+    for side in ("src", "dst"):
+        for key in ("r", "s"):
+            forged = json.loads(json.dumps(cert))
+            forged["morphism"][side][key] = value
+            verdict = recheck_certificate(forged)
+            assert verdict.ok is False and "malformed" in verdict.detail
+    missing = json.loads(json.dumps(cert))
+    del missing["morphism"]["dst"]["r"]
+    assert recheck_certificate(missing).ok is False
