@@ -8,7 +8,6 @@ which regenerates its cells from the structure tensor.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .catalog import (
     table_layout,
     table_text,
 )
-from .core import MapClass, scalar_product
+from .core import MapClass
 from .extension import ExtensionStep, extend, pair_index, standard_algebra
 from .morphism import (
     canonical_map,
@@ -43,10 +42,10 @@ from .obstruction import (
     adjoint_rank,
     check_pair,
     gram_det,
-    iter_grid,
     sbg_decision,
     verify_parity_cycle,
     verify_sbg_no_witness,
+    witt_bound,
 )
 from .sums import block_volume_element, build_sum, sum_sbg, swap_isomorphism
 
@@ -269,46 +268,31 @@ def criterion_4_nonisomorphism(seed: int = 0, quick: bool = False) -> CriterionR
 
 
 def criterion_5_surjectivity(seed: int = 0, quick: bool = False) -> CriterionReport:
+    """ad_X is onto exactly off the null cone of n_(3,2), n_(2,3), n_(3,3),
+    and not of n_(11,2).
+
+    On the first three the axioms hold and dim z exceeds the module Witt
+    index, which proves the equivalence for every X (WittBound).  In the
+    (8,0)-extension of (3,2) a null X still has gram_det != 0 and
+    rank ad_X = dim z.
+    """
     rep, fail, done = _report(5, "surjectivity")
-    rng = random.Random(seed)
     for rs in ((3, 2), (2, 3), (3, 3)):
+        rep.checks += 1
         a = base_algebra(*rs)
-        n_center = a.dim_center
-        bad = 0
-        count = 0
-        for x in iter_grid(8, 1):
-            count += 1
-            norm = sum(s * e * e for s, e in zip(a.module_signs, x))
-            g = gram_det(a, list(x))
-            if (g == 0) != (norm == 0):
-                bad += 1
-        rep.checks += count
-        if bad:
-            fail(f"{a.name()}: determinant/null-cone equivalence fails "
-                 f"at {bad} grid points")
-        # random rational samples: gram_det = 0 iff null iff rank deficient
-        for _ in range(500):
-            rep.checks += 1
-            x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                 for _ in range(a.dim_module)]
-            if not any(x):
-                x[0] = Fraction(1)
-            norm = scalar_product(x, x, a.module_signs)
-            g = gram_det(a, x)
-            rank = adjoint_rank(a, x)
-            if (g == 0) != (norm == 0) or (rank < n_center) != (g == 0):
-                fail(f"{a.name()}: equivalence fails at rational sample {x}")
-                break
-    # null-but-surjective witness in the (8,0)-extension of (3,2)
+        axioms = _axiom_suite(a)
+        for msg in axioms:
+            fail(msg)
+        if not axioms and not witt_bound(a).equivalence_holds:
+            fail(f"{a.name()}: dim z does not exceed the module Witt index")
     rep.checks += 1
     big = extend(base_algebra(3, 2), ExtensionStep.BY_8_0)
     x = [0] * big.dim_module
     x[pair_index(big, 1, 1) - 1] = 1
     x[pair_index(big, 7, 2) - 1] = 1
-    norm = sum(s * e * e for s, e in zip(big.module_signs, x))
-    if norm != 0:
+    if sum(s * e * e for s, e in zip(big.module_signs, x)) != 0:
         fail("witness in n_(11,2) is not null")
-    if adjoint_rank(big, x) != big.dim_center:
+    if gram_det(big, x) == 0 or adjoint_rank(big, x) != big.dim_center:
         fail("null witness in n_(11,2) is not surjective")
     return done()
 
@@ -317,13 +301,13 @@ def criterion_6_sbg(seed: int = 0, quick: bool = False) -> CriterionReport:
     rep, fail, done = _report(6, "strongly-bracket-generating")
     for rs in ((1, 0), (2, 0), (4, 0), (8, 0), (0, 1), (0, 2), (0, 4), (0, 8)):
         rep.checks += 1
-        cert = sbg_decision(base_algebra(*rs), samples=100, seed=seed)
+        cert = sbg_decision(base_algebra(*rs))
         if cert.kind != "SBG_YES":
             fail(f"n_{rs}: expected SBG_YES, got {cert.kind} {cert.payload}")
     for rs in ((1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 4)):
         rep.checks += 1
         a = base_algebra(*rs)
-        cert = sbg_decision(a, seed=seed)
+        cert = sbg_decision(a)
         if cert.kind != "SBG_NO":
             fail(f"n_{rs}: expected SBG_NO, got {cert.kind}")
             continue
@@ -332,7 +316,7 @@ def criterion_6_sbg(seed: int = 0, quick: bool = False) -> CriterionReport:
         if not verify_sbg_no_witness(a, z0, v).ok:
             fail(f"n_{rs}: SBG_NO witness does not re-verify")
     rep.checks += 1
-    cert = sum_sbg(build_sum(base_algebra(2, 3), 2, 1), seed=seed)
+    cert = sum_sbg(build_sum(base_algebra(2, 3), 2, 1))
     if cert.kind != "SBG_NO":
         fail(f"n_(2,3)(2,1): expected SBG_NO, got {cert.kind}")
     return done()

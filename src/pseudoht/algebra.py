@@ -54,6 +54,9 @@ class StructureTensor:
         self.dim_center = dim_center
         canon = {}
         for (a, b, k, s) in entries:
+            if (type(a) is not int or type(b) is not int
+                    or type(k) is not int or type(s) is not int):
+                raise ValueError(f"entry {(a, b, k, s)} must hold integers")
             if not (1 <= a <= dim_module and 1 <= b <= dim_module):
                 raise ValueError(f"module index out of range in entry {(a, b, k, s)}")
             if not 1 <= k <= dim_center:
@@ -97,9 +100,11 @@ class SignedPermutationOp:
 
     def __post_init__(self) -> None:
         n = len(self.image)
+        if {*map(type, self.image), *map(type, self.sign)} - {int}:
+            raise ValueError("image and signs must be integers")
         if sorted(self.image) != list(range(1, n + 1)):
             raise ValueError("image is not a permutation")
-        if len(self.sign) != n or any(s not in (1, -1) for s in self.sign):
+        if len(self.sign) != n or not set(self.sign) <= {1, -1}:
             raise ValueError("signs must be +-1, one per basis vector")
 
     @property
@@ -426,6 +431,9 @@ def j_of_center_vector(a: PseudoHTypeAlgebra, z: Mapping[int, Rational],
     for k in z:
         if not 1 <= k <= a.dim_center:
             raise IndexError(f"center index {k} out of range")
+    for alpha in x:
+        if not 1 <= alpha <= a.dim_module:
+            raise IndexError(f"module index {alpha} out of range")
     ops = j_operators(a)
     return apply_j_operators({k: ops[k - 1] for k in z}, z, x)
 
@@ -759,13 +767,25 @@ def algebra_to_json(a: PseudoHTypeAlgebra, indent: Optional[int] = None) -> str:
     return json.dumps(algebra_to_dict(a), indent=indent)
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """values unchanged if every one is a JSON integer (no bool or float)."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 def algebra_from_dict(data: Mapping) -> PseudoHTypeAlgebra:
-    sig = Signature(int(data["r"]), int(data["s"]))
-    signs = tuple(int(x) for x in data["module_metric"])
+    """The algebra of an algebra_to_dict tree; a field that is not a JSON
+    integer (a float, a bool, a string) raises ValueError."""
+    r, s, dim_v = _json_ints((data["r"], data["s"], data["dim_v"]),
+                             "r, s and dim_v")
+    sig = Signature(r, s)
+    signs = _json_ints(data["module_metric"], "module_metric entries")
     tensor = StructureTensor(
-        int(data["dim_v"]), sig.dim,
-        [(int(e["i"]), int(e["j"]), int(e["k"]), int(e["sign"]))
-         for e in data["structure"]])
+        dim_v, sig.dim,
+        [(e["i"], e["j"], e["k"], e["sign"]) for e in data["structure"]])
     n = len(signs)
     return PseudoHTypeAlgebra(
         center_sig=sig,

@@ -78,10 +78,9 @@ def _cmd_check(args) -> int:
 def _cmd_sbg(args) -> int:
     if args.sum is not None:
         mu, nu = args.sum
-        cert = sum_sbg(build_sum(base_algebra(args.r, args.s), mu, nu),
-                       seed=args.seed)
+        cert = sum_sbg(build_sum(base_algebra(args.r, args.s), mu, nu))
     else:
-        cert = sbg_decision(standard_algebra(args.r, args.s), seed=args.seed)
+        cert = sbg_decision(standard_algebra(args.r, args.s))
     _emit_json(dumps(cert.json_dict()), args.out)
     return EXIT_OK
 
@@ -156,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sbg", help="strongly-bracket-generating certificate")
     _add_signature_args(p)
     p.add_argument("--sum", nargs=2, type=int, metavar=("MU", "NU"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: both answers are proofs")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sbg)
 

@@ -2,7 +2,8 @@
 
 check_pair combines them with the canonical isomorphisms into one
 certificate per signature pair.  Everything returns re-checkable evidence:
-SBG answers carry explicit witness vectors, parity infeasibility carries an
+SBG_NO carries explicit witness vectors, SBG_YES rests on the verified
+Clifford relations of a definite center, parity infeasibility carries an
 odd cycle whose constraint product can be multiplied out independently of
 the solver, and the parity precondition is the Witt-index bound, whose
 record recheck re-derives from the destination algebra.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -22,6 +23,7 @@ from .algebra import (
     Verdict,
     adjoint_rows,
     j_of_center_vector,
+    verify_clifford,
 )
 from .core import (
     ExactMatrix,
@@ -280,7 +282,7 @@ def check_pair(r1: int, s1: int, r2: int, s2: int, anti_only: bool = False,
                        "the Witt index, and a scan is no proof"),
             "precondition": scan.json_dict()})
     src = standard_algebra(r1, s1)
-    outcome = parity_certificate(src, dst, seed=seed)
+    outcome = parity_certificate(src, dst)
     if outcome.feasible:
         return Certificate("INCONCLUSIVE", {
             "reason": "parity system is satisfiable; no refutation",
@@ -306,30 +308,23 @@ def check_pair(r1: int, s1: int, r2: int, s2: int, anti_only: bool = False,
     })
 
 
-def sbg_decision(a: PseudoHTypeAlgebra, samples: int = 100,
-                 seed: int = 0) -> Certificate:
-    """Decide the strongly-bracket-generating property with a witness.
+def sbg_decision(a: PseudoHTypeAlgebra) -> Certificate:
+    """Decide the strongly-bracket-generating property with a proof.
 
-    Definite center: sampled full-rank evidence.  Indefinite center: the
-    null direction Z_0 = Z_1 + Z_{r+1} gives J_{Z_0}^2 = 0, and any nonzero
-    v in its image has image(ad_v) inside the orthogonal complement of Z_0.
+    Definite center: once verify_clifford passes, J_Z^2 = -<Z,Z> Id with
+    <Z,Z> != 0 for Z != 0, so ad_v^tau Z = J_Z v vanishes only at Z = 0 and
+    every ad_v with v != 0 is onto; an algebra failing the relations raises
+    ValueError.  Indefinite center: the null direction Z_0 = Z_1 + Z_{r+1}
+    gives J_{Z_0}^2 = 0, and any nonzero v in its image has image(ad_v)
+    inside the orthogonal complement of Z_0.
     """
     r, s = a.r, a.s
     if r == 0 or s == 0:
-        rng = random.Random(seed)
-        checked = 0
-        while checked < samples:
-            x = tuple(rng.randint(-5, 5) for _ in range(a.dim_module))
-            if not any(x):
-                continue
-            if int_rank(adjoint_rows(a, x)) != a.dim_center:
-                return Certificate("SBG_NO", {
-                    "signature": [r, s],
-                    "witness_v": [str(e) for e in x],
-                    "note": "sampled nonzero vector with deficient rank"})
-            checked += 1
-        return Certificate("SBG_YES", {"signature": [r, s],
-                                       "samples": samples, "seed": seed})
+        clifford = verify_clifford(a)
+        if not clifford.ok:
+            raise ValueError(f"{a.name()} fails verify_clifford at "
+                             f"{clifford.witness}: {clifford.detail}")
+        return Certificate("SBG_YES", {"signature": [r, s]})
 
     z0, v = null_direction_witness(a)
     verdict = verify_sbg_no_witness(a, z0, v)
@@ -396,7 +391,7 @@ class ParityOutcome:
     feasible: bool
     assignment: Optional[dict[int, int]] = None
     cycle: Optional[tuple[ParityConstraint, ...]] = None
-    precondition: Optional[WittBound | ScanReport] = None
+    precondition: Optional[WittBound] = None
 
     def json_dict(self) -> dict:
         out: dict = {"feasible": self.feasible}
@@ -524,22 +519,15 @@ def verify_parity_cycle(src: PseudoHTypeAlgebra,
     return Verdict(True)
 
 
-def parity_certificate(src: PseudoHTypeAlgebra, dst: PseudoHTypeAlgebra,
-                       seed: int = 0) -> ParityOutcome:
+def parity_certificate(src: PseudoHTypeAlgebra,
+                       dst: PseudoHTypeAlgebra) -> ParityOutcome:
     """Sign-parity system for an isomorphism src -> dst with anti-isometric
     center action.
 
     The system itself only sees src; dst enters through the precondition
-    that ad_X be surjective exactly off the null cone.  Where the Witt-index
-    bound proves it, its record is attached and no scan runs; elsewhere a
-    surjectivity scan of dst is attached instead.  An INFEASIBLE outcome
-    refutes such an isomorphism only under the proved precondition.
+    that ad_X be surjective exactly off the null cone, attached as the
+    Witt-index record of dst.  An INFEASIBLE outcome refutes such an
+    isomorphism only where that record holds.
     """
-    precondition = witt_bound(dst)
-    if not precondition.equivalence_holds:
-        precondition = surjectivity_scan(dst, seed=seed)
     outcome = solve_parity(parity_system(src), src.dim_module)
-    return ParityOutcome(feasible=outcome.feasible,
-                         assignment=outcome.assignment,
-                         cycle=outcome.cycle,
-                         precondition=precondition)
+    return replace(outcome, precondition=witt_bound(dst))

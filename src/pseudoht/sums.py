@@ -133,16 +133,15 @@ def swap_isomorphism(sum_algebra: DirectSumAlgebra) -> LieMorphism:
                        center.matrix())
 
 
-def sum_sbg(sum_algebra: DirectSumAlgebra, samples: int = 100,
-            seed: int = 0) -> Certificate:
+def sum_sbg(sum_algebra: DirectSumAlgebra) -> Certificate:
     """Strongly-bracket-generating decision for a direct sum.
 
-    Definite center: sampled evidence on the combined algebra.  Otherwise
-    the base witness padded with zero blocks works verbatim.
+    Definite center: the Clifford-gated theorem on the combined algebra.
+    Otherwise the base witness padded with zero blocks works verbatim.
     """
     a = sum_algebra.algebra
     if a.r == 0 or a.s == 0:
-        cert = sbg_decision(a, samples=samples, seed=seed)
+        cert = sbg_decision(a)
         return Certificate(cert.kind, {
             **cert.payload, "sum": [sum_algebra.mu, sum_algebra.nu]})
     z0, v_base = null_direction_witness(sum_algebra.base)

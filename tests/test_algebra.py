@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -64,10 +65,12 @@ def test_structure_tensor_rejects_double_center_assignment():
 
 
 def test_structure_tensor_rejects_diagonal_and_bad_signs():
-    with pytest.raises(ValueError):
-        StructureTensor(2, 1, [(1, 1, 1, 1)])
-    with pytest.raises(ValueError):
-        StructureTensor(2, 1, [(1, 2, 1, 2)])
+    # equal by value is not enough: a bool or float index or sign is refused
+    for entry in ((1, 1, 1, 1), (1, 2, 1, 2),
+                  (1, 2, 1, True), (True, 2, 1, 1),
+                  (1.0, 2, 1, 1), (1, 2, 1.0, 1), (1, 2, 1, -1.0)):
+        with pytest.raises(ValueError):
+            StructureTensor(2, 1, [entry])
 
 
 def _corrupt_one_sign(a: PseudoHTypeAlgebra) -> PseudoHTypeAlgebra:
@@ -235,6 +238,22 @@ def test_json_round_trip_preserves_tensor():
         assert back.center_sig == a.center_sig
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["structure"][0].update(i=1.7),
+    lambda d: d["structure"][0].update(sign=True),
+    lambda d: d["structure"][0].update(k="1"),
+    lambda d: d.update(r=3.0),
+    lambda d: d.update(s=False),
+    lambda d: d.update(dim_v="8"),
+    lambda d: d["module_metric"].__setitem__(0, 1.0),
+])
+def test_json_with_non_integer_fields_is_refused(edit):
+    data = algebra_to_dict(base_algebra(3, 2))
+    edit(data)
+    with pytest.raises(ValueError):
+        algebra_from_json(json.dumps(data))
+
+
 def test_json_key_order_is_deterministic():
     a = base_algebra(2, 0)
     keys = list(algebra_to_dict(a).keys())
@@ -254,8 +273,11 @@ def test_signed_permutation_basics():
     for rows in ([[1, 1], [0, 0]], [[1, 0], [1, 0]], [[2, 0], [0, 1]],
                  [[1, 0]], [[0, 0], [0, 1]]):
         assert SignedPermutationOp.from_matrix(ExactMatrix.from_rows(rows)) is None
-    with pytest.raises(ValueError):
-        SignedPermutationOp((1, 1), (1, 1))
+    for image, sign in (((1, 1), (1, 1)), ((True, 2), (1, 1)),
+                        ((1, 2), (1, True)), ((1.0, 2), (1, 1)),
+                        ((1, 2), (1, -1.0))):
+        with pytest.raises(ValueError):
+            SignedPermutationOp(image, sign)
 
 
 def test_all_verifiers_quantify_over_every_center_index():
@@ -288,3 +310,11 @@ def test_j_of_center_vector_is_sparse_and_linear():
     assert got == {b: c for b, c in want.items() if c}
     assert all(type(c) is int for c in got.values())
     assert j_of_center_vector(a, {}, {5: 1}) == {}
+
+
+@pytest.mark.parametrize("z,x", [({0: 1}, {5: 1}), ({5: 1}, {5: 1}),
+                                 ({1: 1}, {0: 1}), ({1: 1}, {9: 1})])
+def test_j_of_center_vector_refuses_out_of_range_indices(z, x):
+    # a module key of 0 would otherwise read image[-1] and answer silently
+    with pytest.raises(IndexError):
+        j_of_center_vector(base_algebra(2, 2), z, x)

@@ -144,6 +144,11 @@ def test_sbg_command(capsys):
     assert code == 0 and json.loads(out)["kind"] == "SBG_NO"
     code, out, _ = run_cli(capsys, "sbg", "2", "3", "--sum", "2", "1")
     assert code == 0 and json.loads(out)["kind"] == "SBG_NO"
+    # SBG_YES is a theorem record: --seed is accepted and changes nothing
+    code, out, _ = run_cli(capsys, "sbg", "16", "0", "--seed", "0")
+    assert code == 0 and out == '{\n  "kind": "SBG_YES",\n  "signature": [\n' \
+        '    16,\n    0\n  ]\n}\n'
+    assert run_cli(capsys, "sbg", "16", "0", "--seed", "7") == (0, out, "")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

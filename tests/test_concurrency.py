@@ -13,7 +13,7 @@ def test_shared_algebras_verify_concurrently():
     def run(a):
         return (verify_clifford(a).ok and verify_admissible(a).ok
                 and verify_htype(a).ok
-                and sbg_decision(a, samples=10).kind in ("SBG_YES", "SBG_NO"))
+                and sbg_decision(a).kind in ("SBG_YES", "SBG_NO"))
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(run, algebras * 3))

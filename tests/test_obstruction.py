@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudoht.algebra as algebra
 import pseudoht.obstruction as obstruction
+from pseudoht.algebra import StructureTensor
 from pseudoht.catalog import base_algebra
 from pseudoht.core import basis_vector, scalar_product
 from pseudoht.extension import (
@@ -21,6 +24,7 @@ from pseudoht.obstruction import (
     adjoint_matrix,
     adjoint_rank,
     gram_det,
+    iter_grid,
     parity_certificate,
     parity_system,
     sbg_decision,
@@ -30,6 +34,7 @@ from pseudoht.obstruction import (
     verify_sbg_no_witness,
     witt_bound,
 )
+from pseudoht.sums import build_sum, sum_sbg
 
 # ---------------------------------------------------------------------------
 # the printed adjoint matrices, used as independent oracles.  Columns follow
@@ -149,24 +154,33 @@ def test_gram_det_matches_printed_polynomial(rs, poly):
 
 @pytest.mark.parametrize("rs", [(3, 2), (2, 3), (3, 3)])
 def test_gram_rank_norm_equivalence_on_samples(rs):
+    # 500 rational samples per algebra: gram_det = 0 iff null iff rank
+    # deficient, the sampled half of what the Witt-index bound proves
     a = base_algebra(*rs)
-    rng = random.Random(23)
-    for _ in range(120):
-        x = [rng.randint(-4, 4) for _ in range(8)]
+    rng = random.Random(0)
+    for _ in range(500):
+        x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+             for _ in range(a.dim_module)]
         if not any(x):
-            continue
+            x[0] = Fraction(1)
         norm = scalar_product(x, x, a.module_signs)
         g = gram_det(a, x)
         full = adjoint_rank(a, x) == a.dim_center
-        assert (g == 0) == (norm == 0)
-        assert full == (g != 0)
+        assert (g == 0) == (norm == 0), x
+        assert full == (g != 0), x
 
 
 def test_exhaustive_grid_equivalence_on_3_2():
-    rep = surjectivity_scan(base_algebra(3, 2), grid_radius=1, random_samples=0)
+    a = base_algebra(3, 2)
+    rep = surjectivity_scan(a, grid_radius=1, random_samples=0)
     assert rep.points == 3 ** 8 - 1
     assert rep.equivalence_holds
-    assert witt_bound(base_algebra(3, 2)).equivalence_holds   # 5 > 4
+    assert witt_bound(a).equivalence_holds   # 5 > 4
+    # the same 3^8 grid through the Gram determinant
+    bad = [x for x in iter_grid(8, 1)
+           if (gram_det(a, x) == 0)
+           != (scalar_product(x, x, a.module_signs) == 0)]
+    assert bad == []
 
 
 @pytest.mark.parametrize("rs", [(2, 3), (3, 3)])
@@ -182,6 +196,11 @@ def test_witt_bound_proves_what_the_exhaustive_scan_sees(rs):
     scan = surjectivity_scan(a, grid_radius=1, random_samples=0)
     assert scan.points == 3 ** 8 - 1
     assert scan.equivalence_holds
+    # the same 3^8 grid through the Gram determinant
+    bad = [x for x in iter_grid(8, 1)
+           if (gram_det(a, x) == 0)
+           != (scalar_product(x, x, a.module_signs) == 0)]
+    assert bad == []
 
 
 @pytest.mark.parametrize("rs", [(11, 2), (7, 6), (7, 7), (11, 3),
@@ -242,9 +261,61 @@ def test_extended_algebra_has_null_surjective_vector():
     assert adjoint_rank(big, x) == 13
 
 
+DEFINITE = ((1, 0), (2, 0), (4, 0), (8, 0), (0, 1), (0, 2), (0, 4), (0, 8))
+
+
+def sampled_full_rank(a, samples):
+    """The former SBG_YES sampler, kept as the oracle of the theorem: True
+    when ad_x is onto for `samples` random nonzero integer vectors x."""
+    rng = random.Random(0)
+    checked = 0
+    while checked < samples:
+        x = tuple(rng.randint(-5, 5) for _ in range(a.dim_module))
+        if any(x):
+            if adjoint_rank(a, x) != a.dim_center:
+                return False
+            checked += 1
+    return True
+
+
 def test_sbg_yes_cases():
-    assert sbg_decision(base_algebra(2, 0), seed=5).kind == "SBG_YES"
-    assert sbg_decision(base_algebra(0, 4), seed=5).kind == "SBG_YES"
+    for rs in DEFINITE:
+        a = base_algebra(*rs)
+        assert sbg_decision(a).json_dict() == {"kind": "SBG_YES",
+                                               "signature": list(rs)}
+        assert sampled_full_rank(a, 100)
+    big = standard_algebra(16, 0)
+    assert sbg_decision(big).kind == "SBG_YES"
+    assert sampled_full_rank(big, 5)
+    summed = build_sum(base_algebra(0, 1), 3, 2)
+    assert sum_sbg(summed).json_dict() == {"kind": "SBG_YES",
+                                           "signature": [0, 1], "sum": [3, 2]}
+    assert sampled_full_rank(summed.algebra, 20)
+
+
+def test_definite_sbg_samples_nothing(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the definite SBG path sampled or ranked")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    monkeypatch.setattr(obstruction, "adjoint_rows", refuse)
+    monkeypatch.setattr(algebra, "adjoint_rows", refuse)
+    assert sbg_decision(base_algebra(8, 0)).kind == "SBG_YES"
+    assert sbg_decision(standard_algebra(0, 9)).kind == "SBG_YES"
+
+
+@pytest.mark.parametrize("rs", [rs for rs in DEFINITE if sum(rs) > 1])
+def test_sbg_yes_refused_after_one_flipped_sign(rs):
+    # with dim z >= 2 each entry's (a, b) pair is swapped by one J_k only,
+    # so flipping its sign breaks the anticommutation with every other J_m
+    a = base_algebra(*rs)
+    entries = a.tensor.entries
+    for n, (i, j, k, s) in enumerate(entries):
+        flipped = entries[:n] + ((i, j, k, -s),) + entries[n + 1:]
+        bad = dataclasses.replace(a, tensor=StructureTensor(
+            a.dim_module, a.dim_center, flipped))
+        with pytest.raises(ValueError, match="verify_clifford"):
+            sbg_decision(bad)
 
 
 def test_null_vectors_stay_surjective_in_anti_definite_algebras():
@@ -328,7 +399,7 @@ def test_parity_system_shape():
 
 def test_parity_infeasible_between_3_2_and_2_3():
     src = base_algebra(3, 2)
-    out = parity_certificate(src, base_algebra(2, 3), seed=0)
+    out = parity_certificate(src, base_algebra(2, 3))
     assert out.precondition.equivalence_holds
     assert not out.feasible
     assert verify_parity_cycle(src, out.cycle).ok
@@ -338,7 +409,7 @@ def test_parity_infeasible_between_3_2_and_2_3():
 
 def test_parity_infeasible_for_3_3_automorphism():
     a = base_algebra(3, 3)
-    out = parity_certificate(a, a, seed=0)
+    out = parity_certificate(a, a)
     assert out.precondition.equivalence_holds
     assert not out.feasible
     assert verify_parity_cycle(a, out.cycle).ok
@@ -363,9 +434,13 @@ def test_parity_feasible_for_other_published_automorphism_sources():
 
 
 def test_parity_precondition_fails_on_block_type_destination():
-    out = parity_certificate(base_algebra(2, 2), base_algebra(2, 2), seed=0)
-    assert not out.precondition.equivalence_holds
-    assert out.precondition.null_full_rank
+    a = base_algebra(2, 2)
+    out = parity_certificate(a, a)
+    assert out.precondition == WittBound("n_(2,2)", 4, (4, 4))
+    assert not out.precondition.equivalence_holds   # dim z = 4 = Witt index
+    # and the precondition is false there, not only unproved
+    assert surjectivity_scan(a, random_samples=0,
+                             stop_on_violation=True).null_full_rank
 
 
 def test_cycle_verifier_rejects_fabrications():
