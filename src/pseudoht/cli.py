@@ -65,8 +65,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cert = check_pair(args.r1, args.s1, args.r2, args.s2,
-                      anti_only=args.anti, seed=args.seed)
+    cert = check_pair(args.r1, args.s1, args.r2, args.s2, anti_only=args.anti)
     _emit_json(dumps(cert.json_dict()), args.out)
     if cert.kind == "ISO":
         return EXIT_OK
@@ -144,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s1", type=int)
     p.add_argument("r2", type=int)
     p.add_argument("s2", type=int)
-    p.add_argument("--auto", action="store_true",
-                   help="treat as an automorphism question (same signature)")
     p.add_argument("--anti", action="store_true",
                    help="restrict to anti-isometric center action")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the answer depends on the "
+                        "question alone")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check)
 

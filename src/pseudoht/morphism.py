@@ -436,12 +436,18 @@ def remark_isom_class_check(cmap: CanonicalMap) -> Verdict:
     return Verdict(True)
 
 
-def center_signature_obstruction(src_sig: Signature, dst_sig: Signature
-                                 ) -> tuple[str, str]:
-    """Necessary conditions: (verdict, reason).
+def center_signature_obstruction(src_sig: Signature, dst_sig: Signature,
+                                 anti_only: bool = False
+                                 ) -> Optional[tuple[str, str]]:
+    """The answer the center signatures settle alone, as (kind, reason), or
+    None when the question stays open.
 
-    verdict is "POSSIBLE" or "IMPOSSIBLE"; dimension comparison uses the
-    minimal-module dimension table.
+    NOT_ISO_DIM: the center dimensions or the minimal module dimensions
+    differ.  NOT_ISO_SIGNATURE: dst is neither src nor its swap, or
+    anti_only asks for an anti-isometric center block and dst is not the
+    swap (Sylvester's law of inertia: an anti-isometry of an (r, s) center
+    lands on (s, r), so an automorphism has one only when r = s).  ISO: dst
+    is src and any center action will do, so the identity answers.
     """
     try:
         dim_src = min_module_dim(src_sig.pos, src_sig.neg)
@@ -449,16 +455,22 @@ def center_signature_obstruction(src_sig: Signature, dst_sig: Signature
     except UnsupportedSignatureError:
         dim_src = dim_dst = None
     if src_sig.dim != dst_sig.dim:
-        return "IMPOSSIBLE", (f"center dimensions differ: "
-                              f"{src_sig.dim} vs {dst_sig.dim}")
+        return "NOT_ISO_DIM", (f"center dimensions differ: "
+                               f"{src_sig.dim} vs {dst_sig.dim}")
     if dim_src is not None and dim_src != dim_dst:
-        return "IMPOSSIBLE", (f"minimal module dimensions differ: "
-                              f"{dim_src} vs {dim_dst}")
-    if (dst_sig.pos, dst_sig.neg) not in {(src_sig.pos, src_sig.neg),
-                                          (src_sig.neg, src_sig.pos)}:
-        return "IMPOSSIBLE", (f"center signature {dst_sig} is neither "
-                              f"{src_sig} nor its swap")
-    return "POSSIBLE", "necessary conditions hold"
+        return "NOT_ISO_DIM", (f"minimal module dimensions differ: "
+                               f"{dim_src} vs {dim_dst}")
+    swap = Signature(src_sig.neg, src_sig.pos)
+    if dst_sig not in (src_sig, swap):
+        return "NOT_ISO_SIGNATURE", (f"center signature {dst_sig} is neither "
+                                     f"{src_sig} nor its swap")
+    if anti_only and dst_sig != swap:
+        return "NOT_ISO_SIGNATURE", (f"by Sylvester's law of inertia an "
+                                     f"anti-isometry of {src_sig} lands on "
+                                     f"{swap}, not on {dst_sig}")
+    if dst_sig == src_sig and not anti_only:
+        return "ISO", "identity automorphism"
+    return None
 
 
 def morphism_to_dict(f: LieMorphism) -> dict:

@@ -10,6 +10,7 @@ Verdict(False), never with an exception.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -21,7 +22,7 @@ from .algebra import (
     verify_clifford,
     verify_htype,
 )
-from .catalog import MAX_CENTER_DIM, base_algebra, min_module_dim
+from .catalog import MAX_CENTER_DIM, base_algebra
 from .core import ExactMatrix, Signature, classify_map, exact_rank
 from .extension import (
     ExtensionStep,
@@ -76,15 +77,30 @@ def _list(payload, key: str) -> list:
     return value
 
 
-_NOT_RATIONAL = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+# the form str(Fraction) writes; an exponent form such as "1e2000000" would
+# make Fraction expand it digit by digit
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _rationals(payload, key: str) -> list[Fraction]:
-    value = _list(payload, key)
-    try:
-        return [Fraction(e) for e in value]
-    except _NOT_RATIONAL:
-        raise _Malformed(f"{key} must hold rational numbers") from None
+def _parse_rational(e, key: str) -> Fraction:
+    if isinstance(e, str) and _RATIONAL.fullmatch(e):
+        try:
+            return Fraction(e)
+        except (ValueError, ZeroDivisionError):  # "1/0", too many digits
+            pass
+    raise _Malformed(f"{key} must hold rational numbers")
+
+
+def _rational_list(values: list, key: str) -> list:
+    """values as rationals: each a JSON integer, or a string matching
+    _RATIONAL; floats, booleans and exponent forms are refused."""
+    if set(map(type, values)) <= {int}:  # a signed-permutation row, in C
+        return values
+    return [e if type(e) is int else _parse_rational(e, key) for e in values]
+
+
+def _rationals(payload, key: str) -> list:
+    return _rational_list(_list(payload, key), key)
 
 
 def _matrix(payload, key: str, rows: int, cols: int) -> ExactMatrix:
@@ -92,10 +108,7 @@ def _matrix(payload, key: str, rows: int, cols: int) -> ExactMatrix:
     if len(value) != rows or any(not isinstance(row, list) or len(row) != cols
                                  for row in value):
         raise _Malformed(f"{key} must be a {rows} x {cols} list of rows")
-    try:
-        return ExactMatrix.from_rows(value)
-    except _NOT_RATIONAL:
-        raise _Malformed(f"{key} must hold rational numbers") from None
+    return ExactMatrix.from_rows([_rational_list(row, key) for row in value])
 
 
 def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
@@ -151,24 +164,25 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     return Verdict(True)
 
 
-def _recheck_dims(payload: Mapping) -> Verdict:
-    r1, s1 = _signature(payload, "src")
-    r2, s2 = _signature(payload, "dst")
-    if r1 + s1 != r2 + s2:
-        return Verdict(True)
-    try:
-        if min_module_dim(r1, s1) != min_module_dim(r2, s2):
-            return Verdict(True)
-    except ValueError:
-        pass
-    return Verdict(False, None, "dimensions do not actually differ")
+def _anti_flag(value) -> bool:
+    if type(value) is not bool:
+        raise _Malformed("anti_isometric_center_only must be a boolean")
+    return value
 
 
-def _recheck_signature(payload: Mapping) -> Verdict:
-    r1, s1 = _signature(payload, "src")
-    r2, s2 = _signature(payload, "dst")
-    if (r2, s2) in {(r1, s1), (s1, r1)}:
-        return Verdict(False, None, "destination signature is a candidate")
+def _recheck_signatures(payload: Mapping) -> Verdict:
+    """NOT_ISO_DIM and NOT_ISO_SIGNATURE: re-derive the answer from the two
+    signatures and the anti flag (false where an older certificate has
+    none), and accept only the stated kind."""
+    src = _signature(payload, "src")
+    dst = _signature(payload, "dst")
+    anti_only = _anti_flag(payload.get("anti_isometric_center_only", False))
+    settled = center_signature_obstruction(Signature(*src), Signature(*dst),
+                                           anti_only)
+    kind = payload["kind"]
+    got = settled[0] if settled else "an open question"
+    if got != kind:
+        return Verdict(False, None, f"the signatures give {got}, not {kind}")
     return Verdict(True)
 
 
@@ -179,23 +193,18 @@ def _recheck_parity(payload: Mapping) -> Verdict:
     re-verifies on the source."""
     src = _signature(payload, "src")
     dst = _signature(payload, "dst")
-    anti_only = _field(payload, "anti_isometric_center_only")
-    if type(anti_only) is not bool:
-        raise _Malformed("anti_isometric_center_only must be a boolean")
+    anti_only = _anti_flag(_field(payload, "anti_isometric_center_only"))
     parity = _field(payload, "parity")
     cycle = [ParityConstraint(*_ints([_field(e, k) for k in ("a", "b", "rhs")],
                                      3, "a cycle edge"))
              for e in _list(parity, "cycle")]
     recorded = _field(parity, "precondition")
 
-    # POSSIBLE also means that dst is src or its swap
-    verdict, reason = center_signature_obstruction(Signature(*src),
-                                                   Signature(*dst))
-    if verdict != "POSSIBLE":
-        return Verdict(False, None, f"not a parity question: {reason}")
-    if dst == src and anti_only is not True:
-        return Verdict(False, None, "an automorphism is refuted only among "
-                                    "anti-isometric center actions")
+    # an open question also means that dst is the swap of src
+    settled = center_signature_obstruction(Signature(*src), Signature(*dst),
+                                           anti_only)
+    if settled is not None:
+        return Verdict(False, None, f"not a parity question: {settled[1]}")
     try:
         src_algebra = standard_algebra(*src)
         dst_algebra = standard_algebra(*dst)
@@ -252,8 +261,8 @@ def _recheck_sbg_no(payload: Mapping) -> Verdict:
 
 _RECHECKS = {
     "ISO": _recheck_iso,
-    "NOT_ISO_DIM": _recheck_dims,
-    "NOT_ISO_SIGNATURE": _recheck_signature,
+    "NOT_ISO_DIM": _recheck_signatures,
+    "NOT_ISO_SIGNATURE": _recheck_signatures,
     "NOT_ISO_PARITY": _recheck_parity,
     "SBG_YES": _recheck_sbg_yes,
     "SBG_NO": _recheck_sbg_no,

@@ -12,6 +12,7 @@ import pseudoht
 from pseudoht.algebra import algebra_from_dict
 from pseudoht.catalog import MAX_CENTER_DIM, MAX_MODULE_DIM, base_algebra
 from pseudoht.cli import main, render_table
+from pseudoht.obstruction import adjoint_rank
 
 
 def run_cli(capsys, *argv):
@@ -121,20 +122,44 @@ def test_check_exit_codes(capsys):
 def test_check_automorphism_modes(capsys):
     code, out, _ = run_cli(capsys, "check", "3", "3", "3", "3")
     assert code == 0 and json.loads(out)["kind"] == "ISO"  # identity map
-    code, out, _ = run_cli(capsys, "check", "3", "3", "3", "3",
-                           "--auto", "--anti")
+    code, out, _ = run_cli(capsys, "check", "3", "3", "3", "3", "--anti")
     assert code == 1 and json.loads(out)["kind"] == "NOT_ISO_PARITY"
-    code, out, _ = run_cli(capsys, "check", "2", "2", "2", "2",
-                           "--auto", "--anti")
+    code, out, _ = run_cli(capsys, "check", "2", "2", "2", "2", "--anti")
     assert code == 0 and json.loads(out)["kind"] == "ISO"
+    # Sylvester: an anti-isometric automorphism needs r = s
+    code, out, _ = run_cli(capsys, "check", "3", "2", "3", "2", "--anti")
+    assert code == 1 and json.loads(out)["kind"] == "NOT_ISO_SIGNATURE"
+    # --auto never changed the answer and is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "3", "3", "3", "3", "--auto", "--anti"])
+    assert exc.value.code == 2
+    assert "--auto" in capsys.readouterr().err
 
 
 def test_check_inconclusive_for_7_7_anti_automorphism(capsys):
-    code, out, _ = run_cli(capsys, "check", "7", "7", "7", "7",
-                           "--auto", "--anti")
+    code, out, _ = run_cli(capsys, "check", "7", "7", "7", "7", "--anti")
     assert code == 2
     data = json.loads(out)
     assert data["kind"] == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize("argv", [("11", "2", "2", "11"),
+                                  ("7", "7", "7", "7", "--anti")])
+def test_open_pairs_are_inconclusive_whatever_the_seed(capsys, argv):
+    code, out, _ = run_cli(capsys, "check", *argv, "--seed", "0")
+    assert code == 2 and run_cli(capsys, "check", *argv, "--seed", "7") \
+        == (2, out, "")
+    data = json.loads(out)
+    assert data["kind"] == "INCONCLUSIVE"
+    scan = data["precondition"]
+    assert scan["points"] == 1 and scan["equivalence_holds"] is False
+    # the first point is a null vector whose adjoint is onto
+    r2, s2 = int(argv[2]), int(argv[3])
+    a = pseudoht.standard_algebra(r2, s2)
+    x = scan["violation"]
+    assert all(type(e) is int for e in x)
+    assert sum(s * e * e for s, e in zip(a.module_signs, x)) == 0
+    assert adjoint_rank(a, x) == a.dim_center == r2 + s2
 
 
 def test_sbg_command(capsys):

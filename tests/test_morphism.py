@@ -154,13 +154,25 @@ def test_conjugation_fails_for_wrong_center_block():
 
 def test_center_signature_obstruction_cases():
     assert center_signature_obstruction(Signature(2, 0), Signature(1, 1))[0] \
-        == "IMPOSSIBLE"
-    verdict, reason = center_signature_obstruction(Signature(3, 0), Signature(0, 3))
-    assert verdict == "IMPOSSIBLE" and "4 vs 8" in reason
-    assert center_signature_obstruction(Signature(1, 0), Signature(0, 1))[0] \
-        == "POSSIBLE"
-    verdict, reason = center_signature_obstruction(Signature(2, 1), Signature(2, 2))
-    assert verdict == "IMPOSSIBLE" and "dimensions differ" in reason
+        == "NOT_ISO_SIGNATURE"
+    kind, reason = center_signature_obstruction(Signature(3, 0), Signature(0, 3))
+    assert kind == "NOT_ISO_DIM" and "4 vs 8" in reason
+    assert center_signature_obstruction(Signature(1, 0), Signature(0, 1)) is None
+    kind, reason = center_signature_obstruction(Signature(2, 1), Signature(2, 2))
+    assert kind == "NOT_ISO_DIM" and "dimensions differ" in reason
+    # the identity answers unless the center block must be anti-isometric,
+    # and an anti-isometry of an (r,s) center lands on (s,r)
+    assert center_signature_obstruction(Signature(2, 3), Signature(2, 3)) \
+        == ("ISO", "identity automorphism")
+    kind, reason = center_signature_obstruction(Signature(2, 3), Signature(2, 3),
+                                                anti_only=True)
+    assert kind == "NOT_ISO_SIGNATURE" and "Sylvester" in reason
+    assert center_signature_obstruction(Signature(3, 3), Signature(3, 3),
+                                        anti_only=True) is None
+    assert center_signature_obstruction(Signature(3, 2), Signature(2, 3),
+                                        anti_only=True) is None
+    assert center_signature_obstruction(Signature(2, 0), Signature(1, 1),
+                                        anti_only=True)[0] == "NOT_ISO_SIGNATURE"
 
 
 def test_morphism_json_shape():

@@ -172,7 +172,7 @@ def test_gram_rank_norm_equivalence_on_samples(rs):
 
 def test_exhaustive_grid_equivalence_on_3_2():
     a = base_algebra(3, 2)
-    rep = surjectivity_scan(a, grid_radius=1, random_samples=0)
+    rep = surjectivity_scan(a)
     assert rep.points == 3 ** 8 - 1
     assert rep.equivalence_holds
     assert witt_bound(a).equivalence_holds   # 5 > 4
@@ -193,7 +193,7 @@ def test_witt_bound_proves_what_the_exhaustive_scan_sees(rs):
         "algebra": a.name(), "proof": "witt-index",
         "dim_center": a.dim_center, "module_signature": [4, 4],
         "equivalence_holds": True}
-    scan = surjectivity_scan(a, grid_radius=1, random_samples=0)
+    scan = surjectivity_scan(a)
     assert scan.points == 3 ** 8 - 1
     assert scan.equivalence_holds
     # the same 3^8 grid through the Gram determinant
@@ -213,11 +213,34 @@ def test_witt_bound_does_not_reach_the_open_pairs(rs):
     assert not bound.equivalence_holds
 
 
+@pytest.mark.parametrize("rs", [(2, 11), (6, 7), (7, 7), (3, 11)])
+def test_scan_stops_at_the_first_null_pair_on_the_open_destinations(rs):
+    a = standard_algebra(*rs)
+    x = [0] * a.dim_module
+    x[0] = x[64] = 1                            # v_1 + v_65
+    assert (a.module_signs[0], a.module_signs[64]) == (1, -1)
+    rep = surjectivity_scan(a)
+    assert rep == obstruction.ScanReport(a.name(), 1, tuple(x))
+    assert rep.json_dict() == {
+        "algebra": a.name(), "points": 1, "equivalence_holds": False,
+        "violation": x}
+
+
+def test_check_pair_draws_no_random_numbers(monkeypatch):
+    monkeypatch.setattr(random, "Random", lambda *a: pytest.fail(
+        "check_pair drew random numbers"))
+    for args in ((11, 2, 2, 11), (7, 6, 6, 7), (11, 3, 3, 11), (3, 2, 2, 3),
+                 (2, 3, 3, 2)):
+        obstruction.check_pair(*args)
+    obstruction.check_pair(7, 7, 7, 7, anti_only=True)
+    obstruction.check_pair(3, 3, 3, 3, anti_only=True)
+
+
 def test_parity_refutations_run_no_scan(monkeypatch):
     scans = []
     real = obstruction.surjectivity_scan
     monkeypatch.setattr(obstruction, "surjectivity_scan",
-                        lambda *a, **k: scans.append(a[0].name()) or real(*a, **k))
+                        lambda a: scans.append(a.name()) or real(a))
     assert obstruction.check_pair(3, 2, 2, 3).kind == "NOT_ISO_PARITY"
     assert obstruction.check_pair(3, 3, 3, 3, anti_only=True).kind \
         == "NOT_ISO_PARITY"
@@ -226,7 +249,7 @@ def test_parity_refutations_run_no_scan(monkeypatch):
     cert = obstruction.check_pair(11, 2, 2, 11)
     assert scans == ["n_(2,11)"]
     assert cert.kind == "INCONCLUSIVE"
-    assert cert.payload["precondition"]["null_full_rank"]
+    assert cert.payload["precondition"]["violation"]
 
 
 def test_a_scan_without_violation_is_inconclusive(monkeypatch):
@@ -235,7 +258,7 @@ def test_a_scan_without_violation_is_inconclusive(monkeypatch):
     monkeypatch.setattr(obstruction, "witt_bound", lambda a: WittBound(
         a.name(), a.dim_center, (a.dim_center, a.dim_center)))
     monkeypatch.setattr(obstruction, "surjectivity_scan",
-                        lambda a, **k: obstruction.ScanReport(a.name(), 1, 7))
+                        lambda a: obstruction.ScanReport(a.name(), 7))
     cert = obstruction.check_pair(3, 2, 2, 3)
     assert cert.kind == "INCONCLUSIVE"
     assert cert.payload["reason"].startswith("parity precondition unproved")
@@ -439,8 +462,7 @@ def test_parity_precondition_fails_on_block_type_destination():
     assert out.precondition == WittBound("n_(2,2)", 4, (4, 4))
     assert not out.precondition.equivalence_holds   # dim z = 4 = Witt index
     # and the precondition is false there, not only unproved
-    assert surjectivity_scan(a, random_samples=0,
-                             stop_on_violation=True).null_full_rank
+    assert surjectivity_scan(a).violation is not None
 
 
 def test_cycle_verifier_rejects_fabrications():

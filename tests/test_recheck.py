@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -75,13 +76,56 @@ def test_recheck_parity_certificate():
 
 
 def test_recheck_dimension_and_signature_certificates():
-    assert recheck_certificate(check_pair(3, 0, 0, 3).json_dict()).ok
-    assert recheck_certificate(check_pair(2, 0, 1, 1).json_dict()).ok
+    for args in ((3, 0, 0, 3), (2, 0, 1, 1)):
+        cert = check_pair(*args).json_dict()
+        assert cert["anti_isometric_center_only"] is False
+        assert recheck_certificate(cert).ok
+        # an older certificate has no flag; it reads false
+        del cert["anti_isometric_center_only"]
+        assert recheck_certificate(cert).ok
+        cert["anti_isometric_center_only"] = "no"
+        assert not recheck_certificate(cert).ok
     fake = {"kind": "NOT_ISO_DIM", "reason": "made up", "src": [1, 0],
             "dst": [0, 1]}
     assert not recheck_certificate(fake).ok
     fake = {"kind": "NOT_ISO_SIGNATURE", "src": [1, 1], "dst": [1, 1]}
     assert not recheck_certificate(fake).ok
+    # only the kind the signatures give is accepted
+    for kind, src, dst in (("NOT_ISO_DIM", [2, 0], [1, 1]),  # dims agree
+                           ("NOT_ISO_SIGNATURE", [3, 0], [0, 3]),
+                           ("NOT_ISO_SIGNATURE", [3, 2], [2, 3]),  # the swap
+                           ("NOT_ISO_DIM", [3, 2], [2, 3])):
+        for anti in (False, True):
+            forged = {"kind": kind, "reason": "made up", "src": src,
+                      "dst": dst, "anti_isometric_center_only": anti}
+            assert not recheck_certificate(forged).ok, forged
+
+
+def _anti_questions():
+    """(r, s) with r + s <= 12 where n_(r,s) and n_(s,r) are constructible."""
+    return [(r, n - r) for n in range(1, 13) for r in range(n + 1)
+            if extension.standard_chain(r, n - r) is not None
+            and extension.standard_chain(n - r, r) is not None]
+
+
+def test_anti_automorphisms_need_r_equal_s():
+    questions = _anti_questions()
+    assert len(questions) == 36
+    equal = {}
+    for r, s in questions:
+        cert = check_pair(r, s, r, s, anti_only=True).json_dict()
+        assert recheck_certificate(cert).ok, (r, s)
+        if r == s:
+            equal[r] = cert["kind"]
+            continue
+        # Sylvester's law of inertia, re-derived from the signatures and
+        # the flag: without the flag the identity answers instead
+        assert cert["kind"] == "NOT_ISO_SIGNATURE", (r, s)
+        assert "Sylvester" in cert["reason"]
+        cert["anti_isometric_center_only"] = False
+        assert not recheck_certificate(cert).ok, (r, s)
+    assert equal == {1: "ISO", 2: "ISO", 3: "NOT_ISO_PARITY", 4: "ISO",
+                     5: "ISO", 6: "ISO"}
 
 
 def test_recheck_sbg_certificates():
@@ -93,6 +137,40 @@ def test_recheck_sbg_certificates():
     assert recheck_certificate(summed).ok
     assert recheck_certificate(
         sbg_decision(base_algebra(4, 0)).json_dict()).ok  # evidence record
+
+
+@pytest.mark.parametrize("entry", ["1e2000000", "0.5", 0.5, True, " 1", "+1",
+                                   "1_000"])
+def test_recheck_refuses_a_witness_entry_fraction_would_misread(entry,
+                                                               monkeypatch):
+    # str(Fraction) writes -?digits(/digits)?; anything else is refused
+    # before Fraction runs, so an exponent form costs nothing to refuse
+    cert = sbg_decision(base_algebra(1, 1)).json_dict()
+    cert["z0"][0] = entry
+    monkeypatch.setattr(recheck, "Fraction", lambda e: pytest.fail(
+        f"Fraction({e!r}) ran"))
+    verdict = recheck_certificate(cert)
+    assert verdict.ok is False and "malformed" in verdict.detail
+
+
+@pytest.mark.parametrize("entry", ["1e2000000", 1.5])
+def test_recheck_refuses_a_morphism_entry_fraction_would_misread(entry,
+                                                                monkeypatch):
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    cert["morphism"]["A"][3][2] = entry
+    monkeypatch.setattr(recheck, "Fraction", lambda e: pytest.fail(
+        f"Fraction({e!r}) ran"))
+    verdict = recheck_certificate(cert)
+    assert verdict.ok is False and "malformed" in verdict.detail
+
+
+def test_recheck_reads_the_rationals_str_fraction_writes():
+    cert = sbg_decision(base_algebra(1, 1)).json_dict()
+    # a witness scaled by -1/2 is still a witness
+    for key in ("z0", "witness_v"):
+        cert[key] = [str(-Fraction(int(e), 2)) for e in cert[key]]
+    assert "-1/2" in cert["z0"]
+    assert recheck_certificate(cert).ok
 
 
 def test_recheck_refuses_sbg_witness_of_wrong_length():
@@ -122,7 +200,7 @@ def _check_json(capsys, *argv):
 
 
 def test_recheck_refuses_automorphism_refutation_without_anti_flag(capsys):
-    cert = _check_json(capsys, "3", "3", "3", "3", "--auto", "--anti")
+    cert = _check_json(capsys, "3", "3", "3", "3", "--anti")
     assert cert["kind"] == "NOT_ISO_PARITY"
     assert recheck_certificate(cert).ok
     # n_(3,3) is isomorphic to itself: without the anti-isometric
