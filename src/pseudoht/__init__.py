@@ -19,6 +19,7 @@ from .algebra import (
     bracket,
     j_operator,
     verify_admissible,
+    verify_axioms,
     verify_clifford,
     verify_general_htype,
     verify_htype,
@@ -93,6 +94,7 @@ __all__ = [
     "surjectivity_scan",
     "swap_isomorphism",
     "verify_admissible",
+    "verify_axioms",
     "verify_clifford",
     "verify_conjugation",
     "verify_general_htype",

@@ -14,11 +14,8 @@ from fractions import Fraction
 
 from .algebra import (
     j_operators,
-    verify_admissible,
-    verify_clifford,
+    verify_axioms,
     verify_general_htype,
-    verify_htype,
-    verify_integral_basis,
 )
 from .catalog import (
     BASE_IDS,
@@ -127,7 +124,7 @@ def _expected_table_md(table_id) -> str:
     return "\n".join(lines) + "\n"
 
 
-def criterion_1_tables(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_1_tables() -> CriterionReport:
     """Commutator tables cell-for-cell plus the derived permutation table."""
     rep, fail, done = _report(1, "table-reproduction")
     shown = [(1, 0), (2, 0), (4, 0), (0, 4), (1, 1), (2, 2), (3, 2), (2, 3),
@@ -155,18 +152,11 @@ def criterion_1_tables(seed: int = 0, quick: bool = False) -> CriterionReport:
 
 
 def _axiom_suite(a) -> list[str]:
-    bad = []
-    for name, chk in (("integral-basis", verify_integral_basis),
-                      ("clifford", verify_clifford),
-                      ("admissible", verify_admissible),
-                      ("h-type", verify_htype)):
-        v = chk(a)
-        if not v.ok:
-            bad.append(f"{a.name()} fails {name} at {v.witness}")
-    return bad
+    v = verify_axioms(a)
+    return [] if v.ok else [f"{a.name()} fails {v.detail} at {v.witness}"]
 
 
-def criterion_2_axioms(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_2_axioms() -> CriterionReport:
     """Axioms on every catalog algebra, every single-step extension, and one
     double extension."""
     rep, fail, done = _report(2, "axiom-suite")
@@ -178,14 +168,13 @@ def criterion_2_axioms(seed: int = 0, quick: bool = False) -> CriterionReport:
             rep.checks += 1
             for msg in _axiom_suite(extend(base_algebra(*rs), step)):
                 fail(f"extension by {step.value}: {msg}")
-    if not quick:
-        rep.checks += 1
-        nine_eight = extend(extend(base_algebra(1, 0), ExtensionStep.BY_0_8),
-                            ExtensionStep.BY_8_0)
-        if (nine_eight.r, nine_eight.s, nine_eight.dim_module) != (9, 8, 512):
-            fail("double extension has wrong dimensions")
-        for msg in _axiom_suite(nine_eight):
-            fail(f"double extension: {msg}")
+    rep.checks += 1
+    nine_eight = extend(extend(base_algebra(1, 0), ExtensionStep.BY_0_8),
+                        ExtensionStep.BY_8_0)
+    if (nine_eight.r, nine_eight.s, nine_eight.dim_module) != (9, 8, 512):
+        fail("double extension has wrong dimensions")
+    for msg in _axiom_suite(nine_eight):
+        fail(f"double extension: {msg}")
     return done()
 
 
@@ -212,7 +201,7 @@ def _check_canonical(r: int, s: int, fail, expect_swap_sign: int = -1) -> None:
              f"{expect_swap_sign} Id")
 
 
-def criterion_3_isomorphisms(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_3_isomorphisms() -> CriterionReport:
     rep, fail, done = _report(3, "canonical-isomorphisms")
     definite = (1, 2, 4, 8, 9, 10, 12, 16)
     for r in definite:
@@ -234,7 +223,7 @@ def criterion_3_isomorphisms(seed: int = 0, quick: bool = False) -> CriterionRep
     return done()
 
 
-def criterion_4_nonisomorphism(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_4_nonisomorphism() -> CriterionReport:
     rep, fail, done = _report(4, "non-isomorphism")
     rep.checks += 1
     cert = check_pair(3, 2, 2, 3)
@@ -267,7 +256,7 @@ def criterion_4_nonisomorphism(seed: int = 0, quick: bool = False) -> CriterionR
     return done()
 
 
-def criterion_5_surjectivity(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_5_surjectivity() -> CriterionReport:
     """ad_X is onto exactly off the null cone of n_(3,2), n_(2,3), n_(3,3),
     and not of n_(11,2).
 
@@ -297,7 +286,7 @@ def criterion_5_surjectivity(seed: int = 0, quick: bool = False) -> CriterionRep
     return done()
 
 
-def criterion_6_sbg(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_6_sbg() -> CriterionReport:
     rep, fail, done = _report(6, "strongly-bracket-generating")
     for rs in ((1, 0), (2, 0), (4, 0), (8, 0), (0, 1), (0, 2), (0, 4), (0, 8)):
         rep.checks += 1
@@ -322,7 +311,7 @@ def criterion_6_sbg(seed: int = 0, quick: bool = False) -> CriterionReport:
     return done()
 
 
-def criterion_7_sums(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_7_sums() -> CriterionReport:
     rep, fail, done = _report(7, "direct-sums")
     s23 = build_sum(base_algebra(2, 3), 1, 1)
     rep.checks += 1
@@ -355,11 +344,13 @@ def criterion_7_sums(seed: int = 0, quick: bool = False) -> CriterionReport:
     return done()
 
 
-def criterion_8_general_htype(seed: int = 0, quick: bool = False) -> CriterionReport:
+def criterion_8_general_htype() -> CriterionReport:
+    """The surjective-(anti-)isometry characterization on n_(1,0), n_(1,1),
+    n_(3,2) and n_(4,4), proved from the axioms by verify_general_htype."""
     rep, fail, done = _report(8, "general-h-type")
     for rs in ((1, 0), (1, 1), (3, 2), (4, 4)):
         rep.checks += 1
-        v = verify_general_htype(base_algebra(*rs), samples=100, seed=seed)
+        v = verify_general_htype(base_algebra(*rs))
         if not v.ok:
             fail(f"n_{rs}: {v.detail} at {v.witness}")
     return done()
@@ -377,5 +368,5 @@ CRITERIA = (
 )
 
 
-def run_all(quick: bool = False, seed: int = 0) -> list[CriterionReport]:
-    return [crit(seed=seed, quick=quick) for crit in CRITERIA]
+def run_all() -> list[CriterionReport]:
+    return [crit() for crit in CRITERIA]

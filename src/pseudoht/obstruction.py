@@ -201,14 +201,18 @@ def check_pair(r1: int, s1: int, r2: int, s2: int,
     With anti_only the question is restricted to maps whose center block is
     an anti-isometry (the interesting automorphism class).  Where the
     signatures leave the question open, (r2, s2) is the swap (s1, r1).
+    Every answer but a morphism names the question: src, dst and the flag.
     """
+    question = {"src": [r1, s1], "dst": [r2, s2],
+                "anti_isometric_center_only": anti_only}
+
+    def answer(kind: str, reason: str, **evidence) -> Certificate:
+        return Certificate(kind, {"reason": reason, **question, **evidence})
+
     settled = center_signature_obstruction(Signature(r1, s1), Signature(r2, s2),
                                            anti_only)
     if settled is not None:
-        kind, reason = settled
-        return Certificate(kind, {"reason": reason,
-                                  "src": [r1, s1], "dst": [r2, s2],
-                                  "anti_isometric_center_only": anti_only})
+        return answer(*settled)
 
     cmap = canonical_map(r1, s1)
     if cmap is not None:
@@ -219,25 +223,24 @@ def check_pair(r1: int, s1: int, r2: int, s2: int,
         raise RuntimeError(f"canonical map failed verification: {con.detail}")
 
     if standard_chain(r1, s1) is None or standard_chain(r2, s2) is None:
-        return Certificate("INCONCLUSIVE", {
-            "reason": "no canonical isomorphism and a side is not constructible",
-            "src": [r1, s1], "dst": [r2, s2]})
+        return answer("INCONCLUSIVE", "no canonical isomorphism and a side "
+                                      "is not constructible")
     dst = standard_algebra(r2, s2)
     if not witt_bound(dst).equivalence_holds:
         scan = surjectivity_scan(dst)
-        return Certificate("INCONCLUSIVE", {
-            "reason": ("parity argument does not apply: destination has "
-                       "null vectors with surjective adjoint"
-                       if not scan.equivalence_holds else
-                       "parity precondition unproved: dim z does not exceed "
-                       "the Witt index, and a scan is no proof"),
-            "precondition": scan.json_dict()})
+        return answer("INCONCLUSIVE",
+                      "parity argument does not apply: destination has "
+                      "null vectors with surjective adjoint"
+                      if not scan.equivalence_holds else
+                      "parity precondition unproved: dim z does not exceed "
+                      "the Witt index, and a scan is no proof",
+                      precondition=scan.json_dict())
     src = standard_algebra(r1, s1)
     outcome = parity_certificate(src, dst)
     if outcome.feasible:
-        return Certificate("INCONCLUSIVE", {
-            "reason": "parity system is satisfiable; no refutation",
-            "parity": outcome.json_dict()})
+        return answer("INCONCLUSIVE",
+                      "parity system is satisfiable; no refutation",
+                      parity=outcome.json_dict())
     recheck = verify_parity_cycle(src, outcome.cycle)
     if not recheck.ok:
         raise RuntimeError(f"solver produced a bad cycle: {recheck.detail}")
@@ -251,8 +254,7 @@ def check_pair(r1: int, s1: int, r2: int, s2: int,
         "odd cycle attached and re-verified",
     ]
     return Certificate("NOT_ISO_PARITY", {
-        "src": [r1, s1], "dst": [r2, s2],
-        "anti_isometric_center_only": anti_only,
+        **question,
         "steps": steps,
         "parity": outcome.json_dict(),
         "cycle_reverified": recheck.ok,

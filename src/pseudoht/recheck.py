@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .algebra import (
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     Verdict,
-    verify_admissible,
-    verify_clifford,
-    verify_htype,
+    verify_axioms,
 )
 from .catalog import MAX_CENTER_DIM, base_algebra
 from .core import ExactMatrix, Signature, classify_map, exact_rank
@@ -122,10 +120,14 @@ def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
                  for st in _list(prov, "steps")]
         return extension_chain(_ints(_field(prov, "base"), 2, "base"), steps)
     if kind == "sum":
-        counts = dict(_ints([_field(b, "type"), _field(b, "count")], 2, "a block")
-                      for b in _list(prov, "blocks"))
+        # exactly the records SumProvenance writes: type 1, then type 2
+        blocks = _list(prov, "blocks")
+        types = _ints([_field(b, "type") for b in blocks], 2, "block types")
+        mu, nu = _ints([_field(b, "count") for b in blocks], 2, "block counts")
+        if types != (1, 2) or any(len(b) != 2 for b in blocks):
+            raise _Malformed("sum blocks must be type 1, then type 2")
         return build_sum(base_algebra(*_ints(_field(prov, "base"), 2, "base")),
-                         counts.get(1, 0), counts.get(2, 0)).algebra
+                         mu, nu).algebra
     raise _Malformed(f"cannot rebuild an algebra from provenance {prov!r}")
 
 
@@ -156,17 +158,22 @@ def _recheck_iso(payload: Mapping) -> Verdict:
         return Verdict(False, None, "stated center action does not match")
     # invertibility of the blocks makes the homomorphism an isomorphism; a
     # signed permutation A needs no elimination
+    a_signed = SignedPermutationOp.from_matrix(f.A) is not None
     c_invertible = exact_rank(f.C) == f.C.rows
-    a_invertible = (SignedPermutationOp.from_matrix(f.A) is not None
-                    or exact_rank(f.A) == f.A.rows)
+    a_invertible = a_signed or exact_rank(f.A) == f.A.rows
     if not (a_invertible and c_invertible):
         return Verdict(False, None, "a block of the embedded map is singular")
+    if stated and _flag(stated, "integral") != (
+            a_signed and SignedPermutationOp.from_matrix(f.C) is not None):
+        return Verdict(False, None, "stated integral class does not match")
     return Verdict(True)
 
 
-def _anti_flag(value) -> bool:
+def _flag(payload, key: str, default: Optional[bool] = None) -> bool:
+    """payload[key] as a JSON boolean; a missing key reads a given default."""
+    value = _field(payload, key) if default is None else payload.get(key, default)
     if type(value) is not bool:
-        raise _Malformed("anti_isometric_center_only must be a boolean")
+        raise _Malformed(f"{key} must be a boolean")
     return value
 
 
@@ -176,7 +183,7 @@ def _recheck_signatures(payload: Mapping) -> Verdict:
     none), and accept only the stated kind."""
     src = _signature(payload, "src")
     dst = _signature(payload, "dst")
-    anti_only = _anti_flag(payload.get("anti_isometric_center_only", False))
+    anti_only = _flag(payload, "anti_isometric_center_only", False)
     settled = center_signature_obstruction(Signature(*src), Signature(*dst),
                                            anti_only)
     kind = payload["kind"]
@@ -193,7 +200,7 @@ def _recheck_parity(payload: Mapping) -> Verdict:
     re-verifies on the source."""
     src = _signature(payload, "src")
     dst = _signature(payload, "dst")
-    anti_only = _anti_flag(_field(payload, "anti_isometric_center_only"))
+    anti_only = _flag(payload, "anti_isometric_center_only")
     parity = _field(payload, "parity")
     cycle = [ParityConstraint(*_ints([_field(e, k) for k in ("a", "b", "rhs")],
                                      3, "a cycle edge"))
@@ -210,11 +217,10 @@ def _recheck_parity(payload: Mapping) -> Verdict:
         dst_algebra = standard_algebra(*dst)
     except ValueError as exc:
         return Verdict(False, None, str(exc))
-    for check in (verify_clifford, verify_admissible, verify_htype):
-        axiom = check(dst_algebra)
-        if not axiom.ok:
-            return Verdict(False, axiom.witness,
-                           f"destination fails {check.__name__}: {axiom.detail}")
+    axioms = verify_axioms(dst_algebra)
+    if not axioms.ok:
+        return Verdict(False, axioms.witness,
+                       f"destination fails {axioms.detail}")
     bound = witt_bound(dst_algebra)
     if recorded != bound.json_dict():
         return Verdict(False, None, "recorded precondition is not the "

@@ -92,4 +92,4 @@ def test_criterion_7_attainable_clauses(paper_reports):
 
 
 def test_criterion_8_general_h_type(paper_reports):
-    _assert_report(paper_reports[7], limit_s=10.0)
+    _assert_report(paper_reports[7], limit_s=1.0)

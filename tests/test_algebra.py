@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoht.algebra import (
+    DegenerateKernelError,
     IntegralBasisError,
     PseudoHTypeAlgebra,
     SignedPermutationOp,
@@ -24,6 +27,7 @@ from pseudoht.algebra import (
     verify_general_htype,
     verify_htype,
 )
+from pseudoht.algebra import _check_general_at
 from pseudoht.catalog import BASE_IDS, base_algebra
 from pseudoht.core import ExactMatrix, basis_vector, scalar_product
 
@@ -192,17 +196,35 @@ def test_bd_decomposition_none_for_definite_and_one_sided():
     assert bd_decomposition(base_algebra(0, 8)) is None
 
 
+# the algebras of verify-paper's criterion 8
+GENERAL_HTYPE = ((1, 0), (1, 1), (3, 2), (4, 4))
+
+
+def sampled_general_htype(a, samples, seed=0):
+    """The former criterion-8 sampler, kept as the oracle of the theorem:
+    True when the characterization holds at `samples` random non-null
+    integer vectors with entries in [-5, 5]."""
+    rng = random.Random(seed)
+    checked = 0
+    while checked < samples:
+        v = tuple(rng.randint(-5, 5) for _ in range(a.dim_module))
+        if scalar_product(v, v, a.module_signs) != 0:
+            if not _check_general_at(a, v).ok:
+                return False
+            checked += 1
+    return True
+
+
 def test_general_htype_on_basis_vector_of_1_0():
     a = base_algebra(1, 0)
-    assert verify_general_htype(a, samples=5, seed=3).ok
+    assert verify_general_htype(a).ok
+    assert _check_general_at(a, basis_vector(2, 2)).ok
 
 
 def test_general_htype_scaled_gram_factor():
     # v = w_3 in the (1,1) algebra has <v,v> = -1; the identity holds with
     # that factor, and a doubled vector scales it by 4.
     a = base_algebra(1, 1)
-    from pseudoht.algebra import _check_general_at
-
     w3 = tuple(Fraction(e) for e in (0, 0, 1, 0))
     assert scalar_product(w3, w3, a.module_signs) == -1
     assert _check_general_at(a, w3).ok
@@ -211,17 +233,44 @@ def test_general_htype_scaled_gram_factor():
     assert _check_general_at(a, doubled).ok
 
 
-@pytest.mark.parametrize("rs", [(1, 0), (1, 1), (3, 2), (4, 4)])
+@pytest.mark.parametrize("rs", GENERAL_HTYPE)
 def test_general_htype_sampled(rs):
-    assert verify_general_htype(base_algebra(*rs), samples=25, seed=11).ok
+    # the proof and its oracle: 100 seeded non-null vectors agree
+    a = base_algebra(*rs)
+    assert verify_general_htype(a).ok
+    assert sampled_general_htype(a, 100)
+
+
+def _flipped(a, n):
+    """a with the sign of its n-th tensor entry flipped."""
+    entries = a.tensor.entries
+    i, j, k, s = entries[n]
+    return dataclasses.replace(a, tensor=StructureTensor(
+        a.dim_module, a.dim_center, entries[:n] + ((i, j, k, -s),)
+        + entries[n + 1:]))
+
+
+@pytest.mark.parametrize("rs", [rs for rs in GENERAL_HTYPE if sum(rs) > 1])
+def test_general_htype_refused_after_one_flipped_sign(rs):
+    # with dim z >= 2 each entry's (a, b) pair is swapped by one J_k only,
+    # so flipping its sign breaks the anticommutation with every other J_m
+    a = base_algebra(*rs)
+    for n in range(len(a.tensor.entries)):
+        verdict = verify_general_htype(_flipped(a, n))
+        assert not verdict.ok and verdict.detail.startswith("verify_clifford")
+
+
+def test_general_htype_accepts_the_flipped_1_0():
+    # n_(1,0) has one entry; its flip is the image under v_2 -> -v_2
+    flipped = _flipped(base_algebra(1, 0), 0)
+    assert verify_general_htype(flipped).ok
+    assert sampled_general_htype(flipped, 100)
 
 
 def test_degenerate_kernel_is_reported_not_interpreted():
     # null vectors can have a kernel on which the metric degenerates; the
-    # sampler never selects them, but a direct query must surface the
+    # theorem says nothing there, and a direct query must surface the
     # witness instead of guessing
-    from pseudoht.algebra import DegenerateKernelError, _check_general_at
-
     a = base_algebra(1, 1)
     v = tuple(Fraction(e) for e in (1, 0, 1, 0))  # null: metric (+,+,-,-)
     with pytest.raises(DegenerateKernelError) as exc:

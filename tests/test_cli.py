@@ -143,6 +143,28 @@ def test_check_inconclusive_for_7_7_anti_automorphism(capsys):
     assert data["kind"] == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (("1", "2", "2", "1"), "INCONCLUSIVE"),      # a side is not constructible
+    (("11", "2", "2", "11"), "INCONCLUSIVE"),    # the scan's record
+    (("7", "7", "7", "7", "--anti"), "INCONCLUSIVE"),
+    (("3", "0", "0", "3"), "NOT_ISO_DIM"),
+    (("2", "0", "1", "1"), "NOT_ISO_SIGNATURE"),
+    (("3", "2", "2", "3"), "NOT_ISO_PARITY"),
+])
+def test_every_non_iso_certificate_names_its_question(capsys, argv, kind):
+    code, out, _ = run_cli(capsys, "check", *argv)
+    data = json.loads(out)
+    assert data["kind"] == kind
+    header = ["src", "dst", "anti_isometric_center_only"]
+    # NOT_ISO_PARITY has steps where the others have a reason
+    assert list(data)[:5] == (["kind", *header, "steps"]
+                              if kind == "NOT_ISO_PARITY"
+                              else ["kind", "reason", *header])
+    assert data["src"] == [int(argv[0]), int(argv[1])]
+    assert data["dst"] == [int(argv[2]), int(argv[3])]
+    assert data["anti_isometric_center_only"] is ("--anti" in argv)
+
+
 @pytest.mark.parametrize("argv", [("11", "2", "2", "11"),
                                   ("7", "7", "7", "7", "--anti")])
 def test_open_pairs_are_inconclusive_whatever_the_seed(capsys, argv):
@@ -201,7 +223,7 @@ def test_verify_paper_reporting(tmp_path, capsys, monkeypatch):
     from pseudoht.acceptance import CriterionReport
     import pseudoht.acceptance as acceptance
 
-    def fake_run_all(quick=False, seed=0):
+    def fake_run_all():
         return [CriterionReport(1, "alpha", True, [], 0.01, 3),
                 CriterionReport(2, "beta", False, ["broken detail"], 0.02, 1)]
 
@@ -214,6 +236,29 @@ def test_verify_paper_reporting(tmp_path, capsys, monkeypatch):
     summary = json.loads(path.read_text())
     assert summary["passed"] == 1 and summary["failed"] == 1
     assert summary["criteria"][1]["failures"] == ["broken detail"]
+
+
+def test_verify_paper_report_does_not_depend_on_the_seed(tmp_path, capsys):
+    reports = []
+    for seed in ("0", "7"):
+        path = tmp_path / f"seed{seed}.json"
+        code, _, _ = run_cli(capsys, "verify-paper", "--seed", seed,
+                             "--out", str(path))
+        assert code == 1          # criterion 7 is red by design
+        report = json.loads(path.read_text())
+        for crit in report["criteria"]:
+            del crit["elapsed_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert [c["checks"] for c in reports[0]["criteria"]][7] == 4
+
+
+def test_verify_paper_quick_is_gone(capsys):
+    # --quick only skipped criterion 2's double extension and is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--quick"])
+    assert exc.value.code == 2
+    assert "--quick" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -296,7 +341,7 @@ def test_verify_paper_report_is_json_dumps_indent_2(tmp_path, capsys,
     # the session's verify-paper reports, written by the CLI
     import pseudoht.acceptance as acceptance
 
-    monkeypatch.setattr(acceptance, "run_all", lambda **kw: paper_reports)
+    monkeypatch.setattr(acceptance, "run_all", lambda: paper_reports)
     path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify-paper", "--out", str(path))
     assert code == 1          # criterion 7 is red by design

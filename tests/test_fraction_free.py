@@ -13,6 +13,7 @@ from pseudoht.algebra import verify_general_htype
 from pseudoht.catalog import base_algebra
 from pseudoht.core import ExactMatrix, exact_rank, nullspace
 from pseudoht.obstruction import adjoint_rank, gram_det, verify_sbg_no_witness
+from test_algebra import sampled_general_htype  # criterion-8 oracle
 
 
 @pytest.fixture
@@ -53,7 +54,10 @@ def test_adjoint_rank_and_witness_check_build_no_fraction(fractions_built):
 
 
 def test_general_htype_builds_no_fraction(fractions_built):
-    assert verify_general_htype(base_algebra(4, 4), samples=20).ok
+    # the proof's basis witnesses and the sampled oracle's integer vectors
+    a = base_algebra(4, 4)
+    assert verify_general_htype(a).ok
+    assert sampled_general_htype(a, 20)
     assert fractions_built == []
 
 

@@ -1,6 +1,7 @@
 """Import layering of the package, checked on the source with `ast`.
 
-The CLI is the top layer: no package module may import it.  Imports sit at
+The CLI is the top layer: no package module may import it, and none
+imports `random`: every answer is exact, not sampled.  Imports sit at
 module level, where the dependency graph between modules is visible, and
 name only public names: a module's underscored names are its own.  Indented
 JSON is written by one emitter, `jsonout`.
@@ -39,6 +40,17 @@ def test_no_module_imports_the_cli():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for name in _imported_modules(node):
                     if name.split(".")[-1] == "cli":
+                        offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def test_no_module_imports_random():
+    offenders = []
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for name in _imported_modules(node):
+                    if name.split(".")[0] == "random":
                         offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoht.morphism as morphism
-from pseudoht.acceptance import PERMUTATION_TABLE_8_0, criterion_2_axioms
+from pseudoht.acceptance import PERMUTATION_TABLE_8_0
 from pseudoht.algebra import SignedPermutationOp, j_operator
 from pseudoht.catalog import base_algebra
 from pseudoht.core import ExactMatrix, exact_rank
@@ -177,13 +177,6 @@ def test_check_pair_runs_the_relation_once(monkeypatch):
                         lambda f: calls.append(f) or inner(f))
     assert check_pair(9, 8, 8, 9).kind == "ISO"
     assert len(calls) == 1
-
-
-def test_quick_mode_skips_the_double_extension():
-    full = criterion_2_axioms(quick=False)
-    quick = criterion_2_axioms(quick=True)
-    assert full.passed and quick.passed
-    assert full.checks == quick.checks + 1
 
 
 def test_run_all_reports_every_criterion(paper_reports):

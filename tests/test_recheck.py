@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import pseudoht.algebra as algebra
 import pseudoht.extension as extension
 import pseudoht.recheck as recheck
 from pseudoht.algebra import Verdict
@@ -11,7 +12,8 @@ from pseudoht.cli import check_pair, main
 from pseudoht.core import exact_rank
 from pseudoht.obstruction import sbg_decision
 from pseudoht.recheck import rebuild_from_provenance, recheck_certificate
-from pseudoht.sums import build_sum, sum_sbg
+from pseudoht.morphism import morphism_to_dict
+from pseudoht.sums import build_sum, sum_sbg, swap_isomorphism
 
 
 def test_rebuild_base_and_extended_and_sum():
@@ -239,7 +241,8 @@ def test_recheck_refuses_parity_forgeries():
 
 def test_parity_recheck_rests_on_the_destination_axioms(monkeypatch):
     cert = check_pair(3, 2, 2, 3).json_dict()
-    monkeypatch.setattr(recheck, "verify_htype",
+    # verify_axioms, shared with verify_general_htype, runs the checks
+    monkeypatch.setattr(algebra, "verify_htype",
                         lambda a: Verdict(False, (1, 2, 3), "fails"))
     verdict = recheck_certificate(cert)
     assert not verdict.ok and verdict.detail.startswith("destination fails")
@@ -357,7 +360,7 @@ ISO_MUTATIONS = {
         {"kind": "sum", "base": [2, 3], "blocks": 3}),
     "sum over the budget": _set_provenance(
         {"kind": "sum", "base": [2, 3],
-         "blocks": [{"type": 1, "count": 10 ** 6}]}),
+         "blocks": [{"type": 1, "count": 10 ** 6}, {"type": 2, "count": 0}]}),
 }
 
 
@@ -367,6 +370,38 @@ def test_recheck_refuses_malformed_iso_fields(name):
     assert cert["kind"] == "ISO" and recheck_certificate(cert).ok
     verdict = recheck_certificate(ISO_MUTATIONS[name](cert))
     assert verdict.ok is False
+
+
+@pytest.mark.parametrize("integral", [True, False, "yes"])
+def test_iso_recheck_rederives_the_integral_class(integral):
+    # both blocks of the canonical map are signed permutations
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    assert cert["morphism"]["class"]["integral"] is True
+    cert["morphism"]["class"]["integral"] = integral
+    assert recheck_certificate(cert).ok is (integral is True)
+
+
+SUM_BLOCK_FORGERIES = {
+    "appended": lambda b: b.append({"type": 9, "count": 4}),
+    "duplicated": lambda b: b.insert(0, {"type": 1, "count": 0}),
+    "reordered": lambda b: b.reverse(),
+    "type missing": lambda b: b.pop(),
+    "type a boolean": lambda b: b[0].update(type=True),
+    "extra key": lambda b: b[1].update(note="x"),
+}
+
+
+@pytest.mark.parametrize("name", [None, *SUM_BLOCK_FORGERIES])
+def test_iso_recheck_refuses_a_forged_sum_provenance(name):
+    # a dict of the blocks would drop the unknown type, let the later
+    # duplicate win and ignore the order; only the written list is accepted
+    f = swap_isomorphism(build_sum(base_algebra(0, 1), 1, 1))
+    cert = {"kind": "ISO", "morphism": morphism_to_dict(f)}
+    blocks = cert["morphism"]["src"]["provenance"]["blocks"]
+    assert blocks == [{"type": 1, "count": 1}, {"type": 2, "count": 1}]
+    if name is not None:
+        SUM_BLOCK_FORGERIES[name](blocks)
+    assert recheck_certificate(cert).ok is (name is None)
 
 
 def test_iso_recheck_refuses_an_extension_chain_before_building_it(monkeypatch):
