@@ -75,7 +75,7 @@ class StructureTensor:
     def bracket_pair(self, a: int, b: int) -> Optional[tuple[int, int]]:
         """(k, sign) with [v_a, v_b] = sign * Z_k, or None."""
         if 1 <= a <= self.dim_module:
-            for beta, k, s in _link_table(self).links[a - 1]:
+            for beta, k, s in _link_table(self)[a - 1]:
                 if beta == b - 1:
                     return k + 1, s
         return None
@@ -151,18 +151,12 @@ class SignedPermutationOp:
     @staticmethod
     def from_matrix(m: ExactMatrix) -> Optional["SignedPermutationOp"]:
         """The op whose matrix() is m, or None if m is not a signed
-        permutation matrix: one +-1 in every row and every column."""
-        if m.rows != m.cols:
-            return None
-        image = [0] * m.cols
-        sign = [0] * m.cols
-        for b, row in enumerate(m.entries, start=1):
-            hits = [a for a, e in enumerate(row) if e]
-            if len(hits) != 1 or row[hits[0]] not in (1, -1) or image[hits[0]]:
-                return None
-            image[hits[0]] = b
-            sign[hits[0]] = int(row[hits[0]])
-        return SignedPermutationOp(tuple(image), tuple(sign))
+        permutation matrix: one +-1 in every row and every column.
+
+        Recognized once per matrix and kept on it, so the relation, the
+        classification and the recheck of one morphism share the result.
+        """
+        return _derived(m, "_signed_op", _recognize_signed_permutation)
 
     def matrix(self) -> ExactMatrix:
         rows = [[0] * self.dim for _ in range(self.dim)]
@@ -174,6 +168,31 @@ class SignedPermutationOp:
     @staticmethod
     def identity(n: int) -> "SignedPermutationOp":
         return SignedPermutationOp(tuple(range(1, n + 1)), (1,) * n)
+
+
+def _recognize_signed_permutation(m: ExactMatrix
+                                  ) -> Optional[SignedPermutationOp]:
+    """SignedPermutationOp.from_matrix(m), computed: each row is scanned by
+    count and index, which compare by value (Fraction(-1) reads as -1)."""
+    if m.rows != m.cols:
+        return None
+    n = m.cols
+    image = [0] * n
+    sign = [0] * n
+    for b, row in enumerate(m.entries, start=1):
+        if row.count(0) != n - 1:
+            return None
+        if 1 in row:
+            a, s = row.index(1), 1
+        elif -1 in row:
+            a, s = row.index(-1), -1
+        else:
+            return None
+        if image[a]:
+            return None
+        image[a] = b
+        sign[a] = s
+    return SignedPermutationOp(tuple(image), tuple(sign))
 
 
 @dataclass(frozen=True)
@@ -328,26 +347,19 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
 
     The defining relation gives B^k_{ab} = eps^z_k * A^k_{ab} / eps^v_b; on an
     integral basis this is a signed permutation because each (k, a) has
-    exactly one partner b.
+    exactly one partner b.  It is read off the algebra's _j_table.
     """
     if not 1 <= k <= a.dim_center:
         raise IndexError(f"center index {k} out of range")
-    table = _link_table(a.tensor)
+    table = _j_table(a)
     if table.conflicts:
         raise IntegralBasisError(
             f"multiple partners for (k, a) pairs {table.conflicts[:3]}")
-    ez = a.center_sign(k)
-    g = a.module_signs
-    image = []
-    sign = []
-    for alpha, links in enumerate(table.links, start=1):
-        hit = _partner(links, k - 1)
-        if hit is None:
-            raise IntegralBasisError(f"no partner for center {k}, vector {alpha}")
-        beta, s = hit
-        image.append(beta + 1)
-        sign.append(ez * s * g[beta])
-    return SignedPermutationOp(tuple(image), tuple(sign))
+    image = table.images[k - 1]
+    if 0 in image:
+        raise IntegralBasisError(
+            f"no partner for center {k}, vector {image.index(0) + 1}")
+    return SignedPermutationOp(tuple(image), tuple(table.signs[k - 1]))
 
 
 def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
@@ -361,60 +373,73 @@ def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
         j_operator(alg, k) for k in range(1, alg.dim_center + 1)))
 
 
-_Links = tuple[tuple[int, int, int], ...]
+class _JTable(NamedTuple):
+    """images[k][alpha], signs[k][alpha]: J_{Z_{k+1}} v_{alpha+1} =
+    sign * v_image (1-based image, 0 where no entry gives a partner);
+    conflicts: each 1-based (k, a) that an entry gives a second partner, in
+    entries order."""
 
-
-class _LinkTable(NamedTuple):
-    """links[alpha]: the (beta, k, s) with [v_alpha, v_beta] = s * Z_k,
-    0-based for direct list indexing and in increasing k (one per k on an
-    integral basis); conflicts: each 1-based (k, a) that an entry gives a
-    second partner, in entries order."""
-
-    links: tuple[_Links, ...]
+    images: list[list[int]]
+    signs: list[list[int]]
     conflicts: tuple[tuple[int, int], ...]
 
 
-def _link_table(t: StructureTensor) -> _LinkTable:
-    """The tensor's _LinkTable, derived on first use and kept on the tensor."""
-    def build(t: StructureTensor) -> _LinkTable:
-        n_z = t.dim_center
+def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
+    """The algebra's _JTable, from one pass over the tensor entries: the
+    entry (p, q, k, s) gives J_{Z_k} v_p = eps^z_k s eps^v_q v_q and
+    J_{Z_k} v_q = -eps^z_k s eps^v_p v_p.  Kept on the algebra, since the
+    signs depend on its metrics."""
+    def build(a: PseudoHTypeAlgebra) -> _JTable:
+        n, g, ez = a.dim_module, a.module_signs, a.center_sig.signs()
+        images = [[0] * n for _ in ez]
+        signs = [[0] * n for _ in ez]
+        conflicts = []
+        for (p, q, k, s) in a.tensor.entries:
+            image, sign = images[k - 1], signs[k - 1]
+            e = ez[k - 1] * s
+            if image[p - 1]:
+                conflicts.append((k, p))
+            if image[q - 1]:
+                conflicts.append((k, q))
+            image[p - 1], sign[p - 1] = q, e * g[q - 1]
+            image[q - 1], sign[q - 1] = p, -e * g[p - 1]
+        return _JTable(images, signs, tuple(conflicts))
+
+    return _derived(a, "_j_table", build)
+
+
+_Links = tuple[tuple[int, int, int], ...]
+
+
+def _link_table(t: StructureTensor) -> tuple[_Links, ...]:
+    """links[alpha]: the (beta, k, s) with [v_alpha, v_beta] = s * Z_k,
+    0-based for direct list indexing and in increasing k (one per k on an
+    integral basis); derived on first use and kept on the tensor."""
+    def build(t: StructureTensor) -> tuple[_Links, ...]:
         adj: list[list[tuple[int, int, int]]] = [
             [] for _ in range(t.dim_module)]
-        seen = bytearray(t.dim_module * n_z)
-        conflicts = []
         for (a, b, k, s) in t.entries:
-            i, j, k0 = a - 1, b - 1, k - 1
-            for x, slot in ((a, i * n_z + k0), (b, j * n_z + k0)):
-                if seen[slot]:
-                    conflicts.append((k, x))
-                seen[slot] = 1
-            adj[i].append((j, k0, s))
-            adj[j].append((i, k0, -s))
+            adj[a - 1].append((b - 1, k - 1, s))
+            adj[b - 1].append((a - 1, k - 1, -s))
         by_center = operator.itemgetter(1)
-        return _LinkTable(tuple(tuple(sorted(links, key=by_center))
-                                for links in adj),
-                          tuple(conflicts))
+        return tuple(tuple(sorted(links, key=by_center)) for links in adj)
 
     return _derived(t, "_links", build)
 
 
-def _partner(links: _Links, k: int) -> Optional[tuple[int, int]]:
-    """(beta, s) of the link with 0-based center k (links[k] on an
-    integral basis), or None."""
-    if k < len(links) and links[k][1] == k:
-        return links[k][0], links[k][2]
-    return next(((beta, s) for beta, kk, s in links if kk == k), None)
+_UNSET = object()
 
 
-def _derived(obj, name: str, build: Callable) -> tuple:
-    """A table computed from an algebra's or tensor's fields, kept on it.
+def _derived(obj, name: str, build: Callable):
+    """A value computed from an object's fields, kept on it: a table of an
+    algebra or a tensor, or the recognized form of a matrix (None too).
 
-    The fields are never reassigned, so the table cannot go stale, and it
+    The fields are never reassigned, so the value cannot go stale, and it
     is not a field, so ==, hash, repr and the JSON form never see it.  Two
     threads that both miss build the same value; either one may be kept.
     """
-    value = getattr(obj, name, None)
-    if value is None:
+    value = getattr(obj, name, _UNSET)
+    if value is _UNSET:
         value = build(obj)
         object.__setattr__(obj, name, value)
     return value
@@ -461,19 +486,18 @@ def apply_j_operators(ops: Mapping[int, SignedPermutationOp],
 
 def verify_integral_basis(a: PseudoHTypeAlgebra) -> Verdict:
     """Antisymmetry, +-1 entries, and the exactly-one-partner property."""
-    table = _link_table(a.tensor)
+    table = _j_table(a)
     if table.conflicts:
         return Verdict(False, table.conflicts[0],
                        "a (center, vector) pair has several partners")
-    for k in range(a.dim_center):
-        for alpha, links in enumerate(table.links, start=1):
-            if _partner(links, k) is None:
-                return Verdict(False, (k + 1, alpha),
-                               "no partner for this (center, vector) pair")
+    for k, image in enumerate(table.images, start=1):
+        if 0 in image:
+            return Verdict(False, (k, image.index(0) + 1),
+                           "no partner for this (center, vector) pair")
     return Verdict(True)
 
 
-def _signed_lookup(op: SignedPermutationOp) -> list[int]:
+def signed_lookup(op: SignedPermutationOp) -> list[int]:
     """op as signed indices: t[b] = sign[b] * image[b] and t[-b] = -t[b].
 
     Entry 0 is unused; negative b reads from the end of the list, so the
@@ -498,7 +522,7 @@ def verify_clifford(a: PseudoHTypeAlgebra) -> Verdict:
     witness is the first basis index where they differ.
     """
     n_mod = a.dim_module
-    luts = [_signed_lookup(op) for op in j_operators(a)]
+    luts = [signed_lookup(op) for op in j_operators(a)]
     n = len(luts)
     for k in range(n):
         lk = luts[k]
@@ -591,7 +615,7 @@ def block_decomposition(a: PseudoHTypeAlgebra
     component's side that contains its lowest index into the first half,
     preferring the unflipped orientation when both balance.
     """
-    adj = _link_table(a.tensor).links
+    adj = _link_table(a.tensor)
     n = a.dim_module
     color: dict[int, int] = {}
     components: list[tuple[list[int], list[int]]] = []
@@ -680,7 +704,7 @@ def adjoint_rows(a: PseudoHTypeAlgebra,
     Each nonzero x_alpha walks the dim z bracket links of v_alpha.
     """
     rows = [[0] * a.dim_module for _ in range(a.dim_center)]
-    for xa, links in zip(x, _link_table(a.tensor).links):
+    for xa, links in zip(x, _link_table(a.tensor)):
         if xa:
             for beta, k, s in links:
                 rows[k][beta] += s * xa

@@ -28,6 +28,7 @@ from .algebra import (
     apply_j_operators,
     j_operator,  # perfbench's self-test reads morphism.j_operator
     j_operators,
+    signed_lookup,
 )
 from .catalog import base_algebra, base_blocks, min_module_dim
 from .core import (
@@ -109,8 +110,55 @@ def _relation_defect(f: LieMorphism) -> Optional[tuple[int, int, int]]:
     v_beta through <J_Z x, y> = <Z, [x, y]> turns that coordinate into the
     Z_k coordinate of [A v_alpha, A v_beta] - C [v_alpha, v_beta]: the
     relation holds exactly when f preserves brackets, and a defect has
-    beta != alpha.
+    beta != alpha.  Signed-permutation blocks take the signed-index path;
+    any other block (a scaled map, a foreign certificate) the sparse one.
     """
+    a_op = SignedPermutationOp.from_matrix(f.A)
+    c_op = SignedPermutationOp.from_matrix(f.C)
+    if a_op is not None and c_op is not None:
+        return _signed_relation_defect(f, a_op, c_op)
+    return _sparse_relation_defect(f)
+
+
+def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
+                            c_op: SignedPermutationOp
+                            ) -> Optional[tuple[int, int, int]]:
+    """_relation_defect when A and C are signed permutations.
+
+    Both sides then send v_alpha to one signed basis vector, so for each k
+    they are signed-index lists (see signed_lookup), compared whole: the
+    left side composes A, J_{Z_k} of dst and A^tau = G_src A^T G_dst, the
+    right side is J_{Z_m} of src times the sign e of C^tau Z_k = e Z_m.
+    Where the images +-v_p and +-v_q of v_alpha differ, the first
+    coordinate that differs is min(p, q), which is p when p = q.
+    """
+    src, dst = f.src, f.dst
+    g_src, g_dst = src.module_signs, dst.module_signs
+    gz_src, gz_dst = src.center_sig.signs(), dst.center_sig.signs()
+    n = src.dim_module
+    tau = [0] * n
+    for alpha, (b, s) in enumerate(zip(a_op.image, a_op.sign), start=1):
+        tau[b - 1] = g_dst[b - 1] * s * g_src[alpha - 1] * alpha
+    a_tau = [0, *tau, *(-t for t in reversed(tau))]
+    a_fwd = [s * b for b, s in zip(a_op.image, a_op.sign)]  # A v_alpha
+    src_j = j_operators(src)
+    c_inv = c_op.inverse()  # C^T Z_k = c Z_m
+    for k, (jk, m, c) in enumerate(zip(map(signed_lookup, j_operators(dst)),
+                                       c_inv.image, c_inv.sign), start=1):
+        got = [a_tau[jk[t]] for t in a_fwd]
+        jm = src_j[m - 1]
+        e = gz_src[m - 1] * c * gz_dst[k - 1]
+        want = [e * s * b for b, s in zip(jm.image, jm.sign)]
+        if got != want:
+            alpha = next(i for i, (p, q) in enumerate(zip(got, want), start=1)
+                         if p != q)
+            return k, alpha, min(abs(got[alpha - 1]), abs(want[alpha - 1]))
+    return None
+
+
+def _sparse_relation_defect(f: LieMorphism
+                            ) -> Optional[tuple[int, int, int]]:
+    """_relation_defect on sparse rows and columns, for any blocks."""
     src, dst = f.src, f.dst
     src_j = dict(enumerate(j_operators(src), start=1))
     dst_j = dict(enumerate(j_operators(dst), start=1))
@@ -189,13 +237,13 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     if d == 0:
         raise ValueError("module block is singular; cannot normalize")
     if d == 1:
-        mu = 1
+        g = f  # mu = 1
     else:
         mu = _nth_root_of_fraction(Fraction(1) / d, 2 * two_l)
         if mu is None:
             raise ValueError(
                 f"|det(A^tau A)| = {d} has no exact rational (2*dim)-th root")
-    g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu))
+        g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu))
     gz_src = f.src.center_sig.signs()
     gz_dst = f.dst.center_sig.signs()
     c = g.C
@@ -473,6 +521,14 @@ def center_signature_obstruction(src_sig: Signature, dst_sig: Signature,
     return None
 
 
+def _json_row(row) -> list:
+    """A matrix row as JSON values: integers, and str(e) for a non-integer
+    rational; a row of ints (every signed-permutation row) is copied."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
+    return [int(e) if e.denominator == 1 else str(e) for e in row]
+
+
 def morphism_to_dict(f: LieMorphism) -> dict:
     cls = classify_morphism(f)
     return {
@@ -480,10 +536,8 @@ def morphism_to_dict(f: LieMorphism) -> dict:
                 "provenance": f.src.provenance.json_dict()},
         "dst": {"r": f.dst.r, "s": f.dst.s,
                 "provenance": f.dst.provenance.json_dict()},
-        "A": [[int(e) if e.denominator == 1 else str(e) for e in row]
-              for row in f.A.entries],
-        "C": [[int(e) if e.denominator == 1 else str(e) for e in row]
-              for row in f.C.entries],
+        "A": [_json_row(row) for row in f.A.entries],
+        "C": [_json_row(row) for row in f.C.entries],
         "class": {"center_action": cls.center_action.value,
                   "integral": cls.integral},
     }

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,28 @@ def test_check_exit_codes(capsys):
     assert code == 1 and json.loads(out)["kind"] == "NOT_ISO_DIM"
     code, out, _ = run_cli(capsys, "check", "2", "0", "1", "1")
     assert code == 1 and json.loads(out)["kind"] == "NOT_ISO_SIGNATURE"
+
+
+# sha256 of the ISO certificates as written before the isomorphism checks
+# moved to signed indices; a faster check must not change a byte of them
+PINNED_CHECK_OUTPUTS = {
+    ("9", "8", "8", "9"):
+        "6d19b5755da5a70dbc4477d5d56cdd74abf78bca1dc662ac6e89bf826b3acc49",
+    ("10", "2", "2", "10"):
+        "0b0ac54bb8d7d8fbfd5454e537946af24a4556860c2feee0e7f42fb2d57b990e",
+    ("1", "8", "8", "1"):
+        "9b982052fced5addb2164764b090e4e5f088afeffcd9e9d8f7123f4732ab9440",
+    ("5", "5", "5", "5", "--anti"):
+        "7f901d8b5b61117b28b823d03a4c0750bf03d94f99eb5534cc420022349c9aec",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_CHECK_OUTPUTS)
+def test_iso_certificates_are_byte_stable(capsys, argv):
+    code, out, _ = run_cli(capsys, "check", *argv)
+    assert code == 0 and json.loads(out)["kind"] == "ISO"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_CHECK_OUTPUTS[argv]
 
 
 def test_check_automorphism_modes(capsys):

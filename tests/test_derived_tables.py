@@ -6,12 +6,16 @@ pins their verdicts, witnesses and details on corrupted algebras; the
 counting fixture shows the operators are derived lazily, once per object,
 and that keeping them changes neither equality, hashing nor the JSON form.
 A structure tensor stores its entries only; its pair and vertex lookups are
-derived on first use, and they must agree with the entries.
+derived on first use, and they must agree with the entries.  A matrix keeps
+its recognized signed-permutation form, so one morphism's blocks are
+recognized once across certification and recheck.
 """
 
 import dataclasses
 import functools
+import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +39,10 @@ from pseudoht.algebra import (
     verify_integral_basis,
 )
 from pseudoht.catalog import BASE_IDS, base_algebra
+from pseudoht.core import ExactMatrix
 from pseudoht.extension import ExtensionStep, extend
-from pseudoht.obstruction import sbg_decision
+from pseudoht.obstruction import check_pair, sbg_decision
+from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum
 
 
@@ -238,7 +244,11 @@ def test_lookups_are_derived_once_on_the_tensor():
     assert algebra._link_table(a.tensor) is table
     assert verify_integral_basis(a).ok and verify_clifford(a).ok
     assert algebra._link_table(a.tensor) is table
-    assert _derived_on(a) == ["_j_operators", "_links"]
+    # the J operators read the algebra's own table, built in one pass over
+    # the entries, not the tensor's link table
+    assert _derived_on(a) == ["_j_operators", "_j_table", "_links"]
+    j_table = algebra._j_table(a)
+    assert algebra._j_table(a) is j_table and j_operators(a) is j_operators(a)
 
 
 # --- the lazy lookups against the entries ------------------------------------
@@ -347,3 +357,47 @@ def test_derived_tables_leave_identity_alone():
     assert repr(a) == repr(fresh)
     assert algebra_to_dict(a) == algebra_to_dict(fresh)
     assert algebra_to_json(a) == algebra_to_json(fresh)
+
+
+# --- signed-permutation recognition, once per matrix -------------------------
+
+# (rows, the op of the per-entry scan that recognized matrices before)
+RECOGNITION_CASES = [
+    ([[1, 0, 0], [0, 1, 0]], None),                  # not square
+    ([[1, 1], [0, 1]], None),                        # two nonzeros in a row
+    ([[2, 0], [0, 1]], None),                        # an entry 2
+    ([[0, Fraction(-1)], [1, 0]], SignedPermutationOp((2, 1), (1, -1))),
+    ([[0, 0, -1], [1, 0, 0], [0, Fraction(1), 0]],
+     SignedPermutationOp((2, 3, 1), (1, 1, -1))),    # Fraction(+-1) reads as +-1
+    ([[0, 1], [0, -1]], None),                       # a repeated column
+    ([[1, 0], [0, 0]], None),                        # a zero row
+    ([[0, 0], [0, 0]], None),
+    ([], SignedPermutationOp((), ())),
+]
+
+
+@pytest.mark.parametrize("rows, want", RECOGNITION_CASES)
+def test_from_matrix_edge_cases_keep_their_results(rows, want):
+    m = ExactMatrix.from_rows(rows)
+    got = SignedPermutationOp.from_matrix(m)
+    assert got == want
+    # kept on the matrix, None included, and invisible to == and hash
+    assert SignedPermutationOp.from_matrix(m) is got
+    assert vars(m)["_signed_op"] is got
+    fresh = ExactMatrix.from_rows(rows)
+    assert m == fresh and hash(m) == hash(fresh)
+
+
+def test_certify_and_recheck_recognize_each_block_once(monkeypatch):
+    seen = []
+    inner = algebra._recognize_signed_permutation
+    monkeypatch.setattr(algebra, "_recognize_signed_permutation",
+                        lambda m: seen.append(m) or inner(m))
+    cert = check_pair(9, 1, 1, 9)
+    assert cert.kind == "ISO"
+    # the relation, the class and the JSON of the certified map: A and C once
+    assert [(m.rows, m.cols) for m in seen] == [(64, 64), (10, 10)]
+    assert recheck_certificate(json.loads(json.dumps(cert.json_dict()))).ok
+    # the relation, the integral class and the invertibility of the rebuilt map
+    assert [(m.rows, m.cols) for m in seen] == [(64, 64), (10, 10)] * 2
+    assert len({id(m) for m in seen}) == 4

@@ -155,6 +155,39 @@ def test_one_relation_agrees_with_the_pairwise_reference(f):
         assert lhs != rhs
 
 
+@given(mutated_maps())
+@settings(max_examples=40, deadline=None)
+def test_signed_index_path_matches_the_sparse_path(f):
+    # the mutations keep A a signed permutation; C is one unless scaled by 2
+    a_op = SignedPermutationOp.from_matrix(f.A)
+    c_op = SignedPermutationOp.from_matrix(f.C)
+    assert a_op is not None
+    sparse = morphism._sparse_relation_defect(f)
+    assert morphism._relation_defect(f) == sparse
+    if c_op is not None:
+        assert morphism._signed_relation_defect(f, a_op, c_op) == sparse
+    else:
+        assert {abs(e) for row in f.C.entries for e in row} == {0, 2}
+    assert (sparse is None) == (bracket_pair_defect(f) is None)
+
+
+def test_scaled_center_block_takes_the_sparse_path(monkeypatch):
+    taken = []
+    for name in ("_signed_relation_defect", "_sparse_relation_defect"):
+        inner = getattr(morphism, name)
+        monkeypatch.setattr(morphism, name, lambda *args, inner=inner, name=name:
+                            taken.append(name) or inner(*args))
+    f = canonical_isomorphism(5, 4)
+    assert verify_homomorphism(f).ok
+    assert taken == ["_signed_relation_defect"]
+    scaled = LieMorphism(f.src, f.dst, f.A, f.C.scale(2))
+    hom = verify_homomorphism(scaled)
+    assert taken == ["_signed_relation_defect", "_sparse_relation_defect"]
+    assert bracket_pair_defect(scaled) is not None and not hom.ok
+    lhs, rhs = pair_brackets(scaled, *hom.witness)
+    assert lhs != rhs
+
+
 def test_each_center_index_is_checked():
     # negating the image of one center vector breaks the relation at one
     # index k only; both checks must see it, whichever k it is
