@@ -737,21 +737,21 @@ def _check_general_at(a: PseudoHTypeAlgebra, v: Vector) -> Verdict:
     v and in the pair (b, b'), and surjectivity depends on spaces only."""
     w, _ = clear_denominators(v)
     vv = scalar_product(w, w, a.module_signs)
-    m = ExactMatrix.from_rows(adjoint_rows(a, w))
-    kernel = nullspace(m)  # never empty: [v, v] = 0
+    rows = adjoint_rows(a, w)
+    kernel = nullspace(rows)  # never empty: [v, v] = 0
     if exact_rank(gram_matrix(kernel, a.module_signs)) != len(kernel):
         raise DegenerateKernelError(v)
     # complement = vectors orthogonal to every kernel element
-    comp = nullspace(ExactMatrix.from_rows(
-        [[s * e for s, e in zip(a.module_signs, kv)] for kv in kernel]))
-    images = [m.apply(b) for b in comp]
-    if exact_rank(ExactMatrix.from_rows(images)) != a.dim_center:
+    comp = nullspace([[s * e for s, e in zip(a.module_signs, kv)]
+                      for kv in kernel])
+    images = [[sum(map(operator.mul, row, b)) for row in rows] for b in comp]
+    if exact_rank(images) != a.dim_center:
         return Verdict(False, (v,), "ad_v is not surjective on the complement")
-    for i, bi in enumerate(comp):
+    lhs = gram_matrix(images, a.center_sig)
+    rhs = gram_matrix(comp, a.module_signs)
+    for i in range(len(comp)):
         for j in range(i, len(comp)):
-            lhs = scalar_product(images[i], images[j], a.center_sig)
-            rhs = vv * scalar_product(bi, comp[j], a.module_signs)
-            if lhs != rhs:
+            if lhs[i][j] != vv * rhs[i][j]:
                 return Verdict(False, (v, i + 1, j + 1),
                                "scaled Gram identity fails")
     return Verdict(True)

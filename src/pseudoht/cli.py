@@ -171,11 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; a request the package refuses with a ValueError
-    (bad signature or step, module over budget) exits EXIT_ERROR."""
+    (bad signature or step, module over budget) or an --out that cannot be
+    written (OSError) exits EXIT_ERROR."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,6 +10,7 @@ matching the commutator-table conventions used throughout the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -176,15 +177,18 @@ def clear_denominators(v: Sequence[Rational]) -> tuple[list[int], int]:
     return [e.numerator * (lcm // e.denominator) for e in v], lcm
 
 
-def _int_rows(m: ExactMatrix) -> tuple[list[list[int]], int]:
+def _int_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
     """Clear denominators row by row; rank and nullspace are unchanged.
 
     Returns the integer rows and the product of the row multipliers, by
-    which the determinant is scaled.
+    which the determinant is scaled.  Ragged rows raise ValueError.
     """
+    width = len(rows[0]) if rows else 0
     out = []
     scale = 1
-    for row in m.entries:
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("ragged rows")
         ints, lcm = clear_denominators(row)
         out.append(ints)
         scale *= lcm
@@ -238,48 +242,43 @@ def _bareiss(rows: Sequence[Sequence[int]], jordan: bool = False
     return m, pivots, sign
 
 
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as a list of rows."""
-    return len(_bareiss(rows)[1])
+def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Rank over the rationals of a matrix given as rows of ints or
+    Fractions."""
+    return len(_bareiss(_int_rows(rows)[0])[1])
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix given as a list of rows."""
-    n = len(rows)
-    m, pivots, sign = _bareiss(rows)
-    if len(pivots) < n:
-        return 0
-    return sign * m[n - 1][n - 1] if n else 1
-
-
-def exact_rank(m: ExactMatrix) -> int:
-    """Rank over the rationals."""
-    return int_rank(_int_rows(m)[0])
-
-
-def exact_det(m: ExactMatrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    if m.rows != m.cols:
+def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
+    """Exact determinant of a square matrix given as rows."""
+    int_rows, scale = _int_rows(rows)
+    n = len(int_rows)
+    if n and len(int_rows[0]) != n:
         raise ValueError("determinant of a non-square matrix")
-    int_rows, scale = _int_rows(m)
-    return Fraction(int_det(int_rows), scale)
+    m, pivots, sign = _bareiss(int_rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[n - 1][n - 1] if n else 1, scale)
 
 
-def nullspace(m: ExactMatrix) -> list[Vector]:
+def nullspace(rows: Sequence[Sequence[Rational]]) -> list[Vector]:
     """Integer basis of the right nullspace {x : Mx = 0}, exact.
 
     One vector per free column fc of the fraction-free reduced form, whose
     pivots all equal d: it has d at fc and, at each pivot column, minus
-    the entry in column fc of that pivot's row.
+    the entry in column fc of that pivot's row.  A matrix with no rows has
+    no column count and raises ValueError.
     """
-    red, pivots, _ = _bareiss(_int_rows(m)[0], jordan=True)
+    if not rows:
+        raise ValueError("nullspace of a matrix with no rows")
+    cols = len(rows[0])
+    red, pivots, _ = _bareiss(_int_rows(rows)[0], jordan=True)
     d = red[len(pivots) - 1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
     basis = []
-    for fc in range(m.cols):
+    for fc in range(cols):
         if fc in pivot_set:
             continue
-        v = [0] * m.cols
+        v = [0] * cols
         v[fc] = d
         for ri, pc in enumerate(pivots):
             v[pc] = -red[ri][fc]
@@ -288,24 +287,39 @@ def nullspace(m: ExactMatrix) -> list[Vector]:
 
 
 def gram_matrix(vectors: Sequence[Sequence[Rational]],
-                metric: MetricLike) -> ExactMatrix:
-    """Pairwise scalar products of the given vectors."""
-    return ExactMatrix.from_rows(
-        [[scalar_product(u, v, metric) for v in vectors] for u in vectors])
+                metric: MetricLike) -> list[list[Rational]]:
+    """Rows of the pairwise scalar products of vectors of ints or Fractions.
+
+    The matrix is symmetric: its upper triangle is filled from the vectors
+    and their metric-signed copies, and mirrored.
+    """
+    signs = metric_signs(metric)
+    if any(len(v) != len(signs) for v in vectors):
+        raise ValueError(f"vectors must have the metric's length {len(signs)}")
+    signed = ([[s * e for s, e in zip(signs, v)] for v in vectors]
+              if -1 in signs else vectors)
+    n = len(vectors)
+    gram = [[0] * n for _ in range(n)]
+    for i, vi in enumerate(vectors):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, vi, signed[j]))
+    return gram
 
 
-def classify_map(m: ExactMatrix, metric_from: MetricLike,
+def classify_map(rows: Sequence[Sequence[Rational]], metric_from: MetricLike,
                  metric_to: MetricLike) -> MapClass:
-    """Decide whether M is an isometry or anti-isometry via its Gram matrix.
+    """Decide whether the matrix M with these rows is an isometry or an
+    anti-isometry via its Gram matrix.
 
     Comparing M^T G_to M against +-G_from suffices because both sides are
     the bilinear forms <Mx,My> and <x,y> evaluated on all basis pairs.
     """
     signs_from = metric_signs(metric_from)
     signs_to = metric_signs(metric_to)
-    if m.cols != len(signs_from) or m.rows != len(signs_to):
+    cols = list(zip(*rows))
+    if (len(rows) != len(signs_to) or len(cols) != len(signs_from)
+            or any(len(r) != len(cols) for r in rows)):
         raise ValueError("matrix shape does not match the given metrics")
-    cols = [m.column(j) for j in range(1, m.cols + 1)]
     iso = True
     anti = True
     for i, ci in enumerate(cols):

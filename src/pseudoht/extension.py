@@ -91,19 +91,13 @@ def _center_layout(step: ExtensionStep, r: int, s: int
     after the parent's positive part, except for the all-negative (0,8)
     factor whose block is appended at the end.
     """
-    if step is ExtensionStep.BY_8_0:
-        sig = Signature(r + 8, s)
-        parent = tuple(k if k <= r else k + 8 for k in range(1, r + s + 1))
-        factor = tuple(r + k for k in range(1, 9))
-    elif step is ExtensionStep.BY_0_8:
-        sig = Signature(r, s + 8)
-        parent = tuple(range(1, r + s + 1))
-        factor = tuple(r + s + k for k in range(1, 9))
-    else:
-        sig = Signature(r + 4, s + 4)
-        parent = tuple(k if k <= r else k + 8 for k in range(1, r + s + 1))
-        factor = tuple(r + k for k in range(1, 9))
-    return sig, parent, factor
+    dr, ds = step.delta
+    sig = Signature(r + dr, s + ds)
+    if step is ExtensionStep.BY_0_8:
+        return (sig, tuple(range(1, r + s + 1)),
+                tuple(r + s + k for k in range(1, 9)))
+    return (sig, tuple(k if k <= r else k + 8 for k in range(1, r + s + 1)),
+            tuple(r + k for k in range(1, 9)))
 
 
 def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
@@ -154,7 +148,7 @@ def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
         for i, j in [((f - 1) // 16 + 1, (f - 1) % 16 + 1)])
     # parent and factor positions partition 1..dim, so every label is Z<pos>
     center_labels = tuple(f"Z{k}" for k in range(1, sig.dim + 1))
-    blocks = _extend_blocks(a.blocks, factor.blocks, step, pair_to_final, flat)
+    blocks = _extend_blocks(a.blocks, factor.blocks, pair_to_final, metric)
     return PseudoHTypeAlgebra(
         center_sig=sig,
         module_signs=metric,
@@ -166,38 +160,27 @@ def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     )
 
 
-def _extend_blocks(parent: Optional[BlockSets], fb: BlockSets,
-                   step: ExtensionStep, pair_to_final: Sequence[int],
-                   flat) -> Optional[BlockSets]:
-    """Push the canonical quarter sets through one extension step."""
+def _extend_blocks(parent: Optional[BlockSets], factor: BlockSets,
+                   pair_to_final: Sequence[int], metric: Sequence[int]
+                   ) -> Optional[BlockSets]:
+    """Push the canonical quarter sets through one extension step.
+
+    One rule serves every step: w_i (x) u_j lies in the A part exactly when
+    w_i and u_j lie in like parts, and the new metric sign splits each part.
+    pair_to_final maps flat(i, j) to the final index (slot 0 unused) and
+    metric is the new module metric.
+    """
     if parent is None:
         return None
-
-    def prod(par: frozenset[int], fac: frozenset[int]) -> frozenset[int]:
-        return frozenset(pair_to_final[flat(i, j)] for i in par for j in fac)
-
-    fa = fb.a_side
-    fbn = fb.b_side
-    if step is ExtensionStep.BY_8_0:
-        a_plus = prod(parent.a_plus, fa) | prod(parent.b_plus, fbn)
-        a_minus = prod(parent.a_minus, fa) | prod(parent.b_minus, fbn)
-        b_plus = prod(parent.a_plus, fbn) | prod(parent.b_plus, fa)
-        b_minus = prod(parent.a_minus, fbn) | prod(parent.b_minus, fa)
-    elif step is ExtensionStep.BY_0_8:
-        a_plus = prod(parent.a_plus, fa) | prod(parent.b_minus, fbn)
-        a_minus = prod(parent.a_minus, fa) | prod(parent.b_plus, fbn)
-        b_plus = prod(parent.a_minus, fbn) | prod(parent.b_plus, fa)
-        b_minus = prod(parent.a_plus, fbn) | prod(parent.b_minus, fa)
-    else:
-        a_plus = (prod(parent.b_plus, fb.b_plus) | prod(parent.b_minus, fb.b_minus)
-                  | prod(parent.a_plus, fb.a_plus) | prod(parent.a_minus, fb.a_minus))
-        a_minus = (prod(parent.b_minus, fb.b_plus) | prod(parent.b_plus, fb.b_minus)
-                   | prod(parent.a_minus, fb.a_plus) | prod(parent.a_plus, fb.a_minus))
-        b_plus = (prod(parent.a_plus, fb.b_plus) | prod(parent.a_minus, fb.b_minus)
-                  | prod(parent.b_plus, fb.a_plus) | prod(parent.b_minus, fb.a_minus))
-        b_minus = (prod(parent.a_plus, fb.b_minus) | prod(parent.a_minus, fb.b_plus)
-                   | prod(parent.b_minus, fb.a_plus) | prod(parent.b_plus, fb.a_minus))
-    return BlockSets(a_plus, a_minus, b_plus, b_minus)
+    parent_a = parent.a_side
+    factor_a = [j in factor.a_side for j in range(1, 17)]
+    parts: tuple[list[int], ...] = ([], [], [], [])  # A+, A-, B+, B-
+    for i in range(1, len(pair_to_final) // 16 + 1):
+        w_in_a = i in parent_a
+        row = pair_to_final[16 * i - 15:16 * i + 1]  # flat(i, 1..16)
+        for final, u_in_a in zip(row, factor_a):
+            parts[2 * (w_in_a != u_in_a) + (metric[final - 1] < 0)].append(final)
+    return BlockSets(*map(frozenset, parts))
 
 
 def extension_chain(base_id: tuple[int, int],

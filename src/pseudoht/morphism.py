@@ -38,6 +38,7 @@ from .core import (
     Signature,
     classify_map,
     exact_det,
+    gram_matrix,
 )
 from .extension import (
     ExtensionStep,
@@ -83,7 +84,7 @@ def _sparse_rows(m: ExactMatrix) -> list[dict[int, Rational]]:
 def classify_morphism(f: LieMorphism) -> MorphismClass:
     integral = all(SignedPermutationOp.from_matrix(m) is not None
                    for m in (f.A, f.C))
-    action = classify_map(f.C, f.src.center_sig, f.dst.center_sig)
+    action = classify_map(f.C.entries, f.src.center_sig, f.dst.center_sig)
     return MorphismClass(center_action=action, integral=integral)
 
 
@@ -233,7 +234,9 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     if SignedPermutationOp.from_matrix(f.A) is not None:
         d = 1  # signed permutation block: |det(A^tau A)| = 1
     else:
-        d = abs(exact_det(f.A.transpose().mul(f.A)))
+        # A^T A is the Gram matrix of A's columns
+        d = abs(exact_det(gram_matrix(list(zip(*f.A.entries)),
+                                      (1,) * f.A.rows)))
     if d == 0:
         raise ValueError("module block is singular; cannot normalize")
     if d == 1:
@@ -244,16 +247,12 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
             raise ValueError(
                 f"|det(A^tau A)| = {d} has no exact rational (2*dim)-th root")
         g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu))
-    gz_src = f.src.center_sig.signs()
+    # (C C^tau)_ij = eps^dst_j <C_i, C_j>_src for C^tau = G_src C^T G_dst
+    rows = gram_matrix(g.C.entries, f.src.center_sig)
     gz_dst = f.dst.center_sig.signs()
-    c = g.C
-    ctau = ExactMatrix.from_rows(
-        [[gz_src[m] * c.entries[k][m] * gz_dst[k]
-          for k in range(c.rows)] for m in range(c.cols)])
-    cct = c.mul(ctau)
-    n = cct.rows
+    n = len(rows)
     for t in (1, -1):
-        if all(cct.entries[i][j] == (t if i == j else 0)
+        if all(rows[i][j] == (t * gz_dst[j] if i == j else 0)
                for i in range(n) for j in range(n)):
             return g, t
     raise ValueError("C C^tau is not +-identity after normalization")

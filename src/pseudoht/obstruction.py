@@ -12,7 +12,6 @@ record recheck re-derives from the destination algebra.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,7 +32,7 @@ from .core import (
     clear_denominators,
     exact_det,
     exact_rank,
-    int_rank,
+    gram_matrix,
     scalar_product,
 )
 from .extension import standard_algebra, standard_chain
@@ -64,26 +63,21 @@ def gram_det(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> Fraction:
     """Exact det(M_X M_X^T) for the adjoint matrix of X.
 
     Computed on the integer vector L*X, whose adjoint matrix is L*M_X, so
-    the determinant of its Gram matrix carries a factor L^(2 dim z).  The
-    Gram matrix is symmetric: its upper triangle is filled from the
-    integer adjoint rows and mirrored.
+    the determinant of its Gram matrix carries a factor L^(2 dim z).
     """
     if len(x) != a.dim_module:
         raise ValueError("X must have module length")
     ints, lcm = clear_denominators(x)
-    rows = adjoint_rows(a, ints)
-    n = len(rows)
-    gram = [[0] * n for _ in range(n)]
-    for i, ri in enumerate(rows):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(map(operator.mul, ri, rows[j]))
-    return exact_det(ExactMatrix.from_rows(gram)) / lcm ** (2 * a.dim_center)
+    gram = gram_matrix(adjoint_rows(a, ints), (1,) * a.dim_module)
+    return exact_det(gram) / lcm ** (2 * a.dim_center)
 
 
 def adjoint_rank(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> int:
     """Rank of ad_X, computed on the integer vector L*X of equal rank."""
+    if len(x) != a.dim_module:
+        raise ValueError("X must have module length")
     ints, _ = clear_denominators(x)
-    return exact_rank(adjoint_matrix(a, ints).matrix)
+    return exact_rank(adjoint_rows(a, ints))
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ def surjectivity_scan(a: PseudoHTypeAlgebra) -> ScanReport:
     for x in candidates:
         points += 1
         null = sum(s * e * e for s, e in zip(signs, x)) == 0
-        if null == (int_rank(adjoint_rows(a, x)) == a.dim_center):
+        if null == (exact_rank(adjoint_rows(a, x)) == a.dim_center):
             return ScanReport(a.name(), points, x)
     return ScanReport(a.name(), points)
 

@@ -153,14 +153,14 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     hom = verify_homomorphism(f)
     if not hom.ok:
         return Verdict(False, hom.witness, "embedded map is not a homomorphism")
-    action = classify_map(f.C, src.center_sig, dst.center_sig)
+    action = classify_map(f.C.entries, src.center_sig, dst.center_sig)
     if stated and stated.get("center_action") != action.value:
         return Verdict(False, None, "stated center action does not match")
     # invertibility of the blocks makes the homomorphism an isomorphism; a
     # signed permutation A needs no elimination
     a_signed = SignedPermutationOp.from_matrix(f.A) is not None
-    c_invertible = exact_rank(f.C) == f.C.rows
-    a_invertible = a_signed or exact_rank(f.A) == f.A.rows
+    c_invertible = exact_rank(f.C.entries) == f.C.rows
+    a_invertible = a_signed or exact_rank(f.A.entries) == f.A.rows
     if not (a_invertible and c_invertible):
         return Verdict(False, None, "a block of the embedded map is singular")
     if stated and _flag(stated, "integral") != (

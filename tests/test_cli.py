@@ -131,6 +131,12 @@ PINNED_CHECK_OUTPUTS = {
         "9b982052fced5addb2164764b090e4e5f088afeffcd9e9d8f7123f4732ab9440",
     ("5", "5", "5", "5", "--anti"):
         "7f901d8b5b61117b28b823d03a4c0750bf03d94f99eb5534cc420022349c9aec",
+    # a (4,4) step on a definite parent, an (8,0) step on (1,1): taken before
+    # the extension blocks and center layout became one rule for all steps
+    ("6", "4", "4", "6"):
+        "f403e5f965991fb33274ebce45bf876bb837d3ac8684eaa078f926979998cdab",
+    ("9", "1", "1", "9"):
+        "652e535749a8de013fd774b209be54b0ac0ea57625252b62be98046125aeab7d",
 }
 
 
@@ -274,6 +280,43 @@ def test_verify_paper_report_does_not_depend_on_the_seed(tmp_path, capsys):
         reports.append(report)
     assert reports[0] == reports[1]
     assert [c["checks"] for c in reports[0]["criteria"]][7] == 4
+
+
+# sha256 of json.dumps(report, indent=2) for the verify-paper --out report
+# with every elapsed_s dropped, taken before core took rows
+PINNED_PAPER_REPORT = \
+    "77a825ce6501aa602dd38ec816f49541d5907061f58521f1614666e9a0f4e4cd"
+
+
+def test_verify_paper_report_is_byte_stable(tmp_path, capsys, monkeypatch,
+                                            paper_reports):
+    import pseudoht.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda: paper_reports)
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify-paper", "--out", str(path))
+    assert code == 1          # criterion 7 is red by design
+    report = json.loads(path.read_text())
+    for crit in report["criteria"]:
+        del crit["elapsed_s"]
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PAPER_REPORT
+
+
+@pytest.mark.parametrize("argv", [("check", "1", "8", "8", "1"),
+                                  ("build", "1", "0"),
+                                  ("verify-paper",)])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                         paper_reports, argv):
+    # an --out in a missing directory is exit 3, not check's negative 1
+    import pseudoht.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda: paper_reports)
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 3
+    assert err.count("\n") == 1 and str(path) in err
+    assert not path.exists()
 
 
 def test_verify_paper_quick_is_gone(capsys):

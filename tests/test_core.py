@@ -81,27 +81,47 @@ def test_metric_signs_rejects_bad_entries():
 
 
 def test_rank_and_det_identity():
-    m = ExactMatrix.identity(5)
-    assert exact_rank(m) == 5
-    assert exact_det(m) == 1
+    for n in (0, 5):    # the empty matrix has rank 0 and determinant 1
+        m = ExactMatrix.identity(n).entries
+        assert exact_rank(m) == n
+        assert exact_det(m) == 1
 
 
 def test_rank_zero_matrix():
-    assert exact_rank(ExactMatrix.zero(3, 4)) == 0
+    assert exact_rank(ExactMatrix.zero(3, 4).entries) == 0
 
 
 def test_det_known_values():
-    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    assert exact_det(m) == -2
-    m = ExactMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 2)]])
-    assert exact_det(m) == Fraction(-3, 4)
-    m = ExactMatrix.from_rows([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
-    assert exact_det(m) == 0
+    assert exact_det([[1, 2], [3, 4]]) == -2
+    assert exact_det([[Fraction(1, 2), 1], [1, Fraction(1, 2)]]) == Fraction(-3, 4)
+    assert exact_det([[0, 1, 2], [0, 0, 3], [0, 0, 0]]) == 0
 
 
 def test_rank_rectangular_with_dependent_rows():
-    m = ExactMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]])
-    assert exact_rank(m) == 2
+    assert exact_rank([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]]) == 2
+
+
+def test_rows_api_refuses_malformed_rows():
+    for routine in (exact_rank, exact_det, nullspace):
+        with pytest.raises(ValueError, match="ragged"):
+            routine([[1, 2], [3]])
+    with pytest.raises(ValueError, match="no rows"):
+        nullspace([])    # no rows, so no column count
+    with pytest.raises(ValueError, match="non-square"):
+        exact_det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_fraction_rows_match_their_cleared_integer_rows():
+    # rows of Fractions and of ints give the rank, kernel and determinant
+    # of the same rational matrix
+    half = Fraction(1, 2)
+    rows = [[half, 1, Fraction(3, 2)], [1, 2, 3], [0, Fraction(1, 3), 1]]
+    ints = [[1, 2, 3], [1, 2, 3], [0, 1, 3]]
+    assert exact_rank(rows) == exact_rank(ints) == 2
+    assert nullspace(rows) == nullspace(ints) == [(3, -3, 1)]
+    assert exact_det(rows) == 0
+    det = exact_det([[half, 1], [Fraction(1, 3), 2]])
+    assert det == Fraction(2, 3) and type(det) is Fraction
 
 
 def test_rank_equals_rank_of_gram():
@@ -113,7 +133,7 @@ def test_rank_equals_rank_of_gram():
         m = ExactMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
         mmT = m.mul(m.transpose())
-        assert exact_rank(m) == exact_rank(mmT)
+        assert exact_rank(m.entries) == exact_rank(mmT.entries)
 
 
 def test_rank_matches_fraction_gauss_reference():
@@ -141,7 +161,7 @@ def test_rank_matches_fraction_gauss_reference():
         m = ExactMatrix.from_rows(
             [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
              for _ in range(rows)])
-        assert exact_rank(m) == gauss_rank(m)
+        assert exact_rank(m.entries) == gauss_rank(m)
 
 
 def test_det_multiplicative_on_random_int_matrices():
@@ -150,12 +170,13 @@ def test_det_multiplicative_on_random_int_matrices():
         n = rng.randint(1, 5)
         a = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         b = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        assert exact_det(a.mul(b)) == exact_det(a) * exact_det(b)
+        assert (exact_det(a.mul(b).entries)
+                == exact_det(a.entries) * exact_det(b.entries))
 
 
 def test_nullspace_basic():
     m = ExactMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
-    basis = nullspace(m)
+    basis = nullspace(m.entries)
     assert len(basis) == 1
     v = basis[0]
     assert m.apply(v) == (0, 0)
@@ -171,26 +192,26 @@ def test_nullspace_dimension_theorem():
         m = ExactMatrix.from_rows(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, den))
               for _ in range(cols)] for _ in range(rows)])
-        basis = nullspace(m)
-        assert len(basis) == cols - exact_rank(m)
+        basis = nullspace(m.entries)
+        assert len(basis) == cols - exact_rank(m.entries)
         for v in basis:
             assert all(type(e) is int for e in v)
             assert all(e == 0 for e in m.apply(v))
 
 
 def test_classify_identity_is_isometry():
-    m = ExactMatrix.identity(4)
+    m = ExactMatrix.identity(4).entries
     assert classify_map(m, Signature(2, 2), Signature(2, 2)) == MapClass.ISOMETRY
 
 
 def test_classify_swap_on_1_1_is_anti_isometry():
     # Z_1 <-> Z_2 between the two basis directions of a (1,1) space
-    m = ExactMatrix.from_rows([[0, 1], [1, 0]])
+    m = [[0, 1], [1, 0]]
     assert classify_map(m, Signature(1, 1), Signature(1, 1)) == MapClass.ANTI_ISOMETRY
 
 
 def test_classify_scaling_is_neither():
-    m = ExactMatrix.from_rows([[2, 0], [0, 1]])
+    m = [[2, 0], [0, 1]]
     assert classify_map(m, Signature(1, 1), Signature(1, 1)) == MapClass.NEITHER
 
 
@@ -207,12 +228,28 @@ def test_classify_isometry_closed_under_inverse():
         rows = [[0] * 4 for _ in range(4)]
         for col, (img, s) in enumerate(zip(perm, flip)):
             rows[img - 1][col] = s
-        m = ExactMatrix.from_rows(rows)
-        assert classify_map(m, signs, signs) == MapClass.ISOMETRY
-        inv = m.transpose()  # signed permutation matrices are orthogonal
+        assert classify_map(rows, signs, signs) == MapClass.ISOMETRY
+        inv = list(zip(*rows))  # signed permutation matrices are orthogonal
         assert classify_map(inv, signs, signs) == MapClass.ISOMETRY
 
 
 def test_gram_matrix():
     g = gram_matrix([basis_vector(1, 3), basis_vector(3, 3)], Signature(1, 2))
-    assert g.entries == ((1, 0), (0, -1))
+    assert g == [[1, 0], [0, -1]]
+    # the table of signed scalar products, for Fraction entries too
+    rng = random.Random(11)
+    for _ in range(40):
+        signs = [rng.choice([1, -1]) for _ in range(4)]
+        vecs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
+                for _ in range(rng.randint(0, 4))]
+        assert gram_matrix(vecs, signs) == [
+            [scalar_product(u, v, signs) for v in vecs] for u in vecs]
+    with pytest.raises(ValueError):
+        gram_matrix([[1, 2]], Signature(2, 1))
+
+
+def test_classify_map_refuses_a_wrong_shape():
+    with pytest.raises(ValueError):
+        classify_map([[1, 0], [0]], Signature(1, 1), Signature(1, 1))
+    with pytest.raises(ValueError):
+        classify_map([[1, 0, 0], [0, 1, 0]], Signature(1, 1), Signature(1, 1))

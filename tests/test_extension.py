@@ -1,9 +1,12 @@
+import itertools
 import time
 
 import pytest
 
 from pseudoht.algebra import (
+    BlockSets,
     StructureTensor,
+    block_decomposition,
     bracket,
     j_operator,
     verify_admissible,
@@ -193,6 +196,36 @@ def test_extended_block_sets_commute():
             for part, sign in ((ext.blocks.a_plus, 1), (ext.blocks.a_minus, -1),
                                (ext.blocks.b_plus, 1), (ext.blocks.b_minus, -1)):
                 assert all(ext.module_sign(i) == sign for i in part)
+
+
+def _graph_blocks(a):
+    """block_decomposition of a, refined by metric sign."""
+    a_side, b_side = block_decomposition(a)
+    return BlockSets(*(frozenset(i for i in side if a.module_sign(i) == sign)
+                       for side in (a_side, b_side) for sign in (1, -1)))
+
+
+def _chains_up_to(base, dim):
+    steps = list(ExtensionStep)
+    for n in (1, 2):
+        for chain in itertools.product(steps, repeat=n):
+            if base_algebra(*base).dim_module * 16 ** n <= dim:
+                yield chain
+
+
+def test_extended_blocks_follow_the_commutation_graph():
+    # one rule for every step: w_i (x) u_j is on the A side exactly when w_i
+    # and u_j are on like sides, split by the new metric sign; the coloured
+    # commutation graph of the extension gives the same sets, oriented alike
+    bases = [rs for rs in sorted(BASE_IDS) if base_algebra(*rs).blocks]
+    assert len(bases) == 11
+    checked = 0
+    for rs in bases:
+        for chain in _chains_up_to(rs, 512):
+            ext = extension_chain(rs, chain)
+            assert ext.blocks == _graph_blocks(ext), (rs, chain)
+            checked += 1
+    assert checked == 51
 
 
 def test_extension_chain_examples():

@@ -36,8 +36,8 @@ def test_guard_counts_fractions(fractions_built):
 
 def test_matrix_kernel_builds_no_fraction(fractions_built):
     m = ExactMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]])
-    assert exact_rank(m) == 2
-    basis = nullspace(m)
+    assert exact_rank(m.entries) == 2
+    basis = nullspace(m.entries)
     assert len(basis) == 2
     assert all(e == 0 for v in basis for e in m.apply(v))
     assert fractions_built == []

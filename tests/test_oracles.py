@@ -54,8 +54,7 @@ def test_table_ops_equal_recovered_ops():
 def test_printed_matrix_rank_at_basis_vector():
     # eliminating the printed rank-(3,2) adjoint matrix at the first basis
     # vector gives full rank five
-    m = ExactMatrix.from_rows(printed_m32([1, 0, 0, 0, 0, 0, 0, 0]))
-    assert exact_rank(m) == 5
+    assert exact_rank(printed_m32([1, 0, 0, 0, 0, 0, 0, 0])) == 5
 
 
 def test_parity_soundness_against_canonical_maps():

@@ -91,7 +91,7 @@ def test_swap_isomorphism_verifies(rs, mu, nu):
     assert verify_homomorphism(f).ok
     assert (f.dst.provenance.mu, f.dst.provenance.nu) == (nu, mu)
     sig = s.algebra.center_sig
-    assert classify_map(f.C, sig, sig) is MapClass.ISOMETRY  # -Id preserves
+    assert classify_map(f.C.entries, sig, sig) is MapClass.ISOMETRY  # -Id preserves
     assert all(f.C.get(k, k) == -1 for k in range(1, sig.dim + 1))
 
 
