@@ -13,7 +13,6 @@ from .algebra import (
     SignedPermutationOp,
     StructureTensor,
     algebra_from_json,
-    algebra_to_json,
     bd_decomposition,
     block_decomposition,
     bracket,
@@ -45,7 +44,6 @@ from .morphism import (
 from .recheck import rebuild_from_provenance, recheck_certificate
 from .obstruction import (
     Certificate,
-    adjoint_matrix,
     gram_det,
     parity_certificate,
     sbg_decision,
@@ -66,9 +64,7 @@ __all__ = [
     "Signature",
     "SignedPermutationOp",
     "StructureTensor",
-    "adjoint_matrix",
     "algebra_from_json",
-    "algebra_to_json",
     "base_algebra",
     "bd_decomposition",
     "block_decomposition",

@@ -315,7 +315,7 @@ def criterion_7_sums() -> CriterionReport:
     rep, fail, done = _report(7, "direct-sums")
     s23 = build_sum(base_algebra(2, 3), 1, 1)
     rep.checks += 1
-    for msg in _axiom_suite(s23.algebra):
+    for msg in _axiom_suite(s23):
         fail(msg)
     # stated expectation: the two block volume elements are exactly +-Id.
     # On any admissible module with r+s = 1 mod 4 the volume element is an

@@ -114,14 +114,6 @@ class SignedPermutationOp:
         """(b, sign) with op(v_a) = sign * v_b."""
         return self.image[a - 1], self.sign[a - 1]
 
-    def apply(self, x: Sequence[Rational]) -> Vector:
-        out = [0] * self.dim
-        for a, xa in enumerate(x, start=1):
-            if xa:
-                b, s = self.apply_basis(a)
-                out[b - 1] += s * exact(xa)
-        return tuple(out)
-
     def compose(self, other: "SignedPermutationOp") -> "SignedPermutationOp":
         """self after other: (self.compose(other))(v) = self(other(v))."""
         image = tuple(self.image[b - 1] for b in other.image)
@@ -284,6 +276,8 @@ class PseudoHTypeAlgebra:
     def __post_init__(self) -> None:
         if self.tensor.dim_module != len(self.module_signs):
             raise ValueError("module metric length does not match tensor")
+        if not set(self.module_signs) <= {1, -1}:
+            raise ValueError("module metric entries must be +-1")
         if self.tensor.dim_center != self.center_sig.dim:
             raise ValueError("center signature does not match tensor")
         if len(self.module_labels) != self.dim_module:
@@ -782,12 +776,6 @@ def algebra_json(a: PseudoHTypeAlgebra, extra: Optional[Mapping] = None) -> str:
     written from the tensor entries without building a dict per entry."""
     tree = _algebra_fields(a, Records(("i", "j", "k", "sign"), a.tensor.entries))
     return dumps({**tree, **(extra or {})})
-
-
-def algebra_to_json(a: PseudoHTypeAlgebra, indent: Optional[int] = None) -> str:
-    """json.dumps of algebra_to_dict(a) with the caller's indent; the CLI
-    writes algebra_json instead."""
-    return json.dumps(algebra_to_dict(a), indent=indent)
 
 
 def _json_ints(values, what: str) -> tuple[int, ...]:

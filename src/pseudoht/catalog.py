@@ -192,10 +192,8 @@ class TableLayout:
 
     display_order: tuple[int, ...]  # table row/column order in basis indices
     module_symbol: str
-    center_symbol: str
     module_tilde: bool
     center_tilde: bool
-    barred: bool               # overbars in the source; dropped in ASCII
     center_offset: int         # first center label index (Z0... for (3,2))
 
 
@@ -259,7 +257,7 @@ _CATALOG_SPECS: dict[BaseTableId, dict] = {
     (3, 2): dict(text=_T_32, order=(1, 4, 7, 8, 2, 3, 5, 6),
                  metric=(1,) * 4 + (-1,) * 4, center_offset=0),
     (2, 3): dict(text=_T_23, order=(1, 4, 7, 8, 2, 3, 5, 6),
-                 metric=(1,) * 4 + (-1,) * 4, barred=True),
+                 metric=(1,) * 4 + (-1,) * 4),
     (3, 3): dict(text=_T_33, order=(1, 2, 5, 6, 3, 4, 7, 8),
                  metric=(1,) * 4 + (-1,) * 4),
     (4, 4): dict(text=_T_44,
@@ -296,10 +294,8 @@ def table_layout(table_id: BaseTableId) -> TableLayout:
     return TableLayout(
         display_order=tuple(entry["order"]),
         module_symbol=entry.get("module_symbol", "w"),
-        center_symbol="Z",
         module_tilde=tilde,
         center_tilde=tilde or entry.get("center_tilde", False),
-        barred=entry.get("barred", False),
         center_offset=entry.get("center_offset", 1),
     )
 
@@ -343,7 +339,7 @@ def _labels(table_id: BaseTableId, n: int, dim_center: int
     mt = "~" if lay.module_tilde else ""
     ct = "~" if lay.center_tilde else ""
     module = tuple(f"{lay.module_symbol}{i}{mt}" for i in range(1, n + 1))
-    center = tuple(f"{lay.center_symbol}{k + lay.center_offset - 1}{ct}"
+    center = tuple(f"Z{k + lay.center_offset - 1}{ct}"
                    for k in range(1, dim_center + 1))
     return module, center
 

@@ -8,7 +8,9 @@ overbars are dropped entirely.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -24,6 +26,23 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
+
+
+def _require_writable(out: str) -> None:
+    """Raise the OSError that open(out, "w") would raise for a missing
+    directory, a directory or a read-only target, creating and truncating
+    nothing."""
+    path = os.path.abspath(out)
+    parent = os.path.dirname(path)
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), out)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -172,9 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; a request the package refuses with a ValueError
     (bad signature or step, module over budget) or an --out that cannot be
-    written (OSError) exits EXIT_ERROR."""
+    written (OSError) exits EXIT_ERROR.  The --out path is checked before
+    any work, so an unwritable one costs nothing."""
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _require_writable(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)

@@ -5,7 +5,7 @@ fills in structure constants case by case: brackets diagonal in the factor
 index inherit the parent constant times a factor-dependent sign table, and
 brackets diagonal in the parent index inherit the factor constant times the
 parent metric sign.  The new center is ordered positive-first, and the
-flattened pair basis is stably re-sorted so the module metric reads
+flattened pair basis is stably split by sign so the module metric reads
 (+...+, -...-); the permutation is recorded in the provenance so canonical
 isomorphisms can keep speaking in pair coordinates.
 """
@@ -101,54 +101,48 @@ def _center_layout(step: ExtensionStep, r: int, s: int
 
 
 def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
-    """Extend an algebra by one Bott-periodicity step."""
+    """Extend an algebra by one Bott-periodicity step.
+
+    The pair w_i (x) u_j has flat index 16(i-1) + (j-1); the final basis
+    lists the positive pairs, then the negative ones, each in flat order.
+    """
     two_l = a.dim_module
     require_module_budget(16 * two_l)
     factor = _factor(step)
-    parent_sign = _PARENT_SIGN[step]
     sig, parent_center, factor_center = _center_layout(step, a.r, a.s)
 
-    def flat(i: int, j: int) -> int:
-        return 16 * (i - 1) + j
-
-    # stable sign sort of the flattened pair basis
-    dim_new = 16 * two_l
-    pair_metric = [0] * (dim_new + 1)
-    for i in range(1, two_l + 1):
-        for j in range(1, 17):
-            pair_metric[flat(i, j)] = a.module_sign(i) * factor.module_sign(j)
-    order = sorted(range(1, dim_new + 1),
-                   key=lambda f: (0 if pair_metric[f] > 0 else 1, f))
-    pair_to_final = [0] * (dim_new + 1)
+    signs = [p * q for p in a.module_signs for q in factor.module_signs]
+    positive = [f for f, e in enumerate(signs) if e > 0]
+    negative = [f for f, e in enumerate(signs) if e < 0]
+    order = positive + negative
+    metric = (1,) * len(positive) + (-1,) * len(negative)
+    pair_to_final = [0] * len(order)
     for pos, f in enumerate(order, start=1):
         pair_to_final[f] = pos
-    metric = tuple(pair_metric[f] for f in order)
 
-    entries = []
+    # columns hold one factor index, rows one parent index
+    columns = [pair_to_final[j::16] for j in range(16)]
+    rows = [pair_to_final[16 * i:16 * i + 16] for i in range(two_l)]
     # factor indices equal: parent bracket scaled by the step's sign table
-    for (i, p, k, s0) in a.tensor.entries:
-        for j in range(1, 17):
-            entries.append((pair_to_final[flat(i, j)], pair_to_final[flat(p, j)],
-                            parent_center[k - 1], s0 * parent_sign[j - 1]))
+    entries = [(col[i - 1], col[p - 1], parent_center[k - 1], s0 * sign)
+               for (i, p, k, s0) in a.tensor.entries
+               for col, sign in zip(columns, _PARENT_SIGN[step])]
     # parent indices equal: factor bracket scaled by the parent metric sign
-    for (j, q, k, s0) in factor.tensor.entries:
-        for i in range(1, two_l + 1):
-            entries.append((pair_to_final[flat(i, j)], pair_to_final[flat(i, q)],
-                            factor_center[k - 1], s0 * a.module_sign(i)))
+    entries += [(row[j - 1], row[q - 1], factor_center[k - 1], s0 * sign)
+                for (j, q, k, s0) in factor.tensor.entries
+                for row, sign in zip(rows, a.module_signs)]
 
-    tensor = StructureTensor(dim_new, sig.dim, entries)
+    tensor = StructureTensor(len(order), sig.dim, entries)
     provenance = ExtensionProvenance(
         parent=a, step=step.value,
-        pair_to_final=tuple(pair_to_final[1:]),
+        pair_to_final=tuple(pair_to_final),
         parent_center_to_final=parent_center,
         factor_center_to_final=factor_center)
     module_labels = tuple(
-        f"{a.module_labels[i - 1]}*{factor.module_labels[j - 1]}"
-        for f in order
-        for i, j in [((f - 1) // 16 + 1, (f - 1) % 16 + 1)])
+        f"{a.module_labels[f // 16]}*{factor.module_labels[f % 16]}"
+        for f in order)
     # parent and factor positions partition 1..dim, so every label is Z<pos>
     center_labels = tuple(f"Z{k}" for k in range(1, sig.dim + 1))
-    blocks = _extend_blocks(a.blocks, factor.blocks, pair_to_final, metric)
     return PseudoHTypeAlgebra(
         center_sig=sig,
         module_signs=metric,
@@ -156,28 +150,27 @@ def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
         module_labels=module_labels,
         center_labels=center_labels,
         provenance=provenance,
-        blocks=blocks,
+        blocks=_extend_blocks(a.blocks, factor.blocks, rows, metric),
     )
 
 
 def _extend_blocks(parent: Optional[BlockSets], factor: BlockSets,
-                   pair_to_final: Sequence[int], metric: Sequence[int]
+                   rows: Sequence[Sequence[int]], metric: Sequence[int]
                    ) -> Optional[BlockSets]:
     """Push the canonical quarter sets through one extension step.
 
     One rule serves every step: w_i (x) u_j lies in the A part exactly when
     w_i and u_j lie in like parts, and the new metric sign splits each part.
-    pair_to_final maps flat(i, j) to the final index (slot 0 unused) and
-    metric is the new module metric.
+    rows[i - 1][j - 1] is the final index of w_i (x) u_j and metric is the
+    new module metric.
     """
     if parent is None:
         return None
     parent_a = parent.a_side
     factor_a = [j in factor.a_side for j in range(1, 17)]
     parts: tuple[list[int], ...] = ([], [], [], [])  # A+, A-, B+, B-
-    for i in range(1, len(pair_to_final) // 16 + 1):
+    for i, row in enumerate(rows, start=1):
         w_in_a = i in parent_a
-        row = pair_to_final[16 * i - 15:16 * i + 1]  # flat(i, 1..16)
         for final, u_in_a in zip(row, factor_a):
             parts[2 * (w_in_a != u_in_a) + (metric[final - 1] < 0)].append(final)
     return BlockSets(*map(frozenset, parts))

@@ -24,11 +24,8 @@ from .algebra import (
     verify_clifford,
 )
 from .core import (
-    ExactMatrix,
     Rational,
     Signature,
-    Vector,
-    as_vector,
     clear_denominators,
     exact_det,
     exact_rank,
@@ -42,21 +39,6 @@ from .morphism import (
     morphism_to_dict,
     verify_conjugation,
 )
-
-
-@dataclass(frozen=True)
-class AdjointMatrix:
-    """Matrix of ad_X: column b holds the center coordinates of [X, v_b]."""
-
-    x: Vector
-    matrix: ExactMatrix
-
-
-def adjoint_matrix(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> AdjointMatrix:
-    if len(x) != a.dim_module:
-        raise ValueError("X must have module length")
-    xv = as_vector(x)
-    return AdjointMatrix(xv, ExactMatrix.from_rows(adjoint_rows(a, xv)))
 
 
 def gram_det(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> Fraction:

@@ -127,7 +127,7 @@ def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
         if types != (1, 2) or any(len(b) != 2 for b in blocks):
             raise _Malformed("sum blocks must be type 1, then type 2")
         return build_sum(base_algebra(*_ints(_field(prov, "base"), 2, "base")),
-                         mu, nu).algebra
+                         mu, nu)
     raise _Malformed(f"cannot rebuild an algebra from provenance {prov!r}")
 
 
@@ -257,7 +257,7 @@ def _recheck_sbg_no(payload: Mapping) -> Verdict:
     try:
         if "sum" in payload:
             mu, nu = _ints(payload["sum"], 2, "sum")
-            a = build_sum(base_algebra(r, s), mu, nu).algebra
+            a = build_sum(base_algebra(r, s), mu, nu)
         else:
             a = standard_algebra(r, s)
     except ValueError as exc:

@@ -9,7 +9,6 @@ types.  Brackets between distinct copies vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
@@ -20,7 +19,12 @@ from .algebra import (
     algebra_json,
     algebra_to_dict,
 )
-from .catalog import BASE_IDS, UnsupportedSignatureError, require_module_budget
+from .catalog import (
+    BASE_IDS,
+    UnsupportedSignatureError,
+    base_algebra,
+    require_module_budget,
+)
 from .extension import volume_involution
 from .morphism import LieMorphism
 from .obstruction import (
@@ -29,27 +33,6 @@ from .obstruction import (
     sbg_decision,
     verify_sbg_no_witness,
 )
-
-
-@dataclass(frozen=True)
-class DirectSumAlgebra:
-    base: PseudoHTypeAlgebra
-    mu: int
-    nu: int
-    algebra: PseudoHTypeAlgebra  # the combined object, block-concatenated
-
-    @property
-    def block_dim(self) -> int:
-        return self.base.dim_module
-
-    @property
-    def blocks(self) -> list[int]:
-        """Block types in basis order: mu ones then nu twos."""
-        return [1] * self.mu + [2] * self.nu
-
-    def block_offset(self, index: int) -> int:
-        """0-based module offset of block `index` (0-based)."""
-        return index * self.block_dim
 
 
 def require_sum_counts(base: PseudoHTypeAlgebra, mu: int, nu: int) -> None:
@@ -67,8 +50,9 @@ def require_sum_counts(base: PseudoHTypeAlgebra, mu: int, nu: int) -> None:
     require_module_budget(base.dim_module * (mu + nu))
 
 
-def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
-    """mu copies of the base block plus nu copies of the negated-J block."""
+def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> PseudoHTypeAlgebra:
+    """mu copies of the base block plus nu copies of the negated-J block;
+    the sum's SumProvenance records (base, mu, nu)."""
     require_sum_counts(base, mu, nu)
     r, s = base.r, base.s
     per = base.dim_module
@@ -82,7 +66,7 @@ def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
     tensor = StructureTensor(total, base.dim_center, entries)
     labels = tuple(f"{base.module_labels[i]}.{b + 1}"
                    for b in range(mu + nu) for i in range(per))
-    combined = PseudoHTypeAlgebra(
+    return PseudoHTypeAlgebra(
         center_sig=base.center_sig,
         module_signs=base.module_signs * (mu + nu),
         tensor=tensor,
@@ -90,85 +74,87 @@ def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> DirectSumAlgebra:
         center_labels=base.center_labels,
         provenance=SumProvenance(r, s, mu, nu),
     )
-    return DirectSumAlgebra(base=base, mu=mu, nu=nu, algebra=combined)
 
 
-def block_volume_element(sum_algebra: DirectSumAlgebra, block: int
+def _sum_provenance(a: PseudoHTypeAlgebra) -> SumProvenance:
+    """The record of (base, mu, nu) that build_sum gave a; ValueError for
+    an algebra that is not a direct sum."""
+    if not isinstance(a.provenance, SumProvenance):
+        raise ValueError(f"{a.name()} is not a direct sum")
+    return a.provenance
+
+
+def block_volume_element(a: PseudoHTypeAlgebra, block: int
                          ) -> tuple[Optional[int], SignedPermutationOp]:
     """Compose all center operators on one block; (+1, -1, or None) plus op.
 
     The operators are the sum's own, read off its tensor; brackets between
     copies vanish, so each maps every block to itself, and the composite
-    is restricted to the block.  None means the composition is not a
-    scalar multiple of the identity, which happens when the minimal module
-    is reducible.
+    is restricted to the block (0-based).  None means the composition is
+    not a scalar multiple of the identity, which happens when the minimal
+    module is reducible.
     """
-    per = sum_algebra.block_dim
-    off = sum_algebra.block_offset(block)
-    whole = volume_involution(sum_algebra.algebra)
+    prov = _sum_provenance(a)
+    per = a.dim_module // (prov.mu + prov.nu)
+    off = block * per
+    whole = volume_involution(a)
     op = SignedPermutationOp(tuple(b - off for b in whole.image[off:off + per]),
                              whole.sign[off:off + per])
     return op.scalar_action(), op
 
 
-def swap_isomorphism(sum_algebra: DirectSumAlgebra) -> LieMorphism:
+def swap_isomorphism(a: PseudoHTypeAlgebra) -> LieMorphism:
     """Block swap n_{r,s}(mu,nu) -> n_{r,s}(nu,mu) negating the center.
 
     Type-1 copy j goes to type-2 copy j of the target and vice versa; since
     both block types share the same coordinate space, the per-block map is
     the identity matrix.
     """
-    base = sum_algebra.base
-    if (base.r - base.s) % 4 != 3:
+    prov = _sum_provenance(a)
+    if (a.r - a.s) % 4 != 3:
         raise ValueError("block swap needs two module types: r - s = 3 mod 4")
-    mu, nu = sum_algebra.mu, sum_algebra.nu
-    target = build_sum(base, nu, mu)
-    per = sum_algebra.block_dim
+    mu, nu = prov.mu, prov.nu
+    target = build_sum(base_algebra(prov.base_r, prov.base_s), nu, mu)
+    per = a.dim_module // (mu + nu)
     # type-1 source j -> target block nu + j; type-2 source q -> block q
     targets = [nu + j for j in range(mu)] + list(range(nu))
     image = tuple(t * per + i for t in targets for i in range(1, per + 1))
     module = SignedPermutationOp(image, (1,) * len(image))
-    center = SignedPermutationOp.identity(base.dim_center).negate()
-    return LieMorphism(sum_algebra.algebra, target.algebra, module.matrix(),
-                       center.matrix())
+    center = SignedPermutationOp.identity(a.dim_center).negate()
+    return LieMorphism(a, target, module.matrix(), center.matrix())
 
 
-def sum_sbg(sum_algebra: DirectSumAlgebra) -> Certificate:
+def sum_sbg(a: PseudoHTypeAlgebra) -> Certificate:
     """Strongly-bracket-generating decision for a direct sum.
 
     Definite center: the Clifford-gated theorem on the combined algebra.
     Otherwise the base witness padded with zero blocks works verbatim.
     """
-    a = sum_algebra.algebra
+    prov = _sum_provenance(a)
     if a.r == 0 or a.s == 0:
         cert = sbg_decision(a)
         return Certificate(cert.kind, {
-            **cert.payload, "sum": [sum_algebra.mu, sum_algebra.nu]})
-    z0, v_base = null_direction_witness(sum_algebra.base)
+            **cert.payload, "sum": [prov.mu, prov.nu]})
+    z0, v_base = null_direction_witness(base_algebra(prov.base_r, prov.base_s))
     v = v_base + [0] * (a.dim_module - len(v_base))
     verdict = verify_sbg_no_witness(a, z0, v)
     if not verdict.ok:
         raise RuntimeError(f"padded witness failed verification: {verdict.detail}")
     return Certificate("SBG_NO", {
         "signature": [a.r, a.s],
-        "sum": [sum_algebra.mu, sum_algebra.nu],
+        "sum": [prov.mu, prov.nu],
         "z0": [str(e) for e in z0],
         "witness_v": [str(e) for e in v],
     })
 
 
-def _blocks_record(sum_algebra: DirectSumAlgebra) -> list[dict]:
-    return [{"type": 1, "count": sum_algebra.mu},
-            {"type": 2, "count": sum_algebra.nu}]
-
-
-def sum_to_dict(sum_algebra: DirectSumAlgebra) -> dict:
-    data = algebra_to_dict(sum_algebra.algebra)
-    data["blocks"] = _blocks_record(sum_algebra)
+def sum_to_dict(a: PseudoHTypeAlgebra) -> dict:
+    data = algebra_to_dict(a)
+    data["blocks"] = _sum_provenance(a).json_dict()["blocks"]
     return data
 
 
-def sum_json(sum_algebra: DirectSumAlgebra) -> str:
-    """The text of ``json.dumps(sum_to_dict(sum_algebra), indent=2)``."""
-    return algebra_json(sum_algebra.algebra,
-                        extra={"blocks": _blocks_record(sum_algebra)})
+def sum_json(a: PseudoHTypeAlgebra) -> str:
+    """The text of ``json.dumps(sum_to_dict(a), indent=2)``."""
+    return algebra_json(
+        a, extra={"blocks": _sum_provenance(a).json_dict()["blocks"]})

@@ -75,7 +75,7 @@ def test_criterion_7_direct_sums(paper_reports):
     s23 = build_sum(base_algebra(2, 3), 1, 1)
     _, omega1 = block_volume_element(s23, 0)
     _, omega2 = block_volume_element(s23, 1)
-    signs = s23.base.module_signs
+    signs = base_algebra(2, 3).module_signs
     assert omega1.compose(omega1) == SignedPermutationOp.identity(omega1.dim)
     assert all(signs[omega1.image[a] - 1] == -signs[a]
                for a in range(omega1.dim))

@@ -15,8 +15,8 @@ from pseudoht.algebra import (
     StructureTensor,
     adjoint_rows,
     algebra_from_json,
+    algebra_json,
     algebra_to_dict,
-    algebra_to_json,
     bd_decomposition,
     block_decomposition,
     bracket,
@@ -281,7 +281,7 @@ def test_degenerate_kernel_is_reported_not_interpreted():
 def test_json_round_trip_preserves_tensor():
     for rs in ((1, 0), (3, 2), (4, 4)):
         a = base_algebra(*rs)
-        back = algebra_from_json(algebra_to_json(a))
+        back = algebra_from_json(algebra_json(a))
         assert back.tensor == a.tensor
         assert back.module_signs == a.module_signs
         assert back.center_sig == a.center_sig
@@ -295,6 +295,9 @@ def test_json_round_trip_preserves_tensor():
     lambda d: d.update(s=False),
     lambda d: d.update(dim_v="8"),
     lambda d: d["module_metric"].__setitem__(0, 1.0),
+    # integers, but no metric sign: extend would misplace the pair basis
+    lambda d: d["module_metric"].__setitem__(0, 0),
+    lambda d: d["module_metric"].__setitem__(0, 2),
 ])
 def test_json_with_non_integer_fields_is_refused(edit):
     data = algebra_to_dict(base_algebra(3, 2))
@@ -308,13 +311,13 @@ def test_json_key_order_is_deterministic():
     keys = list(algebra_to_dict(a).keys())
     assert keys == ["r", "s", "dim_v", "module_metric", "structure",
                     "provenance"]
-    assert algebra_to_json(a) == algebra_to_json(base_algebra(2, 0))
+    assert algebra_json(a) == algebra_json(base_algebra(2, 0))
 
 
 def test_signed_permutation_basics():
     op = SignedPermutationOp((2, 1), (1, -1))
-    assert op.apply([1, 0]) == (0, 1)
-    assert op.apply([0, 1]) == (-1, 0)
+    assert op.apply_basis(1) == (2, 1)
+    assert op.apply_basis(2) == (1, -1)
     assert op.compose(op.inverse()) == SignedPermutationOp.identity(2)
     m = op.matrix()
     assert m.entries == ((0, -1), (1, 0))

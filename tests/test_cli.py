@@ -148,6 +148,35 @@ def test_iso_certificates_are_byte_stable(capsys, argv):
         PINNED_CHECK_OUTPUTS[argv]
 
 
+# sha256 of the stdout of sum and extension builds and of sum SBG
+# certificates, taken while direct sums were still wrapped in their own type
+# and extend still sorted its pair basis by key; sbg 2 3 --sum 0 2 pads the
+# base witness, which sbg_decision on the sum would negate
+PINNED_SUM_AND_EXTEND_OUTPUTS = {
+    ("build", "2", "3", "--sum", "2", "1"):
+        "db4a1bd36d59d92bb4ecbdc6000d56a2dd61ee243c68a42bb75587f021d7fda0",
+    ("build", "0", "1", "--sum", "0", "3"):
+        "4dd38db07c90c15bca9084c5756cfada9c48aa2bbb6f82218dd094f153052eae",
+    ("sbg", "2", "3", "--sum", "2", "1"):
+        "64dc73469e6ca4184a670cfb0a18ceea4349787442791ff811f62fe9ddf4c6d9",
+    ("sbg", "2", "3", "--sum", "0", "2"):
+        "34f6a83e54234fccd276152c3037c5c4d2b22527e0204b962a92e3516ea857f7",
+    ("build", "8", "0", "--extend", "8,0", "8,0"):
+        "9b0f8f8af5391671bd1ee655f3666b493cb7aef3d785d150cc921298d1fd4252",
+    # the parent's blocks pass through two steps
+    ("build", "1", "1", "--extend", "4,4", "0,8"):
+        "e296b128baa16e95301e9c6c8a6e59a49ae4bcfb989ca55d1b5fc64b53e62246",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_SUM_AND_EXTEND_OUTPUTS)
+def test_sum_and_extension_outputs_are_byte_stable(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_SUM_AND_EXTEND_OUTPUTS[argv]
+
+
 def test_check_automorphism_modes(capsys):
     code, out, _ = run_cli(capsys, "check", "3", "3", "3", "3")
     assert code == 0 and json.loads(out)["kind"] == "ISO"  # identity map
@@ -317,6 +346,42 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch,
     assert code == 3
     assert err.count("\n") == 1 and str(path) in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [("check", "13", "5", "5", "13"),
+                                  ("build", "8", "0", "--extend", "8,0", "8,0"),
+                                  ("verify-paper",)])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    import pseudoht.acceptance as acceptance
+    import pseudoht.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    for module, name in ((acceptance, "run_all"), (cli, "check_pair"),
+                         (cli, "extension_chain")):
+        monkeypatch.setattr(module, name, refuse)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and str(path) in err
+    assert not path.exists()
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out) == (3, "") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("argv", [("build", "3", "0"),
+                                  ("sbg", "2", "2", "--sum", "1", "1"),
+                                  ("check", "-1", "0", "0", "1")])
+def test_refused_request_leaves_out_untouched(tmp_path, capsys, argv):
+    # a request refused with a ValueError writes no file and keeps an old one
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (3, "") and err.count("\n") == 1
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 def test_verify_paper_quick_is_gone(capsys):

@@ -11,6 +11,10 @@ import ast
 from pathlib import Path
 
 import pseudoht
+import pseudoht.algebra
+import pseudoht.catalog
+import pseudoht.obstruction
+import pseudoht.sums
 
 MODULES = sorted(Path(pseudoht.__file__).resolve().parent.glob("*.py"))
 
@@ -79,11 +83,6 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
-# algebra_to_json(a, indent) is public API that hands the caller's own
-# indent to json.dumps; the CLI writes nothing through it
-INDENT_ALLOWED = ("algebra.py", "algebra_to_json")
-
-
 def _calls_by_function(node, func=None):
     """(name of the enclosing top-level function or None, call node)."""
     for child in ast.iter_child_nodes(node):
@@ -106,7 +105,22 @@ def test_only_jsonout_writes_indented_json():
                 getattr(callee, "id", None)
             # a ** argument may carry an indent too
             indented = any(kw.arg in ("indent", None) for kw in call.keywords)
-            if (name in ("dumps", "dump", "JSONEncoder") and indented
-                    and (path.name, func) != INDENT_ALLOWED):
+            if name in ("dumps", "dump", "JSONEncoder") and indented:
                 offenders.append(f"{path.name}:{call.lineno} in {func}")
     assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in pseudoht.__all__ if not hasattr(pseudoht, n)] == []
+
+
+def test_removed_public_names_stay_gone():
+    layout = pseudoht.catalog.table_layout((2, 3))
+    removed = [(pseudoht.sums, "DirectSumAlgebra"),
+               (pseudoht.obstruction, "adjoint_matrix"),
+               (pseudoht.obstruction, "AdjointMatrix"),
+               (pseudoht.algebra, "algebra_to_json"),
+               (pseudoht.algebra.SignedPermutationOp, "apply"),
+               (layout, "barred"),
+               (layout, "center_symbol")]
+    assert [name for owner, name in removed if hasattr(owner, name)] == []

@@ -17,6 +17,7 @@ from pseudoht.obstruction import sbg_decision, verify_sbg_no_witness
 from pseudoht.sums import (
     block_volume_element,
     build_sum,
+    sum_json,
     sum_sbg,
     sum_to_dict,
     swap_isomorphism,
@@ -24,8 +25,7 @@ from pseudoht.sums import (
 
 
 def test_cross_block_brackets_vanish():
-    s = build_sum(base_algebra(1, 0), 2, 0)
-    a = s.algebra
+    a = build_sum(base_algebra(1, 0), 2, 0)
     n = a.dim_module
     for i in range(1, 3):             # first block
         for j in range(3, 5):         # second block
@@ -34,16 +34,17 @@ def test_cross_block_brackets_vanish():
 
 def test_single_block_sum_is_the_base():
     s = build_sum(base_algebra(2, 3), 1, 0)
-    assert s.algebra.tensor == base_algebra(2, 3).tensor
+    assert s.tensor == base_algebra(2, 3).tensor
 
 
 def test_type2_block_negates_the_operators():
-    s = build_sum(base_algebra(0, 1), 1, 1)
-    per = s.block_dim
-    j1 = j_operator(s.algebra, 1)
+    base = base_algebra(0, 1)
+    s = build_sum(base, 1, 1)
+    per = base.dim_module
+    j1 = j_operator(s, 1)
     j1_type1 = list(zip(j1.image[:per], j1.sign[:per]))
     j1_type2 = [(b - per, sg) for b, sg in zip(j1.image[per:], j1.sign[per:])]
-    base_j1 = j_operator(s.base, 1)
+    base_j1 = j_operator(base, 1)
     assert j1_type1 == list(zip(base_j1.image, base_j1.sign))
     assert j1_type2 == [(b, -sg) for b, sg in j1_type1]
 
@@ -52,9 +53,9 @@ def test_type2_block_negates_the_operators():
 def test_sums_pass_axioms(mu, nu):
     for rs in ((0, 1), (2, 3)):
         s = build_sum(base_algebra(*rs), mu, nu)
-        assert verify_integral_basis(s.algebra).ok
-        assert verify_clifford(s.algebra).ok
-        assert verify_admissible(s.algebra).ok
+        assert verify_integral_basis(s).ok
+        assert verify_clifford(s).ok
+        assert verify_admissible(s).ok
 
 
 def test_volume_elements_differ_by_global_sign():
@@ -66,7 +67,7 @@ def test_volume_elements_differ_by_global_sign():
         # r+s = 1 mod 4 here: the volume element is an anti-isometric
         # involution of trace 0, so it cannot be a scalar on a module with a
         # non-degenerate metric
-        signs = s.base.module_signs
+        signs = base_algebra(*rs).module_signs
         assert op1.compose(op1) == SignedPermutationOp.identity(op1.dim)
         assert all(signs[op1.image[a] - 1] == -signs[a]
                    for a in range(op1.dim))
@@ -90,7 +91,7 @@ def test_swap_isomorphism_verifies(rs, mu, nu):
     f = swap_isomorphism(s)
     assert verify_homomorphism(f).ok
     assert (f.dst.provenance.mu, f.dst.provenance.nu) == (nu, mu)
-    sig = s.algebra.center_sig
+    sig = s.center_sig
     assert classify_map(f.C.entries, sig, sig) is MapClass.ISOMETRY  # -Id preserves
     assert all(f.C.get(k, k) == -1 for k in range(1, sig.dim + 1))
 
@@ -103,7 +104,7 @@ def test_swap_squared_is_identity_on_center():
     assert all(cc.get(i, j) == (1 if i == j else 0)
                for i in range(1, 6) for j in range(1, 6))
     aa = g.A.mul(f.A)
-    n = s.algebra.dim_module
+    n = s.dim_module
     assert all(aa.get(i, j) == (1 if i == j else 0)
                for i in range(1, n + 1) for j in range(1, n + 1))
 
@@ -132,9 +133,9 @@ def test_sum_sbg_cases():
     assert cert.kind == "SBG_NO"
     z0 = [Fraction(e) for e in cert.payload["z0"]]
     v = [Fraction(e) for e in cert.payload["witness_v"]]
-    assert verify_sbg_no_witness(s.algebra, z0, v).ok
+    assert verify_sbg_no_witness(s, z0, v).ok
     # the witness is supported on the first block only
-    per = s.block_dim
+    per = base_algebra(2, 3).dim_module
     assert any(v[:per]) and not any(v[per:])
     # it is the base algebra's witness, zero-padded, in the same decimal form
     base = sbg_decision(base_algebra(2, 3)).payload
@@ -147,3 +148,17 @@ def test_sum_json_blocks_field():
     d = sum_to_dict(build_sum(base_algebra(0, 1), 1, 1))
     assert d["blocks"] == [{"type": 1, "count": 1}, {"type": 2, "count": 1}]
     assert d["provenance"]["kind"] == "sum"
+    # the top-level record repeats the one the provenance holds
+    assert d["provenance"]["blocks"] == d["blocks"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: block_volume_element(a, 0),
+    swap_isomorphism,
+    sum_sbg,
+    sum_json,
+    sum_to_dict,
+])
+def test_sum_functions_refuse_an_algebra_that_is_not_a_sum(call):
+    with pytest.raises(ValueError, match="not a direct sum"):
+        call(base_algebra(2, 3))
