@@ -161,6 +161,15 @@ class SignedPermutationOp:
     def identity(n: int) -> "SignedPermutationOp":
         return SignedPermutationOp(tuple(range(1, n + 1)), (1,) * n)
 
+    @staticmethod
+    def from_signed(indices: Sequence[int]) -> "SignedPermutationOp":
+        """The op sending v_a to sign(t) * v_|t| for t = indices[a - 1],
+        the signed-index form of signed_lookup; ValueError for a 0, bool
+        or float entry or a repeated |t|."""
+        image = tuple(t if t > 0 else -t for t in indices)
+        return SignedPermutationOp(image,
+                                   tuple(1 if t > 0 else -1 for t in indices))
+
 
 def _recognize_signed_permutation(m: ExactMatrix
                                   ) -> Optional[SignedPermutationOp]:
@@ -756,7 +765,8 @@ def _check_general_at(a: PseudoHTypeAlgebra, v: Vector) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _algebra_fields(a: PseudoHTypeAlgebra, structure) -> dict:
-    return {
+    """The top-level fields; a direct sum repeats its block counts last."""
+    fields = {
         "r": a.r,
         "s": a.s,
         "dim_v": a.dim_module,
@@ -764,6 +774,9 @@ def _algebra_fields(a: PseudoHTypeAlgebra, structure) -> dict:
         "structure": structure,
         "provenance": a.provenance.json_dict(),
     }
+    if isinstance(a.provenance, SumProvenance):
+        fields["blocks"] = a.provenance.json_dict()["blocks"]
+    return fields
 
 
 def algebra_to_dict(a: PseudoHTypeAlgebra) -> dict:
@@ -771,11 +784,11 @@ def algebra_to_dict(a: PseudoHTypeAlgebra) -> dict:
                                for (i, j, k, s) in a.tensor.entries])
 
 
-def algebra_json(a: PseudoHTypeAlgebra, extra: Optional[Mapping] = None) -> str:
-    """The text of ``json.dumps({**algebra_to_dict(a), **extra}, indent=2)``,
-    written from the tensor entries without building a dict per entry."""
-    tree = _algebra_fields(a, Records(("i", "j", "k", "sign"), a.tensor.entries))
-    return dumps({**tree, **(extra or {})})
+def algebra_json(a: PseudoHTypeAlgebra) -> str:
+    """The text of ``json.dumps(algebra_to_dict(a), indent=2)``, written
+    from the tensor entries without building a dict per entry."""
+    return dumps(_algebra_fields(
+        a, Records(("i", "j", "k", "sign"), a.tensor.entries)))
 
 
 def _json_ints(values, what: str) -> tuple[int, ...]:

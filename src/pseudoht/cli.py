@@ -12,7 +12,7 @@ import errno
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import acceptance
 from .algebra import algebra_json
@@ -20,7 +20,7 @@ from .catalog import base_algebra, render_table
 from .extension import ExtensionStep, extension_chain, standard_algebra
 from .jsonout import dumps
 from .obstruction import check_pair, sbg_decision
-from .sums import build_sum, sum_json, sum_sbg
+from .sums import build_sum, sum_sbg
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -60,15 +60,12 @@ def _emit_json(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_build(args) -> int:
+    if args.sum is not None and args.extend:
+        print("--sum cannot be combined with --extend", file=sys.stderr)
+        return EXIT_ERROR
     if args.sum is not None:
-        if args.extend:
-            print("--sum cannot be combined with --extend", file=sys.stderr)
-            return EXIT_ERROR
-        mu, nu = args.sum
-        summed = build_sum(base_algebra(args.r, args.s), mu, nu)
-        _emit_json(sum_json(summed), args.out)
-        return EXIT_OK
-    if args.extend:
+        algebra = build_sum(base_algebra(args.r, args.s), *args.sum)
+    elif args.extend:
         steps = [ExtensionStep.parse(s) for s in args.extend]
         algebra = extension_chain((args.r, args.s), steps)
     else:
@@ -124,20 +121,29 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_NEGATIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_ERROR: argparse's
+    own code, 2, is check's EXIT_INCONCLUSIVE.  Subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_signature_args(p) -> None:
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudoht",
         description="Exact-arithmetic toolkit for pseudo H-type Lie algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct an algebra and print JSON")
     _add_signature_args(p)
-    p.add_argument("--extend", nargs="*", metavar="P,Q",
+    p.add_argument("--extend", nargs="+", metavar="P,Q",
                    help="extension steps applied to the base (8,0 0,8 4,4)")
     p.add_argument("--sum", nargs=2, type=int, metavar=("MU", "NU"),
                    help="direct sum with MU type-1 and NU type-2 blocks")
@@ -189,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; a request the package refuses with a ValueError
-    (bad signature or step, module over budget) or an --out that cannot be
-    written (OSError) exits EXIT_ERROR.  The --out path is checked before
-    any work, so an unwritable one costs nothing."""
+    """Run one subcommand; a malformed command line, a request the package
+    refuses with a ValueError (bad signature or step, module over budget)
+    or an --out that cannot be written (OSError) exits EXIT_ERROR.  The
+    --out path is checked before any work, so an unwritable one costs
+    nothing."""
     args = build_parser().parse_args(argv)
     try:
         if args.out:

@@ -10,9 +10,10 @@ smaller map by a step and the target by the mirror step ((8,0) and (0,8)
 swap, (4,4) stays), twisting the 16-dimensional factor by the (4,4)
 automorphism on a (4,4) step and by the identity otherwise.  phi_{r,8},
 phi_{r+4,4}, phi_{r+8,s} and phi_{r+4,s+4} are all this step.  Verification
-never trusts the construction: the conjugation relation A^tau J_Z A =
-J_{C^tau Z}, which is the homomorphism property read through the scalar
-products, runs on the matrices.
+never trusts the construction: it checks the conjugation relation
+A^tau J_Z A = J_{C^tau Z}, which is the homomorphism property read through
+the scalar products, on signed indices when both blocks are signed
+permutations and on sparse rows and columns otherwise.
 """
 
 from __future__ import annotations
@@ -264,83 +265,49 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
 
 @dataclass(frozen=True)
 class CanonicalMap:
-    """Integral morphism in signed-permutation form.
-
-    module_image/module_sign send src basis vector a to sign * v_image[a];
-    center_image is a plain permutation of center indices.
-    """
+    """Integral morphism in signed-permutation form: module and center are
+    signed permutations, and every center sign is +1."""
 
     src: PseudoHTypeAlgebra
     dst: PseudoHTypeAlgebra
-    module_image: tuple[int, ...]
-    module_sign: tuple[int, ...]
-    center_image: tuple[int, ...]
-
-    def module_op(self) -> SignedPermutationOp:
-        return SignedPermutationOp(self.module_image, self.module_sign)
-
-    def center_op(self) -> SignedPermutationOp:
-        return SignedPermutationOp(self.center_image,
-                                   (1,) * len(self.center_image))
+    module: SignedPermutationOp
+    center: SignedPermutationOp
 
     def to_morphism(self) -> LieMorphism:
-        return LieMorphism(self.src, self.dst, self.module_op().matrix(),
-                           self.center_op().matrix())
+        return LieMorphism(self.src, self.dst, self.module.matrix(),
+                           self.center.matrix())
 
     def inverse(self) -> "CanonicalMap":
-        module = self.module_op().inverse()
-        return CanonicalMap(self.dst, self.src, module.image, module.sign,
-                            self.center_op().inverse().image)
-
-
-def _pinned_map(src, dst, module_pairs, center_pairs) -> CanonicalMap:
-    image = [0] * src.dim_module
-    sign = [0] * src.dim_module
-    for a, (b, s) in module_pairs.items():
-        image[a - 1] = b
-        sign[a - 1] = s
-    cimage = [0] * src.dim_center
-    for k, k2 in center_pairs.items():
-        cimage[k - 1] = k2
-    return CanonicalMap(src, dst, tuple(image), tuple(sign), tuple(cimage))
+        return CanonicalMap(self.dst, self.src, self.module.inverse(),
+                            self.center.inverse())
 
 
 def _base_definite_map(r: int) -> CanonicalMap:
     """The published integral isomorphisms n_{r,0} -> n_{0,r}, r = 1,2,4,8."""
     src = base_algebra(r, 0)
-    dst = base_algebra(0, r)
-    n = src.dim_module
-    flips = {4: {2, 3, 4}, 8: set(range(2, 9))}.get(r, set())
-    module = {a: (a, -1 if a in flips else 1) for a in range(1, n + 1)}
-    center = {k: k for k in range(1, r + 1)}
-    return _pinned_map(src, dst, module, center)
+    flips = {4: range(2, 5), 8: range(2, 9)}.get(r, ())
+    module = [-a if a in flips else a
+              for a in range(1, src.dim_module + 1)]
+    return CanonicalMap(src, base_algebra(0, r),
+                        SignedPermutationOp.from_signed(module),
+                        SignedPermutationOp.identity(r))
 
 
-def _auto_11() -> CanonicalMap:
-    a = base_algebra(1, 1)
-    return _pinned_map(a, a,
-                       {1: (1, 1), 2: (3, 1), 3: (2, 1), 4: (4, 1)},
-                       {1: 2, 2: 1})
+# The published automorphisms of n_{r,r}, r = 1, 2, 4, in signed-index form
+# (module, center): entry a is t when v_a goes to sign(t) * v_|t|.
+_AUTOMORPHISMS = {
+    1: ((1, 3, 2, 4), (2, 1)),
+    2: ((1, 5, 6, 4, 2, 3, 7, 8), (3, 4, 1, 2)),
+    4: ((1, 9, 10, 12, 11, 6, 7, -8, 2, 3, 5, 4, 13, 14, -15, 16),
+        (5, 6, 8, 7, 1, 2, 4, 3)),
+}
 
 
-def _auto_22() -> CanonicalMap:
-    a = base_algebra(2, 2)
-    return _pinned_map(
-        a, a,
-        {1: (1, 1), 2: (5, 1), 3: (6, 1), 4: (4, 1),
-         5: (2, 1), 6: (3, 1), 7: (7, 1), 8: (8, 1)},
-        {1: 3, 2: 4, 3: 1, 4: 2})
-
-
-def _auto_44() -> CanonicalMap:
-    a = base_algebra(4, 4)
-    return _pinned_map(
-        a, a,
-        {1: (1, 1), 2: (9, 1), 3: (10, 1), 4: (12, 1), 5: (11, 1),
-         6: (6, 1), 7: (7, 1), 8: (8, -1), 9: (2, 1), 10: (3, 1),
-         11: (5, 1), 12: (4, 1), 13: (13, 1), 14: (14, 1),
-         15: (15, -1), 16: (16, 1)},
-        {1: 5, 2: 6, 3: 8, 4: 7, 5: 1, 6: 2, 7: 4, 8: 3})
+def _automorphism(r: int) -> CanonicalMap:
+    a = base_algebra(r, r)
+    module, center = _AUTOMORPHISMS[r]
+    return CanonicalMap(a, a, SignedPermutationOp.from_signed(module),
+                        SignedPermutationOp.from_signed(center))
 
 
 # The target side of a tensor step: (8,0) and (0,8) swap, (4,4) stays.
@@ -365,37 +332,34 @@ def _step_map(sub: CanonicalMap, step: ExtensionStep) -> CanonicalMap:
     sprov = src.provenance
     dprov = dst.provenance
     if step is ExtensionStep.BY_4_4:
-        twist = _auto_44()
-        f_module, f_center = twist.module_op(), twist.center_image
+        twist = _automorphism(4)
+        f_module, f_center = twist.module, twist.center
     else:
-        f_module, f_center = SignedPermutationOp.identity(16), tuple(range(1, 9))
+        f_module = SignedPermutationOp.identity(16)
+        f_center = SignedPermutationOp.identity(8)
     b_factor = base_blocks(*step.delta).b_side
     b_parent = sub.src.blocks.b_side if sub.src.blocks else frozenset()
 
-    n = src.dim_module
-    image = [0] * n
-    sign = [0] * n
-    for i in range(1, sub.src.dim_module + 1):
-        pi = sub.module_image[i - 1]
-        psign = sub.module_sign[i - 1]
+    module = [0] * src.dim_module
+    for i, (pi, psign) in enumerate(zip(sub.module.image, sub.module.sign),
+                                    start=1):
         in_b_parent = i in b_parent
-        for j in range(1, 17):
-            fj, fsign = f_module.apply_basis(j)
+        for j, (fj, fsign) in enumerate(zip(f_module.image, f_module.sign),
+                                        start=1):
             src_idx = sprov.pair_to_final[16 * (i - 1) + j - 1]
             dst_idx = dprov.pair_to_final[16 * (pi - 1) + fj - 1]
             tau = -1 if (in_b_parent and j in b_factor) else 1
-            image[src_idx - 1] = dst_idx
-            sign[src_idx - 1] = tau * psign * fsign
+            module[src_idx - 1] = tau * psign * fsign * dst_idx
 
-    m = src.dim_center
-    cimage = [0] * m
-    for k in range(1, sub.src.dim_center + 1):
+    center = [0] * src.dim_center
+    for k, k2 in enumerate(sub.center.image, start=1):
         pos = sprov.parent_center_to_final[k - 1]
-        cimage[pos - 1] = dprov.parent_center_to_final[sub.center_image[k - 1] - 1]
-    for kf in range(1, 9):
+        center[pos - 1] = dprov.parent_center_to_final[k2 - 1]
+    for kf, kf2 in enumerate(f_center.image, start=1):
         pos = sprov.factor_center_to_final[kf - 1]
-        cimage[pos - 1] = dprov.factor_center_to_final[f_center[kf - 1] - 1]
-    return CanonicalMap(src, dst, tuple(image), tuple(sign), tuple(cimage))
+        center[pos - 1] = dprov.factor_center_to_final[kf2 - 1]
+    return CanonicalMap(src, dst, SignedPermutationOp.from_signed(module),
+                        SignedPermutationOp.from_signed(center))
 
 
 def _map_definite(r: int) -> Optional[CanonicalMap]:
@@ -409,14 +373,14 @@ def _map_definite(r: int) -> Optional[CanonicalMap]:
     return None
 
 
-def _canonical_map(r: int, s: int, allow_inverse: bool = True
-                   ) -> Optional[CanonicalMap]:
+def _forward_map(r: int, s: int) -> Optional[CanonicalMap]:
+    """phi_{r,s} when the families build it from n_{r,s}'s side."""
     if r < 0 or s < 0 or (r, s) == (0, 0):
         return None
     if s == 0:
         return _map_definite(r)
-    if r == s and (r, s) in ((1, 1), (2, 2), (4, 4)):
-        return {1: _auto_11, 2: _auto_22, 4: _auto_44}[r]()
+    if r == s and r in _AUTOMORPHISMS:
+        return _automorphism(r)
     # phi_{r,8} and phi_{r+4,4}: one step on top of a definite base map
     for step in (ExtensionStep.BY_0_8, ExtensionStep.BY_4_4):
         dr, ds = step.delta
@@ -428,14 +392,20 @@ def _canonical_map(r: int, s: int, allow_inverse: bool = True
     for step in (ExtensionStep.BY_8_0, ExtensionStep.BY_4_4):
         dr, ds = step.delta
         if r > dr and s > ds:
-            sub = _canonical_map(r - dr, s - ds)
+            sub = canonical_map(r - dr, s - ds)
             if sub is not None and sub.src.blocks is not None:
                 return _step_map(sub, step)
-    if allow_inverse:
-        rev = _canonical_map(s, r, allow_inverse=False)
-        if rev is not None:
-            return rev.inverse()
     return None
+
+
+def canonical_map(r: int, s: int) -> Optional[CanonicalMap]:
+    """phi_{r,s}: n_{r,s} -> n_{s,r} in signed-permutation form, built
+    forward or as the inverse of phi_{s,r}; None outside the families."""
+    fwd = _forward_map(r, s)
+    if fwd is not None:
+        return fwd
+    rev = _forward_map(s, r)
+    return rev.inverse() if rev is not None else None
 
 
 def canonical_isomorphism(r: int, s: int) -> Optional[LieMorphism]:
@@ -444,12 +414,8 @@ def canonical_isomorphism(r: int, s: int) -> Optional[LieMorphism]:
     None means the pair lies outside the constructible families; that is
     never a non-isomorphism claim.
     """
-    cmap = _canonical_map(r, s)
+    cmap = canonical_map(r, s)
     return cmap.to_morphism() if cmap is not None else None
-
-
-def canonical_map(r: int, s: int) -> Optional[CanonicalMap]:
-    return _canonical_map(r, s)
 
 
 def remark_isom_class_check(cmap: CanonicalMap) -> Verdict:
@@ -464,7 +430,7 @@ def remark_isom_class_check(cmap: CanonicalMap) -> Verdict:
         return Verdict(False, None, "missing canonical block sets")
 
     def img(part: frozenset[int]) -> frozenset[int]:
-        return frozenset(cmap.module_image[a - 1] for a in part)
+        return frozenset(cmap.module.image[a - 1] for a in part)
 
     pairs = [(img(src_b.a_plus), dst_b.a_plus), (img(src_b.a_minus), dst_b.a_minus),
              (img(src_b.b_plus), dst_b.b_minus), (img(src_b.b_minus), dst_b.b_plus)]
@@ -475,8 +441,8 @@ def remark_isom_class_check(cmap: CanonicalMap) -> Verdict:
     r, s = cmap.src.r, cmap.src.s
     want_pos = set(range(s + 1, s + r + 1))
     want_neg = set(range(1, s + 1))
-    got_pos = {cmap.center_image[k - 1] for k in range(1, r + 1)}
-    got_neg = {cmap.center_image[k - 1] for k in range(r + 1, r + s + 1)}
+    got_pos = set(cmap.center.image[:r])
+    got_neg = set(cmap.center.image[r:])
     if got_pos != want_pos or got_neg != want_neg:
         return Verdict(False, (sorted(got_pos), sorted(got_neg)),
                        "center permutation does not swap the sign blocks")

@@ -16,8 +16,6 @@ from .algebra import (
     SignedPermutationOp,
     SumProvenance,
     StructureTensor,
-    algebra_json,
-    algebra_to_dict,
 )
 from .catalog import (
     BASE_IDS,
@@ -147,14 +145,3 @@ def sum_sbg(a: PseudoHTypeAlgebra) -> Certificate:
         "witness_v": [str(e) for e in v],
     })
 
-
-def sum_to_dict(a: PseudoHTypeAlgebra) -> dict:
-    data = algebra_to_dict(a)
-    data["blocks"] = _sum_provenance(a).json_dict()["blocks"]
-    return data
-
-
-def sum_json(a: PseudoHTypeAlgebra) -> str:
-    """The text of ``json.dumps(sum_to_dict(a), indent=2)``."""
-    return algebra_json(
-        a, extra={"blocks": _sum_provenance(a).json_dict()["blocks"]})

@@ -22,6 +22,7 @@ from pseudoht.algebra import (
     bracket,
     j_of_center_vector,
     j_operator,
+    signed_lookup,
     verify_admissible,
     verify_clifford,
     verify_general_htype,
@@ -330,6 +331,22 @@ def test_signed_permutation_basics():
                         ((1, 2), (1, -1.0))):
         with pytest.raises(ValueError):
             SignedPermutationOp(image, sign)
+
+
+@pytest.mark.parametrize("t", [
+    (1,), (-1,), (2, -1),
+    (1, 9, 10, 12, 11, 6, 7, -8, 2, 3, 5, 4, 13, 14, -15, 16),  # (4,4) auto
+])
+def test_signed_index_form_round_trips(t):
+    op = SignedPermutationOp.from_signed(t)
+    assert signed_lookup(op)[1:len(t) + 1] == list(t)
+
+
+@pytest.mark.parametrize("t", [(0,), (1, 0), (1, -1), (2, 2, 1),
+                               (True,), (1.0,)])
+def test_signed_index_form_refuses_zero_repeats_and_non_integers(t):
+    with pytest.raises(ValueError):
+        SignedPermutationOp.from_signed(t)
 
 
 def test_all_verifiers_quantify_over_every_center_index():

@@ -190,7 +190,7 @@ def test_check_automorphism_modes(capsys):
     # --auto never changed the answer and is gone
     with pytest.raises(SystemExit) as exc:
         main(["check", "3", "3", "3", "3", "--auto", "--anti"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "--auto" in capsys.readouterr().err
 
 
@@ -388,8 +388,36 @@ def test_verify_paper_quick_is_gone(capsys):
     # --quick only skipped criterion 2's double extension and is gone
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--quick"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "--quick" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "1"),
+    ("check", "1", "2", "3", "x"),
+    ("frob",),
+    ("table", "1", "0", "--format", "xml"),
+    ("sbg", "1", "0", "--sum", "1"),
+    ("build", "1", "0", "--extend"),
+    ("build", "1", "0", "--sum", "1", "1", "--extend"),
+])
+def test_malformed_command_line_exits_3_not_inconclusive(capsys, argv):
+    # argparse's own code, 2, is check's INCONCLUSIVE
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    # the usage line (wrapped lines are indented), then one error line
+    *usage, error = err.splitlines()
+    assert usage[0].startswith("usage: pseudoht")
+    assert all(line.startswith(" ") for line in usage[1:])
+    assert error.startswith("pseudoht") and ": error: " in error
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -450,7 +478,7 @@ def _indent2(text: str) -> str:
 def test_cli_json_is_json_dumps_indent_2(capsys):
     from pseudoht.algebra import algebra_to_dict
     from pseudoht.extension import ExtensionStep, extension_chain
-    from pseudoht.sums import build_sum, sum_to_dict
+    from pseudoht.sums import build_sum
 
     outs = {}
     for argv in BYTE_IDENTITY_REQUESTS:
@@ -462,7 +490,7 @@ def test_cli_json_is_json_dumps_indent_2(capsys):
     assert outs[("build", "8")] == json.dumps(
         algebra_to_dict(extension_chain((8, 0), steps)), indent=2) + "\n"
     assert outs[("build", "2")] == json.dumps(
-        sum_to_dict(build_sum(base_algebra(2, 3), 2, 1)), indent=2) + "\n"
+        algebra_to_dict(build_sum(base_algebra(2, 3), 2, 1)), indent=2) + "\n"
     assert outs[("extend", "4")] == json.dumps(algebra_to_dict(
         extension_chain((4, 4), [ExtensionStep.parse("0,8")])), indent=2) + "\n"
 
@@ -487,9 +515,8 @@ def test_build_writes_from_the_tensor_without_dicts(capsys, monkeypatch):
     # every binding of the two names in the package, imported ones included
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "pseudoht":
-            for attr in ("algebra_to_dict", "sum_to_dict"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+            if hasattr(module, "algebra_to_dict"):
+                monkeypatch.setattr(module, "algebra_to_dict", refuse)
     for argv in (("build", "3", "2"), ("build", "1", "0", "--extend", "8,0"),
                  ("extend", "1", "0", "0,8"),
                  ("build", "0", "1", "--sum", "1", "1")):

@@ -116,7 +116,13 @@ def test_every_exported_name_resolves():
 
 def test_removed_public_names_stay_gone():
     layout = pseudoht.catalog.table_layout((2, 3))
+    cmap = pseudoht.morphism.canonical_map(1, 0)
     removed = [(pseudoht.sums, "DirectSumAlgebra"),
+               (pseudoht.sums, "sum_to_dict"),
+               (pseudoht.sums, "sum_json"),
+               (cmap, "module_image"),
+               (cmap, "module_op"),
+               (cmap, "center_op"),
                (pseudoht.obstruction, "adjoint_matrix"),
                (pseudoht.obstruction, "AdjointMatrix"),
                (pseudoht.algebra, "algebra_to_json"),

@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
-from pseudoht.catalog import base_algebra
+from pseudoht import jsonout
+from pseudoht.algebra import SignedPermutationOp
+from pseudoht.catalog import UnsupportedSignatureError, base_algebra, min_module_dim
 from pseudoht.core import ExactMatrix, MapClass, Signature
 from pseudoht.morphism import (
     LieMorphism,
@@ -14,6 +18,7 @@ from pseudoht.morphism import (
     verify_conjugation,
     verify_homomorphism,
 )
+from pseudoht.obstruction import check_pair
 
 
 def identity_morphism(a):
@@ -47,17 +52,17 @@ def test_published_automorphism_of_1_1():
 
 def test_published_signs_of_definite_base_maps():
     four = canonical_map(4, 0)
-    assert [four.module_sign[i - 1] for i in (1, 2, 3, 4, 5)] == [1, -1, -1, -1, 1]
+    assert [four.module.sign[i - 1] for i in (1, 2, 3, 4, 5)] == [1, -1, -1, -1, 1]
     eight = canonical_map(8, 0)
-    assert eight.module_sign[1] == -1 and eight.module_image[1] == 2
-    assert eight.module_sign[8] == 1 and eight.module_image[8] == 9
-    assert eight.center_image == tuple(range(1, 9))
+    assert eight.module.apply_basis(2) == (2, -1)
+    assert eight.module.apply_basis(9) == (9, 1)
+    assert eight.center == SignedPermutationOp.identity(8)
 
 
 def test_published_cells_of_4_4_automorphism():
     m = canonical_map(4, 4)
-    assert m.module_image[7] == 8 and m.module_sign[7] == -1   # y_8 -> -y_8
-    assert m.center_image[0] == 5                              # Z_1 -> Z_5
+    assert m.module.apply_basis(8) == (8, -1)   # y_8 -> -y_8
+    assert m.center.apply_basis(1) == (5, 1)    # Z_1 -> Z_5
     f = m.to_morphism()
     assert verify_homomorphism(f).ok and verify_conjugation(f).ok
 
@@ -188,3 +193,33 @@ def test_block_shape_validation():
         LieMorphism(a, a, ExactMatrix.identity(3), ExactMatrix.identity(1))
     with pytest.raises(ValueError):
         LieMorphism(a, a, ExactMatrix.identity(2), ExactMatrix.identity(2))
+
+
+# sha256 over every canonical ISO certificate with module dim <= 256 and
+# r, s <= 16: a change to a published map or to _step_map shows here
+ISO_FAMILY_DIGEST = \
+    "2a212d6a2e10612427c9cb051f71d77eef2eff14ea1fdb2fb11342f74560c697"
+
+
+def test_canonical_iso_certificates_are_pinned():
+    digest = hashlib.sha256()
+    pairs = 0
+    for r in range(17):
+        for s in range(17):
+            if (r, s) == (0, 0):
+                continue
+            try:
+                if min_module_dim(r, s) > 256:
+                    continue
+            except UnsupportedSignatureError:
+                continue
+            if canonical_map(r, s) is None:
+                continue
+            pairs += 1
+            digest.update(jsonout.dumps(
+                check_pair(r, s, s, r).json_dict()).encode())
+            if r == s:
+                digest.update(jsonout.dumps(check_pair(
+                    r, s, s, r, anti_only=True).json_dict()).encode())
+    assert pairs == 38
+    assert digest.hexdigest() == ISO_FAMILY_DIGEST

@@ -129,14 +129,14 @@ def mutated_maps(draw):
     cmap = canonical_map(*draw(st.sampled_from(ORACLE_FAMILY)))
     n = cmap.src.dim_module
     index = st.integers(0, n - 1)
-    sign = list(cmap.module_sign)
+    sign = list(cmap.module.sign)
     for i in draw(st.lists(index, max_size=2)):
         sign[i] = -sign[i]
-    image = list(cmap.module_image)
+    image = list(cmap.module.image)
     for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
         image[i], image[j] = image[j], image[i]
-    f = replace(cmap, module_image=tuple(image),
-                module_sign=tuple(sign)).to_morphism()
+    f = replace(cmap, module=SignedPermutationOp(
+        tuple(image), tuple(sign))).to_morphism()
     return LieMorphism(f.src, f.dst, f.A,
                        f.C.scale(draw(st.sampled_from((1, 1, -1, 2)))))
 

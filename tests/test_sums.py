@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from pseudoht.algebra import (
     SignedPermutationOp,
+    algebra_json,
+    algebra_to_dict,
     bracket,
     j_operator,
     verify_admissible,
@@ -17,9 +20,7 @@ from pseudoht.obstruction import sbg_decision, verify_sbg_no_witness
 from pseudoht.sums import (
     block_volume_element,
     build_sum,
-    sum_json,
     sum_sbg,
-    sum_to_dict,
     swap_isomorphism,
 )
 
@@ -145,19 +146,21 @@ def test_sum_sbg_cases():
 
 
 def test_sum_json_blocks_field():
-    d = sum_to_dict(build_sum(base_algebra(0, 1), 1, 1))
+    a = build_sum(base_algebra(0, 1), 1, 1)
+    d = algebra_to_dict(a)
     assert d["blocks"] == [{"type": 1, "count": 1}, {"type": 2, "count": 1}]
     assert d["provenance"]["kind"] == "sum"
     # the top-level record repeats the one the provenance holds
     assert d["provenance"]["blocks"] == d["blocks"]
+    assert d["blocks"] == a.provenance.json_dict()["blocks"]
+    assert list(d)[-1] == "blocks"
+    assert algebra_json(a) == json.dumps(d, indent=2)
 
 
 @pytest.mark.parametrize("call", [
     lambda a: block_volume_element(a, 0),
     swap_isomorphism,
     sum_sbg,
-    sum_json,
-    sum_to_dict,
 ])
 def test_sum_functions_refuse_an_algebra_that_is_not_a_sum(call):
     with pytest.raises(ValueError, match="not a direct sum"):
