@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -608,62 +609,71 @@ def verify_axioms(a: PseudoHTypeAlgebra) -> Verdict:
     return Verdict(True)
 
 
+def two_coloring(n: int, edges: Sequence[tuple[int, int, int]]
+                 ) -> tuple[Optional[list[int]], Optional[list[int]]]:
+    """Signs on vertices 1..n with signs[a] * signs[b] == rhs on every edge
+    (a, b, rhs), as (signs, None); or (None, cycle) when none exist.
+
+    A FIFO breadth-first search from each uncolored vertex in index order
+    gives that vertex +1 and visits neighbours in edge order.  The first
+    edge that contradicts the coloring closes an odd cycle: the positions in
+    ``edges`` of the tree path from the edge's first end up to the common
+    ancestor, then down to its second end, then the edge itself.  signs[0]
+    is unused.
+    """
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for p, (a, b, _rhs) in enumerate(edges):
+        adj[a].append(p)
+        adj[b].append(p)
+    signs = [0] * (n + 1)
+    # the tree edge that colored each vertex, its other end, and its depth
+    tree, parent, depth = [-1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for start in range(1, n + 1):
+        if signs[start]:
+            continue
+        signs[start] = 1
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for p in adj[u]:
+                a, b, rhs = edges[p]
+                w = b if u == a else a
+                if not signs[w]:
+                    signs[w] = signs[u] * rhs
+                    tree[w], parent[w], depth[w] = p, u, depth[u] + 1
+                    queue.append(w)
+                elif signs[u] * signs[w] != rhs:
+                    up: list[int] = []
+                    down: list[int] = []
+                    while a != b:
+                        if depth[a] >= depth[b]:
+                            up.append(tree[a])
+                            a = parent[a]
+                        else:
+                            down.append(tree[b])
+                            b = parent[b]
+                    return None, up + down[::-1] + [p]
+    return signs, None
+
+
 def block_decomposition(a: PseudoHTypeAlgebra
                         ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Split the basis into two commuting halves, or None.
 
-    This is a 2-coloring of the commutation graph (the link table); a valid
-    split exists iff the graph is bipartite and its components can be
-    oriented to give two equal halves.  Ties are broken by putting each
-    component's side that contains its lowest index into the first half,
-    preferring the unflipped orientation when both balance.
+    The halves are the +1 and -1 vertices of the commutation graph's
+    two_coloring (every edge asks for opposite signs), so each component's
+    lowest index lands in the first half.  None when the graph has an odd
+    cycle or the two halves differ in size.
     """
-    adj = _link_table(a.tensor)
-    n = a.dim_module
-    color: dict[int, int] = {}
-    components: list[tuple[list[int], list[int]]] = []
-    for start in range(1, n + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        side: tuple[list[int], list[int]] = ([start], [])
-        while queue:
-            u = queue.pop()
-            for w in (beta + 1 for beta, _k, _s in adj[u - 1]):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    side[color[w]].append(w)
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None  # odd cycle: not bipartite
-        components.append(side)
-
-    # choose an orientation per component so the first half has n/2 vertices
-    if n % 2:
+    signs, _cycle = two_coloring(
+        a.dim_module, [(i, j, -1) for (i, j, _k, _s) in a.tensor.entries])
+    if signs is None:
         return None
-    target = n // 2
-    choices = [(len(s0), len(s1)) for (s0, s1) in components]
-    # DP over achievable first-half sizes, preferring unflipped components
-    reachable: dict[int, tuple[int, ...]] = {0: ()}
-    for (c0, c1) in choices:
-        nxt: dict[int, tuple[int, ...]] = {}
-        for total, picks in reachable.items():
-            for flip, add in ((0, c0), (1, c1)):
-                t = total + add
-                cand = picks + (flip,)
-                if t not in nxt or cand < nxt[t]:
-                    nxt[t] = cand
-        reachable = nxt
-    if target not in reachable:
+    first = frozenset(v for v in range(1, a.dim_module + 1) if signs[v] > 0)
+    second = frozenset(v for v in range(1, a.dim_module + 1) if signs[v] < 0)
+    if len(first) != len(second):
         return None
-    a_side: set[int] = set()
-    b_side: set[int] = set()
-    for (s0, s1), flip in zip(components, reachable[target]):
-        first, second = (s1, s0) if flip else (s0, s1)
-        a_side.update(first)
-        b_side.update(second)
-    return frozenset(a_side), frozenset(b_side)
+    return first, second
 
 
 def bd_decomposition(a: PseudoHTypeAlgebra) -> Optional[BlockSets]:
@@ -765,17 +775,19 @@ def _check_general_at(a: PseudoHTypeAlgebra, v: Vector) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _algebra_fields(a: PseudoHTypeAlgebra, structure) -> dict:
-    """The top-level fields; a direct sum repeats its block counts last."""
+    """The top-level fields; a direct sum, built or parsed, repeats its
+    block counts last."""
+    provenance = a.provenance.json_dict()
     fields = {
         "r": a.r,
         "s": a.s,
         "dim_v": a.dim_module,
         "module_metric": list(a.module_signs),
         "structure": structure,
-        "provenance": a.provenance.json_dict(),
+        "provenance": provenance,
     }
-    if isinstance(a.provenance, SumProvenance):
-        fields["blocks"] = a.provenance.json_dict()["blocks"]
+    if provenance.get("kind") == "sum" and "blocks" in provenance:
+        fields["blocks"] = provenance["blocks"]
     return fields
 
 

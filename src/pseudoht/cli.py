@@ -53,12 +53,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(text: str, out: Optional[str]) -> None:
-    """Write JSON text made by the one emitter, jsonout: the bytes of
-    json.dumps(obj, indent=2) plus a newline."""
-    _emit(text + "\n", out)
-
-
 def _cmd_build(args) -> int:
     if args.sum is not None and args.extend:
         print("--sum cannot be combined with --extend", file=sys.stderr)
@@ -70,7 +64,7 @@ def _cmd_build(args) -> int:
         algebra = extension_chain((args.r, args.s), steps)
     else:
         algebra = standard_algebra(args.r, args.s)
-    _emit_json(algebra_json(algebra), args.out)
+    _emit(algebra_json(algebra) + "\n", args.out)
     return EXIT_OK
 
 
@@ -82,7 +76,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_check(args) -> int:
     cert = check_pair(args.r1, args.s1, args.r2, args.s2, anti_only=args.anti)
-    _emit_json(dumps(cert.json_dict()), args.out)
+    _emit(dumps(cert.json_dict()) + "\n", args.out)
     if cert.kind == "ISO":
         return EXIT_OK
     if cert.kind.startswith("NOT_ISO"):
@@ -96,7 +90,7 @@ def _cmd_sbg(args) -> int:
         cert = sum_sbg(build_sum(base_algebra(args.r, args.s), mu, nu))
     else:
         cert = sbg_decision(standard_algebra(args.r, args.s))
-    _emit_json(dumps(cert.json_dict()), args.out)
+    _emit(dumps(cert.json_dict()) + "\n", args.out)
     return EXIT_OK
 
 
@@ -113,7 +107,7 @@ def _cmd_verify(args) -> int:
     summary = {"criteria": [rep.json_dict() for rep in reports],
                "passed": len(reports) - failed, "failed": failed}
     if args.out:
-        _emit_json(dumps(summary), args.out)
+        _emit(dumps(summary) + "\n", args.out)
     else:
         print(json.dumps(summary if args.verbose else
                          {"passed": summary["passed"],

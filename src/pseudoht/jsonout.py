@@ -5,11 +5,9 @@ chunk per token, which dominates the cost of writing a large algebra.  This
 emitter writes the same text from larger pieces:
 
 * a flat list of ints, or of strs, is one ``join``;
-* a list of records -- dicts that share one key order and hold only ints,
-  like the ``(i, j, k, sign)`` entries of an integral basis -- is one ``%d``
-  template per key shape, repeated once per record and filled by a single
-  ``%`` call;
-* :class:`Records` feeds that template from rows of ints directly, so a
+* :class:`Records` -- rows of ints under one key order, like the
+  ``(i, j, k, sign)`` entries of an integral basis -- is one ``%d``
+  template, repeated once per row and filled by a single ``%`` call, so a
   caller need not build a dict per row.
 
 Everything else is written by the general recursive path, with scalars
@@ -89,13 +87,6 @@ def _list(items, level: int) -> str:
     if not items:
         return "[]"
     types = set(map(type, items))
-    if types == {dict}:
-        keys = tuple(items[0])
-        if (all(type(k) is str for k in keys)
-                and all(map(keys.__eq__, map(tuple, items)))):
-            text = _records(keys, [tuple(d.values()) for d in items], level)
-            if text is not None:
-                return text
     if types == {int}:
         parts = map(int.__repr__, items)
     elif types == {str}:

@@ -21,6 +21,7 @@ from .algebra import (
     Verdict,
     adjoint_rows,
     j_of_center_vector,
+    two_coloring,
     verify_clifford,
 )
 from .core import (
@@ -339,78 +340,16 @@ def parity_system(src: PseudoHTypeAlgebra) -> list[ParityConstraint]:
             for (i, j, _k, _s) in src.tensor.entries]
 
 
-class _ParityUnionFind:
-    """Union-find with parity; accepted edges double as a spanning forest."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.parity = [0] * (n + 1)  # parity of the path to the parent
-        self.rank = [0] * (n + 1)
-        self.forest: dict[int, list[tuple[int, ParityConstraint]]] = {
-            i: [] for i in range(n + 1)}
-
-    def find(self, a: int) -> tuple[int, int]:
-        p = 0
-        while self.parent[a] != a:
-            p ^= self.parity[a]
-            a = self.parent[a]
-        return a, p
-
-    def union(self, c: ParityConstraint) -> bool:
-        """Add a constraint; False means it conflicts with the current forest."""
-        want = 0 if c.rhs == 1 else 1
-        ra, pa = self.find(c.a)
-        rb, pb = self.find(c.b)
-        if ra == rb:
-            return (pa ^ pb) == want
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb, pa, pb = rb, ra, pb, pa
-        self.parent[rb] = ra
-        self.parity[rb] = pa ^ pb ^ want
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.forest[c.a].append((c.b, c))
-        self.forest[c.b].append((c.a, c))
-        return True
-
-
-def _forest_path(forest, a: int, b: int) -> Optional[list[ParityConstraint]]:
-    """Path a -> b through accepted edges, as the constraints on it."""
-    prev: dict[int, tuple[int, Optional[ParityConstraint]]] = {a: (0, None)}
-    queue = [a]
-    while queue:
-        u = queue.pop(0)
-        if u == b:
-            break
-        for (w, c) in forest[u]:
-            if w not in prev:
-                prev[w] = (u, c)
-                queue.append(w)
-    if b not in prev:
-        return None
-    path = []
-    node = b
-    while node != a:
-        node, c = prev[node]
-        path.append(c)
-    path.reverse()
-    return path
-
-
 def solve_parity(constraints: Sequence[ParityConstraint],
                  n: int) -> ParityOutcome:
-    """Union-find with parity; infeasibility yields an explicit odd cycle."""
-    uf = _ParityUnionFind(n)
-    for c in constraints:
-        if not uf.union(c):
-            path = _forest_path(uf.forest, c.a, c.b)
-            assert path is not None, "conflicting edge must close a tree path"
-            return ParityOutcome(feasible=False, cycle=(*path, c))
-    assignment: dict[int, int] = {}
-    for v in range(1, n + 1):
-        root, par = uf.find(v)
-        assignment[v] = 1 if par == 0 else -1
-    return ParityOutcome(feasible=True, assignment=assignment)
+    """The system's two_coloring: an assignment giving +1 to the lowest
+    index of each component, or an explicit odd cycle of constraints."""
+    signs, cycle = two_coloring(n, [(c.a, c.b, c.rhs) for c in constraints])
+    if signs is None:
+        return ParityOutcome(feasible=False,
+                             cycle=tuple(constraints[p] for p in cycle))
+    return ParityOutcome(feasible=True,
+                         assignment={v: signs[v] for v in range(1, n + 1)})
 
 
 def verify_parity_cycle(src: PseudoHTypeAlgebra,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pseudoht.algebra import (
     DegenerateKernelError,
     IntegralBasisError,
+    OpaqueProvenance,
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     StructureTensor,
@@ -23,14 +24,16 @@ from pseudoht.algebra import (
     j_of_center_vector,
     j_operator,
     signed_lookup,
+    two_coloring,
     verify_admissible,
     verify_clifford,
     verify_general_htype,
     verify_htype,
+    verify_integral_basis,
 )
 from pseudoht.algebra import _check_general_at
 from pseudoht.catalog import BASE_IDS, base_algebra
-from pseudoht.core import ExactMatrix, basis_vector, scalar_product
+from pseudoht.core import ExactMatrix, Signature, basis_vector, scalar_product
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
@@ -166,6 +169,49 @@ def test_block_decomposition_matches_published_sets():
 
 def test_block_decomposition_none_for_3_2():
     assert block_decomposition(base_algebra(3, 2)) is None
+
+
+def test_block_decomposition_none_off_an_integral_basis():
+    # one bracket on dim 4: the graph is not regular, so the halves {1,3,4}
+    # and {2} differ in size
+    a = PseudoHTypeAlgebra(
+        center_sig=Signature(1, 0), module_signs=(1, 1, 1, 1),
+        tensor=StructureTensor(4, 1, [(1, 2, 1, 1)]),
+        module_labels=("v1", "v2", "v3", "v4"), center_labels=("Z1",),
+        provenance=OpaqueProvenance({}))
+    assert not verify_integral_basis(a).ok
+    assert block_decomposition(a) is None
+
+
+def test_two_coloring_odd_triangle_cycle():
+    edges = [(1, 2, -1), (2, 3, -1), (1, 3, -1)]
+    # edge 1 clashes; the tree path runs from its first end 2 up to 1
+    # (edge 0), down to its second end 3 (edge 2), then edge 1 itself
+    assert two_coloring(3, edges) == (None, [0, 2, 1])
+
+
+def test_two_coloring_cycle_with_unequal_tree_depths():
+    # the odd square 1-2-3-4: edge 3 clashes from 4 (depth 1) to 3 (depth
+    # 2), so the cycle is 4 up to 1, then 1 down through 2 to 3, then edge 3
+    edges = [(1, 2, -1), (2, 3, -1), (1, 4, -1), (4, 3, 1)]
+    assert two_coloring(4, edges) == (None, [2, 0, 1, 3])
+
+
+def test_two_coloring_components_start_at_their_lowest_index():
+    # vertex 1 alone, then components {2, 3} and {4, 5, 6}
+    edges = [(5, 4, -1), (3, 2, -1), (5, 6, -1)]
+    signs, cycle = two_coloring(6, edges)
+    assert cycle is None
+    assert signs[1:] == [1, 1, -1, 1, -1, 1]
+
+
+def test_two_coloring_honours_rhs_plus_one():
+    edges = [(1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 1, -1)]
+    signs, cycle = two_coloring(4, edges)
+    assert cycle is None
+    assert all(signs[a] * signs[b] == rhs for a, b, rhs in edges)
+    assert signs[1:] == [1, 1, -1, -1]
+    assert two_coloring(2, [(1, 2, 1), (2, 1, -1)]) == (None, [0, 1])
 
 
 def test_block_decomposition_parts_commute():

@@ -483,3 +483,16 @@ def test_solve_parity_tiny_cases():
                           ParityConstraint(1, 3, -1)], 3)
     assert not clash.feasible
     assert len(clash.cycle) == 3
+
+
+def test_solve_parity_gives_plus_one_to_each_components_lowest_index():
+    out = solve_parity([ParityConstraint(2, 3, -1), ParityConstraint(1, 2, -1),
+                        ParityConstraint(5, 4, 1)], 5)
+    assert out.assignment == {1: 1, 2: -1, 3: 1, 4: 1, 5: 1}
+
+
+def test_solve_parity_cycle_is_the_clashing_constraints_in_cycle_order():
+    system = [ParityConstraint(1, 2, -1), ParityConstraint(2, 3, -1),
+              ParityConstraint(1, 3, -1)]
+    out = solve_parity(system, 3)
+    assert out.cycle == (system[0], system[2], system[1])

@@ -5,6 +5,7 @@ import pytest
 
 from pseudoht.algebra import (
     SignedPermutationOp,
+    algebra_from_json,
     algebra_json,
     algebra_to_dict,
     bracket,
@@ -155,6 +156,14 @@ def test_sum_json_blocks_field():
     assert d["blocks"] == a.provenance.json_dict()["blocks"]
     assert list(d)[-1] == "blocks"
     assert algebra_json(a) == json.dumps(d, indent=2)
+
+
+@pytest.mark.parametrize("rs, mu, nu", [
+    ((0, 1), 1, 1), ((2, 3), 2, 1), ((0, 1), 0, 3)])
+def test_sum_json_survives_parse_and_reemit(rs, mu, nu):
+    text = algebra_json(build_sum(base_algebra(*rs), mu, nu))
+    # a parsed sum keeps its top-level blocks though it lost its SumProvenance
+    assert algebra_json(algebra_from_json(text)) == text
 
 
 @pytest.mark.parametrize("call", [
