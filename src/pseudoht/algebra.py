@@ -29,6 +29,7 @@ from .core import (
     gram_matrix,
     nullspace,
     scalar_product,
+    signed_permutation,
 )
 from .jsonout import Records, dumps
 
@@ -174,27 +175,9 @@ class SignedPermutationOp:
 
 def _recognize_signed_permutation(m: ExactMatrix
                                   ) -> Optional[SignedPermutationOp]:
-    """SignedPermutationOp.from_matrix(m), computed: each row is scanned by
-    count and index, which compare by value (Fraction(-1) reads as -1)."""
-    if m.rows != m.cols:
-        return None
-    n = m.cols
-    image = [0] * n
-    sign = [0] * n
-    for b, row in enumerate(m.entries, start=1):
-        if row.count(0) != n - 1:
-            return None
-        if 1 in row:
-            a, s = row.index(1), 1
-        elif -1 in row:
-            a, s = row.index(-1), -1
-        else:
-            return None
-        if image[a]:
-            return None
-        image[a] = b
-        sign[a] = s
-    return SignedPermutationOp(tuple(image), tuple(sign))
+    """SignedPermutationOp.from_matrix(m), computed by core's row scan."""
+    found = signed_permutation(m.entries)
+    return None if found is None else SignedPermutationOp(*found)
 
 
 @dataclass(frozen=True)
@@ -363,7 +346,7 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
     if 0 in image:
         raise IntegralBasisError(
             f"no partner for center {k}, vector {image.index(0) + 1}")
-    return SignedPermutationOp(tuple(image), tuple(table.signs[k - 1]))
+    return SignedPermutationOp(image, table.signs[k - 1])
 
 
 def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
@@ -381,10 +364,11 @@ class _JTable(NamedTuple):
     """images[k][alpha], signs[k][alpha]: J_{Z_{k+1}} v_{alpha+1} =
     sign * v_image (1-based image, 0 where no entry gives a partner);
     conflicts: each 1-based (k, a) that an entry gives a second partner, in
-    entries order."""
+    entries order.  The rows are tuples, so the J operators hold these same
+    rows rather than copies."""
 
-    images: list[list[int]]
-    signs: list[list[int]]
+    images: tuple[tuple[int, ...], ...]
+    signs: tuple[tuple[int, ...], ...]
     conflicts: tuple[tuple[int, int], ...]
 
 
@@ -407,7 +391,8 @@ def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
                 conflicts.append((k, q))
             image[p - 1], sign[p - 1] = q, e * g[q - 1]
             image[q - 1], sign[q - 1] = p, -e * g[p - 1]
-        return _JTable(images, signs, tuple(conflicts))
+        return _JTable(tuple(map(tuple, images)), tuple(map(tuple, signs)),
+                       tuple(conflicts))
 
     return _derived(a, "_j_table", build)
 

@@ -13,8 +13,10 @@ import csv
 import functools
 import hashlib
 import io
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     BaseProvenance,
@@ -367,10 +369,18 @@ def _verified_entries(table_id: BaseTableId, expected: str
 
 
 def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:
-    """Construct a catalog algebra from its published commutator table."""
-    table_id = (r, s)
-    if table_id not in _CATALOG_SPECS:
+    """The catalog algebra of a published commutator table, shared through
+    the algebra cache: every call in a process may return the same object.
+    Only int ids are looked up, so that (1.0, 0) can never be stored under
+    (1, 0)."""
+    if type(r) is not int or type(s) is not int or (r, s) not in _CATALOG_SPECS:
         raise UnsupportedSignatureError(r, s)
+    return shared_algebra(((r, s), ()), lambda: _build_base(r, s))
+
+
+def _build_base(r: int, s: int) -> PseudoHTypeAlgebra:
+    """A new catalog algebra, built from its table and never shared."""
+    table_id = (r, s)
     entry = _CATALOG_SPECS[table_id]
     entries = base_table_entries(table_id)
     metric = tuple(entry["metric"])
@@ -419,6 +429,88 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
         provenance=BaseProvenance(0, 8),
         blocks=base_blocks(0, 8),
     )
+
+
+# --- the algebra cache -------------------------------------------------------
+
+# How a catalog-rooted algebra was built: its base table id, then the
+# extension steps ("8,0", "0,8" or "4,4") applied to it in order.
+CatalogKey = tuple[BaseTableId, tuple[str, ...]]
+
+# Total module dimension the per-process algebra cache holds.  An algebra
+# above an eighth of it is built but never kept, so that one large request
+# cannot flush the small algebras that the requests around it share.
+ALGEBRA_CACHE_DIM = 1024
+
+
+class AlgebraCache:
+    """Catalog-rooted algebras by catalog key, with the least recently used
+    evicted first once their module dimensions add up past the budget.
+
+    A key names how an algebra was built, never what it records: provenance
+    records compare through every parent algebra, and the aligned (0,8)
+    factor carries BaseProvenance(0, 8) without being base_algebra(0, 8).
+    An algebra not built under a key (parsed, summed, or made by hand) has
+    no key and is never stored.  Sharing is safe because algebras are
+    frozen and each derived table is set once from the fields.
+    """
+
+    def __init__(self, budget: int = ALGEBRA_CACHE_DIM):
+        self.budget = budget
+        self.cap = budget // 8
+        self.total = 0
+        self._algebras: OrderedDict[CatalogKey, PseudoHTypeAlgebra] = \
+            OrderedDict()
+        # id() of each stored algebra; a stored algebra is alive, so no
+        # other object can have its id
+        self._keys: dict[int, CatalogKey] = {}
+        self._lock = threading.Lock()
+
+    def key_of(self, a: PseudoHTypeAlgebra) -> Optional[CatalogKey]:
+        """The key a is stored under, or None if a is not stored."""
+        with self._lock:
+            return self._keys.get(id(a))
+
+    def get(self, key: CatalogKey,
+            build: Callable[[], PseudoHTypeAlgebra]) -> PseudoHTypeAlgebra:
+        """The algebra stored under key, else build() stored under it.
+
+        build runs outside the lock, since it may read the cache itself;
+        two threads that both miss build equal algebras, and the first one
+        stored is the one both return.
+        """
+        with self._lock:
+            a = self._algebras.get(key)
+            if a is not None:
+                self._algebras.move_to_end(key)
+                return a
+        a = build()
+        if a.dim_module > self.cap:
+            return a
+        with self._lock:
+            kept = self._algebras.setdefault(key, a)
+            if kept is a:
+                self._keys[id(a)] = key
+                self.total += a.dim_module
+                while self.total > self.budget:
+                    _key, old = self._algebras.popitem(last=False)
+                    del self._keys[id(old)]
+                    self.total -= old.dim_module
+        return kept
+
+
+_CACHE = AlgebraCache()
+
+
+def shared_algebra(key: CatalogKey,
+                   build: Callable[[], PseudoHTypeAlgebra]) -> PseudoHTypeAlgebra:
+    """The process's algebra for a catalog key; see AlgebraCache.get."""
+    return _CACHE.get(key, build)
+
+
+def catalog_key(a: PseudoHTypeAlgebra) -> Optional[CatalogKey]:
+    """The catalog key of a shared algebra, or None for any other."""
+    return _CACHE.key_of(a)
 
 
 # --- minimal module dimensions ---------------------------------------------

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 Vector = tuple[Rational, ...]
@@ -306,20 +306,66 @@ def gram_matrix(vectors: Sequence[Sequence[Rational]],
     return gram
 
 
+def signed_permutation(rows: Sequence[Sequence[Rational]]
+                       ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(image, sign) when the matrix with these rows is a signed permutation
+    matrix, one +-1 in every row and every column, else None: column a
+    holds sign[a - 1] in row image[a - 1], both 1-based.  Each row is
+    scanned by count and index, which compare by value (Fraction(-1) reads
+    as -1)."""
+    n = len(rows)
+    image = [0] * n
+    sign = [0] * n
+    for b, row in enumerate(rows, start=1):
+        if len(row) != n or row.count(0) != n - 1:
+            return None
+        if 1 in row:
+            a, s = row.index(1), 1
+        elif -1 in row:
+            a, s = row.index(-1), -1
+        else:
+            return None
+        if image[a]:
+            return None
+        image[a] = b
+        sign[a] = s
+    return tuple(image), tuple(sign)
+
+
 def classify_map(rows: Sequence[Sequence[Rational]], metric_from: MetricLike,
                  metric_to: MetricLike) -> MapClass:
     """Decide whether the matrix M with these rows is an isometry or an
-    anti-isometry via its Gram matrix.
+    anti-isometry.
 
-    Comparing M^T G_to M against +-G_from suffices because both sides are
-    the bilinear forms <Mx,My> and <x,y> evaluated on all basis pairs.
+    A signed permutation sends e_j to +-e_row(j), so it is an isometry
+    exactly when eps_to[row(j)] eps_from[j] = +1 for every j, and an
+    anti-isometry when that product is -1 for every j.  Any other matrix
+    goes through its Gram matrix.
     """
     signs_from = metric_signs(metric_from)
     signs_to = metric_signs(metric_to)
-    cols = list(zip(*rows))
-    if (len(rows) != len(signs_to) or len(cols) != len(signs_from)
-            or any(len(r) != len(cols) for r in rows)):
+    width = len(rows[0]) if rows else 0
+    if (len(rows) != len(signs_to) or width != len(signs_from)
+            or any(len(r) != width for r in rows)):
         raise ValueError("matrix shape does not match the given metrics")
+    perm = signed_permutation(rows)
+    if perm is None:
+        return _classify_by_gram(rows, signs_from, signs_to)
+    products = {signs_to[b - 1] * e for b, e in zip(perm[0], signs_from)}
+    if products <= {1}:
+        return MapClass.ISOMETRY
+    if products == {-1}:
+        return MapClass.ANTI_ISOMETRY
+    return MapClass.NEITHER
+
+
+def _classify_by_gram(rows: Sequence[Sequence[Rational]],
+                      signs_from: Sequence[int],
+                      signs_to: Sequence[int]) -> MapClass:
+    """classify_map for any matrix: comparing M^T G_to M against +-G_from
+    suffices because both sides are the bilinear forms <Mx,My> and <x,y>
+    evaluated on all basis pairs."""
+    cols = list(zip(*rows))
     iso = True
     anti = True
     for i, ci in enumerate(cols):

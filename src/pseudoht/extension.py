@@ -28,8 +28,10 @@ from .catalog import (
     UnsupportedSignatureError,
     aligned_factor_0_8,
     base_algebra,
+    catalog_key,
     require_center_budget,
     require_module_budget,
+    shared_algebra,
 )
 from .core import Signature
 
@@ -103,9 +105,21 @@ def _center_layout(step: ExtensionStep, r: int, s: int
 def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     """Extend an algebra by one Bott-periodicity step.
 
-    The pair w_i (x) u_j has flat index 16(i-1) + (j-1); the final basis
-    lists the positive pairs, then the negative ones, each in flat order.
+    The extension of a shared catalog algebra is shared too, under its
+    parent's catalog key plus the step; any other parent gets a new one.
     """
+    key = catalog_key(a)
+    if key is None:
+        return _extend(a, step)
+    base, steps = key
+    return shared_algebra((base, steps + (step.value,)),
+                          lambda: _extend(a, step))
+
+
+def _extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
+    """extend(), built: the pair w_i (x) u_j has flat index 16(i-1) + (j-1),
+    and the final basis lists the positive pairs, then the negative ones,
+    each in flat order."""
     two_l = a.dim_module
     require_module_budget(16 * two_l)
     factor = _factor(step)

@@ -1,0 +1,197 @@
+"""The per-process algebra cache: which algebras it shares, and its bounds.
+
+base_algebra, extend on a shared parent, and so extension_chain,
+standard_algebra, the canonical maps and rebuild_from_provenance, share
+one object per catalog key (base table id plus extension steps).  Every
+shared algebra must print exactly as a private build of the same chain,
+certificates must not depend on what the cache holds, and the cache must
+stay inside its module-dimension budget, also under threads.
+"""
+
+import itertools
+import json
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+import pseudoht.catalog as catalog
+from pseudoht.algebra import algebra_from_json, algebra_json, verify_axioms
+from pseudoht.catalog import (
+    ALGEBRA_CACHE_DIM,
+    BASE_IDS,
+    AlgebraCache,
+    aligned_factor_0_8,
+    base_algebra,
+    catalog_key,
+)
+from pseudoht.extension import (
+    ExtensionStep,
+    extend,
+    extension_chain,
+    standard_algebra,
+    standard_chain,
+)
+from pseudoht.jsonout import dumps
+from pseudoht.obstruction import check_pair
+from pseudoht.recheck import recheck_certificate
+from pseudoht.sums import build_sum
+
+
+def _private_chain(base, steps):
+    """The chain built from a private base, so that nothing is shared."""
+    a = catalog._build_base(*base)
+    for step in steps:
+        a = extend(a, step)
+    return a
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """An empty cache of the default size in place of the process's."""
+    fresh = AlgebraCache()
+    monkeypatch.setattr(catalog, "_CACHE", fresh)
+    return fresh
+
+
+def _check_bounds(cache: AlgebraCache) -> None:
+    stored = list(cache._algebras.items())
+    assert cache.total == sum(a.dim_module for _key, a in stored)
+    assert cache.total <= cache.budget
+    assert all(a.dim_module <= cache.cap for _key, a in stored)
+    assert cache._keys == {id(a): key for key, a in stored}
+
+
+def test_shared_algebras_are_one_object_per_catalog_key(cache):
+    assert base_algebra(3, 2) is base_algebra(3, 2)
+    assert standard_algebra(9, 1) is extension_chain(
+        (1, 1), [ExtensionStep.BY_8_0])
+    assert catalog_key(standard_algebra(9, 1)) == ((1, 1), ("8,0",))
+    # above the cap: built anew each time, but the parent is shared
+    big = standard_algebra(9, 8)
+    assert big is not standard_algebra(9, 8) and catalog_key(big) is None
+    assert big.provenance.parent is standard_algebra(9, 8).provenance.parent
+
+
+def test_the_aligned_factor_never_shares_the_0_8_entry(cache):
+    aligned, plain = aligned_factor_0_8(), base_algebra(0, 8)
+    # the same provenance record, but another basis
+    assert aligned.provenance == plain.provenance
+    assert aligned.tensor != plain.tensor
+    assert catalog_key(aligned) is None
+    assert catalog_key(plain) == ((0, 8), ())
+    for step in ExtensionStep:
+        from_aligned, from_plain = extend(aligned, step), extend(plain, step)
+        assert catalog_key(from_aligned) is None
+        assert from_aligned.provenance.json_dict() == \
+            from_plain.provenance.json_dict()
+        assert algebra_json(from_aligned) != algebra_json(from_plain)
+
+
+def test_parsed_and_summed_algebras_are_never_stored(cache):
+    shared = base_algebra(1, 0)
+    parsed = algebra_from_json(algebra_json(shared))
+    summed = build_sum(base_algebra(0, 1), 1, 1)
+    built = [parsed, summed,
+             extend(parsed, ExtensionStep.BY_8_0),
+             extend(summed, ExtensionStep.BY_8_0)]
+    assert built[2].tensor == extend(shared, ExtensionStep.BY_8_0).tensor
+    for a in built:
+        assert catalog_key(a) is None
+        assert all(a is not kept for kept in cache._algebras.values())
+    _check_bounds(cache)
+
+
+def _chains():
+    for base in BASE_IDS:
+        dim = base_algebra(*base).dim_module
+        for n in range(3):
+            if dim * 16 ** n <= 1024:
+                for steps in itertools.product(ExtensionStep, repeat=n):
+                    yield base, steps
+
+
+def test_shared_and_private_chains_print_the_same_json():
+    chains = list(_chains())
+    assert len(chains) == 14 + 42 + 45
+    for base, steps in chains:
+        extension_chain(base, steps)        # the warm lookups come second
+        shared = extension_chain(base, steps)
+        private = _private_chain(base, steps)
+        assert catalog_key(private) is None
+        assert algebra_json(shared) == algebra_json(private), (base, steps)
+
+
+def test_the_cache_stays_within_its_budget_and_cap(cache):
+    assert (ALGEBRA_CACHE_DIM, cache.budget, cache.cap) == (1024, 1024, 128)
+    built = 0
+    for r, s in itertools.product(range(13), repeat=2):
+        if standard_chain(r, s) is None or catalog.min_module_dim(r, s) > 512:
+            continue
+        a = standard_algebra(r, s)
+        built += a.dim_module if a.dim_module <= cache.cap else 0
+        _check_bounds(cache)
+    assert built > cache.budget         # so something was evicted
+
+
+# the ISO requests of the benchmark's iso-roundtrip round, (r, s, anti)
+ISO_REQUESTS = [(r, s, False) for r, s in (
+    (1, 8), (8, 1), (9, 1), (10, 0), (10, 2), (8, 4), (12, 4), (16, 0),
+    (9, 8), (8, 9), (17, 0))] + [(5, 5, True)]
+
+
+def _certify_and_recheck(r, s, anti):
+    text = dumps(check_pair(r, s, s, r, anti_only=anti).json_dict())
+    return text, recheck_certificate(json.loads(text))
+
+
+def test_iso_certificates_do_not_depend_on_the_cache(monkeypatch):
+    cold = {}
+    for r, s, anti in ISO_REQUESTS:
+        monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
+        text = dumps(check_pair(r, s, s, r, anti_only=anti).json_dict())
+        monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
+        cold[r, s, anti] = text, recheck_certificate(json.loads(text))
+    for request in ISO_REQUESTS * 2:
+        assert _certify_and_recheck(*request) == cold[request], request
+    for text, verdict in cold.values():
+        assert verdict.ok and json.loads(text)["kind"] == "ISO"
+
+
+def test_a_forged_certificate_is_refused_when_warm(cache):
+    for _round in range(2):
+        text, verdict = _certify_and_recheck(9, 1, False)
+        assert verdict.ok
+    forged = json.loads(text)
+    row = forged["morphism"]["A"][0]
+    col = next(j for j, e in enumerate(row) if e)
+    row[col] = -row[col]
+    assert not recheck_certificate(forged).ok
+    stepped = json.loads(text)
+    stepped["morphism"]["src"]["provenance"]["steps"] = [[4, 4]]
+    assert not recheck_certificate(stepped).ok
+    assert recheck_certificate(json.loads(text)).ok
+
+
+def test_threads_share_a_tiny_cache_and_get_equal_algebras(monkeypatch):
+    # a cap of 16 admits every base, and the fourteen bases alone add up
+    # to 112 > 48, so the threads evict
+    tiny = AlgebraCache(budget=48)
+    tiny.cap = 16
+    monkeypatch.setattr(catalog, "_CACHE", tiny)
+    signatures = [*BASE_IDS, (9, 0), (1, 8), (8, 1), (9, 1), (4, 5), (3, 10)]
+    want = {sig: algebra_json(_private_chain(*standard_chain(*sig)))
+            for sig in signatures}
+
+    def run(shift):
+        out = []
+        for sig in signatures[shift:] + signatures[:shift]:
+            a = standard_algebra(*sig)
+            out.append((sig, algebra_json(a), verify_axioms(a).ok))
+        return out
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(run, range(8)))
+    for out in results:
+        for sig, text, ok in out:
+            assert ok and text == want[sig], sig
+    _check_bounds(tiny)

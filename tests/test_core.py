@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudoht.core as core
+from pseudoht.catalog import min_module_dim
 from pseudoht.core import (
     ExactMatrix,
     MapClass,
@@ -19,6 +21,8 @@ from pseudoht.core import (
     nullspace,
     scalar_product,
 )
+from pseudoht.extension import standard_chain
+from pseudoht.morphism import canonical_map
 
 rationals = st.builds(
     Fraction,
@@ -253,3 +257,68 @@ def test_classify_map_refuses_a_wrong_shape():
         classify_map([[1, 0], [0]], Signature(1, 1), Signature(1, 1))
     with pytest.raises(ValueError):
         classify_map([[1, 0, 0], [0, 1, 0]], Signature(1, 1), Signature(1, 1))
+
+
+# --- the signed-permutation reading of classify_map against the Gram path ---
+
+def _both_paths(rows, signs_from, signs_to) -> MapClass:
+    got = classify_map(rows, signs_from, signs_to)
+    assert got == core._classify_by_gram(rows, metric_signs(signs_from),
+                                         metric_signs(signs_to))
+    return got
+
+
+def test_classify_reads_every_canonical_center_map_from_its_signs():
+    seen = set()
+    for r in range(13):
+        for s in range(13):
+            if standard_chain(r, s) is None or min_module_dim(r, s) > 512:
+                continue
+            cmap = canonical_map(r, s)
+            if cmap is None:
+                continue
+            rows = cmap.center.matrix().entries
+            assert core.signed_permutation(rows) is not None
+            # every canonical map swaps the center's signs; read against
+            # the source metric on both sides, the same rows give the
+            # other outcomes
+            assert _both_paths(rows, cmap.src.center_sig, cmap.dst.center_sig) \
+                == MapClass.ANTI_ISOMETRY
+            seen.add(_both_paths(rows, cmap.src.center_sig,
+                                 cmap.src.center_sig))
+    assert seen == set(MapClass)
+
+
+@given(st.permutations(range(6)), st.lists(st.sampled_from((1, -1)),
+                                           min_size=18, max_size=18),
+       st.sampled_from((1, Fraction(1))))
+@settings(max_examples=200, deadline=None)
+def test_classify_mixed_sign_permutations_on_both_paths(perm, signs, one):
+    flips, signs_from, signs_to = signs[:6], signs[6:12], signs[12:]
+    rows = [[0] * 6 for _ in range(6)]
+    for col, (row, flip) in enumerate(zip(perm, flips)):
+        rows[row][col] = flip * one
+    _both_paths(rows, signs_from, signs_to)
+    # metrics chosen so that each outcome is reached
+    same = [signs_to[row] for row in perm]
+    assert _both_paths(rows, same, signs_to) == MapClass.ISOMETRY
+    assert _both_paths(rows, [-e for e in same], signs_to) \
+        == MapClass.ANTI_ISOMETRY
+
+
+@given(st.lists(st.lists(st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2))),
+                         min_size=4, max_size=4), min_size=4, max_size=4),
+       st.lists(st.sampled_from((1, -1)), min_size=8, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_classify_other_matrices_on_both_paths(rows, signs):
+    _both_paths(rows, signs[:4], signs[4:])
+
+
+def test_classify_near_permutations_take_the_gram_path():
+    signs = (1, 1, -1)
+    for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 2]],      # an entry 2
+                 [[0, 1, 0], [1, 0, 0], [0, 1, 0]],      # a repeated column
+                 [[0, 1, 0], [1, 0, 0], [0, 0, 0]],      # a zero row
+                 [[1, 1, 0], [1, -1, 0], [0, 0, 1]]):    # two entries a row
+        assert core.signed_permutation(rows) is None
+        _both_paths(rows, signs, signs)

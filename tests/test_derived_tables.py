@@ -9,6 +9,10 @@ A structure tensor stores its entries only; its pair and vertex lookups are
 derived on first use, and they must agree with the entries.  A matrix keeps
 its recognized signed-permutation form, so one morphism's blocks are
 recognized once across certification and recheck.
+
+base_algebra shares one object per catalog id in a process, so a test
+that counts derivations or corrupts an operator builds private algebras
+with the uncached catalog constructor.
 """
 
 import dataclasses
@@ -38,7 +42,7 @@ from pseudoht.algebra import (
     verify_htype,
     verify_integral_basis,
 )
-from pseudoht.catalog import BASE_IDS, base_algebra
+from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix
 from pseudoht.extension import ExtensionStep, extend
 from pseudoht.obstruction import check_pair, sbg_decision
@@ -172,7 +176,7 @@ def test_verifiers_match_the_reference_on_corrupted_operators(monkeypatch):
     derive = algebra.j_operator
     seen = set()
     for rs in BASE_IDS:
-        a = base_algebra(*rs)
+        a = _build_base(*rs)
         for k in range(1, a.dim_center + 1):
             op = derive(a, k)
             image, sign = list(op.image), list(op.sign)
@@ -187,7 +191,7 @@ def test_verifiers_match_the_reference_on_corrupted_operators(monkeypatch):
                 monkeypatch.setattr(
                     algebra, "j_operator",
                     lambda alg, kk, k=k, bad=bad: bad if kk == k else derive(alg, kk))
-                _compare(base_algebra(*rs), seen)
+                _compare(_build_base(*rs), seen)
     assert ("verify_admissible", "skew-adjointness fails on this pair") in seen
     assert ("verify_admissible",
             "skew-adjointness fails: orbit does not return") in seen
@@ -226,10 +230,10 @@ def _derived_on(a: PseudoHTypeAlgebra) -> list[str]:
 
 
 def test_construction_derives_nothing(derivations):
-    a = base_algebra(4, 4)
-    big = extend(base_algebra(1, 0), ExtensionStep.BY_8_0)
+    a = _build_base(4, 4)
+    big = extend(_build_base(1, 0), ExtensionStep.BY_8_0)
     back = algebra_from_json(algebra_json(big))
-    summed = build_sum(base_algebra(2, 3), 2, 1)
+    summed = build_sum(_build_base(2, 3), 2, 1)
     assert back.tensor == big.tensor and a.dim_center == 8
     for built in (a, big, back, summed):
         assert _derived_on(built) == []
@@ -237,7 +241,7 @@ def test_construction_derives_nothing(derivations):
 
 
 def test_lookups_are_derived_once_on_the_tensor():
-    a = base_algebra(3, 2)
+    a = _build_base(3, 2)
     assert a.tensor.bracket_pair(1, 2) is not None
     assert _derived_on(a) == ["_links"]
     table = algebra._link_table(a.tensor)
@@ -337,7 +341,7 @@ def test_a_doubled_partner_is_reported_in_entries_order():
 
 
 def test_verifiers_and_sbg_derive_each_operator_once(derivations):
-    a = base_algebra(3, 2)
+    a = _build_base(3, 2)
     for _round in range(2):
         assert verify_clifford(a).ok
         assert verify_admissible(a).ok
@@ -352,7 +356,8 @@ def test_verifiers_and_sbg_derive_each_operator_once(derivations):
 def test_derived_tables_leave_identity_alone():
     a = base_algebra(2, 3)
     assert verify_clifford(a).ok and sbg_decision(a).kind == "SBG_NO"
-    fresh = base_algebra(2, 3)
+    fresh = _build_base(2, 3)
+    assert a is not fresh and _derived_on(fresh) == []
     assert a == fresh and hash(a) == hash(fresh)
     assert repr(a) == repr(fresh)
     assert algebra_to_dict(a) == algebra_to_dict(fresh)
