@@ -353,8 +353,8 @@ def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
     """(J_{Z_1}, ..., J_{Z_n}): j_operator() for every center index.
 
     Derived on first use and kept on the algebra object, so the hot loops
-    of the verifiers, the conjugation check and the SBG witness search
-    derive each operator once per algebra.
+    of the verifiers and the conjugation check derive each operator once
+    per algebra.
     """
     return _derived(a, "_j_operators", lambda alg: tuple(
         j_operator(alg, k) for k in range(1, alg.dim_center + 1)))
@@ -434,27 +434,11 @@ def _derived(obj, name: str, build: Callable):
     return value
 
 
-def j_of_center_vector(a: PseudoHTypeAlgebra, z: Mapping[int, Rational],
-                       x: Mapping[int, Rational]) -> dict[int, Rational]:
-    """Apply J_Z for an arbitrary center vector Z to a module vector.
-
-    Both vectors are {index: coefficient} dictionaries, and so is the
-    result, with zero entries dropped; integer input gives integer output.
-    """
-    for k in z:
-        if not 1 <= k <= a.dim_center:
-            raise IndexError(f"center index {k} out of range")
-    for alpha in x:
-        if not 1 <= alpha <= a.dim_module:
-            raise IndexError(f"module index {alpha} out of range")
-    ops = j_operators(a)
-    return apply_j_operators({k: ops[k - 1] for k in z}, z, x)
-
-
 def apply_j_operators(ops: Mapping[int, SignedPermutationOp],
                       z: Mapping[int, Rational],
                       x: Mapping[int, Rational]) -> dict[int, Rational]:
-    """j_of_center_vector() with the operators given: ops[k] is J_{Z_k}.
+    """J_Z x for sparse {index: coefficient} vectors, zero entries dropped,
+    with the operators given: ops[k] is J_{Z_k}.
 
     A caller that applies the J operators of two algebras side by side,
     as the conjugation check does, passes each one's j_operators() here.
@@ -594,8 +578,9 @@ def verify_axioms(a: PseudoHTypeAlgebra) -> Verdict:
     return Verdict(True)
 
 
-def two_coloring(n: int, edges: Sequence[tuple[int, int, int]]
-                 ) -> tuple[Optional[list[int]], Optional[list[int]]]:
+def two_coloring(n: int, edges: Sequence[tuple[int, int, int]],
+                 every_component: bool = False
+                 ) -> tuple[Optional[list[int]], Optional[list]]:
     """Signs on vertices 1..n with signs[a] * signs[b] == rhs on every edge
     (a, b, rhs), as (signs, None); or (None, cycle) when none exist.
 
@@ -605,18 +590,26 @@ def two_coloring(n: int, edges: Sequence[tuple[int, int, int]]
     ``edges`` of the tree path from the edge's first end up to the common
     ancestor, then down to its second end, then the edge itself.  signs[0]
     is unused.
+
+    With every_component the walk goes on past contradictions and returns
+    (signs, balanced): balanced[c] tells whether no edge contradicts the
+    c-th component, in the order of their lowest vertices, and signs hold
+    on the tree edges.  A loop (a, a, -1) contradicts on its own; a vertex
+    without edges is a balanced component.
     """
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for p, (a, b, _rhs) in enumerate(edges):
         adj[a].append(p)
         adj[b].append(p)
     signs = [0] * (n + 1)
+    balanced: list[bool] = []
     # the tree edge that colored each vertex, its other end, and its depth
     tree, parent, depth = [-1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     for start in range(1, n + 1):
         if signs[start]:
             continue
         signs[start] = 1
+        balanced.append(True)
         queue = deque([start])
         while queue:
             u = queue.popleft()
@@ -628,6 +621,9 @@ def two_coloring(n: int, edges: Sequence[tuple[int, int, int]]
                     tree[w], parent[w], depth[w] = p, u, depth[u] + 1
                     queue.append(w)
                 elif signs[u] * signs[w] != rhs:
+                    if every_component:
+                        balanced[-1] = False
+                        continue
                     up: list[int] = []
                     down: list[int] = []
                     while a != b:
@@ -638,7 +634,39 @@ def two_coloring(n: int, edges: Sequence[tuple[int, int, int]]
                             down.append(tree[b])
                             b = parent[b]
                     return None, up + down[::-1] + [p]
-    return signs, None
+    return signs, balanced if every_component else None
+
+
+def signed_incidence_rank(n: int,
+                          columns: Iterable[Sequence[tuple[int, int]]]) -> int:
+    """Rank over Q of the n-row matrix whose columns each add up at most
+    two terms sign * e_row, given as (row, sign) pairs, rows 1-based.
+
+    The matrix is the incidence matrix of a signed graph on its rows
+    (T. Zaslavsky, "Signed graphs", Discrete Appl. Math. 4 (1982)).  A
+    vector y of its left kernel has y_a y_b = -s_a s_b across a column
+    s_a e_a + s_b e_b, so each column is the two_coloring edge (a, b,
+    -s_a s_b): one term reads as two equal ones, and a column of equal
+    terms on one row is the loop (a, a, -1) that forces y_a = 0, while
+    opposite terms cancel into the loop (a, a, +1) that constrains
+    nothing.  The left kernel has one dimension per balanced component,
+    so the rank is n minus their number.
+    """
+    edges = [(col[0][0], col[-1][0], -col[0][1] * col[-1][1])
+             for col in columns if col]
+    _signs, balanced = two_coloring(n, edges, every_component=True)
+    return n - sum(balanced)
+
+
+def two_point_rank(a: PseudoHTypeAlgebra, alpha: int, beta: int) -> int:
+    """Rank of ad_x for x = v_alpha + v_beta (1-based), by
+    signed_incidence_rank: on an integral basis column b of ad_x,
+    [v_alpha, v_b] + [v_beta, v_b], adds at most two terms +-Z_k."""
+    links = _link_table(a.tensor)
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for b, k, s in links[alpha - 1] + links[beta - 1]:
+        columns.setdefault(b, []).append((k + 1, s))
+    return signed_incidence_rank(a.dim_center, columns.values())
 
 
 def block_decomposition(a: PseudoHTypeAlgebra
@@ -707,6 +735,27 @@ def adjoint_rows(a: PseudoHTypeAlgebra,
             for beta, k, s in links:
                 rows[k][beta] += s * xa
     return rows
+
+
+def center_pairing(a: PseudoHTypeAlgebra, z: Sequence[Rational],
+                   x: Sequence[Rational]) -> list[Rational]:
+    """<Z, [x, v_b]> for b = 1..dim v, which is the coordinate <J_Z x, v_b>.
+
+    One pass over the tensor entries, doing work only on those whose
+    center index Z touches; no link or J table is read or built.  Entries
+    keep the number type of the input, so integers give integers.
+    """
+    if len(z) != a.dim_center or len(x) != a.dim_module:
+        raise ValueError("Z and x must have center and module length")
+    lowered = [zk * e for zk, e in zip(z, a.center_sig.signs())]
+    out = [0] * a.dim_module
+    for (p, q, k, s) in a.tensor.entries:
+        c = lowered[k - 1]
+        if c:
+            c *= s
+            out[q - 1] += x[p - 1] * c
+            out[p - 1] -= x[q - 1] * c
+    return out
 
 
 def verify_general_htype(a: PseudoHTypeAlgebra) -> Verdict:

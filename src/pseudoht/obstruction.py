@@ -20,13 +20,15 @@ from .algebra import (
     PseudoHTypeAlgebra,
     Verdict,
     adjoint_rows,
-    j_of_center_vector,
+    center_pairing,
     two_coloring,
+    two_point_rank,
     verify_clifford,
 )
 from .core import (
     Rational,
     Signature,
+    basis_vector,
     clear_denominators,
     exact_det,
     exact_rank,
@@ -133,24 +135,26 @@ def iter_grid(dim: int, radius: int):
 def surjectivity_scan(a: PseudoHTypeAlgebra) -> ScanReport:
     """Test rank ad_X = dim z exactly off the null cone, up to the first
     counterexample, over a fixed point set: every nonzero point of the
-    {-1,0,1} grid when dim v <= 8, otherwise every null v_i + v_j with
-    eps_i = +1 and eps_j = -1, in index order.  Finding nothing proves
-    nothing.
+    {-1,0,1} grid when dim v <= 8, ranked by exact_rank, otherwise every
+    null v_i + v_j with eps_i = +1 and eps_j = -1, in index order, ranked
+    by two_point_rank.  Finding nothing proves nothing.
     """
     signs = a.module_signs
     dim = a.dim_module
     if dim <= 8:
-        candidates = (x for x in iter_grid(dim, 1) if any(x))
+        candidates = ((x, exact_rank(adjoint_rows(a, x)))
+                      for x in iter_grid(dim, 1) if any(x))
     else:
         pos = [i for i in range(dim) if signs[i] > 0]
         neg = [j for j in range(dim) if signs[j] < 0]
-        candidates = (tuple(int(k == i or k == j) for k in range(dim))
+        candidates = ((tuple(int(k == i or k == j) for k in range(dim)),
+                       two_point_rank(a, i + 1, j + 1))
                       for i in pos for j in neg)
     points = 0
-    for x in candidates:
+    for x, rank in candidates:
         points += 1
         null = sum(s * e * e for s, e in zip(signs, x)) == 0
-        if null == (exact_rank(adjoint_rows(a, x)) == a.dim_center):
+        if null == (rank == a.dim_center):
             return ScanReport(a.name(), points, x)
     return ScanReport(a.name(), points)
 
@@ -270,15 +274,16 @@ def sbg_decision(a: PseudoHTypeAlgebra) -> Certificate:
 def null_direction_witness(a: PseudoHTypeAlgebra
                            ) -> tuple[list[int], list[int]]:
     """Integer (Z_0, v) on an indefinite center: the null Z_0 = Z_1 + Z_{r+1}
-    and v = J_{Z_0} v_alpha for the first v_alpha it does not annihilate."""
+    and v = J_{Z_0} v_alpha for the first v_alpha it does not annihilate,
+    read off the center_pairing <J_{Z_0} v_alpha, v_b> = eps_b v_b."""
     r = a.r
     z0 = [0] * a.dim_center
     z0[0] = 1
     z0[r] = 1
     for alpha in range(1, a.dim_module + 1):
-        cand = j_of_center_vector(a, {1: 1, r + 1: 1}, {alpha: 1})
-        if cand:
-            return z0, [cand.get(i, 0) for i in range(1, a.dim_module + 1)]
+        pairing = center_pairing(a, z0, basis_vector(alpha, a.dim_module))
+        if any(pairing):
+            return z0, [e * c for e, c in zip(a.module_signs, pairing)]
     # would contradict the nonzero kernel of J_{Z_0}
     raise RuntimeError("no witness found; J_{Z_0} vanished identically")
 
@@ -288,7 +293,9 @@ def verify_sbg_no_witness(a: PseudoHTypeAlgebra, z0: Sequence[Rational],
     """Re-check an SBG_NO certificate: image(ad_v) misses the dual of Z_0.
 
     Both conditions are homogeneous, so they are checked on the integer
-    vectors L*Z_0 and L*v; column beta of ad_v holds [v, v_beta].
+    vectors L*Z_0 and L*v; column beta of ad_v holds [v, v_beta], and
+    center_pairing gives each <Z_0, [v, v_beta]> from the entries that
+    Z_0 touches.
     """
     if len(z0) != a.dim_center or len(v) != a.dim_module:
         return Verdict(False, None, "certificate vectors have the wrong length")
@@ -298,8 +305,8 @@ def verify_sbg_no_witness(a: PseudoHTypeAlgebra, z0: Sequence[Rational],
         return Verdict(False, None, "certificate vectors must be nonzero")
     if scalar_product(z0i, z0i, a.center_sig) != 0:
         return Verdict(False, None, "Z_0 is not a null vector")
-    for beta, img in enumerate(zip(*adjoint_rows(a, vi)), start=1):
-        if scalar_product(z0i, img, a.center_sig) != 0:
+    for beta, pairing in enumerate(center_pairing(a, z0i, vi), start=1):
+        if pairing:
             return Verdict(False, (beta,),
                            "image of ad_v leaves the complement of Z_0")
     return Verdict(True)

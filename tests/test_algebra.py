@@ -21,8 +21,9 @@ from pseudoht.algebra import (
     bd_decomposition,
     block_decomposition,
     bracket,
-    j_of_center_vector,
+    center_pairing,
     j_operator,
+    signed_incidence_rank,
     signed_lookup,
     two_coloring,
     verify_admissible,
@@ -33,7 +34,7 @@ from pseudoht.algebra import (
 )
 from pseudoht.algebra import _check_general_at
 from pseudoht.catalog import BASE_IDS, base_algebra
-from pseudoht.core import ExactMatrix, Signature, basis_vector, scalar_product
+from pseudoht.core import ExactMatrix, Signature, basis_vector, exact_rank, scalar_product
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
@@ -212,6 +213,53 @@ def test_two_coloring_honours_rhs_plus_one():
     assert all(signs[a] * signs[b] == rhs for a, b, rhs in edges)
     assert signs[1:] == [1, 1, -1, -1]
     assert two_coloring(2, [(1, 2, 1), (2, 1, -1)]) == (None, [0, 1])
+
+
+def test_two_coloring_reports_each_components_balance():
+    # {1, 2, 3} an odd triangle, {4} alone, {5, 6} with a negative loop,
+    # {7, 8} consistent, {9} with a positive loop
+    edges = [(1, 2, -1), (2, 3, -1), (1, 3, -1), (5, 6, 1), (6, 6, -1),
+             (7, 8, -1), (9, 9, 1)]
+    signs, balanced = two_coloring(9, edges, every_component=True)
+    assert balanced == [False, True, False, True, True]
+    assert signs[7] * signs[8] == -1 and signs[9] == 1
+    # without the flag the same walk stops at the triangle's clash
+    assert two_coloring(9, edges) == (None, [0, 2, 1])
+    assert two_coloring(3, [], every_component=True) == ([0, 1, 1, 1],
+                                                         [True] * 3)
+
+
+@pytest.mark.parametrize("columns,rank", [
+    ([], 0),                                    # three isolated rows
+    ([[(1, 1)]], 1),                            # a half-edge
+    ([[(2, -1), (2, -1)]], 1),                  # -2 e_2, a half-edge too
+    ([[(2, 1), (2, -1)]], 0),                   # a cancelling pair
+    ([[(1, 1), (2, 1)], [(1, 1), (2, -1)]], 2),             # odd digon
+    ([[(1, 1), (2, 1)], [(2, 1), (3, -1)], [(1, 1), (3, 1)]], 2),  # even
+    ([[(1, 1), (2, 1)], [(2, 1), (3, 1)], [(1, 1), (3, 1)]], 3),   # odd
+])
+def test_signed_incidence_rank_examples(columns, rank):
+    assert signed_incidence_rank(3, columns) == rank
+
+
+def _dense(n, columns):
+    rows = [[0] * len(columns) for _ in range(n)]
+    for c, column in enumerate(columns):
+        for row, sign in column:
+            rows[row - 1][c] += sign
+    return rows
+
+
+signed_terms = st.tuples(st.integers(min_value=1, max_value=6),
+                         st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(signed_terms, max_size=2), max_size=9))
+def test_signed_incidence_rank_is_the_exact_rank(columns):
+    # six rows and at most nine columns: isolated rows, half-edges, equal
+    # and cancelling pairs on one row all turn up
+    assert signed_incidence_rank(6, columns) == exact_rank(_dense(6, columns))
 
 
 def test_block_decomposition_parts_commute():
@@ -414,22 +462,28 @@ def test_adjoint_rows_keep_the_number_type():
         assert column == bracket(a, x, basis_vector(b, 8))
 
 
-def test_j_of_center_vector_is_sparse_and_linear():
+def test_center_pairing_lowers_j_of_the_center_vector():
+    # <Z, [x, v_b]> = <J_Z x, v_b>, with J_Z x read off the J operators
     a = base_algebra(2, 2)
-    j1, j3 = j_operator(a, 1), j_operator(a, 3)
-    got = j_of_center_vector(a, {1: 1, 3: 2}, {5: 1})
-    want = {}
-    for op, c in ((j1, 1), (j3, 2)):
-        b, s = op.apply_basis(5)
-        want[b] = want.get(b, 0) + c * s
-    assert got == {b: c for b, c in want.items() if c}
-    assert all(type(c) is int for c in got.values())
-    assert j_of_center_vector(a, {}, {5: 1}) == {}
+    z, x = [1, 0, 2, 0], [0, 0, 0, 0, 1, 0, -3, 0]
+    want = [0] * a.dim_module
+    for k, zk in enumerate(z, start=1):
+        for alpha, xa in enumerate(x, start=1):
+            if zk and xa:
+                b, s = j_operator(a, k).apply_basis(alpha)
+                want[b - 1] += zk * xa * s * a.module_sign(b)
+    got = center_pairing(a, z, x)
+    assert got == want and any(got)
+    assert all(type(c) is int for c in got)
+    assert center_pairing(a, [0] * 4, x) == [0] * 8
+    half = center_pairing(a, z, [Fraction(e, 2) for e in x])
+    assert half == [Fraction(c, 2) for c in got]
 
 
-@pytest.mark.parametrize("z,x", [({0: 1}, {5: 1}), ({5: 1}, {5: 1}),
-                                 ({1: 1}, {0: 1}), ({1: 1}, {9: 1})])
-def test_j_of_center_vector_refuses_out_of_range_indices(z, x):
-    # a module key of 0 would otherwise read image[-1] and answer silently
-    with pytest.raises(IndexError):
-        j_of_center_vector(base_algebra(2, 2), z, x)
+@pytest.mark.parametrize("z,x", [([1, 0, 0], [0] * 8), ([1] * 5, [0] * 8),
+                                 ([1, 0, 0, 0], [1] * 7),
+                                 ([1, 0, 0, 0], [1] * 9)])
+def test_center_pairing_refuses_wrong_lengths(z, x):
+    # a short Z would otherwise stop the pairing early and answer silently
+    with pytest.raises(ValueError):
+        center_pairing(base_algebra(2, 2), z, x)

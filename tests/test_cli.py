@@ -197,6 +197,43 @@ def test_parity_refutations_are_byte_stable(capsys, argv):
         PINNED_PARITY_REFUTATIONS[argv]
 
 
+# sha256 of the INCONCLUSIVE certificates of the open swap pairs and of
+# plain SBG_NO certificates, taken while the scan still ranked each point by
+# elimination and the SBG witnesses still read the dense adjoint
+PINNED_OPEN_PAIRS = {
+    ("11", "2", "2", "11"):
+        "3aeafdb6bdafa4eb16a039d53e228b88ae843e9f1ab7ebd59a7b4ec751bb751c",
+    ("7", "6", "6", "7"):
+        "520b34c4eefd8ff565cefe7dd8fb01a191efd3386b5d351e956b195c624c1f50",
+    ("7", "7", "7", "7", "--anti"):
+        "65cc5044f03f93077af53332498e7bd098cab0469e8b7f09249d28866fad3ef1",
+    ("11", "3", "3", "11"):
+        "34a01aafb49688d4a0798bd30f6b14eb6c6e453ae5e0b6e921a65700842b5136",
+}
+PINNED_SBG_NO = {
+    ("9", "8"):
+        "2aa9e62333325152b35d2140b33977d7eab8cd07d0b6eeac974ee391e8676e97",
+    ("3", "2"):
+        "67a899f3d3be1e6a46116e0ceb107c2366e104034581fe7ff33dbb36619509b4",
+    ("11", "2"):
+        "43097833c4fb748436e24304e951104f799326b2108f5127f3afea858b5d6b9c",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OPEN_PAIRS)
+def test_open_pair_certificates_are_byte_stable(capsys, argv):
+    code, out, _ = run_cli(capsys, "check", *argv)
+    assert code == 2 and json.loads(out)["kind"] == "INCONCLUSIVE"
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OPEN_PAIRS[argv]
+
+
+@pytest.mark.parametrize("argv", PINNED_SBG_NO)
+def test_sbg_no_certificates_are_byte_stable(capsys, argv):
+    code, out, _ = run_cli(capsys, "sbg", *argv)
+    assert code == 0 and json.loads(out)["kind"] == "SBG_NO"
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SBG_NO[argv]
+
+
 def test_check_automorphism_modes(capsys):
     code, out, _ = run_cli(capsys, "check", "3", "3", "3", "3")
     assert code == 0 and json.loads(out)["kind"] == "ISO"  # identity map

@@ -45,7 +45,7 @@ from pseudoht.algebra import (
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix
 from pseudoht.extension import ExtensionStep, extend
-from pseudoht.obstruction import check_pair, sbg_decision
+from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum
 
@@ -351,6 +351,18 @@ def test_verifiers_and_sbg_derive_each_operator_once(derivations):
     assert j_operators(a) is j_operators(a)
     assert list(j_operators(a)) == [j_operator(a, k)
                                     for k in range(1, a.dim_center + 1)]
+
+
+def test_sbg_no_and_its_recheck_derive_no_table(derivations):
+    # a private n_(9,1): the witness reads the entries Z_0 touches, not
+    # the link table or the J operators
+    a = extend(_build_base(1, 1), ExtensionStep.BY_8_0)
+    cert = sbg_decision(a)
+    assert cert.kind == "SBG_NO"
+    z0, v = (list(map(Fraction, cert.payload[key]))
+             for key in ("z0", "witness_v"))
+    assert verify_sbg_no_witness(a, z0, v).ok
+    assert _derived_on(a) == [] and derivations == []
 
 
 def test_derived_tables_leave_identity_alone():

@@ -126,6 +126,7 @@ def test_removed_public_names_stay_gone():
                (pseudoht.obstruction, "adjoint_matrix"),
                (pseudoht.obstruction, "AdjointMatrix"),
                (pseudoht.algebra, "algebra_to_json"),
+               (pseudoht.algebra, "j_of_center_vector"),
                (pseudoht.algebra.SignedPermutationOp, "apply"),
                (layout, "barred"),
                (layout, "center_symbol")]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,21 @@ from hypothesis import strategies as st
 
 import pseudoht.algebra as algebra
 import pseudoht.obstruction as obstruction
-from pseudoht.algebra import StructureTensor, adjoint_rows
+from pseudoht.algebra import (
+    OpaqueProvenance,
+    PseudoHTypeAlgebra,
+    StructureTensor,
+    adjoint_rows,
+    two_point_rank,
+)
 from pseudoht.catalog import base_algebra
-from pseudoht.core import basis_vector, scalar_product
+from pseudoht.core import (
+    Signature,
+    basis_vector,
+    clear_denominators,
+    exact_rank,
+    scalar_product,
+)
 from pseudoht.extension import (
     ExtensionStep,
     extend,
@@ -24,6 +37,7 @@ from pseudoht.obstruction import (
     adjoint_rank,
     gram_det,
     iter_grid,
+    null_direction_witness,
     parity_certificate,
     parity_system,
     sbg_decision,
@@ -223,6 +237,62 @@ def test_scan_stops_at_the_first_null_pair_on_the_open_destinations(rs):
         "violation": x}
 
 
+def _two_point_oracle(a, i, j):
+    """exact_rank of ad_x for x = v_i + v_j, on the transpose without its
+    zero rows (they leave the rank alone and slow the elimination)."""
+    x = [0] * a.dim_module
+    x[i - 1] = x[j - 1] = 1
+    return exact_rank([c for c in zip(*adjoint_rows(a, x)) if any(c)])
+
+
+@pytest.mark.parametrize("rs", [(2, 11), (6, 7), (7, 7), (3, 11)])
+def test_two_point_rank_agrees_on_every_null_pair_of_the_open_destinations(rs):
+    # every point the scan would visit past its first, 64 x 64 per algebra
+    a = standard_algebra(*rs)
+    signs = a.module_signs
+    ranks = Counter()
+    for i in range(1, a.dim_module + 1):
+        for j in range(1, a.dim_module + 1):
+            if signs[i - 1] > 0 > signs[j - 1]:
+                rank = two_point_rank(a, i, j)
+                assert rank == _two_point_oracle(a, i, j), (i, j)
+                ranks[rank] += 1
+    assert sum(ranks.values()) == 64 * 64
+    # onto and rank-deficient null points both occur
+    assert ranks[a.dim_center] and len(ranks) >= 3
+
+
+def _free_two_step(n_pos: int, n_neg: int) -> PseudoHTypeAlgebra:
+    """The free 2-step nilpotent algebra on n_pos + n_neg generators: each
+    pair brackets to its own center direction.  Not of H-type; ad_x of a
+    two-point x has rank dim v - 1, far below dim z."""
+    n = n_pos + n_neg
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    sig = Signature(len(pairs) - n, n)
+    return PseudoHTypeAlgebra(
+        center_sig=sig, module_signs=(1,) * n_pos + (-1,) * n_neg,
+        tensor=StructureTensor(n, sig.dim, [
+            (a, b, k, (-1) ** k) for k, (a, b) in enumerate(pairs, start=1)]),
+        module_labels=tuple(f"v{i}" for i in range(1, n + 1)),
+        center_labels=tuple(f"Z{k}" for k in range(1, sig.dim + 1)),
+        provenance=OpaqueProvenance({}))
+
+
+def test_scan_above_dim_8_runs_to_the_end():
+    free = _free_two_step(5, 5)
+    summed = build_sum(base_algebra(2, 3), 2, 1)
+    for a in (free, summed):
+        n = a.dim_module
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert two_point_rank(a, i, j) == _two_point_oracle(a, i, j)
+    # 45 center directions, so nine per point leave 36 isolated indices
+    assert {two_point_rank(free, i, j)
+            for i in range(1, 11) for j in range(i + 1, 11)} == {9}
+    assert surjectivity_scan(free) == obstruction.ScanReport(free.name(), 25)
+    assert surjectivity_scan(summed).points == 5
+
+
 def test_check_pair_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(random, "Random", lambda *a: pytest.fail(
         "check_pair drew random numbers"))
@@ -370,6 +440,38 @@ def test_sbg_no_witnesses_reverify(rs):
     assert verify_sbg_no_witness(
         a, [Fraction(e) for e in cert.payload["z0"]],
         [Fraction(e) for e in cert.payload["witness_v"]]).ok
+
+
+def _sbg_witness_by_adjoint_rows(a, z0, v):
+    """The first column of the dense ad_v that pairs nonzero with Z_0, as
+    verify_sbg_no_witness found it before it read only the entries Z_0
+    touches; None when there is none."""
+    z0i, _ = clear_denominators(z0)
+    vi, _ = clear_denominators(v)
+    for beta, img in enumerate(zip(*adjoint_rows(a, vi)), start=1):
+        if scalar_product(z0i, img, a.center_sig) != 0:
+            return (beta,)
+    return None
+
+
+@pytest.mark.parametrize("rs", [(1, 1), (3, 2), (2, 3), (11, 2), (9, 8)])
+def test_sbg_witness_verdicts_match_the_dense_adjoint(rs):
+    a = standard_algebra(*rs)
+    z0, v = null_direction_witness(a)
+    rng = random.Random(a.dim_module)
+    dense = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for _ in range(a.dim_module)]
+    shifted = [e + (b == 0) for b, e in enumerate(v)]
+    candidates = [v, [Fraction(e, 3) for e in v], dense, shifted,
+                  basis_vector(1, a.dim_module),
+                  basis_vector(a.dim_module, a.dim_module)]
+    verdicts = []
+    for cand in candidates:
+        got = verify_sbg_no_witness(a, z0, cand)
+        want = _sbg_witness_by_adjoint_rows(a, z0, cand)
+        assert (got.ok, got.witness) == (want is None, want)
+        verdicts.append(got.ok)
+    assert verdicts == [True, True, False, False, False, False]
 
 
 def test_sbg_witness_verifier_rejects_bad_data():
