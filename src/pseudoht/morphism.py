@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .algebra import (
     PseudoHTypeAlgebra,
@@ -50,13 +50,19 @@ from .extension import (
 
 @dataclass(frozen=True)
 class LieMorphism:
+    """The blocks A (modules) and C (centers) of a morphism src -> dst.  A
+    is a SignedPermutationOp for an integral map, an ExactMatrix otherwise."""
+
     src: PseudoHTypeAlgebra
     dst: PseudoHTypeAlgebra
-    A: ExactMatrix
+    A: Union[SignedPermutationOp, ExactMatrix]
     C: ExactMatrix
 
     def __post_init__(self) -> None:
-        if self.A.rows != self.dst.dim_module or self.A.cols != self.src.dim_module:
+        a = self.A
+        shape = (a.dim, a.dim) if isinstance(a, SignedPermutationOp) else (
+            a.rows, a.cols)
+        if shape != (self.dst.dim_module, self.src.dim_module):
             raise ValueError("module block shape mismatch")
         if self.C.rows != self.dst.dim_center or self.C.cols != self.src.dim_center:
             raise ValueError("center block shape mismatch")
@@ -82,9 +88,17 @@ def _sparse_rows(m: ExactMatrix) -> list[dict[int, Rational]]:
             for row in m.entries]
 
 
+def signed_block(m: Union[SignedPermutationOp, ExactMatrix]
+                 ) -> Optional[SignedPermutationOp]:
+    """m itself when it is a SignedPermutationOp; otherwise the op a dense
+    block is recognized as, or None."""
+    if isinstance(m, SignedPermutationOp):
+        return m
+    return SignedPermutationOp.from_matrix(m)
+
+
 def classify_morphism(f: LieMorphism) -> MorphismClass:
-    integral = all(SignedPermutationOp.from_matrix(m) is not None
-                   for m in (f.A, f.C))
+    integral = all(signed_block(m) is not None for m in (f.A, f.C))
     action = classify_map(f.C.entries, f.src.center_sig, f.dst.center_sig)
     return MorphismClass(center_action=action, integral=integral)
 
@@ -115,8 +129,8 @@ def _relation_defect(f: LieMorphism) -> Optional[tuple[int, int, int]]:
     beta != alpha.  Signed-permutation blocks take the signed-index path;
     any other block (a scaled map, a foreign certificate) the sparse one.
     """
-    a_op = SignedPermutationOp.from_matrix(f.A)
-    c_op = SignedPermutationOp.from_matrix(f.C)
+    a_op = signed_block(f.A)
+    c_op = signed_block(f.C)
     if a_op is not None and c_op is not None:
         return _signed_relation_defect(f, a_op, c_op)
     return _sparse_relation_defect(f)
@@ -164,8 +178,9 @@ def _sparse_relation_defect(f: LieMorphism
     src, dst = f.src, f.dst
     src_j = dict(enumerate(j_operators(src), start=1))
     dst_j = dict(enumerate(j_operators(dst), start=1))
-    acols = _sparse_columns(f.A)
-    arows = _sparse_rows(f.A)  # row beta of A = column beta of A^T
+    a = f.A.matrix() if isinstance(f.A, SignedPermutationOp) else f.A
+    acols = _sparse_columns(a)
+    arows = _sparse_rows(a)  # row beta of A = column beta of A^T
     crows = _sparse_rows(f.C)
     g_src = src.module_signs
     g_dst = dst.module_signs
@@ -232,7 +247,7 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     asserting that the product really is +-identity.
     """
     two_l = f.src.dim_module
-    if SignedPermutationOp.from_matrix(f.A) is not None:
+    if signed_block(f.A) is not None:
         d = 1  # signed permutation block: |det(A^tau A)| = 1
     else:
         # A^T A is the Gram matrix of A's columns
@@ -274,7 +289,7 @@ class CanonicalMap:
     center: SignedPermutationOp
 
     def to_morphism(self) -> LieMorphism:
-        return LieMorphism(self.src, self.dst, self.module.matrix(),
+        return LieMorphism(self.src, self.dst, self.module,
                            self.center.matrix())
 
     def inverse(self) -> "CanonicalMap":
@@ -495,13 +510,18 @@ def _json_row(row) -> list:
 
 
 def morphism_to_dict(f: LieMorphism) -> dict:
+    """The JSON form; A is {"image", "sign"} whenever it is a signed
+    permutation (column a holds sign[a] in row image[a]), dense rows
+    otherwise, and C is always dense rows."""
     cls = classify_morphism(f)
+    a_op = signed_block(f.A)
     return {
         "src": {"r": f.src.r, "s": f.src.s,
                 "provenance": f.src.provenance.json_dict()},
         "dst": {"r": f.dst.r, "s": f.dst.s,
                 "provenance": f.dst.provenance.json_dict()},
-        "A": [_json_row(row) for row in f.A.entries],
+        "A": ([_json_row(row) for row in f.A.entries] if a_op is None else
+              {"image": list(a_op.image), "sign": list(a_op.sign)}),
         "C": [_json_row(row) for row in f.C.entries],
         "class": {"center_action": cls.center_action.value,
                   "integral": cls.integral},

@@ -31,6 +31,7 @@ from .extension import (
 from .morphism import (
     LieMorphism,
     center_signature_obstruction,
+    signed_block,
     verify_homomorphism,
 )
 from .obstruction import (
@@ -109,6 +110,25 @@ def _matrix(payload, key: str, rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix.from_rows([_rational_list(row, key) for row in value])
 
 
+def _module_block(m, rows: int, cols: int):
+    """A as morphism_to_dict writes it: {"image", "sign"} read as a
+    SignedPermutationOp, or dense rows, the form of older and foreign
+    certificates and of maps that are not signed permutations."""
+    value = _field(m, "A")
+    if isinstance(value, list):
+        return _matrix(m, "A", rows, cols)
+    if not isinstance(value, Mapping):
+        raise _Malformed("A must be {image, sign} or a list of rows")
+    if rows != cols:
+        raise _Malformed("a signed-permutation A needs equal module dimensions")
+    image = _ints(_field(value, "image"), cols, "A image")
+    sign = _ints(_field(value, "sign"), cols, "A sign")
+    try:
+        return SignedPermutationOp(image, sign)
+    except ValueError as exc:  # a repeated or out-of-range index, a sign 2
+        raise _Malformed(f"A: {exc}") from None
+
+
 def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
     """Reconstruct an algebra from its serialized provenance record; a
     record of the wrong shape raises ValueError."""
@@ -145,7 +165,7 @@ def _recheck_iso(payload: Mapping) -> Verdict:
             return Verdict(False, None, f"stated {side} signature {stated_sig} "
                                         f"is not the rebuilt {algebra.name()}")
     f = LieMorphism(src, dst,
-                    _matrix(m, "A", dst.dim_module, src.dim_module),
+                    _module_block(m, dst.dim_module, src.dim_module),
                     _matrix(m, "C", dst.dim_center, src.dim_center))
     stated = m.get("class") or {}
     if not isinstance(stated, Mapping):
@@ -158,13 +178,13 @@ def _recheck_iso(payload: Mapping) -> Verdict:
         return Verdict(False, None, "stated center action does not match")
     # invertibility of the blocks makes the homomorphism an isomorphism; a
     # signed permutation A needs no elimination
-    a_signed = SignedPermutationOp.from_matrix(f.A) is not None
+    a_signed = signed_block(f.A) is not None
     c_invertible = exact_rank(f.C.entries) == f.C.rows
     a_invertible = a_signed or exact_rank(f.A.entries) == f.A.rows
     if not (a_invertible and c_invertible):
         return Verdict(False, None, "a block of the embedded map is singular")
     if stated and _flag(stated, "integral") != (
-            a_signed and SignedPermutationOp.from_matrix(f.C) is not None):
+            a_signed and signed_block(f.C) is not None):
         return Verdict(False, None, "stated integral class does not match")
     return Verdict(True)
 

@@ -106,7 +106,7 @@ def swap_isomorphism(a: PseudoHTypeAlgebra) -> LieMorphism:
 
     Type-1 copy j goes to type-2 copy j of the target and vice versa; since
     both block types share the same coordinate space, the per-block map is
-    the identity matrix.
+    the identity, and the module block is a signed permutation.
     """
     prov = _sum_provenance(a)
     if (a.r - a.s) % 4 != 3:
@@ -119,7 +119,7 @@ def swap_isomorphism(a: PseudoHTypeAlgebra) -> LieMorphism:
     image = tuple(t * per + i for t in targets for i in range(1, per + 1))
     module = SignedPermutationOp(image, (1,) * len(image))
     center = SignedPermutationOp.identity(a.dim_center).negate()
-    return LieMorphism(a, target, module.matrix(), center.matrix())
+    return LieMorphism(a, target, module, center.matrix())
 
 
 def sum_sbg(a: PseudoHTypeAlgebra) -> Certificate:

@@ -162,9 +162,7 @@ def test_a_forged_certificate_is_refused_when_warm(cache):
         text, verdict = _certify_and_recheck(9, 1, False)
         assert verdict.ok
     forged = json.loads(text)
-    row = forged["morphism"]["A"][0]
-    col = next(j for j, e in enumerate(row) if e)
-    row[col] = -row[col]
+    forged["morphism"]["A"]["sign"][0] *= -1
     assert not recheck_certificate(forged).ok
     stepped = json.loads(text)
     stepped["morphism"]["src"]["provenance"]["steps"] = [[4, 4]]

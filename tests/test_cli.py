@@ -15,6 +15,8 @@ from pseudoht.catalog import MAX_CENTER_DIM, MAX_MODULE_DIM, base_algebra
 from pseudoht.cli import main, render_table
 from pseudoht.obstruction import adjoint_rank
 
+from dense_certificates import densified_text
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -121,7 +123,8 @@ def test_check_exit_codes(capsys):
 
 
 # sha256 of the ISO certificates as written before the isomorphism checks
-# moved to signed indices; a faster check must not change a byte of them
+# moved to signed indices, when A was dense rows; the compact text with A
+# written back as dense rows must still give them
 PINNED_CHECK_OUTPUTS = {
     ("9", "8", "8", "9"):
         "6d19b5755da5a70dbc4477d5d56cdd74abf78bca1dc662ac6e89bf826b3acc49",
@@ -140,11 +143,30 @@ PINNED_CHECK_OUTPUTS = {
 }
 
 
+# sha256 of the same certificates as written with A as {"image", "sign"}
+PINNED_COMPACT_CHECK_OUTPUTS = {
+    ("9", "8", "8", "9"):
+        "ea2168d890d5ef9bb9b0ee17e29ebb8d81029113fb3834a88d1952807dc609cc",
+    ("10", "2", "2", "10"):
+        "c304df1f0aee36ffc347248b530d2a179508324d5a79d0c545d588fab3042a6d",
+    ("1", "8", "8", "1"):
+        "a9b967c1ac12465dc9c30578deb7884eb2c91319a6a52926132008045c6039c8",
+    ("5", "5", "5", "5", "--anti"):
+        "6bf8a5d97d67365b5714669fef58297a7df6beb07958bae473edd294086d48b1",
+    ("6", "4", "4", "6"):
+        "23d76a34f848a03f45629f375d699b6814ac81ca41989736c80ead1a47b3a8bb",
+    ("9", "1", "1", "9"):
+        "a4328dfc12de01b43f8ab8bcc8281723767b286daa32f31061ae8e092760334f",
+}
+
+
 @pytest.mark.parametrize("argv", PINNED_CHECK_OUTPUTS)
 def test_iso_certificates_are_byte_stable(capsys, argv):
     code, out, _ = run_cli(capsys, "check", *argv)
     assert code == 0 and json.loads(out)["kind"] == "ISO"
     assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_COMPACT_CHECK_OUTPUTS[argv]
+    assert hashlib.sha256(densified_text(out).encode()).hexdigest() == \
         PINNED_CHECK_OUTPUTS[argv]
 
 

@@ -20,6 +20,8 @@ from pseudoht.morphism import (
 )
 from pseudoht.obstruction import check_pair
 
+from dense_certificates import densify
+
 
 def identity_morphism(a):
     return LieMorphism(a, a, ExactMatrix.identity(a.dim_module),
@@ -95,15 +97,17 @@ def test_no_canonical_map_outside_the_families(rs):
 
 def test_every_matrix_entry_is_signed_unit():
     f = canonical_isomorphism(9, 0)
-    for m in (f.A, f.C):
+    assert isinstance(f.A, SignedPermutationOp)
+    for m in (f.A.matrix(), f.C):
         for j in range(1, m.cols + 1):
             col = [e for e in m.column(j) if e]
             assert len(col) == 1 and col[0] in (-1, 1)
 
 
 def _compose(g, f):
-    """g after f as a LieMorphism."""
-    return LieMorphism(f.src, g.dst, g.A.mul(f.A), g.C.mul(f.C))
+    """g after f as a LieMorphism, composed as dense matrices."""
+    return LieMorphism(f.src, g.dst, g.A.matrix().mul(f.A.matrix()),
+                       g.C.mul(f.C))
 
 
 @pytest.mark.parametrize("rs", [(1, 0), (4, 0), (1, 8), (5, 4)])
@@ -120,15 +124,16 @@ def test_normalize_already_normalized():
     f = canonical_isomorphism(1, 0)
     g, sign = normalize_isomorphism(f)
     assert sign == -1
-    assert g.A.entries == f.A.entries and g.C.entries == f.C.entries
+    assert g.A == f.A and g.C.entries == f.C.entries
 
 
 def test_normalize_rescales_scaled_map():
     f = canonical_isomorphism(1, 0)
-    scaled = LieMorphism(f.src, f.dst, f.A.scale(2), f.C.scale(4))
+    dense = f.A.matrix()
+    scaled = LieMorphism(f.src, f.dst, dense.scale(2), f.C.scale(4))
     g, sign = normalize_isomorphism(scaled)
     assert sign == -1
-    assert g.A.entries == f.A.entries and g.C.entries == f.C.entries
+    assert g.A.entries == dense.entries and g.C.entries == f.C.entries
 
 
 def test_normalize_automorphism_of_2_2_has_anti_isometric_square():
@@ -182,9 +187,24 @@ def test_center_signature_obstruction_cases():
 
 def test_morphism_json_shape():
     d = morphism_to_dict(canonical_isomorphism(2, 0))
-    assert set(d) == {"src", "dst", "A", "C", "class"}
+    assert list(d) == ["src", "dst", "A", "C", "class"]
     assert d["class"] == {"center_action": "ANTI_ISOMETRY", "integral": True}
-    assert all(all(isinstance(e, int) for e in row) for row in d["A"])
+    # a signed-permutation A is its image and signs; C stays dense rows
+    assert list(d["A"]) == ["image", "sign"]
+    assert sorted(d["A"]["image"]) == [1, 2, 3, 4]
+    assert {type(e) for e in d["A"]["sign"]} == {int}
+    assert len(d["C"]) == 2 and all(len(row) == 2 for row in d["C"])
+
+
+def test_morphism_json_writes_dense_rows_for_a_scaled_module_block():
+    f = canonical_isomorphism(2, 0)
+    d = morphism_to_dict(LieMorphism(f.src, f.dst, f.A.matrix().scale(2),
+                                     f.C.scale(4)))
+    assert d["A"] == [[2 * e for e in row] for row in f.A.matrix().entries]
+    assert d["class"]["integral"] is False
+    # a dense block that is a signed permutation is written compactly
+    dense = morphism_to_dict(LieMorphism(f.src, f.dst, f.A.matrix(), f.C))
+    assert dense == morphism_to_dict(f)
 
 
 def test_block_shape_validation():
@@ -196,13 +216,18 @@ def test_block_shape_validation():
 
 
 # sha256 over every canonical ISO certificate with module dim <= 256 and
-# r, s <= 16: a change to a published map or to _step_map shows here
+# r, s <= 16, with A as dense rows: a change to a published map or to
+# _step_map shows here
 ISO_FAMILY_DIGEST = \
     "2a212d6a2e10612427c9cb051f71d77eef2eff14ea1fdb2fb11342f74560c697"
+# the same certificates as written, with A as {"image", "sign"}
+ISO_FAMILY_COMPACT_DIGEST = \
+    "310ed4e45b37e280097c3431640408dd192f0751522cab9271f087d9f050b40f"
 
 
 def test_canonical_iso_certificates_are_pinned():
     digest = hashlib.sha256()
+    compact = hashlib.sha256()
     pairs = 0
     for r in range(17):
         for s in range(17):
@@ -216,10 +241,10 @@ def test_canonical_iso_certificates_are_pinned():
             if canonical_map(r, s) is None:
                 continue
             pairs += 1
-            digest.update(jsonout.dumps(
-                check_pair(r, s, s, r).json_dict()).encode())
-            if r == s:
-                digest.update(jsonout.dumps(check_pair(
-                    r, s, s, r, anti_only=True).json_dict()).encode())
+            for anti in ((False, True) if r == s else (False,)):
+                cert = check_pair(r, s, s, r, anti_only=anti).json_dict()
+                compact.update(jsonout.dumps(cert).encode())
+                digest.update(jsonout.dumps(densify(cert)).encode())
     assert pairs == 38
     assert digest.hexdigest() == ISO_FAMILY_DIGEST
+    assert compact.hexdigest() == ISO_FAMILY_COMPACT_DIGEST

@@ -15,6 +15,8 @@ from pseudoht.recheck import rebuild_from_provenance, recheck_certificate
 from pseudoht.morphism import morphism_to_dict
 from pseudoht.sums import build_sum, sum_sbg, swap_isomorphism
 
+from dense_certificates import densify
+
 
 def test_rebuild_base_and_extended_and_sum():
     assert rebuild_from_provenance({"kind": "base", "id": [3, 2]}).tensor \
@@ -36,9 +38,15 @@ def test_recheck_iso_certificate():
     older = json.loads(json.dumps(cert))
     older["morphism"]["B"] = [[7] * 8] * 4
     assert recheck_certificate(older).ok
-    # a corrupted matrix entry must be caught
-    cert["morphism"]["A"][0][0] = -cert["morphism"]["A"][0][0]
+    # the dense rows of older and foreign certificates are still read
+    dense = densify(cert)
+    assert isinstance(dense["morphism"]["A"], list)
+    assert recheck_certificate(dense).ok
+    # a corrupted sign or matrix entry must be caught
+    cert["morphism"]["A"]["sign"][0] *= -1
     assert not recheck_certificate(cert).ok
+    dense["morphism"]["A"][0][0] = -dense["morphism"]["A"][0][0]
+    assert not recheck_certificate(dense).ok
 
 
 def test_recheck_ranks_blocks_that_are_not_signed_permutations(monkeypatch):
@@ -46,9 +54,13 @@ def test_recheck_ranks_blocks_that_are_not_signed_permutations(monkeypatch):
     monkeypatch.setattr(recheck, "exact_rank",
                         lambda m: ranked.append(len(m)) or exact_rank(m))
     cert = check_pair(4, 0, 0, 4).json_dict()
-    m = cert["morphism"]
     assert recheck_certificate(cert).ok
     assert ranked == [4]   # the signed-permutation A needs no elimination
+    cert = densify(cert)
+    m = cert["morphism"]
+    ranked.clear()
+    assert recheck_certificate(cert).ok
+    assert ranked == [4]   # nor does one written as dense rows
     del m["class"]
     # all-zero blocks preserve every bracket, but are no isomorphism
     zero = json.loads(json.dumps(cert))
@@ -158,7 +170,7 @@ def test_recheck_refuses_a_witness_entry_fraction_would_misread(entry,
 @pytest.mark.parametrize("entry", ["1e2000000", 1.5])
 def test_recheck_refuses_a_morphism_entry_fraction_would_misread(entry,
                                                                 monkeypatch):
-    cert = check_pair(1, 8, 8, 1).json_dict()
+    cert = densify(check_pair(1, 8, 8, 1).json_dict())
     cert["morphism"]["A"][3][2] = entry
     monkeypatch.setattr(recheck, "Fraction", lambda e: pytest.fail(
         f"Fraction({e!r}) ran"))
@@ -366,10 +378,70 @@ ISO_MUTATIONS = {
 
 @pytest.mark.parametrize("name", sorted(ISO_MUTATIONS))
 def test_recheck_refuses_malformed_iso_fields(name):
-    cert = check_pair(1, 8, 8, 1).json_dict()
+    # on A as dense rows, the form recheck still reads
+    cert = densify(check_pair(1, 8, 8, 1).json_dict())
     assert cert["kind"] == "ISO" and recheck_certificate(cert).ok
     verdict = recheck_certificate(ISO_MUTATIONS[name](cert))
     assert verdict.ok is False
+
+
+def _set_a(key, index, value):
+    return _iso_mutation(lambda m: m["A"][key].__setitem__(index, value))
+
+
+def _swap_images(m):
+    image = m["A"]["image"]
+    image[0], image[1] = image[1], image[0]
+
+
+# A as {"image", "sign"}; (1,8) has module dimension 32
+COMPACT_A_MUTATIONS = {
+    "A missing": _iso_mutation(lambda m: m.pop("A")),
+    "A null": _set("A", None),
+    "A a number": _set("A", 1),
+    "A an empty object": _set("A", {}),
+    "image missing": _iso_mutation(lambda m: m["A"].pop("image")),
+    "sign missing": _iso_mutation(lambda m: m["A"].pop("sign")),
+    "image not a list": _iso_mutation(lambda m: m["A"].update(image=3)),
+    "image short": _iso_mutation(lambda m: m["A"]["image"].pop()),
+    "image long": _iso_mutation(lambda m: m["A"]["image"].append(33)),
+    "sign short": _iso_mutation(lambda m: m["A"]["sign"].pop()),
+    "sign long": _iso_mutation(lambda m: m["A"]["sign"].append(1)),
+    "image a zero": _set_a("image", 0, 0),
+    "image negative": _set_a("image", 0, -1),
+    "image out of range": _set_a("image", 0, 33),
+    "image repeated": _iso_mutation(
+        lambda m: m["A"]["image"].__setitem__(0, m["A"]["image"][1])),
+    "image a boolean": _set_a("image", 0, True),
+    "image a float": _set_a("image", 0, 1.0),
+    "image a string": _set_a("image", 0, "1"),
+    "sign a zero": _set_a("sign", 0, 0),
+    "sign a two": _set_a("sign", 0, 2),
+    "sign a boolean": _set_a("sign", 0, True),
+    "sign a float": _set_a("sign", 0, 1.0),
+    "sign a string": _set_a("sign", 0, "-1"),
+    "image entries swapped": _iso_mutation(_swap_images),
+    "module dimensions differ": _iso_mutation(lambda m: m["src"].update(
+        r=4, s=0, provenance={"kind": "base", "id": [4, 0]})),
+}
+# and every mutation of ISO_MUTATIONS that leaves A alone
+COMPACT_MUTATIONS = {**COMPACT_A_MUTATIONS,
+                     **{name: edit for name, edit in ISO_MUTATIONS.items()
+                        if not name.startswith("A ")}}
+
+
+@pytest.mark.parametrize("name", sorted(COMPACT_MUTATIONS))
+def test_recheck_refuses_malformed_compact_iso_fields(name):
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    a = cert["morphism"]["A"]
+    assert list(a) == ["image", "sign"] and len(a["image"]) == 32
+    assert recheck_certificate(cert).ok
+    verdict = recheck_certificate(COMPACT_MUTATIONS[name](cert))
+    assert verdict.ok is False
+    if name == "image entries swapped":   # a permutation, but the wrong map
+        assert verdict.detail == "embedded map is not a homomorphism"
+    elif name in COMPACT_A_MUTATIONS:
+        assert "malformed" in verdict.detail
 
 
 @pytest.mark.parametrize("integral", [True, False, "yes"])

@@ -105,7 +105,7 @@ def test_swap_squared_is_identity_on_center():
     cc = g.C.mul(f.C)
     assert all(cc.get(i, j) == (1 if i == j else 0)
                for i in range(1, 6) for j in range(1, 6))
-    aa = g.A.mul(f.A)
+    aa = g.A.matrix().mul(f.A.matrix())
     n = s.dim_module
     assert all(aa.get(i, j) == (1 if i == j else 0)
                for i in range(1, n + 1) for j in range(1, n + 1))
