@@ -178,7 +178,7 @@ def criterion_2_axioms() -> CriterionReport:
     return done()
 
 
-def _check_canonical(r: int, s: int, fail, expect_swap_sign: int = -1) -> None:
+def _check_canonical(r: int, s: int, fail) -> None:
     cmap = canonical_map(r, s)
     if cmap is None:
         fail(f"no canonical isomorphism for ({r},{s})")
@@ -196,9 +196,8 @@ def _check_canonical(r: int, s: int, fail, expect_swap_sign: int = -1) -> None:
             fail(f"phi_({r},{s}) violates the block-class constraints: "
                  f"{ric.detail}")
     _g, ccsign = normalize_isomorphism(f)
-    if ccsign != expect_swap_sign:
-        fail(f"phi_({r},{s}): C C^tau = {ccsign} Id, expected "
-             f"{expect_swap_sign} Id")
+    if ccsign != -1:
+        fail(f"phi_({r},{s}): C C^tau = {ccsign} Id, expected -1 Id")
 
 
 def criterion_3_isomorphisms() -> CriterionReport:

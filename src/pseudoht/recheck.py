@@ -21,7 +21,7 @@ from .algebra import (
     verify_axioms,
 )
 from .catalog import MAX_CENTER_DIM, base_algebra
-from .core import ExactMatrix, Signature, classify_map, exact_rank
+from .core import ExactMatrix, Signature, exact_rank
 from .extension import (
     ExtensionStep,
     extension_chain,
@@ -31,6 +31,7 @@ from .extension import (
 from .morphism import (
     LieMorphism,
     center_signature_obstruction,
+    classify_morphism,
     signed_block,
     verify_homomorphism,
 )
@@ -173,8 +174,8 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     hom = verify_homomorphism(f)
     if not hom.ok:
         return Verdict(False, hom.witness, "embedded map is not a homomorphism")
-    action = classify_map(f.C.entries, src.center_sig, dst.center_sig)
-    if stated and stated.get("center_action") != action.value:
+    cls = classify_morphism(f)
+    if stated and stated.get("center_action") != cls.center_action.value:
         return Verdict(False, None, "stated center action does not match")
     # invertibility of the blocks makes the homomorphism an isomorphism; a
     # signed permutation A needs no elimination
@@ -183,8 +184,7 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     a_invertible = a_signed or exact_rank(f.A.entries) == f.A.rows
     if not (a_invertible and c_invertible):
         return Verdict(False, None, "a block of the embedded map is singular")
-    if stated and _flag(stated, "integral") != (
-            a_signed and signed_block(f.C) is not None):
+    if stated and _flag(stated, "integral") != cls.integral:
         return Verdict(False, None, "stated integral class does not match")
     return Verdict(True)
 

@@ -41,8 +41,9 @@ def test_criterion_4_non_isomorphism(paper_reports):
 
 
 def test_criterion_5_surjectivity(paper_reports):
-    # three Witt-index proofs and the n_(11,2) witness; the grid and the
-    # rational samples it ran before are oracles in test_obstruction.py
+    # three Witt-index proofs and the n_(11,2) witness; the {-1,0,1}^8 grid
+    # through gram_det and the rational samples are oracles in
+    # test_obstruction.py, which also checks the scan against exact_rank
     _assert_report(paper_reports[4], limit_s=5.0)
     assert paper_reports[4].checks == 4
 

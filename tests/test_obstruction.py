@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -16,8 +17,9 @@ from pseudoht.algebra import (
     StructureTensor,
     adjoint_rows,
     two_point_rank,
+    verify_axioms,
 )
-from pseudoht.catalog import base_algebra
+from pseudoht.catalog import BASE_IDS, base_algebra
 from pseudoht.core import (
     Signature,
     basis_vector,
@@ -36,7 +38,6 @@ from pseudoht.obstruction import (
     WittBound,
     adjoint_rank,
     gram_det,
-    iter_grid,
     null_direction_witness,
     parity_certificate,
     parity_system,
@@ -181,17 +182,21 @@ def test_gram_rank_norm_equivalence_on_samples(rs):
         assert full == (g != 0), x
 
 
+def _grid_disagreements(a):
+    """Every point of the {-1,0,1}^8 grid where gram_det = 0 and the null
+    test disagree."""
+    return [x for x in itertools.product((-1, 0, 1), repeat=8)
+            if (gram_det(a, x) == 0)
+            != (scalar_product(x, x, a.module_signs) == 0)]
+
+
 def test_exhaustive_grid_equivalence_on_3_2():
     a = base_algebra(3, 2)
     rep = surjectivity_scan(a)
-    assert rep.points == 3 ** 8 - 1
-    assert rep.equivalence_holds
+    assert rep == obstruction.ScanReport(a.name(), 4 * 4)
     assert witt_bound(a).equivalence_holds   # 5 > 4
-    # the same 3^8 grid through the Gram determinant
-    bad = [x for x in iter_grid(8, 1)
-           if (gram_det(a, x) == 0)
-           != (scalar_product(x, x, a.module_signs) == 0)]
-    assert bad == []
+    # the 3^8 grid through the Gram determinant
+    assert _grid_disagreements(a) == []
 
 
 @pytest.mark.parametrize("rs", [(2, 3), (3, 3)])
@@ -204,14 +209,9 @@ def test_witt_bound_proves_what_the_exhaustive_scan_sees(rs):
         "algebra": a.name(), "proof": "witt-index",
         "dim_center": a.dim_center, "module_signature": [4, 4],
         "equivalence_holds": True}
-    scan = surjectivity_scan(a)
-    assert scan.points == 3 ** 8 - 1
-    assert scan.equivalence_holds
-    # the same 3^8 grid through the Gram determinant
-    bad = [x for x in iter_grid(8, 1)
-           if (gram_det(a, x) == 0)
-           != (scalar_product(x, x, a.module_signs) == 0)]
-    assert bad == []
+    assert surjectivity_scan(a) == obstruction.ScanReport(a.name(), 4 * 4)
+    # the 3^8 grid through the Gram determinant
+    assert _grid_disagreements(a) == []
 
 
 @pytest.mark.parametrize("rs", [(11, 2), (7, 6), (7, 7), (11, 3),
@@ -278,7 +278,7 @@ def _free_two_step(n_pos: int, n_neg: int) -> PseudoHTypeAlgebra:
         provenance=OpaqueProvenance({}))
 
 
-def test_scan_above_dim_8_runs_to_the_end():
+def test_two_point_rank_and_scan_off_the_catalog():
     free = _free_two_step(5, 5)
     summed = build_sum(base_algebra(2, 3), 2, 1)
     for a in (free, summed):
@@ -291,6 +291,33 @@ def test_scan_above_dim_8_runs_to_the_end():
             for i in range(1, 11) for j in range(i + 1, 11)} == {9}
     assert surjectivity_scan(free) == obstruction.ScanReport(free.name(), 25)
     assert surjectivity_scan(summed).points == 5
+
+
+def _brute_force_scan(a):
+    """The scan's null pairs in its order, each ranked by exact_rank."""
+    signs = a.module_signs
+    pairs = [(i, j) for i in range(a.dim_module) if signs[i] > 0
+             for j in range(a.dim_module) if signs[j] < 0]
+    for points, (i, j) in enumerate(pairs, start=1):
+        x = [0] * a.dim_module
+        x[i] = x[j] = 1
+        assert scalar_product(x, x, signs) == 0
+        if exact_rank(adjoint_rows(a, x)) == a.dim_center:
+            return points, tuple(x)
+    return len(pairs), None
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda rs=rs: base_algebra(*rs) for rs in BASE_IDS),
+    lambda: _free_two_step(5, 5),
+    lambda: build_sum(base_algebra(2, 3), 2, 1),
+], ids=[*(f"n_{rs}" for rs in BASE_IDS), "free_5_5", "sum_2_3_x2_1"])
+def test_scan_matches_a_brute_force_over_its_null_pairs(build):
+    a = build()
+    rep = surjectivity_scan(a)
+    assert (rep.points, rep.violation) == _brute_force_scan(a)
+    if verify_axioms(a).ok:
+        assert rep.equivalence_holds == witt_bound(a).equivalence_holds
 
 
 def test_check_pair_draws_no_random_numbers(monkeypatch):
