@@ -41,10 +41,16 @@ class IntegralBasisError(ValueError):
 class StructureTensor:
     """Sparse antisymmetric tensor A^k_{ab} with entries in {-1,+1}.
 
-    Only the entries are stored, canonically with a < b; lookups read the
-    link table derived from them on first use.  Construction rejects two
-    different center indices on the same (a, b) pair, since an integral
-    basis sends each bracket to a single +-Z_k.
+    Only the entries are stored, canonically with a < b and sorted; lookups
+    read the link table derived from them on first use.
+
+    Construction checks each entry in input order (integers, module and
+    center index range, +-1 sign, off the diagonal) and raises ValueError
+    at the first fault.  It then sorts the canonical entries once and
+    rejects two different (k, sign) on the same (a, b) pair with
+    IntegralBasisError, naming the smallest such pair, since an integral
+    basis sends each bracket to a single +-Z_k.  Repeats of one entry, as
+    given or flipped to (b, a, k, -sign), collapse into one.
     """
 
     __slots__ = ("dim_module", "dim_center", "entries", "_links")
@@ -53,8 +59,10 @@ class StructureTensor:
                  entries: Iterable[tuple[int, int, int, int]]):
         self.dim_module = dim_module
         self.dim_center = dim_center
-        canon = {}
-        for (a, b, k, s) in entries:
+        canon = []
+        append = canon.append
+        for entry in entries:
+            a, b, k, s = entry
             if (type(a) is not int or type(b) is not int
                     or type(k) is not int or type(s) is not int):
                 raise ValueError(f"entry {(a, b, k, s)} must hold integers")
@@ -62,17 +70,16 @@ class StructureTensor:
                 raise ValueError(f"module index out of range in entry {(a, b, k, s)}")
             if not 1 <= k <= dim_center:
                 raise ValueError(f"center index out of range in entry {(a, b, k, s)}")
-            if s not in (1, -1):
+            if s != 1 and s != -1:
                 raise ValueError(f"structure constants must be +-1, got {s}")
-            if a == b:
+            if a < b:
+                append(entry if type(entry) is tuple else (a, b, k, s))
+            elif a > b:
+                append((b, a, k, -s))
+            else:
                 raise ValueError(f"diagonal entry ({a},{a}) violates antisymmetry")
-            if a > b:
-                a, b, s = b, a, -s
-            if (a, b) in canon and canon[(a, b)] != (k, s):
-                raise IntegralBasisError(
-                    f"pair ({a},{b}) maps to more than one center direction")
-            canon[(a, b)] = (k, s)
-        self.entries = tuple(sorted((a, b, k, s) for (a, b), (k, s) in canon.items()))
+        canon.sort()
+        self.entries = _distinct_pairs(canon)
 
     def bracket_pair(self, a: int, b: int) -> Optional[tuple[int, int]]:
         """(k, sign) with [v_a, v_b] = sign * Z_k, or None."""
@@ -90,6 +97,26 @@ class StructureTensor:
 
     def __hash__(self) -> int:
         return hash((self.dim_module, self.dim_center, self.entries))
+
+
+def _distinct_pairs(canon: list) -> tuple[tuple[int, int, int, int], ...]:
+    """Sorted canonical entries as a tuple, each repeated entry kept once.
+
+    Sorting puts every entry of one (a, b) pair next to each other, so the
+    first neighbours with equal (a, b) and a different (k, sign) name the
+    smallest conflicting pair.
+    """
+    out = []
+    last = (0, 0, 0, 0)
+    for e in canon:
+        if e[0] == last[0] and e[1] == last[1]:
+            if e != last:
+                raise IntegralBasisError(
+                    f"pair ({e[0]},{e[1]}) maps to more than one center direction")
+            continue
+        out.append(e)
+        last = e
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -476,8 +503,24 @@ def signed_lookup(op: SignedPermutationOp) -> list[int]:
     Entry 0 is unused; negative b reads from the end of the list, so the
     composite J(J'(v_a)) is t[t'[a]] in signed-index form.
     """
-    signed = [s * b for b, s in zip(op.image, op.sign)]
-    return [0, *signed, *(-t for t in reversed(signed))]
+    signed = list(map(operator.mul, op.sign, op.image))
+    return [0, *signed, *map(operator.neg, reversed(signed))]
+
+
+def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[list[int], ...]:
+    """signed_lookup of every J operator, in center order.
+
+    Derived on first use and kept on the algebra, like j_operators(a), so
+    the axiom verifiers and the relation of every morphism through the
+    algebra compose the same rows.  The rows are shared by every user of
+    the algebra, a catalog algebra across the process, so this is an
+    internal table of the package and not public API: nothing outside the
+    verifiers and the morphism relation reads it, and nothing writes it.
+    The rows are lists because list.__getitem__, passed to map, indexes
+    at C speed, where tuple.__getitem__ goes through a slot wrapper.
+    """
+    return _derived(a, "_signed_lookups",
+                    lambda alg: tuple(map(signed_lookup, j_operators(alg))))
 
 
 def _first_difference(xs: list, ys: list) -> Optional[int]:
@@ -495,19 +538,22 @@ def verify_clifford(a: PseudoHTypeAlgebra) -> Verdict:
     witness is the first basis index where they differ.
     """
     n_mod = a.dim_module
-    luts = [signed_lookup(op) for op in j_operators(a)]
-    n = len(luts)
+    rows = signed_lookups(a)
+    forward = [row[1:n_mod + 1] for row in rows]   # J v_b
+    negated = [row[:n_mod:-1] for row in rows]     # -J v_b
+    ident = list(range(1, n_mod + 1))
+    minus_ident = [-alpha for alpha in ident]
+    ez = a.center_sig.signs()
+    n = len(rows)
     for k in range(n):
-        lk = luts[k]
+        lookup = rows[k].__getitem__
         for m in range(k, n):
-            lm = luts[m]
-            km = [lk[b] for b in lm[1:n_mod + 1]]
+            km = list(map(lookup, forward[m]))
             if k == m:
-                ez = a.center_sign(k + 1)
-                want = [-ez * alpha for alpha in range(1, n_mod + 1)]
+                want = minus_ident if ez[k] > 0 else ident
                 detail = "J_k^2 is not -<Z_k,Z_k> Id"
             else:
-                want = [lm[-b] for b in lk[1:n_mod + 1]]
+                want = list(map(rows[m].__getitem__, negated[k]))
                 detail = "J_k J_m + J_m J_k does not vanish"
             alpha = _first_difference(km, want)
             if alpha is not None:
@@ -520,18 +566,26 @@ def verify_admissible(a: PseudoHTypeAlgebra) -> Verdict:
 
     For a signed permutation the quantified condition collapses to the
     orbit pairs: <J_k v_a, v_b> is nonzero only at b = image(a), so it
-    suffices that image is an involution there with matching signs.
+    suffices that image is an involution there with matching signs.  With
+    +-1 signs that is J_k J_k v_a = -<v_a, v_a> <v_b, v_b> v_a, compared
+    as one signed-index list per k; at the first index a where it fails,
+    the orbit does not return if J_k J_k v_a is not +-v_a and the signs
+    disagree otherwise.
     """
+    n_mod = a.dim_module
     g = a.module_signs
-    for k, op in enumerate(j_operators(a), start=1):
-        image, sign = op.image, op.sign
-        for alpha, (beta, s) in enumerate(zip(image, sign), start=1):
-            if image[beta - 1] != alpha:
-                return Verdict(False, (k, alpha, beta),
-                               "skew-adjointness fails: orbit does not return")
-            if s * g[beta - 1] != -sign[beta - 1] * g[alpha - 1]:
-                return Verdict(False, (k, alpha, beta),
-                               "skew-adjointness fails on this pair")
+    g_at = [0, *g].__getitem__
+    minus_g_ident = [-e * alpha for alpha, e in enumerate(g, start=1)]
+    for k, (op, row) in enumerate(zip(j_operators(a), signed_lookups(a)),
+                                  start=1):
+        square = list(map(row.__getitem__, row[1:n_mod + 1]))
+        alpha = _first_difference(
+            square, list(map(operator.mul, minus_g_ident, map(g_at, op.image))))
+        if alpha is not None:
+            detail = ("skew-adjointness fails: orbit does not return"
+                      if abs(square[alpha - 1]) != alpha
+                      else "skew-adjointness fails on this pair")
+            return Verdict(False, (k, alpha, op.image[alpha - 1]), detail)
     return Verdict(True)
 
 
@@ -547,15 +601,16 @@ def verify_htype(a: PseudoHTypeAlgebra) -> Verdict:
     """
     ops = j_operators(a)
     g = list(a.module_signs)
+    g_at = [0, *g].__getitem__
     minus_g = [-e for e in g]
+    ez = a.center_sig.signs()
     n = len(ops)
     for k in range(n):
         ik = ops[k].image
         for m in range(k, n):
             if k == m:
-                got = [g[b - 1] for b in ik]
-                alpha = _first_difference(got, g if a.center_sign(k + 1) > 0
-                                          else minus_g)
+                alpha = _first_difference(list(map(g_at, ik)),
+                                          g if ez[k] > 0 else minus_g)
             elif any(map(operator.eq, ik, ops[m].image)):
                 alpha = next(i for i, (bk, bm) in enumerate(
                     zip(ik, ops[m].image), start=1) if bk == bm)

@@ -18,6 +18,7 @@ permutations and on sparse rows and columns otherwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -29,7 +30,7 @@ from .algebra import (
     apply_j_operators,
     j_operator,  # perfbench's self-test reads morphism.j_operator
     j_operators,
-    signed_lookup,
+    signed_lookups,
 )
 from .catalog import base_algebra, base_blocks, min_module_dim
 from .core import (
@@ -142,11 +143,12 @@ def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
     """_relation_defect when A and C are signed permutations.
 
     Both sides then send v_alpha to one signed basis vector, so for each k
-    they are signed-index lists (see signed_lookup), compared whole: the
+    they are signed-index lists (see signed_lookups), compared whole: the
     left side composes A, J_{Z_k} of dst and A^tau = G_src A^T G_dst, the
-    right side is J_{Z_m} of src times the sign e of C^tau Z_k = e Z_m.
-    Where the images +-v_p and +-v_q of v_alpha differ, the first
-    coordinate that differs is min(p, q), which is p when p = q.
+    right side is J_{Z_m} of src times the sign e of C^tau Z_k = e Z_m,
+    a slice of its row.  Where the images +-v_p and +-v_q of v_alpha
+    differ, the first coordinate that differs is min(p, q), which is p
+    when p = q.
     """
     src, dst = f.src, f.dst
     g_src, g_dst = src.module_signs, dst.module_signs
@@ -155,16 +157,16 @@ def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
     tau = [0] * n
     for alpha, (b, s) in enumerate(zip(a_op.image, a_op.sign), start=1):
         tau[b - 1] = g_dst[b - 1] * s * g_src[alpha - 1] * alpha
-    a_tau = [0, *tau, *(-t for t in reversed(tau))]
-    a_fwd = [s * b for b, s in zip(a_op.image, a_op.sign)]  # A v_alpha
-    src_j = j_operators(src)
+    a_tau = [0, *tau, *map(operator.neg, reversed(tau))]
+    a_fwd = list(map(operator.mul, a_op.sign, a_op.image))  # A v_alpha
+    src_rows = signed_lookups(src)
     c_inv = c_op.inverse()  # C^T Z_k = c Z_m
-    for k, (jk, m, c) in enumerate(zip(map(signed_lookup, j_operators(dst)),
-                                       c_inv.image, c_inv.sign), start=1):
-        got = [a_tau[jk[t]] for t in a_fwd]
-        jm = src_j[m - 1]
+    for k, (jk, m, c) in enumerate(zip(signed_lookups(dst), c_inv.image,
+                                       c_inv.sign), start=1):
+        got = list(map(a_tau.__getitem__, map(jk.__getitem__, a_fwd)))
+        row = src_rows[m - 1]
         e = gz_src[m - 1] * c * gz_dst[k - 1]
-        want = [e * s * b for b, s in zip(jm.image, jm.sign)]
+        want = row[1:n + 1] if e > 0 else row[:n:-1]
         if got != want:
             alpha = next(i for i, (p, q) in enumerate(zip(got, want), start=1)
                          if p != q)

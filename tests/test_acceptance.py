@@ -16,7 +16,10 @@ from pseudoht.catalog import base_algebra
 from pseudoht.sums import block_volume_element, build_sum
 
 
-def _assert_report(rep, limit_s):
+def _assert_report(rep, limit_s, checks):
+    """The criterion passed within its budget, after its pinned number of
+    checks, so that no fast path can drop a check silently."""
+    assert rep.checks == checks, (rep.number, rep.checks)
     line = f"criterion {rep.number} {rep.name}: " \
            f"{'PASS' if rep.passed else 'FAIL'} ({rep.elapsed:.2f}s)"
     print(line)
@@ -25,31 +28,30 @@ def _assert_report(rep, limit_s):
 
 
 def test_criterion_1_table_reproduction(paper_reports):
-    _assert_report(paper_reports[0], limit_s=1.0)
+    _assert_report(paper_reports[0], limit_s=1.0, checks=140)
 
 
 def test_criterion_2_axiom_suite(paper_reports):
-    _assert_report(paper_reports[1], limit_s=30.0)
+    _assert_report(paper_reports[1], limit_s=30.0, checks=57)
 
 
 def test_criterion_3_canonical_isomorphisms(paper_reports):
-    _assert_report(paper_reports[2], limit_s=60.0)
+    _assert_report(paper_reports[2], limit_s=60.0, checks=25)
 
 
 def test_criterion_4_non_isomorphism(paper_reports):
-    _assert_report(paper_reports[3], limit_s=5.0)
+    _assert_report(paper_reports[3], limit_s=5.0, checks=5)
 
 
 def test_criterion_5_surjectivity(paper_reports):
     # three Witt-index proofs and the n_(11,2) witness; the {-1,0,1}^8 grid
     # through gram_det and the rational samples are oracles in
     # test_obstruction.py, which also checks the scan against exact_rank
-    _assert_report(paper_reports[4], limit_s=5.0)
-    assert paper_reports[4].checks == 4
+    _assert_report(paper_reports[4], limit_s=5.0, checks=4)
 
 
 def test_criterion_6_strongly_bracket_generating(paper_reports):
-    _assert_report(paper_reports[5], limit_s=30.0)
+    _assert_report(paper_reports[5], limit_s=30.0, checks=15)
 
 
 def test_criterion_7_direct_sums(paper_reports):
@@ -65,6 +67,7 @@ def test_criterion_7_direct_sums(paper_reports):
     """
     rep = paper_reports[6]
     assert rep.elapsed < 10.0, f"criterion 7 took {rep.elapsed:.2f}s"
+    assert rep.checks == 10
     assert rep.passed is False
     assert rep.failures == [
         "n_(2,3)(1,1) type-1 volume element is not a scalar, stated +Id "
@@ -93,4 +96,4 @@ def test_criterion_7_attainable_clauses(paper_reports):
 
 
 def test_criterion_8_general_h_type(paper_reports):
-    _assert_report(paper_reports[7], limit_s=1.0)
+    _assert_report(paper_reports[7], limit_s=1.0, checks=4)

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoht.algebra as algebra
+import pseudoht.catalog as catalog
 from pseudoht.algebra import (
     IntegralBasisError,
     PseudoHTypeAlgebra,
@@ -38,6 +39,8 @@ from pseudoht.algebra import (
     algebra_to_dict,
     j_operator,
     j_operators,
+    signed_lookup,
+    signed_lookups,
     verify_admissible,
     verify_clifford,
     verify_htype,
@@ -45,7 +48,7 @@ from pseudoht.algebra import (
 )
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix
-from pseudoht.extension import ExtensionStep, extend
+from pseudoht.extension import ExtensionStep, extend, standard_algebra
 from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum
@@ -235,8 +238,12 @@ def test_construction_derives_nothing(derivations):
     big = extend(_build_base(1, 0), ExtensionStep.BY_8_0)
     back = algebra_from_json(algebra_json(big))
     summed = build_sum(_build_base(2, 3), 2, 1)
+    # rows as lists, flipped and in reverse order: the same sorted tensor
+    rows = _with_entries(a, [[q, p, k, -s]
+                             for (p, q, k, s) in reversed(a.tensor.entries)])
     assert back.tensor == big.tensor and a.dim_center == 8
-    for built in (a, big, back, summed):
+    assert rows.tensor == a.tensor
+    for built in (a, big, back, summed, rows):
         assert _derived_on(built) == []
     assert derivations == []
 
@@ -250,10 +257,39 @@ def test_lookups_are_derived_once_on_the_tensor():
     assert verify_integral_basis(a).ok and verify_clifford(a).ok
     assert algebra._link_table(a.tensor) is table
     # the J operators read the algebra's own table, built in one pass over
-    # the entries, not the tensor's link table
-    assert _derived_on(a) == ["_j_operators", "_j_table", "_links"]
+    # the entries, not the tensor's link table; Clifford composes their
+    # signed-index rows
+    assert _derived_on(a) == ["_j_operators", "_j_table", "_links",
+                              "_signed_lookups"]
     j_table = algebra._j_table(a)
     assert algebra._j_table(a) is j_table and j_operators(a) is j_operators(a)
+    rows = signed_lookups(a)
+    assert signed_lookups(a) is rows
+    assert rows == tuple(signed_lookup(op) for op in j_operators(a))
+
+
+def test_signed_lookups_are_built_once_per_shared_algebra(monkeypatch):
+    # the verifiers and certify plus recheck of one ISO question compose
+    # the rows each algebra derived once
+    built = []
+    inner = algebra.signed_lookup
+    monkeypatch.setattr(algebra, "signed_lookup",
+                        lambda op: built.append(op) or inner(op))
+    a = _build_base(3, 2)
+    rows = signed_lookups(a)
+    for check in (verify_clifford, verify_admissible, verify_htype):
+        assert check(a).ok
+    assert signed_lookups(a) is rows and len(built) == a.dim_center
+    built.clear()
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
+    cert = check_pair(9, 1, 1, 9)
+    assert cert.kind == "ISO"
+    src, dst = standard_algebra(9, 1), standard_algebra(1, 9)
+    src_rows, dst_rows = signed_lookups(src), signed_lookups(dst)
+    assert len(built) == src.dim_center + dst.dim_center
+    assert recheck_certificate(json.loads(json.dumps(cert.json_dict()))).ok
+    assert signed_lookups(src) is src_rows and signed_lookups(dst) is dst_rows
+    assert len(built) == src.dim_center + dst.dim_center
 
 
 # --- the lazy lookups against the entries ------------------------------------
