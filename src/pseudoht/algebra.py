@@ -145,22 +145,23 @@ class SignedPermutationOp:
 
     def compose(self, other: "SignedPermutationOp") -> "SignedPermutationOp":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        image = tuple(self.image[b - 1] for b in other.image)
-        sign = tuple(s * self.sign[b - 1]
-                     for b, s in zip(other.image, other.sign))
-        return SignedPermutationOp(image, sign)
+        if len(other.image) != len(self.image):
+            raise ValueError(f"cannot compose a dim-{self.dim} op with a "
+                             f"dim-{other.dim} op")
+        image, sign = (0, *self.image), (0, *self.sign)
+        return _unchecked_op(
+            tuple(map(image.__getitem__, other.image)),
+            tuple(map(operator.mul, other.sign,
+                      map(sign.__getitem__, other.image))))
 
     def inverse(self) -> "SignedPermutationOp":
-        image = [0] * self.dim
-        sign = [0] * self.dim
-        for a in range(1, self.dim + 1):
-            b, s = self.apply_basis(a)
-            image[b - 1] = a
-            sign[b - 1] = s
-        return SignedPermutationOp(tuple(image), tuple(sign))
+        order = sorted(range(1, self.dim + 1),
+                       key=(0, *self.image).__getitem__)
+        return _unchecked_op(tuple(order),
+                             tuple(map((0, *self.sign).__getitem__, order)))
 
     def negate(self) -> "SignedPermutationOp":
-        return SignedPermutationOp(self.image, tuple(-s for s in self.sign))
+        return _unchecked_op(self.image, tuple(map(operator.neg, self.sign)))
 
     def scalar_action(self) -> Optional[int]:
         """+1 or -1 if the op is that multiple of the identity, else None."""
@@ -198,6 +199,22 @@ class SignedPermutationOp:
         image = tuple(t if t > 0 else -t for t in indices)
         return SignedPermutationOp(image,
                                    tuple(1 if t > 0 else -1 for t in indices))
+
+
+def _unchecked_op(image: tuple[int, ...], sign: tuple[int, ...]
+                  ) -> SignedPermutationOp:
+    """SignedPermutationOp(image, sign) without __post_init__'s checks.
+
+    Only for ops that are signed permutations by how they were made: the
+    composite, inverse or negation of checked ops, or a J operator read
+    off a J table with no conflict and no empty slot (each row is then a
+    fixed-point-free involution of 1..n with signs that are products of
+    +-1 integers).  The public constructor, from_signed and every reader
+    of outside data keep all checks.
+    """
+    op = object.__new__(SignedPermutationOp)
+    op.__dict__.update(image=image, sign=sign)
+    return op
 
 
 def _recognize_signed_permutation(m: ExactMatrix
@@ -296,6 +313,10 @@ class PseudoHTypeAlgebra:
     def __post_init__(self) -> None:
         if self.tensor.dim_module != len(self.module_signs):
             raise ValueError("module metric length does not match tensor")
+        if {*map(type, self.module_signs)} - {int}:
+            bad = next(e for e in self.module_signs if type(e) is not int)
+            raise ValueError(f"module metric entries must be integers, "
+                             f"got {bad!r}")
         if not set(self.module_signs) <= {1, -1}:
             raise ValueError("module metric entries must be +-1")
         if self.tensor.dim_center != self.center_sig.dim:
@@ -373,7 +394,7 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
     if 0 in image:
         raise IntegralBasisError(
             f"no partner for center {k}, vector {image.index(0) + 1}")
-    return SignedPermutationOp(image, table.signs[k - 1])
+    return _unchecked_op(image, table.signs[k - 1])
 
 
 def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
@@ -402,24 +423,37 @@ class _JTable(NamedTuple):
 def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
     """The algebra's _JTable, from one pass over the tensor entries: the
     entry (p, q, k, s) gives J_{Z_k} v_p = eps^z_k s eps^v_q v_q and
-    J_{Z_k} v_q = -eps^z_k s eps^v_p v_p.  Kept on the algebra, since the
-    signs depend on its metrics."""
+    J_{Z_k} v_q = -eps^z_k s eps^v_p v_p, a later entry overwriting an
+    earlier one's slot.  Kept on the algebra, since the signs depend on
+    its metrics.
+
+    When the entries write exactly as many slots as the table has, two
+    per entry, and none stays empty, each slot was written once, so the
+    pass makes no per-entry conflict test.  Otherwise a second pass lists
+    every write to a slot already written, in entries order.
+    """
     def build(a: PseudoHTypeAlgebra) -> _JTable:
-        n, g, ez = a.dim_module, a.module_signs, a.center_sig.signs()
-        images = [[0] * n for _ in ez]
-        signs = [[0] * n for _ in ez]
-        conflicts = []
-        for (p, q, k, s) in a.tensor.entries:
-            image, sign = images[k - 1], signs[k - 1]
-            e = ez[k - 1] * s
-            if image[p - 1]:
-                conflicts.append((k, p))
-            if image[q - 1]:
-                conflicts.append((k, q))
-            image[p - 1], sign[p - 1] = q, e * g[q - 1]
-            image[q - 1], sign[q - 1] = p, -e * g[p - 1]
-        return _JTable(tuple(map(tuple, images)), tuple(map(tuple, signs)),
-                       tuple(conflicts))
+        n, entries = a.dim_module, a.tensor.entries
+        ez, g = (0, *a.center_sig.signs()), (0, *a.module_signs)
+        # 1-based lists, slot 0 unused, until they become the rows
+        images = [[0] * (n + 1) for _ in ez]
+        signs = [[0] * (n + 1) for _ in ez]
+        for (p, q, k, s) in entries:
+            image, sign, e = images[k], signs[k], ez[k] * s
+            image[p] = q
+            image[q] = p
+            sign[p] = e * g[q]
+            sign[q] = -e * g[p]
+        images = tuple(tuple(row[1:]) for row in images[1:])
+        signs = tuple(tuple(row[1:]) for row in signs[1:])
+        if (2 * len(entries) == n * a.dim_center
+                and not any(0 in image for image in images)):
+            return _JTable(images, signs, ())
+        written: set[tuple[int, int]] = set()
+        conflicts = tuple(slot for (p, q, k, _s) in entries
+                          for slot in ((k, p), (k, q))
+                          if slot in written or written.add(slot))
+        return _JTable(images, signs, conflicts)
 
     return _derived(a, "_j_table", build)
 
@@ -597,28 +631,32 @@ def verify_htype(a: PseudoHTypeAlgebra) -> Verdict:
     free (a signed permutation sends distinct basis vectors to orthogonal
     ones) and its diagonal is the k = m case below.  With +-1 signs the
     left side is <v_b, v_b> at k = m (b = image_k(a)), and for k != m it
-    vanishes exactly when image_k(a) != image_m(a).
+    vanishes exactly when image_k(a) != image_m(a).  So every k != m
+    identity holds when each column (image_1(a), ..., image_n(a)) has n
+    distinct entries, one set per column; only when one does not are the
+    pairs scanned, in the order of the witness (k, m, a).
     """
-    ops = j_operators(a)
+    images = [op.image for op in j_operators(a)]
     g = list(a.module_signs)
     g_at = [0, *g].__getitem__
     minus_g = [-e for e in g]
     ez = a.center_sig.signs()
-    n = len(ops)
+    n = len(images)
+    distinct = sum(map(len, map(set, zip(*images)))) == n * a.dim_module
     for k in range(n):
-        ik = ops[k].image
-        for m in range(k, n):
-            if k == m:
-                alpha = _first_difference(list(map(g_at, ik)),
-                                          g if ez[k] > 0 else minus_g)
-            elif any(map(operator.eq, ik, ops[m].image)):
-                alpha = next(i for i, (bk, bm) in enumerate(
-                    zip(ik, ops[m].image), start=1) if bk == bm)
-            else:
-                alpha = None
-            if alpha is not None:
-                return Verdict(False, (k + 1, m + 1, alpha),
-                               "composition identity fails")
+        ik = images[k]
+        m = k
+        alpha = _first_difference(list(map(g_at, ik)),
+                                  g if ez[k] > 0 else minus_g)
+        if alpha is None and not distinct:
+            for m in range(k + 1, n):
+                alpha = next((i for i, (bk, bm) in enumerate(
+                    zip(ik, images[m]), start=1) if bk == bm), None)
+                if alpha is not None:
+                    break
+        if alpha is not None:
+            return Verdict(False, (k + 1, m + 1, alpha),
+                           "composition identity fails")
     return Verdict(True)
 
 

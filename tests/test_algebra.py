@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -425,6 +426,30 @@ def test_signed_permutation_basics():
                         ((1, 2), (1, -1.0))):
         with pytest.raises(ValueError):
             SignedPermutationOp(image, sign)
+
+
+def test_compose_refuses_a_dimension_mismatch_both_ways():
+    three = SignedPermutationOp((2, 3, 1), (1, -1, 1))
+    for other in (SignedPermutationOp.identity(2),
+                  SignedPermutationOp.identity(4)):
+        for first, second in ((three, other), (other, three)):
+            with pytest.raises(ValueError, match="cannot compose a dim-"):
+                first.compose(second)
+
+
+@pytest.mark.parametrize("metric", [
+    (1.0, 1, -1, -1), (True, 1, -1, -1), (1, 1, Fraction(-1), -1),
+    (1.0, 1.0, -1.0, -1.0),
+])
+def test_module_metric_entries_must_be_integers(metric):
+    # 1.0, True and Fraction(-1) equal +-1, so only the type refuses them;
+    # the J operators take their signs from the metric unchecked
+    a = base_algebra(1, 1)
+    assert a.module_signs == (1, 1, -1, -1)
+    bad = next(e for e in metric if type(e) is not int)
+    with pytest.raises(ValueError, match=re.escape(
+            f"module metric entries must be integers, got {bad!r}")):
+        dataclasses.replace(a, module_signs=metric)
 
 
 @pytest.mark.parametrize("t", [

@@ -201,6 +201,39 @@ def test_verifiers_match_the_reference_on_corrupted_operators(monkeypatch):
             "skew-adjointness fails: orbit does not return") in seen
 
 
+def test_coinciding_j_images_give_the_reference_off_diagonal_witness(
+        monkeypatch):
+    # J_2 changed after derivation so that J_1 v_alpha and J_2 v_alpha are
+    # the same basis vector up to sign: <J_1 v_alpha, J_2 v_alpha> != 0, a
+    # k != m composition identity the one-pass column test must send to the
+    # pair scan
+    derive = algebra.j_operator
+    seen = set()
+    witnesses = []
+    for rs in BASE_IDS:
+        a = _build_base(*rs)
+        if a.dim_center < 2:
+            continue
+        for alpha in (1, a.dim_module // 2 + 1, a.dim_module):
+            j1, j2 = derive(a, 1), derive(a, 2)
+            image = list(j2.image)
+            beta = image.index(j1.image[alpha - 1]) + 1
+            image[alpha - 1], image[beta - 1] = image[beta - 1], image[alpha - 1]
+            bad = SignedPermutationOp(tuple(image), j2.sign)
+            monkeypatch.setattr(
+                algebra, "j_operator",
+                lambda alg, kk, bad=bad: bad if kk == 2 else derive(alg, kk))
+            b = _build_base(*rs)
+            _compare(b, seen)
+            got = verify_htype(b)
+            assert got == _ref_htype(b)
+            witnesses.append(got.witness)
+    assert ("verify_htype", "composition identity fails") in seen
+    assert len(witnesses) == 36
+    # J_1 is untouched, so its diagonal holds and (1, 2) fails first
+    assert all(w[:2] == (1, 2) for w in witnesses)
+
+
 # --- laziness ----------------------------------------------------------------
 
 @pytest.fixture
@@ -375,6 +408,107 @@ def test_a_doubled_partner_is_reported_in_entries_order():
     assert verify_integral_basis(bad).witness == (8, 1)
     assert _j_outcomes(bad)[0] == \
         "multiple partners for (k, a) pairs ((8, 1), (8, 16))"
+
+
+def _ref_j_table(a: PseudoHTypeAlgebra) -> tuple:
+    """(images, signs, conflicts) from the loop that tested every entry
+    for a conflict while filling the table."""
+    n, g, ez = a.dim_module, a.module_signs, a.center_sig.signs()
+    images = [[0] * n for _ in ez]
+    signs = [[0] * n for _ in ez]
+    conflicts = []
+    for (p, q, k, s) in a.tensor.entries:
+        image, sign = images[k - 1], signs[k - 1]
+        e = ez[k - 1] * s
+        if image[p - 1]:
+            conflicts.append((k, p))
+        if image[q - 1]:
+            conflicts.append((k, q))
+        image[p - 1], sign[p - 1] = q, e * g[q - 1]
+        image[q - 1], sign[q - 1] = p, -e * g[p - 1]
+    return tuple(map(tuple, images)), tuple(map(tuple, signs)), tuple(conflicts)
+
+
+def test_a_doubled_and_an_empty_slot_at_the_full_entry_count():
+    # as many entries as an integral basis has, n dim z / 2, so the count
+    # alone cannot tell; the empty slot sends the table to its conflict pass
+    a = base_algebra(3, 2)
+    e = a.tensor.entries
+    assert e[10] == (3, 7, 5, 1)
+    bad = _with_entries(a, e[:10] + e[11:] + ((1, 8, 5, -1),))
+    assert 2 * len(bad.tensor.entries) == bad.dim_module * bad.dim_center
+    table = algebra._j_table(bad)
+    assert tuple(table) == _ref_j_table(bad)
+    assert table.conflicts == ((5, 1), (5, 8))
+    assert table.images[4][2] == table.images[4][6] == 0
+    assert verify_integral_basis(bad) == Verdict(
+        False, (5, 1), "a (center, vector) pair has several partners")
+    assert _j_outcomes(bad) == [
+        "multiple partners for (k, a) pairs ((5, 1), (5, 8))"] * 5
+
+
+@given(st.sampled_from(BASE_IDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_j_table_equals_the_per_entry_loop(rs, data):
+    # entries dropped and added at random; any tensor the constructor takes
+    a = _build_base(*rs)
+    e = list(a.tensor.entries)
+    dropped = data.draw(st.sets(st.integers(0, len(e) - 1), max_size=3))
+    index = st.integers(1, a.dim_module)
+    extra = data.draw(st.lists(st.tuples(
+        index, index, st.integers(1, a.dim_center), st.sampled_from((1, -1))),
+        max_size=3))
+    entries = [x for i, x in enumerate(e) if i not in dropped] + [
+        x for x in extra if x[0] != x[1]]
+    try:
+        bad = _with_entries(a, entries)
+    except IntegralBasisError:
+        return
+    assert tuple(algebra._j_table(bad)) == _ref_j_table(bad)
+
+
+def _checked_copy(op: SignedPermutationOp) -> SignedPermutationOp:
+    """op rebuilt by the constructor that checks, with tuple-of-int rows."""
+    for row in (op.image, op.sign):
+        assert type(row) is tuple and {type(x) for x in row} <= {int}
+    return SignedPermutationOp(op.image, op.sign)
+
+
+def test_derived_j_operators_are_what_the_checking_constructor_builds():
+    n_9_8 = standard_algebra(9, 8)
+    assert n_9_8.dim_module == 512
+    algebras = [_catalog_algebra(*which) for which in ALGEBRAS] + [n_9_8]
+    assert len(algebras) == 14 + 42 + 1
+    for a in algebras:
+        for op in j_operators(a):
+            again = _checked_copy(op)
+            assert again == op and hash(again) == hash(op)
+            assert repr(again) == repr(op)
+
+
+@st.composite
+def _signed_permutations(draw, n):
+    image = draw(st.permutations(range(1, n + 1)))
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return SignedPermutationOp(tuple(image), tuple(sign))
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(_signed_permutations(n), _signed_permutations(n))))
+@settings(max_examples=200, deadline=None)
+def test_compose_inverse_and_negate_build_checked_ops(pair):
+    f, h = pair
+    fh, inv, neg = f.compose(h), f.inverse(), f.negate()
+    for op in (fh, inv, neg):
+        assert _checked_copy(op) == op
+    for a in range(1, f.dim + 1):
+        b, s = h.apply_basis(a)
+        c, t = f.apply_basis(b)
+        assert fh.apply_basis(a) == (c, s * t)
+        assert inv.apply_basis(f.image[a - 1]) == (a, f.sign[a - 1])
+        assert neg.apply_basis(a) == (f.image[a - 1], -f.sign[a - 1])
+    identity = SignedPermutationOp.identity(f.dim)
+    assert f.compose(inv) == identity == inv.compose(f)
 
 
 def test_verifiers_and_sbg_derive_each_operator_once(derivations):
