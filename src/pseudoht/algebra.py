@@ -2,14 +2,16 @@
 
 An algebra is stored as its structure tensor A^k_{ab} in {-1,0,+1} together
 with the center signature and the +-1 module metric.  The J-operators are
-always derived from the tensor through eps^v_b * B^k_{ab} = eps^z_k * A^k_{ab},
-never stored independently, so the two representations cannot drift apart.
+derived from the tensor through eps^v_b * B^k_{ab} = eps^z_k * A^k_{ab}, or
+for an extension from its parent's and factor's by the same product that
+makes its entries (ExtensionRecipe); they are never stored independently.
 
 All indices in the public API are 1-based.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from collections import deque
@@ -51,9 +53,12 @@ class StructureTensor:
     IntegralBasisError, naming the smallest such pair, since an integral
     basis sends each bracket to a single +-Z_k.  Repeats of one entry, as
     given or flipped to (b, a, k, -sign), collapse into one.
+
+    An extension's tensor is made by from_recipe instead: its entries are
+    built on their first read and the recipe is then dropped.
     """
 
-    __slots__ = ("dim_module", "dim_center", "entries", "_links")
+    __slots__ = ("dim_module", "dim_center", "entries", "_links", "_recipe")
 
     def __init__(self, dim_module: int, dim_center: int,
                  entries: Iterable[tuple[int, int, int, int]]):
@@ -80,6 +85,42 @@ class StructureTensor:
                 raise ValueError(f"diagonal entry ({a},{a}) violates antisymmetry")
         canon.sort()
         self.entries = _distinct_pairs(canon)
+
+    @classmethod
+    def from_recipe(cls, recipe: "ExtensionRecipe") -> "StructureTensor":
+        """The tensor of an extension, its entries made from the recipe on
+        first read and stored without the constructor's checks.
+
+        They need none: the parent's tensor holds canonical entries with
+        one (k, sign) per pair, and so does the factor's; each entry made
+        from the parent keeps one factor index and the parent's pair, each
+        one made from the factor keeps one parent index and the factor's
+        pair, so no pair is made twice.  Each is flipped to a < b as it is
+        made, and the list is sorted once.
+        """
+        t = object.__new__(cls)
+        prov = recipe.provenance
+        t.dim_module = len(prov.pair_to_final)
+        t.dim_center = (len(prov.parent_center_to_final)
+                        + len(prov.factor_center_to_final))
+        t._recipe = recipe
+        return t
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the entries of a tensor made by
+        # from_recipe before their first read, or a table not yet derived
+        if name != "entries":
+            raise AttributeError(name)
+        try:
+            recipe = self._recipe
+        except AttributeError:  # another thread has just stored them
+            return StructureTensor.entries.__get__(self)
+        self.entries = entries = _product_entries(recipe)
+        try:
+            del self._recipe
+        except AttributeError:
+            pass
+        return entries
 
     def bracket_pair(self, a: int, b: int) -> Optional[tuple[int, int]]:
         """(k, sign) with [v_a, v_b] = sign * Z_k, or None."""
@@ -121,12 +162,17 @@ def _distinct_pairs(canon: list) -> tuple[tuple[int, int, int, int], ...]:
 
 @dataclass(frozen=True)
 class SignedPermutationOp:
-    """Linear map sending v_a to sign[a] * v_image[a]; tuples are 1-based."""
+    """Linear map sending v_a to sign[a] * v_image[a]; tuples are 1-based.
+    Other sequences, such as lists, are stored as tuples, so equal ops
+    compare and hash equal."""
 
     image: tuple[int, ...]
     sign: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("image", "sign"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.image)
         if {*map(type, self.image), *map(type, self.sign)} - {int}:
             raise ValueError("image and signs must be integers")
@@ -298,6 +344,53 @@ Provenance = Union[BaseProvenance, ExtensionProvenance, SumProvenance,
                    OpaqueProvenance]
 
 
+class ExtensionRecipe(NamedTuple):
+    """What extension.extend makes an extension from, held by its tensor
+    until the entries are first read.
+
+    With w_i (x) u_j at final index pair_to_final[16(i-1) + (j-1)], the
+    parent's module basis w (metric g) tensored with the factor's u
+    (metric h), and pc, fc the provenance's final center positions:
+
+    - [w_i (x) u_j, w_p (x) u_j] = parent_signs[j] * [w_i, w_p], the
+      parent's Z_k moved to Z_pc[k];
+    - [w_i (x) u_j, w_i (x) u_q] = g_i * [u_j, u_q], the factor's Z_m
+      moved to Z_fc[m].
+
+    So J'_pc[k] = J_k (x) E with E = diag(parent_signs[j] * h_j), and
+    J'_fc[m] = Id (x) J^f_m.  metric and center_sig are the extension's;
+    the J table's signs depend on them.
+    """
+
+    provenance: ExtensionProvenance
+    factor: "PseudoHTypeAlgebra"
+    parent_signs: tuple[int, ...]
+    metric: tuple[int, ...]
+    center_sig: Signature
+
+
+def _product_entries(recipe: ExtensionRecipe
+                     ) -> tuple[tuple[int, int, int, int], ...]:
+    """The sorted canonical entries an ExtensionRecipe describes."""
+    prov = recipe.provenance
+    parent, final = prov.parent, prov.pair_to_final
+    # 1-based: columns[j][i] and rows[i][j] are the final index of w_i (x) u_j
+    columns = [(0, *final[j::16]) for j in range(16)]
+    rows = [(0, *final[f:f + 16]) for f in range(0, len(final), 16)]
+    pc = (0, *prov.parent_center_to_final)
+    fc = (0, *prov.factor_center_to_final)
+    entries = [(x, y, pc[k], s * e) if (x := col[i]) < (y := col[p])
+               else (y, x, pc[k], -s * e)
+               for (i, p, k, s) in parent.tensor.entries
+               for col, e in zip(columns, recipe.parent_signs)]
+    entries += [(x, y, fc[k], s * g) if (x := row[j]) < (y := row[q])
+                else (y, x, fc[k], -s * g)
+                for (j, q, k, s) in recipe.factor.tensor.entries
+                for row, g in zip(rows, parent.module_signs)]
+    entries.sort()
+    return tuple(entries)
+
+
 @dataclass(frozen=True)
 class PseudoHTypeAlgebra:
     """2-step nilpotent algebra v + z described by an integral basis."""
@@ -431,8 +524,17 @@ def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
     per entry, and none stays empty, each slot was written once, so the
     pass makes no per-entry conflict test.  Otherwise a second pass lists
     every write to a slot already written, in entries order.
+
+    An extension whose entries are still unread takes its table from its
+    parent's and factor's instead (_product_j_table), when they have no
+    conflict and no empty slot.
     """
     def build(a: PseudoHTypeAlgebra) -> _JTable:
+        recipe = getattr(a.tensor, "_recipe", None)
+        if recipe is not None:
+            table = _product_j_table(a, recipe)
+            if table is not None:
+                return table
         n, entries = a.dim_module, a.tensor.entries
         ez, g = (0, *a.center_sig.signs()), (0, *a.module_signs)
         # 1-based lists, slot 0 unused, until they become the rows
@@ -456,6 +558,47 @@ def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
         return _JTable(images, signs, conflicts)
 
     return _derived(a, "_j_table", build)
+
+
+def _product_j_table(a: PseudoHTypeAlgebra, recipe: ExtensionRecipe
+                     ) -> Optional[_JTable]:
+    """The J table of the extension a from its recipe, or None when the
+    parent's or the factor's table has a conflict or an empty slot, or a's
+    metrics are not the recipe's (an algebra rebuilt around the tensor).
+
+    Each row is the table the recipe's entries would write, each slot
+    once: J_k (x) E for a parent center index and Id (x) J^f_m for a factor
+    one (see ExtensionRecipe).  It is made in pair order, 16 slots per
+    parent index, and put in final order by one itemgetter.
+    """
+    if a.module_signs != recipe.metric or a.center_sig != recipe.center_sig:
+        return None
+    prov = recipe.provenance
+    parent, factor = _j_table(prov.parent), _j_table(recipe.factor)
+    if any(t.conflicts or any(0 in image for image in t.images)
+           for t in (parent, factor)):
+        return None
+    final = prov.pair_to_final
+    to_final = operator.itemgetter(
+        *sorted(range(len(final)), key=final.__getitem__))
+    blocks = [final[f:f + 16] for f in range(0, len(final), 16)]
+    of_image = (None, *blocks).__getitem__
+    volume = tuple(map(operator.mul, recipe.parent_signs,
+                       recipe.factor.module_signs))
+    of_sign = {1: volume, -1: tuple(map(operator.neg, volume))}.__getitem__
+    chain = itertools.chain.from_iterable
+    images: list = [None] * a.dim_center
+    signs: list = [None] * a.dim_center
+    for pos, image, sign in zip(prov.parent_center_to_final,
+                                parent.images, parent.signs):
+        images[pos - 1] = to_final(list(chain(map(of_image, image))))
+        signs[pos - 1] = to_final(list(chain(map(of_sign, sign))))
+    for pos, image, sign in zip(prov.factor_center_to_final,
+                                factor.images, factor.signs):
+        within = operator.itemgetter(*[j - 1 for j in image])
+        images[pos - 1] = to_final(list(chain(map(within, blocks))))
+        signs[pos - 1] = to_final(sign * len(blocks))
+    return _JTable(tuple(images), tuple(signs), ())
 
 
 _Links = tuple[tuple[int, int, int], ...]
@@ -557,7 +700,16 @@ def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[list[int], ...]:
                     lambda alg: tuple(map(signed_lookup, j_operators(alg))))
 
 
-def _first_difference(xs: list, ys: list) -> Optional[int]:
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """row -> (row[i] for i in indices) as a tuple, by operator.itemgetter,
+    which gathers at C speed but returns a bare item for one index and
+    cannot be made for none."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda row: tuple(map(row.__getitem__, indices))
+
+
+def _first_difference(xs: Sequence, ys: Sequence) -> Optional[int]:
     """1-based position of the first entry where xs and ys differ, or None."""
     if xs == ys:
         return None
@@ -567,27 +719,28 @@ def _first_difference(xs: list, ys: list) -> Optional[int]:
 def verify_clifford(a: PseudoHTypeAlgebra) -> Verdict:
     """J_k J_m + J_m J_k = -2 <Z_k, Z_m> Id on the recovered operators.
 
-    Both sides are compared as signed-index lists over the basis: J_k J_m
+    Both sides are compared as signed-index tuples over the basis: J_k J_m
     must equal -J_m J_k for k != m and -<Z_k,Z_k> Id for k = m.  The
-    witness is the first basis index where they differ.
+    witness is the first basis index where they differ.  Each side is
+    one gather of a row through an itemgetter of another row's slice.
     """
     n_mod = a.dim_module
     rows = signed_lookups(a)
-    forward = [row[1:n_mod + 1] for row in rows]   # J v_b
-    negated = [row[:n_mod:-1] for row in rows]     # -J v_b
-    ident = list(range(1, n_mod + 1))
-    minus_ident = [-alpha for alpha in ident]
+    forward = [_gather(row[1:n_mod + 1]) for row in rows]   # J v_b
+    negated = [_gather(row[:n_mod:-1]) for row in rows]     # -J v_b
+    ident = tuple(range(1, n_mod + 1))
+    minus_ident = tuple(-alpha for alpha in ident)
     ez = a.center_sig.signs()
     n = len(rows)
     for k in range(n):
-        lookup = rows[k].__getitem__
+        row = rows[k]
         for m in range(k, n):
-            km = list(map(lookup, forward[m]))
+            km = forward[m](row)
             if k == m:
                 want = minus_ident if ez[k] > 0 else ident
                 detail = "J_k^2 is not -<Z_k,Z_k> Id"
             else:
-                want = list(map(rows[m].__getitem__, negated[k]))
+                want = negated[k](rows[m])
                 detail = "J_k J_m + J_m J_k does not vanish"
             alpha = _first_difference(km, want)
             if alpha is not None:

@@ -4,10 +4,13 @@ Each extension tensors the module with a fixed 16-dimensional factor and
 fills in structure constants case by case: brackets diagonal in the factor
 index inherit the parent constant times a factor-dependent sign table, and
 brackets diagonal in the parent index inherit the factor constant times the
-parent metric sign.  The new center is ordered positive-first, and the
-flattened pair basis is stably split by sign so the module metric reads
-(+...+, -...-); the permutation is recorded in the provenance so canonical
-isomorphisms can keep speaking in pair coordinates.
+parent metric sign.  extend() states this as an algebra.ExtensionRecipe:
+the entries are made from it on their first read, and the J table from
+the parent's and the factor's rows.  The new center is ordered
+positive-first, and the flattened pair basis is stably split by sign so
+the module metric reads (+...+, -...-); the permutation is recorded in the
+provenance so canonical isomorphisms can keep speaking in pair
+coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Optional, Sequence
 from .algebra import (
     BlockSets,
     ExtensionProvenance,
+    ExtensionRecipe,
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     StructureTensor,
@@ -134,24 +138,15 @@ def _extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     for pos, f in enumerate(order, start=1):
         pair_to_final[f] = pos
 
-    # columns hold one factor index, rows one parent index
-    columns = [pair_to_final[j::16] for j in range(16)]
+    # rows[i] holds the final indices of w_{i+1} (x) u_1 ... u_16
     rows = [pair_to_final[16 * i:16 * i + 16] for i in range(two_l)]
-    # factor indices equal: parent bracket scaled by the step's sign table
-    entries = [(col[i - 1], col[p - 1], parent_center[k - 1], s0 * sign)
-               for (i, p, k, s0) in a.tensor.entries
-               for col, sign in zip(columns, _PARENT_SIGN[step])]
-    # parent indices equal: factor bracket scaled by the parent metric sign
-    entries += [(row[j - 1], row[q - 1], factor_center[k - 1], s0 * sign)
-                for (j, q, k, s0) in factor.tensor.entries
-                for row, sign in zip(rows, a.module_signs)]
-
-    tensor = StructureTensor(len(order), sig.dim, entries)
     provenance = ExtensionProvenance(
         parent=a, step=step.value,
         pair_to_final=tuple(pair_to_final),
         parent_center_to_final=parent_center,
         factor_center_to_final=factor_center)
+    tensor = StructureTensor.from_recipe(ExtensionRecipe(
+        provenance, factor, _PARENT_SIGN[step], metric, sig))
     module_labels = tuple(
         f"{a.module_labels[f // 16]}*{factor.module_labels[f % 16]}"
         for f in order)

@@ -428,6 +428,20 @@ def test_signed_permutation_basics():
             SignedPermutationOp(image, sign)
 
 
+def test_list_and_tuple_ops_are_equal_and_hash_equal():
+    lists = SignedPermutationOp([2, 1], [1, -1])
+    tuples = SignedPermutationOp((2, 1), (1, -1))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert type(lists.image) is tuple and type(lists.sign) is tuple
+    assert lists.negate() == tuples.negate()
+    assert {lists, tuples} == {tuples}
+    # a list is checked as its tuple is
+    for image, sign in (([1, 1], [1, 1]), ([True, 2], [1, 1]),
+                        ([1, 2], [1, -1.0])):
+        with pytest.raises(ValueError):
+            SignedPermutationOp(image, sign)
+
+
 def test_compose_refuses_a_dimension_mismatch_both_ways():
     three = SignedPermutationOp((2, 3, 1), (1, -1, 1))
     for other in (SignedPermutationOp.identity(2),

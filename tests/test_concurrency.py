@@ -1,9 +1,17 @@
 """Verifiers are pure and algebras immutable: concurrent use is safe."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from pseudoht.algebra import verify_admissible, verify_clifford, verify_htype
-from pseudoht.catalog import BASE_IDS, base_algebra
+from pseudoht.algebra import (
+    j_operators,
+    verify_admissible,
+    verify_clifford,
+    verify_htype,
+)
+from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
+from pseudoht.extension import ExtensionStep, extend
 from pseudoht.obstruction import gram_det, sbg_decision
 
 
@@ -26,3 +34,32 @@ def test_concurrent_reads_of_one_algebra_agree():
     with ThreadPoolExecutor(max_workers=8) as pool:
         dets = list(pool.map(lambda _i: gram_det(a, x), range(32)))
     assert len(set(dets)) == 1
+
+
+def test_threads_reading_a_fresh_extension_get_one_tensor():
+    # the entries and the J table of an extension are made on first read
+    # and stored on the shared tensor and algebra; threads that race to
+    # make them must all see the same values and no missing attribute
+    want = extend(_build_base(3, 2), ExtensionStep.BY_4_4)
+    want_entries, want_ops = want.tensor.entries, j_operators(want)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(20):
+            ext = extend(_build_base(3, 2), ExtensionStep.BY_4_4)
+            barrier = threading.Barrier(8, timeout=10)
+
+            def read(i):
+                barrier.wait()
+                if i % 2:
+                    return ext.tensor.entries
+                return j_operators(ext)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=30)
+                       for f in [pool.submit(read, i) for i in range(8)]]
+            assert got[1::2] == [want_entries] * 4
+            assert got[0::2] == [want_ops] * 4
+            assert not hasattr(ext.tensor, "_recipe")
+    finally:
+        sys.setswitchinterval(old)

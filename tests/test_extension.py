@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -9,12 +10,13 @@ from pseudoht.algebra import (
     block_decomposition,
     bracket,
     j_operator,
+    j_operators,
     verify_admissible,
     verify_clifford,
     verify_htype,
     verify_integral_basis,
 )
-from pseudoht.catalog import BASE_IDS, aligned_factor_0_8, base_algebra
+from pseudoht.catalog import BASE_IDS, _build_base, aligned_factor_0_8, base_algebra
 from pseudoht.core import basis_vector
 from pseudoht.extension import (
     ExtensionStep,
@@ -25,6 +27,7 @@ from pseudoht.extension import (
     standard_chain,
     volume_involution,
 )
+from pseudoht.sums import build_sum
 
 
 def test_step_parsing():
@@ -143,12 +146,101 @@ def _operator_route_tensor(parent, step):
     return StructureTensor(ext.dim_module, sig.dim, entries)
 
 
-@pytest.mark.parametrize("rs", [(1, 0), (0, 1), (1, 1), (3, 2), (2, 3), (4, 4)])
+def _agrees_with_operator_construction(parent, step):
+    """extend's entries equal the operator route's, and its J operators,
+    made from the parent's and factor's rows before any entry is read,
+    equal those of the same algebra built on the checking constructor."""
+    ext = extend(parent, step)
+    ops = j_operators(ext)
+    assert hasattr(ext.tensor, "_recipe")  # no entry read yet
+    assert _operator_route_tensor(parent, step) == ext.tensor
+    checked = dataclasses.replace(ext, tensor=StructureTensor(
+        ext.dim_module, ext.dim_center, ext.tensor.entries))
+    assert checked.tensor.entries == ext.tensor.entries
+    assert j_operators(checked) == ops
+
+
+# the first six are the ids this test has always had; private parents, so
+# that each extension is fresh
+ORACLE_BASES = [(1, 0), (0, 1), (1, 1), (3, 2), (2, 3), (4, 4)] + [
+    rs for rs in BASE_IDS
+    if rs not in ((1, 0), (0, 1), (1, 1), (3, 2), (2, 3), (4, 4))]
+
+
+@pytest.mark.parametrize("rs", ORACLE_BASES)
 @pytest.mark.parametrize("step", list(ExtensionStep))
 def test_case_tables_agree_with_operator_construction(rs, step):
-    parent = base_algebra(*rs)
+    _agrees_with_operator_construction(_build_base(*rs), step)
+
+
+def _two_step_chains(max_dim):
+    for rs in BASE_IDS:
+        if base_algebra(*rs).dim_module * 256 <= max_dim:
+            for first, second in itertools.product(ExtensionStep, repeat=2):
+                yield rs, first, second
+
+
+@pytest.mark.parametrize(
+    "rs, first, step",
+    [*_two_step_chains(1024),
+     ((8, 0), ExtensionStep.BY_8_0, ExtensionStep.BY_8_0)],  # n_(24,0), 4096
+    ids=lambda x: x.value if isinstance(x, ExtensionStep) else str(x))
+def test_chain_tables_agree_with_operator_construction(rs, first, step):
+    _agrees_with_operator_construction(extend(_build_base(*rs), first), step)
+
+
+@pytest.mark.parametrize("step", list(ExtensionStep))
+def test_sum_extension_agrees_with_operator_construction(step):
+    _agrees_with_operator_construction(build_sum(base_algebra(2, 3), 1, 1),
+                                       step)
+
+
+# n_(3,2) without its entry (3, 7, 5, 1): empty slots; with (1, 8, 5, -1)
+# added as well: a conflict at the full entry count
+FAULTY_PARENT_WITNESSES = {
+    ("empty", ExtensionStep.BY_8_0): (13, 33),
+    ("empty", ExtensionStep.BY_0_8): (5, 17),
+    ("empty", ExtensionStep.BY_4_4): (13, 17),
+    ("doubled", ExtensionStep.BY_8_0): (13, 1),
+    ("doubled", ExtensionStep.BY_0_8): (5, 1),
+    ("doubled", ExtensionStep.BY_4_4): (13, 1),
+}
+
+
+@pytest.mark.parametrize("fault, step", list(FAULTY_PARENT_WITNESSES),
+                         ids=lambda x: getattr(x, "value", x))
+def test_a_faulty_parent_table_gives_the_entries_witness(fault, step):
+    # the extension's table falls back to the one-pass build from entries,
+    # so verify_integral_basis names the slot it always named
+    a = _build_base(3, 2)
+    e = a.tensor.entries
+    assert e[10] == (3, 7, 5, 1)
+    entries = e[:10] + e[11:] + (((1, 8, 5, -1),) if fault == "doubled" else ())
+    parent = dataclasses.replace(a, tensor=StructureTensor(
+        a.dim_module, a.dim_center, entries))
     ext = extend(parent, step)
-    assert _operator_route_tensor(parent, step) == ext.tensor
+    got = verify_integral_basis(ext)
+    checked = dataclasses.replace(ext, tensor=StructureTensor(
+        ext.dim_module, ext.dim_center, ext.tensor.entries))
+    assert got == verify_integral_basis(checked)
+    assert not got.ok and got.witness == FAULTY_PARENT_WITNESSES[fault, step]
+    assert got.detail == ("a (center, vector) pair has several partners"
+                          if fault == "doubled" else
+                          "no partner for this (center, vector) pair")
+
+
+def test_a_rebuilt_algebra_takes_its_table_from_its_own_metric():
+    # replace() keeps the tensor and its recipe; with another metric the
+    # rows of the parent and factor do not apply, and the entries decide
+    ext = extend(_build_base(1, 1), ExtensionStep.BY_8_0)
+    flipped = (-ext.module_signs[0],) + ext.module_signs[1:]
+    other = dataclasses.replace(ext, module_signs=flipped)
+    assert hasattr(ext.tensor, "_recipe")
+    got = j_operators(other)
+    assert not hasattr(ext.tensor, "_recipe")  # the entries were read
+    checked = dataclasses.replace(other, tensor=StructureTensor(
+        ext.dim_module, ext.dim_center, ext.tensor.entries))
+    assert got == j_operators(checked) != j_operators(ext)
 
 
 def test_extension_bracket_examples():
