@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -684,8 +685,9 @@ def signed_lookup(op: SignedPermutationOp) -> list[int]:
     return [0, *signed, *map(operator.neg, reversed(signed))]
 
 
-def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[list[int], ...]:
-    """signed_lookup of every J operator, in center order.
+def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[array, ...]:
+    """signed_lookup of every J operator, in center order, each row an
+    array('i') holding the same values.
 
     Derived on first use and kept on the algebra, like j_operators(a), so
     the axiom verifiers and the relation of every morphism through the
@@ -693,11 +695,16 @@ def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[list[int], ...]:
     the algebra, a catalog algebra across the process, so this is an
     internal table of the package and not public API: nothing outside the
     verifiers and the morphism relation reads it, and nothing writes it.
-    The rows are lists because list.__getitem__, passed to map, indexes
-    at C speed, where tuple.__getitem__ goes through a slot wrapper.
+    An array keeps each entry in 4 bytes, where a list holds a pointer to
+    an int object of its own for every entry above 256 or below -5, so the
+    table is about a fifth of a list table's size.  But an array makes a
+    new int object for every item it hands out, so a reader that gathers
+    through a row many times reads it as a list (tolist()) first.  A slice
+    of a row is an array, and an array never equals a list, so a caller
+    compares a row's values with a list only after tolist().
     """
-    return _derived(a, "_signed_lookups",
-                    lambda alg: tuple(map(signed_lookup, j_operators(alg))))
+    return _derived(a, "_signed_lookups", lambda alg: tuple(
+        array("i", signed_lookup(op)) for op in j_operators(alg)))
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -723,9 +730,11 @@ def verify_clifford(a: PseudoHTypeAlgebra) -> Verdict:
     must equal -J_m J_k for k != m and -<Z_k,Z_k> Id for k = m.  The
     witness is the first basis index where they differ.  Each side is
     one gather of a row through an itemgetter of another row's slice.
+    The rows are read as lists, whose items a gather hands on without
+    making an int object for each, as indexing an array does.
     """
     n_mod = a.dim_module
-    rows = signed_lookups(a)
+    rows = list(map(array.tolist, signed_lookups(a)))
     forward = [_gather(row[1:n_mod + 1]) for row in rows]   # J v_b
     negated = [_gather(row[:n_mod:-1]) for row in rows]     # -J v_b
     ident = tuple(range(1, n_mod + 1))
@@ -763,8 +772,8 @@ def verify_admissible(a: PseudoHTypeAlgebra) -> Verdict:
     g = a.module_signs
     g_at = [0, *g].__getitem__
     minus_g_ident = [-e * alpha for alpha, e in enumerate(g, start=1)]
-    for k, (op, row) in enumerate(zip(j_operators(a), signed_lookups(a)),
-                                  start=1):
+    for k, (op, row) in enumerate(zip(j_operators(a), map(
+            array.tolist, signed_lookups(a))), start=1):
         square = list(map(row.__getitem__, row[1:n_mod + 1]))
         alpha = _first_difference(
             square, list(map(operator.mul, minus_g_ident, map(g_at, op.image))))
@@ -814,7 +823,20 @@ def verify_htype(a: PseudoHTypeAlgebra) -> Verdict:
 
 
 def verify_axioms(a: PseudoHTypeAlgebra) -> Verdict:
-    """The first failure of the four axiom checks, named, or Verdict(True)."""
+    """The first failure of the four axiom checks, named, or Verdict(True).
+
+    Computed once per algebra and kept on it, since it depends on the
+    frozen fields alone: a shared catalog algebra is checked once per
+    process.  A copy made by dataclasses.replace, a parsed or summed
+    algebra, or a private _build_base is a new object and is checked
+    afresh.
+    """
+    return _derived(a, "_axioms", _first_axiom_failure)
+
+
+def _first_axiom_failure(a: PseudoHTypeAlgebra) -> Verdict:
+    # the verifiers are read from the module at call time, so a wrapper or
+    # a stand-in installed on this module is the one that runs
     for check in (verify_integral_basis, verify_clifford, verify_admissible,
                   verify_htype):
         verdict = check(a)

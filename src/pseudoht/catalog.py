@@ -439,8 +439,12 @@ CatalogKey = tuple[BaseTableId, tuple[str, ...]]
 
 # Total module dimension the per-process algebra cache holds.  An algebra
 # above an eighth of it is built but never kept, so that one large request
-# cannot flush the small algebras that the requests around it share.
-ALGEBRA_CACHE_DIM = 1024
+# cannot flush the small algebras that the requests around it share.  The
+# algebras verify-paper's axiom suite checks add up to 6,000 (the 14 bases,
+# 112; their 42 single steps, 5,376; n_(9,8), 512), so 8,192 keeps all of
+# them with their tables and axiom verdicts, and its cap of 1,024 admits
+# the dim-512 algebras of the ISO questions n_(9,8) <-> n_(8,9).
+ALGEBRA_CACHE_DIM = 8192
 
 
 class AlgebraCache:

@@ -158,15 +158,20 @@ def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
     for alpha, (b, s) in enumerate(zip(a_op.image, a_op.sign), start=1):
         tau[b - 1] = g_dst[b - 1] * s * g_src[alpha - 1] * alpha
     a_tau = [0, *tau, *map(operator.neg, reversed(tau))]
-    a_fwd = list(map(operator.mul, a_op.sign, a_op.image))  # A v_alpha
-    src_rows = signed_lookups(src)
+    src_rows, dst_rows = signed_lookups(src), signed_lookups(dst)
+    if not n:  # an empty module: both sides are empty for every k
+        return None
+    # a J row read at every A v_alpha by one gather; a J row on a nonempty
+    # module is a fixed-point-free involution, so n >= 2 where there is one
+    # and itemgetter gives a tuple
+    at_a_fwd = operator.itemgetter(*map(operator.mul, a_op.sign, a_op.image))
     c_inv = c_op.inverse()  # C^T Z_k = c Z_m
-    for k, (jk, m, c) in enumerate(zip(signed_lookups(dst), c_inv.image,
-                                       c_inv.sign), start=1):
-        got = list(map(a_tau.__getitem__, map(jk.__getitem__, a_fwd)))
+    for k, (jk, m, c) in enumerate(zip(dst_rows, c_inv.image, c_inv.sign),
+                                   start=1):
+        got = list(map(a_tau.__getitem__, at_a_fwd(jk)))
         row = src_rows[m - 1]
         e = gz_src[m - 1] * c * gz_dst[k - 1]
-        want = row[1:n + 1] if e > 0 else row[:n:-1]
+        want = (row[1:n + 1] if e > 0 else row[:n:-1]).tolist()
         if got != want:
             alpha = next(i for i, (p, q) in enumerate(zip(got, want), start=1)
                          if p != q)

@@ -17,10 +17,11 @@ from typing import Mapping, Optional
 from .algebra import (
     PseudoHTypeAlgebra,
     SignedPermutationOp,
+    SumProvenance,
     Verdict,
     verify_axioms,
 )
-from .catalog import MAX_CENTER_DIM, base_algebra
+from .catalog import MAX_CENTER_DIM, base_algebra, min_module_dim
 from .core import ExactMatrix, Signature, exact_rank
 from .extension import (
     ExtensionStep,
@@ -165,6 +166,9 @@ def _recheck_iso(payload: Mapping) -> Verdict:
         if stated_sig != (algebra.r, algebra.s):
             return Verdict(False, None, f"stated {side} signature {stated_sig} "
                                         f"is not the rebuilt {algebra.name()}")
+        refused = _rebuilt_defect(algebra)
+        if refused is not None:
+            return Verdict(False, refused.witness, f"{side} {refused.detail}")
     f = LieMorphism(src, dst,
                     _module_block(m, dst.dim_module, src.dim_module),
                     _matrix(m, "C", dst.dim_center, src.dim_center))
@@ -187,6 +191,27 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     if stated and _flag(stated, "integral") != cls.integral:
         return Verdict(False, None, "stated integral class does not match")
     return Verdict(True)
+
+
+def _rebuilt_defect(a: PseudoHTypeAlgebra) -> Optional[Verdict]:
+    """Why an algebra rebuilt from a provenance record cannot carry an ISO
+    certificate, or None: it fails an axiom, or its module is not the
+    minimal one of its signature (for a direct sum, mu + nu copies of it).
+    The map is checked on the rebuilt algebras, so a fault in extend or
+    the catalog that made a wrong algebra would otherwise let certify and
+    recheck agree on a map between algebras that are not pseudo H-type.
+    The axiom verdict is kept on a shared algebra, so a warm recheck does
+    not pay for it again."""
+    axioms = verify_axioms(a)
+    if not axioms.ok:
+        return Verdict(False, axioms.witness, f"fails {axioms.detail}")
+    prov = a.provenance
+    copies = prov.mu + prov.nu if isinstance(prov, SumProvenance) else 1
+    want = copies * min_module_dim(a.r, a.s)
+    if a.dim_module != want:
+        return Verdict(False, None, f"module has dimension {a.dim_module}, "
+                                    f"not {want}")
+    return None
 
 
 def _flag(payload, key: str, default: Optional[bool] = None) -> bool:

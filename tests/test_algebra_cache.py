@@ -66,10 +66,13 @@ def test_shared_algebras_are_one_object_per_catalog_key(cache):
     assert standard_algebra(9, 1) is extension_chain(
         (1, 1), [ExtensionStep.BY_8_0])
     assert catalog_key(standard_algebra(9, 1)) == ((1, 1), ("8,0",))
-    # above the cap: built anew each time, but the parent is shared
-    big = standard_algebra(9, 8)
-    assert big is not standard_algebra(9, 8) and catalog_key(big) is None
-    assert big.provenance.parent is standard_algebra(9, 8).provenance.parent
+    # n_(9,8), dim 512, is shared; above the cap (dim 2048) an algebra is
+    # built anew each time, but its parent is shared
+    assert standard_algebra(9, 8) is standard_algebra(9, 8)
+    big = standard_algebra(20, 0)
+    assert big.dim_module > cache.cap
+    assert big is not standard_algebra(20, 0) and catalog_key(big) is None
+    assert big.provenance.parent is standard_algebra(20, 0).provenance.parent
 
 
 def test_the_aligned_factor_never_shares_the_0_8_entry(cache):
@@ -122,10 +125,11 @@ def test_shared_and_private_chains_print_the_same_json():
 
 
 def test_the_cache_stays_within_its_budget_and_cap(cache):
-    assert (ALGEBRA_CACHE_DIM, cache.budget, cache.cap) == (1024, 1024, 128)
+    assert (ALGEBRA_CACHE_DIM, cache.budget, cache.cap) == (8192, 8192, 1024)
     built = 0
     for r, s in itertools.product(range(13), repeat=2):
-        if standard_chain(r, s) is None or catalog.min_module_dim(r, s) > 512:
+        if (standard_chain(r, s) is None
+                or catalog.min_module_dim(r, s) > cache.cap):
             continue
         a = standard_algebra(r, s)
         built += a.dim_module if a.dim_module <= cache.cap else 0

@@ -5,8 +5,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from pseudoht.algebra import (
+    Verdict,
     j_operators,
     verify_admissible,
+    verify_axioms,
     verify_clifford,
     verify_htype,
 )
@@ -61,5 +63,28 @@ def test_threads_reading_a_fresh_extension_get_one_tensor():
             assert got[1::2] == [want_entries] * 4
             assert got[0::2] == [want_ops] * 4
             assert not hasattr(ext.tensor, "_recipe")
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_threads_verifying_a_fresh_extension_get_equal_verdicts():
+    # the axiom verdict is kept on the algebra; threads that race to make
+    # it each run the verifiers or read the kept one, and all agree
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(10):
+            ext = extend(_build_base(2, 3), ExtensionStep.BY_8_0)
+            barrier = threading.Barrier(8, timeout=10)
+
+            def check(_i):
+                barrier.wait()
+                return verify_axioms(ext)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=30)
+                       for f in [pool.submit(check, i) for i in range(8)]]
+            assert got == [Verdict(True)] * 8
+            assert verify_axioms(ext) in got
     finally:
         sys.setswitchinterval(old)

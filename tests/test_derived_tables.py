@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from pseudoht.algebra import (
     PseudoHTypeAlgebra,
     SignedPermutationOp,
     StructureTensor,
+    SumProvenance,
     Verdict,
     algebra_from_json,
     algebra_json,
@@ -42,10 +44,12 @@ from pseudoht.algebra import (
     signed_lookup,
     signed_lookups,
     verify_admissible,
+    verify_axioms,
     verify_clifford,
     verify_htype,
     verify_integral_basis,
 )
+from pseudoht.acceptance import run_all
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix
 from pseudoht.extension import ExtensionStep, extend, standard_algebra
@@ -298,7 +302,9 @@ def test_lookups_are_derived_once_on_the_tensor():
     assert algebra._j_table(a) is j_table and j_operators(a) is j_operators(a)
     rows = signed_lookups(a)
     assert signed_lookups(a) is rows
-    assert rows == tuple(signed_lookup(op) for op in j_operators(a))
+    # kept as arrays, whose values are signed_lookup's list
+    assert [row.tolist() for row in rows] == [signed_lookup(op)
+                                              for op in j_operators(a)]
 
 
 def test_signed_lookups_are_built_once_per_shared_algebra(monkeypatch):
@@ -590,3 +596,67 @@ def test_certify_and_recheck_recognize_each_block_once(monkeypatch):
     # the relation and the integral class of the rebuilt map: C once more
     assert [(m.rows, m.cols) for m in seen] == [(10, 10)] * 2
     assert len({id(m) for m in seen}) == 2
+
+
+# --- the kept axiom verdict and the compact rows -----------------------------
+
+def _criterion_2_algebras():
+    """The 57 algebras of verify-paper's axiom suite, shared: the catalog,
+    its single steps and n_(9,8)."""
+    for rs in BASE_IDS:
+        yield base_algebra(*rs)
+        for step in ExtensionStep:
+            yield extend(base_algebra(*rs), step)
+    yield extend(extend(base_algebra(1, 0), ExtensionStep.BY_0_8),
+                 ExtensionStep.BY_8_0)
+
+
+def test_stored_rows_are_signed_lookup_for_every_criterion_2_algebra():
+    algebras = list(_criterion_2_algebras())
+    assert len(algebras) == 57
+    for a in algebras:
+        rows = signed_lookups(a)
+        assert all(type(row) is array and row.typecode == "i" for row in rows)
+        for row, op in zip(rows, j_operators(a), strict=True):
+            want = signed_lookup(op)
+            assert type(want) is list and len(row) == len(want)
+            assert all(x == y for x, y in zip(row, want)), (a, op)
+
+
+def test_a_second_verify_paper_verifies_no_shared_algebra(monkeypatch):
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
+    first = [rep.json_dict() for rep in run_all()]
+    seen = []
+    inner = algebra.verify_clifford
+    monkeypatch.setattr(algebra, "verify_clifford",
+                        lambda a: seen.append(a) or inner(a))
+    second = [rep.json_dict() for rep in run_all()]
+    for report in first + second:
+        del report["elapsed_s"]
+    assert second == first
+    # every algebra the axiom suite checks is shared and keeps its verdict;
+    # only criterion 7's direct sum, a new object on each run, is checked
+    assert [(catalog.catalog_key(a), type(a.provenance)) for a in seen] == \
+        [(None, SumProvenance)]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda a: next(_entry_flips(a)),
+    lambda a: next(_metric_flips(a)),
+], ids=["tensor", "metric"])
+def test_a_replaced_copy_gets_its_own_verdict(corrupt):
+    shared = standard_algebra(9, 1)
+    assert verify_axioms(shared).ok
+    bad = corrupt(shared)
+    assert bad is not shared and "_axioms" not in vars(bad)
+    verdict = verify_axioms(bad)
+    assert not verdict.ok and verify_axioms(bad) is verdict
+    assert verify_axioms(shared).ok and vars(shared)["_axioms"].ok
+
+
+def test_the_kept_verdict_is_not_a_field():
+    a, fresh = _build_base(3, 3), _build_base(3, 3)
+    verdict = verify_axioms(a)
+    assert verdict.ok and verify_axioms(a) is verdict
+    assert a == fresh and hash(a) == hash(fresh)
+    assert algebra_json(a) == algebra_json(fresh) and repr(a) == repr(fresh)

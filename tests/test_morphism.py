@@ -3,7 +3,12 @@ import hashlib
 import pytest
 
 from pseudoht import jsonout
-from pseudoht.algebra import SignedPermutationOp
+from pseudoht.algebra import (
+    OpaqueProvenance,
+    PseudoHTypeAlgebra,
+    SignedPermutationOp,
+    StructureTensor,
+)
 from pseudoht.catalog import UnsupportedSignatureError, base_algebra, min_module_dim
 from pseudoht.core import ExactMatrix, MapClass, Signature
 from pseudoht.morphism import (
@@ -248,3 +253,15 @@ def test_canonical_iso_certificates_are_pinned():
     assert pairs == 38
     assert digest.hexdigest() == ISO_FAMILY_DIGEST
     assert compact.hexdigest() == ISO_FAMILY_COMPACT_DIGEST
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_the_relation_holds_on_an_empty_module(r):
+    # the signed relation gathers each J row through one itemgetter, which
+    # needs an index; an empty module has none and every side is empty
+    a = PseudoHTypeAlgebra(
+        Signature(r, 0), (), StructureTensor(0, r, []), (),
+        tuple(f"Z{k}" for k in range(1, r + 1)), OpaqueProvenance({}))
+    f = LieMorphism(a, a, SignedPermutationOp((), ()),
+                    SignedPermutationOp.identity(r).matrix())
+    assert verify_homomorphism(f).ok and verify_conjugation(f).ok

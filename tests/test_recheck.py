@@ -1,12 +1,14 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 import pseudoht.algebra as algebra
+import pseudoht.catalog as catalog
 import pseudoht.extension as extension
 import pseudoht.recheck as recheck
-from pseudoht.algebra import Verdict
+from pseudoht.algebra import BaseProvenance, Verdict
 from pseudoht.catalog import base_algebra
 from pseudoht.cli import check_pair, main
 from pseudoht.core import exact_rank
@@ -253,7 +255,10 @@ def test_recheck_refuses_parity_forgeries():
 
 def test_parity_recheck_rests_on_the_destination_axioms(monkeypatch):
     cert = check_pair(3, 2, 2, 3).json_dict()
-    # verify_axioms, shared with verify_general_htype, runs the checks
+    # verify_axioms, shared with verify_general_htype, runs the checks; the
+    # verdict is kept on each shared algebra, so the recheck starts from an
+    # empty cache and its rebuilt destination is checked afresh
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
     monkeypatch.setattr(algebra, "verify_htype",
                         lambda a: Verdict(False, (1, 2, 3), "fails"))
     verdict = recheck_certificate(cert)
@@ -484,6 +489,45 @@ def test_iso_recheck_refuses_an_extension_chain_before_building_it(monkeypatch):
         "kind": "extended", "base": [8, 0], "steps": [[8, 0]] * 6}
     verdict = recheck_certificate(cert)
     assert verdict.ok is False and "budget" in verdict.detail
+
+
+@pytest.mark.parametrize("side, sig", [("src", (9, 1)), ("dst", (1, 9))])
+def test_iso_recheck_rests_on_the_axioms_of_both_algebras(monkeypatch, side,
+                                                          sig):
+    cert = check_pair(9, 1, 1, 9).json_dict()
+    assert recheck_certificate(cert).ok
+    # the verdicts are kept on the shared algebras, so the recheck starts
+    # from an empty cache: the rebuilt algebras are checked afresh
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
+    inner = algebra.verify_clifford
+    monkeypatch.setattr(algebra, "verify_clifford", lambda a: (
+        Verdict(False, (1, 2, 3), "fails") if (a.r, a.s) == sig else inner(a)))
+    verdict = recheck_certificate(cert)
+    assert not verdict.ok and verdict.witness == (1, 2, 3)
+    assert verdict.detail.startswith(f"{side} fails ")
+
+
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_iso_recheck_refuses_a_module_that_is_not_minimal(monkeypatch, side):
+    # a construction that made a bigger module for a catalog record: the
+    # sum of two n_(0,1) blocks satisfies the axioms and the map, but its
+    # module has dimension 4, not the 2 of n_(0,1)
+    f = swap_isomorphism(build_sum(base_algebra(0, 1), 1, 1))
+    cert = {"kind": "ISO", "morphism": morphism_to_dict(f)}
+    assert recheck_certificate(cert).ok
+    sides = iter(["src", "dst"])
+    inner = recheck.rebuild_from_provenance
+
+    def rebuild(prov):
+        a = inner(prov)
+        if next(sides) == side:
+            return dataclasses.replace(a, provenance=BaseProvenance(0, 1))
+        return a
+
+    monkeypatch.setattr(recheck, "rebuild_from_provenance", rebuild)
+    verdict = recheck_certificate(cert)
+    assert not verdict.ok
+    assert verdict.detail == f"{side} module has dimension 4, not 2"
 
 
 def test_iso_recheck_still_raises_on_a_missing_morphism():
