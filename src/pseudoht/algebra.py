@@ -225,7 +225,7 @@ class SignedPermutationOp:
         Recognized once per matrix and kept on it, so the relation, the
         classification and the recheck of one morphism share the result.
         """
-        return _derived(m, "_signed_op", _recognize_signed_permutation)
+        return derived_value(m, "_signed_op", _recognize_signed_permutation)
 
     def matrix(self) -> ExactMatrix:
         rows = [[0] * self.dim for _ in range(self.dim)]
@@ -498,7 +498,7 @@ def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
     of the verifiers and the conjugation check derive each operator once
     per algebra.
     """
-    return _derived(a, "_j_operators", lambda alg: tuple(
+    return derived_value(a, "_j_operators", lambda alg: tuple(
         j_operator(alg, k) for k in range(1, alg.dim_center + 1)))
 
 
@@ -558,7 +558,7 @@ def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
                           if slot in written or written.add(slot))
         return _JTable(images, signs, conflicts)
 
-    return _derived(a, "_j_table", build)
+    return derived_value(a, "_j_table", build)
 
 
 def _product_j_table(a: PseudoHTypeAlgebra, recipe: ExtensionRecipe
@@ -618,19 +618,21 @@ def _link_table(t: StructureTensor) -> tuple[_Links, ...]:
         by_center = operator.itemgetter(1)
         return tuple(tuple(sorted(links, key=by_center)) for links in adj)
 
-    return _derived(t, "_links", build)
+    return derived_value(t, "_links", build)
 
 
 _UNSET = object()
 
 
-def _derived(obj, name: str, build: Callable):
-    """A value computed from an object's fields, kept on it: a table of an
-    algebra or a tensor, or the recognized form of a matrix (None too).
+def derived_value(obj, name: str, build: Callable):
+    """build(obj), computed once and kept on obj under name: a table or
+    verdict of an algebra, a table of a tensor, the recognized form of a
+    matrix (None too), or a canonical map kept on its source algebra.
 
     The fields are never reassigned, so the value cannot go stale, and it
     is not a field, so ==, hash, repr and the JSON form never see it.  Two
     threads that both miss build the same value; either one may be kept.
+    A build that raises keeps nothing, so the next call builds again.
     """
     value = getattr(obj, name, _UNSET)
     if value is _UNSET:
@@ -703,7 +705,7 @@ def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[array, ...]:
     of a row is an array, and an array never equals a list, so a caller
     compares a row's values with a list only after tolist().
     """
-    return _derived(a, "_signed_lookups", lambda alg: tuple(
+    return derived_value(a, "_signed_lookups", lambda alg: tuple(
         array("i", signed_lookup(op)) for op in j_operators(alg)))
 
 
@@ -831,7 +833,7 @@ def verify_axioms(a: PseudoHTypeAlgebra) -> Verdict:
     algebra, or a private _build_base is a new object and is checked
     afresh.
     """
-    return _derived(a, "_axioms", _first_axiom_failure)
+    return derived_value(a, "_axioms", _first_axiom_failure)
 
 
 def _first_axiom_failure(a: PseudoHTypeAlgebra) -> Verdict:
@@ -1035,7 +1037,17 @@ def verify_general_htype(a: PseudoHTypeAlgebra) -> Verdict:
     <v,v> Z.  For non-null v, ker(ad_v)^perp = {J_Z v} is non-degenerate
     (no DegenerateKernelError), ad_v is onto, and the identity holds at
     b = J_Z v, b' = J_W v.  Each basis vector is then the exact witness.
+
+    Kept on the algebra like verify_axioms(a), so a shared catalog algebra
+    is scanned once per process; a DegenerateKernelError is raised each
+    time and never kept.
     """
+    return derived_value(a, "_general_htype", _first_general_failure)
+
+
+def _first_general_failure(a: PseudoHTypeAlgebra) -> Verdict:
+    # verify_axioms and _check_general_at are read from the module at call
+    # time, so a wrapper or a stand-in installed on this module is used
     axioms = verify_axioms(a)
     if not axioms.ok:
         return axioms

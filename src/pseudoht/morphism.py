@@ -28,11 +28,12 @@ from .algebra import (
     SignedPermutationOp,
     Verdict,
     apply_j_operators,
+    derived_value,
     j_operator,  # perfbench's self-test reads morphism.j_operator
     j_operators,
     signed_lookups,
 )
-from .catalog import base_algebra, base_blocks, min_module_dim
+from .catalog import base_algebra, base_blocks, catalog_key, min_module_dim
 from .core import (
     ExactMatrix,
     MapClass,
@@ -251,7 +252,11 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     """Rescale (A, C) -> (mu A, mu^2 C) so that |det(A^tau A)| = 1.
 
     Returns the rescaled morphism and the sign t with C C^tau = t * Id,
-    asserting that the product really is +-identity.
+    asserting that the product really is +-identity.  A C that is a signed
+    permutation, sending Z_j to +-Z_row(j), is read by its signs: C C^tau
+    is t * Id exactly when eps^src_j eps^dst_row(j) = t for every j.  Any
+    other C, dense or rescaled, is read through the Gram matrix of its
+    rows.
     """
     two_l = f.src.dim_module
     if signed_block(f.A) is not None:
@@ -271,8 +276,18 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
                 f"|det(A^tau A)| = {d} has no exact rational (2*dim)-th root")
         g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu))
     # (C C^tau)_ij = eps^dst_j <C_i, C_j>_src for C^tau = G_src C^T G_dst
-    rows = gram_matrix(g.C.entries, f.src.center_sig)
     gz_dst = f.dst.center_sig.signs()
+    c_op = signed_block(g.C)
+    if c_op is not None:
+        # C sends Z_j to +-Z_row(j): C C^tau is diagonal, with
+        # eps^src_j eps^dst_row(j) at row(j)
+        products = {e * gz_dst[row - 1] for e, row
+                    in zip(f.src.center_sig.signs(), c_op.image)}
+        for t in (1, -1):
+            if products <= {t}:
+                return g, t
+        raise ValueError("C C^tau is not +-identity after normalization")
+    rows = gram_matrix(g.C.entries, f.src.center_sig)
     n = len(rows)
     for t in (1, -1):
         if all(rows[i][j] == (t * gz_dst[j] if i == j else 0)
@@ -304,15 +319,33 @@ class CanonicalMap:
                             self.center.inverse())
 
 
+def _kept_map(src: PseudoHTypeAlgebra, build) -> CanonicalMap:
+    """build(src), the forward canonical map out of src, kept on src when
+    the cache shares src.
+
+    Each algebra is the source of at most one forward map, so a shared
+    source keeps its map for as long as the cache keeps it, and the map
+    keeps its destination alive with it.  A source the cache does not
+    share (above its cap, or private) gets a new map on every call, and
+    nothing ties the two into a reference cycle.
+    """
+    if catalog_key(src) is None:
+        return build(src)
+    return derived_value(src, "_canonical_map", build)
+
+
 def _base_definite_map(r: int) -> CanonicalMap:
     """The published integral isomorphisms n_{r,0} -> n_{0,r}, r = 1,2,4,8."""
-    src = base_algebra(r, 0)
     flips = {4: range(2, 5), 8: range(2, 9)}.get(r, ())
-    module = [-a if a in flips else a
-              for a in range(1, src.dim_module + 1)]
-    return CanonicalMap(src, base_algebra(0, r),
-                        SignedPermutationOp.from_signed(module),
-                        SignedPermutationOp.identity(r))
+
+    def build(src: PseudoHTypeAlgebra) -> CanonicalMap:
+        module = [-a if a in flips else a
+                  for a in range(1, src.dim_module + 1)]
+        return CanonicalMap(src, base_algebra(0, r),
+                            SignedPermutationOp.from_signed(module),
+                            SignedPermutationOp.identity(r))
+
+    return _kept_map(base_algebra(r, 0), build)
 
 
 # The published automorphisms of n_{r,r}, r = 1, 2, 4, in signed-index form
@@ -326,10 +359,10 @@ _AUTOMORPHISMS = {
 
 
 def _automorphism(r: int) -> CanonicalMap:
-    a = base_algebra(r, r)
     module, center = _AUTOMORPHISMS[r]
-    return CanonicalMap(a, a, SignedPermutationOp.from_signed(module),
-                        SignedPermutationOp.from_signed(center))
+    return _kept_map(base_algebra(r, r), lambda a: CanonicalMap(
+        a, a, SignedPermutationOp.from_signed(module),
+        SignedPermutationOp.from_signed(center)))
 
 
 # The target side of a tensor step: (8,0) and (0,8) swap, (4,4) stays.
@@ -347,9 +380,15 @@ def _step_map(sub: CanonicalMap, step: ExtensionStep) -> CanonicalMap:
     extra minus appears exactly when x_i lies in the B part of the source
     parent and u_a in the B part of the source factor.  Center indices
     follow the parent and factor permutations through the recorded
-    extension layouts.
+    extension layouts.  The map is kept on its source (_kept_map).
     """
-    src = extend(sub.src, step)
+    return _kept_map(extend(sub.src, step),
+                     lambda src: _build_step_map(sub, step, src))
+
+
+def _build_step_map(sub: CanonicalMap, step: ExtensionStep,
+                    src: PseudoHTypeAlgebra) -> CanonicalMap:
+    """_step_map(sub, step), whose source extend(sub.src, step) is src."""
     dst = extend(sub.dst, _MIRROR[step])
     sprov = src.provenance
     dprov = dst.provenance
@@ -422,12 +461,17 @@ def _forward_map(r: int, s: int) -> Optional[CanonicalMap]:
 
 def canonical_map(r: int, s: int) -> Optional[CanonicalMap]:
     """phi_{r,s}: n_{r,s} -> n_{s,r} in signed-permutation form, built
-    forward or as the inverse of phi_{s,r}; None outside the families."""
+    forward or as the inverse of phi_{s,r}; None outside the families.
+
+    A forward map is kept on its source algebra and an inverse on the
+    forward map, so a shared source gives one object per process."""
     fwd = _forward_map(r, s)
     if fwd is not None:
         return fwd
     rev = _forward_map(s, r)
-    return rev.inverse() if rev is not None else None
+    if rev is None:
+        return None
+    return derived_value(rev, "_inverse", CanonicalMap.inverse)
 
 
 def canonical_isomorphism(r: int, s: int) -> Optional[LieMorphism]:

@@ -172,7 +172,7 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     f = LieMorphism(src, dst,
                     _module_block(m, dst.dim_module, src.dim_module),
                     _matrix(m, "C", dst.dim_center, src.dim_center))
-    stated = m.get("class") or {}
+    stated = m.get("class", {})  # absent: not stated
     if not isinstance(stated, Mapping):
         raise _Malformed("class must be an object")
     hom = verify_homomorphism(f)

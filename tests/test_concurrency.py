@@ -4,16 +4,19 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pseudoht.catalog as catalog
 from pseudoht.algebra import (
     Verdict,
     j_operators,
     verify_admissible,
     verify_axioms,
     verify_clifford,
+    verify_general_htype,
     verify_htype,
 )
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.extension import ExtensionStep, extend
+from pseudoht.morphism import canonical_map
 from pseudoht.obstruction import gram_det, sbg_decision
 
 
@@ -86,5 +89,51 @@ def test_threads_verifying_a_fresh_extension_get_equal_verdicts():
                        for f in [pool.submit(check, i) for i in range(8)]]
             assert got == [Verdict(True)] * 8
             assert verify_axioms(ext) in got
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_threads_building_one_canonical_map_get_equal_maps(monkeypatch):
+    # on a fresh cache the threads race to build the shared algebras of
+    # phi_(9,8) and the map kept on its source; either copy may be kept
+    want = canonical_map(9, 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(3):
+            monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
+            barrier = threading.Barrier(8, timeout=10)
+
+            def build(_i):
+                barrier.wait()
+                return canonical_map(9, 8)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=60)
+                       for f in [pool.submit(build, i) for i in range(8)]]
+            assert got == [want] * 8
+            assert canonical_map(9, 8) in got
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_threads_scanning_a_fresh_extension_get_equal_verdicts():
+    # the general H-type verdict is kept on the algebra like the axioms'
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(2):
+            ext = extend(_build_base(1, 0), ExtensionStep.BY_0_8)
+            barrier = threading.Barrier(8, timeout=10)
+
+            def check(_i):
+                barrier.wait()
+                return verify_general_htype(ext)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=60)
+                       for f in [pool.submit(check, i) for i in range(8)]]
+            assert got == [Verdict(True)] * 8
+            assert verify_general_htype(ext) in got
     finally:
         sys.setswitchinterval(old)

@@ -47,6 +47,7 @@ from pseudoht.algebra import (
     verify_axioms,
     verify_clifford,
     verify_htype,
+    verify_general_htype,
     verify_integral_basis,
 )
 from pseudoht.acceptance import run_all
@@ -630,6 +631,10 @@ def test_a_second_verify_paper_verifies_no_shared_algebra(monkeypatch):
     inner = algebra.verify_clifford
     monkeypatch.setattr(algebra, "verify_clifford",
                         lambda a: seen.append(a) or inner(a))
+    scanned = []
+    inner_scan = algebra._check_general_at
+    monkeypatch.setattr(algebra, "_check_general_at",
+                        lambda a, v: scanned.append(a) or inner_scan(a, v))
     second = [rep.json_dict() for rep in run_all()]
     for report in first + second:
         del report["elapsed_s"]
@@ -638,6 +643,8 @@ def test_a_second_verify_paper_verifies_no_shared_algebra(monkeypatch):
     # only criterion 7's direct sum, a new object on each run, is checked
     assert [(catalog.catalog_key(a), type(a.provenance)) for a in seen] == \
         [(None, SumProvenance)]
+    # criterion 8's four catalog algebras keep their general verdict
+    assert scanned == []
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -660,3 +667,65 @@ def test_the_kept_verdict_is_not_a_field():
     assert verdict.ok and verify_axioms(a) is verdict
     assert a == fresh and hash(a) == hash(fresh)
     assert algebra_json(a) == algebra_json(fresh) and repr(a) == repr(fresh)
+
+
+# --- the kept general H-type verdict -----------------------------------------
+
+@pytest.mark.parametrize("corrupt", [
+    lambda a: next(_entry_flips(a)),
+    lambda a: next(_metric_flips(a)),
+], ids=["tensor", "metric"])
+def test_a_replaced_copy_gets_its_own_general_verdict(corrupt):
+    shared = base_algebra(3, 2)
+    assert verify_general_htype(shared).ok
+    bad = corrupt(shared)
+    assert bad is not shared and "_general_htype" not in vars(bad)
+    verdict = verify_general_htype(bad)
+    assert not verdict.ok and verify_general_htype(bad) is verdict
+    assert verdict == verify_axioms(bad)
+    assert verify_general_htype(shared).ok
+    assert vars(shared)["_general_htype"].ok
+
+
+def test_the_kept_general_verdict_is_not_a_field():
+    a, fresh = _build_base(1, 1), _build_base(1, 1)
+    verdict = verify_general_htype(a)
+    assert verdict.ok and verify_general_htype(a) is verdict
+    assert "_general_htype" in vars(a) and "_general_htype" not in vars(fresh)
+    assert a == fresh and hash(a) == hash(fresh)
+    assert algebra_json(a) == algebra_json(fresh) and repr(a) == repr(fresh)
+    assert algebra_to_dict(a) == algebra_to_dict(fresh)
+
+
+def test_a_degenerate_kernel_is_raised_and_never_kept(monkeypatch):
+    a = _build_base(1, 1)
+    scanned = []
+
+    def degenerate(alg, v):
+        scanned.append(v)
+        raise algebra.DegenerateKernelError(v)
+
+    monkeypatch.setattr(algebra, "_check_general_at", degenerate)
+    for _round in range(2):
+        with pytest.raises(algebra.DegenerateKernelError):
+            verify_general_htype(a)
+        assert "_general_htype" not in vars(a)
+    assert len(scanned) == 2
+    monkeypatch.undo()
+    assert verify_general_htype(a).ok and vars(a)["_general_htype"].ok
+
+
+def test_each_algebra_is_scanned_once(monkeypatch):
+    scanned = []
+    inner = algebra._check_general_at
+    monkeypatch.setattr(algebra, "_check_general_at",
+                        lambda a, v: scanned.append(a) or inner(a, v))
+    a = _build_base(3, 2)
+    for _round in range(3):
+        assert verify_general_htype(a).ok
+    assert len(scanned) == a.dim_module
+    # a private copy and a parsed algebra are new objects, scanned afresh
+    for other in (_build_base(3, 2), algebra_from_json(algebra_json(a))):
+        scanned.clear()
+        assert verify_general_htype(other).ok
+        assert len(scanned) == a.dim_module

@@ -1,7 +1,11 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pseudoht.catalog as catalog
+import pseudoht.morphism as morphism
 from pseudoht import jsonout
 from pseudoht.algebra import (
     OpaqueProvenance,
@@ -265,3 +269,141 @@ def test_the_relation_holds_on_an_empty_module(r):
     f = LieMorphism(a, a, SignedPermutationOp((), ()),
                     SignedPermutationOp.identity(r).matrix())
     assert verify_homomorphism(f).ok and verify_conjugation(f).ok
+
+
+# --- kept canonical maps and the signed normalization ------------------------
+
+def _constructible(max_dim=512):
+    """(r, s) with r, s <= 12 whose canonical map exists, up to max_dim."""
+    out = []
+    for r in range(13):
+        for s in range(13):
+            if (r, s) == (0, 0):
+                continue
+            try:
+                if min_module_dim(r, s) > max_dim:
+                    continue
+            except UnsupportedSignatureError:
+                continue
+            if canonical_map(r, s) is not None:
+                out.append((r, s))
+    return out
+
+
+def test_a_shared_source_keeps_one_canonical_map(monkeypatch):
+    pairs = _constructible()
+    assert len(pairs) == 40 and (12, 5) in pairs and (5, 12) in pairs
+    shared = {rs: canonical_map(*rs) for rs in pairs}
+    for rs, cmap in shared.items():
+        assert canonical_map(*rs) is cmap, rs
+    # with nothing shared every call builds anew, and gives an equal map
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache(0))
+    for rs, cmap in shared.items():
+        private = canonical_map(*rs)
+        assert private is not cmap and private is not canonical_map(*rs)
+        assert private == cmap, rs
+        assert private.src is not cmap.src
+        assert "_canonical_map" not in vars(private.src)
+
+
+def test_a_source_above_the_cap_gets_a_new_map(monkeypatch):
+    # cap 8: n_(1,0) and n_(0,1) stay shared, their dim-32 steps do not
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache(64))
+    one, again = canonical_map(1, 8), canonical_map(1, 8)
+    assert one is not again and one == again
+    assert one.src is not again.src and "_canonical_map" not in vars(one.src)
+    assert canonical_map(1, 0) is canonical_map(1, 0)
+
+
+def test_an_inverse_is_kept_on_its_forward_map():
+    fwd = canonical_map(9, 1)
+    back = canonical_map(1, 9)
+    assert canonical_map(1, 9) is back and vars(fwd)["_inverse"] is back
+    assert back == fwd.inverse()
+
+
+def test_the_kept_map_is_not_a_field():
+    cmap = canonical_map(4, 4)
+    assert "_canonical_map" in vars(cmap.src)
+    fresh = morphism.CanonicalMap(cmap.src, cmap.dst, cmap.module,
+                                  cmap.center)
+    assert cmap == fresh and hash(cmap) == hash(fresh)
+    assert repr(cmap) == repr(fresh)
+    private = catalog._build_base(4, 4)
+    assert cmap.src == private and hash(cmap.src) == hash(private)
+
+
+def _normalized_sign(f, gram: bool):
+    """t of normalize_isomorphism(f), or the ValueError's message; with
+    gram, C is not recognized as a signed permutation, so it takes the
+    Gram path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if gram:
+            mp.setattr(morphism, "signed_block", lambda m: (
+                m if isinstance(m, SignedPermutationOp) else None))
+        try:
+            g, t = normalize_isomorphism(f)
+        except ValueError as exc:
+            return str(exc)
+    assert g is f
+    return t
+
+
+def test_the_signed_normalization_agrees_with_the_gram_path():
+    for rs in _constructible():
+        f = canonical_map(*rs).to_morphism()
+        assert _normalized_sign(f, gram=False) == \
+            _normalized_sign(f, gram=True) == -1, rs
+
+
+def test_a_signed_center_block_is_normalized_without_a_gram_matrix(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gram_matrix called")
+
+    monkeypatch.setattr(morphism, "gram_matrix", refuse)
+    assert normalize_isomorphism(canonical_isomorphism(9, 8))[1] == -1
+    # a rescaled C with a signed A: only the Gram path reads it
+    f = canonical_isomorphism(1, 0)
+    with pytest.raises(AssertionError, match="gram_matrix called"):
+        normalize_isomorphism(LieMorphism(f.src, f.dst, f.A, f.C.scale(4)))
+
+
+def _empty_module(sig: Signature) -> PseudoHTypeAlgebra:
+    return PseudoHTypeAlgebra(
+        sig, (), StructureTensor(0, sig.dim, []), (),
+        tuple(f"Z{k}" for k in range(1, sig.dim + 1)), OpaqueProvenance({}))
+
+
+@st.composite
+def _signed_centers(draw):
+    n = draw(st.integers(0, 8))
+    src = Signature(p := draw(st.integers(0, n)), n - p)
+    dst = Signature(q := draw(st.integers(0, n)), n - q)
+    image = draw(st.permutations(range(1, n + 1)))
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return src, dst, SignedPermutationOp(tuple(image), tuple(sign))
+
+
+@given(_signed_centers())
+@settings(max_examples=300, deadline=None)
+@example((Signature(1, 1), Signature(1, 1),
+          SignedPermutationOp((1, 2), (1, -1))))      # C C^tau = +Id
+@example((Signature(1, 1), Signature(1, 1),
+          SignedPermutationOp((2, 1), (1, 1))))       # C C^tau = -Id
+@example((Signature(1, 1), Signature(2, 0),
+          SignedPermutationOp((1, 2), (1, 1))))       # diag(1, -1)
+@example((Signature(0, 0), Signature(0, 0), SignedPermutationOp((), ())))
+def test_signed_and_gram_normalizations_agree(case):
+    src, dst, c = case
+    f = LieMorphism(_empty_module(src), _empty_module(dst),
+                    SignedPermutationOp((), ()), c.matrix())
+    signed, gram = _normalized_sign(f, gram=False), \
+        _normalized_sign(f, gram=True)
+    assert signed == gram
+    products = {a * dst.signs()[row - 1]
+                for a, row in zip(src.signs(), c.image)}
+    if len(products) > 1:
+        assert signed == "C C^tau is not +-identity after normalization"
+    else:
+        assert signed == (products.pop() if products else 1)

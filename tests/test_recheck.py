@@ -355,6 +355,12 @@ ISO_MUTATIONS = {
     "C wrongly shaped": _iso_mutation(lambda m: m.update(C=m["C"][:-1])),
     "class not an object": _set("class", "integral"),
     "class a list": _set("class", [1]),
+    # present but falsy: still not an object, so not "not stated"
+    "class zero": _set("class", 0),
+    "class false": _set("class", False),
+    "class an empty string": _set("class", ""),
+    "class an empty list": _set("class", []),
+    "class null": _set("class", None),
     "src missing": _iso_mutation(lambda m: m.pop("src")),
     "src not an object": _set("src", [1, 8]),
     "provenance missing": _iso_mutation(lambda m: m["dst"].pop("provenance")),
@@ -447,6 +453,13 @@ def test_recheck_refuses_malformed_compact_iso_fields(name):
         assert verdict.detail == "embedded map is not a homomorphism"
     elif name in COMPACT_A_MUTATIONS:
         assert "malformed" in verdict.detail
+
+
+def test_an_absent_class_is_not_stated():
+    cert = check_pair(1, 8, 8, 1).json_dict()
+    del cert["morphism"]["class"]
+    assert recheck_certificate(cert).ok
+    assert recheck_certificate(densify(cert)).ok
 
 
 @pytest.mark.parametrize("integral", [True, False, "yes"])
