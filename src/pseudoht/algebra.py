@@ -11,6 +11,8 @@ All indices in the public API are 1-based.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
 import operator
@@ -44,8 +46,8 @@ class IntegralBasisError(ValueError):
 class StructureTensor:
     """Sparse antisymmetric tensor A^k_{ab} with entries in {-1,+1}.
 
-    Only the entries are stored, canonically with a < b and sorted; lookups
-    read the link table derived from them on first use.
+    Only the entries are stored, canonically with a < b and sorted, one
+    (k, sign) per pair; bracket_pair bisects them.
 
     Construction checks each entry in input order (integers, module and
     center index range, +-1 sign, off the diagonal) and raises ValueError
@@ -55,11 +57,11 @@ class StructureTensor:
     basis sends each bracket to a single +-Z_k.  Repeats of one entry, as
     given or flipped to (b, a, k, -sign), collapse into one.
 
-    An extension's tensor is made by from_recipe instead: its entries are
-    built on their first read and the recipe is then dropped.
+    An extension's tensor is made by from_recipe instead: it keeps the
+    recipe for its life, and its entries are made from it on first read.
     """
 
-    __slots__ = ("dim_module", "dim_center", "entries", "_links", "_recipe")
+    _recipe: Optional["ExtensionRecipe"] = None
 
     def __init__(self, dim_module: int, dim_center: int,
                  entries: Iterable[tuple[int, int, int, int]]):
@@ -89,8 +91,8 @@ class StructureTensor:
 
     @classmethod
     def from_recipe(cls, recipe: "ExtensionRecipe") -> "StructureTensor":
-        """The tensor of an extension, its entries made from the recipe on
-        first read and stored without the constructor's checks.
+        """The tensor of an extension, holding the recipe, whose entries
+        are made from it on first read without the constructor's checks.
 
         They need none: the parent's tensor holds canonical entries with
         one (k, sign) per pair, and so does the factor's; each entry made
@@ -107,28 +109,20 @@ class StructureTensor:
         t._recipe = recipe
         return t
 
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: the entries of a tensor made by
-        # from_recipe before their first read, or a table not yet derived
-        if name != "entries":
-            raise AttributeError(name)
-        try:
-            recipe = self._recipe
-        except AttributeError:  # another thread has just stored them
-            return StructureTensor.entries.__get__(self)
-        self.entries = entries = _product_entries(recipe)
-        try:
-            del self._recipe
-        except AttributeError:
-            pass
-        return entries
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
+        # reached only by a tensor made by from_recipe, before its first
+        # read: __init__ stores the entries of every other tensor
+        return _product_entries(self._recipe)
 
     def bracket_pair(self, a: int, b: int) -> Optional[tuple[int, int]]:
         """(k, sign) with [v_a, v_b] = sign * Z_k, or None."""
-        if 1 <= a <= self.dim_module:
-            for beta, k, s in _link_table(self)[a - 1]:
-                if beta == b - 1:
-                    return k + 1, s
+        lo, hi = (a, b) if a < b else (b, a)
+        entries = self.entries
+        i = bisect.bisect_left(entries, (lo, hi))
+        if i < len(entries) and entries[i][0] == lo and entries[i][1] == hi:
+            _lo, _hi, k, s = entries[i]
+            return k, s if a < b else -s
         return None
 
     def __eq__(self, other) -> bool:
@@ -347,7 +341,8 @@ Provenance = Union[BaseProvenance, ExtensionProvenance, SumProvenance,
 
 class ExtensionRecipe(NamedTuple):
     """What extension.extend makes an extension from, held by its tensor
-    until the entries are first read.
+    for its life: its entries are made from it on first read, and its J
+    table from the parent's and factor's (_product_j_table).
 
     With w_i (x) u_j at final index pair_to_final[16(i-1) + (j-1)], the
     parent's module basis w (metric g) tensored with the factor's u
@@ -463,12 +458,15 @@ class Verdict:
 
 def bracket(a: PseudoHTypeAlgebra, x: Sequence[Rational],
             y: Sequence[Rational]) -> Vector:
-    """Center coordinates of [x, y]: the matrix of ad_x applied to y."""
+    """Center coordinates of [x, y], read off the tensor entries: the entry
+    (p, q, k, s) adds s * (x_p y_q - x_q y_p) to coordinate k."""
     if len(x) != a.dim_module or len(y) != a.dim_module:
         raise ValueError("bracket arguments must have module length")
-    ys = [exact(e) for e in y]
-    return tuple(sum(e * yb for e, yb in zip(row, ys) if e)
-                 for row in adjoint_rows(a, [exact(e) for e in x]))
+    xs, ys = [exact(e) for e in x], [exact(e) for e in y]
+    out = [0] * a.dim_center
+    for (p, q, k, s) in a.tensor.entries:
+        out[k - 1] += s * (xs[p - 1] * ys[q - 1] - xs[q - 1] * ys[p - 1])
+    return tuple(out)
 
 
 def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
@@ -480,10 +478,7 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
     """
     if not 1 <= k <= a.dim_center:
         raise IndexError(f"center index {k} out of range")
-    table = _j_table(a)
-    if table.conflicts:
-        raise IntegralBasisError(
-            f"multiple partners for (k, a) pairs {table.conflicts[:3]}")
+    table = _partner_table(a)
     image = table.images[k - 1]
     if 0 in image:
         raise IntegralBasisError(
@@ -500,6 +495,18 @@ def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
     """
     return derived_value(a, "_j_operators", lambda alg: tuple(
         j_operator(alg, k) for k in range(1, alg.dim_center + 1)))
+
+
+def _partner_table(a: PseudoHTypeAlgebra) -> _JTable:
+    """The algebra's _JTable, or IntegralBasisError when a (k, a) has two
+    partners, one of which the table lost.  j_operator reads it, and so
+    do adjoint_rows and two_point_rank: J_{Z_k} v_alpha = sign * v_b gives
+    [v_alpha, v_b] = eps^z_k sign eps^v_b Z_k, an empty slot no bracket."""
+    table = _j_table(a)
+    if table.conflicts:
+        raise IntegralBasisError(
+            f"multiple partners for (k, a) pairs {table.conflicts[:3]}")
+    return table
 
 
 class _JTable(NamedTuple):
@@ -526,12 +533,12 @@ def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
     pass makes no per-entry conflict test.  Otherwise a second pass lists
     every write to a slot already written, in entries order.
 
-    An extension whose entries are still unread takes its table from its
-    parent's and factor's instead (_product_j_table), when they have no
-    conflict and no empty slot.
+    An extension takes its table from its parent's and factor's instead
+    (_product_j_table), when they have no conflict and no empty slot,
+    whether or not its entries were read.
     """
     def build(a: PseudoHTypeAlgebra) -> _JTable:
-        recipe = getattr(a.tensor, "_recipe", None)
+        recipe = a.tensor._recipe
         if recipe is not None:
             table = _product_j_table(a, recipe)
             if table is not None:
@@ -602,32 +609,13 @@ def _product_j_table(a: PseudoHTypeAlgebra, recipe: ExtensionRecipe
     return _JTable(tuple(images), tuple(signs), ())
 
 
-_Links = tuple[tuple[int, int, int], ...]
-
-
-def _link_table(t: StructureTensor) -> tuple[_Links, ...]:
-    """links[alpha]: the (beta, k, s) with [v_alpha, v_beta] = s * Z_k,
-    0-based for direct list indexing and in increasing k (one per k on an
-    integral basis); derived on first use and kept on the tensor."""
-    def build(t: StructureTensor) -> tuple[_Links, ...]:
-        adj: list[list[tuple[int, int, int]]] = [
-            [] for _ in range(t.dim_module)]
-        for (a, b, k, s) in t.entries:
-            adj[a - 1].append((b - 1, k - 1, s))
-            adj[b - 1].append((a - 1, k - 1, -s))
-        by_center = operator.itemgetter(1)
-        return tuple(tuple(sorted(links, key=by_center)) for links in adj)
-
-    return derived_value(t, "_links", build)
-
-
 _UNSET = object()
 
 
 def derived_value(obj, name: str, build: Callable):
     """build(obj), computed once and kept on obj under name: a table or
-    verdict of an algebra, a table of a tensor, the recognized form of a
-    matrix (None too), or a canonical map kept on its source algebra.
+    verdict of an algebra, the recognized form of a matrix (None too), or
+    a canonical map kept on its source algebra.
 
     The fields are never reassigned, so the value cannot go stale, and it
     is not a field, so ==, hash, repr and the JSON form never see it.  Two
@@ -931,11 +919,17 @@ def signed_incidence_rank(n: int,
 def two_point_rank(a: PseudoHTypeAlgebra, alpha: int, beta: int) -> int:
     """Rank of ad_x for x = v_alpha + v_beta (1-based), by
     signed_incidence_rank: on an integral basis column b of ad_x,
-    [v_alpha, v_b] + [v_beta, v_b], adds at most two terms +-Z_k."""
-    links = _link_table(a.tensor)
+    [v_alpha, v_b] + [v_beta, v_b], adds at most two terms +-Z_k, read off
+    the J table (_partner_table).  Row k is taken times eps^z_k and column
+    b times eps^v_b, which leaves the rank alone, so a term is (k, sign)."""
+    table = _partner_table(a)
     columns: dict[int, list[tuple[int, int]]] = {}
-    for b, k, s in links[alpha - 1] + links[beta - 1]:
-        columns.setdefault(b, []).append((k + 1, s))
+    for p in (alpha - 1, beta - 1):
+        for k, image, sign in zip(itertools.count(1), table.images,
+                                  table.signs):
+            b = image[p]
+            if b:
+                columns.setdefault(b, []).append((k, sign[p]))
     return signed_incidence_rank(a.dim_center, columns.values())
 
 
@@ -997,13 +991,19 @@ def adjoint_rows(a: PseudoHTypeAlgebra,
     """Rows of the matrix of ad_x: column b holds the coords of [x, v_b].
 
     Entries keep the number type of x, so integer input gives integer rows.
-    Each nonzero x_alpha walks the dim z bracket links of v_alpha.
+    Each nonzero x_alpha reads its column of the J table (_partner_table):
+    eps^z_k sign eps^v_b x_alpha at row k, column b = image_k(alpha).
     """
+    table = _partner_table(a)
+    ez, g = a.center_sig.signs(), a.module_signs
     rows = [[0] * a.dim_module for _ in range(a.dim_center)]
-    for xa, links in zip(x, _link_table(a.tensor)):
+    for alpha, xa in zip(range(a.dim_module), x):
         if xa:
-            for beta, k, s in links:
-                rows[k][beta] += s * xa
+            for row, e, image, sign in zip(rows, ez, table.images,
+                                           table.signs):
+                b = image[alpha]
+                if b:
+                    row[b - 1] += e * sign[alpha] * g[b - 1] * xa
     return rows
 
 
@@ -1012,7 +1012,7 @@ def center_pairing(a: PseudoHTypeAlgebra, z: Sequence[Rational],
     """<Z, [x, v_b]> for b = 1..dim v, which is the coordinate <J_Z x, v_b>.
 
     One pass over the tensor entries, doing work only on those whose
-    center index Z touches; no link or J table is read or built.  Entries
+    center index Z touches; no J table is read or built.  Entries
     keep the number type of the input, so integers give integers.
     """
     if len(z) != a.dim_center or len(x) != a.dim_module:

@@ -333,14 +333,17 @@ def signed_permutation(rows: Sequence[Sequence[Rational]]
 
 
 def classify_map(rows: Sequence[Sequence[Rational]], metric_from: MetricLike,
-                 metric_to: MetricLike) -> MapClass:
+                 metric_to: MetricLike, *,
+                 image: Optional[Sequence[int]] = None) -> MapClass:
     """Decide whether the matrix M with these rows is an isometry or an
     anti-isometry.
 
     A signed permutation sends e_j to +-e_row(j), so it is an isometry
     exactly when eps_to[row(j)] eps_from[j] = +1 for every j, and an
     anti-isometry when that product is -1 for every j.  Any other matrix
-    goes through its Gram matrix.
+    goes through its Gram matrix.  A caller that has already recognized M
+    as a signed permutation passes its image (signed_permutation's first
+    part), and the rows are not scanned again.
     """
     signs_from = metric_signs(metric_from)
     signs_to = metric_signs(metric_to)
@@ -348,10 +351,12 @@ def classify_map(rows: Sequence[Sequence[Rational]], metric_from: MetricLike,
     if (len(rows) != len(signs_to) or width != len(signs_from)
             or any(len(r) != width for r in rows)):
         raise ValueError("matrix shape does not match the given metrics")
-    perm = signed_permutation(rows)
-    if perm is None:
-        return _classify_by_gram(rows, signs_from, signs_to)
-    products = {signs_to[b - 1] * e for b, e in zip(perm[0], signs_from)}
+    if image is None:
+        perm = signed_permutation(rows)
+        if perm is None:
+            return _classify_by_gram(rows, signs_from, signs_to)
+        image = perm[0]
+    products = {signs_to[b - 1] * e for b, e in zip(image, signs_from)}
     if products <= {1}:
         return MapClass.ISOMETRY
     if products == {-1}:

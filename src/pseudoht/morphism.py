@@ -100,9 +100,14 @@ def signed_block(m: Union[SignedPermutationOp, ExactMatrix]
 
 
 def classify_morphism(f: LieMorphism) -> MorphismClass:
-    integral = all(signed_block(m) is not None for m in (f.A, f.C))
-    action = classify_map(f.C.entries, f.src.center_sig, f.dst.center_sig)
-    return MorphismClass(center_action=action, integral=integral)
+    """The center action is classify_map of C, given the image of C's
+    signed form when signed_block recognizes it (once per matrix), so the
+    rows of a signed C are not scanned again."""
+    c_op = signed_block(f.C)
+    action = classify_map(f.C.entries, f.src.center_sig, f.dst.center_sig,
+                          image=None if c_op is None else c_op.image)
+    return MorphismClass(center_action=action, integral=(
+        c_op is not None and signed_block(f.A) is not None))
 
 
 def _apply_sparse_rows(rows, x, scale_out, scale_in):
@@ -252,11 +257,11 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
     """Rescale (A, C) -> (mu A, mu^2 C) so that |det(A^tau A)| = 1.
 
     Returns the rescaled morphism and the sign t with C C^tau = t * Id,
-    asserting that the product really is +-identity.  A C that is a signed
-    permutation, sending Z_j to +-Z_row(j), is read by its signs: C C^tau
-    is t * Id exactly when eps^src_j eps^dst_row(j) = t for every j.  Any
-    other C, dense or rescaled, is read through the Gram matrix of its
-    rows.
+    asserting that the product really is +-identity.  For a square C,
+    C C^tau = C G_src C^T G_dst is t * Id exactly when C^T G_dst C =
+    t * G_src, so t is +1 for an isometry and -1 for an anti-isometry of
+    the center, as classify_morphism finds it.  Any other center block,
+    a non-square one included, raises ValueError.
     """
     two_l = f.src.dim_module
     if signed_block(f.A) is not None:
@@ -275,25 +280,11 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
             raise ValueError(
                 f"|det(A^tau A)| = {d} has no exact rational (2*dim)-th root")
         g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu))
-    # (C C^tau)_ij = eps^dst_j <C_i, C_j>_src for C^tau = G_src C^T G_dst
-    gz_dst = f.dst.center_sig.signs()
-    c_op = signed_block(g.C)
-    if c_op is not None:
-        # C sends Z_j to +-Z_row(j): C C^tau is diagonal, with
-        # eps^src_j eps^dst_row(j) at row(j)
-        products = {e * gz_dst[row - 1] for e, row
-                    in zip(f.src.center_sig.signs(), c_op.image)}
-        for t in (1, -1):
-            if products <= {t}:
-                return g, t
+    t = {MapClass.ISOMETRY: 1, MapClass.ANTI_ISOMETRY: -1}.get(
+        classify_morphism(g).center_action)
+    if t is None or g.C.rows != g.C.cols:
         raise ValueError("C C^tau is not +-identity after normalization")
-    rows = gram_matrix(g.C.entries, f.src.center_sig)
-    n = len(rows)
-    for t in (1, -1):
-        if all(rows[i][j] == (t * gz_dst[j] if i == j else 0)
-               for i in range(n) for j in range(n)):
-            return g, t
-    raise ValueError("C C^tau is not +-identity after normalization")
+    return g, t
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_threads_reading_a_fresh_extension_get_one_tensor():
                        for f in [pool.submit(read, i) for i in range(8)]]
             assert got[1::2] == [want_entries] * 4
             assert got[0::2] == [want_ops] * 4
-            assert not hasattr(ext.tensor, "_recipe")
+            assert ext.tensor._recipe is not None  # kept after the read
     finally:
         sys.setswitchinterval(old)
 

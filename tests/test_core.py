@@ -265,6 +265,10 @@ def _both_paths(rows, signs_from, signs_to) -> MapClass:
     got = classify_map(rows, signs_from, signs_to)
     assert got == core._classify_by_gram(rows, metric_signs(signs_from),
                                          metric_signs(signs_to))
+    # the image of an already recognized signed form reads the same
+    perm = core.signed_permutation(rows)
+    if perm is not None:
+        assert classify_map(rows, signs_from, signs_to, image=perm[0]) == got
     return got
 
 

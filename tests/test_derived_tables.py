@@ -5,8 +5,9 @@ A reference written here with SignedPermutationOp.compose and apply_basis
 pins their verdicts, witnesses and details on corrupted algebras; the
 counting fixture shows the operators are derived lazily, once per object,
 and that keeping them changes neither equality, hashing nor the JSON form.
-A structure tensor stores its entries only; its pair and vertex lookups are
-derived on first use, and they must agree with the entries.  A matrix keeps
+A structure tensor stores its entries only (an extension's tensor keeps
+its recipe too, and its entries once read); its pair lookup bisects them,
+and the adjoint routines read the algebra's J table.  A matrix keeps
 its recognized signed-permutation form, so a morphism's dense center block
 is recognized once in certification and once in recheck; its module block
 is a signed permutation throughout and is never recognized.
@@ -52,7 +53,7 @@ from pseudoht.algebra import (
 )
 from pseudoht.acceptance import run_all
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
-from pseudoht.core import ExactMatrix
+from pseudoht.core import ExactMatrix, basis_vector
 from pseudoht.extension import ExtensionStep, extend, standard_algebra
 from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
@@ -258,17 +259,17 @@ def derivations(monkeypatch):
     return calls
 
 
-STORED = ("dim_module", "dim_center", "entries")
+# an extension's tensor holds its recipe for its life, and its entries
+# once they are read
+STORED = ("dim_module", "dim_center", "entries", "_recipe")
 
 
 def _derived_on(a: PseudoHTypeAlgebra) -> list[str]:
     """Names of everything the algebra and its tensor hold beyond their
     fields."""
-    t = a.tensor
     fields = {f.name for f in dataclasses.fields(a)}
     return sorted([name for name in vars(a) if name not in fields]
-                  + [name for name in StructureTensor.__slots__
-                     if name not in STORED and hasattr(t, name)])
+                  + [name for name in vars(a.tensor) if name not in STORED])
 
 
 def test_construction_derives_nothing(derivations):
@@ -287,19 +288,19 @@ def test_construction_derives_nothing(derivations):
 
 
 def test_lookups_are_derived_once_on_the_tensor():
+    # the pair lookup bisects the entries and derives nothing; the adjoint
+    # routines read the J table, derived once on the algebra
     a = _build_base(3, 2)
     assert a.tensor.bracket_pair(1, 2) is not None
-    assert _derived_on(a) == ["_links"]
-    table = algebra._link_table(a.tensor)
-    assert algebra._link_table(a.tensor) is table
-    assert verify_integral_basis(a).ok and verify_clifford(a).ok
-    assert algebra._link_table(a.tensor) is table
-    # the J operators read the algebra's own table, built in one pass over
-    # the entries, not the tensor's link table; Clifford composes their
-    # signed-index rows
-    assert _derived_on(a) == ["_j_operators", "_j_table", "_links",
-                              "_signed_lookups"]
+    assert _derived_on(a) == []
+    algebra.adjoint_rows(a, basis_vector(1, a.dim_module))
+    algebra.two_point_rank(a, 1, 2)
+    assert _derived_on(a) == ["_j_table"]
     j_table = algebra._j_table(a)
+    assert verify_integral_basis(a).ok and verify_clifford(a).ok
+    # the J operators hold the table's rows; Clifford composes their
+    # signed-index rows
+    assert _derived_on(a) == ["_j_operators", "_j_table", "_signed_lookups"]
     assert algebra._j_table(a) is j_table and j_operators(a) is j_operators(a)
     rows = signed_lookups(a)
     assert signed_lookups(a) is rows
@@ -533,7 +534,7 @@ def test_verifiers_and_sbg_derive_each_operator_once(derivations):
 
 def test_sbg_no_and_its_recheck_derive_no_table(derivations):
     # a private n_(9,1): the witness reads the entries Z_0 touches, not
-    # the link table or the J operators
+    # the J table or the J operators
     a = extend(_build_base(1, 1), ExtensionStep.BY_8_0)
     cert = sbg_decision(a)
     assert cert.kind == "SBG_NO"

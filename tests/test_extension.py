@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import pseudoht.algebra as algebra
 from pseudoht.algebra import (
     BlockSets,
     StructureTensor,
@@ -152,7 +153,7 @@ def _agrees_with_operator_construction(parent, step):
     equal those of the same algebra built on the checking constructor."""
     ext = extend(parent, step)
     ops = j_operators(ext)
-    assert hasattr(ext.tensor, "_recipe")  # no entry read yet
+    assert "entries" not in vars(ext.tensor)  # no entry read yet
     assert _operator_route_tensor(parent, step) == ext.tensor
     checked = dataclasses.replace(ext, tensor=StructureTensor(
         ext.dim_module, ext.dim_center, ext.tensor.entries))
@@ -235,12 +236,32 @@ def test_a_rebuilt_algebra_takes_its_table_from_its_own_metric():
     ext = extend(_build_base(1, 1), ExtensionStep.BY_8_0)
     flipped = (-ext.module_signs[0],) + ext.module_signs[1:]
     other = dataclasses.replace(ext, module_signs=flipped)
-    assert hasattr(ext.tensor, "_recipe")
+    recipe = ext.tensor._recipe
+    assert recipe is not None
     got = j_operators(other)
-    assert not hasattr(ext.tensor, "_recipe")  # the entries were read
+    assert "entries" in vars(ext.tensor)  # the entries were read
+    assert ext.tensor._recipe is recipe  # and the recipe is kept
     checked = dataclasses.replace(other, tensor=StructureTensor(
         ext.dim_module, ext.dim_center, ext.tensor.entries))
     assert got == j_operators(checked) != j_operators(ext)
+
+
+def test_an_extension_read_first_takes_its_table_from_the_rows(monkeypatch):
+    # the recipe is kept, so reading the entries first changes nothing: the
+    # J table still comes from the parent's and factor's rows
+    made = []
+    inner = algebra._product_j_table
+    monkeypatch.setattr(algebra, "_product_j_table",
+                        lambda a, recipe: made.append(inner(a, recipe))
+                        or made[-1])
+    ext = extend(_build_base(3, 2), ExtensionStep.BY_4_4)
+    entries = ext.tensor.entries
+    table = algebra._j_table(ext)
+    assert ext.tensor._recipe is not None
+    assert len(made) == 1 and made[0] is table
+    checked = dataclasses.replace(ext, tensor=StructureTensor(
+        ext.dim_module, ext.dim_center, entries))
+    assert algebra._j_table(checked) == table
 
 
 def test_extension_bracket_examples():

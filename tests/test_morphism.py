@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pseudoht.catalog as catalog
+import pseudoht.core as core
 import pseudoht.morphism as morphism
 from pseudoht import jsonout
 from pseudoht.algebra import (
@@ -159,6 +160,17 @@ def test_normalize_rejects_singular_module_block():
     f = LieMorphism(a, a, ExactMatrix.from_rows([[1, 1], [0, 0]]),
                     ExactMatrix.identity(1))
     with pytest.raises(ValueError, match="module block is singular"):
+        normalize_isomorphism(f)
+
+
+def test_normalize_refuses_a_non_square_center_block():
+    # C sends Z_1, Z_2, Z_4, Z_5 of (3,2) to the orthonormal basis of
+    # (2,2): C G_src C^T = G_dst, but only a square C has C C^tau = t Id
+    # exactly when C^T G_dst C = t G_src
+    rows = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    f = LieMorphism(base_algebra(3, 2), base_algebra(2, 2),
+                    ExactMatrix.identity(8), ExactMatrix.from_rows(rows))
+    with pytest.raises(ValueError, match=r"C C\^tau is not \+-identity"):
         normalize_isomorphism(f)
 
 
@@ -335,12 +347,13 @@ def test_the_kept_map_is_not_a_field():
 
 def _normalized_sign(f, gram: bool):
     """t of normalize_isomorphism(f), or the ValueError's message; with
-    gram, C is not recognized as a signed permutation, so it takes the
-    Gram path."""
+    gram, C is recognized as a signed permutation neither by signed_block
+    nor by classify_map's own scan, so it takes the Gram path."""
     with pytest.MonkeyPatch.context() as mp:
         if gram:
             mp.setattr(morphism, "signed_block", lambda m: (
                 m if isinstance(m, SignedPermutationOp) else None))
+            mp.setattr(core, "signed_permutation", lambda rows: None)
         try:
             g, t = normalize_isomorphism(f)
         except ValueError as exc:
@@ -359,13 +372,15 @@ def test_the_signed_normalization_agrees_with_the_gram_path():
 def test_a_signed_center_block_is_normalized_without_a_gram_matrix(
         monkeypatch):
     def refuse(*args):
-        raise AssertionError("gram_matrix called")
+        raise AssertionError("Gram path called")
 
+    # the Gram matrix of A's columns, and the Gram reading of C
     monkeypatch.setattr(morphism, "gram_matrix", refuse)
+    monkeypatch.setattr(core, "_classify_by_gram", refuse)
     assert normalize_isomorphism(canonical_isomorphism(9, 8))[1] == -1
     # a rescaled C with a signed A: only the Gram path reads it
     f = canonical_isomorphism(1, 0)
-    with pytest.raises(AssertionError, match="gram_matrix called"):
+    with pytest.raises(AssertionError, match="Gram path called"):
         normalize_isomorphism(LieMorphism(f.src, f.dst, f.A, f.C.scale(4)))
 
 

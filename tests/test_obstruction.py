@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 import pseudoht.algebra as algebra
 import pseudoht.obstruction as obstruction
 from pseudoht.algebra import (
+    IntegralBasisError,
     OpaqueProvenance,
     PseudoHTypeAlgebra,
     StructureTensor,
     adjoint_rows,
+    bracket,
     two_point_rank,
     verify_axioms,
 )
-from pseudoht.catalog import BASE_IDS, base_algebra
+from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import (
     Signature,
     basis_vector,
@@ -291,6 +293,93 @@ def test_two_point_rank_and_scan_off_the_catalog():
             for i in range(1, 11) for j in range(i + 1, 11)} == {9}
     assert surjectivity_scan(free) == obstruction.ScanReport(free.name(), 25)
     assert surjectivity_scan(summed).points == 5
+
+
+# --- the J-table readers against the entries ---------------------------------
+
+def _entry_adjoint_rows(a, x):
+    """ad_x from the entries alone: the entry (p, q, k, s) puts s x_p in
+    row k, column q, and -s x_q in row k, column p."""
+    rows = [[0] * a.dim_module for _ in range(a.dim_center)]
+    for (p, q, k, s) in a.tensor.entries:
+        rows[k - 1][q - 1] += s * x[p - 1]
+        rows[k - 1][p - 1] -= s * x[q - 1]
+    return rows
+
+
+def _entry_bracket(a, x, y):
+    return tuple(sum(e * yb for e, yb in zip(row, y))
+                 for row in _entry_adjoint_rows(a, x))
+
+
+def _flipped_metric_copy():
+    """An extension rebuilt around its tensor with one metric sign
+    flipped: its J table comes from the entries, with other signs."""
+    ext = extend(base_algebra(1, 1), ExtensionStep.BY_8_0)
+    return dataclasses.replace(
+        ext, module_signs=(-ext.module_signs[0],) + ext.module_signs[1:])
+
+
+READER_ALGEBRAS = {
+    **{f"{rs}": lambda rs=rs: base_algebra(*rs) for rs in BASE_IDS},
+    **{f"{rs}+{step.value}": lambda rs=rs, step=step: extend(
+        base_algebra(*rs), step) for rs in BASE_IDS for step in ExtensionStep},
+    "sum": lambda: build_sum(base_algebra(2, 3), 2, 1),
+    "free": lambda: _free_two_step(5, 5),  # empty J-table slots
+    "flipped-metric": _flipped_metric_copy,
+}
+
+
+@pytest.mark.parametrize("name", READER_ALGEBRAS)
+def test_j_table_readers_agree_with_the_entries(name):
+    a = READER_ALGEBRAS[name]()
+    n = a.dim_module
+    pairs = {}
+    for (p, q, k, s) in a.tensor.entries:
+        pairs[p, q], pairs[q, p] = (k, s), (k, -s)
+    sample = sorted({1, 2, n // 2, n - 1, n})
+    x = [i % 5 - 2 for i in range(n)]
+    y = [i % 3 - 1 for i in range(n)]
+    assert adjoint_rows(a, x) == _entry_adjoint_rows(a, x)
+    assert bracket(a, x, y) == _entry_bracket(a, x, y)
+    for alpha in sample:
+        assert adjoint_rows(a, basis_vector(alpha, n)) == \
+            _entry_adjoint_rows(a, basis_vector(alpha, n))
+        for beta in range(1, n + 1):
+            assert a.tensor.bracket_pair(alpha, beta) == pairs.get((alpha, beta))
+        for beta in sample:
+            if beta != alpha:
+                assert two_point_rank(a, alpha, beta) == \
+                    _two_point_oracle(a, alpha, beta)
+
+
+def _doubled_3_2():
+    """n_(3,2) without its entry (3, 7, 5, 1) and with (1, 8, 5, -1): as
+    many entries as an integral basis has, but Z_5 gives v_1 two
+    partners, so its J table keeps one of them."""
+    a = _build_base(3, 2)
+    e = a.tensor.entries
+    assert e[10] == (3, 7, 5, 1)
+    return dataclasses.replace(a, tensor=StructureTensor(
+        a.dim_module, a.dim_center, e[:10] + e[11:] + ((1, 8, 5, -1),)))
+
+
+def test_a_j_table_with_a_conflict_is_refused_by_the_adjoint_routines():
+    a = _doubled_3_2()
+    n = a.dim_module
+    x = [1] + [0] * (n - 2) + [1]
+    for call in (lambda: adjoint_rows(a, x), lambda: two_point_rank(a, 1, 8),
+                 lambda: gram_det(a, x), lambda: adjoint_rank(a, x),
+                 lambda: surjectivity_scan(a)):
+        with pytest.raises(IntegralBasisError, match="multiple partners"):
+            call()
+    # bracket reads the entries, so it still answers
+    for alpha in range(1, n + 1):
+        for beta in range(1, n + 1):
+            u, v = basis_vector(alpha, n), basis_vector(beta, n)
+            assert bracket(a, u, v) == _entry_bracket(a, u, v)
+    y = [i % 3 - 1 for i in range(n)]
+    assert bracket(a, x, y) == _entry_bracket(a, x, y)
 
 
 def _brute_force_scan(a):
