@@ -4,7 +4,9 @@ An algebra is stored as its structure tensor A^k_{ab} in {-1,0,+1} together
 with the center signature and the +-1 module metric.  The J-operators are
 derived from the tensor through eps^v_b * B^k_{ab} = eps^z_k * A^k_{ab}, or
 for an extension from its parent's and factor's by the same product that
-makes its entries (ExtensionRecipe); they are never stored independently.
+makes its entries (ExtensionRecipe).  Each algebra keeps one J table, a
+signed-index row per center index (_JTable); a J operator is made from its
+row when asked for and is not kept.
 
 All indices in the public API are 1-based.
 """
@@ -235,8 +237,8 @@ class SignedPermutationOp:
     @staticmethod
     def from_signed(indices: Sequence[int]) -> "SignedPermutationOp":
         """The op sending v_a to sign(t) * v_|t| for t = indices[a - 1],
-        the signed-index form of signed_lookup; ValueError for a 0, bool
-        or float entry or a repeated |t|."""
+        the signed-index form of a J table row (signed_row); ValueError for
+        a 0, bool or float entry or a repeated |t|."""
         image = tuple(t if t > 0 else -t for t in indices)
         return SignedPermutationOp(image,
                                    tuple(1 if t > 0 else -1 for t in indices))
@@ -248,10 +250,10 @@ def _unchecked_op(image: tuple[int, ...], sign: tuple[int, ...]
 
     Only for ops that are signed permutations by how they were made: the
     composite, inverse or negation of checked ops, or a J operator read
-    off a J table with no conflict and no empty slot (each row is then a
-    fixed-point-free involution of 1..n with signs that are products of
-    +-1 integers).  The public constructor, from_signed and every reader
-    of outside data keep all checks.
+    off a J table row with no conflict and no empty slot (the row is then
+    a signed fixed-point-free involution of 1..n).  The public
+    constructor, from_signed and every reader of outside data keep all
+    checks.
     """
     op = object.__new__(SignedPermutationOp)
     op.__dict__.update(image=image, sign=sign)
@@ -474,34 +476,31 @@ def j_operator(a: PseudoHTypeAlgebra, k: int) -> SignedPermutationOp:
 
     The defining relation gives B^k_{ab} = eps^z_k * A^k_{ab} / eps^v_b; on an
     integral basis this is a signed permutation because each (k, a) has
-    exactly one partner b.  It is read off the algebra's _j_table.
+    exactly one partner b.  It is made from row k of the algebra's J table
+    (_j_table) on every call, and not kept.
     """
     if not 1 <= k <= a.dim_center:
         raise IndexError(f"center index {k} out of range")
     table = _partner_table(a)
-    image = table.images[k - 1]
-    if 0 in image:
+    row = table.rows[k - 1]
+    if table.missing is not None and 0 in row[1:]:
         raise IntegralBasisError(
-            f"no partner for center {k}, vector {image.index(0) + 1}")
-    return _unchecked_op(image, table.signs[k - 1])
+            f"no partner for center {k}, vector {row.index(0, 1)}")
+    signed = row[1:a.dim_module + 1]
+    image = tuple(map(abs, signed))
+    return _unchecked_op(image, tuple(map(operator.floordiv, signed, image)))
 
 
 def j_operators(a: PseudoHTypeAlgebra) -> tuple[SignedPermutationOp, ...]:
-    """(J_{Z_1}, ..., J_{Z_n}): j_operator() for every center index.
-
-    Derived on first use and kept on the algebra object, so the hot loops
-    of the verifiers and the conjugation check derive each operator once
-    per algebra.
-    """
-    return derived_value(a, "_j_operators", lambda alg: tuple(
-        j_operator(alg, k) for k in range(1, alg.dim_center + 1)))
+    """(J_{Z_1}, ..., J_{Z_n}): j_operator() for every center index."""
+    return tuple(j_operator(a, k) for k in range(1, a.dim_center + 1))
 
 
 def _partner_table(a: PseudoHTypeAlgebra) -> _JTable:
     """The algebra's _JTable, or IntegralBasisError when a (k, a) has two
-    partners, one of which the table lost.  j_operator reads it, and so
-    do adjoint_rows and two_point_rank: J_{Z_k} v_alpha = sign * v_b gives
-    [v_alpha, v_b] = eps^z_k sign eps^v_b Z_k, an empty slot no bracket."""
+    partners, one of which the table lost.  adjoint_rows and
+    two_point_rank read it: J_{Z_k} v_alpha = sign * v_b gives [v_alpha,
+    v_b] = eps^z_k sign eps^v_b Z_k, an empty slot no bracket."""
     table = _j_table(a)
     if table.conflicts:
         raise IntegralBasisError(
@@ -510,15 +509,14 @@ def _partner_table(a: PseudoHTypeAlgebra) -> _JTable:
 
 
 class _JTable(NamedTuple):
-    """images[k][alpha], signs[k][alpha]: J_{Z_{k+1}} v_{alpha+1} =
-    sign * v_image (1-based image, 0 where no entry gives a partner);
-    conflicts: each 1-based (k, a) that an entry gives a second partner, in
-    entries order.  The rows are tuples, so the J operators hold these same
-    rows rather than copies."""
+    """rows[k - 1]: J_{Z_k} as an array('i') in signed_row form, 0 at b
+    where no entry gives v_b a partner; conflicts: each 1-based (k, a)
+    that an entry gives a second partner, in entries order; missing: the
+    first 1-based (k, b) with no partner, k outermost, or None."""
 
-    images: tuple[tuple[int, ...], ...]
-    signs: tuple[tuple[int, ...], ...]
+    rows: tuple[array, ...]
     conflicts: tuple[tuple[int, int], ...]
+    missing: Optional[tuple[int, int]]
 
 
 def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
@@ -546,24 +544,21 @@ def _j_table(a: PseudoHTypeAlgebra) -> _JTable:
         n, entries = a.dim_module, a.tensor.entries
         ez, g = (0, *a.center_sig.signs()), (0, *a.module_signs)
         # 1-based lists, slot 0 unused, until they become the rows
-        images = [[0] * (n + 1) for _ in ez]
-        signs = [[0] * (n + 1) for _ in ez]
+        targets = [[0] * (n + 1) for _ in ez]
         for (p, q, k, s) in entries:
-            image, sign, e = images[k], signs[k], ez[k] * s
-            image[p] = q
-            image[q] = p
-            sign[p] = e * g[q]
-            sign[q] = -e * g[p]
-        images = tuple(tuple(row[1:]) for row in images[1:])
-        signs = tuple(tuple(row[1:]) for row in signs[1:])
-        if (2 * len(entries) == n * a.dim_center
-                and not any(0 in image for image in images)):
-            return _JTable(images, signs, ())
+            row, e = targets[k], ez[k] * s
+            row[p] = e * g[q] * q
+            row[q] = -e * g[p] * p
+        rows = tuple(array("i", signed_row(row[1:])) for row in targets[1:])
+        missing = next(((k, row.index(0, 1)) for k, row in enumerate(
+            rows, start=1) if 0 in row[1:]), None)
+        if 2 * len(entries) == n * a.dim_center and missing is None:
+            return _JTable(rows, (), None)
         written: set[tuple[int, int]] = set()
         conflicts = tuple(slot for (p, q, k, _s) in entries
                           for slot in ((k, p), (k, q))
                           if slot in written or written.add(slot))
-        return _JTable(images, signs, conflicts)
+        return _JTable(rows, conflicts, missing)
 
     return derived_value(a, "_j_table", build)
 
@@ -577,36 +572,35 @@ def _product_j_table(a: PseudoHTypeAlgebra, recipe: ExtensionRecipe
     Each row is the table the recipe's entries would write, each slot
     once: J_k (x) E for a parent center index and Id (x) J^f_m for a factor
     one (see ExtensionRecipe).  It is made in pair order, 16 slots per
-    parent index, and put in final order by one itemgetter.
+    parent index, and put in final order by one itemgetter: a parent
+    row's signed index t picks the block of w_|t| times sign(t) E, and a
+    factor row gathers from the signed_row of each block.
     """
     if a.module_signs != recipe.metric or a.center_sig != recipe.center_sig:
         return None
     prov = recipe.provenance
     parent, factor = _j_table(prov.parent), _j_table(recipe.factor)
-    if any(t.conflicts or any(0 in image for image in t.images)
-           for t in (parent, factor)):
+    if any(t.conflicts or t.missing for t in (parent, factor)):
         return None
     final = prov.pair_to_final
     to_final = operator.itemgetter(
         *sorted(range(len(final)), key=final.__getitem__))
     blocks = [final[f:f + 16] for f in range(0, len(final), 16)]
-    of_image = (None, *blocks).__getitem__
     volume = tuple(map(operator.mul, recipe.parent_signs,
                        recipe.factor.module_signs))
-    of_sign = {1: volume, -1: tuple(map(operator.neg, volume))}.__getitem__
+    scaled = [tuple(map(operator.mul, volume, block)) for block in blocks]
+    of_parent = [None, *scaled, *(tuple(map(operator.neg, block))
+                                  for block in reversed(scaled))].__getitem__
+    signed_blocks = [signed_row(block) for block in blocks]
     chain = itertools.chain.from_iterable
-    images: list = [None] * a.dim_center
-    signs: list = [None] * a.dim_center
-    for pos, image, sign in zip(prov.parent_center_to_final,
-                                parent.images, parent.signs):
-        images[pos - 1] = to_final(list(chain(map(of_image, image))))
-        signs[pos - 1] = to_final(list(chain(map(of_sign, sign))))
-    for pos, image, sign in zip(prov.factor_center_to_final,
-                                factor.images, factor.signs):
-        within = operator.itemgetter(*[j - 1 for j in image])
-        images[pos - 1] = to_final(list(chain(map(within, blocks))))
-        signs[pos - 1] = to_final(sign * len(blocks))
-    return _JTable(tuple(images), tuple(signs), ())
+    n = len(blocks)
+    rows: list = [None] * a.dim_center
+    for pos, row in zip(prov.parent_center_to_final, parent.rows):
+        rows[pos - 1] = to_final(list(chain(map(of_parent, row[1:n + 1]))))
+    for pos, row in zip(prov.factor_center_to_final, factor.rows):
+        within = operator.itemgetter(*row[1:17])
+        rows[pos - 1] = to_final(list(chain(map(within, signed_blocks))))
+    return _JTable(tuple(array("i", signed_row(r)) for r in rows), (), None)
 
 
 _UNSET = object()
@@ -658,43 +652,41 @@ def verify_integral_basis(a: PseudoHTypeAlgebra) -> Verdict:
     if table.conflicts:
         return Verdict(False, table.conflicts[0],
                        "a (center, vector) pair has several partners")
-    for k, image in enumerate(table.images, start=1):
-        if 0 in image:
-            return Verdict(False, (k, image.index(0) + 1),
-                           "no partner for this (center, vector) pair")
+    if table.missing is not None:
+        return Verdict(False, table.missing,
+                       "no partner for this (center, vector) pair")
     return Verdict(True)
 
 
-def signed_lookup(op: SignedPermutationOp) -> list[int]:
-    """op as signed indices: t[b] = sign[b] * image[b] and t[-b] = -t[b].
-
-    Entry 0 is unused; negative b reads from the end of the list, so the
-    composite J(J'(v_a)) is t[t'[a]] in signed-index form.
-    """
-    signed = list(map(operator.mul, op.sign, op.image))
+def signed_row(signed: Sequence[int]) -> list[int]:
+    """[0, *signed, *-signed reversed]: t with t[b] = signed[b - 1] and
+    t[-b] = -t[b], entry 0 unused.  A signed permutation sending v_b to
+    sign * v_b' has t[b] = sign * b' in this form, so a negative b reads
+    from the end of the list and the composite J(J'(v_a)) is t[t'[a]]."""
     return [0, *signed, *map(operator.neg, reversed(signed))]
 
 
-def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[array, ...]:
-    """signed_lookup of every J operator, in center order, each row an
-    array('i') holding the same values.
+def signed_lookup(op: SignedPermutationOp) -> list[int]:
+    """op in signed_row form: t[b] = sign[b] * image[b]."""
+    return signed_row(list(map(operator.mul, op.sign, op.image)))
 
-    Derived on first use and kept on the algebra, like j_operators(a), so
-    the axiom verifiers and the relation of every morphism through the
-    algebra compose the same rows.  The rows are shared by every user of
-    the algebra, a catalog algebra across the process, so this is an
-    internal table of the package and not public API: nothing outside the
-    verifiers and the morphism relation reads it, and nothing writes it.
-    An array keeps each entry in 4 bytes, where a list holds a pointer to
-    an int object of its own for every entry above 256 or below -5, so the
-    table is about a fifth of a list table's size.  But an array makes a
-    new int object for every item it hands out, so a reader that gathers
-    through a row many times reads it as a list (tolist()) first.  A slice
-    of a row is an array, and an array never equals a list, so a caller
-    compares a row's values with a list only after tolist().
+
+def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[array, ...]:
+    """The rows of the algebra's J table, J_{Z_k} as signed_lookup's
+    values, or IntegralBasisError when a (k, a) has two partners or none.
+
+    The rows are shared by every user of the algebra, a catalog algebra
+    across the process: internal to the package, read by algebra and
+    morphism alone, and never written.  An array holds 4 bytes per entry
+    but makes an int object for each item it hands out, so a reader that
+    gathers through a row many times, or compares it with a list, reads it
+    as a list (tolist()) first.
     """
-    return derived_value(a, "_signed_lookups", lambda alg: tuple(
-        array("i", signed_lookup(op)) for op in j_operators(alg)))
+    table = _partner_table(a)
+    if table.missing is not None:
+        raise IntegralBasisError(
+            "no partner for center {}, vector {}".format(*table.missing))
+    return table.rows
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -760,18 +752,18 @@ def verify_admissible(a: PseudoHTypeAlgebra) -> Verdict:
     """
     n_mod = a.dim_module
     g = a.module_signs
-    g_at = [0, *g].__getitem__
+    g_of = [0, *g, *reversed(g)].__getitem__  # g_of(t) = <v_|t|, v_|t|>
     minus_g_ident = [-e * alpha for alpha, e in enumerate(g, start=1)]
-    for k, (op, row) in enumerate(zip(j_operators(a), map(
-            array.tolist, signed_lookups(a))), start=1):
-        square = list(map(row.__getitem__, row[1:n_mod + 1]))
+    for k, row in enumerate(map(array.tolist, signed_lookups(a)), start=1):
+        forward = row[1:n_mod + 1]
+        square = list(map(row.__getitem__, forward))
         alpha = _first_difference(
-            square, list(map(operator.mul, minus_g_ident, map(g_at, op.image))))
+            square, list(map(operator.mul, minus_g_ident, map(g_of, forward))))
         if alpha is not None:
             detail = ("skew-adjointness fails: orbit does not return"
                       if abs(square[alpha - 1]) != alpha
                       else "skew-adjointness fails on this pair")
-            return Verdict(False, (k, alpha, op.image[alpha - 1]), detail)
+            return Verdict(False, (k, alpha, abs(forward[alpha - 1])), detail)
     return Verdict(True)
 
 
@@ -917,19 +909,21 @@ def signed_incidence_rank(n: int,
 
 
 def two_point_rank(a: PseudoHTypeAlgebra, alpha: int, beta: int) -> int:
-    """Rank of ad_x for x = v_alpha + v_beta (1-based), by
-    signed_incidence_rank: on an integral basis column b of ad_x,
-    [v_alpha, v_b] + [v_beta, v_b], adds at most two terms +-Z_k, read off
-    the J table (_partner_table).  Row k is taken times eps^z_k and column
-    b times eps^v_b, which leaves the rank alone, so a term is (k, sign)."""
-    table = _partner_table(a)
+    """Rank of ad_x for x = v_alpha + v_beta (1-based; IndexError outside
+    1..dim v), by signed_incidence_rank: on an integral basis column b of
+    ad_x, [v_alpha, v_b] + [v_beta, v_b], adds at most two terms +-Z_k,
+    read off the J table (_partner_table).  Row k is taken times eps^z_k
+    and column b times eps^v_b, which leaves the rank alone, so a term is
+    (k, sign): t = sign * b in row k at alpha or beta."""
+    if not (1 <= alpha <= a.dim_module and 1 <= beta <= a.dim_module):
+        raise IndexError(f"module index out of range in {(alpha, beta)}")
+    rows = _partner_table(a).rows
     columns: dict[int, list[tuple[int, int]]] = {}
-    for p in (alpha - 1, beta - 1):
-        for k, image, sign in zip(itertools.count(1), table.images,
-                                  table.signs):
-            b = image[p]
-            if b:
-                columns.setdefault(b, []).append((k, sign[p]))
+    for p in (alpha, beta):
+        for k, row in enumerate(rows, start=1):
+            t = row[p]
+            if t:
+                columns.setdefault(abs(t), []).append((k, 1 if t > 0 else -1))
     return signed_incidence_rank(a.dim_center, columns.values())
 
 
@@ -992,18 +986,20 @@ def adjoint_rows(a: PseudoHTypeAlgebra,
 
     Entries keep the number type of x, so integer input gives integer rows.
     Each nonzero x_alpha reads its column of the J table (_partner_table):
-    eps^z_k sign eps^v_b x_alpha at row k, column b = image_k(alpha).
+    eps^z_k sign eps^v_b x_alpha at row k, column b, for t = sign * b.
     """
-    table = _partner_table(a)
-    ez, g = a.center_sig.signs(), a.module_signs
+    if len(x) != a.dim_module:
+        raise ValueError("x must have module length")
+    j_rows = _partner_table(a).rows
+    ez = a.center_sig.signs()
+    signed_g = signed_row(a.module_signs)  # at t = sign * b: sign * g_b
     rows = [[0] * a.dim_module for _ in range(a.dim_center)]
-    for alpha, xa in zip(range(a.dim_module), x):
+    for alpha, xa in enumerate(x, start=1):
         if xa:
-            for row, e, image, sign in zip(rows, ez, table.images,
-                                           table.signs):
-                b = image[alpha]
-                if b:
-                    row[b - 1] += e * sign[alpha] * g[b - 1] * xa
+            for row, e, j_row in zip(rows, ez, j_rows):
+                t = j_row[alpha]
+                if t:
+                    row[abs(t) - 1] += e * signed_g[t] * xa
     return rows
 
 

@@ -32,6 +32,7 @@ from .algebra import (
     j_operator,  # perfbench's self-test reads morphism.j_operator
     j_operators,
     signed_lookups,
+    signed_row,
 )
 from .catalog import base_algebra, base_blocks, catalog_key, min_module_dim
 from .core import (
@@ -149,7 +150,7 @@ def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
     """_relation_defect when A and C are signed permutations.
 
     Both sides then send v_alpha to one signed basis vector, so for each k
-    they are signed-index lists (see signed_lookups), compared whole: the
+    they are signed-index lists (see signed_row), compared whole: the
     left side composes A, J_{Z_k} of dst and A^tau = G_src A^T G_dst, the
     right side is J_{Z_m} of src times the sign e of C^tau Z_k = e Z_m,
     a slice of its row.  Where the images +-v_p and +-v_q of v_alpha
@@ -163,7 +164,7 @@ def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
     tau = [0] * n
     for alpha, (b, s) in enumerate(zip(a_op.image, a_op.sign), start=1):
         tau[b - 1] = g_dst[b - 1] * s * g_src[alpha - 1] * alpha
-    a_tau = [0, *tau, *map(operator.neg, reversed(tau))]
+    a_tau = signed_row(tau)
     src_rows, dst_rows = signed_lookups(src), signed_lookups(dst)
     if not n:  # an empty module: both sides are empty for every k
         return None

@@ -90,9 +90,11 @@ def block_volume_element(a: PseudoHTypeAlgebra, block: int
     copies vanish, so each maps every block to itself, and the composite
     is restricted to the block (0-based).  None means the composition is
     not a scalar multiple of the identity, which happens when the minimal
-    module is reducible.
+    module is reducible.  ValueError for a block outside 0..mu+nu-1.
     """
     prov = _sum_provenance(a)
+    if not 0 <= block < prov.mu + prov.nu:
+        raise ValueError(f"block {block} is not in 0..{prov.mu + prov.nu - 1}")
     per = a.dim_module // (prov.mu + prov.nu)
     off = block * per
     whole = volume_involution(a)

@@ -36,6 +36,7 @@ from pseudoht.algebra import (
 from pseudoht.algebra import _check_general_at
 from pseudoht.catalog import BASE_IDS, base_algebra
 from pseudoht.core import ExactMatrix, Signature, basis_vector, exact_rank, scalar_product
+from pseudoht.obstruction import adjoint_rank, gram_det
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
@@ -499,6 +500,17 @@ def test_adjoint_rows_keep_the_number_type():
     for b in range(1, a.dim_module + 1):
         column = tuple(row[b - 1] for row in rows)
         assert column == bracket(a, x, basis_vector(b, 8))
+
+
+@pytest.mark.parametrize("x", [[1], [1, 0, 5], []])
+def test_adjoint_rows_refuses_wrong_lengths(x):
+    # a short or long x would otherwise be cut to the module or padded
+    with pytest.raises(ValueError, match="^x must have module length$"):
+        adjoint_rows(base_algebra(1, 0), x)
+    # the obstruction routines on it keep their own message
+    for call in (gram_det, adjoint_rank):
+        with pytest.raises(ValueError, match="^X must have module length$"):
+            call(base_algebra(1, 0), x)
 
 
 def test_center_pairing_lowers_j_of_the_center_vector():

@@ -1,10 +1,11 @@
-"""The J operators each algebra derives once, and the verifiers on them.
+"""The J table each algebra derives once, and the verifiers on it.
 
-The axiom verifiers run on the image and sign tables of j_operators(a).
-A reference written here with SignedPermutationOp.compose and apply_basis
-pins their verdicts, witnesses and details on corrupted algebras; the
-counting fixture shows the operators are derived lazily, once per object,
-and that keeping them changes neither equality, hashing nor the JSON form.
+The axiom verifiers run on the signed-index rows of the algebra's J table,
+and its J operators are made from those rows on demand.  A reference
+written here with SignedPermutationOp.compose and apply_basis pins their
+verdicts, witnesses and details on corrupted algebras; the counting
+fixture shows the table is derived lazily, once per object, and that
+keeping it changes neither equality, hashing nor the JSON form.
 A structure tensor stores its entries only (an extension's tensor keeps
 its recipe too, and its entries once read); its pair lookup bisects them,
 and the adjoint routines read the algebra's J table.  A matrix keeps
@@ -61,8 +62,8 @@ from pseudoht.sums import build_sum
 
 
 # --- reference verifiers on composed operators -------------------------------
-# They derive through the module attribute, so a test can substitute a
-# corrupted operator for both sides at once.
+# They derive through j_operator, which reads the algebra's J table, so a
+# test can substitute a corrupted row for both sides at once.
 
 def _ops(a: PseudoHTypeAlgebra):
     return [algebra.j_operator(a, k) for k in range(1, a.dim_center + 1)]
@@ -180,15 +181,29 @@ def test_verifiers_match_the_reference_on_module_metric_flips():
     assert ("verify_htype", "composition identity fails") in seen
 
 
-def test_verifiers_match_the_reference_on_corrupted_operators(monkeypatch):
+def _with_row(a: PseudoHTypeAlgebra, k: int,
+              op: SignedPermutationOp) -> PseudoHTypeAlgebra:
+    """a with row k of its J table replaced by op's, where the verifiers,
+    j_operator and the reference all read it."""
+    table = algebra._j_table(a)
+    rows = list(table.rows)
+    rows[k - 1] = array("i", signed_lookup(op))
+    object.__setattr__(a, "_j_table", table._replace(rows=tuple(rows)))
+    return a
+
+
+def _caught(a: PseudoHTypeAlgebra) -> bool:
+    return not all(check(a).ok for check, _ref in PAIRS)
+
+
+def test_verifiers_match_the_reference_on_corrupted_operators():
     # A tensor-derived J_k is always skew-adjoint, so the admissibility
-    # failures need an operator changed after derivation.
-    derive = algebra.j_operator
+    # failures need a row changed after derivation.
     seen = set()
     for rs in BASE_IDS:
         a = _build_base(*rs)
         for k in range(1, a.dim_center + 1):
-            op = derive(a, k)
+            op = j_operator(a, k)
             image, sign = list(op.image), list(op.sign)
             sign[0] = -sign[0]
             flipped = SignedPermutationOp(op.image, tuple(sign))
@@ -198,22 +213,20 @@ def test_verifiers_match_the_reference_on_corrupted_operators(monkeypatch):
                 image[0], image[other - 1] = image[other - 1], image[0]
             swapped = SignedPermutationOp(tuple(image), op.sign)
             for bad in (flipped, swapped):
-                monkeypatch.setattr(
-                    algebra, "j_operator",
-                    lambda alg, kk, k=k, bad=bad: bad if kk == k else derive(alg, kk))
-                _compare(_build_base(*rs), seen)
+                b = _with_row(_build_base(*rs), k, bad)
+                assert j_operator(b, k) == bad
+                assert _caught(b) or bad == op  # no swap at dim 2
+                _compare(b, seen)
     assert ("verify_admissible", "skew-adjointness fails on this pair") in seen
     assert ("verify_admissible",
             "skew-adjointness fails: orbit does not return") in seen
 
 
-def test_coinciding_j_images_give_the_reference_off_diagonal_witness(
-        monkeypatch):
+def test_coinciding_j_images_give_the_reference_off_diagonal_witness():
     # J_2 changed after derivation so that J_1 v_alpha and J_2 v_alpha are
     # the same basis vector up to sign: <J_1 v_alpha, J_2 v_alpha> != 0, a
     # k != m composition identity the one-pass column test must send to the
     # pair scan
-    derive = algebra.j_operator
     seen = set()
     witnesses = []
     for rs in BASE_IDS:
@@ -221,15 +234,13 @@ def test_coinciding_j_images_give_the_reference_off_diagonal_witness(
         if a.dim_center < 2:
             continue
         for alpha in (1, a.dim_module // 2 + 1, a.dim_module):
-            j1, j2 = derive(a, 1), derive(a, 2)
+            j1, j2 = j_operator(a, 1), j_operator(a, 2)
             image = list(j2.image)
             beta = image.index(j1.image[alpha - 1]) + 1
             image[alpha - 1], image[beta - 1] = image[beta - 1], image[alpha - 1]
             bad = SignedPermutationOp(tuple(image), j2.sign)
-            monkeypatch.setattr(
-                algebra, "j_operator",
-                lambda alg, kk, bad=bad: bad if kk == 2 else derive(alg, kk))
-            b = _build_base(*rs)
+            b = _with_row(_build_base(*rs), 2, bad)
+            assert _caught(b)
             _compare(b, seen)
             got = verify_htype(b)
             assert got == _ref_htype(b)
@@ -297,40 +308,48 @@ def test_lookups_are_derived_once_on_the_tensor():
     algebra.two_point_rank(a, 1, 2)
     assert _derived_on(a) == ["_j_table"]
     j_table = algebra._j_table(a)
-    assert verify_integral_basis(a).ok and verify_clifford(a).ok
-    # the J operators hold the table's rows; Clifford composes their
-    # signed-index rows
-    assert _derived_on(a) == ["_j_operators", "_j_table", "_signed_lookups"]
-    assert algebra._j_table(a) is j_table and j_operators(a) is j_operators(a)
-    rows = signed_lookups(a)
-    assert signed_lookups(a) is rows
+    for check in (verify_integral_basis, verify_clifford, verify_admissible,
+                  verify_htype):
+        assert check(a).ok
+    # the verifiers read the table's rows, and the J operators are made
+    # from them; nothing else is kept
+    assert _derived_on(a) == ["_j_table"]
+    assert algebra._j_table(a) is j_table
+    assert signed_lookups(a) is j_table.rows
     # kept as arrays, whose values are signed_lookup's list
-    assert [row.tolist() for row in rows] == [signed_lookup(op)
-                                              for op in j_operators(a)]
+    assert [row.tolist() for row in j_table.rows] == [
+        signed_lookup(op) for op in j_operators(a)]
+    assert _derived_on(a) == ["_j_table"]
 
 
 def test_signed_lookups_are_built_once_per_shared_algebra(monkeypatch):
     # the verifiers and certify plus recheck of one ISO question compose
     # the rows each algebra derived once
     built = []
-    inner = algebra.signed_lookup
-    monkeypatch.setattr(algebra, "signed_lookup",
-                        lambda op: built.append(op) or inner(op))
+    inner = algebra._j_table
+
+    def counting(alg):
+        if "_j_table" not in vars(alg):
+            built.append(alg)
+        return inner(alg)
+
+    monkeypatch.setattr(algebra, "_j_table", counting)
     a = _build_base(3, 2)
     rows = signed_lookups(a)
     for check in (verify_clifford, verify_admissible, verify_htype):
         assert check(a).ok
-    assert signed_lookups(a) is rows and len(built) == a.dim_center
+    assert signed_lookups(a) is rows and built == [a]
     built.clear()
     monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
     cert = check_pair(9, 1, 1, 9)
     assert cert.kind == "ISO"
     src, dst = standard_algebra(9, 1), standard_algebra(1, 9)
     src_rows, dst_rows = signed_lookups(src), signed_lookups(dst)
-    assert len(built) == src.dim_center + dst.dim_center
+    assert src in built and dst in built
+    count = len(built)
     assert recheck_certificate(json.loads(json.dumps(cert.json_dict()))).ok
     assert signed_lookups(src) is src_rows and signed_lookups(dst) is dst_rows
-    assert len(built) == src.dim_center + dst.dim_center
+    assert len(built) == count == len(set(map(id, built)))
 
 
 # --- the lazy lookups against the entries ------------------------------------
@@ -393,6 +412,9 @@ def test_one_removed_entry_leaves_its_pairs_without_partners():
         outcomes = _j_outcomes(bad)
         assert outcomes[k - 1] == message
         assert [o for o in outcomes if isinstance(o, str)] == [message]
+        # the shared rows are refused at the first empty slot
+        with pytest.raises(IntegralBasisError, match=f"^{message}$"):
+            signed_lookups(bad)
     assert _j_outcomes(_with_entries(a, e[1:]))[0] == (4, 3, 2)
     big = base_algebra(4, 4)
     e = big.tensor.entries
@@ -411,6 +433,8 @@ def test_a_doubled_partner_is_reported_in_entries_order():
             False, conflicts[0], "a (center, vector) pair has several partners")
         assert _j_outcomes(bad) == [
             f"multiple partners for (k, a) pairs {conflicts}"] * 5
+        with pytest.raises(IntegralBasisError, match="multiple partners"):
+            signed_lookups(bad)
     big = base_algebra(4, 4)
     bad = _with_entries(big, big.tensor.entries + ((1, 16, 8, -1),))
     assert verify_integral_basis(bad).witness == (8, 1)
@@ -418,23 +442,30 @@ def test_a_doubled_partner_is_reported_in_entries_order():
         "multiple partners for (k, a) pairs ((8, 1), (8, 16))"
 
 
-def _ref_j_table(a: PseudoHTypeAlgebra) -> tuple:
-    """(images, signs, conflicts) from the loop that tested every entry
-    for a conflict while filling the table."""
+def per_entry_j_table(a: PseudoHTypeAlgebra) -> tuple:
+    """(rows, conflicts, missing) from the loop that tested every entry
+    for a conflict while filling the table: each row a list of 2n + 1
+    signed indices, written at b and at -b."""
     n, g, ez = a.dim_module, a.module_signs, a.center_sig.signs()
-    images = [[0] * n for _ in ez]
-    signs = [[0] * n for _ in ez]
+    rows = [[0] * (2 * n + 1) for _ in ez]
     conflicts = []
     for (p, q, k, s) in a.tensor.entries:
-        image, sign = images[k - 1], signs[k - 1]
-        e = ez[k - 1] * s
-        if image[p - 1]:
+        row, e = rows[k - 1], ez[k - 1] * s
+        if row[p]:
             conflicts.append((k, p))
-        if image[q - 1]:
+        if row[q]:
             conflicts.append((k, q))
-        image[p - 1], sign[p - 1] = q, e * g[q - 1]
-        image[q - 1], sign[q - 1] = p, -e * g[p - 1]
-    return tuple(map(tuple, images)), tuple(map(tuple, signs)), tuple(conflicts)
+        row[p] = e * g[q - 1] * q
+        row[q] = -e * g[p - 1] * p
+        row[-p], row[-q] = -row[p], -row[q]
+    missing = next(((k, b) for k, row in enumerate(rows, start=1)
+                    for b in range(1, n + 1) if not row[b]), None)
+    return rows, tuple(conflicts), missing
+
+
+def table_values(table) -> tuple:
+    """A _JTable as per_entry_j_table gives it, each row a list."""
+    return [row.tolist() for row in table.rows], table.conflicts, table.missing
 
 
 def test_a_doubled_and_an_empty_slot_at_the_full_entry_count():
@@ -446,9 +477,9 @@ def test_a_doubled_and_an_empty_slot_at_the_full_entry_count():
     bad = _with_entries(a, e[:10] + e[11:] + ((1, 8, 5, -1),))
     assert 2 * len(bad.tensor.entries) == bad.dim_module * bad.dim_center
     table = algebra._j_table(bad)
-    assert tuple(table) == _ref_j_table(bad)
-    assert table.conflicts == ((5, 1), (5, 8))
-    assert table.images[4][2] == table.images[4][6] == 0
+    assert table_values(table) == per_entry_j_table(bad)
+    assert table.conflicts == ((5, 1), (5, 8)) and table.missing == (5, 3)
+    assert table.rows[4][3] == table.rows[4][7] == 0
     assert verify_integral_basis(bad) == Verdict(
         False, (5, 1), "a (center, vector) pair has several partners")
     assert _j_outcomes(bad) == [
@@ -472,7 +503,45 @@ def test_j_table_equals_the_per_entry_loop(rs, data):
         bad = _with_entries(a, entries)
     except IntegralBasisError:
         return
-    assert tuple(algebra._j_table(bad)) == _ref_j_table(bad)
+    assert table_values(algebra._j_table(bad)) == per_entry_j_table(bad)
+
+
+def _removed_entry(rs, i):
+    a = _build_base(*rs)
+    e = a.tensor.entries
+    return _with_entries(a, e[:i] + e[i + 1:])
+
+
+ROW_ORACLE_ALGEBRAS = {
+    **{f"{rs}": lambda rs=rs: _build_base(*rs) for rs in BASE_IDS},
+    "sum": lambda: build_sum(_build_base(2, 3), 2, 1),
+    "parsed": lambda: algebra_from_json(algebra_json(
+        extend(_build_base(1, 1), ExtensionStep.BY_4_4))),
+    "empty-slots": lambda: _removed_entry((3, 2), 10),
+    "empty-slots-4-4": lambda: _removed_entry((4, 4), 32),
+    "doubled": lambda: _with_entries(
+        _build_base(3, 2), _build_base(3, 2).tensor.entries + ((1, 8, 5, -1),)),
+}
+
+
+@pytest.mark.parametrize("name", ROW_ORACLE_ALGEBRAS)
+def test_j_table_rows_equal_the_per_entry_rows(name):
+    a = ROW_ORACLE_ALGEBRAS[name]()
+    table = algebra._j_table(a)
+    assert all(type(row) is array and row.typecode == "i"
+               for row in table.rows)
+    assert table_values(table) == per_entry_j_table(a)
+    if not (table.conflicts or table.missing):
+        for op in j_operators(a):
+            assert _checked_copy(op) == op
+
+
+def test_verify_axioms_keeps_one_j_table_on_a_fresh_extension():
+    ext = extend(_build_base(3, 2), ExtensionStep.BY_4_4)
+    assert verify_axioms(ext).ok
+    assert _derived_on(ext) == ["_axioms", "_j_table"]
+    assert algebra.adjoint_rows(ext, basis_vector(1, ext.dim_module))
+    assert _derived_on(ext) == ["_axioms", "_j_table"]
 
 
 def _checked_copy(op: SignedPermutationOp) -> SignedPermutationOp:
@@ -520,14 +589,18 @@ def test_compose_inverse_and_negate_build_checked_ops(pair):
 
 
 def test_verifiers_and_sbg_derive_each_operator_once(derivations):
+    # Clifford, admissibility and the SBG decision read the J table's rows;
+    # verify_htype makes each operator from its row, once per call
     a = _build_base(3, 2)
     for _round in range(2):
         assert verify_clifford(a).ok
         assert verify_admissible(a).ok
         assert verify_htype(a).ok
         assert sbg_decision(a).kind == "SBG_NO"
-    assert sorted(k for _id, k in derivations) == list(range(1, a.dim_center + 1))
-    assert j_operators(a) is j_operators(a)
+    assert sorted(k for _id, k in derivations) == sorted(
+        [*range(1, a.dim_center + 1)] * 2)
+    assert _derived_on(a) == ["_j_table"]
+    assert j_operators(a) == j_operators(a)
     assert list(j_operators(a)) == [j_operator(a, k)
                                     for k in range(1, a.dim_center + 1)]
 

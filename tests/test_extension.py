@@ -7,6 +7,7 @@ import pytest
 import pseudoht.algebra as algebra
 from pseudoht.algebra import (
     BlockSets,
+    SignedPermutationOp,
     StructureTensor,
     block_decomposition,
     bracket,
@@ -29,6 +30,7 @@ from pseudoht.extension import (
     volume_involution,
 )
 from pseudoht.sums import build_sum
+from test_derived_tables import per_entry_j_table, table_values
 
 
 def test_step_parsing():
@@ -148,17 +150,21 @@ def _operator_route_tensor(parent, step):
 
 
 def _agrees_with_operator_construction(parent, step):
-    """extend's entries equal the operator route's, and its J operators,
-    made from the parent's and factor's rows before any entry is read,
-    equal those of the same algebra built on the checking constructor."""
+    """extend's entries equal the operator route's, its J table, made from
+    the parent's and factor's rows before any entry is read, equals the
+    per-entry table, and its J operators equal those of the same algebra
+    built on the checking constructor, and the checking op constructor's."""
     ext = extend(parent, step)
+    table = algebra._j_table(ext)
     ops = j_operators(ext)
     assert "entries" not in vars(ext.tensor)  # no entry read yet
     assert _operator_route_tensor(parent, step) == ext.tensor
+    assert table_values(table) == per_entry_j_table(ext)
     checked = dataclasses.replace(ext, tensor=StructureTensor(
         ext.dim_module, ext.dim_center, ext.tensor.entries))
     assert checked.tensor.entries == ext.tensor.entries
     assert j_operators(checked) == ops
+    assert [SignedPermutationOp(op.image, op.sign) for op in ops] == list(ops)
 
 
 # the first six are the ids this test has always had; private parents, so
@@ -221,6 +227,7 @@ def test_a_faulty_parent_table_gives_the_entries_witness(fault, step):
         a.dim_module, a.dim_center, entries))
     ext = extend(parent, step)
     got = verify_integral_basis(ext)
+    assert table_values(algebra._j_table(ext)) == per_entry_j_table(ext)
     checked = dataclasses.replace(ext, tensor=StructureTensor(
         ext.dim_module, ext.dim_center, ext.tensor.entries))
     assert got == verify_integral_basis(checked)

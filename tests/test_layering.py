@@ -4,7 +4,8 @@ The CLI is the top layer: no package module may import it, and none
 imports `random`: every answer is exact, not sampled.  Imports sit at
 module level, where the dependency graph between modules is visible, and
 name only public names: a module's underscored names are its own.  Indented
-JSON is written by one emitter, `jsonout`.
+JSON is written by one emitter, `jsonout`.  The J table's shared rows,
+`signed_lookups`, are read by `algebra` and `morphism` alone.
 """
 
 import ast
@@ -107,6 +108,22 @@ def test_only_jsonout_writes_indented_json():
             indented = any(kw.arg in ("indent", None) for kw in call.keywords)
             if name in ("dumps", "dump", "JSONEncoder") and indented:
                 offenders.append(f"{path.name}:{call.lineno} in {func}")
+    assert offenders == []
+
+
+def test_only_algebra_and_morphism_read_the_shared_j_rows():
+    offenders = []
+    for path in MODULES:
+        if path.name in ("algebra.py", "morphism.py"):
+            continue
+        for node in ast.walk(_parse(path)):
+            # a call, a reference or an import, aliased or not
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "signed_lookups" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 

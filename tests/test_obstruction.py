@@ -280,6 +280,14 @@ def _free_two_step(n_pos: int, n_neg: int) -> PseudoHTypeAlgebra:
         provenance=OpaqueProvenance({}))
 
 
+@pytest.mark.parametrize("alpha, beta", [(0, 3), (9, 3), (1, 16), (1, 17)])
+def test_two_point_rank_refuses_an_index_outside_the_module(alpha, beta):
+    # the J table's rows also hold the mirror half, t[-b] = -t[b], so an
+    # index past dim v would read it as a basis vector
+    with pytest.raises(IndexError, match="module index out of range"):
+        two_point_rank(base_algebra(3, 2), alpha, beta)
+
+
 def test_two_point_rank_and_scan_off_the_catalog():
     free = _free_two_step(5, 5)
     summed = build_sum(base_algebra(2, 3), 2, 1)

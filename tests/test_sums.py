@@ -166,6 +166,13 @@ def test_sum_json_survives_parse_and_reemit(rs, mu, nu):
     assert algebra_json(algebra_from_json(text)) == text
 
 
+@pytest.mark.parametrize("block", [2, -1, 5])
+def test_block_volume_element_refuses_a_block_out_of_range(block):
+    s = build_sum(base_algebra(2, 3), 1, 1)
+    with pytest.raises(ValueError, match=r"block .* not in 0\.\.1"):
+        block_volume_element(s, block)
+
+
 @pytest.mark.parametrize("call", [
     lambda a: block_volume_element(a, 0),
     swap_isomorphism,
