@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    derived_value,
     j_operators,
     verify_axioms,
     verify_general_htype,
@@ -27,6 +28,7 @@ from .catalog import (
 from .core import MapClass
 from .extension import ExtensionStep, extend, pair_index, standard_algebra
 from .morphism import (
+    CanonicalMap,
     canonical_map,
     classify_morphism,
     normalize_isomorphism,
@@ -178,26 +180,40 @@ def criterion_2_axioms() -> CriterionReport:
     return done()
 
 
+def _canonical_failures(cmap: CanonicalMap) -> tuple[str, ...]:
+    """Criterion 3's failure messages for one canonical map, with (r, s)
+    read from its source: the conjugation relation, then the integral
+    anti-isometric class, the block-class constraints off the definite
+    line, and C C^tau = -Id.  Kept on the map (_check_canonical)."""
+    r, s = cmap.src.r, cmap.src.s
+    f = cmap.to_morphism()
+    if not verify_conjugation(f).ok:
+        return (f"phi_({r},{s}) fails the conjugation relation",)
+    out = []
+    cls = classify_morphism(f)
+    if not cls.integral or cls.center_action is not MapClass.ANTI_ISOMETRY:
+        out.append(f"phi_({r},{s}) has class {cls}")
+    if r != 0 and s != 0:
+        ric = remark_isom_class_check(cmap)
+        if not ric.ok:
+            out.append(f"phi_({r},{s}) violates the block-class constraints: "
+                       f"{ric.detail}")
+    _g, ccsign = normalize_isomorphism(f)
+    if ccsign != -1:
+        out.append(f"phi_({r},{s}): C C^tau = {ccsign} Id, expected -1 Id")
+    return tuple(out)
+
+
 def _check_canonical(r: int, s: int, fail) -> None:
+    """Criterion 3 on phi_(r,s).  canonical_map returns one kept object per
+    shared source, and its outcome is kept on it, so a later run only looks
+    the map up; a new or replaced map is checked afresh."""
     cmap = canonical_map(r, s)
     if cmap is None:
         fail(f"no canonical isomorphism for ({r},{s})")
         return
-    f = cmap.to_morphism()
-    if not verify_conjugation(f).ok:
-        fail(f"phi_({r},{s}) fails the conjugation relation")
-        return
-    cls = classify_morphism(f)
-    if not cls.integral or cls.center_action is not MapClass.ANTI_ISOMETRY:
-        fail(f"phi_({r},{s}) has class {cls}")
-    if r != 0 and s != 0:
-        ric = remark_isom_class_check(cmap)
-        if not ric.ok:
-            fail(f"phi_({r},{s}) violates the block-class constraints: "
-                 f"{ric.detail}")
-    _g, ccsign = normalize_isomorphism(f)
-    if ccsign != -1:
-        fail(f"phi_({r},{s}): C C^tau = {ccsign} Id, expected -1 Id")
+    for msg in derived_value(cmap, "_canonical_failures", _canonical_failures):
+        fail(msg)
 
 
 def criterion_3_isomorphisms() -> CriterionReport:

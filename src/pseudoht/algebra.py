@@ -608,8 +608,9 @@ _UNSET = object()
 
 def derived_value(obj, name: str, build: Callable):
     """build(obj), computed once and kept on obj under name: a table or
-    verdict of an algebra, the recognized form of a matrix (None too), or
-    a canonical map kept on its source algebra.
+    verdict of an algebra, the recognized form of a matrix (None too), a
+    canonical map kept on its source algebra, or criterion 3's outcome
+    kept on a canonical map.
 
     The fields are never reassigned, so the value cannot go stale, and it
     is not a field, so ==, hash, repr and the JSON form never see it.  Two

@@ -137,28 +137,6 @@ class ExactMatrix:
         """Entry at row i, column j, both 1-based."""
         return self.entries[i - 1][j - 1]
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j - 1] for row in self.entries)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           tuple(zip(*self.entries)) if self.rows else ())
-
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        ot = tuple(zip(*other.entries))
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries)
-        return ExactMatrix(self.rows, other.cols, data)
-
-    def apply(self, x: Sequence[Rational]) -> Vector:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        xs = [exact(e) for e in x]
-        return tuple(sum(a * b for a, b in zip(row, xs)) for row in self.entries)
-
     def scale(self, c: Rational) -> "ExactMatrix":
         f = exact(c)
         return ExactMatrix(self.rows, self.cols,

@@ -225,16 +225,20 @@ def _flag(payload, key: str, default: Optional[bool] = None) -> bool:
 def _recheck_signatures(payload: Mapping) -> Verdict:
     """NOT_ISO_DIM and NOT_ISO_SIGNATURE: re-derive the answer from the two
     signatures and the anti flag (false where an older certificate has
-    none), and accept only the stated kind."""
+    none), and accept only the stated kind with the reason it gives."""
     src = _signature(payload, "src")
     dst = _signature(payload, "dst")
     anti_only = _flag(payload, "anti_isometric_center_only", False)
+    reason = _field(payload, "reason")
     settled = center_signature_obstruction(Signature(*src), Signature(*dst),
                                            anti_only)
     kind = payload["kind"]
     got = settled[0] if settled else "an open question"
     if got != kind:
         return Verdict(False, None, f"the signatures give {got}, not {kind}")
+    if reason != settled[1]:
+        return Verdict(False, None, f"the stated reason is not the one the "
+                                    f"signatures give: {settled[1]}")
     return Verdict(True)
 
 
@@ -242,11 +246,17 @@ def _recheck_parity(payload: Mapping) -> Verdict:
     """Re-derive the whole refutation: the pair is a parity question, the
     destination satisfies the axioms the Witt-index bound rests on, the
     recorded precondition is that bound and it holds, and the odd cycle
-    re-verifies on the source."""
+    re-verifies on the source.  The stated outcome must be the one a
+    refutation has: an infeasible system and a re-verified cycle."""
     src = _signature(payload, "src")
     dst = _signature(payload, "dst")
     anti_only = _flag(payload, "anti_isometric_center_only")
     parity = _field(payload, "parity")
+    if _field(parity, "feasible") is not False:
+        return Verdict(False, None, "a refutation states an infeasible "
+                                    "parity system")
+    if _field(payload, "cycle_reverified") is not True:
+        return Verdict(False, None, "a refutation states a re-verified cycle")
     cycle = [ParityConstraint(*_ints([_field(e, k) for k in ("a", "b", "rhs")],
                                      3, "a cycle edge"))
              for e in _list(parity, "cycle")]

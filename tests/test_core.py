@@ -24,6 +24,8 @@ from pseudoht.core import (
 from pseudoht.extension import standard_chain
 from pseudoht.morphism import canonical_map
 
+from matrix_ops import apply, mul, transpose
+
 rationals = st.builds(
     Fraction,
     st.integers(min_value=-40, max_value=40),
@@ -136,7 +138,7 @@ def test_rank_equals_rank_of_gram():
         cols = rng.randint(1, 6)
         m = ExactMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
-        mmT = m.mul(m.transpose())
+        mmT = mul(m, transpose(m))
         assert exact_rank(m.entries) == exact_rank(mmT.entries)
 
 
@@ -174,7 +176,7 @@ def test_det_multiplicative_on_random_int_matrices():
         n = rng.randint(1, 5)
         a = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         b = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        assert (exact_det(a.mul(b).entries)
+        assert (exact_det(mul(a, b).entries)
                 == exact_det(a.entries) * exact_det(b.entries))
 
 
@@ -183,7 +185,7 @@ def test_nullspace_basic():
     basis = nullspace(m.entries)
     assert len(basis) == 1
     v = basis[0]
-    assert m.apply(v) == (0, 0)
+    assert apply(m, v) == (0, 0)
 
 
 def test_nullspace_dimension_theorem():
@@ -200,7 +202,7 @@ def test_nullspace_dimension_theorem():
         assert len(basis) == cols - exact_rank(m.entries)
         for v in basis:
             assert all(type(e) is int for e in v)
-            assert all(e == 0 for e in m.apply(v))
+            assert all(e == 0 for e in apply(m, v))
 
 
 def test_classify_identity_is_isometry():

@@ -11,7 +11,10 @@ its recipe too, and its entries once read); its pair lookup bisects them,
 and the adjoint routines read the algebra's J table.  A matrix keeps
 its recognized signed-permutation form, so a morphism's dense center block
 is recognized once in certification and once in recheck; its module block
-is a signed permutation throughout and is never recognized.
+is a signed permutation throughout and is never recognized.  A kept
+canonical map keeps criterion 3's outcome the same way, so a later
+verify-paper relates none of its 22 maps again, and a replaced copy is
+checked afresh.
 
 base_algebra shares one object per catalog id in a process, so a test
 that counts derivations or corrupts an operator builds private algebras
@@ -52,10 +55,13 @@ from pseudoht.algebra import (
     verify_general_htype,
     verify_integral_basis,
 )
-from pseudoht.acceptance import run_all
+import pseudoht.acceptance as acceptance
+import pseudoht.morphism as morphism
+from pseudoht.acceptance import criterion_3_isomorphisms, run_all
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix, basis_vector
 from pseudoht.extension import ExtensionStep, extend, standard_algebra
+from pseudoht.morphism import canonical_map
 from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum
@@ -709,6 +715,11 @@ def test_a_second_verify_paper_verifies_no_shared_algebra(monkeypatch):
     inner_scan = algebra._check_general_at
     monkeypatch.setattr(algebra, "_check_general_at",
                         lambda a, v: scanned.append(a) or inner_scan(a, v))
+    related = []
+    inner_defect = morphism._signed_relation_defect
+    monkeypatch.setattr(morphism, "_signed_relation_defect",
+                        lambda f, a_op, c_op: related.append(f.src)
+                        or inner_defect(f, a_op, c_op))
     second = [rep.json_dict() for rep in run_all()]
     for report in first + second:
         del report["elapsed_s"]
@@ -719,6 +730,58 @@ def test_a_second_verify_paper_verifies_no_shared_algebra(monkeypatch):
         [(None, SumProvenance)]
     # criterion 8's four catalog algebras keep their general verdict
     assert scanned == []
+    # criterion 3's 22 maps keep their outcome; only criterion 7's six
+    # block swaps of new direct sums are related again
+    assert [(catalog.catalog_key(a), type(a.provenance)) for a in related] \
+        == [(None, SumProvenance)] * 6
+
+
+# --- the kept criterion-3 outcome --------------------------------------------
+
+def test_a_replaced_canonical_map_is_checked_afresh(monkeypatch):
+    kept = canonical_map(5, 4)
+    assert criterion_3_isomorphisms().passed
+    assert vars(kept)["_canonical_failures"] == ()
+    sign = (-kept.module.sign[0],) + kept.module.sign[1:]
+    bad = dataclasses.replace(kept, module=SignedPermutationOp(
+        kept.module.image, sign))
+    assert bad is not kept and "_canonical_failures" not in vars(bad)
+    shared = acceptance.canonical_map
+    monkeypatch.setattr(acceptance, "canonical_map", lambda r, s: (
+        bad if (r, s) == (5, 4) else shared(r, s)))
+    # the criterion asks for phi_(5,4) twice, as phi_(r+4,4) and on its own
+    for _ in range(2):  # the first run, and a later one that reads it back
+        rep = criterion_3_isomorphisms()
+        assert not rep.passed
+        assert rep.failures == ["phi_(5,4) fails the conjugation relation"] * 2
+    assert vars(bad)["_canonical_failures"] == tuple(rep.failures[:1])
+    monkeypatch.undo()
+    assert canonical_map(5, 4) is kept and criterion_3_isomorphisms().passed
+
+
+def test_a_map_that_fails_to_build_keeps_no_outcome(monkeypatch):
+    cmap = canonical_map(4, 0)
+    copy = dataclasses.replace(cmap)
+    monkeypatch.setattr(acceptance, "canonical_map", lambda r, s: copy)
+    monkeypatch.setattr(acceptance, "normalize_isomorphism",
+                        lambda f: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        criterion_3_isomorphisms()
+    assert "_canonical_failures" not in vars(copy)
+    monkeypatch.undo()
+    monkeypatch.setattr(acceptance, "canonical_map", lambda r, s: copy)
+    assert criterion_3_isomorphisms().passed
+    assert vars(copy)["_canonical_failures"] == ()
+
+
+def test_the_kept_outcome_is_not_a_field():
+    kept = canonical_map(1, 8)
+    criterion_3_isomorphisms()
+    assert vars(kept)["_canonical_failures"] == ()
+    fresh = dataclasses.replace(kept)
+    assert "_canonical_failures" not in vars(fresh)
+    assert kept == fresh and hash(kept) == hash(fresh)
+    assert repr(kept) == repr(fresh)
 
 
 @pytest.mark.parametrize("corrupt", [

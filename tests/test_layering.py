@@ -5,15 +5,19 @@ imports `random`: every answer is exact, not sampled.  Imports sit at
 module level, where the dependency graph between modules is visible, and
 name only public names: a module's underscored names are its own.  Indented
 JSON is written by one emitter, `jsonout`.  The J table's shared rows,
-`signed_lookups`, are read by `algebra` and `morphism` alone.
+`signed_lookups`, are read by `algebra` and `morphism` alone.  Each name
+a value is kept under by `derived_value` is written at one call site, so
+two kept values cannot share an attribute.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pseudoht
 import pseudoht.algebra
 import pseudoht.catalog
+import pseudoht.core
 import pseudoht.obstruction
 import pseudoht.sums
 
@@ -127,6 +131,27 @@ def test_only_algebra_and_morphism_read_the_shared_j_rows():
     assert offenders == []
 
 
+def test_each_kept_value_has_a_name_of_its_own():
+    sites = Counter()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else \
+                getattr(callee, "id", None)
+            if name != "derived_value":
+                continue
+            key = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "name"), None)
+            # a name computed at run time could repeat unseen
+            assert isinstance(key, ast.Constant) and \
+                isinstance(key.value, str), f"{path.name}:{node.lineno}"
+            sites[key.value] += 1
+    assert len(sites) >= 7  # the walk sees the package's kept values
+    assert [name for name, n in sites.items() if n != 1] == []
+
+
 def test_every_exported_name_resolves():
     assert [n for n in pseudoht.__all__ if not hasattr(pseudoht, n)] == []
 
@@ -145,6 +170,10 @@ def test_removed_public_names_stay_gone():
                (pseudoht.algebra, "algebra_to_json"),
                (pseudoht.algebra, "j_of_center_vector"),
                (pseudoht.algebra.SignedPermutationOp, "apply"),
+               (pseudoht.core.ExactMatrix, "mul"),
+               (pseudoht.core.ExactMatrix, "transpose"),
+               (pseudoht.core.ExactMatrix, "apply"),
+               (pseudoht.core.ExactMatrix, "column"),
                (layout, "barred"),
                (layout, "center_symbol")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []

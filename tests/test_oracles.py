@@ -21,6 +21,7 @@ from pseudoht.morphism import (
 from pseudoht.obstruction import check_pair, parity_certificate, parity_system, solve_parity
 from pseudoht.sums import build_sum, swap_isomorphism
 
+from matrix_ops import column
 from test_obstruction import printed_m32  # printed-matrix oracle
 
 
@@ -86,13 +87,13 @@ def dense(op):
 def pair_brackets(f, alpha, beta):
     """([A v_alpha, A v_beta], C [v_alpha, v_beta]) as {index: coefficient}
     center vectors with zeros dropped, read straight off the two tensors."""
-    def nonzero(column):
-        return [(i, e) for i, e in enumerate(column, start=1) if e]
+    def nonzero(entries):
+        return [(i, e) for i, e in enumerate(entries, start=1) if e]
 
     a = dense(f.A) if isinstance(f.A, SignedPermutationOp) else f.A
     lhs, rhs = {}, {}
-    for i, xi in nonzero(a.column(alpha)):
-        for j, xj in nonzero(a.column(beta)):
+    for i, xi in nonzero(column(a, alpha)):
+        for j, xj in nonzero(column(a, beta)):
             hit = f.dst.tensor.bracket_pair(i, j)
             if hit is not None:
                 k, s = hit
@@ -100,7 +101,7 @@ def pair_brackets(f, alpha, beta):
     hit = f.src.tensor.bracket_pair(alpha, beta)
     if hit is not None:
         k, s = hit
-        rhs = {i: s * c for i, c in nonzero(f.C.column(k))}
+        rhs = {i: s * c for i, c in nonzero(column(f.C, k))}
     return {k: c for k, c in lhs.items() if c}, rhs
 
 

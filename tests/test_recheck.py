@@ -117,6 +117,44 @@ def test_recheck_dimension_and_signature_certificates():
             assert not recheck_certificate(forged).ok, forged
 
 
+@pytest.mark.parametrize("args", [(3, 0, 0, 3), (2, 0, 1, 1), (3, 2, 3, 2, True)])
+def test_recheck_compares_the_stated_reason(args):
+    cert = check_pair(*args).json_dict()
+    assert recheck_certificate(cert).ok
+    for reason in ("forged", cert["reason"] + ".", "", None, [cert["reason"]]):
+        forged = dict(cert, reason=reason)
+        verdict = recheck_certificate(forged)
+        assert not verdict.ok and cert["reason"] in verdict.detail, reason
+    del cert["reason"]
+    assert not recheck_certificate(cert).ok
+
+
+@pytest.mark.parametrize("value", [False, None, 1, "true", [True]])
+def test_recheck_requires_the_cycle_to_be_stated_reverified(value):
+    cert = check_pair(3, 2, 2, 3).json_dict()
+    assert cert["cycle_reverified"] is True
+    cert["cycle_reverified"] = value
+    assert not recheck_certificate(cert).ok
+    del cert["cycle_reverified"]
+    assert not recheck_certificate(cert).ok
+
+
+@pytest.mark.parametrize("value", [True, None, 0, "false", [False]])
+def test_recheck_requires_the_parity_system_to_be_stated_infeasible(value):
+    cert = check_pair(3, 2, 2, 3).json_dict()
+    assert cert["parity"]["feasible"] is False
+    cert["parity"]["feasible"] = value
+    assert not recheck_certificate(cert).ok
+    del cert["parity"]["feasible"]
+    assert not recheck_certificate(cert).ok
+
+
+def test_the_reduction_steps_are_informative():
+    cert = check_pair(3, 2, 2, 3).json_dict()
+    cert["steps"] = ["any text"]
+    assert recheck_certificate(cert).ok
+
+
 def _anti_questions():
     """(r, s) with r + s <= 12 where n_(r,s) and n_(s,r) are constructible."""
     return [(r, n - r) for n in range(1, 13) for r in range(n + 1)
