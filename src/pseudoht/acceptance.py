@@ -8,9 +8,11 @@ which regenerates its cells from the structure tensor.
 
 from __future__ import annotations
 
+import functools
+import re
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import Optional
 
 from .algebra import (
     derived_value,
@@ -102,8 +104,10 @@ u8   u7   -u5  u6   u3   -u4  -u2  -u1
 """
 
 
+@functools.cache
 def _expected_table_md(table_id) -> str:
-    """Markdown assembled straight from the stored transcription text."""
+    """Markdown assembled straight from the stored transcription text, once
+    per process: the text and the labels are constant catalog data."""
     lay = table_layout(table_id)
     a = base_algebra(*table_id)
     order = lay.display_order
@@ -301,6 +305,17 @@ def criterion_5_surjectivity() -> CriterionReport:
     return done()
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integers(strings) -> Optional[list[int]]:
+    """A witness written by sbg_decision, read back as the integers it
+    holds; None when an entry is not an integer string."""
+    if not all(isinstance(e, str) and _INTEGER.fullmatch(e) for e in strings):
+        return None
+    return [int(e) for e in strings]
+
+
 def criterion_6_sbg() -> CriterionReport:
     rep, fail, done = _report(6, "strongly-bracket-generating")
     for rs in ((1, 0), (2, 0), (4, 0), (8, 0), (0, 1), (0, 2), (0, 4), (0, 8)):
@@ -315,9 +330,9 @@ def criterion_6_sbg() -> CriterionReport:
         if cert.kind != "SBG_NO":
             fail(f"n_{rs}: expected SBG_NO, got {cert.kind}")
             continue
-        z0 = [Fraction(e) for e in cert.payload["z0"]]
-        v = [Fraction(e) for e in cert.payload["witness_v"]]
-        if not verify_sbg_no_witness(a, z0, v).ok:
+        z0 = _integers(cert.payload["z0"])
+        v = _integers(cert.payload["witness_v"])
+        if z0 is None or v is None or not verify_sbg_no_witness(a, z0, v).ok:
             fail(f"n_{rs}: SBG_NO witness does not re-verify")
     rep.checks += 1
     cert = sum_sbg(build_sum(base_algebra(2, 3), 2, 1))

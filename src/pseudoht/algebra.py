@@ -809,10 +809,10 @@ def verify_axioms(a: PseudoHTypeAlgebra) -> Verdict:
     """The first failure of the four axiom checks, named, or Verdict(True).
 
     Computed once per algebra and kept on it, since it depends on the
-    frozen fields alone: a shared catalog algebra is checked once per
-    process.  A copy made by dataclasses.replace, a parsed or summed
-    algebra, or a private _build_base is a new object and is checked
-    afresh.
+    frozen fields alone: a shared catalog algebra, or a direct sum of a
+    shared base, is checked once per process.  A copy made by
+    dataclasses.replace, a parsed algebra, a sum of any other base, or a
+    private _build_base is a new object and is checked afresh.
     """
     return derived_value(a, "_axioms", _first_axiom_failure)
 

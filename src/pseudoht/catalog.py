@@ -434,16 +434,18 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
 # --- the algebra cache -------------------------------------------------------
 
 # How a catalog-rooted algebra was built: its base table id, then the
-# extension steps ("8,0", "0,8" or "4,4") applied to it in order.
+# steps applied to it in order, each an extension step ("8,0", "0,8" or
+# "4,4") or a direct sum of mu + nu copies ("sum mu,nu").
 CatalogKey = tuple[BaseTableId, tuple[str, ...]]
 
 # Total module dimension the per-process algebra cache holds.  An algebra
 # above an eighth of it is built but never kept, so that one large request
 # cannot flush the small algebras that the requests around it share.  The
 # algebras verify-paper's axiom suite checks add up to 6,000 (the 14 bases,
-# 112; their 42 single steps, 5,376; n_(9,8), 512), so 8,192 keeps all of
-# them with their tables and axiom verdicts, and its cap of 1,024 admits
-# the dim-512 algebras of the ISO questions n_(9,8) <-> n_(8,9).
+# 112; their 42 single steps, 5,376; n_(9,8), 512) and the ten direct sums
+# of criteria 6 and 7 to 100 more, so 8,192 keeps all of them with their
+# tables and axiom verdicts, and its cap of 1,024 admits the dim-512
+# algebras of the ISO questions n_(9,8) <-> n_(8,9).
 ALGEBRA_CACHE_DIM = 8192
 
 
@@ -454,9 +456,10 @@ class AlgebraCache:
     A key names how an algebra was built, never what it records: provenance
     records compare through every parent algebra, and the aligned (0,8)
     factor carries BaseProvenance(0, 8) without being base_algebra(0, 8).
-    An algebra not built under a key (parsed, summed, or made by hand) has
-    no key and is never stored.  Sharing is safe because algebras are
-    frozen and each derived table is set once from the fields.
+    An algebra not built under a key (parsed, made by hand, or summed or
+    extended from such an algebra) has no key and is never stored.
+    Sharing is safe because algebras are frozen and each derived table is
+    set once from the fields.
     """
 
     def __init__(self, budget: int = ALGEBRA_CACHE_DIM):

@@ -220,10 +220,24 @@ def _bareiss(rows: Sequence[Sequence[int]], jordan: bool = False
     return m, pivots, sign
 
 
+def _support(rows: Sequence[Sequence[Rational]]) -> Optional[list[int]]:
+    """The columns with a nonzero entry, or None when every column has one.
+
+    A zero column holds no pivot, stays zero under elimination and adds
+    nothing to a scalar product, so neither the rank nor M M^T sees it.
+    """
+    keep = [j for j, column in enumerate(zip(*rows)) if any(column)]
+    return None if rows and len(keep) == len(rows[0]) else keep
+
+
 def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Rank over the rationals of a matrix given as rows of ints or
-    Fractions."""
-    return len(_bareiss(_int_rows(rows)[0])[1])
+    Fractions, eliminated on its nonzero columns."""
+    int_rows = _int_rows(rows)[0]
+    keep = _support(int_rows)
+    if keep is not None:
+        int_rows = [[row[j] for j in keep] for row in int_rows]
+    return len(_bareiss(int_rows)[1])
 
 
 def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
@@ -269,11 +283,16 @@ def gram_matrix(vectors: Sequence[Sequence[Rational]],
     """Rows of the pairwise scalar products of vectors of ints or Fractions.
 
     The matrix is symmetric: its upper triangle is filled from the vectors
-    and their metric-signed copies, and mirrored.
+    and their metric-signed copies, and mirrored.  The products run over
+    the columns where some vector is nonzero.
     """
     signs = metric_signs(metric)
     if any(len(v) != len(signs) for v in vectors):
         raise ValueError(f"vectors must have the metric's length {len(signs)}")
+    keep = _support(vectors)
+    if keep is not None:
+        vectors = [[v[j] for j in keep] for v in vectors]
+        signs = [signs[j] for j in keep]
     signed = ([[s * e for s, e in zip(signs, v)] for v in vectors]
               if -1 in signs else vectors)
     n = len(vectors)

@@ -22,7 +22,7 @@ from .algebra import (
     verify_axioms,
 )
 from .catalog import MAX_CENTER_DIM, base_algebra, min_module_dim
-from .core import ExactMatrix, Signature, exact_rank
+from .core import ExactMatrix, Rational, Signature, exact_rank
 from .extension import (
     ExtensionStep,
     extension_chain,
@@ -83,10 +83,12 @@ def _list(payload, key: str) -> list:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _parse_rational(e, key: str) -> Fraction:
-    if isinstance(e, str) and _RATIONAL.fullmatch(e):
+def _parse_rational(e, key: str) -> Rational:
+    """An integer string as an int, and a Fraction only for a string with
+    a denominator."""
+    if isinstance(e, str) and (m := _RATIONAL.fullmatch(e)):
         try:
-            return Fraction(e)
+            return Fraction(e) if m[1] else int(e)
         except (ValueError, ZeroDivisionError):  # "1/0", too many digits
             pass
     raise _Malformed(f"{key} must hold rational numbers")

@@ -1,13 +1,15 @@
 """The per-process algebra cache: which algebras it shares, and its bounds.
 
-base_algebra, extend on a shared parent, and so extension_chain,
-standard_algebra, the canonical maps and rebuild_from_provenance, share
-one object per catalog key (base table id plus extension steps).  Every
+base_algebra, extend on a shared parent, build_sum on a shared base, and
+so extension_chain, standard_algebra, the canonical maps and
+rebuild_from_provenance, share one object per catalog key (base table id
+plus extension or sum steps).  Every
 shared algebra must print exactly as a private build of the same chain,
 certificates must not depend on what the cache holds, and the cache must
 stay inside its module-dimension budget, also under threads.
 """
 
+import dataclasses
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +21,7 @@ from pseudoht.algebra import algebra_from_json, algebra_json, verify_axioms
 from pseudoht.catalog import (
     ALGEBRA_CACHE_DIM,
     BASE_IDS,
+    MAX_MODULE_DIM,
     AlgebraCache,
     aligned_factor_0_8,
     base_algebra,
@@ -34,7 +37,7 @@ from pseudoht.extension import (
 from pseudoht.jsonout import dumps
 from pseudoht.obstruction import check_pair
 from pseudoht.recheck import recheck_certificate
-from pseudoht.sums import build_sum
+from pseudoht.sums import build_sum, sum_sbg, swap_isomorphism
 
 
 def _private_chain(base, steps):
@@ -90,18 +93,98 @@ def test_the_aligned_factor_never_shares_the_0_8_entry(cache):
         assert algebra_json(from_aligned) != algebra_json(from_plain)
 
 
-def test_parsed_and_summed_algebras_are_never_stored(cache):
+def test_parsed_algebras_and_sums_of_unshared_bases_are_never_stored(cache):
     shared = base_algebra(1, 0)
     parsed = algebra_from_json(algebra_json(shared))
-    summed = build_sum(base_algebra(0, 1), 1, 1)
-    built = [parsed, summed,
+    replaced = dataclasses.replace(base_algebra(0, 1))
+    built = [parsed,
              extend(parsed, ExtensionStep.BY_8_0),
-             extend(summed, ExtensionStep.BY_8_0)]
-    assert built[2].tensor == extend(shared, ExtensionStep.BY_8_0).tensor
+             build_sum(parsed, 2, 0),
+             build_sum(replaced, 1, 1),
+             extend(build_sum(replaced, 1, 1), ExtensionStep.BY_8_0)]
+    assert built[1].tensor == extend(shared, ExtensionStep.BY_8_0).tensor
     for a in built:
         assert catalog_key(a) is None
         assert all(a is not kept for kept in cache._algebras.values())
+    # a sum of the shared base is stored under its own key, and so is its
+    # extension; each prints as the sum of the unshared copy
+    summed = build_sum(base_algebra(0, 1), 1, 1)
+    assert catalog_key(summed) == ((0, 1), ("sum 1,1",))
+    assert catalog_key(extend(summed, ExtensionStep.BY_8_0)) == \
+        ((0, 1), ("sum 1,1", "8,0"))
+    assert algebra_json(summed) == algebra_json(build_sum(replaced, 1, 1))
     _check_bounds(cache)
+
+
+# every (mu, nu) build_sum accepts on a base, up to three blocks of a type
+def _sum_counts(base):
+    two_types = (base[0] - base[1]) % 4 == 3
+    return [(mu, nu) for mu in range(4) for nu in range(4 if two_types else 1)
+            if mu + nu]
+
+
+def test_a_sum_of_a_shared_base_is_one_object_per_counts(cache):
+    for base in BASE_IDS:
+        for mu, nu in _sum_counts(base):
+            a = build_sum(base_algebra(*base), mu, nu)
+            assert build_sum(base_algebra(*base), mu, nu) is a
+            assert catalog_key(a) == (base, (f"sum {mu},{nu}",))
+    # the block swap's target is the kept sum with the counts swapped
+    swap = swap_isomorphism(build_sum(base_algebra(2, 3), 2, 1))
+    assert swap.dst is build_sum(base_algebra(2, 3), 1, 2)
+    _check_bounds(cache)
+
+
+def test_no_sum_key_is_an_extension_chain_key(cache):
+    sums = {catalog_key(build_sum(base_algebra(*base), mu, nu))
+            for base in BASE_IDS for mu, nu in _sum_counts(base)}
+    chains = {(base, tuple(step.value for step in steps))
+              for base, steps in _chains()}
+    assert len(sums) == sum(len(_sum_counts(base)) for base in BASE_IDS)
+    assert sums.isdisjoint(chains)
+
+
+def test_the_cache_stays_within_its_bounds_with_sums_stored(monkeypatch):
+    # a cap of 32 turns the largest sums away, and the admitted ones add
+    # up to more than the budget of 128, so the cache evicts
+    small = AlgebraCache(budget=128)
+    small.cap = 32
+    monkeypatch.setattr(catalog, "_CACHE", small)
+    admitted = 0
+    for base in BASE_IDS:
+        for mu, nu in _sum_counts(base):
+            a = build_sum(base_algebra(*base), mu, nu)
+            assert (catalog_key(a) is None) == (a.dim_module > small.cap)
+            admitted += a.dim_module if a.dim_module <= small.cap else 0
+            _check_bounds(small)
+    assert admitted > small.budget
+
+
+@pytest.mark.parametrize("base, mu, nu", [
+    ((2, 3), 0, 0), ((2, 3), -1, 2), ((2, 0), 1, 1),
+    ((0, 1), MAX_MODULE_DIM, 1)])
+def test_refused_counts_raise_before_any_lookup(cache, monkeypatch, base,
+                                                mu, nu):
+    shared = base_algebra(*base)
+    lookups = []
+    for name in ("get", "key_of"):
+        monkeypatch.setattr(cache, name, lambda *args: lookups.append(args))
+    with pytest.raises(ValueError):
+        build_sum(shared, mu, nu)
+    assert lookups == []
+
+
+def test_a_sum_certificate_rechecks_the_same_cold_and_warm(monkeypatch):
+    def certify_and_recheck():
+        text = dumps(sum_sbg(build_sum(base_algebra(2, 3), 2, 1)).json_dict())
+        return text, recheck_certificate(json.loads(text))
+
+    monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
+    cold = certify_and_recheck()
+    monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
+    certify_and_recheck()
+    assert certify_and_recheck() == cold
+    assert cold[1].ok and json.loads(cold[0])["kind"] == "SBG_NO"
 
 
 def _chains():

@@ -5,9 +5,10 @@ imports `random`: every answer is exact, not sampled.  Imports sit at
 module level, where the dependency graph between modules is visible, and
 name only public names: a module's underscored names are its own.  Indented
 JSON is written by one emitter, `jsonout`.  The J table's shared rows,
-`signed_lookups`, are read by `algebra` and `morphism` alone.  Each name
-a value is kept under by `derived_value` is written at one call site, so
-two kept values cannot share an attribute.
+`signed_lookups`, are read by `algebra` and `morphism` alone.
+`acceptance` imports nothing from `fractions`: its criteria read
+integers.  Each name a value is kept under by `derived_value` is written
+at one call site, so two kept values cannot share an attribute.
 """
 
 import ast
@@ -15,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 import pseudoht
+import pseudoht.acceptance
 import pseudoht.algebra
 import pseudoht.catalog
 import pseudoht.core
@@ -86,6 +88,15 @@ def test_no_module_imports_a_private_name():
                         offenders.append(f"{path.name}:{node.lineno} "
                                          f"{alias.name}")
     assert offenders == []
+
+
+def test_acceptance_imports_nothing_from_fractions():
+    # the criteria read certificates and matrices on their integers
+    path = Path(pseudoht.acceptance.__file__)
+    names = [name for node in ast.walk(_parse(path))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in _imported_modules(node)]
+    assert names and [n for n in names if n.split(".")[0] == "fractions"] == []
 
 
 def _calls_by_function(node, func=None):

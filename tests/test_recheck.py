@@ -12,6 +12,7 @@ from pseudoht.algebra import BaseProvenance, Verdict
 from pseudoht.catalog import base_algebra
 from pseudoht.cli import check_pair, main
 from pseudoht.core import exact_rank
+from pseudoht.extension import standard_algebra
 from pseudoht.obstruction import sbg_decision
 from pseudoht.recheck import rebuild_from_provenance, recheck_certificate
 from pseudoht.morphism import morphism_to_dict
@@ -224,6 +225,29 @@ def test_recheck_reads_the_rationals_str_fraction_writes():
     for key in ("z0", "witness_v"):
         cert[key] = [str(-Fraction(int(e), 2)) for e in cert[key]]
     assert "-1/2" in cert["z0"]
+    assert recheck_certificate(cert).ok
+
+
+def test_recheck_reads_integer_strings_as_ints():
+    ints = recheck._rational_list(["1", "-1", "0"], "z0")
+    assert ints == [1, -1, 0] and {type(e) for e in ints} == {int}
+    half = recheck._rational_list(["2/4"], "z0")
+    assert half == [Fraction(1, 2)] and type(half[0]) is Fraction
+
+
+@pytest.mark.parametrize("entry", ["1/0", "1" * 5000, "1/" + "1" * 5000])
+def test_recheck_refuses_a_witness_entry_no_number_reads(entry):
+    cert = sbg_decision(base_algebra(1, 1)).json_dict()
+    cert["witness_v"][0] = entry
+    verdict = recheck_certificate(cert)
+    assert verdict.ok is False and "malformed" in verdict.detail
+
+
+def test_an_integer_witness_rechecks_without_fractions(monkeypatch):
+    cert = sbg_decision(standard_algebra(9, 8)).json_dict()
+    assert len(cert["z0"]) + len(cert["witness_v"]) == 529
+    monkeypatch.setattr(recheck, "Fraction", lambda e: pytest.fail(
+        f"Fraction({e!r}) ran"))
     assert recheck_certificate(cert).ok
 
 
