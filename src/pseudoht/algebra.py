@@ -624,29 +624,6 @@ def derived_value(obj, name: str, build: Callable):
     return value
 
 
-def apply_j_operators(ops: Mapping[int, SignedPermutationOp],
-                      z: Mapping[int, Rational],
-                      x: Mapping[int, Rational]) -> dict[int, Rational]:
-    """J_Z x for sparse {index: coefficient} vectors, zero entries dropped,
-    with the operators given: ops[k] is J_{Z_k}.
-
-    A caller that applies the J operators of two algebras side by side,
-    as the conjugation check does, passes each one's j_operators() here.
-    """
-    out: dict[int, Rational] = {}
-    for k, zk in z.items():
-        op = ops[k]
-        image, sign = op.image, op.sign
-        for alpha, xa in x.items():
-            beta = image[alpha - 1]
-            c = out.get(beta, 0) + zk * xa * sign[alpha - 1]
-            if c:
-                out[beta] = c
-            else:
-                out.pop(beta, None)
-    return out
-
-
 def verify_integral_basis(a: PseudoHTypeAlgebra) -> Verdict:
     """Antisymmetry, +-1 entries, and the exactly-one-partner property."""
     table = _j_table(a)
@@ -667,14 +644,9 @@ def signed_row(signed: Sequence[int]) -> list[int]:
     return [0, *signed, *map(operator.neg, reversed(signed))]
 
 
-def signed_lookup(op: SignedPermutationOp) -> list[int]:
-    """op in signed_row form: t[b] = sign[b] * image[b]."""
-    return signed_row(list(map(operator.mul, op.sign, op.image)))
-
-
 def signed_lookups(a: PseudoHTypeAlgebra) -> tuple[array, ...]:
-    """The rows of the algebra's J table, J_{Z_k} as signed_lookup's
-    values, or IntegralBasisError when a (k, a) has two partners or none.
+    """The rows of the algebra's J table, J_{Z_k} in signed_row form, or
+    IntegralBasisError when a (k, a) has two partners or none.
 
     The rows are shared by every user of the algebra, a catalog algebra
     across the process: internal to the package, read by algebra and

@@ -22,6 +22,7 @@ from .catalog import (
     UnsupportedSignatureError,
     base_algebra,
     catalog_key,
+    min_module_dim,
     require_module_budget,
     shared_algebra,
 )
@@ -36,8 +37,8 @@ from .obstruction import (
 
 
 def require_sum_counts(base: PseudoHTypeAlgebra, mu: int, nu: int) -> None:
-    """Raise ValueError unless build_sum(base, mu, nu) is a valid sum within
-    the module budget; builds nothing."""
+    """Raise ValueError unless build_sum(base, mu, nu) is a valid sum of a
+    minimal base module within the module budget; builds nothing."""
     r, s = base.r, base.s
     if (r, s) not in BASE_IDS:
         raise UnsupportedSignatureError(r, s, what="direct-sum base")
@@ -47,6 +48,10 @@ def require_sum_counts(base: PseudoHTypeAlgebra, mu: int, nu: int) -> None:
         raise ValueError(
             f"two non-equivalent module types require r - s = 3 mod 4; "
             f"got ({r},{s})")
+    minimal = min_module_dim(r, s)
+    if base.dim_module != minimal:
+        raise ValueError(f"a direct-sum base needs the minimal module of "
+                         f"({r},{s}), dim {minimal}; got dim {base.dim_module}")
     require_module_budget(base.dim_module * (mu + nu))
 
 

@@ -25,7 +25,6 @@ from pseudoht.algebra import (
     center_pairing,
     j_operator,
     signed_incidence_rank,
-    signed_lookup,
     two_coloring,
     verify_admissible,
     verify_clifford,
@@ -37,6 +36,8 @@ from pseudoht.algebra import _check_general_at
 from pseudoht.catalog import BASE_IDS, base_algebra
 from pseudoht.core import ExactMatrix, Signature, basis_vector, exact_rank, scalar_product
 from pseudoht.obstruction import adjoint_rank, gram_det
+
+from test_derived_tables import signed_lookup  # J table row reference
 
 small_ints = st.integers(min_value=-4, max_value=4)
 

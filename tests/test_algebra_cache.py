@@ -174,6 +174,21 @@ def test_refused_counts_raise_before_any_lookup(cache, monkeypatch, base,
     assert lookups == []
 
 
+def test_a_sum_of_a_sum_is_refused_before_any_lookup(cache, monkeypatch):
+    # a sum's SumProvenance names a sum of the minimal base: the nested
+    # sum's (0, 1, 1, 1) would rebuild to dim 4, not the dim 8 built
+    inner = build_sum(base_algebra(0, 1), 1, 1)
+    lookups = []
+    for name in ("get", "key_of"):
+        monkeypatch.setattr(cache, name, lambda *args: lookups.append(args))
+    with pytest.raises(ValueError, match=r"minimal module of \(0,1\), dim 2; "
+                                         r"got dim 4"):
+        build_sum(inner, 1, 1)
+    with pytest.raises(ValueError, match="positive number of blocks"):
+        build_sum(inner, 0, 0)
+    assert lookups == []
+
+
 def test_a_sum_certificate_rechecks_the_same_cold_and_warm(monkeypatch):
     def certify_and_recheck():
         text = dumps(sum_sbg(build_sum(base_algebra(2, 3), 2, 1)).json_dict())

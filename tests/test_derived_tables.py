@@ -46,8 +46,8 @@ from pseudoht.algebra import (
     algebra_to_dict,
     j_operator,
     j_operators,
-    signed_lookup,
     signed_lookups,
+    signed_row,
     verify_admissible,
     verify_axioms,
     verify_clifford,
@@ -446,6 +446,12 @@ def test_a_doubled_partner_is_reported_in_entries_order():
     assert verify_integral_basis(bad).witness == (8, 1)
     assert _j_outcomes(bad)[0] == \
         "multiple partners for (k, a) pairs ((8, 1), (8, 16))"
+
+
+def signed_lookup(op: SignedPermutationOp) -> list[int]:
+    """op in signed_row form, t[b] = sign[b] * image[b], read from the op:
+    the reference for the rows of a J table."""
+    return signed_row([s * b for b, s in zip(op.image, op.sign)])
 
 
 def per_entry_j_table(a: PseudoHTypeAlgebra) -> tuple:

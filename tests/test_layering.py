@@ -180,6 +180,8 @@ def test_removed_public_names_stay_gone():
                (pseudoht.obstruction, "AdjointMatrix"),
                (pseudoht.algebra, "algebra_to_json"),
                (pseudoht.algebra, "j_of_center_vector"),
+               (pseudoht.algebra, "apply_j_operators"),
+               (pseudoht.algebra, "signed_lookup"),
                (pseudoht.algebra.SignedPermutationOp, "apply"),
                (pseudoht.core.ExactMatrix, "mul"),
                (pseudoht.core.ExactMatrix, "transpose"),

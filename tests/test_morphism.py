@@ -184,6 +184,22 @@ def test_conjugation_fails_for_wrong_center_block():
     assert not verify_conjugation(bad).ok
 
 
+def test_the_general_path_never_densifies_a_signed_block(monkeypatch):
+    # a rescaled C sends phi_(9,8) (module dim 512) down the general path,
+    # which reads the signed A from its image and signs and J from the J
+    # table rows, so no block is made a dense matrix
+    f = canonical_isomorphism(9, 8)
+    scaled = LieMorphism(f.src, f.dst, f.A, f.C.scale(2))
+
+    def refuse(*args):
+        raise AssertionError("a block was densified")
+
+    monkeypatch.setattr(SignedPermutationOp, "matrix", refuse)
+    monkeypatch.setattr(ExactMatrix, "from_rows", refuse)
+    assert verify_conjugation(scaled).witness == (1, 1)
+    assert morphism._sparse_relation_defect(scaled) == (1, 1, 257)
+
+
 def test_center_signature_obstruction_cases():
     assert center_signature_obstruction(Signature(2, 0), Signature(1, 1))[0] \
         == "NOT_ISO_SIGNATURE"

@@ -1,9 +1,10 @@
 """Cross-checks that run through independently transcribed data paths."""
 
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pseudoht.morphism as morphism
@@ -134,7 +135,10 @@ ORACLE_FAMILY = [(2, 0), (4, 0), (8, 0), (9, 0), (10, 0), (1, 8), (8, 1),
 
 
 @st.composite
-def mutated_maps(draw):
+def mutated_maps(draw, dense_a=False):
+    """A canonical map with signs flipped and images swapped in A and C
+    scaled by c; with dense_a, A may also be drawn as its dense matrix
+    times q, and C is then scaled by c q^2 (c = 1 keeps the relation)."""
     cmap = canonical_map(*draw(st.sampled_from(ORACLE_FAMILY)))
     n = cmap.src.dim_module
     index = st.integers(0, n - 1)
@@ -146,11 +150,22 @@ def mutated_maps(draw):
         image[i], image[j] = image[j], image[i]
     f = replace(cmap, module=SignedPermutationOp(
         tuple(image), tuple(sign))).to_morphism()
-    return LieMorphism(f.src, f.dst, f.A,
-                       f.C.scale(draw(st.sampled_from((1, 1, -1, 2)))))
+    c = draw(st.sampled_from((1, 1, -1, 2)))
+    if dense_a and draw(st.booleans()):
+        q = draw(st.sampled_from((2, 3, Fraction(1, 2))))
+        return LieMorphism(f.src, f.dst, f.A.matrix().scale(q),
+                           f.C.scale(c * q * q))
+    return LieMorphism(f.src, f.dst, f.A, f.C.scale(c))
 
 
-@given(mutated_maps())
+def _dense_scaled(rs, q):
+    """phi_rs with its module block dense and scaled by q, C by q^2."""
+    f = canonical_isomorphism(*rs)
+    return LieMorphism(f.src, f.dst, f.A.matrix().scale(q), f.C.scale(q * q))
+
+
+@given(mutated_maps(dense_a=True))
+@example(_dense_scaled((5, 4), 3))
 @settings(max_examples=40, deadline=None)
 def test_one_relation_agrees_with_the_pairwise_reference(f):
     hom, con = verify_homomorphism(f), verify_conjugation(f)
