@@ -375,7 +375,7 @@ def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:
     (1, 0)."""
     if type(r) is not int or type(s) is not int or (r, s) not in _CATALOG_SPECS:
         raise UnsupportedSignatureError(r, s)
-    return shared_algebra(((r, s), ()), lambda: _build_base(r, s))
+    return _CACHE.get(((r, s), ()), lambda: _build_base(r, s))
 
 
 def _build_base(r: int, s: int) -> PseudoHTypeAlgebra:
@@ -509,10 +509,16 @@ class AlgebraCache:
 _CACHE = AlgebraCache()
 
 
-def shared_algebra(key: CatalogKey,
-                   build: Callable[[], PseudoHTypeAlgebra]) -> PseudoHTypeAlgebra:
-    """The process's algebra for a catalog key; see AlgebraCache.get."""
-    return _CACHE.get(key, build)
+def shared_step(parent: PseudoHTypeAlgebra, step: str,
+                build: Callable[[], PseudoHTypeAlgebra]) -> PseudoHTypeAlgebra:
+    """build(), the algebra made from parent by step: shared under the
+    parent's catalog key plus step when the parent is stored (see
+    AlgebraCache.get), and built anew for any other parent."""
+    key = _CACHE.key_of(parent)
+    if key is None:
+        return build()
+    base, steps = key
+    return _CACHE.get((base, steps + (step,)), build)
 
 
 def catalog_key(a: PseudoHTypeAlgebra) -> Optional[CatalogKey]:

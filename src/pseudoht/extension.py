@@ -32,10 +32,9 @@ from .catalog import (
     UnsupportedSignatureError,
     aligned_factor_0_8,
     base_algebra,
-    catalog_key,
     require_center_budget,
     require_module_budget,
-    shared_algebra,
+    shared_step,
 )
 from .core import Signature
 
@@ -112,12 +111,7 @@ def extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     The extension of a shared catalog algebra is shared too, under its
     parent's catalog key plus the step; any other parent gets a new one.
     """
-    key = catalog_key(a)
-    if key is None:
-        return _extend(a, step)
-    base, steps = key
-    return shared_algebra((base, steps + (step.value,)),
-                          lambda: _extend(a, step))
+    return shared_step(a, step.value, lambda: _extend(a, step))
 
 
 def _extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:

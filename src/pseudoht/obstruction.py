@@ -23,7 +23,7 @@ from .algebra import (
     center_pairing,
     two_coloring,
     two_point_rank,
-    verify_clifford,
+    verify_axioms,
 )
 from .core import (
     Rational,
@@ -229,19 +229,20 @@ def check_pair(r1: int, s1: int, r2: int, s2: int,
 def sbg_decision(a: PseudoHTypeAlgebra) -> Certificate:
     """Decide the strongly-bracket-generating property with a proof.
 
-    Definite center: once verify_clifford passes, J_Z^2 = -<Z,Z> Id with
-    <Z,Z> != 0 for Z != 0, so ad_v^tau Z = J_Z v vanishes only at Z = 0 and
-    every ad_v with v != 0 is onto; an algebra failing the relations raises
-    ValueError.  Indefinite center: the null direction Z_0 = Z_1 + Z_{r+1}
-    gives J_{Z_0}^2 = 0, and any nonzero v in its image has image(ad_v)
-    inside the orthogonal complement of Z_0.
+    Definite center: the algebra's kept verify_axioms verdict includes
+    verify_clifford, so J_Z^2 = -<Z,Z> Id with <Z,Z> != 0 for Z != 0, and
+    ad_v^tau Z = J_Z v vanishes only at Z = 0: every ad_v with v != 0 is
+    onto.  An algebra failing an axiom raises ValueError.  Indefinite
+    center: the null direction Z_0 = Z_1 + Z_{r+1} gives J_{Z_0}^2 = 0, and
+    any nonzero v in its image has image(ad_v) inside the orthogonal
+    complement of Z_0.
     """
     r, s = a.r, a.s
     if r == 0 or s == 0:
-        clifford = verify_clifford(a)
-        if not clifford.ok:
-            raise ValueError(f"{a.name()} fails verify_clifford at "
-                             f"{clifford.witness}: {clifford.detail}")
+        axioms = verify_axioms(a)
+        if not axioms.ok:
+            raise ValueError(f"{a.name()} fails {axioms.detail} at "
+                             f"{axioms.witness}")
         return Certificate("SBG_YES", {"signature": [r, s]})
 
     z0, v = null_direction_witness(a)

@@ -11,8 +11,9 @@ Verdict(False), never with an exception.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .algebra import (
     PseudoHTypeAlgebra,

@@ -21,10 +21,9 @@ from .catalog import (
     BASE_IDS,
     UnsupportedSignatureError,
     base_algebra,
-    catalog_key,
     min_module_dim,
     require_module_budget,
-    shared_algebra,
+    shared_step,
 )
 from .extension import volume_involution
 from .morphism import LieMorphism
@@ -59,17 +58,14 @@ def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> PseudoHTypeAlgebra:
     """mu copies of the base block plus nu copies of the negated-J block;
     the sum's SumProvenance records (base, mu, nu).
 
-    The sum of a shared catalog base is shared too, one object per
-    (base, mu, nu) under the base's catalog id and the step "sum mu,nu",
-    which no extension step equals; any other base gets a new sum.  The
-    counts are refused before any lookup.
+    The sum of a shared parent is shared too, one object per parent and
+    counts, under the parent's catalog key plus the step "sum mu,nu", which
+    no extension step equals; any other base gets a new sum.  The counts are
+    refused before any lookup.
     """
     require_sum_counts(base, mu, nu)
-    table_id = (base.r, base.s)
-    if catalog_key(base) != (table_id, ()):
-        return _build_sum(base, mu, nu)
-    return shared_algebra((table_id, (f"sum {mu},{nu}",)),
-                          lambda: _build_sum(base, mu, nu))
+    return shared_step(base, f"sum {mu},{nu}",
+                       lambda: _build_sum(base, mu, nu))
 
 
 def _build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int

@@ -11,9 +11,13 @@ The criteria run once per session, through the `paper_reports` fixture of
 conftest.py; each test reads its criterion's report from that run.
 """
 
+import copy
+
+import pseudoht.acceptance as acceptance
 from pseudoht.algebra import SignedPermutationOp
 from pseudoht.catalog import base_algebra
-from pseudoht.sums import block_volume_element, build_sum
+from pseudoht.obstruction import Certificate, check_pair
+from pseudoht.sums import block_volume_element, build_sum, sum_sbg
 
 
 def _assert_report(rep, limit_s, checks):
@@ -97,3 +101,44 @@ def test_criterion_7_attainable_clauses(paper_reports):
 
 def test_criterion_8_general_h_type(paper_reports):
     _assert_report(paper_reports[7], limit_s=1.0, checks=4)
+
+
+def _forged(cert: Certificate, edit) -> Certificate:
+    """A copy of cert with edit applied to a deep copy of its payload; the
+    certificate itself may be kept, so it is never changed."""
+    payload = copy.deepcopy(cert.payload)
+    edit(payload)
+    return Certificate(cert.kind, payload)
+
+
+def test_criterion_4_rechecks_the_anti_parity_refutation(monkeypatch):
+    def flip_first_rhs(payload):
+        edge = payload["parity"]["cycle"][0]
+        edge["rhs"] = -edge["rhs"]
+
+    def forging_check_pair(*args, **kwargs):
+        cert = check_pair(*args, **kwargs)
+        if args == (3, 3, 3, 3) and kwargs.get("anti_only"):
+            return _forged(cert, flip_first_rhs)
+        return cert
+
+    monkeypatch.setattr(acceptance, "check_pair", forging_check_pair)
+    rep = acceptance.criterion_4_nonisomorphism()
+    assert rep.checks == 5 and not rep.passed
+    assert len(rep.failures) == 1
+    assert rep.failures[0].startswith(
+        "(3,3) anti-isometric automorphism: NOT_ISO_PARITY certificate does "
+        "not recheck")
+
+
+def test_criterion_6_rechecks_the_sum_witness(monkeypatch):
+    def zero_witness(payload):
+        payload["witness_v"] = ["0"] * len(payload["witness_v"])
+
+    monkeypatch.setattr(acceptance, "sum_sbg",
+                        lambda a: _forged(sum_sbg(a), zero_witness))
+    rep = acceptance.criterion_6_sbg()
+    assert rep.checks == 15 and not rep.passed
+    assert len(rep.failures) == 1
+    assert rep.failures[0].startswith(
+        "n_(2,3)(2,1): SBG_NO certificate does not recheck")

@@ -1,7 +1,7 @@
 """The per-process algebra cache: which algebras it shares, and its bounds.
 
-base_algebra, extend on a shared parent, build_sum on a shared base, and
-so extension_chain, standard_algebra, the canonical maps and
+base_algebra, and extend and build_sum on a shared parent, and so
+extension_chain, standard_algebra, the canonical maps and
 rebuild_from_provenance, share one object per catalog key (base table id
 plus extension or sum steps).  Every
 shared algebra must print exactly as a private build of the same chain,
@@ -113,6 +113,16 @@ def test_parsed_algebras_and_sums_of_unshared_bases_are_never_stored(cache):
     assert catalog_key(extend(summed, ExtensionStep.BY_8_0)) == \
         ((0, 1), ("sum 1,1", "8,0"))
     assert algebra_json(summed) == algebra_json(build_sum(replaced, 1, 1))
+    _check_bounds(cache)
+
+
+def test_a_one_block_sum_of_a_stored_sum_is_stored(cache):
+    # build_sum follows extend's rule: any stored parent shares its child
+    plain = build_sum(base_algebra(0, 1), 1, 0)
+    nested = build_sum(plain, 1, 0)
+    assert catalog_key(nested) == ((0, 1), ("sum 1,0", "sum 1,0"))
+    assert build_sum(plain, 1, 0) is nested
+    assert algebra_json(nested) == algebra_json(plain)
     _check_bounds(cache)
 
 

@@ -199,26 +199,6 @@ def test_sum_and_extension_outputs_are_byte_stable(capsys, argv):
         PINNED_SUM_AND_EXTEND_OUTPUTS[argv]
 
 
-# sha256 of the parity refutations, taken while the parity system was still
-# solved by a union-find; the only sources that ever reach the solver
-PINNED_PARITY_REFUTATIONS = {
-    ("3", "2", "2", "3"):
-        "a33806ac19bb568113cefb7f702c559b4a48e172d5631aefabbd1fa88c2d4e02",
-    ("2", "3", "3", "2"):
-        "f8451a96214f1fdc94a2725a11088ff06eefd0a4fa0d824b31855573d1097699",
-    ("3", "3", "3", "3", "--anti"):
-        "3a0ce5663437bc72b31fe0193178118258bec6c8f13286f87d937d557b9c1b3d",
-}
-
-
-@pytest.mark.parametrize("argv", PINNED_PARITY_REFUTATIONS)
-def test_parity_refutations_are_byte_stable(capsys, argv):
-    code, out, _ = run_cli(capsys, "check", *argv)
-    assert code == 1 and json.loads(out)["kind"] == "NOT_ISO_PARITY"
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        PINNED_PARITY_REFUTATIONS[argv]
-
-
 # sha256 of the INCONCLUSIVE certificates of the open swap pairs and of
 # plain SBG_NO certificates, taken while the scan still ranked each point by
 # elimination and the SBG witnesses still read the dense adjoint

@@ -5,10 +5,12 @@ imports `random`: every answer is exact, not sampled.  Imports sit at
 module level, where the dependency graph between modules is visible, and
 name only public names: a module's underscored names are its own.  Indented
 JSON is written by one emitter, `jsonout`.  The J table's shared rows,
-`signed_lookups`, are read by `algebra` and `morphism` alone.
-`acceptance` imports nothing from `fractions`: its criteria read
-integers.  Each name a value is kept under by `derived_value` is written
-at one call site, so two kept values cannot share an attribute.
+`signed_lookups`, are read by `algebra` and `morphism` alone, and only
+`catalog` builds the algebra cache's keys.  `acceptance` imports nothing
+from `fractions`: its criteria read integers, and they recheck each
+certificate with `recheck_certificate`, not with a reader of their own.
+Each name a value is kept under by `derived_value` is written at one call
+site, so two kept values cannot share an attribute.
 """
 
 import ast
@@ -90,13 +92,27 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
+def _imports_of(path: Path) -> list[str]:
+    """Every module and name path's import statements bind."""
+    return [name for node in ast.walk(_parse(path))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _imported_modules(node)
+            + [alias.name for alias in node.names]]
+
+
 def test_acceptance_imports_nothing_from_fractions():
-    # the criteria read certificates and matrices on their integers
-    path = Path(pseudoht.acceptance.__file__)
-    names = [name for node in ast.walk(_parse(path))
-             if isinstance(node, (ast.Import, ast.ImportFrom))
-             for name in _imported_modules(node)]
+    # the criteria read matrices on their integers, and leave certificates
+    # to recheck_certificate
+    names = _imports_of(Path(pseudoht.acceptance.__file__))
     assert names and [n for n in names if n.split(".")[0] == "fractions"] == []
+
+
+def test_acceptance_imports_no_certificate_reader():
+    names = _imports_of(Path(pseudoht.acceptance.__file__))
+    assert "recheck_certificate" in names
+    readers = {"re", "ParityConstraint", "verify_parity_cycle",
+               "verify_sbg_no_witness"}
+    assert readers.intersection(names) == set()
 
 
 def _calls_by_function(node, func=None):
@@ -126,20 +142,32 @@ def test_only_jsonout_writes_indented_json():
     assert offenders == []
 
 
-def test_only_algebra_and_morphism_read_the_shared_j_rows():
+def _references(name: str, exempt: tuple[str, ...]) -> list[str]:
+    """Where a module outside exempt calls, references or imports name,
+    aliased or not."""
     offenders = []
     for path in MODULES:
-        if path.name in ("algebra.py", "morphism.py"):
+        if path.name in exempt:
             continue
         for node in ast.walk(_parse(path)):
-            # a call, a reference or an import, aliased or not
             names = ([alias.name for alias in node.names]
                      if isinstance(node, (ast.Import, ast.ImportFrom)) else
                      [node.id] if isinstance(node, ast.Name) else
                      [node.attr] if isinstance(node, ast.Attribute) else [])
-            if "signed_lookups" in names:
+            if name in names:
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_only_algebra_and_morphism_read_the_shared_j_rows():
+    assert _references("signed_lookups", ("algebra.py", "morphism.py")) == []
+
+
+def test_only_catalog_builds_cache_keys():
+    # extend and build_sum share a child through catalog.shared_step;
+    # morphism's _kept_map asks whether an algebra is stored
+    assert _references("catalog_key", ("catalog.py", "morphism.py")) == []
+    assert _references("_CACHE", ("catalog.py",)) == []
 
 
 def test_each_kept_value_has_a_name_of_its_own():
@@ -170,7 +198,8 @@ def test_every_exported_name_resolves():
 def test_removed_public_names_stay_gone():
     layout = pseudoht.catalog.table_layout((2, 3))
     cmap = pseudoht.morphism.canonical_map(1, 0)
-    removed = [(pseudoht.sums, "DirectSumAlgebra"),
+    removed = [(pseudoht.catalog, "shared_algebra"),
+               (pseudoht.sums, "DirectSumAlgebra"),
                (pseudoht.sums, "sum_to_dict"),
                (pseudoht.sums, "sum_json"),
                (cmap, "module_image"),

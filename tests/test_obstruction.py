@@ -532,6 +532,24 @@ def test_sbg_yes_refused_after_one_flipped_sign(rs):
             sbg_decision(bad)
 
 
+def test_definite_sbg_reads_the_kept_axiom_verdict(monkeypatch):
+    # the first call proves the axioms and keeps the verdict on the
+    # algebra; the second reads it and runs verify_clifford no more
+    calls = []
+    real = algebra.verify_clifford
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(algebra, "verify_clifford", counting)
+    monkeypatch.setattr(obstruction, "verify_clifford", counting,
+                        raising=False)
+    a = _build_base(8, 0)
+    assert [sbg_decision(a).kind for _ in range(2)] == ["SBG_YES"] * 2
+    assert calls == [a]
+
+
 def test_null_vectors_stay_surjective_in_anti_definite_algebras():
     # the substance of the r = 0 bracket-generating claim: even null module
     # vectors have adjoint maps onto the whole center
