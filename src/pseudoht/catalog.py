@@ -487,11 +487,37 @@ class AlgebraCache:
         stored is the one both return.
         """
         with self._lock:
-            a = self._algebras.get(key)
-            if a is not None:
-                self._algebras.move_to_end(key)
-                return a
-        a = build()
+            a = self._hit(key)
+        return a if a is not None else self._store(key, build())
+
+    def get_step(self, parent: PseudoHTypeAlgebra, step: str,
+                 build: Callable[[], PseudoHTypeAlgebra]
+                 ) -> PseudoHTypeAlgebra:
+        """get(parent's key plus step, build) when parent is stored, else
+        build(), with the parent's key and the child read under one
+        acquisition of the lock."""
+        a = None
+        with self._lock:
+            key = self._keys.get(id(parent))
+            if key is not None:
+                key = (key[0], key[1] + (step,))
+                a = self._hit(key)
+        if a is not None:
+            return a
+        return build() if key is None else self._store(key, build())
+
+    def _hit(self, key: CatalogKey) -> Optional[PseudoHTypeAlgebra]:
+        """The algebra stored under key, made the most recently used, or
+        None; the caller holds the lock."""
+        a = self._algebras.get(key)
+        if a is not None:
+            self._algebras.move_to_end(key)
+        return a
+
+    def _store(self, key: CatalogKey,
+               a: PseudoHTypeAlgebra) -> PseudoHTypeAlgebra:
+        """a stored under key unless it is above the cap or another thread
+        stored an algebra there first, then the stored one (or a)."""
         if a.dim_module > self.cap:
             return a
         with self._lock:
@@ -513,12 +539,8 @@ def shared_step(parent: PseudoHTypeAlgebra, step: str,
                 build: Callable[[], PseudoHTypeAlgebra]) -> PseudoHTypeAlgebra:
     """build(), the algebra made from parent by step: shared under the
     parent's catalog key plus step when the parent is stored (see
-    AlgebraCache.get), and built anew for any other parent."""
-    key = _CACHE.key_of(parent)
-    if key is None:
-        return build()
-    base, steps = key
-    return _CACHE.get((base, steps + (step,)), build)
+    AlgebraCache.get_step), and built anew for any other parent."""
+    return _CACHE.get_step(parent, step, build)
 
 
 def catalog_key(a: PseudoHTypeAlgebra) -> Optional[CatalogKey]:

@@ -14,8 +14,10 @@ conftest.py; each test reads its criterion's report from that run.
 import copy
 
 import pseudoht.acceptance as acceptance
+import pseudoht.catalog as catalog
 from pseudoht.algebra import SignedPermutationOp
 from pseudoht.catalog import base_algebra
+from pseudoht.extension import ExtensionStep, extend
 from pseudoht.obstruction import Certificate, check_pair
 from pseudoht.sums import block_volume_element, build_sum, sum_sbg
 
@@ -131,14 +133,67 @@ def test_criterion_4_rechecks_the_anti_parity_refutation(monkeypatch):
         "not recheck")
 
 
+def _fresh_cache(monkeypatch):
+    """A private algebra cache for a test that forges a check: the outcome
+    the forgery leaves on the algebras it checks goes with the cache, and
+    no shared algebra keeps it."""
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
+
+
+def _fails_twice(criterion, checks):
+    """The failures of the criterion's first run, which a second run that
+    reads the outcome kept by the first repeats."""
+    first, second = criterion(), criterion()
+    for rep in (first, second):
+        assert rep.checks == checks and not rep.passed
+    assert second.failures == first.failures
+    return first.failures
+
+
+def test_criterion_1_rechecks_a_rendered_table(monkeypatch):
+    _fresh_cache(monkeypatch)
+
+    def alter_one_cell(md):
+        lines = md.split("\n")
+        cells = lines[2].split(" | ")
+        cells[1] = "Z1" if cells[1] == "0" else "0"
+        lines[2] = " | ".join(cells)
+        return "\n".join(lines)
+
+    shared = acceptance.render_table
+    monkeypatch.setattr(acceptance, "render_table", lambda a: (
+        alter_one_cell(shared(a)) if (a.r, a.s) == (3, 2) else shared(a)))
+    assert _fails_twice(acceptance.criterion_1_tables, 140) == [
+        "table (3, 2) deviates from the transcription"]
+    assert vars(base_algebra(3, 2))["_table_matches"] is False
+    monkeypatch.undo()
+    assert acceptance.criterion_1_tables().passed
+
+
+def test_criterion_5_rechecks_the_null_witness(monkeypatch):
+    _fresh_cache(monkeypatch)
+    monkeypatch.setattr(acceptance, "adjoint_rank",
+                        lambda a, x: a.dim_center - 1)
+    assert _fails_twice(acceptance.criterion_5_surjectivity, 4) == [
+        "null witness in n_(11,2) is not surjective"]
+    big = extend(base_algebra(3, 2), ExtensionStep.BY_8_0)
+    assert vars(big)["_null_witness_failures"] == (
+        "null witness in n_(11,2) is not surjective",)
+    monkeypatch.undo()
+    assert acceptance.criterion_5_surjectivity().passed
+
+
 def test_criterion_6_rechecks_the_sum_witness(monkeypatch):
+    _fresh_cache(monkeypatch)
+
     def zero_witness(payload):
         payload["witness_v"] = ["0"] * len(payload["witness_v"])
 
     monkeypatch.setattr(acceptance, "sum_sbg",
                         lambda a: _forged(sum_sbg(a), zero_witness))
-    rep = acceptance.criterion_6_sbg()
-    assert rep.checks == 15 and not rep.passed
-    assert len(rep.failures) == 1
-    assert rep.failures[0].startswith(
+    failures = _fails_twice(acceptance.criterion_6_sbg, 15)
+    assert len(failures) == 1
+    assert failures[0].startswith(
         "n_(2,3)(2,1): SBG_NO certificate does not recheck")
+    monkeypatch.undo()
+    assert acceptance.criterion_6_sbg().passed

@@ -185,9 +185,6 @@ PINNED_SUM_AND_EXTEND_OUTPUTS = {
         "34f6a83e54234fccd276152c3037c5c4d2b22527e0204b962a92e3516ea857f7",
     ("build", "8", "0", "--extend", "8,0", "8,0"):
         "9b0f8f8af5391671bd1ee655f3666b493cb7aef3d785d150cc921298d1fd4252",
-    # the parent's blocks pass through two steps
-    ("build", "1", "1", "--extend", "4,4", "0,8"):
-        "e296b128baa16e95301e9c6c8a6e59a49ae4bcfb989ca55d1b5fc64b53e62246",
 }
 
 
@@ -213,8 +210,6 @@ PINNED_OPEN_PAIRS = {
         "34a01aafb49688d4a0798bd30f6b14eb6c6e453ae5e0b6e921a65700842b5136",
 }
 PINNED_SBG_NO = {
-    ("9", "8"):
-        "2aa9e62333325152b35d2140b33977d7eab8cd07d0b6eeac974ee391e8676e97",
     ("3", "2"):
         "67a899f3d3be1e6a46116e0ceb107c2366e104034581fe7ff33dbb36619509b4",
     ("11", "2"):

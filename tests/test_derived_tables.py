@@ -14,7 +14,10 @@ is recognized once in certification and once in recheck; its module block
 is a signed permutation throughout and is never recognized.  A kept
 canonical map keeps criterion 3's outcome the same way, so a later
 verify-paper relates none of its 22 maps again, and a replaced copy is
-checked afresh.
+checked afresh.  Criteria 1, 5, 6 and 7 keep their outcomes on the
+algebras they check, so a later verify-paper renders no table, runs no
+elimination, decides no SBG question, relates no block swap, and rechecks
+only criterion 4's five certificates.
 
 base_algebra shares one object per catalog id in a process, so a test
 that counts derivations or corrupts an operator builds private algebras
@@ -726,20 +729,42 @@ def test_a_second_verify_paper_verifies_no_shared_algebra(monkeypatch):
     monkeypatch.setattr(morphism, "_signed_relation_defect",
                         lambda f, a_op, c_op: related.append(f.src)
                         or inner_defect(f, a_op, c_op))
+    calls = {}
+
+    def counting(name):
+        inner_call = getattr(acceptance, name)
+        calls[name] = []
+        return lambda *args: (calls.setdefault(name, []).append(args)
+                              or inner_call(*args))
+
+    for name in ("render_table", "gram_det", "adjoint_rank", "sbg_decision",
+                 "sum_sbg", "swap_isomorphism", "block_volume_element",
+                 "recheck_certificate"):
+        monkeypatch.setattr(acceptance, name, counting(name))
     second = [rep.json_dict() for rep in run_all()]
-    for report in first + second:
-        del report["elapsed_s"]
-    assert second == first
+    rechecked = calls.pop("recheck_certificate")
     # every algebra the axiom suite checks, criterion 7's direct sum among
     # them, is shared and keeps its verdict
     assert seen == []
     # criterion 8's four catalog algebras keep their general verdict
     assert scanned == []
-    # criterion 3's 22 maps keep their outcome; only criterion 7's six
-    # block swaps, new maps between kept direct sums, are related again
-    assert [(catalog.catalog_key(a)[0], type(a.provenance))
-            for a in related] == \
-        [((0, 1), SumProvenance)] * 3 + [((2, 3), SumProvenance)] * 3
+    # criterion 3's 22 maps and criterion 7's six block swaps keep their
+    # outcomes, so no map is related again
+    assert related == []
+    # criteria 1, 5, 6 and 7 read the outcomes kept on their algebras
+    assert calls == dict.fromkeys(calls, [])
+    # criterion 4 re-derives and rechecks its five certificates on every run
+    assert [(d["kind"], d["src"], d["dst"], d["anti_isometric_center_only"])
+            for (d,) in rechecked] == [
+        ("NOT_ISO_PARITY", [3, 2], [2, 3], False),
+        ("NOT_ISO_PARITY", [3, 3], [3, 3], True),
+        ("INCONCLUSIVE", [11, 2], [2, 11], False),
+        ("NOT_ISO_DIM", [3, 0], [0, 3], False),
+        ("NOT_ISO_SIGNATURE", [2, 0], [1, 1], False)]
+    third = [rep.json_dict() for rep in run_all()]
+    for report in first + second + third:
+        del report["elapsed_s"]
+    assert second == first and third == first
 
 
 # --- the kept criterion-3 outcome --------------------------------------------
