@@ -609,12 +609,8 @@ _UNSET = object()
 def derived_value(obj, name: str, build: Callable):
     """build(obj), computed once and kept on obj under name: a table or
     verdict of an algebra, the recognized form of a matrix (None too), a
-    canonical map kept on its source algebra, criterion 3's outcome kept
-    on a canonical map, or a verify-paper criterion's outcome kept on the
-    algebra it checks: criterion 1's table match and permutation-table
-    failures, criterion 5's null-witness failures, criterion 6's
-    certificate kind and recheck verdict, and criterion 7's block volume
-    scalars and block-swap verdict on a direct sum.
+    canonical map kept on its source algebra, or an outcome a caller
+    derives from obj alone (acceptance names the ones it keeps).
 
     The fields are never reassigned, so the value cannot go stale, and it
     is not a field, so ==, hash, repr and the JSON form never see it.  Two

@@ -165,7 +165,8 @@ def test_criterion_1_rechecks_a_rendered_table(monkeypatch):
         alter_one_cell(shared(a)) if (a.r, a.s) == (3, 2) else shared(a)))
     assert _fails_twice(acceptance.criterion_1_tables, 140) == [
         "table (3, 2) deviates from the transcription"]
-    assert vars(base_algebra(3, 2))["_table_matches"] is False
+    assert vars(base_algebra(3, 2))["_table_failures"] == (
+        "table (3, 2) deviates from the transcription",)
     monkeypatch.undo()
     assert acceptance.criterion_1_tables().passed
 

@@ -9,8 +9,10 @@ JSON is written by one emitter, `jsonout`.  The J table's shared rows,
 `catalog` builds the algebra cache's keys.  `acceptance` imports nothing
 from `fractions`: its criteria read integers, and they recheck each
 certificate with `recheck_certificate`, not with a reader of their own.
-Each name a value is kept under by `derived_value` is written at one call
-site, so two kept values cannot share an attribute.
+One driver in `acceptance` turns each criterion's claims into its report,
+and no other code there builds or edits one.  Each name a value is kept
+under by `derived_value` is written at one call site, so two kept values
+cannot share an attribute.
 """
 
 import ast
@@ -113,6 +115,23 @@ def test_acceptance_imports_no_certificate_reader():
     readers = {"re", "ParityConstraint", "verify_parity_cycle",
                "verify_sbg_no_witness"}
     assert readers.intersection(names) == set()
+
+
+def test_one_driver_builds_every_criterion_report():
+    # a criterion yields its claims; the driver alone counts them, joins
+    # their messages and decides whether the criterion passed
+    fields = {"checks", "failures", "passed"}
+    owners = set()
+    for node in _parse(Path(pseudoht.acceptance.__file__)).body:
+        if isinstance(node, ast.ClassDef) and node.name == "CriterionReport":
+            continue
+        for child in ast.walk(node):
+            builds = isinstance(child, ast.Call) and \
+                getattr(child.func, "id", None) == "CriterionReport"
+            if builds or (isinstance(child, ast.Attribute)
+                          and child.attr in fields):
+                owners.add(getattr(node, "name", f"line {node.lineno}"))
+    assert len(owners) == 1, sorted(owners)
 
 
 def _calls_by_function(node, func=None):
