@@ -27,6 +27,7 @@ from .core import (
     ExactMatrix,
     Rational,
     Signature,
+    SparseVector,
     Vector,
     basis_vector,
     clear_denominators,
@@ -995,6 +996,32 @@ def center_pairing(a: PseudoHTypeAlgebra, z: Sequence[Rational],
             out[q - 1] += x[p - 1] * c
             out[p - 1] -= x[q - 1] * c
     return out
+
+
+def j_image(a: PseudoHTypeAlgebra, z: SparseVector,
+            x: SparseVector) -> dict[int, Rational]:
+    """J_Z x by its support: {b: c} for each nonzero coordinate c at v_b,
+    in index order; <Z, [x, v_b]> = <J_Z x, v_b> = eps^v_b c.
+
+    Read off the J table (_partner_table): row k holds t = sign * b at
+    alpha for J_{Z_k} v_alpha = sign * v_b, so each pair of an entry of
+    z's support and one of x's is one lookup, and nothing of size dim is
+    made.  Values keep the number type of the input.  ValueError when z or
+    x is not of center or module dimension, IntegralBasisError when a
+    (k, a) has two partners.
+    """
+    if z.dim != a.dim_center or x.dim != a.dim_module:
+        raise ValueError("Z and x must have center and module dimension")
+    rows = _partner_table(a).rows
+    image: dict[int, Rational] = {}
+    for k, zk in z.items():
+        row = rows[k - 1]
+        for alpha, xa in x.items():
+            t = row[alpha]
+            if t:
+                image[abs(t)] = image.get(abs(t), 0) + (
+                    zk * xa if t > 0 else -zk * xa)
+    return {b: c for b, c in sorted(image.items()) if c}
 
 
 def verify_general_htype(a: PseudoHTypeAlgebra) -> Verdict:

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 Vector = tuple[Rational, ...]
@@ -83,6 +83,48 @@ def basis_vector(i: int, dim: int) -> Vector:
     if not 1 <= i <= dim:
         raise IndexError(f"index {i} out of range for dimension {dim}")
     return tuple(1 if j == i else 0 for j in range(1, dim + 1))
+
+
+@dataclass(frozen=True)
+class SparseVector:
+    """A vector of dimension dim by its support: the 1-based indices of its
+    nonzero entries, strictly increasing, and their values.
+
+    Certificates write their witness vectors in this form, as
+    {"dim", "index", "value"}; nothing of size dim is made from it, so a
+    reader can compare dim with the dimension it expects first.
+    """
+
+    dim: int
+    index: tuple[int, ...]
+    value: tuple[Rational, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.index) != len(self.value):
+            raise ValueError("index and value differ in length")
+        if any(not lo < hi for lo, hi in zip((0, *self.index), self.index)):
+            raise ValueError("indices must be 1-based and strictly increasing")
+        if self.index and self.index[-1] > self.dim:
+            raise ValueError(f"index {self.index[-1]} exceeds dim {self.dim}")
+        if 0 in self.value:
+            raise ValueError("a support value is 0")
+
+    @staticmethod
+    def of(x: Union["SparseVector", Sequence[Rational]]) -> "SparseVector":
+        """x when it is a SparseVector, else the support of the dense x."""
+        if isinstance(x, SparseVector):
+            return x
+        index = tuple(i for i, e in enumerate(x, start=1) if e)
+        return SparseVector(len(x), index, tuple(x[i - 1] for i in index))
+
+    def items(self) -> Iterable[tuple[int, Rational]]:
+        """(index, value) of each support entry, in index order."""
+        return zip(self.index, self.value)
+
+    def json_dict(self) -> dict:
+        """The sparse JSON form; values must be ints to be written."""
+        return {"dim": self.dim, "index": list(self.index),
+                "value": list(self.value)}
 
 
 def scalar_product(x: Sequence[Rational], y: Sequence[Rational],

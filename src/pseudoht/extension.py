@@ -53,10 +53,10 @@ class ExtensionStep(Enum):
         raise ValueError(f"unknown extension step {text!r}; "
                          f"expected one of 8,0 0,8 4,4")
 
-    @property
-    def delta(self) -> tuple[int, int]:
-        p, q = self.value.split(",")
-        return int(p), int(q)
+    def __init__(self, value: str) -> None:
+        p, q = value.split(",")
+        # the signature (dr, ds) the step adds, parsed once per member
+        self.delta = (int(p), int(q))
 
 
 def volume_involution(factor: PseudoHTypeAlgebra) -> SignedPermutationOp:

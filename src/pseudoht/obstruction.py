@@ -17,10 +17,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
+    IntegralBasisError,
     PseudoHTypeAlgebra,
     Verdict,
     adjoint_rows,
     center_pairing,
+    j_image,
     two_coloring,
     two_point_rank,
     verify_axioms,
@@ -28,12 +30,12 @@ from .algebra import (
 from .core import (
     Rational,
     Signature,
+    SparseVector,
     basis_vector,
     clear_denominators,
     exact_det,
     exact_rank,
     gram_matrix,
-    scalar_product,
 )
 from .extension import standard_algebra, standard_chain
 from .morphism import (
@@ -68,7 +70,7 @@ def adjoint_rank(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> int:
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of a surjectivity scan: the points visited and the first
-    counterexample, if any."""
+    counterexample, if any, dense here and by its support in JSON."""
 
     algebra: str
     points: int
@@ -85,7 +87,8 @@ class ScanReport:
             "algebra": self.algebra,
             "points": self.points,
             "equivalence_holds": self.equivalence_holds,
-            "violation": None if self.violation is None else list(self.violation),
+            "violation": None if self.violation is None
+            else SparseVector.of(self.violation).json_dict(),
         }
 
 
@@ -245,14 +248,14 @@ def sbg_decision(a: PseudoHTypeAlgebra) -> Certificate:
                              f"{axioms.witness}")
         return Certificate("SBG_YES", {"signature": [r, s]})
 
-    z0, v = null_direction_witness(a)
+    z0, v = map(SparseVector.of, null_direction_witness(a))
     verdict = verify_sbg_no_witness(a, z0, v)
     if not verdict.ok:
         raise RuntimeError(f"witness failed verification: {verdict.detail}")
     return Certificate("SBG_NO", {
         "signature": [r, s],
-        "z0": [str(e) for e in z0],
-        "witness_v": [str(e) for e in v],
+        "z0": z0.json_dict(),
+        "witness_v": v.json_dict(),
     })
 
 
@@ -273,27 +276,33 @@ def null_direction_witness(a: PseudoHTypeAlgebra
     raise RuntimeError("no witness found; J_{Z_0} vanished identically")
 
 
-def verify_sbg_no_witness(a: PseudoHTypeAlgebra, z0: Sequence[Rational],
-                          v: Sequence[Rational]) -> Verdict:
+def verify_sbg_no_witness(a: PseudoHTypeAlgebra,
+                          z0: SparseVector | Sequence[Rational],
+                          v: SparseVector | Sequence[Rational]) -> Verdict:
     """Re-check an SBG_NO certificate: image(ad_v) misses the dual of Z_0.
 
-    Both conditions are homogeneous, so they are checked on the integer
-    vectors L*Z_0 and L*v; column beta of ad_v holds [v, v_beta], and
-    center_pairing gives each <Z_0, [v, v_beta]> from the entries that
-    Z_0 touches.
+    z0 and v are SparseVectors, or dense sequences, which are reduced to
+    their support first.  Z_0 must be null: a sum over its support.
+    Column beta of ad_v holds [v, v_beta], and <Z_0, [v, v_beta]> =
+    <J_{Z_0} v, v_beta>, so the image misses the dual of Z_0 exactly when
+    J_{Z_0} v = 0, which j_image reads off the J rows of z0's support at
+    v's support.  Rational entries need no clearing: the arithmetic is
+    exact, and both conditions are homogeneous.
     """
-    if len(z0) != a.dim_center or len(v) != a.dim_module:
+    z0, v = SparseVector.of(z0), SparseVector.of(v)
+    if z0.dim != a.dim_center or v.dim != a.dim_module:
         return Verdict(False, None, "certificate vectors have the wrong length")
-    z0i, _ = clear_denominators(z0)
-    vi, _ = clear_denominators(v)
-    if not any(z0i) or not any(vi):
+    if not z0.index or not v.index:
         return Verdict(False, None, "certificate vectors must be nonzero")
-    if scalar_product(z0i, z0i, a.center_sig) != 0:
+    if sum(a.center_sign(k) * c * c for k, c in z0.items()) != 0:
         return Verdict(False, None, "Z_0 is not a null vector")
-    for beta, pairing in enumerate(center_pairing(a, z0i, vi), start=1):
-        if pairing:
-            return Verdict(False, (beta,),
-                           "image of ad_v leaves the complement of Z_0")
+    try:
+        image = j_image(a, z0, v)
+    except IntegralBasisError as exc:  # a (k, a) with two partners
+        return Verdict(False, None, str(exc))
+    if image:
+        return Verdict(False, (next(iter(image)),),
+                       "image of ad_v leaves the complement of Z_0")
     return Verdict(True)
 
 

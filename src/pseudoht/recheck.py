@@ -23,7 +23,7 @@ from .algebra import (
     verify_axioms,
 )
 from .catalog import MAX_CENTER_DIM, base_algebra, min_module_dim
-from .core import ExactMatrix, Rational, Signature, exact_rank
+from .core import ExactMatrix, Rational, Signature, SparseVector, exact_rank
 from .extension import (
     ExtensionStep,
     extension_chain,
@@ -103,10 +103,6 @@ def _rational_list(values: list, key: str) -> list:
     return [e if type(e) is int else _parse_rational(e, key) for e in values]
 
 
-def _rationals(payload, key: str) -> list:
-    return _rational_list(_list(payload, key), key)
-
-
 def _matrix(payload, key: str, rows: int, cols: int) -> ExactMatrix:
     value = _list(payload, key)
     if len(value) != rows or any(not isinstance(row, list) or len(row) != cols
@@ -132,6 +128,28 @@ def _module_block(m, rows: int, cols: int):
         return SignedPermutationOp(image, sign)
     except ValueError as exc:  # a repeated or out-of-range index, a sign 2
         raise _Malformed(f"A: {exc}") from None
+
+
+def _vector(payload, key: str) -> SparseVector:
+    """payload[key] as a SparseVector: the sparse form {"dim", "index",
+    "value"} that certificates write, with JSON integers only, or a dense
+    list of rationals, the form of older and foreign certificates.  Both
+    SBG_NO conditions are homogeneous, so an integer form of every witness
+    exists.  The sparse form makes nothing of size dim: the verifier
+    compares dim with the algebra's first."""
+    value = _field(payload, key)
+    if isinstance(value, list):
+        return SparseVector.of(_rational_list(value, key))
+    if not isinstance(value, Mapping):
+        raise _Malformed(f"{key} must be {{dim, index, value}} or a list")
+    dim = _field(value, "dim")
+    index, entries = _list(value, "index"), _list(value, "value")
+    if any(type(e) is not int for e in (dim, *index, *entries)):
+        raise _Malformed(f"{key} must hold JSON integers")
+    try:
+        return SparseVector(dim, tuple(index), tuple(entries))
+    except ValueError as exc:  # an index out of range or repeated, a value 0
+        raise _Malformed(f"{key}: {exc}") from None
 
 
 def rebuild_from_provenance(prov: Mapping) -> PseudoHTypeAlgebra:
@@ -310,8 +328,8 @@ def _recheck_sbg_yes(payload: Mapping) -> Verdict:
 
 def _recheck_sbg_no(payload: Mapping) -> Verdict:
     r, s = _signature(payload, "signature")
-    z0 = _rationals(payload, "z0")
-    v = _rationals(payload, "witness_v")
+    z0 = _vector(payload, "z0")
+    v = _vector(payload, "witness_v")
     try:
         if "sum" in payload:
             mu, nu = _ints(payload["sum"], 2, "sum")
@@ -339,8 +357,12 @@ def recheck_certificate(cert: Mapping) -> Verdict:
     ISO certificates re-verify the embedded morphism; NOT_ISO_* certificates
     re-establish the obstruction, NOT_ISO_PARITY with the Witt-index bound
     re-derived from the rebuilt destination; SBG_NO re-checks the witness
-    pair, and SBG_YES holds for every definite constructible signature.
-    INCONCLUSIVE claims nothing and is accepted as an evidence record.
+    pair (Z_0, v) on its support, read from the sparse {"dim", "index",
+    "value"} form or the dense list of older certificates, which
+    verify_sbg_no_witness refuses unless dim is the algebra's; SBG_YES
+    holds for every definite constructible signature.  INCONCLUSIVE
+    claims nothing and is accepted as an evidence record: its scan
+    violation is not read.
     """
     if not isinstance(cert, Mapping):
         return Verdict(False, None, "a certificate is a JSON object")

@@ -9,6 +9,7 @@ types.  Brackets between distinct copies vanish.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .algebra import (
@@ -25,6 +26,7 @@ from .catalog import (
     require_module_budget,
     shared_step,
 )
+from .core import SparseVector
 from .extension import volume_involution
 from .morphism import LieMorphism
 from .obstruction import (
@@ -154,15 +156,15 @@ def sum_sbg(a: PseudoHTypeAlgebra) -> Certificate:
         cert = sbg_decision(a)
         return Certificate(cert.kind, {
             **cert.payload, "sum": [prov.mu, prov.nu]})
-    z0, v_base = null_direction_witness(base_algebra(prov.base_r, prov.base_s))
-    v = v_base + [0] * (a.dim_module - len(v_base))
+    z0, v = map(SparseVector.of, null_direction_witness(
+        base_algebra(prov.base_r, prov.base_s)))
+    v = replace(v, dim=a.dim_module)  # zero blocks after the first
     verdict = verify_sbg_no_witness(a, z0, v)
     if not verdict.ok:
         raise RuntimeError(f"padded witness failed verification: {verdict.detail}")
     return Certificate("SBG_NO", {
         "signature": [a.r, a.s],
         "sum": [prov.mu, prov.nu],
-        "z0": [str(e) for e in z0],
-        "witness_v": [str(e) for e in v],
+        "z0": z0.json_dict(),
+        "witness_v": v.json_dict(),
     })
-

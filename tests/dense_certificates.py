@@ -1,10 +1,15 @@
-"""An ISO certificate's module block `A` written back as dense rows.
+"""A certificate's signed-permutation block and sparse vectors written back
+in the dense form of older certificates.
 
 morphism_to_dict writes a signed-permutation `A` as {"image", "sign"}:
 column a holds sign[a] in row image[a], both 1-based.  Older certificates
-wrote the same block as dense rows.  densify turns the one form into the
-other, so the sha256 pins of the old text still check the same maps, and
-recheck's dense-row path stays covered by the mutation tests.
+wrote the same block as dense rows.  The SBG_NO vectors `z0` and
+`witness_v` and an INCONCLUSIVE scan's `precondition.violation` are
+written by their support, {"dim", "index", "value"}; older certificates
+wrote `z0` and `witness_v` as lists of decimal strings and `violation` as
+a list of integers, zeros included.  densify turns the one form into the
+other, so the sha256 pins of the old text still check the same outputs,
+and recheck's dense paths stay covered by the mutation tests.
 """
 
 import json
@@ -20,14 +25,32 @@ def dense_rows(a: dict) -> list:
     return rows
 
 
+def dense_vector(v: dict) -> list:
+    """The entries of a sparse {"dim", "index", "value"} vector, zeros
+    included."""
+    out = [0] * v["dim"]
+    for i, e in zip(v["index"], v["value"]):
+        out[i - 1] = e
+    return out
+
+
 def densify(cert: dict) -> dict:
-    """A copy of cert whose morphism, if it has one, holds A as dense rows."""
+    """A copy of cert whose morphism, if it has one, holds A as dense rows,
+    whose SBG_NO witness is two lists of decimal strings, and whose scan
+    violation, if it has one, is a list of integers."""
     out = json.loads(json.dumps(cert))
     if "morphism" in out:
         out["morphism"]["A"] = dense_rows(out["morphism"]["A"])
+    for key in ("z0", "witness_v"):
+        if key in out:
+            out[key] = [str(e) for e in dense_vector(out[key])]
+    scan = out.get("precondition")
+    if isinstance(scan, dict) and scan.get("violation") is not None:
+        scan["violation"] = dense_vector(scan["violation"])
     return out
 
 
 def densified_text(text: str) -> str:
-    """The CLI text of the certificate in text, with A as dense rows."""
+    """The CLI text of the certificate in text, with A as dense rows and
+    every vector dense."""
     return jsonout.dumps(densify(json.loads(text))) + "\n"

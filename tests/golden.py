@@ -58,8 +58,9 @@ def commands() -> list[list[str]]:
     return [list(argv) for argv in dict.fromkeys(map(tuple, every))]
 
 
-def run(argv: list[str]) -> dict:
-    """{"argv", "exit", "stdout_sha256"} of one in-process CLI call."""
+def output(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of one in-process CLI call, verify-paper's
+    timings masked."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -70,6 +71,12 @@ def run(argv: list[str]) -> dict:
     text = out.getvalue()
     if argv[0] == "verify-paper":
         text = TIMINGS.sub("", text)
+    return code, text
+
+
+def run(argv: list[str]) -> dict:
+    """{"argv", "exit", "stdout_sha256"} of one in-process CLI call."""
+    code, text = output(argv)
     return {"argv": argv, "exit": code,
             "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}
 

@@ -188,7 +188,9 @@ def test_criterion_6_rechecks_the_sum_witness(monkeypatch):
     _fresh_cache(monkeypatch)
 
     def zero_witness(payload):
-        payload["witness_v"] = ["0"] * len(payload["witness_v"])
+        # v = 0 in the sum's dimension: an empty support
+        payload["witness_v"] = {**payload["witness_v"], "index": [],
+                                "value": []}
 
     monkeypatch.setattr(acceptance, "sum_sbg",
                         lambda a: _forged(sum_sbg(a), zero_witness))

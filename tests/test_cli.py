@@ -15,7 +15,7 @@ from pseudoht.catalog import MAX_CENTER_DIM, MAX_MODULE_DIM, base_algebra
 from pseudoht.cli import main, render_table
 from pseudoht.obstruction import adjoint_rank
 
-from dense_certificates import densified_text
+from dense_certificates import dense_vector, densified_text
 
 
 def run_cli(capsys, *argv):
@@ -186,21 +186,42 @@ PINNED_SUM_AND_EXTEND_OUTPUTS = {
 }
 
 
+# sha256 of the outputs above whose witness vectors are written by their
+# support; PINNED_SUM_AND_EXTEND_OUTPUTS holds their text with the vectors
+# written back dense
+PINNED_SPARSE_SUM_OUTPUTS = {
+    ("sbg", "2", "3", "--sum", "0", "2"):
+        "6a22e69cfa036d9342f06c2ba087965a2a228dbe6b658f7216c125420cfac8a8",
+}
+
+
 @pytest.mark.parametrize("argv", PINNED_SUM_AND_EXTEND_OUTPUTS)
 def test_sum_and_extension_outputs_are_byte_stable(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    if argv in PINNED_SPARSE_SUM_OUTPUTS:
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            PINNED_SPARSE_SUM_OUTPUTS[argv]
+        out = densified_text(out)
     assert hashlib.sha256(out.encode()).hexdigest() == \
         PINNED_SUM_AND_EXTEND_OUTPUTS[argv]
 
 
 # sha256 of plain SBG_NO certificates that tests/golden.json does not pin,
-# taken while the SBG witnesses still read the dense adjoint
+# taken while the SBG witnesses still read the dense adjoint and were
+# written dense; the sparse text with its vectors written back dense must
+# still give them
 PINNED_SBG_NO = {
     ("3", "2"):
         "67a899f3d3be1e6a46116e0ceb107c2366e104034581fe7ff33dbb36619509b4",
     ("11", "2"):
         "43097833c4fb748436e24304e951104f799326b2108f5127f3afea858b5d6b9c",
+}
+PINNED_SPARSE_SBG_NO = {
+    ("3", "2"):
+        "ea5ccdb358d7bea26e7e8795d98b327dc735287b0ec8ab6b156edceb006c87a4",
+    ("11", "2"):
+        "ab880934ffd1b69ca23095686c4df96badf498ba0959783357683b4376621160",
 }
 
 
@@ -208,7 +229,10 @@ PINNED_SBG_NO = {
 def test_sbg_no_certificates_are_byte_stable(capsys, argv):
     code, out, _ = run_cli(capsys, "sbg", *argv)
     assert code == 0 and json.loads(out)["kind"] == "SBG_NO"
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SBG_NO[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_SPARSE_SBG_NO[argv]
+    assert hashlib.sha256(densified_text(out).encode()).hexdigest() == \
+        PINNED_SBG_NO[argv]
 
 
 def test_check_automorphism_modes(capsys):
@@ -270,8 +294,11 @@ def test_open_pairs_are_inconclusive_whatever_the_seed(capsys, argv):
     # the first point is a null vector whose adjoint is onto
     r2, s2 = int(argv[2]), int(argv[3])
     a = pseudoht.standard_algebra(r2, s2)
+    # written by its support, a dense vector of the destination's module
     x = scan["violation"]
-    assert all(type(e) is int for e in x)
+    assert x["dim"] == a.dim_module and len(x["index"]) == 2
+    assert all(type(e) is int for e in x["value"])
+    x = dense_vector(x)
     assert sum(s * e * e for s, e in zip(a.module_signs, x)) == 0
     assert adjoint_rank(a, x) == a.dim_center == r2 + s2
 

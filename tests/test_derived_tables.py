@@ -62,7 +62,7 @@ import pseudoht.acceptance as acceptance
 import pseudoht.morphism as morphism
 from pseudoht.acceptance import criterion_3_isomorphisms, run_all
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
-from pseudoht.core import ExactMatrix, basis_vector
+from pseudoht.core import ExactMatrix, SparseVector, basis_vector
 from pseudoht.extension import ExtensionStep, extend, standard_algebra
 from pseudoht.morphism import canonical_map
 from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
@@ -620,16 +620,16 @@ def test_verifiers_and_sbg_derive_each_operator_once(derivations):
                                     for k in range(1, a.dim_center + 1)]
 
 
-def test_sbg_no_and_its_recheck_derive_no_table(derivations):
-    # a private n_(9,1): the witness reads the entries Z_0 touches, not
-    # the J table or the J operators
+def test_sbg_no_and_its_recheck_derive_no_operator(derivations):
+    # a private n_(9,1): the witness is read off the J table's rows at its
+    # support, so the table is the one value kept, and no J operator is made
     a = extend(_build_base(1, 1), ExtensionStep.BY_8_0)
     cert = sbg_decision(a)
     assert cert.kind == "SBG_NO"
-    z0, v = (list(map(Fraction, cert.payload[key]))
-             for key in ("z0", "witness_v"))
+    z0, v = (SparseVector(d["dim"], tuple(d["index"]), tuple(d["value"]))
+             for d in (cert.payload["z0"], cert.payload["witness_v"]))
     assert verify_sbg_no_witness(a, z0, v).ok
-    assert _derived_on(a) == [] and derivations == []
+    assert _derived_on(a) == ["_j_table"] and derivations == []
 
 
 def test_derived_tables_leave_identity_alone():

@@ -24,6 +24,7 @@ from pseudoht.algebra import (
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import (
     Signature,
+    SparseVector,
     basis_vector,
     clear_denominators,
     exact_rank,
@@ -234,9 +235,11 @@ def test_scan_stops_at_the_first_null_pair_on_the_open_destinations(rs):
     assert (a.module_signs[0], a.module_signs[64]) == (1, -1)
     rep = surjectivity_scan(a)
     assert rep == obstruction.ScanReport(a.name(), 1, tuple(x))
+    # JSON writes the violation by its support
     assert rep.json_dict() == {
         "algebra": a.name(), "points": 1, "equivalence_holds": False,
-        "violation": x}
+        "violation": {"dim": a.dim_module, "index": [1, 65],
+                      "value": [1, 1]}}
 
 
 def _two_point_oracle(a, i, j):
@@ -563,15 +566,23 @@ def test_null_vectors_stay_surjective_in_anti_definite_algebras():
         assert adjoint_rank(a, v) == a.dim_center
 
 
+def _support(vector: dict) -> SparseVector:
+    """A certificate's {"dim", "index", "value"} vector as a SparseVector."""
+    return SparseVector(vector["dim"], tuple(vector["index"]),
+                        tuple(vector["value"]))
+
+
 def test_sbg_no_with_witness_on_1_1():
     a = base_algebra(1, 1)
     cert = sbg_decision(a)
     assert cert.kind == "SBG_NO"
-    z0 = [Fraction(e) for e in cert.payload["z0"]]
-    v = [Fraction(e) for e in cert.payload["witness_v"]]
-    assert z0 == [1, 1]
-    assert v == [0, 1, 1, 0]   # J_{Z_1+Z_2} w_1 = w_2 + w_3
-    assert verify_sbg_no_witness(a, z0, v).ok
+    z0, v = cert.payload["z0"], cert.payload["witness_v"]
+    assert z0 == {"dim": 2, "index": [1, 2], "value": [1, 1]}
+    # J_{Z_1+Z_2} w_1 = w_2 + w_3
+    assert v == {"dim": 4, "index": [2, 3], "value": [1, 1]}
+    assert verify_sbg_no_witness(a, _support(z0), _support(v)).ok
+    # the same vectors, dense, are reduced to that support
+    assert verify_sbg_no_witness(a, [1, 1], [0, 1, 1, 0]).ok
 
 
 @pytest.mark.parametrize("rs", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4)])
@@ -579,9 +590,10 @@ def test_sbg_no_witnesses_reverify(rs):
     a = base_algebra(*rs)
     cert = sbg_decision(a)
     assert cert.kind == "SBG_NO"
-    assert verify_sbg_no_witness(
-        a, [Fraction(e) for e in cert.payload["z0"]],
-        [Fraction(e) for e in cert.payload["witness_v"]]).ok
+    z0, v = (_support(cert.payload[key]) for key in ("z0", "witness_v"))
+    # the engine's witnesses are two-point: a lookup per pair of entries
+    assert len(z0.index) == len(v.index) == 2
+    assert verify_sbg_no_witness(a, z0, v).ok
 
 
 def _sbg_witness_by_adjoint_rows(a, z0, v):
@@ -621,6 +633,35 @@ def test_sbg_witness_verifier_rejects_bad_data():
     assert not verify_sbg_no_witness(a, [1, 0], [0, 1, 1, 0]).ok  # not null
     assert not verify_sbg_no_witness(a, [1, 1], [1, 0, 0, 0]).ok  # wrong v
     assert not verify_sbg_no_witness(a, [0, 0], [0, 1, 1, 0]).ok  # zero Z_0
+
+
+def _hand_made(module_signs, center_sig, entries) -> PseudoHTypeAlgebra:
+    n = len(module_signs)
+    return PseudoHTypeAlgebra(
+        center_sig=center_sig, module_signs=module_signs,
+        tensor=StructureTensor(n, center_sig.dim, entries),
+        module_labels=tuple(f"v{i}" for i in range(1, n + 1)),
+        center_labels=tuple(f"Z{k}" for k in range(1, center_sig.dim + 1)),
+        provenance=OpaqueProvenance({}))
+
+
+def test_sbg_witness_verifier_tests_that_z0_is_null():
+    # with no brackets every v is in the kernel of every J_Z, so only the
+    # null test refuses a Z_0 off the null cone (on an H-type algebra J_Z
+    # is invertible there, and the image test refuses it too)
+    a = _hand_made((1, -1), Signature(1, 1), [])
+    assert verify_sbg_no_witness(a, [1, 1], [1, 0]).ok
+    verdict = verify_sbg_no_witness(a, [1, 0], [1, 0])
+    assert not verdict.ok and verdict.detail == "Z_0 is not a null vector"
+
+
+def test_sbg_witness_verifier_refuses_a_j_table_with_conflicts():
+    # (k, a) = (1, 1) has the partners v_2 and v_3: J_{Z_1} is no signed
+    # permutation, and the J table keeps only one of them
+    a = _hand_made((1, 1, -1), Signature(1, 1), [(1, 2, 1, 1), (1, 3, 1, 1)])
+    for v in ([0, 1, 0], [0, 0, 1]):
+        verdict = verify_sbg_no_witness(a, [1, 1], v)
+        assert not verdict.ok and "multiple partners" in verdict.detail
 
 
 def test_sbg_witness_verifier_refuses_wrong_lengths():

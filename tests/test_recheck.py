@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -183,11 +184,28 @@ def test_anti_automorphisms_need_r_equal_s():
                      5: "ISO", 6: "ISO"}
 
 
+def _sbg_no(rs=(1, 1), form="sparse") -> dict:
+    """The SBG_NO certificate of n_(r,s) as certify writes it, or with its
+    vectors dense, as older certificates wrote them."""
+    cert = sbg_decision(standard_algebra(*rs)).json_dict()
+    return densify(cert) if form == "dense" else cert
+
+
+FORMS = ("sparse", "dense")
+
+
 def test_recheck_sbg_certificates():
     cert = sbg_decision(base_algebra(3, 2)).json_dict()
     assert recheck_certificate(cert).ok
-    cert["witness_v"][0] = "7"   # break the witness
-    assert not recheck_certificate(cert).ok
+    # break the witness, in either form
+    for form in FORMS:
+        broken = _sbg_no((3, 2), form)
+        assert recheck_certificate(broken).ok
+        if form == "dense":
+            broken["witness_v"][0] = "7"
+        else:
+            broken["witness_v"]["value"][0] *= 7
+        assert not recheck_certificate(broken).ok
     summed = sum_sbg(build_sum(base_algebra(2, 3), 2, 1)).json_dict()
     assert recheck_certificate(summed).ok
     assert recheck_certificate(
@@ -199,13 +217,15 @@ def test_recheck_sbg_certificates():
 def test_recheck_refuses_a_witness_entry_fraction_would_misread(entry,
                                                                monkeypatch):
     # str(Fraction) writes -?digits(/digits)?; anything else is refused
-    # before Fraction runs, so an exponent form costs nothing to refuse
-    cert = sbg_decision(base_algebra(1, 1)).json_dict()
-    cert["z0"][0] = entry
+    # before Fraction runs, so an exponent form costs nothing to refuse.
+    # The sparse form holds JSON integers only.
     monkeypatch.setattr(recheck, "Fraction", lambda e: pytest.fail(
         f"Fraction({e!r}) ran"))
-    verdict = recheck_certificate(cert)
-    assert verdict.ok is False and "malformed" in verdict.detail
+    for form in FORMS:
+        cert = _sbg_no(form=form)
+        (cert["z0"] if form == "dense" else cert["z0"]["value"])[0] = entry
+        verdict = recheck_certificate(cert)
+        assert verdict.ok is False and "malformed" in verdict.detail, form
 
 
 @pytest.mark.parametrize("entry", ["1e2000000", 1.5])
@@ -220,12 +240,18 @@ def test_recheck_refuses_a_morphism_entry_fraction_would_misread(entry,
 
 
 def test_recheck_reads_the_rationals_str_fraction_writes():
-    cert = sbg_decision(base_algebra(1, 1)).json_dict()
+    cert = _sbg_no(form="dense")
     # a witness scaled by -1/2 is still a witness
     for key in ("z0", "witness_v"):
         cert[key] = [str(-Fraction(int(e), 2)) for e in cert[key]]
     assert "-1/2" in cert["z0"]
     assert recheck_certificate(cert).ok
+    # the sparse form has an integer multiple of every witness, and holds
+    # integers only
+    sparse = _sbg_no()
+    sparse["z0"]["value"] = ["-1/2", "-1/2"]
+    verdict = recheck_certificate(sparse)
+    assert verdict.ok is False and "malformed" in verdict.detail
 
 
 def test_recheck_reads_integer_strings_as_ints():
@@ -237,29 +263,103 @@ def test_recheck_reads_integer_strings_as_ints():
 
 @pytest.mark.parametrize("entry", ["1/0", "1" * 5000, "1/" + "1" * 5000])
 def test_recheck_refuses_a_witness_entry_no_number_reads(entry):
-    cert = sbg_decision(base_algebra(1, 1)).json_dict()
-    cert["witness_v"][0] = entry
-    verdict = recheck_certificate(cert)
-    assert verdict.ok is False and "malformed" in verdict.detail
+    for form in FORMS:
+        cert = _sbg_no(form=form)
+        (cert["witness_v"] if form == "dense"
+         else cert["witness_v"]["value"])[0] = entry
+        verdict = recheck_certificate(cert)
+        assert verdict.ok is False and "malformed" in verdict.detail, form
 
 
 def test_an_integer_witness_rechecks_without_fractions(monkeypatch):
-    cert = sbg_decision(standard_algebra(9, 8)).json_dict()
-    assert len(cert["z0"]) + len(cert["witness_v"]) == 529
+    sparse, dense = (_sbg_no((9, 8), form) for form in FORMS)
+    # two support entries each: four J table lookups
+    assert [len(sparse[key]["index"]) for key in ("z0", "witness_v")] \
+        == [2, 2]
+    assert len(dense["z0"]) + len(dense["witness_v"]) == 529
     monkeypatch.setattr(recheck, "Fraction", lambda e: pytest.fail(
         f"Fraction({e!r}) ran"))
+    assert recheck_certificate(sparse).ok
+    assert recheck_certificate(dense).ok
+
+
+@pytest.mark.parametrize("rs", [(3, 2), (9, 8)])
+def test_the_dense_sbg_no_text_of_older_certificates_rechecks(rs):
+    # densified_text gives the bytes sbg 3 2 and sbg 9 8 wrote before their
+    # vectors were sparse (the sha256 pins of test_cli and test_golden)
+    cert = _sbg_no(rs, "dense")
+    a = standard_algebra(*rs)
+    assert (len(cert["z0"]), len(cert["witness_v"])) == (a.dim_center,
+                                                         a.dim_module)
+    assert all(type(e) is str for e in cert["z0"] + cert["witness_v"])
     assert recheck_certificate(cert).ok
 
 
 def test_recheck_refuses_sbg_witness_of_wrong_length():
-    cert = sbg_decision(base_algebra(1, 1)).json_dict()
+    for form in FORMS:
+        cert = _sbg_no(form=form)
+        assert recheck_certificate(cert).ok
+        padded = json.loads(json.dumps(cert))
+        short = json.loads(json.dumps(cert))
+        if form == "dense":
+            padded["z0"].append("0")
+            short["witness_v"].pop()
+        else:
+            padded["z0"]["dim"] += 1
+            short["witness_v"]["dim"] -= 1
+        assert not recheck_certificate(padded).ok, form
+        assert not recheck_certificate(short).ok, form
+
+
+SPARSE_FORGERIES = {
+    "index 0": lambda v: v.update(index=[0, *v["index"][1:]]),
+    "index above dim": lambda v: v.update(index=[*v["index"][:-1],
+                                                 v["dim"] + 1]),
+    "repeated index": lambda v: v.update(index=[v["index"][0]] * 2),
+    "unsorted index": lambda v: v.update(index=v["index"][::-1]),
+    "value 0": lambda v: v.update(value=[0, *v["value"][1:]]),
+    "value true": lambda v: v.update(value=[True, *v["value"][1:]]),
+    "value 1.5": lambda v: v.update(value=[1.5, *v["value"][1:]]),
+    # the same vector with one more support entry, of value 0
+    "value 0 at a further index": lambda v: v.update(
+        index=[*v["index"], v["dim"]], value=[*v["value"], 0]),
+    "index longer than value": lambda v: v.update(index=[*v["index"],
+                                                         v["dim"]]),
+    "value longer than index": lambda v: v.update(value=[*v["value"], 1]),
+    "missing dim": lambda v: v.pop("dim"),
+    "dim not the algebra's": lambda v: v.update(dim=v["dim"] + 8),
+    "dim true": lambda v: v.update(dim=True),
+    "dim a float": lambda v: v.update(dim=float(v["dim"])),
+    "missing index": lambda v: v.pop("index"),
+    "value not a list": lambda v: v.update(value=1),
+    "an index that is a list": lambda v: v.update(index=[[1]]),
+}
+
+
+@pytest.mark.parametrize("key", ["z0", "witness_v"])
+@pytest.mark.parametrize("forgery", SPARSE_FORGERIES)
+def test_recheck_refuses_a_malformed_sparse_vector(key, forgery):
+    cert = _sbg_no()
     assert recheck_certificate(cert).ok
-    padded = json.loads(json.dumps(cert))
-    padded["z0"].append("0")
-    assert not recheck_certificate(padded).ok
-    short = json.loads(json.dumps(cert))
-    short["witness_v"].pop()
-    assert not recheck_certificate(short).ok
+    SPARSE_FORGERIES[forgery](cert[key])
+    verdict = recheck_certificate(cert)
+    assert verdict.ok is False, verdict
+
+
+@pytest.mark.parametrize("key", ["z0", "witness_v"])
+def test_a_huge_sparse_dim_is_refused_before_anything_of_its_size(key):
+    cert = _sbg_no((3, 2))
+    assert recheck_certificate(cert).ok   # the algebra is built and kept
+    for index in (cert[key]["index"], [1, 10 ** 9]):
+        forged = json.loads(json.dumps(cert))
+        forged[key].update(dim=10 ** 9, index=index)
+        tracemalloc.start()
+        try:
+            verdict = recheck_certificate(forged)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok is False and peak < 1 << 20
 
 
 def test_recheck_round_trips_through_cli_json(capsys):

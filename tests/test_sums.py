@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,7 @@ from pseudoht.algebra import (
     verify_integral_basis,
 )
 from pseudoht.catalog import UnsupportedSignatureError, base_algebra
-from pseudoht.core import MapClass, basis_vector, classify_map
+from pseudoht.core import MapClass, SparseVector, basis_vector, classify_map
 from pseudoht.morphism import verify_homomorphism
 from pseudoht.obstruction import sbg_decision, verify_sbg_no_witness
 from pseudoht.sums import (
@@ -135,17 +134,16 @@ def test_sum_sbg_cases():
     s = build_sum(base_algebra(2, 3), 2, 1)
     cert = sum_sbg(s)
     assert cert.kind == "SBG_NO"
-    z0 = [Fraction(e) for e in cert.payload["z0"]]
-    v = [Fraction(e) for e in cert.payload["witness_v"]]
+    z0, v = (SparseVector(d["dim"], tuple(d["index"]), tuple(d["value"]))
+             for d in (cert.payload["z0"], cert.payload["witness_v"]))
     assert verify_sbg_no_witness(s, z0, v).ok
-    # the witness is supported on the first block only
-    per = base_algebra(2, 3).dim_module
-    assert any(v[:per]) and not any(v[per:])
-    # it is the base algebra's witness, zero-padded, in the same decimal form
+    # it is the base algebra's witness, zero-padded: the base's support, in
+    # the sum's module dimension, so supported on the first block only
     base = sbg_decision(base_algebra(2, 3)).payload
     assert cert.payload["z0"] == base["z0"]
-    assert cert.payload["witness_v"] == \
-        base["witness_v"] + ["0"] * (len(v) - per)
+    assert v.dim == s.dim_module == 3 * base["witness_v"]["dim"]
+    assert cert.payload["witness_v"] == {**base["witness_v"], "dim": v.dim}
+    assert v.index[-1] <= base_algebra(2, 3).dim_module
 
 
 def test_sum_json_blocks_field():
