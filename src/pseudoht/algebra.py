@@ -977,27 +977,6 @@ def adjoint_rows(a: PseudoHTypeAlgebra,
     return rows
 
 
-def center_pairing(a: PseudoHTypeAlgebra, z: Sequence[Rational],
-                   x: Sequence[Rational]) -> list[Rational]:
-    """<Z, [x, v_b]> for b = 1..dim v, which is the coordinate <J_Z x, v_b>.
-
-    One pass over the tensor entries, doing work only on those whose
-    center index Z touches; no J table is read or built.  Entries
-    keep the number type of the input, so integers give integers.
-    """
-    if len(z) != a.dim_center or len(x) != a.dim_module:
-        raise ValueError("Z and x must have center and module length")
-    lowered = [zk * e for zk, e in zip(z, a.center_sig.signs())]
-    out = [0] * a.dim_module
-    for (p, q, k, s) in a.tensor.entries:
-        c = lowered[k - 1]
-        if c:
-            c *= s
-            out[q - 1] += x[p - 1] * c
-            out[p - 1] -= x[q - 1] * c
-    return out
-
-
 def j_image(a: PseudoHTypeAlgebra, z: SparseVector,
             x: SparseVector) -> dict[int, Rational]:
     """J_Z x by its support: {b: c} for each nonzero coordinate c at v_b,

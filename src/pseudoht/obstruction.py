@@ -21,7 +21,6 @@ from .algebra import (
     PseudoHTypeAlgebra,
     Verdict,
     adjoint_rows,
-    center_pairing,
     j_image,
     two_coloring,
     two_point_rank,
@@ -31,7 +30,6 @@ from .core import (
     Rational,
     Signature,
     SparseVector,
-    basis_vector,
     clear_denominators,
     exact_det,
     exact_rank,
@@ -70,11 +68,11 @@ def adjoint_rank(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> int:
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of a surjectivity scan: the points visited and the first
-    counterexample, if any, dense here and by its support in JSON."""
+    counterexample, if any."""
 
     algebra: str
     points: int
-    violation: Optional[tuple[int, ...]] = None
+    violation: Optional[SparseVector] = None
 
     @property
     def equivalence_holds(self) -> bool:
@@ -88,7 +86,7 @@ class ScanReport:
             "points": self.points,
             "equivalence_holds": self.equivalence_holds,
             "violation": None if self.violation is None
-            else SparseVector.of(self.violation).json_dict(),
+            else self.violation.json_dict(),
         }
 
 
@@ -136,13 +134,12 @@ def surjectivity_scan(a: PseudoHTypeAlgebra) -> ScanReport:
     nothing.
     """
     signs = a.module_signs
-    dim = a.dim_module
-    pos = [i for i in range(dim) if signs[i] > 0]
-    neg = [j for j in range(dim) if signs[j] < 0]
+    pos = [i for i, e in enumerate(signs, start=1) if e > 0]
+    neg = [j for j, e in enumerate(signs, start=1) if e < 0]
     for points, (i, j) in enumerate(itertools.product(pos, neg), start=1):
-        if two_point_rank(a, i + 1, j + 1) == a.dim_center:
+        if two_point_rank(a, i, j) == a.dim_center:
             return ScanReport(a.name(), points,
-                              tuple(int(k == i or k == j) for k in range(dim)))
+                              SparseVector(a.dim_module, (i, j), (1, 1)))
     return ScanReport(a.name(), len(pos) * len(neg))
 
 
@@ -248,7 +245,7 @@ def sbg_decision(a: PseudoHTypeAlgebra) -> Certificate:
                              f"{axioms.witness}")
         return Certificate("SBG_YES", {"signature": [r, s]})
 
-    z0, v = map(SparseVector.of, null_direction_witness(a))
+    z0, v = null_direction_witness(a)
     verdict = verify_sbg_no_witness(a, z0, v)
     if not verdict.ok:
         raise RuntimeError(f"witness failed verification: {verdict.detail}")
@@ -260,18 +257,16 @@ def sbg_decision(a: PseudoHTypeAlgebra) -> Certificate:
 
 
 def null_direction_witness(a: PseudoHTypeAlgebra
-                           ) -> tuple[list[int], list[int]]:
+                           ) -> tuple[SparseVector, SparseVector]:
     """Integer (Z_0, v) on an indefinite center: the null Z_0 = Z_1 + Z_{r+1}
     and v = J_{Z_0} v_alpha for the first v_alpha it does not annihilate,
-    read off the center_pairing <J_{Z_0} v_alpha, v_b> = eps_b v_b."""
-    r = a.r
-    z0 = [0] * a.dim_center
-    z0[0] = 1
-    z0[r] = 1
+    read off the J table by j_image."""
+    z0 = SparseVector(a.dim_center, (1, a.r + 1), (1, 1))
     for alpha in range(1, a.dim_module + 1):
-        pairing = center_pairing(a, z0, basis_vector(alpha, a.dim_module))
-        if any(pairing):
-            return z0, [e * c for e, c in zip(a.module_signs, pairing)]
+        image = j_image(a, z0, SparseVector(a.dim_module, (alpha,), (1,)))
+        if image:
+            return z0, SparseVector(a.dim_module, tuple(image),
+                                    tuple(image.values()))
     # would contradict the nonzero kernel of J_{Z_0}
     raise RuntimeError("no witness found; J_{Z_0} vanished identically")
 

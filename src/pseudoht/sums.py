@@ -26,7 +26,6 @@ from .catalog import (
     require_module_budget,
     shared_step,
 )
-from .core import SparseVector
 from .extension import volume_involution
 from .morphism import LieMorphism
 from .obstruction import (
@@ -156,8 +155,7 @@ def sum_sbg(a: PseudoHTypeAlgebra) -> Certificate:
         cert = sbg_decision(a)
         return Certificate(cert.kind, {
             **cert.payload, "sum": [prov.mu, prov.nu]})
-    z0, v = map(SparseVector.of, null_direction_witness(
-        base_algebra(prov.base_r, prov.base_s)))
+    z0, v = null_direction_witness(base_algebra(prov.base_r, prov.base_s))
     v = replace(v, dim=a.dim_module)  # zero blocks after the first
     verdict = verify_sbg_no_witness(a, z0, v)
     if not verdict.ok:

@@ -74,11 +74,15 @@ def output(argv: list[str]) -> tuple[int, str]:
     return code, text
 
 
-def run(argv: list[str]) -> dict:
-    """{"argv", "exit", "stdout_sha256"} of one in-process CLI call."""
-    code, text = output(argv)
+def record(argv: list[str], code: int, text: str) -> dict:
+    """{"argv", "exit", "stdout_sha256"} of a call's exit code and stdout."""
     return {"argv": argv, "exit": code,
             "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def run(argv: list[str]) -> dict:
+    """The record of one in-process CLI call."""
+    return record(argv, *output(argv))
 
 
 def load() -> list[dict]:

@@ -22,7 +22,7 @@ from pseudoht.algebra import (
     bd_decomposition,
     block_decomposition,
     bracket,
-    center_pairing,
+    j_image,
     j_operator,
     signed_incidence_rank,
     two_coloring,
@@ -34,7 +34,8 @@ from pseudoht.algebra import (
 )
 from pseudoht.algebra import _check_general_at
 from pseudoht.catalog import BASE_IDS, base_algebra
-from pseudoht.core import ExactMatrix, Signature, basis_vector, exact_rank, scalar_product
+from pseudoht.core import (ExactMatrix, Signature, SparseVector, basis_vector, exact_rank,
+                           scalar_product)
 from pseudoht.obstruction import adjoint_rank, gram_det
 
 from test_derived_tables import signed_lookup  # J table row reference
@@ -515,7 +516,8 @@ def test_adjoint_rows_refuses_wrong_lengths(x):
 
 
 def test_center_pairing_lowers_j_of_the_center_vector():
-    # <Z, [x, v_b]> = <J_Z x, v_b>, with J_Z x read off the J operators
+    # <Z, [x, v_b]> = <J_Z x, v_b> = eps_b (J_Z x)_b, with J_Z x read off
+    # the J operators and, by its support, off the J table by j_image
     a = base_algebra(2, 2)
     z, x = [1, 0, 2, 0], [0, 0, 0, 0, 1, 0, -3, 0]
     want = [0] * a.dim_module
@@ -524,18 +526,29 @@ def test_center_pairing_lowers_j_of_the_center_vector():
             if zk and xa:
                 b, s = j_operator(a, k).apply_basis(alpha)
                 want[b - 1] += zk * xa * s * a.module_sign(b)
-    got = center_pairing(a, z, x)
-    assert got == want and any(got)
-    assert all(type(c) is int for c in got)
-    assert center_pairing(a, [0] * 4, x) == [0] * 8
-    half = center_pairing(a, z, [Fraction(e, 2) for e in x])
-    assert half == [Fraction(c, 2) for c in got]
+    got = j_image(a, SparseVector.of(z), SparseVector.of(x))
+    pairing = [a.module_sign(b) * got.get(b, 0)
+               for b in range(1, a.dim_module + 1)]
+    assert pairing == want and got
+    assert pairing == [scalar_product(z, bracket(a, x, basis_vector(b, 8)),
+                                      a.center_sig)
+                       for b in range(1, a.dim_module + 1)]
+    assert all(type(c) is int for c in got.values())
+    assert j_image(a, SparseVector(4, (), ()), SparseVector.of(x)) == {}
+    half = j_image(a, SparseVector.of(z),
+                   SparseVector.of([Fraction(e, 2) for e in x]))
+    assert half == {b: Fraction(c, 2) for b, c in got.items()}
 
 
-@pytest.mark.parametrize("z,x", [([1, 0, 0], [0] * 8), ([1] * 5, [0] * 8),
-                                 ([1, 0, 0, 0], [1] * 7),
-                                 ([1, 0, 0, 0], [1] * 9)])
+def _first_basis_vector(dim):
+    return SparseVector(dim, (1,), (1,))
+
+
+@pytest.mark.parametrize("z,x", [
+    (_first_basis_vector(z), _first_basis_vector(x))
+    for z, x in ((3, 8), (5, 8), (4, 7), (4, 9))])
 def test_center_pairing_refuses_wrong_lengths(z, x):
-    # a short Z would otherwise stop the pairing early and answer silently
+    # a Z or x of another dimension would otherwise be read at indices
+    # the algebra does not have, or answer silently
     with pytest.raises(ValueError):
-        center_pairing(base_algebra(2, 2), z, x)
+        j_image(base_algebra(2, 2), z, x)

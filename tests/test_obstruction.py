@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -52,6 +54,8 @@ from pseudoht.obstruction import (
     witt_bound,
 )
 from pseudoht.sums import build_sum, sum_sbg
+
+from dense_certificates import dense_vector
 
 # ---------------------------------------------------------------------------
 # the printed adjoint matrices, used as independent oracles.  Columns follow
@@ -230,11 +234,10 @@ def test_witt_bound_does_not_reach_the_open_pairs(rs):
 @pytest.mark.parametrize("rs", [(2, 11), (6, 7), (7, 7), (3, 11)])
 def test_scan_stops_at_the_first_null_pair_on_the_open_destinations(rs):
     a = standard_algebra(*rs)
-    x = [0] * a.dim_module
-    x[0] = x[64] = 1                            # v_1 + v_65
+    x = SparseVector(a.dim_module, (1, 65), (1, 1))     # v_1 + v_65
     assert (a.module_signs[0], a.module_signs[64]) == (1, -1)
     rep = surjectivity_scan(a)
-    assert rep == obstruction.ScanReport(a.name(), 1, tuple(x))
+    assert rep == obstruction.ScanReport(a.name(), 1, x)
     # JSON writes the violation by its support
     assert rep.json_dict() == {
         "algebra": a.name(), "points": 1, "equivalence_holds": False,
@@ -403,7 +406,7 @@ def _brute_force_scan(a):
         x[i] = x[j] = 1
         assert scalar_product(x, x, signs) == 0
         if exact_rank(adjoint_rows(a, x)) == a.dim_center:
-            return points, tuple(x)
+            return points, SparseVector.of(x)
     return len(pairs), None
 
 
@@ -612,20 +615,42 @@ def _sbg_witness_by_adjoint_rows(a, z0, v):
 def test_sbg_witness_verdicts_match_the_dense_adjoint(rs):
     a = standard_algebra(*rs)
     z0, v = null_direction_witness(a)
+    assert isinstance(z0, SparseVector) and isinstance(v, SparseVector)
     rng = random.Random(a.dim_module)
     dense = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
              for _ in range(a.dim_module)]
-    shifted = [e + (b == 0) for b, e in enumerate(v)]
-    candidates = [v, [Fraction(e, 3) for e in v], dense, shifted,
+    z0_dense, v_dense = (dense_vector(x.json_dict()) for x in (z0, v))
+    shifted = [e + (b == 0) for b, e in enumerate(v_dense)]
+    candidates = [v, SparseVector(v.dim, v.index,
+                                  tuple(Fraction(e, 3) for e in v.value)),
+                  dense, shifted,
                   basis_vector(1, a.dim_module),
                   basis_vector(a.dim_module, a.dim_module)]
     verdicts = []
     for cand in candidates:
         got = verify_sbg_no_witness(a, z0, cand)
-        want = _sbg_witness_by_adjoint_rows(a, z0, cand)
+        if isinstance(cand, SparseVector):
+            cand = dense_vector(cand.json_dict())
+        want = _sbg_witness_by_adjoint_rows(a, z0_dense, cand)
         assert (got.ok, got.witness) == (want is None, want)
         verdicts.append(got.ok)
     assert verdicts == [True, True, False, False, False, False]
+
+
+def test_the_witness_search_makes_nothing_of_module_size():
+    # J_{Z_0} v_alpha is read off the J table, a lookup per alpha and
+    # entry of Z_0: no dense vector, pairing or ad_v of dim v is made
+    a = standard_algebra(9, 8)
+    dense_size = sys.getsizeof([0] * a.dim_module)
+    for call in (null_direction_witness, sbg_decision):
+        call(a)                                 # the J table is kept
+        tracemalloc.start()
+        try:
+            call(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_size, (call.__name__, peak, dense_size)
 
 
 def test_sbg_witness_verifier_rejects_bad_data():
