@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import (
     BaseProvenance,
-    BlockSets,
     PseudoHTypeAlgebra,
     StructureTensor,
 )
@@ -223,39 +222,26 @@ def _parse_table(text: str, display_order: Sequence[int], dim_center: int,
     return entries
 
 
-def _blocks(a_plus, a_minus, b_plus, b_minus) -> BlockSets:
-    return BlockSets(frozenset(a_plus), frozenset(a_minus),
-                     frozenset(b_plus), frozenset(b_minus))
-
-
-# (table text, display order, module metric, layout, canonical block sets)
+# (table text, display order, module metric, layout)
 _natural8 = tuple(range(1, 9))
 _natural16 = tuple(range(1, 17))
 
 _CATALOG_SPECS: dict[BaseTableId, dict] = {
-    (1, 0): dict(text=_T_1, order=(1, 2), metric=(1, 1),
-                 blocks=_blocks({1}, (), {2}, ())),
-    (0, 1): dict(text=_T_1, order=(1, 2), metric=(1, -1),
-                 blocks=_blocks({1}, (), (), {2}), tilde=True),
-    (2, 0): dict(text=_T_2, order=(1, 2, 3, 4), metric=(1,) * 4,
-                 blocks=_blocks({1, 2}, (), {3, 4}, ())),
+    (1, 0): dict(text=_T_1, order=(1, 2), metric=(1, 1)),
+    (0, 1): dict(text=_T_1, order=(1, 2), metric=(1, -1), tilde=True),
+    (2, 0): dict(text=_T_2, order=(1, 2, 3, 4), metric=(1,) * 4),
     (0, 2): dict(text=_T_2, order=(1, 2, 3, 4), metric=(1, 1, -1, -1),
-                 blocks=_blocks({1, 2}, (), (), {3, 4}), tilde=True),
-    (4, 0): dict(text=_T_40, order=_natural8, metric=(1,) * 8,
-                 blocks=_blocks({1, 2, 3, 4}, (), {5, 6, 7, 8}, ())),
+                 tilde=True),
+    (4, 0): dict(text=_T_40, order=_natural8, metric=(1,) * 8),
     (0, 4): dict(text=_T_04, order=_natural8, metric=(1,) * 4 + (-1,) * 4,
-                 blocks=_blocks({1, 2, 3, 4}, (), (), {5, 6, 7, 8}), tilde=True),
+                 tilde=True),
     (8, 0): dict(text=_T_80, order=_natural16, metric=(1,) * 16,
-                 module_symbol="u",
-                 blocks=_blocks(set(range(1, 9)), (), set(range(9, 17)), ())),
+                 module_symbol="u"),
     (0, 8): dict(text=_T_08, order=_natural16, metric=(1,) * 8 + (-1,) * 8,
-                 module_symbol="v", center_tilde=True,
-                 blocks=_blocks(set(range(1, 9)), (), (), set(range(9, 17)))),
-    (1, 1): dict(text=_T_11, order=(1, 4, 2, 3), metric=(1, 1, -1, -1),
-                 blocks=_blocks({1}, {4}, {2}, {3})),
+                 module_symbol="v", center_tilde=True),
+    (1, 1): dict(text=_T_11, order=(1, 4, 2, 3), metric=(1, 1, -1, -1)),
     (2, 2): dict(text=_T_22, order=(1, 4, 7, 8, 2, 3, 5, 6),
-                 metric=(1,) * 4 + (-1,) * 4,
-                 blocks=_blocks({1, 4}, {7, 8}, {2, 3}, {5, 6})),
+                 metric=(1,) * 4 + (-1,) * 4),
     (3, 2): dict(text=_T_32, order=(1, 4, 7, 8, 2, 3, 5, 6),
                  metric=(1,) * 4 + (-1,) * 4, center_offset=0),
     (2, 3): dict(text=_T_23, order=(1, 4, 7, 8, 2, 3, 5, 6),
@@ -264,9 +250,7 @@ _CATALOG_SPECS: dict[BaseTableId, dict] = {
                  metric=(1,) * 4 + (-1,) * 4),
     (4, 4): dict(text=_T_44,
                  order=(1, 6, 7, 8, 13, 14, 15, 16, 2, 3, 4, 5, 9, 10, 11, 12),
-                 metric=(1,) * 8 + (-1,) * 8, module_symbol="y",
-                 blocks=_blocks({1, 6, 7, 8}, {13, 14, 15, 16},
-                                {2, 3, 4, 5}, {9, 10, 11, 12})),
+                 metric=(1,) * 8 + (-1,) * 8, module_symbol="y"),
 }
 
 # sha256 of the canonical entry list, locking each transcription.
@@ -394,7 +378,6 @@ def _build_base(r: int, s: int) -> PseudoHTypeAlgebra:
         module_labels=module_labels,
         center_labels=center_labels,
         provenance=BaseProvenance(r, s),
-        blocks=entry.get("blocks"),
     )
 
 
@@ -403,13 +386,6 @@ def table_text(table_id: BaseTableId) -> str:
     if table_id not in _CATALOG_SPECS:
         raise UnsupportedSignatureError(*table_id)
     return _CATALOG_SPECS[table_id]["text"]
-
-
-def base_blocks(r: int, s: int) -> Optional[BlockSets]:
-    """Canonical block sets of a catalog algebra, read without building it."""
-    if (r, s) not in _CATALOG_SPECS:
-        raise UnsupportedSignatureError(r, s)
-    return _CATALOG_SPECS[(r, s)].get("blocks")
 
 
 def aligned_factor_0_8() -> PseudoHTypeAlgebra:
@@ -427,7 +403,6 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
         module_labels=tuple(f"v{i}" for i in range(1, 17)),
         center_labels=tuple(f"Z{k}~" for k in range(1, 9)),
         provenance=BaseProvenance(0, 8),
-        blocks=base_blocks(0, 8),
     )
 
 

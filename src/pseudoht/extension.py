@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .algebra import (
-    BlockSets,
     ExtensionProvenance,
     ExtensionRecipe,
     PseudoHTypeAlgebra,
@@ -118,8 +117,7 @@ def _extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     """extend(), built: the pair w_i (x) u_j has flat index 16(i-1) + (j-1),
     and the final basis lists the positive pairs, then the negative ones,
     each in flat order."""
-    two_l = a.dim_module
-    require_module_budget(16 * two_l)
+    require_module_budget(16 * a.dim_module)
     factor = _factor(step)
     sig, parent_center, factor_center = _center_layout(step, a.r, a.s)
 
@@ -132,8 +130,6 @@ def _extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
     for pos, f in enumerate(order, start=1):
         pair_to_final[f] = pos
 
-    # rows[i] holds the final indices of w_{i+1} (x) u_1 ... u_16
-    rows = [pair_to_final[16 * i:16 * i + 16] for i in range(two_l)]
     provenance = ExtensionProvenance(
         parent=a, step=step.value,
         pair_to_final=tuple(pair_to_final),
@@ -153,30 +149,7 @@ def _extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
         module_labels=module_labels,
         center_labels=center_labels,
         provenance=provenance,
-        blocks=_extend_blocks(a.blocks, factor.blocks, rows, metric),
     )
-
-
-def _extend_blocks(parent: Optional[BlockSets], factor: BlockSets,
-                   rows: Sequence[Sequence[int]], metric: Sequence[int]
-                   ) -> Optional[BlockSets]:
-    """Push the canonical quarter sets through one extension step.
-
-    One rule serves every step: w_i (x) u_j lies in the A part exactly when
-    w_i and u_j lie in like parts, and the new metric sign splits each part.
-    rows[i - 1][j - 1] is the final index of w_i (x) u_j and metric is the
-    new module metric.
-    """
-    if parent is None:
-        return None
-    parent_a = parent.a_side
-    factor_a = [j in factor.a_side for j in range(1, 17)]
-    parts: tuple[list[int], ...] = ([], [], [], [])  # A+, A-, B+, B-
-    for i, row in enumerate(rows, start=1):
-        w_in_a = i in parent_a
-        for final, u_in_a in zip(row, factor_a):
-            parts[2 * (w_in_a != u_in_a) + (metric[final - 1] < 0)].append(final)
-    return BlockSets(*map(frozenset, parts))
 
 
 def extension_chain(base_id: tuple[int, int],

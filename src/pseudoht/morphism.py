@@ -33,7 +33,7 @@ from .algebra import (
     signed_lookups,
     signed_row,
 )
-from .catalog import base_algebra, base_blocks, catalog_key, min_module_dim
+from .catalog import base_algebra, catalog_key, min_module_dim
 from .core import (
     ExactMatrix,
     MapClass,
@@ -402,7 +402,7 @@ def _build_step_map(sub: CanonicalMap, step: ExtensionStep,
     else:
         f_module = SignedPermutationOp.identity(16)
         f_center = SignedPermutationOp.identity(8)
-    b_factor = base_blocks(*step.delta).b_side
+    b_factor = base_algebra(*step.delta).blocks.b_side
     b_parent = sub.src.blocks.b_side if sub.src.blocks else frozenset()
 
     module = [0] * src.dim_module

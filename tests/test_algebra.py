@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoht.algebra import (
+    BlockSets,
     DegenerateKernelError,
     IntegralBasisError,
     OpaqueProvenance,
@@ -33,7 +34,7 @@ from pseudoht.algebra import (
     verify_integral_basis,
 )
 from pseudoht.algebra import _check_general_at
-from pseudoht.catalog import BASE_IDS, base_algebra
+from pseudoht.catalog import BASE_IDS, aligned_factor_0_8, base_algebra
 from pseudoht.core import (ExactMatrix, Signature, SparseVector, basis_vector, exact_rank,
                            scalar_product)
 from pseudoht.obstruction import adjoint_rank, gram_det
@@ -162,6 +163,28 @@ def test_two_step_nilpotency_is_structural():
         bracket(a, list(z), basis_vector(1, 4))
 
 
+def _published(a_plus, a_minus, b_plus, b_minus) -> BlockSets:
+    return BlockSets(frozenset(a_plus), frozenset(a_minus),
+                     frozenset(b_plus), frozenset(b_minus))
+
+
+# the paper's quarter sets A+, A-, B+, B- of the eleven bases that have them
+PUBLISHED_BLOCKS = {
+    (1, 0): _published({1}, (), {2}, ()),
+    (0, 1): _published({1}, (), (), {2}),
+    (2, 0): _published({1, 2}, (), {3, 4}, ()),
+    (0, 2): _published({1, 2}, (), (), {3, 4}),
+    (4, 0): _published({1, 2, 3, 4}, (), {5, 6, 7, 8}, ()),
+    (0, 4): _published({1, 2, 3, 4}, (), (), {5, 6, 7, 8}),
+    (8, 0): _published(set(range(1, 9)), (), set(range(9, 17)), ()),
+    (0, 8): _published(set(range(1, 9)), (), (), set(range(9, 17))),
+    (1, 1): _published({1}, {4}, {2}, {3}),
+    (2, 2): _published({1, 4}, {7, 8}, {2, 3}, {5, 6}),
+    (4, 4): _published({1, 6, 7, 8}, {13, 14, 15, 16},
+                       {2, 3, 4, 5}, {9, 10, 11, 12}),
+}
+
+
 def test_block_decomposition_matches_published_sets():
     eight = base_algebra(8, 0)
     split = block_decomposition(eight)
@@ -170,6 +193,13 @@ def test_block_decomposition_matches_published_sets():
     split = block_decomposition(four4)
     assert split == (frozenset({1, 6, 7, 8, 13, 14, 15, 16}),
                      frozenset({2, 3, 4, 5, 9, 10, 11, 12}))
+    # the kept quarter sets, read off the J table, are the published ones
+    for rs, published in PUBLISHED_BLOCKS.items():
+        assert base_algebra(*rs).blocks == published, rs
+    for rs in ((3, 2), (2, 3), (3, 3)):
+        assert base_algebra(*rs).blocks is None, rs
+    assert set(PUBLISHED_BLOCKS) | {(3, 2), (2, 3), (3, 3)} == set(BASE_IDS)
+    assert aligned_factor_0_8().blocks == PUBLISHED_BLOCKS[(0, 8)]
 
 
 def test_block_decomposition_none_for_3_2():

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import pseudoht.algebra as algebra
+import pseudoht.catalog as catalog
 from pseudoht.algebra import (
     BlockSets,
     SignedPermutationOp,
@@ -30,6 +31,7 @@ from pseudoht.extension import (
     volume_involution,
 )
 from pseudoht.sums import build_sum
+from test_algebra import PUBLISHED_BLOCKS
 from test_derived_tables import per_entry_j_table, table_values
 
 
@@ -318,11 +320,17 @@ def test_extended_block_sets_commute():
                 assert all(ext.module_sign(i) == sign for i in part)
 
 
-def _graph_blocks(a):
-    """block_decomposition of a, refined by metric sign."""
-    a_side, b_side = block_decomposition(a)
-    return BlockSets(*(frozenset(i for i in side if a.module_sign(i) == sign)
-                       for side in (a_side, b_side) for sign in (1, -1)))
+def _one_step_blocks(parent: BlockSets, factor: BlockSets, ext) -> BlockSets:
+    """The one-step rule: w_i (x) u_j is on the A side exactly when w_i and
+    u_j are on like sides, found through pair_index, and the extension's
+    metric sign splits each side."""
+    parts: tuple[list[int], ...] = ([], [], [], [])  # A+, A-, B+, B-
+    for i in range(1, ext.dim_module // 16 + 1):
+        for j in range(1, 17):
+            f = pair_index(ext, i, j)
+            like = (i in parent.a_side) == (j in factor.a_side)
+            parts[2 * (not like) + (ext.module_sign(f) < 0)].append(f)
+    return BlockSets(*map(frozenset, parts))
 
 
 def _chains_up_to(base, dim):
@@ -334,18 +342,31 @@ def _chains_up_to(base, dim):
 
 
 def test_extended_blocks_follow_the_commutation_graph():
-    # one rule for every step: w_i (x) u_j is on the A side exactly when w_i
-    # and u_j are on like sides, split by the new metric sign; the coloured
-    # commutation graph of the extension gives the same sets, oriented alike
-    bases = [rs for rs in sorted(BASE_IDS) if base_algebra(*rs).blocks]
-    assert len(bases) == 11
+    # the sets read off each extension's J table are the published base
+    # sets pushed through the chain by the one-step rule, oriented alike;
+    # the factor of the (0,8) step is aligned, with the published A side
     checked = 0
-    for rs in bases:
+    for rs, published in PUBLISHED_BLOCKS.items():
         for chain in _chains_up_to(rs, 512):
-            ext = extension_chain(rs, chain)
-            assert ext.blocks == _graph_blocks(ext), (rs, chain)
+            ext, want = base_algebra(*rs), published
+            for step in chain:
+                ext = extend(ext, step)
+                want = _one_step_blocks(want, PUBLISHED_BLOCKS[step.delta],
+                                        ext)
+            assert ext.blocks == want, (rs, chain)
             checked += 1
     assert checked == 51
+
+
+def test_block_split_reads_no_tensor_entries(monkeypatch):
+    # the split is read off the J table, which an extension makes from its
+    # parent's and factor's rows: no entry list is materialized
+    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
+    a = extend(base_algebra(4, 4), ExtensionStep.BY_8_0)
+    assert "entries" not in vars(a.tensor)
+    assert block_decomposition(a) is not None
+    assert a.blocks is not None
+    assert "entries" not in vars(a.tensor)
 
 
 def test_extension_chain_examples():
