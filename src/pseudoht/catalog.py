@@ -9,6 +9,8 @@ them (a single wrong sign breaks the Clifford or composition identities).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import functools
 import hashlib
@@ -16,7 +18,7 @@ import io
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import (
     BaseProvenance,
@@ -359,7 +361,7 @@ def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:
     (1, 0)."""
     if type(r) is not int or type(s) is not int or (r, s) not in _CATALOG_SPECS:
         raise UnsupportedSignatureError(r, s)
-    return _CACHE.get(((r, s), ()), lambda: _build_base(r, s))
+    return _CACHE.get().get(((r, s), ()), lambda: _build_base(r, s))
 
 
 def _build_base(r: int, s: int) -> PseudoHTypeAlgebra:
@@ -393,24 +395,26 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
 
     Flipping v_2..v_8 makes the (0,8) structure constants literally equal to
     the (8,0) ones; the extension machinery and the recursive isomorphisms
-    are all stated in this aligned basis.
+    are all stated in this aligned basis.  It is shared like a step of
+    base_algebra(8, 0), whose tensor it reads.
     """
     eight = base_algebra(8, 0)
-    return PseudoHTypeAlgebra(
+    return shared_step(eight, "aligned 0,8", lambda: PseudoHTypeAlgebra(
         center_sig=Signature(0, 8),
         module_signs=(1,) * 8 + (-1,) * 8,
         tensor=eight.tensor,
         module_labels=tuple(f"v{i}" for i in range(1, 17)),
         center_labels=tuple(f"Z{k}~" for k in range(1, 9)),
         provenance=BaseProvenance(0, 8),
-    )
+    ))
 
 
 # --- the algebra cache -------------------------------------------------------
 
 # How a catalog-rooted algebra was built: its base table id, then the
 # steps applied to it in order, each an extension step ("8,0", "0,8" or
-# "4,4") or a direct sum of mu + nu copies ("sum mu,nu").
+# "4,4"), a direct sum of mu + nu copies ("sum mu,nu") or, on (8,0) alone,
+# the aligned (0,8) factor ("aligned 0,8").
 CatalogKey = tuple[BaseTableId, tuple[str, ...]]
 
 # Total module dimension the per-process algebra cache holds.  An algebra
@@ -507,7 +511,20 @@ class AlgebraCache:
         return kept
 
 
-_CACHE = AlgebraCache()
+# The current context's cache; a new thread starts in the process cache.
+_CACHE: contextvars.ContextVar[AlgebraCache] = contextvars.ContextVar(
+    "algebra_cache", default=AlgebraCache())
+
+
+@contextlib.contextmanager
+def scope(budget: int = ALGEBRA_CACHE_DIM) -> Iterator[AlgebraCache]:
+    """A fresh cache of the given budget in place of the current one for
+    the body, which it is yielded to; the current one is back on exit."""
+    token = _CACHE.set(AlgebraCache(budget))
+    try:
+        yield _CACHE.get()
+    finally:
+        _CACHE.reset(token)
 
 
 def shared_step(parent: PseudoHTypeAlgebra, step: str,
@@ -515,12 +532,12 @@ def shared_step(parent: PseudoHTypeAlgebra, step: str,
     """build(), the algebra made from parent by step: shared under the
     parent's catalog key plus step when the parent is stored (see
     AlgebraCache.get_step), and built anew for any other parent."""
-    return _CACHE.get_step(parent, step, build)
+    return _CACHE.get().get_step(parent, step, build)
 
 
 def catalog_key(a: PseudoHTypeAlgebra) -> Optional[CatalogKey]:
     """The catalog key of a shared algebra, or None for any other."""
-    return _CACHE.key_of(a)
+    return _CACHE.get().key_of(a)
 
 
 # --- minimal module dimensions ---------------------------------------------

@@ -362,7 +362,9 @@ def recheck_certificate(cert: Mapping) -> Verdict:
     verify_sbg_no_witness refuses unless dim is the algebra's; SBG_YES
     holds for every definite constructible signature.  INCONCLUSIVE
     claims nothing and is accepted as an evidence record: its scan
-    violation is not read.
+    violation is not read.  An in-process recheck reads the current
+    scope's kept verdicts (_rebuilt_defect); in a fresh catalog.scope()
+    it reads the certificate's JSON alone.
     """
     if not isinstance(cert, Mapping):
         return Verdict(False, None, "a certificate is a JSON object")

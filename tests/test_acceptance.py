@@ -133,13 +133,6 @@ def test_criterion_4_rechecks_the_anti_parity_refutation(monkeypatch):
         "not recheck")
 
 
-def _fresh_cache(monkeypatch):
-    """A private algebra cache for a test that forges a check: the outcome
-    the forgery leaves on the algebras it checks goes with the cache, and
-    no shared algebra keeps it."""
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
-
-
 def _fails_twice(criterion, checks):
     """The failures of the criterion's first run, which a second run that
     reads the outcome kept by the first repeats."""
@@ -150,9 +143,10 @@ def _fails_twice(criterion, checks):
     return first.failures
 
 
+# A test that forges a check runs it in a scope: the outcome the forgery
+# leaves on the algebras it checks goes with the scope's cache, and no
+# shared algebra keeps it.
 def test_criterion_1_rechecks_a_rendered_table(monkeypatch):
-    _fresh_cache(monkeypatch)
-
     def alter_one_cell(md):
         lines = md.split("\n")
         cells = lines[2].split(" | ")
@@ -163,30 +157,29 @@ def test_criterion_1_rechecks_a_rendered_table(monkeypatch):
     shared = acceptance.render_table
     monkeypatch.setattr(acceptance, "render_table", lambda a: (
         alter_one_cell(shared(a)) if (a.r, a.s) == (3, 2) else shared(a)))
-    assert _fails_twice(acceptance.criterion_1_tables, 140) == [
-        "table (3, 2) deviates from the transcription"]
-    assert vars(base_algebra(3, 2))["_table_failures"] == (
-        "table (3, 2) deviates from the transcription",)
+    with catalog.scope():
+        assert _fails_twice(acceptance.criterion_1_tables, 140) == [
+            "table (3, 2) deviates from the transcription"]
+        assert vars(base_algebra(3, 2))["_table_failures"] == (
+            "table (3, 2) deviates from the transcription",)
     monkeypatch.undo()
     assert acceptance.criterion_1_tables().passed
 
 
 def test_criterion_5_rechecks_the_null_witness(monkeypatch):
-    _fresh_cache(monkeypatch)
     monkeypatch.setattr(acceptance, "adjoint_rank",
                         lambda a, x: a.dim_center - 1)
-    assert _fails_twice(acceptance.criterion_5_surjectivity, 4) == [
-        "null witness in n_(11,2) is not surjective"]
-    big = extend(base_algebra(3, 2), ExtensionStep.BY_8_0)
-    assert vars(big)["_null_witness_failures"] == (
-        "null witness in n_(11,2) is not surjective",)
+    with catalog.scope():
+        assert _fails_twice(acceptance.criterion_5_surjectivity, 4) == [
+            "null witness in n_(11,2) is not surjective"]
+        big = extend(base_algebra(3, 2), ExtensionStep.BY_8_0)
+        assert vars(big)["_null_witness_failures"] == (
+            "null witness in n_(11,2) is not surjective",)
     monkeypatch.undo()
     assert acceptance.criterion_5_surjectivity().passed
 
 
 def test_criterion_6_rechecks_the_sum_witness(monkeypatch):
-    _fresh_cache(monkeypatch)
-
     def zero_witness(payload):
         # v = 0 in the sum's dimension: an empty support
         payload["witness_v"] = {**payload["witness_v"], "index": [],
@@ -194,7 +187,8 @@ def test_criterion_6_rechecks_the_sum_witness(monkeypatch):
 
     monkeypatch.setattr(acceptance, "sum_sbg",
                         lambda a: _forged(sum_sbg(a), zero_witness))
-    failures = _fails_twice(acceptance.criterion_6_sbg, 15)
+    with catalog.scope():
+        failures = _fails_twice(acceptance.criterion_6_sbg, 15)
     assert len(failures) == 1
     assert failures[0].startswith(
         "n_(2,3)(2,1): SBG_NO certificate does not recheck")

@@ -9,6 +9,7 @@ certificates must not depend on what the cache holds, and the cache must
 stay inside its module-dimension budget, also under threads.
 """
 
+import contextvars
 import dataclasses
 import itertools
 import json
@@ -16,8 +17,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import pseudoht.algebra as algebra
 import pseudoht.catalog as catalog
-from pseudoht.algebra import algebra_from_json, algebra_json, verify_axioms
+from pseudoht.algebra import (
+    Verdict,
+    algebra_from_json,
+    algebra_json,
+    verify_axioms,
+)
 from pseudoht.catalog import (
     ALGEBRA_CACHE_DIM,
     BASE_IDS,
@@ -48,14 +55,6 @@ def _private_chain(base, steps):
     return a
 
 
-@pytest.fixture
-def cache(monkeypatch):
-    """An empty cache of the default size in place of the process's."""
-    fresh = AlgebraCache()
-    monkeypatch.setattr(catalog, "_CACHE", fresh)
-    return fresh
-
-
 def _check_bounds(cache: AlgebraCache) -> None:
     stored = list(cache._algebras.items())
     assert cache.total == sum(a.dim_module for _key, a in stored)
@@ -78,16 +77,49 @@ def test_shared_algebras_are_one_object_per_catalog_key(cache):
     assert big.provenance.parent is standard_algebra(20, 0).provenance.parent
 
 
+def test_a_scope_keeps_its_algebras_and_verdicts_to_itself(monkeypatch):
+    process = base_algebra(3, 2)
+    with catalog.scope() as fresh:
+        inner = base_algebra(3, 2)
+        assert inner is not process and inner is base_algebra(3, 2)
+        assert catalog_key(process) is None
+        assert list(fresh._algebras) == [((3, 2), ())]
+        # a forged verdict is kept on the scope's algebra alone
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "verify_clifford",
+                      lambda a: Verdict(False, None, "forged"))
+            assert not verify_axioms(inner).ok
+        assert not verify_axioms(inner).ok
+    assert base_algebra(3, 2) is process
+    assert catalog_key(process) == ((3, 2), ())
+    assert verify_axioms(process).ok
+    # an exception leaves the scope too, and nested scopes restore in order
+    with pytest.raises(KeyError), catalog.scope():
+        assert base_algebra(3, 2) is not process
+        raise KeyError
+    assert base_algebra(3, 2) is process
+    with catalog.scope():
+        outer = base_algebra(3, 2)
+        with catalog.scope():
+            nested = base_algebra(3, 2)
+            assert nested is not process and nested is not outer
+        assert base_algebra(3, 2) is outer
+    assert base_algebra(3, 2) is process
+
+
 def test_the_aligned_factor_never_shares_the_0_8_entry(cache):
     aligned, plain = aligned_factor_0_8(), base_algebra(0, 8)
-    # the same provenance record, but another basis
+    # the same provenance record, but another basis: the aligned factor is
+    # shared as a step of the (8,0) base, whose tensor it reads
     assert aligned.provenance == plain.provenance
     assert aligned.tensor != plain.tensor
-    assert catalog_key(aligned) is None
+    assert aligned is aligned_factor_0_8()
+    assert catalog_key(aligned) == ((8, 0), ("aligned 0,8",))
     assert catalog_key(plain) == ((0, 8), ())
     for step in ExtensionStep:
         from_aligned, from_plain = extend(aligned, step), extend(plain, step)
-        assert catalog_key(from_aligned) is None
+        assert catalog_key(from_aligned) == (
+            (8, 0), ("aligned 0,8", step.value))
         assert from_aligned.provenance.json_dict() == \
             from_plain.provenance.json_dict()
         assert algebra_json(from_aligned) != algebra_json(from_plain)
@@ -154,19 +186,18 @@ def test_no_sum_key_is_an_extension_chain_key(cache):
     assert sums.isdisjoint(chains)
 
 
-def test_the_cache_stays_within_its_bounds_with_sums_stored(monkeypatch):
+def test_the_cache_stays_within_its_bounds_with_sums_stored():
     # a cap of 32 turns the largest sums away, and the admitted ones add
     # up to more than the budget of 128, so the cache evicts
-    small = AlgebraCache(budget=128)
-    small.cap = 32
-    monkeypatch.setattr(catalog, "_CACHE", small)
     admitted = 0
-    for base in BASE_IDS:
-        for mu, nu in _sum_counts(base):
-            a = build_sum(base_algebra(*base), mu, nu)
-            assert (catalog_key(a) is None) == (a.dim_module > small.cap)
-            admitted += a.dim_module if a.dim_module <= small.cap else 0
-            _check_bounds(small)
+    with catalog.scope(budget=128) as small:
+        small.cap = 32
+        for base in BASE_IDS:
+            for mu, nu in _sum_counts(base):
+                a = build_sum(base_algebra(*base), mu, nu)
+                assert (catalog_key(a) is None) == (a.dim_module > small.cap)
+                admitted += a.dim_module if a.dim_module <= small.cap else 0
+                _check_bounds(small)
     assert admitted > small.budget
 
 
@@ -199,16 +230,16 @@ def test_a_sum_of_a_sum_is_refused_before_any_lookup(cache, monkeypatch):
     assert lookups == []
 
 
-def test_a_sum_certificate_rechecks_the_same_cold_and_warm(monkeypatch):
+def test_a_sum_certificate_rechecks_the_same_cold_and_warm():
     def certify_and_recheck():
         text = dumps(sum_sbg(build_sum(base_algebra(2, 3), 2, 1)).json_dict())
         return text, recheck_certificate(json.loads(text))
 
-    monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
-    cold = certify_and_recheck()
-    monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
-    certify_and_recheck()
-    assert certify_and_recheck() == cold
+    with catalog.scope():
+        cold = certify_and_recheck()
+    with catalog.scope():
+        certify_and_recheck()
+        assert certify_and_recheck() == cold
     assert cold[1].ok and json.loads(cold[0])["kind"] == "SBG_NO"
 
 
@@ -256,13 +287,13 @@ def _certify_and_recheck(r, s, anti):
     return text, recheck_certificate(json.loads(text))
 
 
-def test_iso_certificates_do_not_depend_on_the_cache(monkeypatch):
+def test_iso_certificates_do_not_depend_on_the_cache():
     cold = {}
     for r, s, anti in ISO_REQUESTS:
-        monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
-        text = dumps(check_pair(r, s, s, r, anti_only=anti).json_dict())
-        monkeypatch.setattr(catalog, "_CACHE", AlgebraCache())
-        cold[r, s, anti] = text, recheck_certificate(json.loads(text))
+        with catalog.scope():
+            text = dumps(check_pair(r, s, s, r, anti_only=anti).json_dict())
+        with catalog.scope():
+            cold[r, s, anti] = text, recheck_certificate(json.loads(text))
     for request in ISO_REQUESTS * 2:
         assert _certify_and_recheck(*request) == cold[request], request
     for text, verdict in cold.values():
@@ -282,12 +313,10 @@ def test_a_forged_certificate_is_refused_when_warm(cache):
     assert recheck_certificate(json.loads(text)).ok
 
 
-def test_threads_share_a_tiny_cache_and_get_equal_algebras(monkeypatch):
+def test_threads_share_a_tiny_cache_and_get_equal_algebras():
     # a cap of 16 admits every base, and the fourteen bases alone add up
-    # to 112 > 48, so the threads evict
-    tiny = AlgebraCache(budget=48)
-    tiny.cap = 16
-    monkeypatch.setattr(catalog, "_CACHE", tiny)
+    # to 112 > 48, so the threads evict; a worker starts in the process
+    # cache, so each task runs in a copy of the scope's context
     signatures = [*BASE_IDS, (9, 0), (1, 8), (8, 1), (9, 1), (4, 5), (3, 10)]
     want = {sig: algebra_json(_private_chain(*standard_chain(*sig)))
             for sig in signatures}
@@ -296,12 +325,18 @@ def test_threads_share_a_tiny_cache_and_get_equal_algebras(monkeypatch):
         out = []
         for sig in signatures[shift:] + signatures[:shift]:
             a = standard_algebra(*sig)
-            out.append((sig, algebra_json(a), verify_axioms(a).ok))
+            # an algebra above the tiny cap is never kept
+            out.append((sig, algebra_json(a), verify_axioms(a).ok,
+                        a.dim_module <= 16 or catalog_key(a) is None))
         return out
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(run, range(8)))
+    with catalog.scope(budget=48) as tiny, \
+            ThreadPoolExecutor(max_workers=8) as pool:
+        tiny.cap = 16
+        results = [f.result() for f in [
+            pool.submit(contextvars.copy_context().run, run, shift)
+            for shift in range(8)]]
     for out in results:
-        for sig, text, ok in out:
-            assert ok and text == want[sig], sig
+        for sig, text, ok, unkept in out:
+            assert ok and unkept and text == want[sig], sig
     _check_bounds(tiny)

@@ -1,5 +1,6 @@
 """Verifiers are pure and algebras immutable: concurrent use is safe."""
 
+import contextvars
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +15,7 @@ from pseudoht.algebra import (
     verify_general_htype,
     verify_htype,
 )
-from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
+from pseudoht.catalog import BASE_IDS, _build_base, base_algebra, catalog_key
 from pseudoht.extension import ExtensionStep, extend
 from pseudoht.morphism import canonical_map
 from pseudoht.obstruction import gram_det, sbg_decision
@@ -93,26 +94,29 @@ def test_threads_verifying_a_fresh_extension_get_equal_verdicts():
         sys.setswitchinterval(old)
 
 
-def test_threads_building_one_canonical_map_get_equal_maps(monkeypatch):
-    # on a fresh cache the threads race to build the shared algebras of
-    # phi_(9,8) and the map kept on its source; either copy may be kept
+def test_threads_building_one_canonical_map_get_equal_maps():
+    # in a fresh scope the threads race to build the shared algebras of
+    # phi_(9,8) and the map kept on its source; either copy may be kept.
+    # A worker starts in the process cache, where phi_(9,8) is built, so
+    # each task runs in a copy of the scope's context
     want = canonical_map(9, 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _round in range(3):
-            monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
             barrier = threading.Barrier(8, timeout=10)
 
             def build(_i):
                 barrier.wait()
                 return canonical_map(9, 8)
 
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = [f.result(timeout=60)
-                       for f in [pool.submit(build, i) for i in range(8)]]
+            with catalog.scope(), ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=60) for f in [
+                    pool.submit(contextvars.copy_context().run, build, i)
+                    for i in range(8)]]
+                assert all(catalog_key(f.src) is not None for f in got)
+                assert canonical_map(9, 8) in got
             assert got == [want] * 8
-            assert canonical_map(9, 8) in got
     finally:
         sys.setswitchinterval(old)
 

@@ -36,7 +36,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoht.algebra as algebra
-import pseudoht.catalog as catalog
 from pseudoht.algebra import (
     IntegralBasisError,
     PseudoHTypeAlgebra,
@@ -331,7 +330,7 @@ def test_lookups_are_derived_once_on_the_tensor():
     assert _derived_on(a) == ["_j_table"]
 
 
-def test_signed_lookups_are_built_once_per_shared_algebra(monkeypatch):
+def test_signed_lookups_are_built_once_per_shared_algebra(cache, monkeypatch):
     # the verifiers and certify plus recheck of one ISO question compose
     # the rows each algebra derived once
     built = []
@@ -349,7 +348,6 @@ def test_signed_lookups_are_built_once_per_shared_algebra(monkeypatch):
         assert check(a).ok
     assert signed_lookups(a) is rows and built == [a]
     built.clear()
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
     cert = check_pair(9, 1, 1, 9)
     assert cert.kind == "ISO"
     src, dst = standard_algebra(9, 1), standard_algebra(1, 9)
@@ -713,8 +711,7 @@ def test_stored_rows_are_signed_lookup_for_every_criterion_2_algebra():
             assert all(x == y for x, y in zip(row, want)), (a, op)
 
 
-def test_a_second_verify_paper_verifies_no_shared_algebra(monkeypatch):
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
+def test_a_second_verify_paper_verifies_no_shared_algebra(cache, monkeypatch):
     first = [rep.json_dict() for rep in run_all()]
     seen = []
     inner = algebra.verify_clifford

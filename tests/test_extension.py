@@ -5,7 +5,6 @@ import time
 import pytest
 
 import pseudoht.algebra as algebra
-import pseudoht.catalog as catalog
 from pseudoht.algebra import (
     BlockSets,
     SignedPermutationOp,
@@ -358,10 +357,9 @@ def test_extended_blocks_follow_the_commutation_graph():
     assert checked == 51
 
 
-def test_block_split_reads_no_tensor_entries(monkeypatch):
+def test_block_split_reads_no_tensor_entries(cache):
     # the split is read off the J table, which an extension makes from its
     # parent's and factor's rows: no entry list is materialized
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
     a = extend(base_algebra(4, 4), ExtensionStep.BY_8_0)
     assert "entries" not in vars(a.tensor)
     assert block_decomposition(a) is not None

@@ -6,7 +6,8 @@ module level, where the dependency graph between modules is visible, and
 name only public names: a module's underscored names are its own.  Indented
 JSON is written by one emitter, `jsonout`.  The J table's shared rows,
 `signed_lookups`, are read by `algebra` and `morphism` alone, and only
-`catalog` builds the algebra cache's keys.  `acceptance` imports nothing
+`catalog` builds the algebra cache's keys or names the cache itself: a
+test gets a fresh one from `catalog.scope()`.  `acceptance` imports nothing
 from `fractions`: its criteria read integers, and they recheck each
 certificate with `recheck_certificate`, not with a reader of their own.
 One driver in `acceptance` turns each criterion's claims into its report,
@@ -187,6 +188,29 @@ def test_only_catalog_builds_cache_keys():
     # morphism's _kept_map asks whether an algebra is stored
     assert _references("catalog_key", ("catalog.py", "morphism.py")) == []
     assert _references("_CACHE", ("catalog.py",)) == []
+
+
+def test_no_test_swaps_the_algebra_cache():
+    # a test starts from a fresh cache inside catalog.scope(), which
+    # restores the one it replaced
+    offenders = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target]
+                       if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            assigned = any(isinstance(t, ast.Attribute) and t.attr == "_CACHE"
+                           for t in targets)
+            patched = (isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", None) == "setattr"
+                       and any(isinstance(arg, ast.Constant)
+                               and arg.value in ("_CACHE",
+                                                 "pseudoht.catalog._CACHE")
+                               for arg in node.args))
+            if assigned or patched:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_each_kept_value_has_a_name_of_its_own():

@@ -319,32 +319,32 @@ def _constructible(max_dim=512):
     return out
 
 
-def test_a_shared_source_keeps_one_canonical_map(monkeypatch):
+def test_a_shared_source_keeps_one_canonical_map(cache):
     # an empty cache holds every source and destination at once; one that
     # earlier tests filled may evict a dim-512 source between two calls
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
     pairs = _constructible()
     assert len(pairs) == 40 and (12, 5) in pairs and (5, 12) in pairs
     shared = {rs: canonical_map(*rs) for rs in pairs}
     for rs, cmap in shared.items():
         assert canonical_map(*rs) is cmap, rs
     # with nothing shared every call builds anew, and gives an equal map
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache(0))
-    for rs, cmap in shared.items():
-        private = canonical_map(*rs)
-        assert private is not cmap and private is not canonical_map(*rs)
-        assert private == cmap, rs
-        assert private.src is not cmap.src
-        assert "_canonical_map" not in vars(private.src)
+    with catalog.scope(0):
+        for rs, cmap in shared.items():
+            private = canonical_map(*rs)
+            assert private is not cmap and private is not canonical_map(*rs)
+            assert private == cmap, rs
+            assert private.src is not cmap.src
+            assert "_canonical_map" not in vars(private.src)
 
 
-def test_a_source_above_the_cap_gets_a_new_map(monkeypatch):
+def test_a_source_above_the_cap_gets_a_new_map():
     # cap 8: n_(1,0) and n_(0,1) stay shared, their dim-32 steps do not
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache(64))
-    one, again = canonical_map(1, 8), canonical_map(1, 8)
-    assert one is not again and one == again
-    assert one.src is not again.src and "_canonical_map" not in vars(one.src)
-    assert canonical_map(1, 0) is canonical_map(1, 0)
+    with catalog.scope(64):
+        one, again = canonical_map(1, 8), canonical_map(1, 8)
+        assert one is not again and one == again
+        assert one.src is not again.src
+        assert "_canonical_map" not in vars(one.src)
+        assert canonical_map(1, 0) is canonical_map(1, 0)
 
 
 def test_an_inverse_is_kept_on_its_forward_map():

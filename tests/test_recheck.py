@@ -420,10 +420,10 @@ def test_parity_recheck_rests_on_the_destination_axioms(monkeypatch):
     # verify_axioms, shared with verify_general_htype, runs the checks; the
     # verdict is kept on each shared algebra, so the recheck starts from an
     # empty cache and its rebuilt destination is checked afresh
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
     monkeypatch.setattr(algebra, "verify_htype",
                         lambda a: Verdict(False, (1, 2, 3), "fails"))
-    verdict = recheck_certificate(cert)
+    with catalog.scope():
+        verdict = recheck_certificate(cert)
     assert not verdict.ok and verdict.detail.startswith("destination fails")
 
 
@@ -673,11 +673,11 @@ def test_iso_recheck_rests_on_the_axioms_of_both_algebras(monkeypatch, side,
     assert recheck_certificate(cert).ok
     # the verdicts are kept on the shared algebras, so the recheck starts
     # from an empty cache: the rebuilt algebras are checked afresh
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache())
     inner = algebra.verify_clifford
     monkeypatch.setattr(algebra, "verify_clifford", lambda a: (
         Verdict(False, (1, 2, 3), "fails") if (a.r, a.s) == sig else inner(a)))
-    verdict = recheck_certificate(cert)
+    with catalog.scope():
+        verdict = recheck_certificate(cert)
     assert not verdict.ok and verdict.witness == (1, 2, 3)
     assert verdict.detail.startswith(f"{side} fails ")
 

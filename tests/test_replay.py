@@ -37,34 +37,29 @@ def _recheck_outcome(text: str):
 @functools.cache
 def _fresh_outcome(text: str):
     """_recheck_outcome under a fresh algebra cache, which nothing kept."""
-    kept = catalog._CACHE
-    catalog._CACHE = catalog.AlgebraCache()
-    try:
+    with catalog.scope():
         return _recheck_outcome(text)
-    finally:
-        catalog._CACHE = kept
 
 
 @pytest.mark.parametrize("seed, budget", [(1, 16), (2, 64),
                                           (3, catalog.ALGEBRA_CACHE_DIM)])
-def test_a_replay_in_any_order_gives_the_golden_outputs(monkeypatch, seed,
-                                                        budget):
-    monkeypatch.setattr(catalog, "_CACHE", catalog.AlgebraCache(budget))
-    rng = random.Random(seed)
-    order = rng.sample(MANIFEST, REPLAY_LENGTH)
-    for _run in range(2):
-        order.insert(rng.randrange(len(order) + 1), VERIFY_PAPER)
-    mismatches, rechecks = [], 0
-    for e in order:
-        argv = e["argv"]
-        code, text = golden.output(argv)
-        if golden.record(argv, code, text) != e:
-            mismatches.append(" ".join(argv))
-        elif argv[0] in ("check", "sbg") and text:
-            rechecks += 1
-            got, fresh = _recheck_outcome(text), _fresh_outcome(text)
-            if got != fresh:
-                mismatches.append(f"{' '.join(argv)}: recheck {got}, "
-                                  f"{fresh} under a fresh cache")
+def test_a_replay_in_any_order_gives_the_golden_outputs(seed, budget):
+    with catalog.scope(budget):
+        rng = random.Random(seed)
+        order = rng.sample(MANIFEST, REPLAY_LENGTH)
+        for _run in range(2):
+            order.insert(rng.randrange(len(order) + 1), VERIFY_PAPER)
+        mismatches, rechecks = [], 0
+        for e in order:
+            argv = e["argv"]
+            code, text = golden.output(argv)
+            if golden.record(argv, code, text) != e:
+                mismatches.append(" ".join(argv))
+            elif argv[0] in ("check", "sbg") and text:
+                rechecks += 1
+                got, fresh = _recheck_outcome(text), _fresh_outcome(text)
+                if got != fresh:
+                    mismatches.append(f"{' '.join(argv)}: recheck {got}, "
+                                      f"{fresh} under a fresh cache")
     assert mismatches == []
     assert rechecks > REPLAY_LENGTH // 2

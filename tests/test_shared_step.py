@@ -12,7 +12,7 @@ import threading
 import pytest
 
 import pseudoht.catalog as catalog
-from pseudoht.catalog import AlgebraCache, base_algebra, catalog_key
+from pseudoht.catalog import base_algebra, catalog_key
 from pseudoht.extension import ExtensionStep, extend
 from pseudoht.sums import build_sum
 
@@ -34,11 +34,9 @@ class CountingLock:
 
 
 @pytest.fixture
-def cache(monkeypatch):
-    fresh = AlgebraCache()
-    fresh._lock = CountingLock()
-    monkeypatch.setattr(catalog, "_CACHE", fresh)
-    return fresh
+def cache(cache):
+    cache._lock = CountingLock()
+    return cache
 
 
 def test_a_hit_takes_the_lock_once(cache):
