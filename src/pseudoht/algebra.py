@@ -39,7 +39,7 @@ from .core import (
     scalar_product,
     signed_permutation,
 )
-from .jsonout import Records, dumps
+from .jsonout import dumps
 
 
 class IntegralBasisError(ValueError):
@@ -1098,15 +1098,21 @@ def _algebra_fields(a: PseudoHTypeAlgebra, structure) -> dict:
 
 
 def algebra_to_dict(a: PseudoHTypeAlgebra) -> dict:
-    return _algebra_fields(a, [{"i": i, "j": j, "k": k, "sign": s}
-                               for (i, j, k, s) in a.tensor.entries])
+    return _algebra_fields(a, [list(e) for e in a.tensor.entries])
 
 
 def algebra_json(a: PseudoHTypeAlgebra) -> str:
     """The text of ``json.dumps(algebra_to_dict(a), indent=2)``, written
-    from the tensor entries without building a dict per entry."""
-    return dumps(_algebra_fields(
-        a, Records(("i", "j", "k", "sign"), a.tensor.entries)))
+    from the tensor entries without building a list per entry."""
+    return dumps(_algebra_fields(a, a.tensor.entries))
+
+
+def _json_field(data: Mapping, name: str, kind=object):
+    if not isinstance(data, Mapping) or name not in data:
+        raise ValueError(f"algebra JSON has no {name!r}")
+    if not isinstance(data[name], kind):
+        raise ValueError(f"{name} has the wrong shape: {data[name]!r:.40}")
+    return data[name]
 
 
 def _json_ints(values, what: str) -> tuple[int, ...]:
@@ -1118,16 +1124,32 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _structure_row(entry) -> Sequence:
+    """entry as an [i, j, k, sign] row, or the row of the object
+    {"i", "j", "k", "sign"} that older versions wrote."""
+    if isinstance(entry, (list, tuple)) and len(entry) == 4:
+        return entry
+    if isinstance(entry, Mapping) and entry.keys() >= {"i", "j", "k", "sign"}:
+        return entry["i"], entry["j"], entry["k"], entry["sign"]
+    raise ValueError(f"structure entry {entry!r} is no [i, j, k, sign] row")
+
+
 def algebra_from_dict(data: Mapping) -> PseudoHTypeAlgebra:
-    """The algebra of an algebra_to_dict tree; a field that is not a JSON
-    integer (a float, a bool, a string) raises ValueError."""
-    r, s, dim_v = _json_ints((data["r"], data["s"], data["dim_v"]),
-                             "r, s and dim_v")
+    """The algebra of an algebra_to_dict tree; a missing field, or one of
+    another shape (a float, a bool or a string for an integer, an entry
+    that is no row or its object form), raises ValueError naming it."""
+    r, s, dim_v = _json_ints([_json_field(data, key)
+                              for key in ("r", "s", "dim_v")], "r, s and dim_v")
     sig = Signature(r, s)
-    signs = _json_ints(data["module_metric"], "module_metric entries")
-    tensor = StructureTensor(
-        dim_v, sig.dim,
-        [(e["i"], e["j"], e["k"], e["sign"]) for e in data["structure"]])
+    signs = _json_ints(_json_field(data, "module_metric", (list, tuple)),
+                       "module_metric entries")
+    structure = _json_field(data, "structure", (list, tuple))
+    # rows of four go to the tensor as they are: it checks their values
+    if {*map(type, structure)} - {list, tuple} or {*map(len, structure)} - {4}:
+        structure = [_structure_row(e) for e in structure]
+    provenance = (_json_field(data, "provenance", Mapping)
+                  if "provenance" in data else {})
+    tensor = StructureTensor(dim_v, sig.dim, structure)
     n = len(signs)
     return PseudoHTypeAlgebra(
         center_sig=sig,
@@ -1135,7 +1157,7 @@ def algebra_from_dict(data: Mapping) -> PseudoHTypeAlgebra:
         tensor=tensor,
         module_labels=tuple(f"v{i}" for i in range(1, n + 1)),
         center_labels=tuple(f"Z{k}" for k in range(1, sig.dim + 1)),
-        provenance=OpaqueProvenance(dict(data.get("provenance", {}))),
+        provenance=OpaqueProvenance(dict(provenance)),
     )
 
 

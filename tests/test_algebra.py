@@ -39,6 +39,7 @@ from pseudoht.core import (ExactMatrix, Signature, SparseVector, basis_vector, e
                            scalar_product)
 from pseudoht.obstruction import adjoint_rank, gram_det
 
+from object_entries import object_entries
 from test_derived_tables import signed_lookup  # J table row reference
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -429,10 +430,63 @@ def test_json_round_trip_preserves_tensor():
     lambda d: d["module_metric"].__setitem__(0, 2),
 ])
 def test_json_with_non_integer_fields_is_refused(edit):
-    data = algebra_to_dict(base_algebra(3, 2))
+    # structure entries in the object form older versions wrote
+    data = object_entries(algebra_to_dict(base_algebra(3, 2)))
     edit(data)
     with pytest.raises(ValueError):
         algebra_from_json(json.dumps(data))
+
+
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+def _set_entry(value):
+    return lambda d: d["structure"].__setitem__(0, value)
+
+
+def _set_in_row(position, value):
+    return lambda d: d["structure"][0].__setitem__(position, value)
+
+
+# each a ValueError naming the field, never a TypeError or KeyError
+MALFORMED_ALGEBRAS = {
+    "entry a number": (_set_entry(5), "structure entry"),
+    "object entry without k": (
+        _set_entry({"i": 1, "j": 2, "sign": 1}), "structure entry"),
+    "structure null": (_set("structure", None), "structure"),
+    "structure an object": (_set("structure", {}), "structure"),
+    "structure missing": (lambda d: d.pop("structure"), "'structure'"),
+    "r missing": (lambda d: d.pop("r"), "'r'"),
+    "module_metric null": (_set("module_metric", None), "module_metric"),
+    "module_metric a string": (_set("module_metric", "11"), "module_metric"),
+    "provenance a list": (_set("provenance", [1]), "provenance"),
+    "provenance null": (_set("provenance", None), "provenance"),
+    "row of 3": (lambda d: d["structure"][0].pop(), "structure entry"),
+    "row of 5": (lambda d: d["structure"][0].append(1), "structure entry"),
+    "row null": (_set_entry(None), "structure entry"),
+    # the row twins of the object-entry edits above, then null and 1.0
+    "row i 1.7": (_set_in_row(0, 1.7), "entry"),
+    "row sign true": (_set_in_row(3, True), "entry"),
+    "row k a string": (_set_in_row(2, "1"), "entry"),
+    "row i null": (_set_in_row(0, None), "entry"),
+    "row sign 1.0": (_set_in_row(3, 1.0), "entry"),
+}
+
+
+@pytest.mark.parametrize("edit, field", MALFORMED_ALGEBRAS.values(),
+                         ids=MALFORMED_ALGEBRAS)
+def test_malformed_algebra_json_raises_value_error_naming_the_field(edit, field):
+    data = algebra_to_dict(base_algebra(3, 2))
+    edit(data)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        algebra_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ["[1]", "1", "null", '"r"'])
+def test_algebra_json_that_is_no_object_is_refused(text):
+    with pytest.raises(ValueError, match="no 'r'"):
+        algebra_from_json(text)
 
 
 def test_json_key_order_is_deterministic():

@@ -16,6 +16,7 @@ from pseudoht.cli import main, render_table
 from pseudoht.obstruction import adjoint_rank
 
 from dense_certificates import dense_vector, densified_text
+from object_entries import object_entry_text
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +196,19 @@ PINNED_SPARSE_SUM_OUTPUTS = {
 }
 
 
+# sha256 of the algebras above as written with [i, j, k, sign] structure
+# rows; PINNED_SUM_AND_EXTEND_OUTPUTS holds their text with the entries
+# written back as objects
+PINNED_ROW_ENTRY_OUTPUTS = {
+    ("build", "2", "3", "--sum", "2", "1"):
+        "f83509fb25ff66804dd4032e7c15196c80cbfb2abae3ea65c26615a353bf7bf9",
+    ("build", "0", "1", "--sum", "0", "3"):
+        "dd0ca8ec09d34251875a096c7e495c7adcce84491e1b2109e98556b807a29e43",
+    ("build", "8", "0", "--extend", "8,0", "8,0"):
+        "ae65ff47eb066da00b4ec7de25dc0aa0bb3f373f5066add5834af8d35e32cfa9",
+}
+
+
 @pytest.mark.parametrize("argv", PINNED_SUM_AND_EXTEND_OUTPUTS)
 def test_sum_and_extension_outputs_are_byte_stable(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
@@ -203,6 +217,10 @@ def test_sum_and_extension_outputs_are_byte_stable(capsys, argv):
         assert hashlib.sha256(out.encode()).hexdigest() == \
             PINNED_SPARSE_SUM_OUTPUTS[argv]
         out = densified_text(out)
+    if argv in PINNED_ROW_ENTRY_OUTPUTS:
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            PINNED_ROW_ENTRY_OUTPUTS[argv]
+        out = object_entry_text(out)
     assert hashlib.sha256(out.encode()).hexdigest() == \
         PINNED_SUM_AND_EXTEND_OUTPUTS[argv]
 

@@ -2,14 +2,22 @@
 commands and regenerates tests/golden.json with --regen."""
 
 import hashlib
+import json
 import shlex
+from pathlib import Path
 
 import pytest
 
 import golden
 from dense_certificates import densified_text
+from object_entries import object_entry_text
+from pseudoht.algebra import algebra_from_json, algebra_json
 
 MANIFEST = golden.load()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_the_manifest_lists_every_command_once():
@@ -73,5 +81,34 @@ DENSE_VECTOR_OUTPUTS = {
 def test_densified_vectors_give_the_dense_output(command):
     _code, text = golden.output(shlex.split(command))
     assert densified_text(text) != text
-    assert hashlib.sha256(densified_text(text).encode()).hexdigest() == \
-        DENSE_VECTOR_OUTPUTS[command]
+    assert _sha256(densified_text(text)) == DENSE_VECTOR_OUTPUTS[command]
+
+
+# the sha256 golden.json held for each build and extend output, taken while
+# structure entries were written as {"i", "j", "k", "sign"} objects: the
+# row output, its entries made objects again, is those bytes
+OBJECT_ENTRY_OUTPUTS = json.loads(
+    (Path(__file__).resolve().parent / "golden_object_entries.json").read_text())
+# the legacy reader is held to the row reader up to this module dimension
+LEGACY_PARSE_DIM = 256
+
+
+def test_every_algebra_output_has_an_object_entry_pin():
+    assert list(OBJECT_ENTRY_OUTPUTS) == [
+        " ".join(e["argv"]) for e in MANIFEST
+        if e["argv"][0] in ("build", "extend")]
+
+
+@pytest.mark.parametrize("command", OBJECT_ENTRY_OUTPUTS)
+def test_object_entries_give_the_old_output(command):
+    _code, text = golden.output(shlex.split(command))
+    legacy = object_entry_text(text)
+    assert legacy != text
+    assert _sha256(legacy) == OBJECT_ENTRY_OUTPUTS[command]
+    parsed = algebra_from_json(text)
+    assert algebra_json(parsed) + "\n" == text
+    if parsed.dim_module <= LEGACY_PARSE_DIM:
+        old = algebra_from_json(legacy)
+        assert (old.tensor, old.module_signs, old.center_sig) == \
+            (parsed.tensor, parsed.module_signs, parsed.center_sig)
+        assert algebra_json(old) + "\n" == text

@@ -4,10 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudoht.jsonout import Records, dumps
+from pseudoht import jsonout
+from pseudoht.jsonout import dumps
+from pseudoht.obstruction import check_pair
 
 
 def oracle(obj) -> str:
@@ -38,6 +40,14 @@ def int_records(draw, min_size=0):
                                   max_size=len(names)),
                          min_size=min_size, max_size=6))
     return [dict(zip(names, row)) for row in rows]
+
+
+@st.composite
+def int_rows(draw, min_size=0):
+    """A list of int rows of one length, each a list or a tuple."""
+    width = draw(st.integers(0, 5))
+    row = st.lists(ints, min_size=width, max_size=width)
+    return draw(st.lists(row | row.map(tuple), min_size=min_size, max_size=6))
 
 
 def _bool_value(records, i, data):
@@ -96,25 +106,48 @@ def test_near_uniform_records_fall_back(records, data):
     assert dumps(tree) == oracle(tree)
 
 
-@settings(max_examples=80, deadline=None)
-@given(record_keys, st.data())
-def test_records_match_the_dicts_they_stand_for(names, data):
-    values = ints | st.booleans() if data.draw(st.booleans()) else ints
-    rows = data.draw(st.lists(st.tuples(*[values] * len(names)), max_size=6))
-    as_dicts = [dict(zip(names, row)) for row in rows]
-    assert dumps(Records(names, rows)) == oracle(as_dicts)
-    assert dumps({"r": [Records(names, rows)]}) == oracle({"r": [as_dicts]})
-
-
-def test_records_refuse_a_row_of_the_wrong_length():
-    # the rows are formatted in one call, so a short row would shift the rest
-    with pytest.raises(ValueError):
-        Records(("i", "j"), [(1, 2, 3), (4,)])
-
-
 def test_record_keys_may_hold_format_characters():
     records = [{"%d": 1, "%%": -2, "%s%": 3}, {"%d": 4, "%%": 5, "%s%": 6}]
     assert dumps(records) == oracle(records)
+
+
+def _other_row_value(rows, i, data):
+    rows[:] = [list(row) or [0] for row in rows]    # no empty row to edit
+    row = rows[i]
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+        st.booleans() | st.floats() | texts | st.none()
+        | st.lists(ints, max_size=2))
+
+
+def _other_row_length(rows, i, data):
+    rows[i] = list(rows[i]) + [data.draw(ints)] * data.draw(st.integers(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_rows(), st.data())
+@example([(-10 ** 40, 10 ** 40 - 1), [0, -1]], None)
+def test_int_rows_match_json(rows, data):
+    tree = _nested(rows, data) if data else rows
+    assert dumps(tree) == oracle(tree)
+    assert (jsonout._int_rows(rows, 0) is not None) == bool(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows(min_size=2), st.data())
+def test_near_uniform_rows_take_the_general_path(rows, data):
+    edit = data.draw(st.sampled_from([_other_row_value, _other_row_length]))
+    edit(rows, data.draw(st.integers(0, len(rows) - 1)), data)
+    assert jsonout._int_rows(rows, 0) is None
+    tree = _nested(rows, data)
+    assert dumps(tree) == oracle(tree)
+
+
+def test_dense_certificate_rows_take_the_row_path():
+    # an ISO certificate writes its center block C as dense rows
+    cert = check_pair(9, 8, 8, 9).json_dict()
+    c = cert["morphism"]["C"]
+    assert jsonout._int_rows(c, 0) is not None
+    assert dumps(cert) == oracle(cert)
 
 
 @pytest.mark.parametrize("tree", [
