@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from .algebra import (Verdict, derived_value, j_operators, verify_axioms,
                       verify_general_htype)
-from .catalog import (BASE_IDS, base_algebra, render_table, table_layout,
-                      table_text)
+from .catalog import (BASE_IDS, base_algebra, basis_labels, render_table,
+                      table_layout, table_text)
 from .core import MapClass
 from .extension import ExtensionStep, extend, pair_index, standard_algebra
 from .morphism import (CanonicalMap, canonical_map, classify_morphism,
@@ -105,17 +105,17 @@ def _expected_table_md(table_id) -> str:
     """Markdown assembled straight from the stored transcription text, once
     per process: the text and the labels are constant catalog data."""
     lay = table_layout(table_id)
-    a = base_algebra(*table_id)
+    module, _ = basis_labels(base_algebra(*table_id))
     order = lay.display_order
     deco = "~" if lay.center_tilde else ""
-    header = ["[r,c]"] + [a.module_labels[i - 1] for i in order]
+    header = ["[r,c]"] + [module[i - 1] for i in order]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join([" --- "] * len(header)) + "|"]
     for pos, row in zip(order, table_text(table_id).strip().splitlines()):
         cells = ["0" if c == "." else
                  "-" * c.startswith("-") + "Z" + c.lstrip("-")[1:] + deco
                  for c in row.split()]
-        lines.append("| " + " | ".join([a.module_labels[pos - 1]] + cells) + " |")
+        lines.append("| " + " | ".join([module[pos - 1]] + cells) + " |")
     return "\n".join(lines) + "\n"
 
 

@@ -46,6 +46,34 @@ class IntegralBasisError(ValueError):
     """The structure tensor violates the integral-basis property."""
 
 
+# Largest module dimension and largest r + s that any construction or parse
+# may make.  The first is twice the 4096 of the largest module the tests and
+# the benchmark build; no module of a larger center fits it (the minimal
+# module grows 16-fold per 8 center dimensions), and as the dimension and
+# chain searches recurse once per 8 of them, the second also keeps them far
+# from the recursion limit.  Larger requests raise ValueError before
+# anything is allocated.
+MAX_MODULE_DIM = 8192
+MAX_CENTER_DIM = 256
+
+
+def require_module_budget(dim: int, what: str = "module dimension") -> None:
+    """Raise ValueError, naming dim as what, above MAX_MODULE_DIM."""
+    if dim > MAX_MODULE_DIM:
+        raise ValueError(f"{what} {dim} exceeds the budget of "
+                         f"{MAX_MODULE_DIM} (MAX_MODULE_DIM)")
+
+
+def require_center_budget(r: int, s: int,
+                          what: str = "center dimension") -> None:
+    """Raise ValueError, naming r + s as what, above MAX_CENTER_DIM: a plain
+    one, not UnsupportedSignatureError, as an oversized signature is
+    refused, never compared as if its dimension were unknown."""
+    if r + s > MAX_CENTER_DIM:
+        raise ValueError(f"{what} {r + s} exceeds the budget of "
+                         f"{MAX_CENTER_DIM} (MAX_CENTER_DIM)")
+
+
 class StructureTensor:
     """Sparse antisymmetric tensor A^k_{ab} with entries in {-1,+1}.
 
@@ -397,8 +425,6 @@ class PseudoHTypeAlgebra:
     center_sig: Signature
     module_signs: tuple[int, ...]
     tensor: StructureTensor
-    module_labels: tuple[str, ...]
-    center_labels: tuple[str, ...]
     provenance: Provenance
 
     def __post_init__(self) -> None:
@@ -412,10 +438,6 @@ class PseudoHTypeAlgebra:
             raise ValueError("module metric entries must be +-1")
         if self.tensor.dim_center != self.center_sig.dim:
             raise ValueError("center signature does not match tensor")
-        if len(self.module_labels) != self.dim_module:
-            raise ValueError("module label count mismatch")
-        if len(self.center_labels) != self.dim_center:
-            raise ValueError("center label count mismatch")
 
     @property
     def dim_module(self) -> int:
@@ -1135,11 +1157,14 @@ def _structure_row(entry) -> Sequence:
 
 
 def algebra_from_dict(data: Mapping) -> PseudoHTypeAlgebra:
-    """The algebra of an algebra_to_dict tree; a missing field, or one of
+    """The algebra of an algebra_to_dict tree; a missing field, one of
     another shape (a float, a bool or a string for an integer, an entry
-    that is no row or its object form), raises ValueError naming it."""
+    that is no row or its object form), or an r + s or dim_v above its
+    budget raises ValueError naming it, the last before anything is built."""
     r, s, dim_v = _json_ints([_json_field(data, key)
                               for key in ("r", "s", "dim_v")], "r, s and dim_v")
+    require_center_budget(r, s, "r + s")
+    require_module_budget(dim_v, "dim_v")
     sig = Signature(r, s)
     signs = _json_ints(_json_field(data, "module_metric", (list, tuple)),
                        "module_metric entries")
@@ -1149,14 +1174,10 @@ def algebra_from_dict(data: Mapping) -> PseudoHTypeAlgebra:
         structure = [_structure_row(e) for e in structure]
     provenance = (_json_field(data, "provenance", Mapping)
                   if "provenance" in data else {})
-    tensor = StructureTensor(dim_v, sig.dim, structure)
-    n = len(signs)
     return PseudoHTypeAlgebra(
         center_sig=sig,
         module_signs=signs,
-        tensor=tensor,
-        module_labels=tuple(f"v{i}" for i in range(1, n + 1)),
-        center_labels=tuple(f"Z{k}" for k in range(1, sig.dim + 1)),
+        tensor=StructureTensor(dim_v, sig.dim, structure),
         provenance=OpaqueProvenance(dict(provenance)),
     )
 

@@ -21,9 +21,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import (
+    MAX_CENTER_DIM,  # the budgets keep their documented catalog names
+    MAX_MODULE_DIM,
     BaseProvenance,
+    ExtensionProvenance,
     PseudoHTypeAlgebra,
     StructureTensor,
+    SumProvenance,
+    require_center_budget,
 )
 from .core import Signature
 
@@ -298,17 +303,18 @@ def render_table(a: PseudoHTypeAlgebra, fmt: str = "md",
         else:
             display_order = range(1, a.dim_module + 1)
     order = list(display_order)
+    module, center = basis_labels(a)
     shown: dict[int, list[int]] = {}  # basis index -> its table positions
     for pos, i in enumerate(order):
         shown.setdefault(i, []).append(pos)
-    rows = [[a.module_labels[i - 1]] + ["0"] * len(order) for i in order]
+    rows = [[module[i - 1]] + ["0"] * len(order) for i in order]
     for (i, j, k, s) in a.tensor.entries:
-        label = a.center_labels[k - 1]
+        label = center[k - 1]
         for x, y, sign in ((i, j, s), (j, i, -s)):
             for row in shown.get(x, ()):
                 for col in shown.get(y, ()):
                     rows[row][col + 1] = ("-" if sign < 0 else "") + label
-    header = ["[r,c]"] + [a.module_labels[i - 1] for i in order]
+    header = ["[r,c]"] + [module[i - 1] for i in order]
     if fmt == "md":
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join([" --- "] * len(header)) + "|"]
@@ -330,6 +336,39 @@ def _labels(table_id: BaseTableId, n: int, dim_center: int
     center = tuple(f"Z{k + lay.center_offset - 1}{ct}"
                    for k in range(1, dim_center + 1))
     return module, center
+
+
+def basis_labels(a: PseudoHTypeAlgebra
+                 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of a's module and center basis vectors, read off its
+    provenance each time they are asked for and never kept:
+
+    - a catalog base, or the aligned (0,8) factor, by its table's layout;
+    - an extension w_i (x) u_j as "w_i*u_j" in final order, u_j named by
+      the layout of the step's (p, q) table, its center as Z1..Zn;
+    - a direct sum's copy b of x as "x.b", x and the center named by the
+      base table's layout;
+    - any other algebra as v1..vn and Z1..Zm.
+    """
+    prov = a.provenance
+    if isinstance(prov, BaseProvenance) and (prov.r, prov.s) in _CATALOG_SPECS:
+        return _labels((prov.r, prov.s), a.dim_module, a.dim_center)
+    if isinstance(prov, SumProvenance):
+        copies = prov.mu + prov.nu
+        module, center = _labels((prov.base_r, prov.base_s),
+                                 a.dim_module // copies, a.dim_center)
+        return (tuple(f"{x}.{b}" for b in range(1, copies + 1) for x in module),
+                center)
+    center = tuple(f"Z{k}" for k in range(1, a.dim_center + 1))
+    if isinstance(prov, ExtensionProvenance):
+        parent, _ = basis_labels(prov.parent)
+        p, q = map(int, prov.step.split(","))
+        factor, _ = _labels((p, q), 16, p + q)
+        module = [""] * a.dim_module
+        for f, pos in enumerate(prov.pair_to_final):
+            module[pos - 1] = f"{parent[f // 16]}*{factor[f % 16]}"
+        return tuple(module), center
+    return tuple(f"v{i}" for i in range(1, a.dim_module + 1)), center
 
 
 def base_table_entries(table_id: BaseTableId) -> list[tuple[int, int, int, int]]:
@@ -366,19 +405,11 @@ def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:
 
 def _build_base(r: int, s: int) -> PseudoHTypeAlgebra:
     """A new catalog algebra, built from its table and never shared."""
-    table_id = (r, s)
-    entry = _CATALOG_SPECS[table_id]
-    entries = base_table_entries(table_id)
-    metric = tuple(entry["metric"])
-    n = len(metric)
-    tensor = StructureTensor(n, r + s, entries)
-    module_labels, center_labels = _labels(table_id, n, r + s)
+    metric = tuple(_CATALOG_SPECS[(r, s)]["metric"])
     return PseudoHTypeAlgebra(
         center_sig=Signature(r, s),
         module_signs=metric,
-        tensor=tensor,
-        module_labels=module_labels,
-        center_labels=center_labels,
+        tensor=StructureTensor(len(metric), r + s, base_table_entries((r, s))),
         provenance=BaseProvenance(r, s),
     )
 
@@ -403,8 +434,6 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
         center_sig=Signature(0, 8),
         module_signs=(1,) * 8 + (-1,) * 8,
         tensor=eight.tensor,
-        module_labels=tuple(f"v{i}" for i in range(1, 17)),
-        center_labels=tuple(f"Z{k}~" for k in range(1, 9)),
         provenance=BaseProvenance(0, 8),
     ))
 
@@ -541,37 +570,6 @@ def catalog_key(a: PseudoHTypeAlgebra) -> Optional[CatalogKey]:
 
 
 # --- minimal module dimensions ---------------------------------------------
-
-# Largest module dimension any construction may build: twice the 4096 of
-# the largest module the tests and the benchmark build.  Larger requests are
-# refused with a ValueError before anything is allocated.
-MAX_MODULE_DIM = 8192
-
-
-def require_module_budget(dim: int) -> None:
-    """Raise ValueError when a module of dimension dim would exceed the budget."""
-    if dim > MAX_MODULE_DIM:
-        raise ValueError(f"module dimension {dim} exceeds the budget of "
-                         f"{MAX_MODULE_DIM} (MAX_MODULE_DIM)")
-
-
-# Largest r + s any signature may have.  No module of a larger center fits
-# MAX_MODULE_DIM (the minimal module grows 16-fold per 8 center dimensions),
-# and the dimension and chain searches recurse once per 8 of them, so the
-# bound also keeps them far from the recursion limit.
-MAX_CENTER_DIM = 256
-
-
-def require_center_budget(r: int, s: int) -> None:
-    """Raise ValueError when the center of signature (r, s) exceeds the budget.
-
-    A plain ValueError, not UnsupportedSignatureError: an oversized
-    signature is refused, never compared as if its dimension were unknown.
-    """
-    if r + s > MAX_CENTER_DIM:
-        raise ValueError(f"center dimension {r + s} exceeds the budget of "
-                         f"{MAX_CENTER_DIM} (MAX_CENTER_DIM)")
-
 
 # Seeded only from stated or exhibited values: the printed bases for the
 # catalog ids, and the dimension counts used by the non-isomorphism argument

@@ -25,14 +25,14 @@ from .algebra import (
     SignedPermutationOp,
     StructureTensor,
     j_operators,
+    require_center_budget,
+    require_module_budget,
 )
 from .catalog import (
     BASE_IDS,
     UnsupportedSignatureError,
     aligned_factor_0_8,
     base_algebra,
-    require_center_budget,
-    require_module_budget,
     shared_step,
 )
 from .core import Signature
@@ -137,17 +137,10 @@ def _extend(a: PseudoHTypeAlgebra, step: ExtensionStep) -> PseudoHTypeAlgebra:
         factor_center_to_final=factor_center)
     tensor = StructureTensor.from_recipe(ExtensionRecipe(
         provenance, factor, _PARENT_SIGN[step], metric, sig))
-    module_labels = tuple(
-        f"{a.module_labels[f // 16]}*{factor.module_labels[f % 16]}"
-        for f in order)
-    # parent and factor positions partition 1..dim, so every label is Z<pos>
-    center_labels = tuple(f"Z{k}" for k in range(1, sig.dim + 1))
     return PseudoHTypeAlgebra(
         center_sig=sig,
         module_signs=metric,
         tensor=tensor,
-        module_labels=module_labels,
-        center_labels=center_labels,
         provenance=provenance,
     )
 

@@ -9,7 +9,6 @@ types.  Brackets between distinct copies vanish.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .algebra import (
@@ -17,23 +16,18 @@ from .algebra import (
     SignedPermutationOp,
     SumProvenance,
     StructureTensor,
+    require_module_budget,
 )
 from .catalog import (
     BASE_IDS,
     UnsupportedSignatureError,
     base_algebra,
     min_module_dim,
-    require_module_budget,
     shared_step,
 )
 from .extension import volume_involution
 from .morphism import LieMorphism
-from .obstruction import (
-    Certificate,
-    null_direction_witness,
-    sbg_decision,
-    verify_sbg_no_witness,
-)
+from .obstruction import Certificate, sbg_decision
 
 
 def require_sum_counts(base: PseudoHTypeAlgebra, mu: int, nu: int) -> None:
@@ -72,25 +66,15 @@ def build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int) -> PseudoHTypeAlgebra:
 def _build_sum(base: PseudoHTypeAlgebra, mu: int, nu: int
                ) -> PseudoHTypeAlgebra:
     """build_sum(), built."""
-    r, s = base.r, base.s
     per = base.dim_module
-    entries = []
-    for b, btype in enumerate([1] * mu + [2] * nu):
-        off = b * per
-        flip = 1 if btype == 1 else -1
-        for (i, j, k, sg) in base.tensor.entries:
-            entries.append((i + off, j + off, k, sg * flip))
-    total = per * (mu + nu)
-    tensor = StructureTensor(total, base.dim_center, entries)
-    labels = tuple(f"{base.module_labels[i]}.{b + 1}"
-                   for b in range(mu + nu) for i in range(per))
+    # copy b sits at offset b * per, its J negated from type 2 (b >= mu) on
+    entries = [(i + b * per, j + b * per, k, sg if b < mu else -sg)
+               for b in range(mu + nu) for (i, j, k, sg) in base.tensor.entries]
     return PseudoHTypeAlgebra(
         center_sig=base.center_sig,
         module_signs=base.module_signs * (mu + nu),
-        tensor=tensor,
-        module_labels=labels,
-        center_labels=base.center_labels,
-        provenance=SumProvenance(r, s, mu, nu),
+        tensor=StructureTensor(per * (mu + nu), base.dim_center, entries),
+        provenance=SumProvenance(base.r, base.s, mu, nu),
     )
 
 
@@ -145,24 +129,9 @@ def swap_isomorphism(a: PseudoHTypeAlgebra) -> LieMorphism:
 
 
 def sum_sbg(a: PseudoHTypeAlgebra) -> Certificate:
-    """Strongly-bracket-generating decision for a direct sum.
-
-    Definite center: the Clifford-gated theorem on the combined algebra.
-    Otherwise the base witness padded with zero blocks works verbatim.
-    """
+    """Strongly-bracket-generating decision for a direct sum: sbg_decision
+    on the sum itself, its block counts written after the signature."""
     prov = _sum_provenance(a)
-    if a.r == 0 or a.s == 0:
-        cert = sbg_decision(a)
-        return Certificate(cert.kind, {
-            **cert.payload, "sum": [prov.mu, prov.nu]})
-    z0, v = null_direction_witness(base_algebra(prov.base_r, prov.base_s))
-    v = replace(v, dim=a.dim_module)  # zero blocks after the first
-    verdict = verify_sbg_no_witness(a, z0, v)
-    if not verdict.ok:
-        raise RuntimeError(f"padded witness failed verification: {verdict.detail}")
-    return Certificate("SBG_NO", {
-        "signature": [a.r, a.s],
-        "sum": [prov.mu, prov.nu],
-        "z0": z0.json_dict(),
-        "witness_v": v.json_dict(),
-    })
+    cert = sbg_decision(a)
+    return Certificate(cert.kind, {"signature": cert.payload["signature"],
+                                   "sum": [prov.mu, prov.nu], **cert.payload})

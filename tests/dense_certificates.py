@@ -10,6 +10,10 @@ wrote `z0` and `witness_v` as lists of decimal strings and `violation` as
 a list of integers, zeros included.  densify turns the one form into the
 other, so the sha256 pins of the old text still check the same outputs,
 and recheck's dense paths stay covered by the mutation tests.
+
+An SBG_NO certificate of a direct sum of type-2 blocks only once carried
+the base algebra's witness padded with zero blocks; sbg_decision on the
+sum finds its negative.  negated_witness_text writes the one as the other.
 """
 
 import json
@@ -54,3 +58,11 @@ def densified_text(text: str) -> str:
     """The CLI text of the certificate in text, with A as dense rows and
     every vector dense."""
     return jsonout.dumps(densify(json.loads(text))) + "\n"
+
+
+def negated_witness_text(text: str) -> str:
+    """The CLI text of the SBG_NO certificate in text with witness_v
+    negated."""
+    cert = json.loads(text)
+    cert["witness_v"]["value"] = [-e for e in cert["witness_v"]["value"]]
+    return jsonout.dumps(cert) + "\n"

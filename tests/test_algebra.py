@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoht.algebra import (
+    MAX_CENTER_DIM,
+    MAX_MODULE_DIM,
     BlockSets,
     DegenerateKernelError,
     IntegralBasisError,
@@ -96,8 +99,6 @@ def _corrupt_one_sign(a: PseudoHTypeAlgebra) -> PseudoHTypeAlgebra:
         center_sig=a.center_sig,
         module_signs=a.module_signs,
         tensor=StructureTensor(a.dim_module, a.dim_center, entries),
-        module_labels=a.module_labels,
-        center_labels=a.center_labels,
         provenance=a.provenance,
     )
 
@@ -213,7 +214,6 @@ def test_block_decomposition_none_off_an_integral_basis():
     a = PseudoHTypeAlgebra(
         center_sig=Signature(1, 0), module_signs=(1, 1, 1, 1),
         tensor=StructureTensor(4, 1, [(1, 2, 1, 1)]),
-        module_labels=("v1", "v2", "v3", "v4"), center_labels=("Z1",),
         provenance=OpaqueProvenance({}))
     assert not verify_integral_basis(a).ok
     assert block_decomposition(a) is None
@@ -487,6 +487,40 @@ def test_malformed_algebra_json_raises_value_error_naming_the_field(edit, field)
 def test_algebra_json_that_is_no_object_is_refused(text):
     with pytest.raises(ValueError, match="no 'r'"):
         algebra_from_json(text)
+
+
+# a few bytes of text may name a center or module of any size, so each field
+# above its budget is refused before anything of that size is made
+OVERSIZED_ALGEBRAS = {
+    "r 10**9": ((10 ** 9, 0, 0), "r + s 1000000000"),
+    "s MAX_CENTER_DIM": ((1, MAX_CENTER_DIM, 0), f"r + s {MAX_CENTER_DIM + 1}"),
+    "dim_v MAX_MODULE_DIM + 1": ((0, 1, MAX_MODULE_DIM + 1),
+                                 f"dim_v {MAX_MODULE_DIM + 1}"),
+}
+
+
+@pytest.mark.parametrize("rsn, message", OVERSIZED_ALGEBRAS.values(),
+                         ids=OVERSIZED_ALGEBRAS)
+def test_algebra_json_above_a_budget_is_refused_before_it_is_built(rsn,
+                                                                   message):
+    r, s, n = rsn
+    text = json.dumps({"r": r, "s": s, "dim_v": n, "module_metric": [],
+                       "structure": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            algebra_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_algebra_json_at_the_budgets_parses():
+    a = algebra_from_json(json.dumps({
+        "r": 0, "s": MAX_CENTER_DIM, "dim_v": 0, "module_metric": [],
+        "structure": []}))
+    assert (a.dim_center, a.dim_module) == (MAX_CENTER_DIM, 0)
 
 
 def test_json_key_order_is_deterministic():

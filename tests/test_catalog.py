@@ -1,6 +1,15 @@
+import dataclasses
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
 from pseudoht.algebra import (
+    PseudoHTypeAlgebra,
+    algebra_from_json,
+    algebra_json,
     bracket,
     verify_admissible,
     verify_clifford,
@@ -13,11 +22,14 @@ from pseudoht.catalog import (
     aligned_factor_0_8,
     base_algebra,
     base_table_entries,
+    basis_labels,
     min_module_dim,
     render_table,
     table_layout,
 )
 from pseudoht.core import basis_vector
+from pseudoht.extension import ExtensionStep, extension_chain
+from pseudoht.sums import build_sum
 
 
 def coords(a, x, y):
@@ -134,14 +146,15 @@ def test_catalog_blocks_commute_where_present():
 
 def _cell_by_cell(a, order):
     """render_table's rows, one bracket_pair lookup per cell."""
+    module, center = basis_labels(a)
+
     def cell(i, j):
         hit = a.tensor.bracket_pair(i, j)
         if hit is None:
             return "0"
         k, s = hit
-        return ("-" if s < 0 else "") + a.center_labels[k - 1]
-    return [[a.module_labels[i - 1]] + [cell(i, j) for j in order]
-            for i in order]
+        return ("-" if s < 0 else "") + center[k - 1]
+    return [[module[i - 1]] + [cell(i, j) for j in order] for i in order]
 
 
 def test_render_table_matches_a_lookup_per_cell():
@@ -151,3 +164,64 @@ def test_render_table_matches_a_lookup_per_cell():
                       (a.dim_module, 1, a.dim_module, 2), (2,)):
             body = render_table(a, "csv", order).splitlines()[1:]
             assert body == [",".join(row) for row in _cell_by_cell(a, order)]
+
+
+# sha256 of json.dumps([module labels, center labels]) for each algebra
+# below, taken while every algebra still stored its labels as two fields
+STORED_LABELS = json.loads(
+    (Path(__file__).resolve().parent / "golden_labels.json").read_text())
+
+
+def _labelled_algebras():
+    """(name, algebra) for each catalog base, the aligned (0,8) factor,
+    every chain of one or two steps, every direct sum of up to three copies
+    of each type, and one parsed algebra."""
+    for r, s in BASE_IDS:
+        yield f"base {r} {s}", base_algebra(r, s)
+    yield "aligned 0,8", aligned_factor_0_8()
+    for n in (1, 2):
+        for r, s in BASE_IDS:
+            for chain in itertools.product(ExtensionStep, repeat=n):
+                yield (" ".join(["extend", str(r), str(s),
+                                 *(st.value for st in chain)]),
+                       extension_chain((r, s), list(chain)))
+    for r, s in BASE_IDS:
+        types = 4 if (r - s) % 4 == 3 else 1
+        for mu, nu in itertools.product(range(4), range(types)):
+            if mu + nu:
+                yield f"sum {r} {s} {mu} {nu}", build_sum(base_algebra(r, s),
+                                                          mu, nu)
+    yield "parsed base 3 2", algebra_from_json(algebra_json(base_algebra(3, 2)))
+
+
+def test_basis_labels_are_the_labels_algebras_stored():
+    seen = {}
+    for name, a in _labelled_algebras():
+        module, center = basis_labels(a)
+        assert (len(module), len(center)) == (a.dim_module, a.dim_center)
+        seen[name] = hashlib.sha256(
+            json.dumps([module, center]).encode()).hexdigest()
+    assert seen == STORED_LABELS
+
+
+def test_basis_labels_follow_the_provenance():
+    assert basis_labels(base_algebra(1, 1)) == (("w1", "w2", "w3", "w4"),
+                                                ("Z1", "Z2"))
+    assert basis_labels(base_algebra(3, 2))[1] == ("Z0", "Z1", "Z2", "Z3", "Z4")
+    assert basis_labels(aligned_factor_0_8()) == \
+        basis_labels(base_algebra(0, 8))
+    module, center = basis_labels(build_sum(base_algebra(0, 1), 1, 1))
+    assert module == ("w1~.1", "w2~.1", "w1~.2", "w2~.2")
+    assert center == ("Z1~",)
+    module, center = basis_labels(
+        extension_chain((1, 0), [ExtensionStep.BY_4_4]))
+    # the positive pairs first: y1..y8 are the factor's positive vectors
+    assert module[7:9] == ("w1*y8", "w2*y1") and module[16] == "w1*y9"
+    assert center == tuple(f"Z{k}" for k in range(1, 10))
+    parsed = algebra_from_json(algebra_json(base_algebra(1, 0)))
+    assert basis_labels(parsed) == (("v1", "v2"), ("Z1",))
+
+
+def test_an_algebra_holds_only_its_mathematics():
+    assert [f.name for f in dataclasses.fields(PseudoHTypeAlgebra)] == [
+        "center_sig", "module_signs", "tensor", "provenance"]

@@ -15,7 +15,7 @@ from pseudoht.catalog import MAX_CENTER_DIM, MAX_MODULE_DIM, base_algebra
 from pseudoht.cli import main, render_table
 from pseudoht.obstruction import adjoint_rank
 
-from dense_certificates import dense_vector, densified_text
+from dense_certificates import dense_vector, densified_text, negated_witness_text
 from object_entries import object_entry_text
 
 
@@ -173,8 +173,8 @@ def test_iso_certificates_are_byte_stable(capsys, argv):
 
 # sha256 of the stdout of sum and extension builds and of sum SBG
 # certificates, taken while direct sums were still wrapped in their own type
-# and extend still sorted its pair basis by key; sbg 2 3 --sum 0 2 pads the
-# base witness, which sbg_decision on the sum would negate
+# and extend still sorted its pair basis by key; sbg 2 3 --sum 0 2 padded
+# the base witness then, whose negative sbg_decision on the sum now finds
 PINNED_SUM_AND_EXTEND_OUTPUTS = {
     ("build", "2", "3", "--sum", "2", "1"):
         "db4a1bd36d59d92bb4ecbdc6000d56a2dd61ee243c68a42bb75587f021d7fda0",
@@ -184,6 +184,14 @@ PINNED_SUM_AND_EXTEND_OUTPUTS = {
         "34f6a83e54234fccd276152c3037c5c4d2b22527e0204b962a92e3516ea857f7",
     ("build", "8", "0", "--extend", "8,0", "8,0"):
         "9b0f8f8af5391671bd1ee655f3666b493cb7aef3d785d150cc921298d1fd4252",
+}
+
+
+# sha256 of the outputs above whose witness is sbg_decision's on the sum;
+# PINNED_SPARSE_SUM_OUTPUTS holds their text with the witness negated
+PINNED_SUM_WITNESS_OUTPUTS = {
+    ("sbg", "2", "3", "--sum", "0", "2"):
+        "1295d4f6ee7a78556980675860895e5e44778178e3be700154ba287ba72e42ba",
 }
 
 
@@ -213,6 +221,10 @@ PINNED_ROW_ENTRY_OUTPUTS = {
 def test_sum_and_extension_outputs_are_byte_stable(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    if argv in PINNED_SUM_WITNESS_OUTPUTS:
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            PINNED_SUM_WITNESS_OUTPUTS[argv]
+        out = negated_witness_text(out)
     if argv in PINNED_SPARSE_SUM_OUTPUTS:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             PINNED_SPARSE_SUM_OUTPUTS[argv]

@@ -241,7 +241,10 @@ def test_every_exported_name_resolves():
 def test_removed_public_names_stay_gone():
     layout = pseudoht.catalog.table_layout((2, 3))
     cmap = pseudoht.morphism.canonical_map(1, 0)
+    algebra = pseudoht.catalog.base_algebra(1, 0)
     removed = [(pseudoht.catalog, "shared_algebra"),
+               (algebra, "module_labels"),
+               (algebra, "center_labels"),
                (pseudoht.sums, "DirectSumAlgebra"),
                (pseudoht.sums, "sum_to_dict"),
                (pseudoht.sums, "sum_json"),

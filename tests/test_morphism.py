@@ -293,8 +293,7 @@ def test_the_relation_holds_on_an_empty_module(r):
     # the signed relation gathers each J row through one itemgetter, which
     # needs an index; an empty module has none and every side is empty
     a = PseudoHTypeAlgebra(
-        Signature(r, 0), (), StructureTensor(0, r, []), (),
-        tuple(f"Z{k}" for k in range(1, r + 1)), OpaqueProvenance({}))
+        Signature(r, 0), (), StructureTensor(0, r, []), OpaqueProvenance({}))
     f = LieMorphism(a, a, SignedPermutationOp((), ()),
                     SignedPermutationOp.identity(r).matrix())
     assert verify_homomorphism(f).ok and verify_conjugation(f).ok
@@ -406,8 +405,7 @@ def test_a_signed_center_block_is_normalized_without_a_gram_matrix(
 
 def _empty_module(sig: Signature) -> PseudoHTypeAlgebra:
     return PseudoHTypeAlgebra(
-        sig, (), StructureTensor(0, sig.dim, []), (),
-        tuple(f"Z{k}" for k in range(1, sig.dim + 1)), OpaqueProvenance({}))
+        sig, (), StructureTensor(0, sig.dim, []), OpaqueProvenance({}))
 
 
 @st.composite

@@ -281,8 +281,6 @@ def _free_two_step(n_pos: int, n_neg: int) -> PseudoHTypeAlgebra:
         center_sig=sig, module_signs=(1,) * n_pos + (-1,) * n_neg,
         tensor=StructureTensor(n, sig.dim, [
             (a, b, k, (-1) ** k) for k, (a, b) in enumerate(pairs, start=1)]),
-        module_labels=tuple(f"v{i}" for i in range(1, n + 1)),
-        center_labels=tuple(f"Z{k}" for k in range(1, sig.dim + 1)),
         provenance=OpaqueProvenance({}))
 
 
@@ -665,8 +663,6 @@ def _hand_made(module_signs, center_sig, entries) -> PseudoHTypeAlgebra:
     return PseudoHTypeAlgebra(
         center_sig=center_sig, module_signs=module_signs,
         tensor=StructureTensor(n, center_sig.dim, entries),
-        module_labels=tuple(f"v{i}" for i in range(1, n + 1)),
-        center_labels=tuple(f"Z{k}" for k in range(1, center_sig.dim + 1)),
         provenance=OpaqueProvenance({}))
 
 

@@ -27,8 +27,7 @@ def _flip_entry(a: PseudoHTypeAlgebra, idx: int) -> PseudoHTypeAlgebra:
     entries[idx] = (i, j, k, -s)
     return PseudoHTypeAlgebra(
         a.center_sig, a.module_signs,
-        StructureTensor(a.dim_module, a.dim_center, entries),
-        a.module_labels, a.center_labels, a.provenance)
+        StructureTensor(a.dim_module, a.dim_center, entries), a.provenance)
 
 
 def test_single_pair_sign_flips_are_detected():

@@ -13,10 +13,11 @@ from pseudoht.algebra import (
     verify_clifford,
     verify_integral_basis,
 )
-from pseudoht.catalog import UnsupportedSignatureError, base_algebra
+from pseudoht.catalog import UnsupportedSignatureError, base_algebra, scope
 from pseudoht.core import MapClass, SparseVector, basis_vector, classify_map
 from pseudoht.morphism import verify_homomorphism
 from pseudoht.obstruction import sbg_decision, verify_sbg_no_witness
+from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import (
     block_volume_element,
     build_sum,
@@ -137,13 +138,29 @@ def test_sum_sbg_cases():
     z0, v = (SparseVector(d["dim"], tuple(d["index"]), tuple(d["value"]))
              for d in (cert.payload["z0"], cert.payload["witness_v"]))
     assert verify_sbg_no_witness(s, z0, v).ok
-    # it is the base algebra's witness, zero-padded: the base's support, in
-    # the sum's module dimension, so supported on the first block only
+    # sbg_decision on the sum finds the base algebra's witness in the first
+    # block, of type 1 here: the base's support, in the sum's dimension
     base = sbg_decision(base_algebra(2, 3)).payload
     assert cert.payload["z0"] == base["z0"]
     assert v.dim == s.dim_module == 3 * base["witness_v"]["dim"]
     assert cert.payload["witness_v"] == {**base["witness_v"], "dim": v.dim}
     assert v.index[-1] <= base_algebra(2, 3).dim_module
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_a_type_2_only_sum_rechecks_with_either_witness(nu):
+    s = build_sum(base_algebra(2, 3), 0, nu)
+    cert = sum_sbg(s).json_dict()
+    assert list(cert) == ["kind", "signature", "sum", "z0", "witness_v"]
+    base = sbg_decision(base_algebra(2, 3)).payload
+    # every J of a type-2 block is negated, so the sum's own witness is
+    # the negative of the padded base witness older certificates carried
+    padded = {**cert, "witness_v": {**base["witness_v"], "dim": s.dim_module}}
+    assert cert["witness_v"] == {**padded["witness_v"], "value": [
+        -e for e in base["witness_v"]["value"]]}
+    with scope():
+        assert recheck_certificate(cert).ok
+        assert recheck_certificate(padded).ok
 
 
 def test_sum_json_blocks_field():
