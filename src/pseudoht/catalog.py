@@ -1,10 +1,14 @@
-"""Hardcoded base algebras, their table renderer, and module dimensions.
+"""Hardcoded base algebras, their table renderer, the Bott steps, and
+minimal module dimensions.
 
-The fourteen constructible signatures are exactly the ones whose commutator
-tables are published; each table below is a literal transcription, row by
-row, in the table's own display order.  A checksum locks every transcription
-against accidental edits, and the axiom verifiers independently cross-check
-them (a single wrong sign breaks the Clifford or composition identities).
+The catalog is the fourteen signatures whose commutator tables are
+published; the constructible ones (1,472 with r, s <= 64) are these
+extended by Bott steps, ExtensionStep, along the one reduction search that
+standard_chain and min_module_dim read with different seeds.  Each table
+below is a literal transcription, row by row, in its own display order.  A
+checksum locks every transcription against accidental edits, and the axiom
+verifiers independently cross-check them (a single wrong sign breaks the
+Clifford or composition identities).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import (
@@ -33,11 +38,6 @@ from .algebra import (
 from .core import Signature
 
 BaseTableId = tuple[int, int]
-
-BASE_IDS: tuple[BaseTableId, ...] = (
-    (1, 0), (0, 1), (2, 0), (0, 2), (4, 0), (0, 4), (8, 0), (0, 8),
-    (1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 4),
-)
 
 
 class UnsupportedSignatureError(ValueError):
@@ -260,6 +260,8 @@ _CATALOG_SPECS: dict[BaseTableId, dict] = {
                  metric=(1,) * 8 + (-1,) * 8, module_symbol="y"),
 }
 
+BASE_IDS: tuple[BaseTableId, ...] = tuple(_CATALOG_SPECS)
+
 # sha256 of the canonical entry list, locking each transcription.
 _CHECKSUMS = {
     (1, 0): "553d414a0348c6fb9eef09b88559d1c128eecfb1cd410ddcd45e6c2dbd669084",
@@ -279,10 +281,16 @@ _CHECKSUMS = {
 }
 
 
-def table_layout(table_id: BaseTableId) -> TableLayout:
-    if table_id not in _CATALOG_SPECS:
+def _spec(table_id: BaseTableId) -> dict:
+    """The catalog entry of table_id.  Only int ids are looked up, so that
+    (1.0, 0) or (True, 0) can never be read as (1, 0)."""
+    if table_id not in _CATALOG_SPECS or set(map(type, table_id)) != {int}:
         raise UnsupportedSignatureError(*table_id)
-    entry = _CATALOG_SPECS[table_id]
+    return _CATALOG_SPECS[table_id]
+
+
+def table_layout(table_id: BaseTableId) -> TableLayout:
+    entry = _spec(table_id)
     tilde = entry.get("tilde", False)
     return TableLayout(
         display_order=tuple(entry["order"]),
@@ -372,8 +380,7 @@ def basis_labels(a: PseudoHTypeAlgebra
 
 
 def base_table_entries(table_id: BaseTableId) -> list[tuple[int, int, int, int]]:
-    if table_id not in _CATALOG_SPECS:
-        raise UnsupportedSignatureError(*table_id)
+    _spec(table_id)
     return list(_verified_entries(table_id, _CHECKSUMS[table_id]))
 
 
@@ -398,8 +405,7 @@ def base_algebra(r: int, s: int) -> PseudoHTypeAlgebra:
     the algebra cache: every call in a process may return the same object.
     Only int ids are looked up, so that (1.0, 0) can never be stored under
     (1, 0)."""
-    if type(r) is not int or type(s) is not int or (r, s) not in _CATALOG_SPECS:
-        raise UnsupportedSignatureError(r, s)
+    _spec((r, s))
     return _CACHE.get().get(((r, s), ()), lambda: _build_base(r, s))
 
 
@@ -416,9 +422,7 @@ def _build_base(r: int, s: int) -> PseudoHTypeAlgebra:
 
 def table_text(table_id: BaseTableId) -> str:
     """The stored transcription of a published commutator table."""
-    if table_id not in _CATALOG_SPECS:
-        raise UnsupportedSignatureError(*table_id)
-    return _CATALOG_SPECS[table_id]["text"]
+    return _spec(table_id)["text"]
 
 
 def aligned_factor_0_8() -> PseudoHTypeAlgebra:
@@ -432,7 +436,7 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
     eight = base_algebra(8, 0)
     return shared_step(eight, "aligned 0,8", lambda: PseudoHTypeAlgebra(
         center_sig=Signature(0, 8),
-        module_signs=(1,) * 8 + (-1,) * 8,
+        module_signs=_spec((0, 8))["metric"],
         tensor=eight.tensor,
         provenance=BaseProvenance(0, 8),
     ))
@@ -569,7 +573,30 @@ def catalog_key(a: PseudoHTypeAlgebra) -> Optional[CatalogKey]:
     return _CACHE.get().key_of(a)
 
 
-# --- minimal module dimensions ---------------------------------------------
+# --- the Bott steps and the one reduction -----------------------------------
+
+
+class ExtensionStep(Enum):
+    """n_(r,s) -> n_(r+8,s), n_(r,s+8) or n_(r+4,s+4), a Bott step."""
+
+    BY_8_0 = "8,0"
+    BY_0_8 = "0,8"
+    BY_4_4 = "4,4"
+
+    @staticmethod
+    def parse(text: str) -> "ExtensionStep":
+        t = text.strip().replace(" ", "")
+        for step in ExtensionStep:
+            if t == step.value or t == step.value.replace(",", ""):
+                return step
+        raise ValueError(f"unknown extension step {text!r}; "
+                         f"expected one of 8,0 0,8 4,4")
+
+    def __init__(self, value: str) -> None:
+        p, q = value.split(",")
+        # the signature (dr, ds) the step adds, parsed once per member
+        self.delta = (int(p), int(q))
+
 
 # Seeded only from stated or exhibited values: the printed bases for the
 # catalog ids, and the dimension counts used by the non-isomorphism argument
@@ -582,36 +609,47 @@ _BASE_DIMS: dict[BaseTableId, int] = {
     (0, 5): 16, (0, 6): 16, (0, 7): 16, (0, 8): 16,
     (1, 1): 4, (2, 2): 8, (3, 2): 8, (2, 3): 8, (3, 3): 8, (4, 4): 16,
 }
+_DIM_SEEDS = frozenset(_BASE_DIMS)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _reduce(r: int, s: int, seeds
+            ) -> Optional[tuple[BaseTableId, tuple[ExtensionStep, ...]]]:
+    """The seed (r, s) reduces to and the steps from it back up, or None.
+    Peels the last step in ExtensionStep order, (8,0) first, memoizing dead
+    ends too.  A non-int or over-budget (r, s) raises a plain ValueError
+    first; typed keys keep (1.0, 0) off the entry of (1, 0)."""
+    if type(r) is not int or type(s) is not int:
+        raise ValueError(f"signature counts must be ints; got ({r!r}, {s!r})")
+    require_center_budget(r, s)
+    if r < 0 or s < 0:
+        return None
+    if (r, s) in seeds:
+        return (r, s), ()
+    for step in ExtensionStep:
+        dr, ds = step.delta
+        found = _reduce(r - dr, s - ds, seeds)
+        if found is not None:
+            return found[0], found[1] + (step,)
+    return None
+
+
+def standard_chain(r: int, s: int
+                   ) -> Optional[tuple[BaseTableId, list[ExtensionStep]]]:
+    """The catalog base and the steps, in extension_chain's order, that
+    build n_(r,s): the reduction to a catalog id, or None if none is met."""
+    found = _reduce(r, s, BASE_IDS)
+    return None if found is None else (found[0], list(found[1]))
 
 
 def min_module_dim(r: int, s: int) -> int:
-    """Dimension of the minimal admissible module for signature (r, s).
-
-    Applies the x16 periodicity steps (r,s) -> (r-8,s), (r,s-8), (r-4,s-4)
-    down to a seeded base entry.  Every reduction route must agree; a
-    signature that reaches no seeded entry raises.
-    """
-    require_center_budget(r, s)
-    results = set()
-    _reduce_dim(r, s, 1, results, {})
-    if not results:
+    """Dimension of the minimal admissible module for signature (r, s): the
+    seed's, times 16 per Bott step (Atiyah-Bott-Shapiro).  That every route
+    to a seed agrees is checked by a test, as the seeds are constant data;
+    reaching none raises UnsupportedSignatureError."""
+    found = _reduce(r, s, _DIM_SEEDS)
+    if found is None:
         raise UnsupportedSignatureError(
             r, s, what="minimal-module dimension entry")
-    if len(results) > 1:
-        raise RuntimeError(f"inconsistent dimension reductions for ({r},{s})")
-    return results.pop()
-
-
-def _reduce_dim(r: int, s: int, factor: int, results: set[int],
-                seen: dict) -> None:
-    if (r, s, factor) in seen:
-        return
-    seen[(r, s, factor)] = True
-    if (r, s) in _BASE_DIMS:
-        results.add(factor * _BASE_DIMS[(r, s)])
-    if r >= 8:
-        _reduce_dim(r - 8, s, factor * 16, results, seen)
-    if s >= 8:
-        _reduce_dim(r, s - 8, factor * 16, results, seen)
-    if r >= 4 and s >= 4:
-        _reduce_dim(r - 4, s - 4, factor * 16, results, seen)
+    seed, steps = found
+    return _BASE_DIMS[seed] * 16 ** len(steps)

@@ -10,13 +10,12 @@ the parent's and the factor's rows.  The new center is ordered
 positive-first, and the flattened pair basis is stably split by sign so
 the module metric reads (+...+, -...-); the permutation is recorded in the
 provenance so canonical isomorphisms can keep speaking in pair
-coordinates.
+coordinates.  The steps and standard_chain are defined in catalog.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import (
     ExtensionProvenance,
@@ -25,37 +24,17 @@ from .algebra import (
     SignedPermutationOp,
     StructureTensor,
     j_operators,
-    require_center_budget,
     require_module_budget,
 )
 from .catalog import (
-    BASE_IDS,
+    ExtensionStep,
     UnsupportedSignatureError,
     aligned_factor_0_8,
     base_algebra,
     shared_step,
+    standard_chain,
 )
 from .core import Signature
-
-
-class ExtensionStep(Enum):
-    BY_8_0 = "8,0"
-    BY_0_8 = "0,8"
-    BY_4_4 = "4,4"
-
-    @staticmethod
-    def parse(text: str) -> "ExtensionStep":
-        t = text.strip().replace(" ", "")
-        for step in ExtensionStep:
-            if t == step.value or t == step.value.replace(",", ""):
-                return step
-        raise ValueError(f"unknown extension step {text!r}; "
-                         f"expected one of 8,0 0,8 4,4")
-
-    def __init__(self, value: str) -> None:
-        p, q = value.split(",")
-        # the signature (dr, ds) the step adds, parsed once per member
-        self.delta = (int(p), int(q))
 
 
 def volume_involution(factor: PseudoHTypeAlgebra) -> SignedPermutationOp:
@@ -153,41 +132,6 @@ def extension_chain(base_id: tuple[int, int],
     for step in steps:
         algebra = extend(algebra, step)
     return algebra
-
-
-_STEP_PREFERENCE = (ExtensionStep.BY_8_0, ExtensionStep.BY_0_8,
-                    ExtensionStep.BY_4_4)
-
-
-def standard_chain(r: int, s: int
-                   ) -> Optional[tuple[tuple[int, int], list[ExtensionStep]]]:
-    """Deterministic reduction of (r, s) to a catalog base plus steps.
-
-    Peels the last step preferring (8,0), then (0,8), then (4,4); returns
-    None when no chain reaches a catalog id, and raises ValueError above
-    the center budget.
-    """
-    require_center_budget(r, s)
-    return _chain(r, s, set())
-
-
-def _chain(r: int, s: int, dead: set[tuple[int, int]]
-           ) -> Optional[tuple[tuple[int, int], list[ExtensionStep]]]:
-    """standard_chain's search; dead holds the signatures known to reach no
-    catalog id, so that each is explored once (the unmemoized search is
-    exponential in r + s when no chain exists)."""
-    if r < 0 or s < 0 or (r, s) in dead:
-        return None
-    if (r, s) in BASE_IDS:
-        return (r, s), []
-    for step in _STEP_PREFERENCE:
-        dp, dq = step.delta
-        sub = _chain(r - dp, s - dq, dead)
-        if sub is not None:
-            base, steps = sub
-            return base, steps + [step]
-    dead.add((r, s))
-    return None
 
 
 def standard_algebra(r: int, s: int) -> PseudoHTypeAlgebra:

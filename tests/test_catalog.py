@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import pseudoht.catalog as catalog
 from pseudoht.algebra import (
     PseudoHTypeAlgebra,
     algebra_from_json,
@@ -18,6 +20,7 @@ from pseudoht.algebra import (
 )
 from pseudoht.catalog import (
     BASE_IDS,
+    TableLayout,
     UnsupportedSignatureError,
     aligned_factor_0_8,
     base_algebra,
@@ -25,7 +28,9 @@ from pseudoht.catalog import (
     basis_labels,
     min_module_dim,
     render_table,
+    standard_chain,
     table_layout,
+    table_text,
 )
 from pseudoht.core import basis_vector
 from pseudoht.extension import ExtensionStep, extension_chain
@@ -106,6 +111,82 @@ def test_min_module_dim_periodicity_law():
 def test_unknown_dimension_reported():
     with pytest.raises(UnsupportedSignatureError):
         min_module_dim(5, 1)
+
+
+# sha256 of json.dumps of [r, s, min_module_dim or None, standard_chain as
+# [base, step values] or None] for 0 <= r, s <= 64, made by the two
+# separate searches the one reduction replaced
+REDUCTION_TABLE_SHA256 = \
+    "5a55f75e35e17d8cccac4e6319323754437471b55e26d78fd842837860759092"
+
+
+def test_reduction_table_is_pinned():
+    rows = []
+    for r, s in itertools.product(range(65), repeat=2):
+        try:
+            d = min_module_dim(r, s)
+        except UnsupportedSignatureError:
+            d = None
+        c = standard_chain(r, s)
+        if c is not None:
+            c = [list(c[0]), [st.value for st in c[1]]]
+        rows.append([r, s, d, c])
+    assert sum(row[2] is not None for row in rows) == 2513
+    assert sum(row[3] is not None for row in rows) == 1472
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == REDUCTION_TABLE_SHA256
+
+
+def test_every_route_to_a_seed_gives_one_dimension():
+    # min_module_dim follows one route; the seeds are constant data, so that
+    # every route agrees is checked here, on all of them, past seeds too
+    @functools.cache
+    def dims(r, s):
+        """16**k times the seed's dimension, for every k-step route."""
+        if r < 0 or s < 0:
+            return frozenset()
+        found = {16 * d for step in ExtensionStep
+                 for d in dims(r - step.delta[0], s - step.delta[1])}
+        if (r, s) in catalog._BASE_DIMS:
+            found.add(catalog._BASE_DIMS[(r, s)])
+        return frozenset(found)
+
+    for r, s in itertools.product(range(41), repeat=2):
+        if r + s > 40:
+            continue
+        if dims(r, s):
+            assert dims(r, s) == {min_module_dim(r, s)}, (r, s)
+        else:
+            with pytest.raises(UnsupportedSignatureError):
+                min_module_dim(r, s)
+
+
+# name: (lookup of a catalog id or signature, its result at (1, 0), the
+# error for a non-int one); a reduction refuses the signature with a plain
+# ValueError rather than report an unknown dimension or chain
+INT_ONLY = {
+    "table_layout": (table_layout, TableLayout((1, 2), "w", False, False, 1),
+                     UnsupportedSignatureError),
+    "table_text": (table_text, "\n.    Z1\n-Z1  .\n",
+                   UnsupportedSignatureError),
+    "base_table_entries": (base_table_entries, [(1, 2, 1, 1)],
+                           UnsupportedSignatureError),
+    "base_algebra": (lambda rs: base_algebra(*rs).dim_module, 2,
+                     UnsupportedSignatureError),
+    "min_module_dim": (lambda rs: min_module_dim(*rs), 2, ValueError),
+    "standard_chain": (lambda rs: standard_chain(*rs), ((1, 0), []),
+                       ValueError),
+}
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0), (True, 0)], ids=["float", "bool"])
+@pytest.mark.parametrize("name", INT_ONLY)
+def test_catalog_ids_and_signature_counts_are_ints_only(name, bad):
+    lookup, want, error = INT_ONLY[name]
+    assert lookup((1, 0)) == want  # read first, so a cached (1, 0) is there
+    with pytest.raises(error) as exc:
+        lookup(bad)
+    assert (type(exc.value) is ValueError) == (error is ValueError)
 
 
 def test_unsupported_signature_names_the_catalog():

@@ -13,7 +13,8 @@ certificate with `recheck_certificate`, not with a reader of their own.
 One driver in `acceptance` turns each criterion's claims into its report,
 and no other code there builds or edits one.  Each name a value is kept
 under by `derived_value` is written at one call site, so two kept values
-cannot share an attribute.
+cannot share an attribute.  The Bott steps, `ExtensionStep`, and the one
+search that reduces a signature by them are `catalog`'s alone.
 """
 
 import ast
@@ -25,6 +26,7 @@ import pseudoht.acceptance
 import pseudoht.algebra
 import pseudoht.catalog
 import pseudoht.core
+import pseudoht.extension
 import pseudoht.obstruction
 import pseudoht.sums
 
@@ -232,6 +234,23 @@ def test_each_kept_value_has_a_name_of_its_own():
             sites[key.value] += 1
     assert len(sites) >= 7  # the walk sees the package's kept values
     assert [name for name, n in sites.items() if n != 1] == []
+
+
+def test_the_bott_steps_are_defined_once():
+    # one step vocabulary and one reduction: extension and the package
+    # re-export catalog's objects, and the second search is gone
+    defined = [path.name for path in MODULES
+               for node in ast.walk(_parse(path))
+               if isinstance(node, ast.ClassDef)
+               and node.name == "ExtensionStep"]
+    assert defined == ["catalog.py"]
+    assert pseudoht.ExtensionStep is pseudoht.extension.ExtensionStep
+    assert pseudoht.extension.ExtensionStep is pseudoht.catalog.ExtensionStep
+    assert pseudoht.extension.standard_chain is pseudoht.catalog.standard_chain
+    gone = [(pseudoht.extension, "_chain"),
+            (pseudoht.extension, "_STEP_PREFERENCE"),
+            (pseudoht.catalog, "_reduce_dim")]
+    assert [name for owner, name in gone if hasattr(owner, name)] == []
 
 
 def test_every_exported_name_resolves():
