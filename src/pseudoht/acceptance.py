@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (Verdict, derived_value, j_operators, verify_axioms,
                       verify_general_htype)
@@ -40,8 +40,7 @@ from .recheck import recheck_certificate
 from .sums import block_volume_element, build_sum, sum_sbg, swap_isomorphism
 
 
-@dataclass
-class CriterionReport:
+class CriterionReport(NamedTuple):
     number: int
     name: str
     passed: bool

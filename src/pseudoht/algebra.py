@@ -296,8 +296,7 @@ def _recognize_signed_permutation(m: ExactMatrix
     return None if found is None else SignedPermutationOp(*found)
 
 
-@dataclass(frozen=True)
-class BlockSets:
+class BlockSets(NamedTuple):
     """Half-basis decomposition refined by metric sign."""
 
     a_plus: frozenset[int]
@@ -314,8 +313,7 @@ class BlockSets:
         return self.b_plus | self.b_minus
 
 
-@dataclass(frozen=True)
-class BaseProvenance:
+class BaseProvenance(NamedTuple):
     r: int
     s: int
 
@@ -323,8 +321,7 @@ class BaseProvenance:
         return {"kind": "base", "id": [self.r, self.s]}
 
 
-@dataclass(frozen=True)
-class ExtensionProvenance:
+class ExtensionProvenance(NamedTuple):
     parent: "PseudoHTypeAlgebra"
     step: str  # "8,0" | "0,8" | "4,4"
     pair_to_final: tuple[int, ...]  # flattened (i,j) position -> final index
@@ -343,8 +340,7 @@ class ExtensionProvenance:
                 "steps": [[int(p) for p in st.split(",")] for st in steps]}
 
 
-@dataclass(frozen=True)
-class SumProvenance:
+class SumProvenance(NamedTuple):
     base_r: int
     base_s: int
     mu: int
@@ -356,8 +352,7 @@ class SumProvenance:
                            {"type": 2, "count": self.nu}]}
 
 
-@dataclass(frozen=True)
-class OpaqueProvenance:
+class OpaqueProvenance(NamedTuple):
     """Provenance parsed back from JSON without reconstructing parents."""
 
     data: Mapping
@@ -474,8 +469,7 @@ class PseudoHTypeAlgebra:
         return f"<PseudoHTypeAlgebra {self.name()} dim_v={self.dim_module}>"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an axiom check, with a witness when it fails."""
 
     ok: bool

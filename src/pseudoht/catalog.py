@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import csv
 import functools
 import hashlib
 import io
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import (
     MAX_CENTER_DIM,  # the budgets keep their documented catalog names
@@ -194,8 +192,7 @@ _T_44 = """
 """
 
 
-@dataclass(frozen=True)
-class TableLayout:
+class TableLayout(NamedTuple):
     """Presentation data for one catalog entry."""
 
     display_order: tuple[int, ...]  # table row/column order in basis indices
@@ -282,8 +279,11 @@ _CHECKSUMS = {
 
 
 def _spec(table_id: BaseTableId) -> dict:
-    """The catalog entry of table_id.  Only int ids are looked up, so that
-    (1.0, 0) or (True, 0) can never be read as (1, 0)."""
+    """The catalog entry of table_id.  An id that is no pair is a plain
+    ValueError; only int pairs are looked up, so that (1.0, 0) or
+    (True, 0) can never be read as (1, 0)."""
+    if type(table_id) is not tuple or len(table_id) != 2:
+        raise ValueError(f"a catalog id is a pair (r, s); got {table_id!r}")
     if table_id not in _CATALOG_SPECS or set(map(type, table_id)) != {int}:
         raise UnsupportedSignatureError(*table_id)
     return _CATALOG_SPECS[table_id]
@@ -329,6 +329,7 @@ def render_table(a: PseudoHTypeAlgebra, fmt: str = "md",
         lines += ["| " + " | ".join(row) + " |" for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
+        import csv  # imported here, by its one user, not by every command
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header] + rows)
         return buf.getvalue()

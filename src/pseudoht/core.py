@@ -22,12 +22,16 @@ Vector = tuple[Rational, ...]
 
 @dataclass(frozen=True)
 class Signature:
-    """Index pair (pos, neg) of a diagonal +-1 scalar product."""
+    """Index pair (pos, neg) of a diagonal +-1 scalar product: two
+    nonnegative ints, bool and float refused."""
 
     pos: int
     neg: int
 
     def __post_init__(self) -> None:
+        if type(self.pos) is not int or type(self.neg) is not int:
+            raise ValueError(f"signature counts must be ints; "
+                             f"got ({self.pos!r}, {self.neg!r})")
         if self.pos < 0 or self.neg < 0:
             raise ValueError("signature counts must be nonnegative")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .algebra import (
     PseudoHTypeAlgebra,
@@ -70,8 +70,7 @@ class LieMorphism:
             raise ValueError("center block shape mismatch")
 
 
-@dataclass(frozen=True)
-class MorphismClass:
+class MorphismClass(NamedTuple):
     center_action: MapClass
     integral: bool
 

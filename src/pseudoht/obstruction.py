@@ -12,9 +12,8 @@ record recheck re-derives from the destination algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     IntegralBasisError,
@@ -65,8 +64,7 @@ def adjoint_rank(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> int:
     return exact_rank(adjoint_rows(a, ints))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of a surjectivity scan: the points visited and the first
     counterexample, if any."""
 
@@ -90,8 +88,7 @@ class ScanReport:
         }
 
 
-@dataclass(frozen=True)
-class WittBound:
+class WittBound(NamedTuple):
     """The parity precondition as a theorem about the module metric.
 
     The composition identity ad_X ad_X^tau = <X,X> Id_z makes ad_X onto for
@@ -147,8 +144,7 @@ def surjectivity_scan(a: PseudoHTypeAlgebra) -> ScanReport:
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Verifiable outcome of an isomorphism or bracket-generating question."""
 
     kind: str  # ISO | NOT_ISO_DIM | NOT_ISO_SIGNATURE | NOT_ISO_PARITY |
@@ -305,15 +301,13 @@ def verify_sbg_no_witness(a: PseudoHTypeAlgebra,
 # sign-parity system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityConstraint:
+class ParityConstraint(NamedTuple):
     a: int
     b: int
     rhs: int  # s_a * s_b must equal rhs
 
 
-@dataclass(frozen=True)
-class ParityOutcome:
+class ParityOutcome(NamedTuple):
     feasible: bool
     assignment: Optional[dict[int, int]] = None
     cycle: Optional[tuple[ParityConstraint, ...]] = None
@@ -394,4 +388,4 @@ def parity_certificate(src: PseudoHTypeAlgebra,
     isomorphism only where that record holds.
     """
     outcome = solve_parity(parity_system(src), src.dim_module)
-    return replace(outcome, precondition=witt_bound(dst))
+    return outcome._replace(precondition=witt_bound(dst))

@@ -3,8 +3,9 @@ command in commands(), kept in tests/golden.json, one command a line.
 
 The commands are every `check r s s r` with r + s <= 14, plain and
 --anti; every line of the README's CLI block; `verify-paper --seed 0
---verbose`, whose report names each criterion's failures; and `build` of
-every extension chain of at most two steps up to module dimension 1024.
+--verbose`, whose report names each criterion's failures; `build` of
+every extension chain of at most two steps up to module dimension 1024;
+and `table r s --format csv` of every catalog id.
 verify-paper output is compared with its timings masked.
 
     PYTHONPATH=src python tests/golden.py            # list what differs
@@ -52,8 +53,10 @@ def commands() -> list[list[str]]:
               for (r, s) in BASE_IDS for n in range(3)
               for chain in itertools.product(ExtensionStep, repeat=n)
               if base_algebra(r, s).dim_module * 16 ** n <= MAX_BUILD_DIM]
+    tables = [["table", str(r), str(s), "--format", "csv"]
+              for (r, s) in BASE_IDS]
     every = [*swaps, *readme_commands(),
-             ["verify-paper", "--seed", "0", "--verbose"], *builds]
+             ["verify-paper", "--seed", "0", "--verbose"], *builds, *tables]
     # README lines such as `check 3 2 2 3` are swap questions too
     return [list(argv) for argv in dict.fromkeys(map(tuple, every))]
 

@@ -189,6 +189,18 @@ def test_catalog_ids_and_signature_counts_are_ints_only(name, bad):
     assert (type(exc.value) is ValueError) == (error is ValueError)
 
 
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), [1, 0], "10"])
+def test_a_catalog_id_that_is_no_pair_is_a_plain_value_error(bad):
+    with pytest.raises(ValueError) as exc:
+        table_layout(bad)
+    assert type(exc.value) is ValueError and repr(bad) in str(exc.value)
+
+
+def test_a_pair_outside_the_catalog_is_unsupported():
+    with pytest.raises(UnsupportedSignatureError, match=r"\(5,5\)"):
+        table_layout((5, 5))
+
+
 def test_unsupported_signature_names_the_catalog():
     with pytest.raises(UnsupportedSignatureError) as exc:
         base_algebra(3, 0)

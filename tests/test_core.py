@@ -39,6 +39,15 @@ def test_epsilon_values():
     assert epsilon(5, Signature(4, 4)) == -1
 
 
+@pytest.mark.parametrize("counts", [(1.5, 0), (True, 0), (1.0, 0), (0, 2.0)],
+                         ids=["float", "bool", "integral-float",
+                              "second-count"])
+def test_signature_counts_are_ints_only(counts):
+    with pytest.raises(ValueError, match="must be ints") as exc:
+        Signature(*counts)
+    assert str(counts) in str(exc.value)
+
+
 def test_epsilon_out_of_range():
     with pytest.raises(IndexError):
         epsilon(0, Signature(2, 2))

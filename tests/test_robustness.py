@@ -1,10 +1,14 @@
-"""Sensitivity of the verifiers and the deeper recursion branches."""
+"""Sensitivity of the verifiers and the deeper recursion branches, and
+recheck's refusal of malformed signature counts."""
+
+import json
 
 import pytest
 
 from pseudoht.algebra import (
     PseudoHTypeAlgebra,
     StructureTensor,
+    Verdict,
     bd_decomposition,
     verify_admissible,
     verify_clifford,
@@ -19,6 +23,8 @@ from pseudoht.morphism import (
     verify_conjugation,
     verify_homomorphism,
 )
+from pseudoht.obstruction import check_pair, sbg_decision
+from pseudoht.recheck import recheck_certificate
 
 
 def _flip_entry(a: PseudoHTypeAlgebra, idx: int) -> PseudoHTypeAlgebra:
@@ -99,3 +105,30 @@ def test_cli_check_deep_pair(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert '"kind": "ISO"' in out
+
+
+
+# name: (how certify writes the certificate, the path to a signature count)
+SIGNATURE_SITES = {
+    "NOT_ISO_DIM src": (lambda: check_pair(3, 0, 0, 3), ("src", 0)),
+    "NOT_ISO_PARITY dst": (lambda: check_pair(3, 2, 2, 3), ("dst", 1)),
+    "ISO morphism src": (lambda: check_pair(1, 8, 8, 1),
+                         ("morphism", "src", "r")),
+    "SBG_YES": (lambda: sbg_decision(base_algebra(8, 0)), ("signature", 0)),
+    "SBG_NO": (lambda: sbg_decision(base_algebra(1, 1)), ("signature", 1)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, 1.0], ids=["float", "bool",
+                                                          "integral-float"])
+@pytest.mark.parametrize("site", SIGNATURE_SITES)
+def test_recheck_refuses_a_signature_count_that_is_no_int(site, value):
+    certify, path = SIGNATURE_SITES[site]
+    forged = json.loads(json.dumps(certify().json_dict()))
+    assert recheck_certificate(forged).ok
+    holder = forged
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    verdict = recheck_certificate(forged)
+    assert type(verdict) is Verdict and verdict.ok is False, verdict
