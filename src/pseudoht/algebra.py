@@ -20,11 +20,11 @@ import json
 import operator
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     ExactMatrix,
+    Frozen,
     Rational,
     Signature,
     SparseVector,
@@ -186,8 +186,7 @@ def _distinct_pairs(canon: list) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SignedPermutationOp:
+class SignedPermutationOp(Frozen):
     """Linear map sending v_a to sign[a] * v_image[a]; tuples are 1-based.
     Other sequences, such as lists, are stored as tuples, so equal ops
     compare and hash equal."""
@@ -195,17 +194,16 @@ class SignedPermutationOp:
     image: tuple[int, ...]
     sign: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("image", "sign"):
-            if type(getattr(self, name)) is not tuple:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-        n = len(self.image)
-        if {*map(type, self.image), *map(type, self.sign)} - {int}:
+    def __init__(self, image: Sequence[int], sign: Sequence[int]) -> None:
+        image, sign = tuple(image), tuple(sign)
+        n = len(image)
+        if {*map(type, image), *map(type, sign)} - {int}:
             raise ValueError("image and signs must be integers")
-        if sorted(self.image) != list(range(1, n + 1)):
+        if sorted(image) != list(range(1, n + 1)):
             raise ValueError("image is not a permutation")
-        if len(self.sign) != n or not set(self.sign) <= {1, -1}:
+        if len(sign) != n or not set(sign) <= {1, -1}:
             raise ValueError("signs must be +-1, one per basis vector")
+        self.__dict__.update(image=image, sign=sign)
 
     @property
     def dim(self) -> int:
@@ -275,7 +273,7 @@ class SignedPermutationOp:
 
 def _unchecked_op(image: tuple[int, ...], sign: tuple[int, ...]
                   ) -> SignedPermutationOp:
-    """SignedPermutationOp(image, sign) without __post_init__'s checks.
+    """SignedPermutationOp(image, sign) without __init__'s checks.
 
     Only for ops that are signed permutations by how they were made: the
     composite, inverse or negation of checked ops, or a J operator read
@@ -413,8 +411,7 @@ def _product_entries(recipe: ExtensionRecipe
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class PseudoHTypeAlgebra:
+class PseudoHTypeAlgebra(Frozen):
     """2-step nilpotent algebra v + z described by an integral basis."""
 
     center_sig: Signature
@@ -422,17 +419,20 @@ class PseudoHTypeAlgebra:
     tensor: StructureTensor
     provenance: Provenance
 
-    def __post_init__(self) -> None:
-        if self.tensor.dim_module != len(self.module_signs):
+    def __init__(self, center_sig: Signature, module_signs: tuple[int, ...],
+                 tensor: StructureTensor, provenance: Provenance) -> None:
+        if tensor.dim_module != len(module_signs):
             raise ValueError("module metric length does not match tensor")
-        if {*map(type, self.module_signs)} - {int}:
-            bad = next(e for e in self.module_signs if type(e) is not int)
+        if {*map(type, module_signs)} - {int}:
+            bad = next(e for e in module_signs if type(e) is not int)
             raise ValueError(f"module metric entries must be integers, "
                              f"got {bad!r}")
-        if not set(self.module_signs) <= {1, -1}:
+        if not set(module_signs) <= {1, -1}:
             raise ValueError("module metric entries must be +-1")
-        if self.tensor.dim_center != self.center_sig.dim:
+        if tensor.dim_center != center_sig.dim:
             raise ValueError("center signature does not match tensor")
+        self.__dict__.update(center_sig=center_sig, module_signs=module_signs,
+                             tensor=tensor, provenance=provenance)
 
     @property
     def dim_module(self) -> int:
@@ -805,7 +805,7 @@ def verify_axioms(a: PseudoHTypeAlgebra) -> Verdict:
     Computed once per algebra and kept on it, since it depends on the
     frozen fields alone: a shared catalog algebra, or a direct sum of a
     shared base, is checked once per process.  A copy made by
-    dataclasses.replace, a parsed algebra, a sum of any other base, or a
+    _replace, a parsed algebra, a sum of any other base, or a
     private _build_base is a new object and is checked afresh.
     """
     return derived_value(a, "_axioms", _first_axiom_failure)

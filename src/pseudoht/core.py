@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -20,20 +19,52 @@ Rational = Union[int, Fraction]
 Vector = tuple[Rational, ...]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Frozen:
+    """Base of the validated value classes: __init__ checks and stores the
+    annotated fields, _fields.  Nothing can be set or deleted; ==, hash and
+    repr read the fields, and == is False against a tuple; _replace copies
+    through __init__, checked again and with no derived value kept."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = property(operator.attrgetter(*cls._fields))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values)) | changes)
+
+
+class Signature(Frozen):
     """Index pair (pos, neg) of a diagonal +-1 scalar product: two
     nonnegative ints, bool and float refused."""
 
     pos: int
     neg: int
 
-    def __post_init__(self) -> None:
-        if type(self.pos) is not int or type(self.neg) is not int:
+    def __init__(self, pos: int, neg: int) -> None:
+        if type(pos) is not int or type(neg) is not int:
             raise ValueError(f"signature counts must be ints; "
-                             f"got ({self.pos!r}, {self.neg!r})")
-        if self.pos < 0 or self.neg < 0:
+                             f"got ({pos!r}, {neg!r})")
+        if pos < 0 or neg < 0:
             raise ValueError("signature counts must be nonnegative")
+        self.__dict__.update(pos=pos, neg=neg)
 
     @property
     def dim(self) -> int:
@@ -89,10 +120,10 @@ def basis_vector(i: int, dim: int) -> Vector:
     return tuple(1 if j == i else 0 for j in range(1, dim + 1))
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Frozen):
     """A vector of dimension dim by its support: the 1-based indices of its
-    nonzero entries, strictly increasing, and their values.
+    nonzero entries, strictly increasing, and their values, both stored as
+    tuples, so that equal vectors compare and hash equal.
 
     Certificates write their witness vectors in this form, as
     {"dim", "index", "value"}; nothing of size dim is made from it, so a
@@ -103,15 +134,18 @@ class SparseVector:
     index: tuple[int, ...]
     value: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.index) != len(self.value):
+    def __init__(self, dim: int, index: Sequence[int],
+                 value: Sequence[Rational]) -> None:
+        index, value = tuple(index), tuple(value)
+        if len(index) != len(value):
             raise ValueError("index and value differ in length")
-        if any(not lo < hi for lo, hi in zip((0, *self.index), self.index)):
+        if any(not lo < hi for lo, hi in zip((0, *index), index)):
             raise ValueError("indices must be 1-based and strictly increasing")
-        if self.index and self.index[-1] > self.dim:
-            raise ValueError(f"index {self.index[-1]} exceeds dim {self.dim}")
-        if 0 in self.value:
+        if index and index[-1] > dim:
+            raise ValueError(f"index {index[-1]} exceeds dim {dim}")
+        if 0 in value:
             raise ValueError("a support value is 0")
+        self.__dict__.update(dim=dim, index=index, value=value)
 
     @staticmethod
     def of(x: Union["SparseVector", Sequence[Rational]]) -> "SparseVector":
@@ -149,8 +183,7 @@ class MapClass(Enum):
     NEITHER = "NEITHER"
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """Immutable rational matrix with exact rank and determinant.
 
     Entries keep their number type: int entries stay int, and any other
@@ -160,6 +193,9 @@ class ExactMatrix:
     rows: int
     cols: int
     entries: tuple[tuple[Rational, ...], ...]
+
+    def __init__(self, rows: int, cols: int, entries: tuple[Vector, ...]):
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":

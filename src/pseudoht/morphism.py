@@ -20,7 +20,6 @@ table rows.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -36,6 +35,7 @@ from .algebra import (
 from .catalog import base_algebra, catalog_key, min_module_dim
 from .core import (
     ExactMatrix,
+    Frozen,
     MapClass,
     Rational,
     Signature,
@@ -50,8 +50,7 @@ from .extension import (
 )
 
 
-@dataclass(frozen=True)
-class LieMorphism:
+class LieMorphism(Frozen):
     """The blocks A (modules) and C (centers) of a morphism src -> dst.  A
     is a SignedPermutationOp for an integral map, an ExactMatrix otherwise."""
 
@@ -60,14 +59,15 @@ class LieMorphism:
     A: Union[SignedPermutationOp, ExactMatrix]
     C: ExactMatrix
 
-    def __post_init__(self) -> None:
-        a = self.A
-        shape = (a.dim, a.dim) if isinstance(a, SignedPermutationOp) else (
-            a.rows, a.cols)
-        if shape != (self.dst.dim_module, self.src.dim_module):
+    def __init__(self, src: PseudoHTypeAlgebra, dst: PseudoHTypeAlgebra,
+                 A: Union[SignedPermutationOp, ExactMatrix], C: ExactMatrix):
+        shape = (A.dim, A.dim) if isinstance(A, SignedPermutationOp) else (
+            A.rows, A.cols)
+        if shape != (dst.dim_module, src.dim_module):
             raise ValueError("module block shape mismatch")
-        if self.C.rows != self.dst.dim_center or self.C.cols != self.src.dim_center:
+        if C.rows != dst.dim_center or C.cols != src.dim_center:
             raise ValueError("center block shape mismatch")
+        self.__dict__.update(src=src, dst=dst, A=A, C=C)
 
 
 class MorphismClass(NamedTuple):
@@ -303,8 +303,7 @@ def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
 # canonical isomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalMap:
+class CanonicalMap(Frozen):
     """Integral morphism in signed-permutation form: module and center are
     signed permutations, and every center sign is +1."""
 
@@ -312,6 +311,10 @@ class CanonicalMap:
     dst: PseudoHTypeAlgebra
     module: SignedPermutationOp
     center: SignedPermutationOp
+
+    def __init__(self, src: PseudoHTypeAlgebra, dst: PseudoHTypeAlgebra,
+                 module: SignedPermutationOp, center: SignedPermutationOp):
+        self.__dict__.update(src=src, dst=dst, module=module, center=center)
 
     def to_morphism(self) -> LieMorphism:
         return LieMorphism(self.src, self.dst, self.module,

@@ -15,9 +15,10 @@ Imports `pseudoht, pseudoht.cli, pseudoht.recheck, pseudoht.acceptance`
 
 It prints one JSON object: per mode, the median wall time of the import
 statement and the median ``-X importtime`` self time of every module the
-statement imported (largest first), and the dataclasses that the import
-defines, by module.  Nothing is gated: the exit code is 0 whenever the
-children ran.  Standard library only.  From the repository root:
+statement imported (largest first), the dataclasses that the import
+defines, by module, and which of the standard-library modules in WATCHED
+it loads.  Nothing is gated: the exit code is 0 whenever the children
+ran.  Standard library only.  From the repository root:
 
     python3 tests/import_cost.py
 
@@ -37,6 +38,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 RUNS = 9
+# modules a one-shot command would rather not pay for: dataclasses brings
+# inspect (with ast and dis); the other three the package imports itself
+WATCHED = ("dataclasses", "inspect", "fractions", "hashlib", "argparse")
 
 # run in the child after the timed import; prints what the parent parses
 CHILD = """\
@@ -94,8 +98,8 @@ def _run_child(src: Path, cached: bool, prefix: Path) -> tuple[dict, dict]:
 
 
 def measure(src: Path, cached: bool, prefix: Path) -> tuple[dict, dict]:
-    """The mode's medians over RUNS children, and the dataclasses the
-    import defined."""
+    """The mode's medians over RUNS children, and the last child's
+    report."""
     if cached:
         _run_child(src, cached, prefix)  # fills the cache
     reports, times = [], []
@@ -112,7 +116,7 @@ def measure(src: Path, cached: bool, prefix: Path) -> tuple[dict, dict]:
         "self_us_median": dict(sorted(modules.items(),
                                       key=lambda kv: (-kv[1], kv[0]))),
     }
-    return result, reports[-1]["dataclasses"]
+    return result, reports[-1]
 
 
 def main() -> int:
@@ -123,10 +127,11 @@ def main() -> int:
         prefix = Path(tmp) / "pycache"
         out = {"python": sys.version.split()[0], "runs": RUNS, "modes": {}}
         for mode in ("compile", "cached"):
-            out["modes"][mode], dataclasses = measure(
+            out["modes"][mode], report = measure(
                 src, mode == "cached", prefix)
-        out["dataclass_count"] = sum(map(len, dataclasses.values()))
-        out["dataclasses"] = dataclasses
+        out["dataclass_count"] = sum(map(len, report["dataclasses"].values()))
+        out["dataclasses"] = report["dataclasses"]
+        out["loads"] = {name: name in report["new"] for name in WATCHED}
     print(json.dumps(out, indent=2))
     return 0
 

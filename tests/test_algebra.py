@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -375,7 +374,7 @@ def _flipped(a, n):
     """a with the sign of its n-th tensor entry flipped."""
     entries = a.tensor.entries
     i, j, k, s = entries[n]
-    return dataclasses.replace(a, tensor=StructureTensor(
+    return a._replace(tensor=StructureTensor(
         a.dim_module, a.dim_center, entries[:n] + ((i, j, k, -s),)
         + entries[n + 1:]))
 
@@ -584,7 +583,7 @@ def test_module_metric_entries_must_be_integers(metric):
     bad = next(e for e in metric if type(e) is not int)
     with pytest.raises(ValueError, match=re.escape(
             f"module metric entries must be integers, got {bad!r}")):
-        dataclasses.replace(a, module_signs=metric)
+        a._replace(module_signs=metric)
 
 
 @pytest.mark.parametrize("t", [

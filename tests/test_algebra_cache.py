@@ -10,7 +10,6 @@ stay inside its module-dimension budget, also under threads.
 """
 
 import contextvars
-import dataclasses
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -128,7 +127,7 @@ def test_the_aligned_factor_never_shares_the_0_8_entry(cache):
 def test_parsed_algebras_and_sums_of_unshared_bases_are_never_stored(cache):
     shared = base_algebra(1, 0)
     parsed = algebra_from_json(algebra_json(shared))
-    replaced = dataclasses.replace(base_algebra(0, 1))
+    replaced = base_algebra(0, 1)._replace()
     built = [parsed,
              extend(parsed, ExtensionStep.BY_8_0),
              build_sum(parsed, 2, 0),

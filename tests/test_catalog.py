@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -316,5 +315,5 @@ def test_basis_labels_follow_the_provenance():
 
 
 def test_an_algebra_holds_only_its_mathematics():
-    assert [f.name for f in dataclasses.fields(PseudoHTypeAlgebra)] == [
+    assert list(PseudoHTypeAlgebra._fields) == [
         "center_sig", "module_signs", "tensor", "provenance"]

@@ -24,7 +24,6 @@ that counts derivations or corrupts an operator builds private algebras
 with the uncached catalog constructor.
 """
 
-import dataclasses
 import functools
 import json
 import sys
@@ -149,14 +148,14 @@ def _entry_flips(a: PseudoHTypeAlgebra):
     for i, (p, q, k, s) in enumerate(entries):
         flipped = entries[:i] + ((p, q, k, -s),) + entries[i + 1:]
         tensor = StructureTensor(a.dim_module, a.dim_center, flipped)
-        yield dataclasses.replace(a, tensor=tensor)
+        yield a._replace(tensor=tensor)
 
 
 def _metric_flips(a: PseudoHTypeAlgebra):
     signs = a.module_signs
     for i in range(a.dim_module):
         flipped = signs[:i] + (-signs[i],) + signs[i + 1:]
-        yield dataclasses.replace(a, module_signs=flipped)
+        yield a._replace(module_signs=flipped)
 
 
 def test_verifiers_match_the_reference_on_the_catalog():
@@ -286,7 +285,7 @@ STORED = ("dim_module", "dim_center", "entries", "_recipe")
 def _derived_on(a: PseudoHTypeAlgebra) -> list[str]:
     """Names of everything the algebra and its tensor hold beyond their
     fields."""
-    fields = {f.name for f in dataclasses.fields(a)}
+    fields = set(a._fields)
     return sorted([name for name in vars(a) if name not in fields]
                   + [name for name in vars(a.tensor) if name not in STORED])
 
@@ -401,8 +400,8 @@ def _j_outcomes(a: PseudoHTypeAlgebra) -> list:
 
 
 def _with_entries(a: PseudoHTypeAlgebra, entries) -> PseudoHTypeAlgebra:
-    return dataclasses.replace(
-        a, tensor=StructureTensor(a.dim_module, a.dim_center, entries))
+    return a._replace(
+        tensor=StructureTensor(a.dim_module, a.dim_center, entries))
 
 
 def test_one_removed_entry_leaves_its_pairs_without_partners():
@@ -771,7 +770,7 @@ def test_a_replaced_canonical_map_is_checked_afresh(monkeypatch):
     assert criterion_3_isomorphisms().passed
     assert vars(kept)["_canonical_failures"] == ()
     sign = (-kept.module.sign[0],) + kept.module.sign[1:]
-    bad = dataclasses.replace(kept, module=SignedPermutationOp(
+    bad = kept._replace(module=SignedPermutationOp(
         kept.module.image, sign))
     assert bad is not kept and "_canonical_failures" not in vars(bad)
     shared = acceptance.canonical_map
@@ -789,7 +788,7 @@ def test_a_replaced_canonical_map_is_checked_afresh(monkeypatch):
 
 def test_a_map_that_fails_to_build_keeps_no_outcome(monkeypatch):
     cmap = canonical_map(4, 0)
-    copy = dataclasses.replace(cmap)
+    copy = cmap._replace()
     monkeypatch.setattr(acceptance, "canonical_map", lambda r, s: copy)
     monkeypatch.setattr(acceptance, "normalize_isomorphism",
                         lambda f: 1 / 0)
@@ -806,7 +805,7 @@ def test_the_kept_outcome_is_not_a_field():
     kept = canonical_map(1, 8)
     criterion_3_isomorphisms()
     assert vars(kept)["_canonical_failures"] == ()
-    fresh = dataclasses.replace(kept)
+    fresh = kept._replace()
     assert "_canonical_failures" not in vars(fresh)
     assert kept == fresh and hash(kept) == hash(fresh)
     assert repr(kept) == repr(fresh)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import time
 
@@ -161,7 +160,7 @@ def _agrees_with_operator_construction(parent, step):
     assert "entries" not in vars(ext.tensor)  # no entry read yet
     assert _operator_route_tensor(parent, step) == ext.tensor
     assert table_values(table) == per_entry_j_table(ext)
-    checked = dataclasses.replace(ext, tensor=StructureTensor(
+    checked = ext._replace(tensor=StructureTensor(
         ext.dim_module, ext.dim_center, ext.tensor.entries))
     assert checked.tensor.entries == ext.tensor.entries
     assert j_operators(checked) == ops
@@ -224,12 +223,12 @@ def test_a_faulty_parent_table_gives_the_entries_witness(fault, step):
     e = a.tensor.entries
     assert e[10] == (3, 7, 5, 1)
     entries = e[:10] + e[11:] + (((1, 8, 5, -1),) if fault == "doubled" else ())
-    parent = dataclasses.replace(a, tensor=StructureTensor(
+    parent = a._replace(tensor=StructureTensor(
         a.dim_module, a.dim_center, entries))
     ext = extend(parent, step)
     got = verify_integral_basis(ext)
     assert table_values(algebra._j_table(ext)) == per_entry_j_table(ext)
-    checked = dataclasses.replace(ext, tensor=StructureTensor(
+    checked = ext._replace(tensor=StructureTensor(
         ext.dim_module, ext.dim_center, ext.tensor.entries))
     assert got == verify_integral_basis(checked)
     assert not got.ok and got.witness == FAULTY_PARENT_WITNESSES[fault, step]
@@ -239,17 +238,17 @@ def test_a_faulty_parent_table_gives_the_entries_witness(fault, step):
 
 
 def test_a_rebuilt_algebra_takes_its_table_from_its_own_metric():
-    # replace() keeps the tensor and its recipe; with another metric the
+    # _replace() keeps the tensor and its recipe; with another metric the
     # rows of the parent and factor do not apply, and the entries decide
     ext = extend(_build_base(1, 1), ExtensionStep.BY_8_0)
     flipped = (-ext.module_signs[0],) + ext.module_signs[1:]
-    other = dataclasses.replace(ext, module_signs=flipped)
+    other = ext._replace(module_signs=flipped)
     recipe = ext.tensor._recipe
     assert recipe is not None
     got = j_operators(other)
     assert "entries" in vars(ext.tensor)  # the entries were read
     assert ext.tensor._recipe is recipe  # and the recipe is kept
-    checked = dataclasses.replace(other, tensor=StructureTensor(
+    checked = other._replace(tensor=StructureTensor(
         ext.dim_module, ext.dim_center, ext.tensor.entries))
     assert got == j_operators(checked) != j_operators(ext)
 
@@ -267,7 +266,7 @@ def test_an_extension_read_first_takes_its_table_from_the_rows(monkeypatch):
     table = algebra._j_table(ext)
     assert ext.tensor._recipe is not None
     assert len(made) == 1 and made[0] is table
-    checked = dataclasses.replace(ext, tensor=StructureTensor(
+    checked = ext._replace(tensor=StructureTensor(
         ext.dim_module, ext.dim_center, entries))
     assert algebra._j_table(checked) == table
 

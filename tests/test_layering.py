@@ -3,23 +3,23 @@
 The CLI is the top layer: no package module may import it, and none
 imports `random`: every answer is exact, not sampled.  Imports sit at
 module level, where the dependency graph between modules is visible, and
-name only public names: a module's underscored names are its own.  The one
-exception, named in `DEFERRED_IMPORTS`, is a standard-library module that a
-single branch uses, imported there so that other commands do not pay for
-it.  A `@dataclass` validates in `__post_init__`, or is named in
-`PLAIN_DATACLASSES` with what it needs that a `NamedTuple` lacks; a plain
-record is a `NamedTuple`, which costs less to define at import.  Indented
-JSON is written by one emitter, `jsonout`.  The J table's shared rows,
-`signed_lookups`, are read by `algebra` and `morphism` alone, and only
-`catalog` builds the algebra cache's keys or names the cache itself: a
-test gets a fresh one from `catalog.scope()`.  `acceptance` imports nothing
-from `fractions`: its criteria read integers, and they recheck each
-certificate with `recheck_certificate`, not with a reader of their own.
-One driver in `acceptance` turns each criterion's claims into its report,
-and no other code there builds or edits one.  Each name a value is kept
-under by `derived_value` is written at one call site, so two kept values
-cannot share an attribute.  The Bott steps, `ExtensionStep`, and the one
-search that reduces a signature by them are `catalog`'s alone.
+name only public names: a module's underscored names are its own.  The
+one exception, named in `DEFERRED_IMPORTS`, is a standard-library module
+that a single branch uses, imported there so that other commands do not
+pay for it.  No module imports `dataclasses`: a plain record is a
+`NamedTuple`, and a class that validates its fields or keeps derived
+values derives from `core.Frozen`.  Indented JSON is written by one
+emitter, `jsonout`.  The J table's shared rows, `signed_lookups`, are
+read by `algebra` and `morphism` alone, and only `catalog` builds the
+algebra cache's keys or names the cache itself: a test gets a fresh one
+from `catalog.scope()`.  `acceptance` imports nothing from `fractions`:
+its criteria read integers, and they recheck each certificate with
+`recheck_certificate`, not with a reader of their own.  One driver in
+`acceptance` turns each criterion's claims into its report, and no other
+code there builds or edits one.  Each name a value is kept under by
+`derived_value` is written at one call site, so two kept values cannot
+share an attribute.  The Bott steps, `ExtensionStep`, and the one search
+that reduces a signature by them are `catalog`'s alone.
 """
 
 import ast
@@ -67,15 +67,22 @@ def test_no_module_imports_the_cli():
     assert offenders == []
 
 
+def _importers(top: str) -> list[str]:
+    """Each package import of the top-level module top, as file:line name."""
+    return [f"{path.name}:{node.lineno} {name}"
+            for path in MODULES for node in ast.walk(_parse(path))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _imported_modules(node) if name.split(".")[0] == top]
+
+
 def test_no_module_imports_random():
-    offenders = []
-    for path in MODULES:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for name in _imported_modules(node):
-                    if name.split(".")[0] == "random":
-                        offenders.append(f"{path.name}:{node.lineno} {name}")
-    assert offenders == []
+    assert _importers("random") == []
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes derive from core.Frozen, and `dataclasses` would
+    # load `inspect`, `ast` and `dis` into every import of the package
+    assert _importers("dataclasses") == []
 
 
 # (file, function, module): a stdlib import kept inside the one function
@@ -266,37 +273,6 @@ def test_the_bott_steps_are_defined_once():
             (pseudoht.extension, "_STEP_PREFERENCE"),
             (pseudoht.catalog, "_reduce_dim")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
-
-
-# a @dataclass with no __post_init__, and what it needs from dataclass
-PLAIN_DATACLASSES = {
-    "ExactMatrix": "keeps its recognized signed form, _signed_op, in its "
-                   "__dict__ (derived_value)",
-    "CanonicalMap": "keeps derived values in its __dict__, and tests copy "
-                    "it with dataclasses.replace",
-}
-
-
-def _is_dataclass_decorator(node) -> bool:
-    target = node.func if isinstance(node, ast.Call) else node
-    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
-
-
-def test_every_dataclass_validates_or_is_named():
-    unnamed, listed = [], set()
-    for path in MODULES:
-        for node in ast.walk(_parse(path)):
-            if not (isinstance(node, ast.ClassDef) and any(
-                    map(_is_dataclass_decorator, node.decorator_list))):
-                continue
-            if node.name in PLAIN_DATACLASSES:
-                listed.add(node.name)
-            elif not any(isinstance(item, ast.FunctionDef)
-                         and item.name == "__post_init__"
-                         for item in node.body):
-                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
-    assert unnamed == []
-    assert listed == set(PLAIN_DATACLASSES)  # every name is still a dataclass
 
 
 def test_every_exported_name_resolves():

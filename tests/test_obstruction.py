@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -328,8 +327,8 @@ def _flipped_metric_copy():
     """An extension rebuilt around its tensor with one metric sign
     flipped: its J table comes from the entries, with other signs."""
     ext = extend(base_algebra(1, 1), ExtensionStep.BY_8_0)
-    return dataclasses.replace(
-        ext, module_signs=(-ext.module_signs[0],) + ext.module_signs[1:])
+    return ext._replace(
+        module_signs=(-ext.module_signs[0],) + ext.module_signs[1:])
 
 
 READER_ALGEBRAS = {
@@ -372,7 +371,7 @@ def _doubled_3_2():
     a = _build_base(3, 2)
     e = a.tensor.entries
     assert e[10] == (3, 7, 5, 1)
-    return dataclasses.replace(a, tensor=StructureTensor(
+    return a._replace(tensor=StructureTensor(
         a.dim_module, a.dim_center, e[:10] + e[11:] + ((1, 8, 5, -1),)))
 
 
@@ -530,7 +529,7 @@ def test_sbg_yes_refused_after_one_flipped_sign(rs):
     entries = a.tensor.entries
     for n, (i, j, k, s) in enumerate(entries):
         flipped = entries[:n] + ((i, j, k, -s),) + entries[n + 1:]
-        bad = dataclasses.replace(a, tensor=StructureTensor(
+        bad = a._replace(tensor=StructureTensor(
             a.dim_module, a.dim_center, flipped))
         with pytest.raises(ValueError, match="verify_clifford"):
             sbg_decision(bad)

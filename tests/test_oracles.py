@@ -1,6 +1,5 @@
 """Cross-checks that run through independently transcribed data paths."""
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -148,7 +147,7 @@ def mutated_maps(draw, dense_a=False):
     image = list(cmap.module.image)
     for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
         image[i], image[j] = image[j], image[i]
-    f = replace(cmap, module=SignedPermutationOp(
+    f = cmap._replace(module=SignedPermutationOp(
         tuple(image), tuple(sign))).to_morphism()
     c = draw(st.sampled_from((1, 1, -1, 2)))
     if dense_a and draw(st.booleans()):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -696,7 +695,7 @@ def test_iso_recheck_refuses_a_module_that_is_not_minimal(monkeypatch, side):
     def rebuild(prov):
         a = inner(prov)
         if next(sides) == side:
-            return dataclasses.replace(a, provenance=BaseProvenance(0, 1))
+            return a._replace(provenance=BaseProvenance(0, 1))
         return a
 
     monkeypatch.setattr(recheck, "rebuild_from_provenance", rebuild)
