@@ -412,7 +412,9 @@ def _product_entries(recipe: ExtensionRecipe
 
 
 class PseudoHTypeAlgebra(Frozen):
-    """2-step nilpotent algebra v + z described by an integral basis."""
+    """2-step nilpotent algebra v + z described by an integral basis.  A
+    module metric given as another sequence, such as a list, is stored as
+    a tuple, so equal algebras compare and hash equal."""
 
     center_sig: Signature
     module_signs: tuple[int, ...]
@@ -421,6 +423,7 @@ class PseudoHTypeAlgebra(Frozen):
 
     def __init__(self, center_sig: Signature, module_signs: tuple[int, ...],
                  tensor: StructureTensor, provenance: Provenance) -> None:
+        module_signs = tuple(module_signs)
         if tensor.dim_module != len(module_signs):
             raise ValueError("module metric length does not match tensor")
         if {*map(type, module_signs)} - {int}:

@@ -5,6 +5,9 @@ rational arrives, and rank, determinant and nullspace clear its
 denominators and run one fraction-free elimination on integers.  No
 floating point anywhere.  Basis indices in the public API are 1-based,
 matching the commutator-table conventions used throughout the package.
+A morphism's blocks are signed permutations, which signed_permutation
+recognizes; morphism reads their center action off the signs, so no map
+is classified here.
 """
 
 from __future__ import annotations
@@ -211,19 +214,6 @@ class ExactMatrix(Frozen):
         return ExactMatrix.from_rows(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows([[0] * cols for _ in range(rows)])
-
-    def get(self, i: int, j: int) -> Rational:
-        """Entry at row i, column j, both 1-based."""
-        return self.entries[i - 1][j - 1]
-
-    def scale(self, c: Rational) -> "ExactMatrix":
-        f = exact(c)
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(tuple(f * e for e in row) for row in self.entries))
-
 
 def clear_denominators(v: Sequence[Rational]) -> tuple[list[int], int]:
     """The integer vector L*v and L, the lcm of the denominators of v.
@@ -409,59 +399,3 @@ def signed_permutation(rows: Sequence[Sequence[Rational]]
         image[a] = b
         sign[a] = s
     return tuple(image), tuple(sign)
-
-
-def classify_map(rows: Sequence[Sequence[Rational]], metric_from: MetricLike,
-                 metric_to: MetricLike, *,
-                 image: Optional[Sequence[int]] = None) -> MapClass:
-    """Decide whether the matrix M with these rows is an isometry or an
-    anti-isometry.
-
-    A signed permutation sends e_j to +-e_row(j), so it is an isometry
-    exactly when eps_to[row(j)] eps_from[j] = +1 for every j, and an
-    anti-isometry when that product is -1 for every j.  Any other matrix
-    goes through its Gram matrix.  A caller that has already recognized M
-    as a signed permutation passes its image (signed_permutation's first
-    part), and the rows are not scanned again.
-    """
-    signs_from = metric_signs(metric_from)
-    signs_to = metric_signs(metric_to)
-    width = len(rows[0]) if rows else 0
-    if (len(rows) != len(signs_to) or width != len(signs_from)
-            or any(len(r) != width for r in rows)):
-        raise ValueError("matrix shape does not match the given metrics")
-    if image is None:
-        perm = signed_permutation(rows)
-        if perm is None:
-            return _classify_by_gram(rows, signs_from, signs_to)
-        image = perm[0]
-    products = {signs_to[b - 1] * e for b, e in zip(image, signs_from)}
-    if products <= {1}:
-        return MapClass.ISOMETRY
-    if products == {-1}:
-        return MapClass.ANTI_ISOMETRY
-    return MapClass.NEITHER
-
-
-def _classify_by_gram(rows: Sequence[Sequence[Rational]],
-                      signs_from: Sequence[int],
-                      signs_to: Sequence[int]) -> MapClass:
-    """classify_map for any matrix: comparing M^T G_to M against +-G_from
-    suffices because both sides are the bilinear forms <Mx,My> and <x,y>
-    evaluated on all basis pairs."""
-    cols = list(zip(*rows))
-    iso = True
-    anti = True
-    for i, ci in enumerate(cols):
-        for j in range(i, len(cols)):
-            got = scalar_product(ci, cols[j], signs_to)
-            want = signs_from[i] if i == j else 0
-            if got != want:
-                iso = False
-            if got != -want:
-                anti = False
-            if not iso and not anti:
-                return MapClass.NEITHER
-    if iso:
-        return MapClass.ISOMETRY
-    return MapClass.ANTI_ISOMETRY

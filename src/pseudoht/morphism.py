@@ -9,18 +9,17 @@ recursively: pinned base maps for the published low signatures, then
 smaller map by a step and the target by the mirror step ((8,0) and (0,8)
 swap, (4,4) stays), twisting the 16-dimensional factor by the (4,4)
 automorphism on a (4,4) step and by the identity otherwise.  phi_{r,8},
-phi_{r+4,4}, phi_{r+8,s} and phi_{r+4,s+4} are all this step.  Verification
-never trusts the construction: it checks the conjugation relation
-A^tau J_Z A = J_{C^tau Z}, which is the homomorphism property read through
-the scalar products, on signed indices when both blocks are signed
-permutations, and otherwise on the blocks' nonzero entries and the J
-table rows.
+phi_{r+4,4}, phi_{r+8,s} and phi_{r+4,s+4} are all this step.  Every
+morphism is integral: both blocks are signed permutations, and a block of
+any other form is refused.  Verification never trusts the construction:
+it checks the conjugation relation A^tau J_Z A = J_{C^tau Z}, which is
+the homomorphism property read through the scalar products, on signed
+indices.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .algebra import (
@@ -33,16 +32,7 @@ from .algebra import (
     signed_row,
 )
 from .catalog import base_algebra, catalog_key, min_module_dim
-from .core import (
-    ExactMatrix,
-    Frozen,
-    MapClass,
-    Rational,
-    Signature,
-    classify_map,
-    exact_det,
-    gram_matrix,
-)
+from .core import ExactMatrix, Frozen, MapClass, Signature
 from .extension import (
     ExtensionStep,
     UnsupportedSignatureError,
@@ -51,12 +41,14 @@ from .extension import (
 
 
 class LieMorphism(Frozen):
-    """The blocks A (modules) and C (centers) of a morphism src -> dst.  A
-    is a SignedPermutationOp for an integral map, an ExactMatrix otherwise."""
+    """The blocks A (modules) and C (centers) of a morphism src -> dst,
+    both signed permutations: A is a SignedPermutationOp, and C an
+    ExactMatrix.  A dense A is converted once; a block that is no signed
+    permutation raises ValueError."""
 
     src: PseudoHTypeAlgebra
     dst: PseudoHTypeAlgebra
-    A: Union[SignedPermutationOp, ExactMatrix]
+    A: SignedPermutationOp
     C: ExactMatrix
 
     def __init__(self, src: PseudoHTypeAlgebra, dst: PseudoHTypeAlgebra,
@@ -67,6 +59,12 @@ class LieMorphism(Frozen):
             raise ValueError("module block shape mismatch")
         if C.rows != dst.dim_center or C.cols != src.dim_center:
             raise ValueError("center block shape mismatch")
+        if isinstance(A, ExactMatrix):
+            A = SignedPermutationOp.from_matrix(A)
+            if A is None:
+                raise ValueError("module block is not a signed permutation")
+        if SignedPermutationOp.from_matrix(C) is None:
+            raise ValueError("center block is not a signed permutation")
         self.__dict__.update(src=src, dst=dst, A=A, C=C)
 
 
@@ -75,24 +73,21 @@ class MorphismClass(NamedTuple):
     integral: bool
 
 
-def signed_block(m: Union[SignedPermutationOp, ExactMatrix]
-                 ) -> Optional[SignedPermutationOp]:
-    """m itself when it is a SignedPermutationOp; otherwise the op a dense
-    block is recognized as, or None."""
-    if isinstance(m, SignedPermutationOp):
-        return m
-    return SignedPermutationOp.from_matrix(m)
-
-
 def classify_morphism(f: LieMorphism) -> MorphismClass:
-    """The center action is classify_map of C, given the image of C's
-    signed form when signed_block recognizes it (once per matrix), so the
-    rows of a signed C are not scanned again."""
-    c_op = signed_block(f.C)
-    action = classify_map(f.C.entries, f.src.center_sig, f.dst.center_sig,
-                          image=None if c_op is None else c_op.image)
-    return MorphismClass(center_action=action, integral=(
-        c_op is not None and signed_block(f.A) is not None))
+    """The center action read off C's signs: C sends Z_j to +-Z_b, so it
+    is an isometry exactly when eps_dst[b] eps_src[j] = +1 for every j,
+    and an anti-isometry when that product is -1 for every j.  Every
+    morphism is integral."""
+    gz_dst = f.dst.center_sig.signs()
+    products = {gz_dst[b - 1] * e for b, e in zip(
+        SignedPermutationOp.from_matrix(f.C).image, f.src.center_sig.signs())}
+    if products <= {1}:
+        action = MapClass.ISOMETRY
+    elif products == {-1}:
+        action = MapClass.ANTI_ISOMETRY
+    else:
+        action = MapClass.NEITHER
+    return MorphismClass(center_action=action, integral=True)
 
 
 def _relation_defect(f: LieMorphism) -> Optional[tuple[int, int, int]]:
@@ -104,30 +99,16 @@ def _relation_defect(f: LieMorphism) -> Optional[tuple[int, int, int]]:
     v_beta through <J_Z x, y> = <Z, [x, y]> turns that coordinate into the
     Z_k coordinate of [A v_alpha, A v_beta] - C [v_alpha, v_beta]: the
     relation holds exactly when f preserves brackets, and a defect has
-    beta != alpha.  Signed-permutation blocks take the signed-index path;
-    any other block (a scaled map, a foreign certificate) the sparse one.
-    """
-    a_op = signed_block(f.A)
-    c_op = signed_block(f.C)
-    if a_op is not None and c_op is not None:
-        return _signed_relation_defect(f, a_op, c_op)
-    return _sparse_relation_defect(f)
+    beta != alpha.
 
-
-def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
-                            c_op: SignedPermutationOp
-                            ) -> Optional[tuple[int, int, int]]:
-    """_relation_defect when A and C are signed permutations.
-
-    Both sides then send v_alpha to one signed basis vector, so for each k
+    Both sides send v_alpha to one signed basis vector, so for each k
     they are signed-index lists (see signed_row), compared whole: the
-    left side composes A, J_{Z_k} of dst and A^tau = G_src A^T G_dst, the
-    right side is J_{Z_m} of src times the sign e of C^tau Z_k = e Z_m,
-    a slice of its row.  Where the images +-v_p and +-v_q of v_alpha
-    differ, the first coordinate that differs is min(p, q), which is p
-    when p = q.
+    left side composes A, J_{Z_k} of dst and A^tau, the right side is
+    J_{Z_m} of src times the sign e of C^tau Z_k = e Z_m, a slice of its
+    row.  Where the images +-v_p and +-v_q of v_alpha differ, the first
+    coordinate that differs is min(p, q), which is p when p = q.
     """
-    src, dst = f.src, f.dst
+    src, dst, a_op = f.src, f.dst, f.A
     g_src, g_dst = src.module_signs, dst.module_signs
     gz_src, gz_dst = src.center_sig.signs(), dst.center_sig.signs()
     n = src.dim_module
@@ -142,7 +123,8 @@ def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
     # module is a fixed-point-free involution, so n >= 2 where there is one
     # and itemgetter gives a tuple
     at_a_fwd = operator.itemgetter(*map(operator.mul, a_op.sign, a_op.image))
-    c_inv = c_op.inverse()  # C^T Z_k = c Z_m
+    # C^T Z_k = c Z_m
+    c_inv = SignedPermutationOp.from_matrix(f.C).inverse()
     for k, (jk, m, c) in enumerate(zip(dst_rows, c_inv.image, c_inv.sign),
                                    start=1):
         got = list(map(a_tau.__getitem__, at_a_fwd(jk)))
@@ -153,74 +135,6 @@ def _signed_relation_defect(f: LieMorphism, a_op: SignedPermutationOp,
             alpha = next(i for i, (p, q) in enumerate(zip(got, want), start=1)
                          if p != q)
             return k, alpha, min(abs(got[alpha - 1]), abs(want[alpha - 1]))
-    return None
-
-
-def _nonzero_entries(m: Union[SignedPermutationOp, ExactMatrix]
-                     ) -> tuple[list[dict], list[dict]]:
-    """The nonzero entries of a block as its columns and its rows, each a
-    1-based {index: entry} dict: a signed permutation's read from its image
-    and signs (its rows are its inverse's columns), a dense block's from
-    its entries."""
-    if isinstance(m, SignedPermutationOp):
-        inv = m.inverse()
-        return ([{b: s} for b, s in zip(m.image, m.sign)],
-                [{a: s} for a, s in zip(inv.image, inv.sign)])
-    cols: list[dict[int, Rational]] = [{} for _ in range(m.cols)]
-    rows = [{j: e for j, e in enumerate(row, start=1) if e}
-            for row in m.entries]
-    for i, row in enumerate(rows, start=1):
-        for j, e in row.items():
-            cols[j - 1][i] = e
-    return cols, rows
-
-
-def _add(out: dict[int, Rational], i: int, e: Rational) -> None:
-    """out[i] += e on a sparse vector, a zero sum dropped."""
-    c = out.get(i, 0) + e
-    if c:
-        out[i] = c
-    else:
-        out.pop(i, None)
-
-
-def _sparse_relation_defect(f: LieMorphism
-                            ) -> Optional[tuple[int, int, int]]:
-    """_relation_defect for any blocks, on their nonzero entries and the J
-    table rows of src and dst.
-
-    J_{Z_k} sends the entry at v_b to the one slot |t| with sign(t), for
-    t = row_k[b], so a sparse vector moves through J with no sum.  The left
-    side takes A v_alpha through J_{Z_k} of dst and then through A^tau =
-    G_src A^T G_dst, whose column beta is row beta of A times the metric
-    signs; the right side sums (C^tau)_{mk} J_{Z_m} v_alpha of src over
-    the nonzeros of row k of C.
-    """
-    src, dst = f.src, f.dst
-    src_rows, dst_rows = signed_lookups(src), signed_lookups(dst)
-    a_cols, a_rows = _nonzero_entries(f.A)
-    c_rows = _nonzero_entries(f.C)[1]
-    g_src, g_dst = src.module_signs, dst.module_signs
-    gz_src, gz_dst = src.center_sig.signs(), dst.center_sig.signs()
-    tau_cols = [{i: g_src[i - 1] * e * g for i, e in row.items()}
-                for row, g in zip(a_rows, g_dst)]
-    for k, jk in enumerate(dst_rows, start=1):
-        ctau_z = [(src_rows[m - 1], gz_src[m - 1] * e * gz_dst[k - 1])
-                  for m, e in c_rows[k - 1].items()]
-        for alpha, col in enumerate(a_cols, start=1):
-            lhs: dict[int, Rational] = {}
-            for b, x in col.items():
-                t = jk[b]
-                y = x if t > 0 else -x
-                for i, e in tau_cols[abs(t) - 1].items():
-                    _add(lhs, i, e * y)
-            rhs: dict[int, Rational] = {}
-            for row, c in ctau_z:
-                t = row[alpha]
-                _add(rhs, abs(t), c if t > 0 else -c)
-            if lhs != rhs:
-                return k, alpha, min(b for b in lhs.keys() | rhs.keys()
-                                     if lhs.get(b) != rhs.get(b))
     return None
 
 
@@ -244,59 +158,20 @@ def verify_conjugation(f: LieMorphism) -> Verdict:
                    "conjugation relation fails at this center index")
 
 
-def _nth_root_of_fraction(x: Fraction, n: int) -> Optional[Fraction]:
-    """Exact positive n-th root of a positive rational, if one exists."""
-    def iroot(v: int) -> Optional[int]:
-        if v < 0:
-            return None
-        lo, hi = 0, max(1, v)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid ** n < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo ** n == v else None
-
-    p = iroot(x.numerator)
-    q = iroot(x.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
-
-
 def normalize_isomorphism(f: LieMorphism) -> tuple[LieMorphism, int]:
-    """Rescale (A, C) -> (mu A, mu^2 C) so that |det(A^tau A)| = 1.
+    """f and the sign t with C C^tau = t * Id.
 
-    Returns the rescaled morphism and the sign t with C C^tau = t * Id,
-    asserting that the product really is +-identity.  For a square C,
-    C C^tau = C G_src C^T G_dst is t * Id exactly when C^T G_dst C =
-    t * G_src, so t is +1 for an isometry and -1 for an anti-isometry of
-    the center, as classify_morphism finds it.  Any other center block,
-    a non-square one included, raises ValueError.
+    A signed-permutation A has |det(A^tau A)| = 1, so f is already
+    normalized and is returned as it is.  C C^tau = C G_src C^T G_dst is
+    t * Id exactly when C^T G_dst C = t * G_src, so t is +1 for an
+    isometry and -1 for an anti-isometry of the center, as
+    classify_morphism finds it; any other center block raises ValueError.
     """
-    two_l = f.src.dim_module
-    if signed_block(f.A) is not None:
-        d = 1  # signed permutation block: |det(A^tau A)| = 1
-    else:
-        # A^T A is the Gram matrix of A's columns
-        d = abs(exact_det(gram_matrix(list(zip(*f.A.entries)),
-                                      (1,) * f.A.rows)))
-    if d == 0:
-        raise ValueError("module block is singular; cannot normalize")
-    if d == 1:
-        g = f  # mu = 1
-    else:
-        mu = _nth_root_of_fraction(Fraction(1) / d, 2 * two_l)
-        if mu is None:
-            raise ValueError(
-                f"|det(A^tau A)| = {d} has no exact rational (2*dim)-th root")
-        g = LieMorphism(f.src, f.dst, f.A.scale(mu), f.C.scale(mu * mu))
     t = {MapClass.ISOMETRY: 1, MapClass.ANTI_ISOMETRY: -1}.get(
-        classify_morphism(g).center_action)
-    if t is None or g.C.rows != g.C.cols:
-        raise ValueError("C C^tau is not +-identity after normalization")
-    return g, t
+        classify_morphism(f).center_action)
+    if t is None:
+        raise ValueError("C C^tau is not +-identity")
+    return f, t
 
 
 # ---------------------------------------------------------------------------
@@ -558,28 +433,17 @@ def center_signature_obstruction(src_sig: Signature, dst_sig: Signature,
     return None
 
 
-def _json_row(row) -> list:
-    """A matrix row as JSON values: integers, and str(e) for a non-integer
-    rational; a row of ints (every signed-permutation row) is copied."""
-    if set(map(type, row)) <= {int}:
-        return list(row)
-    return [int(e) if e.denominator == 1 else str(e) for e in row]
-
-
 def morphism_to_dict(f: LieMorphism) -> dict:
-    """The JSON form; A is {"image", "sign"} whenever it is a signed
-    permutation (column a holds sign[a] in row image[a]), dense rows
-    otherwise, and C is always dense rows."""
+    """The JSON form: A is {"image", "sign"} (column a holds sign[a] in row
+    image[a]), and C is dense rows of integers."""
     cls = classify_morphism(f)
-    a_op = signed_block(f.A)
     return {
         "src": {"r": f.src.r, "s": f.src.s,
                 "provenance": f.src.provenance.json_dict()},
         "dst": {"r": f.dst.r, "s": f.dst.s,
                 "provenance": f.dst.provenance.json_dict()},
-        "A": ([_json_row(row) for row in f.A.entries] if a_op is None else
-              {"image": list(a_op.image), "sign": list(a_op.sign)}),
-        "C": [_json_row(row) for row in f.C.entries],
+        "A": {"image": list(f.A.image), "sign": list(f.A.sign)},
+        "C": [list(map(int, row)) for row in f.C.entries],
         "class": {"center_action": cls.center_action.value,
                   "integral": cls.integral},
     }

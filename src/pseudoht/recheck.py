@@ -34,7 +34,6 @@ from .morphism import (
     LieMorphism,
     center_signature_obstruction,
     classify_morphism,
-    signed_block,
     verify_homomorphism,
 )
 from .obstruction import (
@@ -98,23 +97,24 @@ def _parse_rational(e, key: str) -> Rational:
 def _rational_list(values: list, key: str) -> list:
     """values as rationals: each a JSON integer, or a string matching
     _RATIONAL; floats, booleans and exponent forms are refused."""
-    if set(map(type, values)) <= {int}:  # a signed-permutation row, in C
+    if set(map(type, values)) <= {int}:
         return values
     return [e if type(e) is int else _parse_rational(e, key) for e in values]
 
 
 def _matrix(payload, key: str, rows: int, cols: int) -> ExactMatrix:
+    """A block of a morphism as rows of JSON integers: a signed
+    permutation has no other entries."""
     value = _list(payload, key)
-    if len(value) != rows or any(not isinstance(row, list) or len(row) != cols
-                                 for row in value):
+    if len(value) != rows:
         raise _Malformed(f"{key} must be a {rows} x {cols} list of rows")
-    return ExactMatrix.from_rows([_rational_list(row, key) for row in value])
+    return ExactMatrix.from_rows([_ints(row, cols, f"a row of {key}")
+                                  for row in value])
 
 
 def _module_block(m, rows: int, cols: int):
     """A as morphism_to_dict writes it: {"image", "sign"} read as a
-    SignedPermutationOp, or dense rows, the form of older and foreign
-    certificates and of maps that are not signed permutations."""
+    SignedPermutationOp, or dense rows, the form of older certificates."""
     value = _field(m, "A")
     if isinstance(value, list):
         return _matrix(m, "A", rows, cols)
@@ -190,9 +190,12 @@ def _recheck_iso(payload: Mapping) -> Verdict:
         refused = _rebuilt_defect(algebra)
         if refused is not None:
             return Verdict(False, refused.witness, f"{side} {refused.detail}")
-    f = LieMorphism(src, dst,
-                    _module_block(m, dst.dim_module, src.dim_module),
-                    _matrix(m, "C", dst.dim_center, src.dim_center))
+    a = _module_block(m, dst.dim_module, src.dim_module)
+    c = _matrix(m, "C", dst.dim_center, src.dim_center)
+    try:
+        f = LieMorphism(src, dst, a, c)
+    except ValueError as exc:  # a block that is no signed permutation
+        return Verdict(False, None, str(exc))
     stated = m.get("class", {})  # absent: not stated
     if not isinstance(stated, Mapping):
         raise _Malformed("class must be an object")
@@ -202,12 +205,9 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     cls = classify_morphism(f)
     if stated and stated.get("center_action") != cls.center_action.value:
         return Verdict(False, None, "stated center action does not match")
-    # invertibility of the blocks makes the homomorphism an isomorphism; a
-    # signed permutation A needs no elimination
-    a_signed = signed_block(f.A) is not None
-    c_invertible = exact_rank(f.C.entries) == f.C.rows
-    a_invertible = a_signed or exact_rank(f.A.entries) == f.A.rows
-    if not (a_invertible and c_invertible):
+    # invertibility of the blocks makes the homomorphism an isomorphism;
+    # the signed permutation A needs no elimination
+    if exact_rank(f.C.entries) != f.C.rows:
         return Verdict(False, None, "a block of the embedded map is singular")
     if stated and _flag(stated, "integral") != cls.integral:
         return Verdict(False, None, "stated integral class does not match")

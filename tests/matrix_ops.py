@@ -3,12 +3,13 @@
 The package reads a matrix as its rows and never multiplies two; these
 helpers let a test build a product, a Gram matrix or a composed morphism
 to compare the engine's answers with.  Entries keep their number type, as
-ExactMatrix keeps them.
+ExactMatrix keeps them.  gram_class is the Gram reading of a map's class,
+the reference for the engine's reading of a signed permutation's signs.
 """
 
 from typing import Sequence
 
-from pseudoht.core import ExactMatrix, Rational, Vector, exact
+from pseudoht.core import ExactMatrix, MapClass, Rational, Vector, exact
 
 
 def column(m: ExactMatrix, j: int) -> Vector:
@@ -35,3 +36,21 @@ def apply(m: ExactMatrix, x: Sequence[Rational]) -> Vector:
         raise ValueError("dimension mismatch in matrix-vector product")
     xs = [exact(e) for e in x]
     return tuple(sum(a * b for a, b in zip(row, xs)) for row in m.entries)
+
+
+def gram_class(m: ExactMatrix, signs_from: Sequence[int],
+               signs_to: Sequence[int]) -> MapClass:
+    """ISOMETRY when M^T G_to M = G_from, ANTI_ISOMETRY when it is -G_from,
+    NEITHER otherwise: both sides are the bilinear forms <Mx, My> and
+    <x, y> on all basis pairs."""
+    g_to = ExactMatrix.from_rows([[s if i == j else 0
+                                   for j in range(len(signs_to))]
+                                  for i, s in enumerate(signs_to)])
+    got = mul(transpose(m), mul(g_to, m)).entries
+    want = tuple(tuple(s if i == j else 0 for j in range(len(signs_from)))
+                 for i, s in enumerate(signs_from))
+    if got == want:
+        return MapClass.ISOMETRY
+    if got == tuple(tuple(-e for e in row) for row in want):
+        return MapClass.ANTI_ISOMETRY
+    return MapClass.NEITHER

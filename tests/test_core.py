@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 import pseudoht.core as core
 from pseudoht.catalog import min_module_dim
+from pseudoht.algebra import (
+    OpaqueProvenance,
+    PseudoHTypeAlgebra,
+    SignedPermutationOp,
+    StructureTensor,
+)
 from pseudoht.core import (
     ExactMatrix,
     MapClass,
     Signature,
     basis_vector,
-    classify_map,
     epsilon,
     exact_det,
     exact_rank,
@@ -22,9 +27,9 @@ from pseudoht.core import (
     scalar_product,
 )
 from pseudoht.extension import standard_chain
-from pseudoht.morphism import canonical_map
+from pseudoht.morphism import LieMorphism, canonical_map, classify_morphism
 
-from matrix_ops import apply, mul, transpose
+from matrix_ops import apply, gram_class, mul, transpose
 
 rationals = st.builds(
     Fraction,
@@ -103,7 +108,7 @@ def test_rank_and_det_identity():
 
 
 def test_rank_zero_matrix():
-    assert exact_rank(ExactMatrix.zero(3, 4).entries) == 0
+    assert exact_rank([[0] * 4 for _ in range(3)]) == 0
 
 
 def test_det_known_values():
@@ -214,26 +219,33 @@ def test_nullspace_dimension_theorem():
             assert all(e == 0 for e in apply(m, v))
 
 
+def _classify(rows, src: Signature, dst: Signature) -> MapClass:
+    """classify_morphism's center action for the center block with these
+    rows, between algebras with the given centers and no module."""
+    def empty(sig):
+        return PseudoHTypeAlgebra(sig, (), StructureTensor(0, sig.dim, []),
+                                  OpaqueProvenance({}))
+
+    f = LieMorphism(empty(src), empty(dst), SignedPermutationOp((), ()),
+                    ExactMatrix.from_rows(rows))
+    return classify_morphism(f).center_action
+
+
 def test_classify_identity_is_isometry():
     m = ExactMatrix.identity(4).entries
-    assert classify_map(m, Signature(2, 2), Signature(2, 2)) == MapClass.ISOMETRY
+    assert _classify(m, Signature(2, 2), Signature(2, 2)) == MapClass.ISOMETRY
 
 
 def test_classify_swap_on_1_1_is_anti_isometry():
     # Z_1 <-> Z_2 between the two basis directions of a (1,1) space
     m = [[0, 1], [1, 0]]
-    assert classify_map(m, Signature(1, 1), Signature(1, 1)) == MapClass.ANTI_ISOMETRY
-
-
-def test_classify_scaling_is_neither():
-    m = [[2, 0], [0, 1]]
-    assert classify_map(m, Signature(1, 1), Signature(1, 1)) == MapClass.NEITHER
+    assert _classify(m, Signature(1, 1), Signature(1, 1)) == MapClass.ANTI_ISOMETRY
 
 
 def test_classify_isometry_closed_under_inverse():
     # signed permutations with an even number of sign flips per metric block
     rng = random.Random(31)
-    signs = metric_signs(Signature(2, 2))
+    sig = Signature(2, 2)
     for _ in range(40):
         perm = [1, 2, 3, 4]
         # permute within the positive and negative blocks so the map stays isometric
@@ -243,9 +255,9 @@ def test_classify_isometry_closed_under_inverse():
         rows = [[0] * 4 for _ in range(4)]
         for col, (img, s) in enumerate(zip(perm, flip)):
             rows[img - 1][col] = s
-        assert classify_map(rows, signs, signs) == MapClass.ISOMETRY
+        assert _classify(rows, sig, sig) == MapClass.ISOMETRY
         inv = list(zip(*rows))  # signed permutation matrices are orthogonal
-        assert classify_map(inv, signs, signs) == MapClass.ISOMETRY
+        assert _classify(inv, sig, sig) == MapClass.ISOMETRY
 
 
 def test_gram_matrix():
@@ -263,23 +275,12 @@ def test_gram_matrix():
         gram_matrix([[1, 2]], Signature(2, 1))
 
 
-def test_classify_map_refuses_a_wrong_shape():
-    with pytest.raises(ValueError):
-        classify_map([[1, 0], [0]], Signature(1, 1), Signature(1, 1))
-    with pytest.raises(ValueError):
-        classify_map([[1, 0, 0], [0, 1, 0]], Signature(1, 1), Signature(1, 1))
+# --- the reading of a center block's signs against the Gram reference ---
 
-
-# --- the signed-permutation reading of classify_map against the Gram path ---
-
-def _both_paths(rows, signs_from, signs_to) -> MapClass:
-    got = classify_map(rows, signs_from, signs_to)
-    assert got == core._classify_by_gram(rows, metric_signs(signs_from),
-                                         metric_signs(signs_to))
-    # the image of an already recognized signed form reads the same
-    perm = core.signed_permutation(rows)
-    if perm is not None:
-        assert classify_map(rows, signs_from, signs_to, image=perm[0]) == got
+def _both_paths(rows, src: Signature, dst: Signature) -> MapClass:
+    got = _classify(rows, src, dst)
+    assert got == gram_class(ExactMatrix.from_rows(rows), src.signs(),
+                             dst.signs())
     return got
 
 
@@ -304,36 +305,29 @@ def test_classify_reads_every_canonical_center_map_from_its_signs():
     assert seen == set(MapClass)
 
 
-@given(st.permutations(range(6)), st.lists(st.sampled_from((1, -1)),
-                                           min_size=18, max_size=18),
+def _permutation_rows(image, flips, one):
+    """Rows of the signed permutation sending e_j to flips[j] * e_image[j],
+    0-based, its entries one times +-1."""
+    rows = [[0] * len(image) for _ in image]
+    for col, (row, flip) in enumerate(zip(image, flips)):
+        rows[row][col] = flip * one
+    return rows
+
+
+@given(st.integers(0, 6), st.permutations(range(6)),
+       st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6),
        st.sampled_from((1, Fraction(1))))
 @settings(max_examples=200, deadline=None)
-def test_classify_mixed_sign_permutations_on_both_paths(perm, signs, one):
-    flips, signs_from, signs_to = signs[:6], signs[6:12], signs[12:]
-    rows = [[0] * 6 for _ in range(6)]
-    for col, (row, flip) in enumerate(zip(perm, flips)):
-        rows[row][col] = flip * one
-    _both_paths(rows, signs_from, signs_to)
-    # metrics chosen so that each outcome is reached
-    same = [signs_to[row] for row in perm]
-    assert _both_paths(rows, same, signs_to) == MapClass.ISOMETRY
-    assert _both_paths(rows, [-e for e in same], signs_to) \
+def test_classify_mixed_sign_permutations_on_both_paths(p, perm, flips, one):
+    sig, swap = Signature(p, 6 - p), Signature(6 - p, p)
+    for dst in (sig, swap):
+        _both_paths(_permutation_rows(perm, flips, one), sig, dst)
+    # images chosen so that each outcome is reached: the positive and
+    # negative sources of sig go to targets of the same sign, or of the
+    # opposite sign in swap
+    pos, neg = [i for i in perm if i < p], [i for i in perm if i >= p]
+    assert _both_paths(_permutation_rows(pos + neg, flips, one), sig, sig) \
+        == MapClass.ISOMETRY
+    anti = [6 - p + i for i in pos] + [i - p for i in neg]
+    assert _both_paths(_permutation_rows(anti, flips, one), sig, swap) \
         == MapClass.ANTI_ISOMETRY
-
-
-@given(st.lists(st.lists(st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2))),
-                         min_size=4, max_size=4), min_size=4, max_size=4),
-       st.lists(st.sampled_from((1, -1)), min_size=8, max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_classify_other_matrices_on_both_paths(rows, signs):
-    _both_paths(rows, signs[:4], signs[4:])
-
-
-def test_classify_near_permutations_take_the_gram_path():
-    signs = (1, 1, -1)
-    for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 2]],      # an entry 2
-                 [[0, 1, 0], [1, 0, 0], [0, 1, 0]],      # a repeated column
-                 [[0, 1, 0], [1, 0, 0], [0, 0, 0]],      # a zero row
-                 [[1, 1, 0], [1, -1, 0], [0, 0, 1]]):    # two entries a row
-        assert core.signed_permutation(rows) is None
-        _both_paths(rows, signs, signs)

@@ -721,10 +721,9 @@ def test_a_second_verify_paper_verifies_no_shared_algebra(cache, monkeypatch):
     monkeypatch.setattr(algebra, "_check_general_at",
                         lambda a, v: scanned.append(a) or inner_scan(a, v))
     related = []
-    inner_defect = morphism._signed_relation_defect
-    monkeypatch.setattr(morphism, "_signed_relation_defect",
-                        lambda f, a_op, c_op: related.append(f.src)
-                        or inner_defect(f, a_op, c_op))
+    inner_defect = morphism._relation_defect
+    monkeypatch.setattr(morphism, "_relation_defect",
+                        lambda f: related.append(f.src) or inner_defect(f))
     calls = {}
 
     def counting(name):

@@ -68,6 +68,10 @@ def test_equal_values_compare_and_hash_equal(name):
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
     assert not a != b
+    if name == "PseudoHTypeAlgebra":  # a list metric is stored as its tuple
+        listed = a._replace(module_signs=list(a.module_signs))
+        assert listed == a and hash(listed) == hash(a)
+        assert type(listed.module_signs) is tuple
 
 
 @pytest.mark.parametrize("name", VALUES)

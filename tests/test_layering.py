@@ -12,9 +12,10 @@ values derives from `core.Frozen`.  Indented JSON is written by one
 emitter, `jsonout`.  The J table's shared rows, `signed_lookups`, are
 read by `algebra` and `morphism` alone, and only `catalog` builds the
 algebra cache's keys or names the cache itself: a test gets a fresh one
-from `catalog.scope()`.  `acceptance` imports nothing from `fractions`:
-its criteria read integers, and they recheck each certificate with
-`recheck_certificate`, not with a reader of their own.  One driver in
+from `catalog.scope()`.  Only `core`, `obstruction` and `recheck` import
+`fractions`: a morphism is integral, and `acceptance`'s criteria read
+integers and recheck each certificate with `recheck_certificate`, not
+with a reader of their own.  One driver in
 `acceptance` turns each criterion's claims into its report, and no other
 code there builds or edits one.  Each name a value is kept under by
 `derived_value` is written at one call site, so two kept values cannot
@@ -127,11 +128,13 @@ def _imports_of(path: Path) -> list[str]:
             + [alias.name for alias in node.names]]
 
 
-def test_acceptance_imports_nothing_from_fractions():
-    # the criteria read matrices on their integers, and leave certificates
-    # to recheck_certificate
-    names = _imports_of(Path(pseudoht.acceptance.__file__))
-    assert names and [n for n in names if n.split(".")[0] == "fractions"] == []
+def test_only_core_obstruction_and_recheck_import_fractions():
+    # core's rank, determinant and nullspace take rational rows, gram_det
+    # returns a Fraction, and recheck reads an SBG_NO witness such as
+    # "-1/2"; a morphism is integral, and the criteria read integers and
+    # leave certificates to recheck_certificate
+    assert {site.split(":")[0] for site in _importers("fractions")} \
+        == {"core.py", "obstruction.py", "recheck.py"}
 
 
 def test_acceptance_imports_no_certificate_reader():
@@ -303,6 +306,10 @@ def test_removed_public_names_stay_gone():
                (pseudoht.core.ExactMatrix, "transpose"),
                (pseudoht.core.ExactMatrix, "apply"),
                (pseudoht.core.ExactMatrix, "column"),
+               (pseudoht.core.ExactMatrix, "scale"),
+               (pseudoht.core.ExactMatrix, "zero"),
+               (pseudoht.core.ExactMatrix, "get"),
+               (pseudoht.core, "classify_map"),
                (layout, "barred"),
                (layout, "center_symbol")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []

@@ -1,11 +1,11 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pseudoht.catalog as catalog
-import pseudoht.core as core
 import pseudoht.morphism as morphism
 from pseudoht import jsonout
 from pseudoht.algebra import (
@@ -31,7 +31,7 @@ from pseudoht.morphism import (
 from pseudoht.obstruction import check_pair
 
 from dense_certificates import densify
-from matrix_ops import column, mul
+from matrix_ops import column, mul, transpose
 
 
 def identity_morphism(a):
@@ -59,7 +59,7 @@ def test_center_negation_alone_is_not_a_homomorphism():
 def test_published_automorphism_of_1_1():
     f = canonical_isomorphism(1, 1)
     assert verify_homomorphism(f).ok
-    assert f.C.get(2, 1) == 1 and f.C.get(1, 2) == 1  # Z_1 <-> Z_2
+    assert f.C.entries == ((0, 1), (1, 0))  # Z_1 <-> Z_2
     assert classify_morphism(f).center_action is MapClass.ANTI_ISOMETRY
 
 
@@ -138,66 +138,62 @@ def test_normalize_already_normalized():
     assert g.A == f.A and g.C.entries == f.C.entries
 
 
-def test_normalize_rescales_scaled_map():
-    f = canonical_isomorphism(1, 0)
-    dense = f.A.matrix()
-    scaled = LieMorphism(f.src, f.dst, dense.scale(2), f.C.scale(4))
-    g, sign = normalize_isomorphism(scaled)
-    assert sign == -1
-    assert g.A.entries == dense.entries and g.C.entries == f.C.entries
-
-
 def test_normalize_automorphism_of_2_2_has_anti_isometric_square():
     g, sign = normalize_isomorphism(canonical_isomorphism(2, 2))
     assert sign == -1
 
 
 def test_normalize_rejects_singular_module_block():
+    # a singular block is no signed permutation, so no morphism holds one
     a = base_algebra(1, 0)
-    f = LieMorphism(a, a, ExactMatrix.zero(2, 2), ExactMatrix.identity(1))
-    with pytest.raises(ValueError):
-        normalize_isomorphism(f)
-    # one +-1 in every column, but both in the same row
-    f = LieMorphism(a, a, ExactMatrix.from_rows([[1, 1], [0, 0]]),
-                    ExactMatrix.identity(1))
-    with pytest.raises(ValueError, match="module block is singular"):
-        normalize_isomorphism(f)
+    # the zero block, and one +-1 in every column but both in the same row
+    for rows in ([[0, 0], [0, 0]], [[1, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="module block is not a signed "
+                                             "permutation"):
+            normalize_isomorphism(LieMorphism(
+                a, a, ExactMatrix.from_rows(rows), ExactMatrix.identity(1)))
 
 
 def test_normalize_refuses_a_non_square_center_block():
     # C sends Z_1, Z_2, Z_4, Z_5 of (3,2) to the orthonormal basis of
-    # (2,2): C G_src C^T = G_dst, but only a square C has C C^tau = t Id
-    # exactly when C^T G_dst C = t G_src
+    # (2,2): C G_src C^T = G_dst, but a signed permutation is square, so
+    # no morphism holds this C
     rows = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
-    f = LieMorphism(base_algebra(3, 2), base_algebra(2, 2),
-                    ExactMatrix.identity(8), ExactMatrix.from_rows(rows))
-    with pytest.raises(ValueError, match=r"C C\^tau is not \+-identity"):
-        normalize_isomorphism(f)
+    with pytest.raises(ValueError, match="center block is not a signed "
+                                         "permutation"):
+        normalize_isomorphism(LieMorphism(
+            base_algebra(3, 2), base_algebra(2, 2), ExactMatrix.identity(8),
+            ExactMatrix.from_rows(rows)))
 
 
 def test_conjugation_fails_for_wrong_center_block():
     # keep the module block of the (1,0) map but break the center block:
     # the homomorphism check fails, and so does the conjugation relation.
     f = canonical_isomorphism(1, 0)
-    bad = LieMorphism(f.src, f.dst, f.A, f.C.scale(-1))
+    bad = LieMorphism(f.src, f.dst, f.A, ExactMatrix.from_rows(
+        [[-e for e in row] for row in f.C.entries]))
     assert not verify_homomorphism(bad).ok
     assert not verify_conjugation(bad).ok
 
 
-def test_the_general_path_never_densifies_a_signed_block(monkeypatch):
-    # a rescaled C sends phi_(9,8) (module dim 512) down the general path,
-    # which reads the signed A from its image and signs and J from the J
-    # table rows, so no block is made a dense matrix
+def test_the_relation_never_densifies_a_signed_block(monkeypatch):
+    # phi_(9,8) (module dim 512) with one center image negated: the
+    # relation reads A from its image and signs and J from the J table
+    # rows, so no block is made a dense matrix
     f = canonical_isomorphism(9, 8)
-    scaled = LieMorphism(f.src, f.dst, f.A, f.C.scale(2))
+    rows = [list(row) for row in f.C.entries]
+    for row in rows:
+        row[0] = -row[0]
+    bad = LieMorphism(f.src, f.dst, f.A, ExactMatrix.from_rows(rows))
+    k = next(i for i, row in enumerate(rows, start=1) if row[0])
 
     def refuse(*args):
         raise AssertionError("a block was densified")
 
     monkeypatch.setattr(SignedPermutationOp, "matrix", refuse)
     monkeypatch.setattr(ExactMatrix, "from_rows", refuse)
-    assert verify_conjugation(scaled).witness == (1, 1)
-    assert morphism._sparse_relation_defect(scaled) == (1, 1, 257)
+    assert verify_conjugation(f).ok
+    assert verify_conjugation(bad).witness[0] == k
 
 
 def test_center_signature_obstruction_cases():
@@ -232,17 +228,10 @@ def test_morphism_json_shape():
     assert sorted(d["A"]["image"]) == [1, 2, 3, 4]
     assert {type(e) for e in d["A"]["sign"]} == {int}
     assert len(d["C"]) == 2 and all(len(row) == 2 for row in d["C"])
-
-
-def test_morphism_json_writes_dense_rows_for_a_scaled_module_block():
+    # a dense A is held, and written, as its signed permutation
     f = canonical_isomorphism(2, 0)
-    d = morphism_to_dict(LieMorphism(f.src, f.dst, f.A.matrix().scale(2),
-                                     f.C.scale(4)))
-    assert d["A"] == [[2 * e for e in row] for row in f.A.matrix().entries]
-    assert d["class"]["integral"] is False
-    # a dense block that is a signed permutation is written compactly
-    dense = morphism_to_dict(LieMorphism(f.src, f.dst, f.A.matrix(), f.C))
-    assert dense == morphism_to_dict(f)
+    dense = LieMorphism(f.src, f.dst, f.A.matrix(), f.C)
+    assert dense.A == f.A and morphism_to_dict(dense) == d
 
 
 def test_block_shape_validation():
@@ -251,6 +240,13 @@ def test_block_shape_validation():
         LieMorphism(a, a, ExactMatrix.identity(3), ExactMatrix.identity(1))
     with pytest.raises(ValueError):
         LieMorphism(a, a, ExactMatrix.identity(2), ExactMatrix.identity(2))
+    # blocks of the right shape that are no signed permutation
+    with pytest.raises(ValueError, match="module block is not a signed"):
+        LieMorphism(a, a, ExactMatrix.from_rows([[2, 0], [0, 2]]),
+                    ExactMatrix.identity(1))
+    for c in ([[2]], [[0]], [[Fraction(1, 2)]]):
+        with pytest.raises(ValueError, match="center block is not a signed"):
+            LieMorphism(a, a, ExactMatrix.identity(2), ExactMatrix.from_rows(c))
 
 
 # sha256 over every canonical ISO certificate with module dim <= 256 and
@@ -366,17 +362,24 @@ def test_the_kept_map_is_not_a_field():
 
 def _normalized_sign(f, gram: bool):
     """t of normalize_isomorphism(f), or the ValueError's message; with
-    gram, C is recognized as a signed permutation neither by signed_block
-    nor by classify_map's own scan, so it takes the Gram path."""
-    with pytest.MonkeyPatch.context() as mp:
-        if gram:
-            mp.setattr(morphism, "signed_block", lambda m: (
-                m if isinstance(m, SignedPermutationOp) else None))
-            mp.setattr(core, "signed_permutation", lambda rows: None)
-        try:
-            g, t = normalize_isomorphism(f)
-        except ValueError as exc:
-            return str(exc)
+    gram, t is read off the Gram reference C G_src C^T G_dst = t Id,
+    computed as a dense product, not from C's signs."""
+    if gram:
+        g_src, g_dst = (ExactMatrix.from_rows(
+            [[e if i == j else 0 for j in range(len(signs))]
+             for i, e in enumerate(signs)])
+            for signs in (f.src.center_sig.signs(), f.dst.center_sig.signs()))
+        product = mul(mul(mul(f.C, g_src), transpose(f.C)), g_dst).entries
+        for t in (1, -1):
+            if product == ExactMatrix.from_rows(
+                    [[t if i == j else 0 for j in range(f.C.rows)]
+                     for i in range(f.C.rows)]).entries:
+                return t
+        return "C C^tau is not +-identity"
+    try:
+        g, t = normalize_isomorphism(f)
+    except ValueError as exc:
+        return str(exc)
     assert g is f
     return t
 
@@ -388,19 +391,18 @@ def test_the_signed_normalization_agrees_with_the_gram_path():
             _normalized_sign(f, gram=True) == -1, rs
 
 
-def test_a_signed_center_block_is_normalized_without_a_gram_matrix(
-        monkeypatch):
-    def refuse(*args):
-        raise AssertionError("Gram path called")
-
-    # the Gram matrix of A's columns, and the Gram reading of C
-    monkeypatch.setattr(morphism, "gram_matrix", refuse)
-    monkeypatch.setattr(core, "_classify_by_gram", refuse)
-    assert normalize_isomorphism(canonical_isomorphism(9, 8))[1] == -1
-    # a rescaled C with a signed A: only the Gram path reads it
+def test_a_signed_center_block_is_normalized_without_a_gram_matrix():
+    # normalize_isomorphism reads C's signs: morphism holds no Gram, rank
+    # or determinant routine, and returns the map as it is
+    assert not {"gram_matrix", "exact_det", "exact_rank", "classify_map"} \
+        & vars(morphism).keys()
+    f = canonical_isomorphism(9, 8)
+    assert normalize_isomorphism(f) == (f, -1)
+    # a rescaled C with a signed A is no morphism
     f = canonical_isomorphism(1, 0)
-    with pytest.raises(AssertionError, match="Gram path called"):
-        normalize_isomorphism(LieMorphism(f.src, f.dst, f.A, f.C.scale(4)))
+    with pytest.raises(ValueError, match="center block is not a signed "
+                                         "permutation"):
+        LieMorphism(f.src, f.dst, f.A, ExactMatrix.from_rows([[4]]))
 
 
 def _empty_module(sig: Signature) -> PseudoHTypeAlgebra:
@@ -437,6 +439,6 @@ def test_signed_and_gram_normalizations_agree(case):
     products = {a * dst.signs()[row - 1]
                 for a, row in zip(src.signs(), c.image)}
     if len(products) > 1:
-        assert signed == "C C^tau is not +-identity after normalization"
+        assert signed == "C C^tau is not +-identity"
     else:
         assert signed == (products.pop() if products else 1)

@@ -52,7 +52,7 @@ def test_recheck_iso_certificate():
     assert not recheck_certificate(dense).ok
 
 
-def test_recheck_ranks_blocks_that_are_not_signed_permutations(monkeypatch):
+def test_recheck_ranks_the_center_block_alone(monkeypatch):
     ranked = []
     monkeypatch.setattr(recheck, "exact_rank",
                         lambda m: ranked.append(len(m)) or exact_rank(m))
@@ -65,20 +65,18 @@ def test_recheck_ranks_blocks_that_are_not_signed_permutations(monkeypatch):
     assert recheck_certificate(cert).ok
     assert ranked == [4]   # nor does one written as dense rows
     del m["class"]
-    # all-zero blocks preserve every bracket, but are no isomorphism
-    zero = json.loads(json.dumps(cert))
-    for key in ("A", "C"):
-        zero["morphism"][key] = [[0] * len(row) for row in m[key]]
-    verdict = recheck_certificate(zero)
-    assert not verdict.ok
-    assert verdict.detail == "a block of the embedded map is singular"
-    # (2A, 4C) is an isomorphism too; its blocks are ranked, not pattern-read
-    scaled = json.loads(json.dumps(cert))
-    scaled["morphism"]["A"] = [[2 * e for e in row] for row in m["A"]]
-    scaled["morphism"]["C"] = [[4 * e for e in row] for row in m["C"]]
-    ranked.clear()
-    assert recheck_certificate(scaled).ok
-    assert sorted(ranked) == [4, 8]
+    # all-zero blocks preserve every bracket, and (2A, 4C) is an
+    # isomorphism too, but no block of a morphism is anything but a signed
+    # permutation: both are refused before any rank
+    for a_factor, c_factor in ((0, 0), (2, 4)):
+        forged = json.loads(json.dumps(cert))
+        forged["morphism"]["A"] = [[a_factor * e for e in row] for row in m["A"]]
+        forged["morphism"]["C"] = [[c_factor * e for e in row] for row in m["C"]]
+        ranked.clear()
+        verdict = recheck_certificate(forged)
+        assert verdict == Verdict(False, None, "module block is not a signed "
+                                               "permutation")
+        assert ranked == []
 
 
 def test_recheck_parity_certificate():
@@ -514,6 +512,20 @@ ISO_MUTATIONS = {
     "A wrongly shaped": _iso_mutation(
         lambda m: m.update(A=[row[:-1] for row in m["A"]])),
     "C wrongly shaped": _iso_mutation(lambda m: m.update(C=m["C"][:-1])),
+    # the right shape, but no signed permutation
+    "A scaled by 2": _iso_mutation(
+        lambda m: m.update(A=[[2 * e for e in row] for row in m["A"]])),
+    "C scaled by 4": _iso_mutation(
+        lambda m: m.update(C=[[4 * e for e in row] for row in m["C"]])),
+    "A and C scaled by 2 and 4": _iso_mutation(lambda m: m.update(
+        A=[[2 * e for e in row] for row in m["A"]],
+        C=[[4 * e for e in row] for row in m["C"]])),
+    "A entry 1/2": _iso_mutation(lambda m: m["A"][0].__setitem__(0, "1/2")),
+    "C entry 1/2": _iso_mutation(lambda m: m["C"][0].__setitem__(0, "1/2")),
+    "A all zero": _iso_mutation(
+        lambda m: m.update(A=[[0] * len(row) for row in m["A"]])),
+    "C all zero": _iso_mutation(
+        lambda m: m.update(C=[[0] * len(row) for row in m["C"]])),
     "class not an object": _set("class", "integral"),
     "class a list": _set("class", [1]),
     # present but falsy: still not an object, so not "not stated"

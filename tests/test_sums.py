@@ -14,8 +14,8 @@ from pseudoht.algebra import (
     verify_integral_basis,
 )
 from pseudoht.catalog import UnsupportedSignatureError, base_algebra, scope
-from pseudoht.core import MapClass, SparseVector, basis_vector, classify_map
-from pseudoht.morphism import verify_homomorphism
+from pseudoht.core import ExactMatrix, MapClass, SparseVector, basis_vector
+from pseudoht.morphism import classify_morphism, verify_homomorphism
 from pseudoht.obstruction import sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import (
@@ -96,8 +96,8 @@ def test_swap_isomorphism_verifies(rs, mu, nu):
     assert verify_homomorphism(f).ok
     assert (f.dst.provenance.mu, f.dst.provenance.nu) == (nu, mu)
     sig = s.center_sig
-    assert classify_map(f.C.entries, sig, sig) is MapClass.ISOMETRY  # -Id preserves
-    assert all(f.C.get(k, k) == -1 for k in range(1, sig.dim + 1))
+    assert classify_morphism(f).center_action is MapClass.ISOMETRY  # -Id preserves
+    assert all(f.C.entries[k][k] == -1 for k in range(sig.dim))
 
 
 def test_swap_squared_is_identity_on_center():
@@ -105,12 +105,9 @@ def test_swap_squared_is_identity_on_center():
     f = swap_isomorphism(s)
     g = swap_isomorphism(build_sum(base_algebra(2, 3), 1, 2))
     cc = mul(g.C, f.C)
-    assert all(cc.get(i, j) == (1 if i == j else 0)
-               for i in range(1, 6) for j in range(1, 6))
+    assert cc == ExactMatrix.identity(5)
     aa = mul(g.A.matrix(), f.A.matrix())
-    n = s.dim_module
-    assert all(aa.get(i, j) == (1 if i == j else 0)
-               for i in range(1, n + 1) for j in range(1, n + 1))
+    assert aa == ExactMatrix.identity(s.dim_module)
 
 
 def test_swap_rejected_outside_two_type_signatures():
