@@ -5,7 +5,8 @@ extends them along the three Bott-periodicity tensor steps, builds and
 verifies the canonical isomorphisms between n_{r,s} and n_{s,r}, and
 produces machine-checkable certificates: isomorphisms, dimension and
 signature obstructions, sign-parity refutations, and strongly-bracket-
-generating decisions.  All arithmetic is exact rational.
+generating decisions.  All arithmetic is exact and runs on integers; a
+rational is read only where a vector enters the public API.
 """
 
 from .algebra import (

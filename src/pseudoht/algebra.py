@@ -30,7 +30,6 @@ from .core import (
     SparseVector,
     Vector,
     basis_vector,
-    clear_denominators,
     epsilon,
     exact,
     exact_rank,
@@ -1047,7 +1046,8 @@ def verify_general_htype(a: PseudoHTypeAlgebra) -> Verdict:
     skew-adjointness gives <J_Z v, J_W v> = <Z,W> <v,v>, so [v, J_Z v] =
     <v,v> Z.  For non-null v, ker(ad_v)^perp = {J_Z v} is non-degenerate
     (no DegenerateKernelError), ad_v is onto, and the identity holds at
-    b = J_Z v, b' = J_W v.  Each basis vector is then the exact witness.
+    b = J_Z v, b' = J_W v.  Each basis vector is then the exact witness,
+    and its kernel, complement and Gram matrices are integer matrices.
 
     Kept on the algebra like verify_axioms(a), so a shared catalog algebra
     is scanned once per process; a DegenerateKernelError is raised each
@@ -1070,12 +1070,11 @@ def _first_general_failure(a: PseudoHTypeAlgebra) -> Verdict:
 
 
 def _check_general_at(a: PseudoHTypeAlgebra, v: Vector) -> Verdict:
-    """Both checks on the integer vector L*v, with integer bases of the
+    """Both checks at the integer vector v, with integer bases of the
     kernel and its complement: the identity is homogeneous of degree 2 in
-    v and in the pair (b, b'), and surjectivity depends on spaces only."""
-    w, _ = clear_denominators(v)
-    vv = scalar_product(w, w, a.module_signs)
-    rows = adjoint_rows(a, w)
+    the pair (b, b'), and surjectivity depends on spaces only."""
+    vv = scalar_product(v, v, a.module_signs)
+    rows = adjoint_rows(a, v)
     kernel = nullspace(rows)  # never empty: [v, v] = 0
     if exact_rank(gram_matrix(kernel, a.module_signs)) != len(kernel):
         raise DegenerateKernelError(v)

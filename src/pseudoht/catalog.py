@@ -301,27 +301,21 @@ def table_layout(table_id: BaseTableId) -> TableLayout:
     )
 
 
-def render_table(a: PseudoHTypeAlgebra, fmt: str = "md",
-                 display_order: Optional[Sequence[int]] = None) -> str:
-    """Commutator table regenerated from the structure tensor: each entry
-    fills its two cells, and every other cell is 0."""
-    if display_order is None:
-        if isinstance(a.provenance, BaseProvenance) and (a.r, a.s) in BASE_IDS:
-            display_order = table_layout((a.r, a.s)).display_order
-        else:
-            display_order = range(1, a.dim_module + 1)
-    order = list(display_order)
+def render_table(a: PseudoHTypeAlgebra, fmt: str = "md") -> str:
+    """Commutator table regenerated from the structure tensor, in the
+    catalog's table layout for a base algebra and in basis order otherwise:
+    each entry fills its two cells, and every other cell is 0."""
+    if isinstance(a.provenance, BaseProvenance) and (a.r, a.s) in BASE_IDS:
+        order = table_layout((a.r, a.s)).display_order
+    else:
+        order = range(1, a.dim_module + 1)
     module, center = basis_labels(a)
-    shown: dict[int, list[int]] = {}  # basis index -> its table positions
-    for pos, i in enumerate(order):
-        shown.setdefault(i, []).append(pos)
+    pos = {i: p for p, i in enumerate(order)}  # basis index -> table position
     rows = [[module[i - 1]] + ["0"] * len(order) for i in order]
     for (i, j, k, s) in a.tensor.entries:
         label = center[k - 1]
         for x, y, sign in ((i, j, s), (j, i, -s)):
-            for row in shown.get(x, ()):
-                for col in shown.get(y, ()):
-                    rows[row][col + 1] = ("-" if sign < 0 else "") + label
+            rows[pos[x]][pos[y] + 1] = ("-" if sign < 0 else "") + label
     header = ["[r,c]"] + [module[i - 1] for i in order]
     if fmt == "md":
         lines = ["| " + " | ".join(header) + " |",

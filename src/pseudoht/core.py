@@ -1,9 +1,11 @@
 """Exact linear algebra over signed scalar-product spaces.
 
-Integers stay integers: a Fraction appears only where a non-integer
-rational arrives, and rank, determinant and nullspace clear its
-denominators and run one fraction-free elimination on integers.  No
-floating point anywhere.  Basis indices in the public API are 1-based,
+The kernel is integral: ExactMatrix, rank, determinant and nullspace take
+rows of ints and run one fraction-free elimination on them, and refuse any
+other entry.  A rational arrives only at the public vector boundary
+(scalar_product, bracket, gram_det, adjoint_rank), where exact reads it
+and clear_denominators turns a vector into integers.  No floating point
+anywhere.  Basis indices in the public API are 1-based,
 matching the commutator-table conventions used throughout the package.
 A morphism's blocks are signed permutations, which signed_permutation
 recognizes; morphism reads their center action off the signs, so no map
@@ -105,17 +107,6 @@ def exact(e) -> Rational:
     return e if type(e) is int else Fraction(e)
 
 
-def _all_int(entries: Sequence[Rational]) -> bool:
-    """Every entry is exactly an int (not a bool, not a Fraction)."""
-    return set(map(type, entries)) <= {int}
-
-
-def as_vector(entries: Sequence[Rational]) -> Vector:
-    if _all_int(entries):
-        return tuple(entries)
-    return tuple(map(exact, entries))
-
-
 def basis_vector(i: int, dim: int) -> Vector:
     """The i-th standard basis vector (1-based) in dimension dim."""
     if not 1 <= i <= dim:
@@ -187,27 +178,21 @@ class MapClass(Enum):
 
 
 class ExactMatrix(Frozen):
-    """Immutable rational matrix with exact rank and determinant.
-
-    Entries keep their number type: int entries stay int, and any other
-    entry becomes a Fraction.
-    """
+    """Immutable integer matrix; from_rows refuses any entry that is not
+    an int."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Rational, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: int, cols: int, entries: tuple[Vector, ...]):
+    def __init__(self, rows: int, cols: int,
+                 entries: tuple[tuple[int, ...], ...]):
         self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Rational]]) -> "ExactMatrix":
-        data = tuple(map(as_vector, rows))
-        n = len(data)
-        m = len(data[0]) if n else 0
-        if any(len(row) != m for row in data):
-            raise ValueError("ragged rows")
-        return ExactMatrix(n, m, data)
+    def from_rows(rows: Sequence[Sequence[int]]) -> "ExactMatrix":
+        data = _int_rows(tuple(map(tuple, rows)))
+        return ExactMatrix(len(data), len(data[0]) if data else 0, data)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
@@ -215,34 +200,32 @@ class ExactMatrix(Frozen):
             [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def clear_denominators(v: Sequence[Rational]) -> tuple[list[int], int]:
+def clear_denominators(v: Sequence) -> tuple[list[int], int]:
     """The integer vector L*v and L, the lcm of the denominators of v.
 
-    Integers pass through with L = 1: they have numerator and denominator
-    attributes too.
+    The boundary reader of the kernel: an int vector passes with L = 1,
+    and any other entry is read through exact first, so a float, a string
+    such as "1/2" or a Fraction gives the same result as its exact value.
     """
-    if _all_int(v):
+    if set(map(type, v)) <= {int}:
         return list(v), 1
+    v = list(map(exact, v))
     lcm = math.lcm(*(e.denominator for e in v))
     return [e.numerator * (lcm // e.denominator) for e in v], lcm
 
 
-def _int_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; rank and nullspace are unchanged.
-
-    Returns the integer rows and the product of the row multipliers, by
-    which the determinant is scaled.  Ragged rows raise ValueError.
-    """
+def _int_rows(rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """The rows unchanged, checked as kernel input: ValueError when they
+    are ragged or an entry is not an int (a Fraction, bool, float or str,
+    which clear_denominators reads at the boundary)."""
     width = len(rows[0]) if rows else 0
-    out = []
-    scale = 1
     for row in rows:
         if len(row) != width:
             raise ValueError("ragged rows")
-        ints, lcm = clear_denominators(row)
-        out.append(ints)
-        scale *= lcm
-    return out, scale
+        if not set(map(type, row)) <= {int}:
+            raise ValueError("kernel entries must be ints; "
+                             "clear denominators first")
+    return rows
 
 
 def _bareiss(rows: Sequence[Sequence[int]], jordan: bool = False
@@ -292,7 +275,7 @@ def _bareiss(rows: Sequence[Sequence[int]], jordan: bool = False
     return m, pivots, sign
 
 
-def _support(rows: Sequence[Sequence[Rational]]) -> Optional[list[int]]:
+def _support(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """The columns with a nonzero entry, or None when every column has one.
 
     A zero column holds no pivot, stays zero under elimination and adds
@@ -302,29 +285,28 @@ def _support(rows: Sequence[Sequence[Rational]]) -> Optional[list[int]]:
     return None if rows and len(keep) == len(rows[0]) else keep
 
 
-def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Rank over the rationals of a matrix given as rows of ints or
-    Fractions, eliminated on its nonzero columns."""
-    int_rows = _int_rows(rows)[0]
+def exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a matrix given as rows of ints, eliminated on its nonzero
+    columns."""
+    int_rows = _int_rows(rows)
     keep = _support(int_rows)
     if keep is not None:
         int_rows = [[row[j] for j in keep] for row in int_rows]
     return len(_bareiss(int_rows)[1])
 
 
-def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
-    """Exact determinant of a square matrix given as rows."""
-    int_rows, scale = _int_rows(rows)
-    n = len(int_rows)
-    if n and len(int_rows[0]) != n:
+def exact_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square matrix given as rows of ints."""
+    n = len(_int_rows(rows))
+    if n and len(rows[0]) != n:
         raise ValueError("determinant of a non-square matrix")
-    m, pivots, sign = _bareiss(int_rows)
+    m, pivots, sign = _bareiss(rows)
     if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1] if n else 1, scale)
+        return 0
+    return sign * m[n - 1][n - 1] if n else 1
 
 
-def nullspace(rows: Sequence[Sequence[Rational]]) -> list[Vector]:
+def nullspace(rows: Sequence[Sequence[int]]) -> list[Vector]:
     """Integer basis of the right nullspace {x : Mx = 0}, exact.
 
     One vector per free column fc of the fraction-free reduced form, whose
@@ -335,7 +317,7 @@ def nullspace(rows: Sequence[Sequence[Rational]]) -> list[Vector]:
     if not rows:
         raise ValueError("nullspace of a matrix with no rows")
     cols = len(rows[0])
-    red, pivots, _ = _bareiss(_int_rows(rows)[0], jordan=True)
+    red, pivots, _ = _bareiss(_int_rows(rows), jordan=True)
     d = red[len(pivots) - 1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
     basis = []
@@ -350,9 +332,9 @@ def nullspace(rows: Sequence[Sequence[Rational]]) -> list[Vector]:
     return basis
 
 
-def gram_matrix(vectors: Sequence[Sequence[Rational]],
-                metric: MetricLike) -> list[list[Rational]]:
-    """Rows of the pairwise scalar products of vectors of ints or Fractions.
+def gram_matrix(vectors: Sequence[Sequence[int]],
+                metric: MetricLike) -> list[list[int]]:
+    """Rows of the pairwise scalar products of integer vectors.
 
     The matrix is symmetric: its upper triangle is filled from the vectors
     and their metric-signed copies, and mirrored.  The products run over
@@ -375,13 +357,12 @@ def gram_matrix(vectors: Sequence[Sequence[Rational]],
     return gram
 
 
-def signed_permutation(rows: Sequence[Sequence[Rational]]
+def signed_permutation(rows: Sequence[Sequence[int]]
                        ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(image, sign) when the matrix with these rows is a signed permutation
-    matrix, one +-1 in every row and every column, else None: column a
-    holds sign[a - 1] in row image[a - 1], both 1-based.  Each row is
-    scanned by count and index, which compare by value (Fraction(-1) reads
-    as -1)."""
+    """(image, sign) when the integer matrix with these rows is a signed
+    permutation matrix, one +-1 in every row and every column, else None:
+    column a holds sign[a - 1] in row image[a - 1], both 1-based.  Each
+    row is scanned by count and index."""
     n = len(rows)
     image = [0] * n
     sign = [0] * n

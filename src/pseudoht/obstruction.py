@@ -53,7 +53,7 @@ def gram_det(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> Fraction:
         raise ValueError("X must have module length")
     ints, lcm = clear_denominators(x)
     gram = gram_matrix(adjoint_rows(a, ints), (1,) * a.dim_module)
-    return exact_det(gram) / lcm ** (2 * a.dim_center)
+    return Fraction(exact_det(gram), lcm ** (2 * a.dim_center))
 
 
 def adjoint_rank(a: PseudoHTypeAlgebra, x: Sequence[Rational]) -> int:

@@ -352,14 +352,17 @@ def test_general_htype_on_basis_vector_of_1_0():
 
 def test_general_htype_scaled_gram_factor():
     # v = w_3 in the (1,1) algebra has <v,v> = -1; the identity holds with
-    # that factor, and a doubled vector scales it by 4.
+    # that factor, and a doubled vector scales it by 4.  The check runs on
+    # integer vectors and refuses Fraction entries.
     a = base_algebra(1, 1)
-    w3 = tuple(Fraction(e) for e in (0, 0, 1, 0))
+    w3 = (0, 0, 1, 0)
     assert scalar_product(w3, w3, a.module_signs) == -1
     assert _check_general_at(a, w3).ok
-    doubled = tuple(Fraction(2 * e) for e in basis_vector(1, 4))
+    doubled = tuple(2 * e for e in basis_vector(1, 4))
     assert scalar_product(doubled, doubled, a.module_signs) == 4
     assert _check_general_at(a, doubled).ok
+    with pytest.raises(ValueError, match="ints"):
+        _check_general_at(a, tuple(map(Fraction, w3)))
 
 
 @pytest.mark.parametrize("rs", GENERAL_HTYPE)
@@ -401,7 +404,7 @@ def test_degenerate_kernel_is_reported_not_interpreted():
     # theorem says nothing there, and a direct query must surface the
     # witness instead of guessing
     a = base_algebra(1, 1)
-    v = tuple(Fraction(e) for e in (1, 0, 1, 0))  # null: metric (+,+,-,-)
+    v = (1, 0, 1, 0)  # null: metric (+,+,-,-)
     with pytest.raises(DegenerateKernelError) as exc:
         _check_general_at(a, v)
     assert exc.value.v == v

@@ -32,7 +32,7 @@ from pseudoht.catalog import (
     table_text,
 )
 from pseudoht.core import basis_vector
-from pseudoht.extension import ExtensionStep, extension_chain
+from pseudoht.extension import ExtensionStep, extension_chain, standard_algebra
 from pseudoht.sums import build_sum
 
 
@@ -250,12 +250,14 @@ def _cell_by_cell(a, order):
 
 
 def test_render_table_matches_a_lookup_per_cell():
-    for r, s in BASE_IDS:
-        a = base_algebra(r, s)
-        for order in (table_layout((r, s)).display_order,
-                      (a.dim_module, 1, a.dim_module, 2), (2,)):
-            body = render_table(a, "csv", order).splitlines()[1:]
-            assert body == [",".join(row) for row in _cell_by_cell(a, order)]
+    # a base table in its catalog layout, anything else in basis order
+    cases = [(base_algebra(r, s), table_layout((r, s)).display_order)
+             for r, s in BASE_IDS]
+    cases += [(a, range(1, a.dim_module + 1))
+              for a in (standard_algebra(9, 0), standard_algebra(9, 1))]
+    for a, order in cases:
+        body = render_table(a, "csv").splitlines()[1:]
+        assert body == [",".join(row) for row in _cell_by_cell(a, order)]
 
 
 # sha256 of json.dumps([module labels, center labels]) for each algebra

@@ -18,6 +18,7 @@ from pseudoht.core import (
     MapClass,
     Signature,
     basis_vector,
+    clear_denominators,
     epsilon,
     exact_det,
     exact_rank,
@@ -113,7 +114,10 @@ def test_rank_zero_matrix():
 
 def test_det_known_values():
     assert exact_det([[1, 2], [3, 4]]) == -2
-    assert exact_det([[Fraction(1, 2), 1], [1, Fraction(1, 2)]]) == Fraction(-3, 4)
+    # [[1/2, 1], [1, 1/2]] doubled: its determinant times 4
+    det = exact_det([[1, 2], [2, 1]])
+    assert det == -3 and type(det) is int
+    assert Fraction(det, 4) == Fraction(-3, 4)
     assert exact_det([[0, 1, 2], [0, 0, 3], [0, 0, 0]]) == 0
 
 
@@ -129,19 +133,34 @@ def test_rows_api_refuses_malformed_rows():
         nullspace([])    # no rows, so no column count
     with pytest.raises(ValueError, match="non-square"):
         exact_det([[1, 2, 3], [4, 5, 6]])
+    # the kernel takes int entries only: clear_denominators reads the rest
+    for bad in (Fraction(1, 2), Fraction(1), True, 1.0, "1"):
+        for routine in (ExactMatrix.from_rows, exact_rank, exact_det,
+                        nullspace):
+            with pytest.raises(ValueError, match="must be ints"):
+                routine([[1, 0], [0, bad]])
 
 
 def test_fraction_rows_match_their_cleared_integer_rows():
-    # rows of Fractions and of ints give the rank, kernel and determinant
-    # of the same rational matrix
+    # the kernel refuses rows of Fractions; clear_denominators turns each
+    # into an integer row of the same rank and kernel, and the determinant
+    # of the rational matrix is that of the cleared rows over the product
+    # of the row multipliers
     half = Fraction(1, 2)
     rows = [[half, 1, Fraction(3, 2)], [1, 2, 3], [0, Fraction(1, 3), 1]]
-    ints = [[1, 2, 3], [1, 2, 3], [0, 1, 3]]
-    assert exact_rank(rows) == exact_rank(ints) == 2
-    assert nullspace(rows) == nullspace(ints) == [(3, -3, 1)]
-    assert exact_det(rows) == 0
-    det = exact_det([[half, 1], [Fraction(1, 3), 2]])
-    assert det == Fraction(2, 3) and type(det) is Fraction
+    with pytest.raises(ValueError, match="must be ints"):
+        exact_rank(rows)
+    cleared = [clear_denominators(row) for row in rows]
+    ints = [row for row, _ in cleared]
+    assert ints == [[1, 2, 3], [1, 2, 3], [0, 1, 3]]
+    assert [lcm for _, lcm in cleared] == [2, 1, 3]
+    assert exact_rank(ints) == 2
+    assert nullspace(ints) == [(3, -3, 1)]
+    assert exact_det(ints) == 0
+    (r1, l1), (r2, l2) = map(clear_denominators,
+                             ([half, 1], [Fraction(1, 3), 2]))
+    det = exact_det([r1, r2])
+    assert type(det) is int and Fraction(det, l1 * l2) == Fraction(2, 3)
 
 
 def test_rank_equals_rank_of_gram():
@@ -159,7 +178,7 @@ def test_rank_equals_rank_of_gram():
 def test_rank_matches_fraction_gauss_reference():
     # cross-check the fraction-free elimination against plain Gauss over Q
     def gauss_rank(m):
-        a = [list(r) for r in m.entries]
+        a = [list(map(Fraction, r)) for r in m.entries]
         nr, nc = m.rows, m.cols
         r = 0
         for c in range(nc):
@@ -179,8 +198,7 @@ def test_rank_matches_fraction_gauss_reference():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = ExactMatrix.from_rows(
-            [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
-             for _ in range(rows)])
+            [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
         assert exact_rank(m.entries) == gauss_rank(m)
 
 
@@ -203,15 +221,15 @@ def test_nullspace_basic():
 
 
 def test_nullspace_dimension_theorem():
-    # integer and rational matrices alike get an integer basis
+    # small and larger integer entries alike get an integer basis
     rng = random.Random(5)
     for trial in range(160):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 6)
-        den = 1 if trial < 80 else 4
+        span = 3 if trial < 80 else 12
         m = ExactMatrix.from_rows(
-            [[Fraction(rng.randint(-3, 3), rng.randint(1, den))
-              for _ in range(cols)] for _ in range(rows)])
+            [[rng.randint(-span, span) for _ in range(cols)]
+             for _ in range(rows)])
         basis = nullspace(m.entries)
         assert len(basis) == cols - exact_rank(m.entries)
         for v in basis:
@@ -263,11 +281,11 @@ def test_classify_isometry_closed_under_inverse():
 def test_gram_matrix():
     g = gram_matrix([basis_vector(1, 3), basis_vector(3, 3)], Signature(1, 2))
     assert g == [[1, 0], [0, -1]]
-    # the table of signed scalar products, for Fraction entries too
+    # the table of signed scalar products of integer vectors
     rng = random.Random(11)
     for _ in range(40):
         signs = [rng.choice([1, -1]) for _ in range(4)]
-        vecs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
+        vecs = [[rng.randint(-5, 5) for _ in range(4)]
                 for _ in range(rng.randint(0, 4))]
         assert gram_matrix(vecs, signs) == [
             [scalar_product(u, v, signs) for v in vecs] for u in vecs]
@@ -305,29 +323,28 @@ def test_classify_reads_every_canonical_center_map_from_its_signs():
     assert seen == set(MapClass)
 
 
-def _permutation_rows(image, flips, one):
+def _permutation_rows(image, flips):
     """Rows of the signed permutation sending e_j to flips[j] * e_image[j],
-    0-based, its entries one times +-1."""
+    0-based."""
     rows = [[0] * len(image) for _ in image]
     for col, (row, flip) in enumerate(zip(image, flips)):
-        rows[row][col] = flip * one
+        rows[row][col] = flip
     return rows
 
 
 @given(st.integers(0, 6), st.permutations(range(6)),
-       st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6),
-       st.sampled_from((1, Fraction(1))))
+       st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_classify_mixed_sign_permutations_on_both_paths(p, perm, flips, one):
+def test_classify_mixed_sign_permutations_on_both_paths(p, perm, flips):
     sig, swap = Signature(p, 6 - p), Signature(6 - p, p)
     for dst in (sig, swap):
-        _both_paths(_permutation_rows(perm, flips, one), sig, dst)
+        _both_paths(_permutation_rows(perm, flips), sig, dst)
     # images chosen so that each outcome is reached: the positive and
     # negative sources of sig go to targets of the same sign, or of the
     # opposite sign in swap
     pos, neg = [i for i in perm if i < p], [i for i in perm if i >= p]
-    assert _both_paths(_permutation_rows(pos + neg, flips, one), sig, sig) \
+    assert _both_paths(_permutation_rows(pos + neg, flips), sig, sig) \
         == MapClass.ISOMETRY
     anti = [6 - p + i for i in pos] + [i - p for i in neg]
-    assert _both_paths(_permutation_rows(anti, flips, one), sig, swap) \
+    assert _both_paths(_permutation_rows(anti, flips), sig, swap) \
         == MapClass.ANTI_ISOMETRY

@@ -28,7 +28,6 @@ import functools
 import json
 import sys
 from array import array
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -647,9 +646,9 @@ RECOGNITION_CASES = [
     ([[1, 0, 0], [0, 1, 0]], None),                  # not square
     ([[1, 1], [0, 1]], None),                        # two nonzeros in a row
     ([[2, 0], [0, 1]], None),                        # an entry 2
-    ([[0, Fraction(-1)], [1, 0]], SignedPermutationOp((2, 1), (1, -1))),
-    ([[0, 0, -1], [1, 0, 0], [0, Fraction(1), 0]],
-     SignedPermutationOp((2, 3, 1), (1, 1, -1))),    # Fraction(+-1) reads as +-1
+    ([[0, -1], [1, 0]], SignedPermutationOp((2, 1), (1, -1))),
+    ([[0, 0, -1], [1, 0, 0], [0, 1, 0]],
+     SignedPermutationOp((2, 3, 1), (1, 1, -1))),    # a signed 3-cycle
     ([[0, 1], [0, -1]], None),                       # a repeated column
     ([[1, 0], [0, 0]], None),                        # a zero row
     ([[0, 0], [0, 0]], None),

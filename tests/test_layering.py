@@ -15,7 +15,8 @@ algebra cache's keys or names the cache itself: a test gets a fresh one
 from `catalog.scope()`.  Only `core`, `obstruction` and `recheck` import
 `fractions`: a morphism is integral, and `acceptance`'s criteria read
 integers and recheck each certificate with `recheck_certificate`, not
-with a reader of their own.  One driver in
+with a reader of their own.  In `core`, only `exact`, the boundary
+reader, builds a `Fraction`: the matrix kernel is integral.  One driver in
 `acceptance` turns each criterion's claims into its report, and no other
 code there builds or edits one.  Each name a value is kept under by
 `derived_value` is written at one call site, so two kept values cannot
@@ -129,12 +130,27 @@ def _imports_of(path: Path) -> list[str]:
 
 
 def test_only_core_obstruction_and_recheck_import_fractions():
-    # core's rank, determinant and nullspace take rational rows, gram_det
-    # returns a Fraction, and recheck reads an SBG_NO witness such as
-    # "-1/2"; a morphism is integral, and the criteria read integers and
-    # leave certificates to recheck_certificate
+    # core keeps fractions for exact, the boundary reader of rational
+    # vectors, gram_det returns a Fraction, and recheck reads an SBG_NO
+    # witness such as "-1/2"; a morphism is integral, and the criteria read
+    # integers and leave certificates to recheck_certificate
     assert {site.split(":")[0] for site in _importers("fractions")} \
         == {"core.py", "obstruction.py", "recheck.py"}
+
+
+def _fraction_calls(node) -> int:
+    return sum(isinstance(call, ast.Call) and "Fraction" in (
+        getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        for call in ast.walk(node))
+
+
+def test_core_calls_fraction_only_in_exact():
+    # rank, determinant, nullspace and ExactMatrix take integer rows; a
+    # rational is read by exact alone
+    tree = _parse(Path(pseudoht.core.__file__))
+    exact = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "exact")
+    assert _fraction_calls(exact) == _fraction_calls(tree) == 1
 
 
 def test_acceptance_imports_no_certificate_reader():
@@ -310,6 +326,7 @@ def test_removed_public_names_stay_gone():
                (pseudoht.core.ExactMatrix, "zero"),
                (pseudoht.core.ExactMatrix, "get"),
                (pseudoht.core, "classify_map"),
+               (pseudoht.core, "as_vector"),
                (layout, "barred"),
                (layout, "center_symbol")]
     assert [name for owner, name in removed if hasattr(owner, name)] == []

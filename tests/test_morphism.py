@@ -244,9 +244,12 @@ def test_block_shape_validation():
     with pytest.raises(ValueError, match="module block is not a signed"):
         LieMorphism(a, a, ExactMatrix.from_rows([[2, 0], [0, 2]]),
                     ExactMatrix.identity(1))
-    for c in ([[2]], [[0]], [[Fraction(1, 2)]]):
+    for c in ([[2]], [[0]]):
         with pytest.raises(ValueError, match="center block is not a signed"):
             LieMorphism(a, a, ExactMatrix.identity(2), ExactMatrix.from_rows(c))
+    # a block holds ints: a rational entry is refused before any morphism
+    with pytest.raises(ValueError, match="must be ints"):
+        ExactMatrix.from_rows([[Fraction(1, 2)]])
 
 
 # sha256 over every canonical ISO certificate with module dim <= 256 and

@@ -158,6 +158,17 @@ def test_gram_det_examples():
     assert gram_det(n32, [1, 0, 0, 0, 1, 0, 0, 0]) == 0
     n33 = base_algebra(3, 3)
     assert gram_det(n33, [1, 0, 0, 0, 1, 0, 0, 0]) == 0
+    # a float or string entry is read exactly, as scalar_product reads it,
+    # and an entry that is no number raises TypeError or ValueError
+    half = [Fraction(1, 2), 0, 0, 0, 1, 0, 0, 0]
+    assert gram_det(n32, half) not in (0, 1)
+    for entry in (0.5, "1/2"):
+        x = [entry] + half[1:]
+        assert gram_det(n32, x) == gram_det(n32, half)
+        assert adjoint_rank(n32, x) == adjoint_rank(n32, half)
+    for call in (gram_det, adjoint_rank):
+        with pytest.raises((TypeError, ValueError)):
+            call(n32, [None] + half[1:])
 
 
 @pytest.mark.parametrize("rs,poly", [((3, 2), poly32), ((3, 3), poly33)])
