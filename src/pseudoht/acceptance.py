@@ -33,7 +33,7 @@ from .core import MapClass
 from .extension import ExtensionStep, extend, pair_index, standard_algebra
 from .morphism import (CanonicalMap, canonical_map, classify_morphism,
                        normalize_isomorphism, remark_isom_class_check,
-                       verify_conjugation, verify_homomorphism)
+                       verified_morphism, verify_homomorphism)
 from .obstruction import (adjoint_rank, check_pair, gram_det, sbg_decision,
                           witt_bound)
 from .recheck import recheck_certificate
@@ -180,10 +180,12 @@ def _canonical_failures(cmap: CanonicalMap) -> tuple[str, ...]:
     """Criterion 3's failure messages for one canonical map, with (r, s)
     read from its source: the conjugation relation, then the integral
     anti-isometric class, the block-class constraints off the definite
-    line, and C C^tau = -Id.  Kept on the map."""
+    line, and C C^tau = -Id.  Kept on the map; the conjugation verdict it
+    reads is the map's kept one (morphism.verified_morphism), which check
+    reads too."""
     r, s = cmap.src.r, cmap.src.s
-    f = cmap.to_morphism()
-    if not verify_conjugation(f).ok:
+    f, con = verified_morphism(cmap)
+    if not con.ok:
         return (f"phi_({r},{s}) fails the conjugation relation",)
     out = []
     cls = classify_morphism(f)

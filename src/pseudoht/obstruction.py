@@ -39,7 +39,7 @@ from .morphism import (
     canonical_map,
     center_signature_obstruction,
     morphism_to_dict,
-    verify_conjugation,
+    verified_morphism,
 )
 
 
@@ -163,6 +163,9 @@ def check_pair(r1: int, s1: int, r2: int, s2: int,
     an anti-isometry (the interesting automorphism class).  Where the
     signatures leave the question open, (r2, s2) is the swap (s1, r1).
     Every answer but a morphism names the question: src, dst and the flag.
+    An ISO answer writes the canonical map's kept morphism and reads its
+    kept conjugation verdict (morphism.verified_morphism), so a kept map is
+    related once; the payload is built afresh on every call.
     """
     question = {"src": [r1, s1], "dst": [r2, s2],
                 "anti_isometric_center_only": anti_only}
@@ -177,8 +180,7 @@ def check_pair(r1: int, s1: int, r2: int, s2: int,
 
     cmap = canonical_map(r1, s1)
     if cmap is not None:
-        f = cmap.to_morphism()
-        con = verify_conjugation(f)
+        f, con = verified_morphism(cmap)
         if con.ok:
             return Certificate("ISO", {"morphism": morphism_to_dict(f)})
         raise RuntimeError(f"canonical map failed verification: {con.detail}")

@@ -205,8 +205,10 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     cls = classify_morphism(f)
     if stated and stated.get("center_action") != cls.center_action.value:
         return Verdict(False, None, "stated center action does not match")
-    # invertibility of the blocks makes the homomorphism an isomorphism;
-    # the signed permutation A needs no elimination
+    # LieMorphism refuses any block that is not a square signed permutation,
+    # so both blocks are invertible and this rank test cannot fail.  It stays
+    # because perfbench's coverage check pins core.exact_rank on
+    # iso-roundtrip (ROADMAP item 1, step A1).
     if exact_rank(f.C.entries) != f.C.rows:
         return Verdict(False, None, "a block of the embedded map is singular")
     if stated and _flag(stated, "integral") != cls.integral:

@@ -17,8 +17,9 @@ from pseudoht.algebra import (
 )
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra, catalog_key
 from pseudoht.extension import ExtensionStep, extend
-from pseudoht.morphism import canonical_map
-from pseudoht.obstruction import gram_det, sbg_decision
+from pseudoht.jsonout import dumps
+from pseudoht.morphism import canonical_map, verified_morphism
+from pseudoht.obstruction import check_pair, gram_det, sbg_decision
 
 
 def test_shared_algebras_verify_concurrently():
@@ -116,6 +117,33 @@ def test_threads_building_one_canonical_map_get_equal_maps():
                     for i in range(8)]]
                 assert all(catalog_key(f.src) is not None for f in got)
                 assert canonical_map(9, 8) in got
+            assert got == [want] * 8
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_threads_certifying_one_map_get_equal_certificates():
+    # in a fresh scope the threads race to keep phi_(9,8)'s morphism and
+    # conjugation verdict on the map; either copy may be kept, and every
+    # certificate prints the same
+    want = dumps(check_pair(9, 8, 8, 9).json_dict())
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(3):
+            barrier = threading.Barrier(8, timeout=10)
+
+            def certify(_i):
+                barrier.wait()
+                return dumps(check_pair(9, 8, 8, 9).json_dict())
+
+            with catalog.scope(), ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=60) for f in [
+                    pool.submit(contextvars.copy_context().run, certify, i)
+                    for i in range(8)]]
+                cmap = canonical_map(9, 8)
+                f, con = verified_morphism(cmap)
+                assert con.ok and f == cmap.to_morphism()
             assert got == [want] * 8
     finally:
         sys.setswitchinterval(old)

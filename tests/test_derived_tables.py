@@ -56,12 +56,15 @@ from pseudoht.algebra import (
     verify_integral_basis,
 )
 import pseudoht.acceptance as acceptance
+import pseudoht.catalog as catalog
 import pseudoht.morphism as morphism
+import pseudoht.obstruction as obstruction
 from pseudoht.acceptance import criterion_3_isomorphisms, run_all
 from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix, SparseVector, basis_vector
 from pseudoht.extension import ExtensionStep, extend, standard_algebra
-from pseudoht.morphism import canonical_map
+from pseudoht.jsonout import dumps
+from pseudoht.morphism import canonical_isomorphism, canonical_map
 from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum
@@ -668,7 +671,7 @@ def test_from_matrix_edge_cases_keep_their_results(rows, want):
     assert m == fresh and hash(m) == hash(fresh)
 
 
-def test_certify_and_recheck_recognize_each_block_once(monkeypatch):
+def test_certify_and_recheck_recognize_each_block_once(cache, monkeypatch):
     seen = []
     inner = algebra._recognize_signed_permutation
     monkeypatch.setattr(algebra, "_recognize_signed_permutation",
@@ -677,6 +680,9 @@ def test_certify_and_recheck_recognize_each_block_once(monkeypatch):
     assert cert.kind == "ISO"
     # A is a signed permutation from construction to recheck and is never
     # recognized; the relation, the class and the JSON share C's recognition
+    assert [(m.rows, m.cols) for m in seen] == [(10, 10)]
+    # a second certify writes the map's kept morphism: C is not made again
+    assert check_pair(9, 1, 1, 9).json_dict() == cert.json_dict()
     assert [(m.rows, m.cols) for m in seen] == [(10, 10)]
     assert recheck_certificate(json.loads(json.dumps(cert.json_dict()))).ok
     # the relation and the integral class of the rebuilt map: C once more
@@ -807,6 +813,74 @@ def test_the_kept_outcome_is_not_a_field():
     assert "_canonical_failures" not in vars(fresh)
     assert kept == fresh and hash(kept) == hash(fresh)
     assert repr(kept) == repr(fresh)
+
+
+# --- the kept morphism and verdict of a canonical map ------------------------
+
+def _count_relations(monkeypatch) -> list:
+    related = []
+    inner = morphism._relation_defect
+    monkeypatch.setattr(morphism, "_relation_defect",
+                        lambda f: related.append(f) or inner(f))
+    return related
+
+
+def test_certify_relates_a_kept_map_once_and_recheck_every_time(
+        cache, monkeypatch):
+    related = _count_relations(monkeypatch)
+    first = check_pair(9, 8, 8, 9)
+    assert first.kind == "ISO" and len(related) == 1
+    second = check_pair(9, 8, 8, 9)
+    assert second.json_dict() == first.json_dict() and len(related) == 1
+    # recheck builds its own morphism from the JSON and relates it each time
+    text = json.dumps(second.json_dict())
+    for n in (2, 3):
+        assert recheck_certificate(json.loads(text)).ok
+        assert len(related) == n
+        assert related[-1] is not related[0]
+    assert related[0] is canonical_map(9, 8).to_morphism()
+
+
+def test_a_copied_or_unshared_map_is_related_afresh(cache, monkeypatch):
+    related = _count_relations(monkeypatch)
+    kept = canonical_map(9, 8)
+    want = check_pair(9, 8, 8, 9).json_dict()
+    assert len(related) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(obstruction, "canonical_map",
+                      lambda r, s: kept._replace())
+        for n in (2, 3):
+            assert check_pair(9, 8, 8, 9).json_dict() == want
+            assert len(related) == n
+    # a cap of 128 leaves the dim-512 source unshared: a new map every call
+    with catalog.scope(budget=1024):
+        assert canonical_map(9, 8) is not canonical_map(9, 8)
+        for n in (4, 5):
+            assert check_pair(9, 8, 8, 9).json_dict() == want
+            assert len(related) == n
+    assert check_pair(9, 8, 8, 9).json_dict() == want and len(related) == 5
+
+
+def test_canonical_isomorphism_is_the_kept_morphism(cache):
+    f = canonical_isomorphism(9, 8)
+    assert canonical_isomorphism(9, 8) is f
+    assert canonical_map(9, 8).to_morphism() is f
+    with catalog.scope():
+        fresh = canonical_isomorphism(9, 8)
+        assert fresh == f and fresh is not f
+
+
+def test_a_certificate_is_never_shared_state(cache):
+    cert = check_pair(10, 2, 2, 10)
+    cert.payload["morphism"]["A"]["image"].reverse()
+    out = cert.json_dict()
+    out["morphism"]["A"]["image"].append(0)
+    out["morphism"]["C"][0][0] = 7
+    out["morphism"]["src"]["provenance"]["steps"].clear()
+    out["morphism"]["class"]["integral"] = False
+    again = dumps(check_pair(10, 2, 2, 10).json_dict())
+    with catalog.scope():
+        assert again == dumps(check_pair(10, 2, 2, 10).json_dict())
 
 
 @pytest.mark.parametrize("corrupt", [

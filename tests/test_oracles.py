@@ -189,11 +189,14 @@ def test_each_center_index_is_checked():
         assert lhs != rhs
 
 
-def test_check_pair_runs_the_relation_once(monkeypatch):
+def test_check_pair_runs_the_relation_once(cache, monkeypatch):
     calls = []
     inner = morphism._relation_defect
     monkeypatch.setattr(morphism, "_relation_defect",
                         lambda f: calls.append(f) or inner(f))
+    assert check_pair(9, 8, 8, 9).kind == "ISO"
+    assert len(calls) == 1
+    # the map keeps its verdict, so a second certify relates nothing
     assert check_pair(9, 8, 8, 9).kind == "ISO"
     assert len(calls) == 1
 
