@@ -180,9 +180,7 @@ def _canonical_failures(cmap: CanonicalMap) -> tuple[str, ...]:
     """Criterion 3's failure messages for one canonical map, with (r, s)
     read from its source: the conjugation relation, then the integral
     anti-isometric class, the block-class constraints off the definite
-    line, and C C^tau = -Id.  Kept on the map; the conjugation verdict it
-    reads is the map's kept one (morphism.verified_morphism), which check
-    reads too."""
+    line, and C C^tau = -Id.  Kept on the map."""
     r, s = cmap.src.r, cmap.src.s
     f, con = verified_morphism(cmap)
     if not con.ok:

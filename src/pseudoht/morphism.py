@@ -192,11 +192,10 @@ class CanonicalMap(Frozen):
         self.__dict__.update(src=src, dst=dst, module=module, center=center)
 
     def to_morphism(self) -> LieMorphism:
-        """The map as a LieMorphism, built once and kept on the map
-        (algebra.derived_value), so its dense C and C's recognized signed
-        form are made once per map."""
-        return derived_value(self, "_morphism", lambda m: LieMorphism(
-            m.src, m.dst, m.module, m.center.matrix()))
+        """The map as a new LieMorphism on every call; verified_morphism
+        keeps one per map."""
+        return LieMorphism(self.src, self.dst, self.module,
+                           self.center.matrix())
 
     def inverse(self) -> "CanonicalMap":
         return CanonicalMap(self.dst, self.src, self.module.inverse(),
@@ -204,11 +203,9 @@ class CanonicalMap(Frozen):
 
 
 def verified_morphism(cmap: CanonicalMap) -> tuple[LieMorphism, Verdict]:
-    """cmap.to_morphism() and its verify_conjugation verdict, both kept on
-    cmap, so a map is related once for as long as it is kept.  Certify
-    reads them; recheck builds and relates its own morphism from the JSON
-    on every call.  A new map, a _replace copy among them, is related
-    afresh."""
+    """cmap.to_morphism() and its verify_conjugation verdict, kept together
+    on cmap, so a map is related once for as long as it is kept.  A new
+    map, a _replace copy among them, is related afresh."""
     def build(m: CanonicalMap) -> tuple[LieMorphism, Verdict]:
         f = m.to_morphism()
         return f, verify_conjugation(f)
@@ -372,9 +369,7 @@ def canonical_map(r: int, s: int) -> Optional[CanonicalMap]:
 
 
 def canonical_isomorphism(r: int, s: int) -> Optional[LieMorphism]:
-    """The published isomorphism n_{r,s} -> n_{s,r}, when one is constructed:
-    the morphism kept on the kept canonical map, so one object per shared
-    source and scope.
+    """The published isomorphism n_{r,s} -> n_{s,r}, when one is constructed.
 
     None means the pair lies outside the constructible families; that is
     never a non-isomorphism claim.

@@ -64,7 +64,7 @@ from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix, SparseVector, basis_vector
 from pseudoht.extension import ExtensionStep, extend, standard_algebra
 from pseudoht.jsonout import dumps
-from pseudoht.morphism import canonical_isomorphism, canonical_map
+from pseudoht.morphism import canonical_map, verified_morphism
 from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum
@@ -838,7 +838,7 @@ def test_certify_relates_a_kept_map_once_and_recheck_every_time(
         assert recheck_certificate(json.loads(text)).ok
         assert len(related) == n
         assert related[-1] is not related[0]
-    assert related[0] is canonical_map(9, 8).to_morphism()
+    assert related[0] is verified_morphism(canonical_map(9, 8))[0]
 
 
 def test_a_copied_or_unshared_map_is_related_afresh(cache, monkeypatch):
@@ -859,15 +859,6 @@ def test_a_copied_or_unshared_map_is_related_afresh(cache, monkeypatch):
             assert check_pair(9, 8, 8, 9).json_dict() == want
             assert len(related) == n
     assert check_pair(9, 8, 8, 9).json_dict() == want and len(related) == 5
-
-
-def test_canonical_isomorphism_is_the_kept_morphism(cache):
-    f = canonical_isomorphism(9, 8)
-    assert canonical_isomorphism(9, 8) is f
-    assert canonical_map(9, 8).to_morphism() is f
-    with catalog.scope():
-        fresh = canonical_isomorphism(9, 8)
-        assert fresh == f and fresh is not f
 
 
 def test_a_certificate_is_never_shared_state(cache):

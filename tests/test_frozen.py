@@ -41,8 +41,8 @@ VALUES = {
         lambda: canonical_map(1, 0)._replace(),
         f"CanonicalMap(src={N10}, dst={N01}, module={OP}, "
         f"center=SignedPermutationOp(image=(1,), sign=(1,)))"),
-    "LieMorphism": (  # a copy of the map keeps no morphism, so builds anew
-        lambda: canonical_map(1, 0)._replace().to_morphism(),
+    "LieMorphism": (
+        lambda: canonical_isomorphism(1, 0),
         f"LieMorphism(src={N10}, dst={N01}, A={OP}, "
         f"C=ExactMatrix(rows=1, cols=1, entries=((1,),)))"),
 }
