@@ -247,14 +247,18 @@ class SignedPermutationOp(Frozen):
         Recognized once per matrix and kept on it, so the relation, the
         classification and the recheck of one morphism share the result.
         """
-        return derived_value(m, "_signed_op", _recognize_signed_permutation)
+        return _kept_signed_op(m, _recognize_signed_permutation)
 
     def matrix(self) -> ExactMatrix:
+        """The dense matrix of the op.  It keeps the op as its from_matrix
+        value, so it is never recognized."""
         rows = [[0] * self.dim for _ in range(self.dim)]
         for a in range(1, self.dim + 1):
             b, s = self.apply_basis(a)
             rows[b - 1][a - 1] = s
-        return ExactMatrix.from_rows(rows)
+        m = ExactMatrix.from_rows(rows)
+        _kept_signed_op(m, lambda _m: self)
+        return m
 
     @staticmethod
     def identity(n: int) -> "SignedPermutationOp":
@@ -284,6 +288,13 @@ def _unchecked_op(image: tuple[int, ...], sign: tuple[int, ...]
     op = object.__new__(SignedPermutationOp)
     op.__dict__.update(image=image, sign=sign)
     return op
+
+
+def _kept_signed_op(m: ExactMatrix, build: Callable
+                    ) -> Optional[SignedPermutationOp]:
+    """SignedPermutationOp.from_matrix(m), kept on m: on the first call
+    build(m), the recognition scan or the op whose matrix() made m."""
+    return derived_value(m, "_signed_op", build)
 
 
 def _recognize_signed_permutation(m: ExactMatrix

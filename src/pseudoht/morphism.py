@@ -446,17 +446,25 @@ def center_signature_obstruction(src_sig: Signature, dst_sig: Signature,
     return None
 
 
+def _signed_block(op: SignedPermutationOp) -> dict:
+    """A block as {"image", "sign"}: column a holds sign[a] in row
+    image[a], both 1-based."""
+    return {"image": list(op.image), "sign": list(op.sign)}
+
+
 def morphism_to_dict(f: LieMorphism) -> dict:
-    """The JSON form: A is {"image", "sign"} (column a holds sign[a] in row
-    image[a]), and C is dense rows of integers."""
+    """The JSON form: both blocks are signed permutations and are written
+    alike, A and C each as {"image", "sign"}.  Certificates written before
+    C took this form hold it as dense rows of integers; recheck reads
+    both."""
     cls = classify_morphism(f)
     return {
         "src": {"r": f.src.r, "s": f.src.s,
                 "provenance": f.src.provenance.json_dict()},
         "dst": {"r": f.dst.r, "s": f.dst.s,
                 "provenance": f.dst.provenance.json_dict()},
-        "A": {"image": list(f.A.image), "sign": list(f.A.sign)},
-        "C": [list(map(int, row)) for row in f.C.entries],
+        "A": _signed_block(f.A),
+        "C": _signed_block(SignedPermutationOp.from_matrix(f.C)),
         "class": {"center_action": cls.center_action.value,
                   "integral": cls.integral},
     }

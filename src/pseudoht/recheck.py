@@ -112,22 +112,24 @@ def _matrix(payload, key: str, rows: int, cols: int) -> ExactMatrix:
                                   for row in value])
 
 
-def _module_block(m, rows: int, cols: int):
-    """A as morphism_to_dict writes it: {"image", "sign"} read as a
-    SignedPermutationOp, or dense rows, the form of older certificates."""
-    value = _field(m, "A")
+def _block(m, key: str, rows: int, cols: int):
+    """Block A or C as morphism_to_dict writes it: {"image", "sign"} read
+    as a SignedPermutationOp, or dense rows, the form of older
+    certificates, read as an ExactMatrix."""
+    value = _field(m, key)
     if isinstance(value, list):
-        return _matrix(m, "A", rows, cols)
+        return _matrix(m, key, rows, cols)
     if not isinstance(value, Mapping):
-        raise _Malformed("A must be {image, sign} or a list of rows")
+        raise _Malformed(f"{key} must be {{image, sign}} or a list of rows")
     if rows != cols:
-        raise _Malformed("a signed-permutation A needs equal module dimensions")
-    image = _ints(_field(value, "image"), cols, "A image")
-    sign = _ints(_field(value, "sign"), cols, "A sign")
+        raise _Malformed(f"a signed-permutation {key} needs equal dimensions "
+                         f"on both sides")
+    image = _ints(_field(value, "image"), cols, f"{key} image")
+    sign = _ints(_field(value, "sign"), cols, f"{key} sign")
     try:
         return SignedPermutationOp(image, sign)
     except ValueError as exc:  # a repeated or out-of-range index, a sign 2
-        raise _Malformed(f"A: {exc}") from None
+        raise _Malformed(f"{key}: {exc}") from None
 
 
 def _vector(payload, key: str) -> SparseVector:
@@ -190,8 +192,10 @@ def _recheck_iso(payload: Mapping) -> Verdict:
         refused = _rebuilt_defect(algebra)
         if refused is not None:
             return Verdict(False, refused.witness, f"{side} {refused.detail}")
-    a = _module_block(m, dst.dim_module, src.dim_module)
-    c = _matrix(m, "C", dst.dim_center, src.dim_center)
+    a = _block(m, "A", dst.dim_module, src.dim_module)
+    c = _block(m, "C", dst.dim_center, src.dim_center)
+    if isinstance(c, SignedPermutationOp):
+        c = c.matrix()  # LieMorphism.C and the rank below take it dense
     try:
         f = LieMorphism(src, dst, a, c)
     except ValueError as exc:  # a block that is no signed permutation
@@ -208,7 +212,8 @@ def _recheck_iso(payload: Mapping) -> Verdict:
     # LieMorphism refuses any block that is not a square signed permutation,
     # so both blocks are invertible and this rank test cannot fail.  It stays
     # because perfbench's coverage check pins core.exact_rank on
-    # iso-roundtrip (ROADMAP item 1, step A1).
+    # iso-roundtrip (ROADMAP item 1, step A1); a C written as signs is made
+    # dense above only for LieMorphism.C and this rank.
     if exact_rank(f.C.entries) != f.C.rows:
         return Verdict(False, None, "a block of the embedded map is singular")
     if stated and _flag(stated, "integral") != cls.integral:

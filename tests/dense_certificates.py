@@ -1,9 +1,10 @@
-"""A certificate's signed-permutation block and sparse vectors written back
-in the dense form of older certificates.
+"""A certificate's signed-permutation blocks and sparse vectors written
+back in the dense form of older certificates.
 
-morphism_to_dict writes a signed-permutation `A` as {"image", "sign"}:
+morphism_to_dict writes both blocks, `A` and `C`, as {"image", "sign"}:
 column a holds sign[a] in row image[a], both 1-based.  Older certificates
-wrote the same block as dense rows.  The SBG_NO vectors `z0` and
+wrote the same blocks as dense rows; between the two, certificates wrote
+`A` as signs and `C` as rows, and dense_center_text gives that form.  The SBG_NO vectors `z0` and
 `witness_v` and an INCONCLUSIVE scan's `precondition.violation` are
 written by their support, {"dim", "index", "value"}; older certificates
 wrote `z0` and `witness_v` as lists of decimal strings and `violation` as
@@ -38,11 +39,20 @@ def dense_vector(v: dict) -> list:
     return out
 
 
-def densify(cert: dict) -> dict:
-    """A copy of cert whose morphism, if it has one, holds A as dense rows,
-    whose SBG_NO witness is two lists of decimal strings, and whose scan
-    violation, if it has one, is a list of integers."""
+def dense_center(cert: dict) -> dict:
+    """A copy of cert whose morphism, if it has one, holds C as dense rows
+    and nothing else changed."""
     out = json.loads(json.dumps(cert))
+    if "morphism" in out:
+        out["morphism"]["C"] = dense_rows(out["morphism"]["C"])
+    return out
+
+
+def densify(cert: dict) -> dict:
+    """A copy of cert whose morphism, if it has one, holds A and C as dense
+    rows, whose SBG_NO witness is two lists of decimal strings, and whose
+    scan violation, if it has one, is a list of integers."""
+    out = dense_center(cert)
     if "morphism" in out:
         out["morphism"]["A"] = dense_rows(out["morphism"]["A"])
     for key in ("z0", "witness_v"):
@@ -55,9 +65,14 @@ def densify(cert: dict) -> dict:
 
 
 def densified_text(text: str) -> str:
-    """The CLI text of the certificate in text, with A as dense rows and
-    every vector dense."""
+    """The CLI text of the certificate in text, with A and C as dense rows
+    and every vector dense."""
     return jsonout.dumps(densify(json.loads(text))) + "\n"
+
+
+def dense_center_text(text: str) -> str:
+    """The CLI text of the certificate in text, with C as dense rows."""
+    return jsonout.dumps(dense_center(json.loads(text))) + "\n"
 
 
 def negated_witness_text(text: str) -> str:

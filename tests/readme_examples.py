@@ -1,10 +1,12 @@
 """Run every command of the README's CLI block and check what it documents.
 
 Each line is run with the installed `pseudoht` script and must exit with
-the code its comment names (0 if none).  The written reports, algebras and
-certificates are then read back: verify-paper's report is seed-free, a
-built algebra parses, satisfies the axioms and writes back to the same
-text, and each certificate rechecks from its JSON alone.  Run it from the
+the code its comment names (0 if none); where the comment names a size,
+"N KB", the file written must be N thousand bytes, rounded.  The written
+reports, algebras and certificates are then read back: verify-paper's
+report is seed-free, a built algebra parses, satisfies the axioms and
+writes back to the same text, and each certificate rechecks from its
+JSON alone.  Run it from the
 repository root, with `pseudoht` on PATH:
 
     python3 tests/readme_examples.py
@@ -32,6 +34,12 @@ for n, line in enumerate(block.splitlines()):
     code = subprocess.run([*argv, "--out", str(out)], cwd=tmp).returncode
     print(f"{' '.join(argv)}: exit {code}, documented {want}")
     assert code == want
+    size = re.search(r"(\d+) KB", note)
+    if size:
+        # a stated size is the written file's, in whole kilobytes
+        kb = round(out.stat().st_size / 1000)
+        print(f"  size: {kb} KB, documented {size.group(1)}")
+        assert kb == int(size.group(1)), kb
     if want == 3:
         continue  # a usage error writes no report or certificate
     if argv[1] == "verify-paper":

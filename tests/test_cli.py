@@ -15,7 +15,12 @@ from pseudoht.catalog import MAX_CENTER_DIM, MAX_MODULE_DIM, base_algebra
 from pseudoht.cli import main, render_table
 from pseudoht.obstruction import adjoint_rank
 
-from dense_certificates import dense_vector, densified_text, negated_witness_text
+from dense_certificates import (
+    dense_center_text,
+    dense_vector,
+    densified_text,
+    negated_witness_text,
+)
 from object_entries import object_entry_text
 
 
@@ -145,6 +150,7 @@ PINNED_CHECK_OUTPUTS = {
 
 
 # sha256 of the same certificates as written with A as {"image", "sign"}
+# and C as dense rows; the text with C written back as rows must give them
 PINNED_COMPACT_CHECK_OUTPUTS = {
     ("9", "8", "8", "9"):
         "ea2168d890d5ef9bb9b0ee17e29ebb8d81029113fb3834a88d1952807dc609cc",
@@ -161,11 +167,31 @@ PINNED_COMPACT_CHECK_OUTPUTS = {
 }
 
 
+# sha256 of the same certificates as written, with A and C as
+# {"image", "sign"}
+PINNED_SIGNED_CHECK_OUTPUTS = {
+    ("9", "8", "8", "9"):
+        "e4bb4f926497a2cd34fc7492a9b50cc2bad6c5a0d943cb7b96ed6eb49d47c77c",
+    ("10", "2", "2", "10"):
+        "b6551e65a3eed5104d57aec4e50105ea3804505ff2b75ee522dba7451d137639",
+    ("1", "8", "8", "1"):
+        "ea5999c2448db5d5863edac933e30f0476348b3bdd3548c5c1cf4f3cc74bcec7",
+    ("5", "5", "5", "5", "--anti"):
+        "a517bd1f5478b3e6f9f0edda75dc5b39c74a033ea8d1e650fa8c06022e7796e3",
+    ("6", "4", "4", "6"):
+        "778dbfe5bbf3dbfb1c283f60ae19c9c2eac2c5f80c6e23b64ad7736702b03f76",
+    ("9", "1", "1", "9"):
+        "36e64bc8693f98dbb3a81e7a92984b38dd059c4ba94afb795623900a554a3733",
+}
+
+
 @pytest.mark.parametrize("argv", PINNED_CHECK_OUTPUTS)
 def test_iso_certificates_are_byte_stable(capsys, argv):
     code, out, _ = run_cli(capsys, "check", *argv)
     assert code == 0 and json.loads(out)["kind"] == "ISO"
     assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_SIGNED_CHECK_OUTPUTS[argv]
+    assert hashlib.sha256(dense_center_text(out).encode()).hexdigest() == \
         PINNED_COMPACT_CHECK_OUTPUTS[argv]
     assert hashlib.sha256(densified_text(out).encode()).hexdigest() == \
         PINNED_CHECK_OUTPUTS[argv]

@@ -69,6 +69,8 @@ from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum
 
+from dense_certificates import dense_center, densify
+
 
 # --- reference verifiers on composed operators -------------------------------
 # They derive through j_operator, which reads the algebra's J table, so a
@@ -678,16 +680,17 @@ def test_certify_and_recheck_recognize_each_block_once(cache, monkeypatch):
                         lambda m: seen.append(m) or inner(m))
     cert = check_pair(9, 1, 1, 9)
     assert cert.kind == "ISO"
-    # A is a signed permutation from construction to recheck and is never
-    # recognized; the relation, the class and the JSON share C's recognition
-    assert [(m.rows, m.cols) for m in seen] == [(10, 10)]
-    # a second certify writes the map's kept morphism: C is not made again
+    # both blocks are signed permutations from construction to recheck: C
+    # is made dense from its op and keeps it, so nothing is recognized
     assert check_pair(9, 1, 1, 9).json_dict() == cert.json_dict()
-    assert [(m.rows, m.cols) for m in seen] == [(10, 10)]
     assert recheck_certificate(json.loads(json.dumps(cert.json_dict()))).ok
-    # the relation and the integral class of the rebuilt map: C once more
-    assert [(m.rows, m.cols) for m in seen] == [(10, 10)] * 2
-    assert len({id(m) for m in seen}) == 2
+    assert seen == []
+    # the dense rows of older certificates are recognized once a block
+    assert recheck_certificate(dense_center(cert.json_dict())).ok
+    assert [(m.rows, m.cols) for m in seen] == [(10, 10)]
+    seen.clear()
+    assert recheck_certificate(densify(cert.json_dict())).ok
+    assert [(m.rows, m.cols) for m in seen] == [(64, 64), (10, 10)]
 
 
 # --- the kept axiom verdict and the compact rows -----------------------------
@@ -866,7 +869,7 @@ def test_a_certificate_is_never_shared_state(cache):
     cert.payload["morphism"]["A"]["image"].reverse()
     out = cert.json_dict()
     out["morphism"]["A"]["image"].append(0)
-    out["morphism"]["C"][0][0] = 7
+    out["morphism"]["C"]["sign"][0] = 7
     out["morphism"]["src"]["provenance"]["steps"].clear()
     out["morphism"]["class"]["integral"] = False
     again = dumps(check_pair(10, 2, 2, 10).json_dict())

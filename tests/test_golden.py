@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import golden
-from dense_certificates import densified_text
+from dense_certificates import dense_center_text, densified_text
 from object_entries import object_entry_text
 from pseudoht.algebra import algebra_from_json, algebra_json
 
@@ -112,3 +112,24 @@ def test_object_entries_give_the_old_output(command):
         assert (old.tensor, old.module_signs, old.center_sig) == \
             (parsed.tensor, parsed.module_signs, parsed.center_sig)
         assert algebra_json(old) + "\n" == text
+
+
+# the sha256 golden.json held for each output that carries a morphism, taken
+# while certificates wrote C as dense rows: the output, its C made rows
+# again, is those bytes, so only C's form changed
+DENSE_CENTER_OUTPUTS = json.loads(
+    (Path(__file__).resolve().parent / "golden_dense_center.json").read_text())
+
+
+def test_every_morphism_output_has_a_dense_center_pin():
+    # check is the one command that writes an ISO certificate
+    assert list(DENSE_CENTER_OUTPUTS) == [
+        " ".join(e["argv"]) for e in MANIFEST if e["argv"][0] == "check"
+        and '"morphism"' in golden.output(e["argv"])[1]]
+
+
+@pytest.mark.parametrize("command", DENSE_CENTER_OUTPUTS)
+def test_a_dense_center_gives_the_old_output(command):
+    _code, text = golden.output(shlex.split(command))
+    assert dense_center_text(text) != text
+    assert _sha256(dense_center_text(text)) == DENSE_CENTER_OUTPUTS[command]

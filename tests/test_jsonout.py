@@ -11,6 +11,8 @@ from pseudoht import jsonout
 from pseudoht.jsonout import dumps
 from pseudoht.obstruction import check_pair
 
+from dense_certificates import densify
+
 
 def oracle(obj) -> str:
     return json.dumps(obj, indent=2)
@@ -143,10 +145,12 @@ def test_near_uniform_rows_take_the_general_path(rows, data):
 
 
 def test_dense_certificate_rows_take_the_row_path():
-    # an ISO certificate writes its center block C as dense rows
+    # an older ISO certificate holds its blocks A and C as dense rows
     cert = check_pair(9, 8, 8, 9).json_dict()
-    c = cert["morphism"]["C"]
-    assert jsonout._int_rows(c, 0) is not None
+    dense = densify(cert)
+    for key in ("A", "C"):
+        assert jsonout._int_rows(dense["morphism"][key], 0) is not None
+    assert dumps(dense) == oracle(dense)
     assert dumps(cert) == oracle(cert)
 
 

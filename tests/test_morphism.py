@@ -30,7 +30,7 @@ from pseudoht.morphism import (
 )
 from pseudoht.obstruction import check_pair
 
-from dense_certificates import densify
+from dense_certificates import dense_center, densify
 from matrix_ops import column, mul, transpose
 
 
@@ -223,14 +223,16 @@ def test_morphism_json_shape():
     d = morphism_to_dict(canonical_isomorphism(2, 0))
     assert list(d) == ["src", "dst", "A", "C", "class"]
     assert d["class"] == {"center_action": "ANTI_ISOMETRY", "integral": True}
-    # a signed-permutation A is its image and signs; C stays dense rows
+    # both blocks are signed permutations, each written as image and signs
     assert list(d["A"]) == ["image", "sign"]
     assert sorted(d["A"]["image"]) == [1, 2, 3, 4]
     assert {type(e) for e in d["A"]["sign"]} == {int}
-    assert len(d["C"]) == 2 and all(len(row) == 2 for row in d["C"])
-    # a dense A is held, and written, as its signed permutation
+    assert d["C"] == {"image": [1, 2], "sign": [1, 1]}
+    # a dense A is held, and written, as its signed permutation, and a C
+    # made from rows is written as the signs it is recognized as
     f = canonical_isomorphism(2, 0)
-    dense = LieMorphism(f.src, f.dst, f.A.matrix(), f.C)
+    dense = LieMorphism(f.src, f.dst, f.A.matrix(),
+                        ExactMatrix.from_rows(f.C.entries))
     assert dense.A == f.A and morphism_to_dict(dense) == d
 
 
@@ -257,14 +259,18 @@ def test_block_shape_validation():
 # _step_map shows here
 ISO_FAMILY_DIGEST = \
     "2a212d6a2e10612427c9cb051f71d77eef2eff14ea1fdb2fb11342f74560c697"
-# the same certificates as written, with A as {"image", "sign"}
+# the same certificates with A as {"image", "sign"} and C as dense rows
 ISO_FAMILY_COMPACT_DIGEST = \
     "310ed4e45b37e280097c3431640408dd192f0751522cab9271f087d9f050b40f"
+# the same certificates as written, with A and C as {"image", "sign"}
+ISO_FAMILY_SIGNED_DIGEST = \
+    "117793ed9f9eb5fd0970943895698ae82e5864b069e99d7bf1b6e5e91a1eb47e"
 
 
 def test_canonical_iso_certificates_are_pinned():
     digest = hashlib.sha256()
     compact = hashlib.sha256()
+    signed = hashlib.sha256()
     pairs = 0
     for r in range(17):
         for s in range(17):
@@ -280,11 +286,13 @@ def test_canonical_iso_certificates_are_pinned():
             pairs += 1
             for anti in ((False, True) if r == s else (False,)):
                 cert = check_pair(r, s, s, r, anti_only=anti).json_dict()
-                compact.update(jsonout.dumps(cert).encode())
+                signed.update(jsonout.dumps(cert).encode())
+                compact.update(jsonout.dumps(dense_center(cert)).encode())
                 digest.update(jsonout.dumps(densify(cert)).encode())
     assert pairs == 38
     assert digest.hexdigest() == ISO_FAMILY_DIGEST
     assert compact.hexdigest() == ISO_FAMILY_COMPACT_DIGEST
+    assert signed.hexdigest() == ISO_FAMILY_SIGNED_DIGEST
 
 
 @pytest.mark.parametrize("r", [0, 3])

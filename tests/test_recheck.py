@@ -18,7 +18,7 @@ from pseudoht.recheck import rebuild_from_provenance, recheck_certificate
 from pseudoht.morphism import morphism_to_dict
 from pseudoht.sums import build_sum, sum_sbg, swap_isomorphism
 
-from dense_certificates import densify
+from dense_certificates import dense_center, densify
 
 
 def test_rebuild_base_and_extended_and_sum():
@@ -44,7 +44,10 @@ def test_recheck_iso_certificate():
     # the dense rows of older and foreign certificates are still read
     dense = densify(cert)
     assert isinstance(dense["morphism"]["A"], list)
+    assert isinstance(dense["morphism"]["C"], list)
     assert recheck_certificate(dense).ok
+    # and so is the C of certificates that wrote only A as signs
+    assert recheck_certificate(dense_center(cert)).ok
     # a corrupted sign or matrix entry must be caught
     cert["morphism"]["A"]["sign"][0] *= -1
     assert not recheck_certificate(cert).ok
@@ -569,13 +572,19 @@ def test_recheck_refuses_malformed_iso_fields(name):
     assert verdict.ok is False
 
 
+def _set_in(block, key, index, value):
+    return _iso_mutation(lambda m: m[block][key].__setitem__(index, value))
+
+
 def _set_a(key, index, value):
-    return _iso_mutation(lambda m: m["A"][key].__setitem__(index, value))
+    return _set_in("A", key, index, value)
 
 
-def _swap_images(m):
-    image = m["A"]["image"]
-    image[0], image[1] = image[1], image[0]
+def _swap_images(block):
+    def swap(m):
+        image = m[block]["image"]
+        image[0], image[1] = image[1], image[0]
+    return swap
 
 
 # A as {"image", "sign"}; (1,8) has module dimension 32
@@ -604,12 +613,59 @@ COMPACT_A_MUTATIONS = {
     "sign a boolean": _set_a("sign", 0, True),
     "sign a float": _set_a("sign", 0, 1.0),
     "sign a string": _set_a("sign", 0, "-1"),
-    "image entries swapped": _iso_mutation(_swap_images),
     "module dimensions differ": _iso_mutation(lambda m: m["src"].update(
         r=4, s=0, provenance={"kind": "base", "id": [4, 0]})),
 }
+
+
+def _set_c(key, index, value):
+    return _set_in("C", key, index, value)
+
+
+def _swap_blocks(m):
+    m["A"], m["C"] = m["C"], m["A"]
+
+
+# C as {"image", "sign"}; (1,8) has center dimension 9
+COMPACT_C_MUTATIONS = {
+    "C null": _set("C", None),
+    "C a number": _set("C", 1),
+    "C a string": _set("C", "1"),
+    "C an empty object": _set("C", {}),
+    "C image missing": _iso_mutation(lambda m: m["C"].pop("image")),
+    "C sign missing": _iso_mutation(lambda m: m["C"].pop("sign")),
+    "C image not a list": _iso_mutation(lambda m: m["C"].update(image=3)),
+    "C image short": _iso_mutation(lambda m: m["C"]["image"].pop()),
+    "C image long": _iso_mutation(lambda m: m["C"]["image"].append(10)),
+    "C sign short": _iso_mutation(lambda m: m["C"]["sign"].pop()),
+    "C sign long": _iso_mutation(lambda m: m["C"]["sign"].append(1)),
+    "C image a zero": _set_c("image", 0, 0),
+    "C image negative": _set_c("image", 0, -1),
+    "C image out of range": _set_c("image", 0, 10),
+    "C image repeated": _iso_mutation(
+        lambda m: m["C"]["image"].__setitem__(0, m["C"]["image"][1])),
+    "C image a boolean": _set_c("image", 0, True),
+    "C image a float": _set_c("image", 0, 1.0),
+    "C sign a zero": _set_c("sign", 0, 0),
+    "C sign a two": _set_c("sign", 0, 2),
+    "C sign a boolean": _set_c("sign", 0, True),
+    "C sign a float": _set_c("sign", 0, 1.0),
+    "C sign a string": _set_c("sign", 0, "1"),
+    "A and C swapped": _iso_mutation(_swap_blocks),
+}
+# a signed permutation of the right size, but the wrong map
+WRONG_MAPS = {
+    "image entries swapped": _iso_mutation(_swap_images("A")),
+    "C image entries swapped": _iso_mutation(_swap_images("C")),
+    "C sign flipped": _iso_mutation(
+        lambda m: m["C"]["sign"].__setitem__(0, -m["C"]["sign"][0])),
+}
+# ISO_MUTATIONS that edit C's rows: run on C as dense rows, the form of
+# certificates written before C was written as signs
+ROW_C_MUTATIONS = {name: edit for name, edit in ISO_MUTATIONS.items()
+                   if name.startswith("C ")}
 # and every mutation of ISO_MUTATIONS that leaves A alone
-COMPACT_MUTATIONS = {**COMPACT_A_MUTATIONS,
+COMPACT_MUTATIONS = {**COMPACT_A_MUTATIONS, **COMPACT_C_MUTATIONS, **WRONG_MAPS,
                      **{name: edit for name, edit in ISO_MUTATIONS.items()
                         if not name.startswith("A ")}}
 
@@ -617,15 +673,30 @@ COMPACT_MUTATIONS = {**COMPACT_A_MUTATIONS,
 @pytest.mark.parametrize("name", sorted(COMPACT_MUTATIONS))
 def test_recheck_refuses_malformed_compact_iso_fields(name):
     cert = check_pair(1, 8, 8, 1).json_dict()
-    a = cert["morphism"]["A"]
+    a, c = cert["morphism"]["A"], cert["morphism"]["C"]
     assert list(a) == ["image", "sign"] and len(a["image"]) == 32
+    assert list(c) == ["image", "sign"] and len(c["image"]) == 9
+    if name in ROW_C_MUTATIONS:
+        cert = dense_center(cert)
     assert recheck_certificate(cert).ok
     verdict = recheck_certificate(COMPACT_MUTATIONS[name](cert))
     assert verdict.ok is False
-    if name == "image entries swapped":   # a permutation, but the wrong map
+    if name in WRONG_MAPS:
         assert verdict.detail == "embedded map is not a homomorphism"
-    elif name in COMPACT_A_MUTATIONS:
+    elif name in COMPACT_A_MUTATIONS or name in COMPACT_C_MUTATIONS:
         assert "malformed" in verdict.detail
+
+
+def test_recheck_refuses_a_signed_center_between_unequal_centers():
+    # n_(4,0) and n_(3,3) share module dimension 8; their centers are 4
+    # and 6, so no signed permutation maps the one onto the other
+    cert = check_pair(4, 0, 0, 4).json_dict()
+    assert recheck_certificate(cert).ok
+    cert["morphism"]["dst"].update(
+        r=3, s=3, provenance={"kind": "base", "id": [3, 3]})
+    verdict = recheck_certificate(cert)
+    assert verdict.ok is False
+    assert "signed-permutation C needs equal dimensions" in verdict.detail
 
 
 def test_an_absent_class_is_not_stated():
