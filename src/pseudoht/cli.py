@@ -16,7 +16,7 @@ from typing import NoReturn, Optional, Sequence
 
 from . import acceptance
 from .algebra import algebra_json
-from .catalog import base_algebra, render_table
+from .catalog import base_algebra, render_table, scope
 from .extension import ExtensionStep, extension_chain, standard_algebra
 from .jsonout import dumps
 from .obstruction import check_pair, sbg_decision
@@ -57,14 +57,17 @@ def _cmd_build(args) -> int:
     if args.sum is not None and args.extend:
         print("--sum cannot be combined with --extend", file=sys.stderr)
         return EXIT_ERROR
-    if args.sum is not None:
-        algebra = build_sum(base_algebra(args.r, args.s), *args.sum)
-    elif args.extend:
-        steps = [ExtensionStep.parse(s) for s in args.extend]
-        algebra = extension_chain((args.r, args.s), steps)
-    else:
-        algebra = standard_algebra(args.r, args.s)
-    _emit(algebra_json(algebra) + "\n", args.out)
+    # a fresh cache, since build derives nothing a later request reads:
+    # what it made goes with the scope once the JSON is written
+    with scope():
+        if args.sum is not None:
+            algebra = build_sum(base_algebra(args.r, args.s), *args.sum)
+        elif args.extend:
+            steps = [ExtensionStep.parse(s) for s in args.extend]
+            algebra = extension_chain((args.r, args.s), steps)
+        else:
+            algebra = standard_algebra(args.r, args.s)
+        _emit(algebra_json(algebra) + "\n", args.out)
     return EXIT_OK
 
 
