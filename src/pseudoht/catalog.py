@@ -446,28 +446,19 @@ def aligned_factor_0_8() -> PseudoHTypeAlgebra:
 CatalogKey = tuple[BaseTableId, tuple[str, ...]]
 
 # Total module dimension the per-process algebra cache holds.  An algebra
-# above an eighth of it is kept outside that total, in a side LRU of the
-# LARGE_KEPT most recently used, so that one large request cannot flush
-# the small algebras that the requests around it share, yet a large
-# question asked again keeps its tables, verdicts and canonical maps.  The
-# algebras verify-paper's axiom suite checks add up to 6,000 (the 14
-# bases, 112; their 42 single steps, 5,376; n_(9,8), 512) and the ten
-# direct sums of criteria 6 and 7 to 100 more, so 8,192 keeps all of them
-# with their tables and axiom verdicts, and its cap of 1,024 admits the
-# dim-512 algebras of the ISO questions n_(9,8) <-> n_(8,9).
+# above an eighth of it is built but never kept, so that one large request
+# cannot flush the small algebras that the requests around it share.  The
+# algebras verify-paper's axiom suite checks add up to 6,000 (the 14 bases,
+# 112; their 42 single steps, 5,376; n_(9,8), 512) and the ten direct sums
+# of criteria 6 and 7 to 100 more, so 8,192 keeps all of them with their
+# tables and axiom verdicts, and its cap of 1,024 admits the dim-512
+# algebras of the ISO questions n_(9,8) <-> n_(8,9).
 ALGEBRA_CACHE_DIM = 8192
-
-# Algebras above the cap kept at once: a question and its recheck read one
-# source and one destination.
-LARGE_KEPT = 2
 
 
 class AlgebraCache:
-    """Catalog-rooted algebras by catalog key, in two LRUs: those up to the
-    cap, with the least recently used evicted first once their module
-    dimensions add up past the budget, and the LARGE_KEPT most recently
-    used above the cap, outside that total.  An algebra above the budget
-    is built but never kept, so a budget of 0 keeps nothing.
+    """Catalog-rooted algebras by catalog key, with the least recently used
+    evicted first once their module dimensions add up past the budget.
 
     A key names how an algebra was built, never what it records: provenance
     records compare through every parent algebra, and the aligned (0,8)
@@ -481,13 +472,11 @@ class AlgebraCache:
     def __init__(self, budget: int = ALGEBRA_CACHE_DIM):
         self.budget = budget
         self.cap = budget // 8
-        self.total = 0          # module dimensions of _algebras alone
+        self.total = 0
         self._algebras: OrderedDict[CatalogKey, PseudoHTypeAlgebra] = \
             OrderedDict()
-        self._large: OrderedDict[CatalogKey, PseudoHTypeAlgebra] = \
-            OrderedDict()
-        # id() of each stored algebra, in either LRU; a stored algebra is
-        # alive, so no other object can have its id
+        # id() of each stored algebra; a stored algebra is alive, so no
+        # other object can have its id
         self._keys: dict[int, CatalogKey] = {}
         self._lock = threading.Lock()
 
@@ -525,37 +514,28 @@ class AlgebraCache:
         return build() if key is None else self._store(key, build())
 
     def _hit(self, key: CatalogKey) -> Optional[PseudoHTypeAlgebra]:
-        """The algebra stored under key, made the most recently used of its
-        LRU, or None; the caller holds the lock."""
-        for kept in (self._algebras, self._large):
-            a = kept.get(key)
-            if a is not None:
-                kept.move_to_end(key)
-                return a
-        return None
+        """The algebra stored under key, made the most recently used, or
+        None; the caller holds the lock."""
+        a = self._algebras.get(key)
+        if a is not None:
+            self._algebras.move_to_end(key)
+        return a
 
     def _store(self, key: CatalogKey,
                a: PseudoHTypeAlgebra) -> PseudoHTypeAlgebra:
-        """a stored under key unless it is above the budget or another
-        thread stored an algebra there first, then the stored one (or a).
-        One up to the cap counts against the budget, and one above it
-        against LARGE_KEPT alone, so neither LRU evicts from the other."""
-        if a.dim_module > self.budget:
+        """a stored under key unless it is above the cap or another thread
+        stored an algebra there first, then the stored one (or a)."""
+        if a.dim_module > self.cap:
             return a
-        large = a.dim_module > self.cap
         with self._lock:
-            kept = (self._large if large else self._algebras).setdefault(key, a)
+            kept = self._algebras.setdefault(key, a)
             if kept is a:
                 self._keys[id(a)] = key
-                if not large:
-                    self.total += a.dim_module
+                self.total += a.dim_module
                 while self.total > self.budget:
                     _key, old = self._algebras.popitem(last=False)
                     del self._keys[id(old)]
                     self.total -= old.dim_module
-                while len(self._large) > LARGE_KEPT:
-                    _key, old = self._large.popitem(last=False)
-                    del self._keys[id(old)]
         return kept
 
 

@@ -218,12 +218,10 @@ def _kept_map(src: PseudoHTypeAlgebra, build) -> CanonicalMap:
     the cache shares src.
 
     Each algebra is the source of at most one forward map, so a shared
-    source keeps its map for as long as the cache keeps it, in either of
-    its LRUs, and the map keeps its destination alive with it; the two
-    form a reference cycle, which the garbage collector frees once the
-    cache has evicted the source.  A source the cache does not share
-    (above its budget, evicted, or private) gets a new map on every call,
-    and nothing ties the two into a reference cycle.
+    source keeps its map for as long as the cache keeps it, and the map
+    keeps its destination alive with it.  A source the cache does not
+    share (above its cap, or private) gets a new map on every call, and
+    nothing ties the two into a reference cycle.
     """
     if catalog_key(src) is None:
         return build(src)

@@ -20,7 +20,8 @@ reads):
   does.  ``wall_ms`` is the child's whole life, interpreter start and
   imports included, timed by the parent; ``op_ms`` is the call alone.
 * ``warm``: the child runs it twice, and ``op_ms`` is the second call,
-  which reads what the first one kept in the process.
+  which reads what the first one left in the process cache: the shared
+  parents, since the dim-8192 algebras themselves are above its cap.
 
 ``peak_rss_mb`` is the child's peak resident set (``ru_maxrss``).  The
 ``build_halves`` section splits ``build 13 12`` in a fresh interpreter
@@ -86,12 +87,13 @@ for _ in range(calls):
     run()
     times.append(time.perf_counter() - t0)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"op_s": times, "maxrss": rss}))
+print(json.dumps({"op_s": times, "maxrss": rss,
+                  "file": sys.modules["pseudoht"].__file__}))
 """
 
 # the two halves of build 13 12, each timed on its own
 HALVES = """\
-import json, time
+import json, sys, time
 from pseudoht.algebra import algebra_json
 from pseudoht.catalog import scope
 from pseudoht.extension import standard_algebra
@@ -105,7 +107,8 @@ with scope():
     text = algebra_json(a)
     t3 = time.perf_counter()
 print(json.dumps({"algebra_s": t1 - t0, "entries_s": t2 - t1,
-                  "json_s": t3 - t2, "bytes": len(text) + 1}))
+                  "json_s": t3 - t2, "bytes": len(text) + 1,
+                  "file": sys.modules["pseudoht"].__file__}))
 """
 
 
@@ -116,7 +119,8 @@ def _mb(maxrss: int) -> float:
 
 def _child(src: Path, prefix: Path, code: str, *args: str
            ) -> tuple[dict, float]:
-    """(the child's report, its wall time in s)."""
+    """(the child's report, its wall time in s); exits unless the child
+    imported pseudoht from src."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.pop("PYTHONPYCACHEPREFIX", None)
@@ -128,7 +132,10 @@ def _child(src: Path, prefix: Path, code: str, *args: str
     wall = time.perf_counter() - t0
     if proc.returncode != 0:
         sys.exit(f"child {args[:2]} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout), wall
+    report = json.loads(proc.stdout)
+    if not Path(report["file"]).is_relative_to(src):
+        sys.exit(f"the child imported {report['file']}, not the tree in {src}")
+    return report, wall
 
 
 def _ms(values) -> float:

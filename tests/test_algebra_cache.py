@@ -10,10 +10,8 @@ stay inside its module-dimension budget, also under threads.
 """
 
 import contextvars
-import gc
 import itertools
 import json
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -44,7 +42,6 @@ from pseudoht.extension import (
     standard_chain,
 )
 from pseudoht.jsonout import dumps
-from pseudoht.morphism import canonical_map
 from pseudoht.obstruction import check_pair
 from pseudoht.recheck import recheck_certificate
 from pseudoht.sums import build_sum, sum_sbg, swap_isomorphism
@@ -60,13 +57,10 @@ def _private_chain(base, steps):
 
 def _check_bounds(cache: AlgebraCache) -> None:
     stored = list(cache._algebras.items())
-    large = list(cache._large.items())
     assert cache.total == sum(a.dim_module for _key, a in stored)
     assert cache.total <= cache.budget
     assert all(a.dim_module <= cache.cap for _key, a in stored)
-    assert len(large) <= catalog.LARGE_KEPT
-    assert all(cache.cap < a.dim_module <= cache.budget for _key, a in large)
-    assert cache._keys == {id(a): key for key, a in stored + large}
+    assert cache._keys == {id(a): key for key, a in stored}
 
 
 def test_shared_algebras_are_one_object_per_catalog_key(cache):
@@ -74,16 +68,13 @@ def test_shared_algebras_are_one_object_per_catalog_key(cache):
     assert standard_algebra(9, 1) is extension_chain(
         (1, 1), [ExtensionStep.BY_8_0])
     assert catalog_key(standard_algebra(9, 1)) == ((1, 1), ("8,0",))
-    # n_(9,8), dim 512, is shared; so is n_(20,0), dim 2048, above the cap
-    # but within the budget, which the side LRU keeps, with its parent
+    # n_(9,8), dim 512, is shared; above the cap (dim 2048) an algebra is
+    # built anew each time, but its parent is shared
     assert standard_algebra(9, 8) is standard_algebra(9, 8)
     big = standard_algebra(20, 0)
-    assert cache.cap < big.dim_module <= cache.budget
-    assert big is standard_algebra(20, 0)
-    assert catalog_key(big) == ((4, 0), ("8,0", "8,0"))
-    assert list(cache._large.values()) == [big]
-    assert big.provenance.parent is standard_algebra(12, 0)
-    assert catalog_key(big.provenance.parent) == ((4, 0), ("8,0",))
+    assert big.dim_module > cache.cap
+    assert big is not standard_algebra(20, 0) and catalog_key(big) is None
+    assert big.provenance.parent is standard_algebra(20, 0).provenance.parent
 
 
 def test_a_scope_keeps_its_algebras_and_verdicts_to_itself(monkeypatch):
@@ -196,25 +187,18 @@ def test_no_sum_key_is_an_extension_chain_key(cache):
 
 
 def test_the_cache_stays_within_its_bounds_with_sums_stored():
-    # a cap of 32 sends the largest sums to the side LRU, and the ones up
-    # to the cap add up to more than the budget of 128, so the cache
-    # evicts from both; a budget of 64 turns the sums above it away
-    for budget in (128, 64):
-        admitted = large = 0
-        with catalog.scope(budget=budget) as small:
-            small.cap = 32
-            for base in BASE_IDS:
-                for mu, nu in _sum_counts(base):
-                    a = build_sum(base_algebra(*base), mu, nu)
-                    assert (catalog_key(a) is None) == \
-                        (a.dim_module > small.budget)
-                    if a.dim_module <= small.cap:
-                        admitted += a.dim_module
-                    elif a.dim_module <= small.budget:
-                        large += 1
-                        assert list(small._large.values())[-1] is a
-                    _check_bounds(small)
-        assert admitted > small.budget and large > catalog.LARGE_KEPT
+    # a cap of 32 turns the largest sums away, and the admitted ones add
+    # up to more than the budget of 128, so the cache evicts
+    admitted = 0
+    with catalog.scope(budget=128) as small:
+        small.cap = 32
+        for base in BASE_IDS:
+            for mu, nu in _sum_counts(base):
+                a = build_sum(base_algebra(*base), mu, nu)
+                assert (catalog_key(a) is None) == (a.dim_module > small.cap)
+                admitted += a.dim_module if a.dim_module <= small.cap else 0
+                _check_bounds(small)
+    assert admitted > small.budget
 
 
 @pytest.mark.parametrize("base, mu, nu", [
@@ -292,76 +276,6 @@ def test_the_cache_stays_within_its_budget_and_cap(cache):
     assert built > cache.budget         # so something was evicted
 
 
-# --- the side LRU of algebras above the cap ----------------------------------
-# A budget of 128 has a cap of 16: the catalog bases and the factors are
-# small, and every dim-32 step is large.
-
-def test_a_large_request_never_evicts_a_small_algebra():
-    with catalog.scope(128) as cache:
-        small = [base_algebra(*base) for base in BASE_IDS]
-        small.append(aligned_factor_0_8())
-        assert cache.total == 112 + 16 == cache.budget
-        for sig in ((9, 0), (1, 8), (8, 1), (0, 9), (4, 5), (5, 4)):
-            assert standard_algebra(*sig).dim_module > cache.cap
-            _check_bounds(cache)
-        assert cache.total == cache.budget and len(cache._large) == 2
-        assert all(a is base_algebra(*base) for a, base in zip(small, BASE_IDS))
-        assert aligned_factor_0_8() is small[-1]
-
-
-def test_the_side_lru_keeps_the_two_latest_large_algebras():
-    assert catalog.LARGE_KEPT == 2
-    with catalog.scope(128) as cache:
-        a, b, c = (standard_algebra(*sig) for sig in ((9, 0), (1, 8), (8, 1)))
-        assert catalog_key(a) is None
-        assert standard_algebra(1, 8) is b      # b is the most recent now
-        d = standard_algebra(0, 9)              # so c goes, not b
-        assert catalog_key(c) is None and catalog_key(b) == ((1, 0), ("0,8",))
-        assert list(map(id, cache._large.values())) == [id(b), id(d)]
-        again = standard_algebra(9, 0)
-        assert again is not a and again == a
-        _check_bounds(cache)
-
-
-def test_an_evicted_large_algebra_is_freed():
-    with catalog.scope(128):
-        # the map kept on its source ties the two into a cycle
-        cmap = canonical_map(1, 8)
-        assert vars(cmap.src)["_canonical_map"] is cmap
-        src, dst = weakref.ref(cmap.src), weakref.ref(cmap.dst)
-        del cmap
-        canonical_map(9, 0)                     # evicts both
-        gc.collect()
-        assert src() is None and dst() is None
-
-
-@pytest.mark.parametrize("argv", [
-    ["build", "20", "0"], ["build", "2", "3", "--sum", "2", "1"],
-    ["extend", "3", "3", "0,8", "4,4"]])
-def test_build_and_extend_keep_nothing_in_the_process_cache(tmp_path, argv):
-    process = catalog._CACHE.get()
-    before = dict(process._keys), process.total
-    assert cli.main(argv + ["--out", str(tmp_path / "a.json")]) == 0
-    assert (dict(process._keys), process.total) == before
-
-
-def test_large_answers_agree_warm_and_in_a_fresh_scope(cache):
-    # the fixture's scope is fresh for the first call of each request; the
-    # second reads the side LRU's algebras with their tables, verdicts and
-    # kept map
-    text, verdict = _certify_and_recheck(13, 12, False)
-    assert verdict.ok and json.loads(text)["kind"] == "ISO"
-    assert all("_axioms" in vars(a) for a in cache._large.values())
-    assert _certify_and_recheck(13, 12, False) == (text, verdict)
-    with catalog.scope():
-        anti = dumps(check_pair(12, 13, 13, 12, anti_only=True).json_dict())
-    for _round in range(2):
-        assert dumps(check_pair(12, 13, 13, 12,
-                                anti_only=True).json_dict()) == anti
-    assert json.loads(anti)["kind"] == "ISO"
-    _check_bounds(cache)
-
-
 # the ISO requests of the benchmark's iso-roundtrip round, (r, s, anti)
 ISO_REQUESTS = [(r, s, False) for r, s in (
     (1, 8), (8, 1), (9, 1), (10, 0), (10, 2), (8, 4), (12, 4), (16, 0),
@@ -386,6 +300,36 @@ def test_iso_certificates_do_not_depend_on_the_cache():
         assert verdict.ok and json.loads(text)["kind"] == "ISO"
 
 
+def _anti(r, s):
+    return dumps(check_pair(r, s, s, r, anti_only=True).json_dict())
+
+
+def test_answers_at_the_top_of_the_budget_do_not_depend_on_the_cache(cache):
+    # n_(13,12) and n_(12,13) are dim 8192, above the cap, so only their
+    # parents are shared: the fixture's scope holds them once the first
+    # two questions have been asked
+    with catalog.scope():
+        cold = _certify_and_recheck(13, 12, False)
+        anti = _anti(12, 13)
+    assert dumps(check_pair(13, 12, 12, 13).json_dict()) == cold[0]
+    assert _anti(12, 13) == anti
+    assert _certify_and_recheck(13, 12, False) == cold
+    assert _anti(12, 13) == anti
+    assert cold[1].ok and json.loads(cold[0])["kind"] == "ISO"
+    assert json.loads(anti)["kind"] == "ISO"
+    _check_bounds(cache)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "20", "0"], ["build", "2", "3", "--sum", "2", "1"],
+    ["extend", "3", "3", "0,8", "4,4"]])
+def test_build_and_extend_keep_nothing_in_the_process_cache(tmp_path, argv):
+    process = catalog._CACHE.get()
+    before = dict(process._keys), process.total
+    assert cli.main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    assert (dict(process._keys), process.total) == before
+
+
 def test_a_forged_certificate_is_refused_when_warm(cache):
     for _round in range(2):
         text, verdict = _certify_and_recheck(9, 1, False)
@@ -401,10 +345,8 @@ def test_a_forged_certificate_is_refused_when_warm(cache):
 
 def test_threads_share_a_tiny_cache_and_get_equal_algebras():
     # a cap of 16 admits every base, and the fourteen bases alone add up
-    # to 112 > 48, so the threads evict; the dim-32 steps go to the side
-    # LRU, and the dim-64 and dim-128 ones are never kept; a worker starts
-    # in the process cache, so each task runs in a copy of the scope's
-    # context
+    # to 112 > 48, so the threads evict; a worker starts in the process
+    # cache, so each task runs in a copy of the scope's context
     signatures = [*BASE_IDS, (9, 0), (1, 8), (8, 1), (9, 1), (4, 5), (3, 10)]
     want = {sig: algebra_json(_private_chain(*standard_chain(*sig)))
             for sig in signatures}
@@ -413,10 +355,9 @@ def test_threads_share_a_tiny_cache_and_get_equal_algebras():
         out = []
         for sig in signatures[shift:] + signatures[:shift]:
             a = standard_algebra(*sig)
-            # an algebra above the tiny budget is never kept; one between
-            # the cap and the budget may have left the side LRU already
+            # an algebra above the tiny cap is never kept
             out.append((sig, algebra_json(a), verify_axioms(a).ok,
-                        a.dim_module <= 48 or catalog_key(a) is None))
+                        a.dim_module <= 16 or catalog_key(a) is None))
         return out
 
     with catalog.scope(budget=48) as tiny, \

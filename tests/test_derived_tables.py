@@ -855,21 +855,13 @@ def test_a_copied_or_unshared_map_is_related_afresh(cache, monkeypatch):
         for n in (2, 3):
             assert check_pair(9, 8, 8, 9).json_dict() == want
             assert len(related) == n
-    # a budget of 256 leaves the dim-512 source unshared: a new map every
-    # call
-    with catalog.scope(budget=256):
+    # a cap of 128 leaves the dim-512 source unshared: a new map every call
+    with catalog.scope(budget=1024):
         assert canonical_map(9, 8) is not canonical_map(9, 8)
         for n in (4, 5):
             assert check_pair(9, 8, 8, 9).json_dict() == want
             assert len(related) == n
-    # a budget of 1024 keeps it above its cap of 128, in the side LRU: one
-    # map, related once
-    with catalog.scope(budget=1024):
-        assert canonical_map(9, 8) is canonical_map(9, 8)
-        for _ in range(2):
-            assert check_pair(9, 8, 8, 9).json_dict() == want
-            assert len(related) == 6
-    assert check_pair(9, 8, 8, 9).json_dict() == want and len(related) == 6
+    assert check_pair(9, 8, 8, 9).json_dict() == want and len(related) == 5
 
 
 def test_a_certificate_is_never_shared_state(cache):

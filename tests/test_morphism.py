@@ -344,24 +344,8 @@ def test_a_shared_source_keeps_one_canonical_map(cache):
 
 
 def test_a_source_above_the_cap_gets_a_new_map():
-    # cap 16: n_(1,0), n_(0,1) and the factors stay in the small LRU, and
-    # the side LRU keeps the two latest dim-32 steps; a source it has
-    # evicted gets a new, equal map
-    with catalog.scope(128) as cache:
-        one = canonical_map(1, 8)
-        assert canonical_map(1, 8) is one
-        assert vars(one.src)["_canonical_map"] is one
-        # the second call made the source the most recently used
-        assert list(map(id, cache._large.values())) == [id(one.dst),
-                                                        id(one.src)]
-        canonical_map(9, 0)
-        assert catalog.catalog_key(one.src) is None
-        again = canonical_map(1, 8)
-        assert again is not one and again == one
-        assert again.src is not one.src
-        assert canonical_map(1, 0) is canonical_map(1, 0)
-    # a budget of 16 keeps no dim-32 step: a new map on every call
-    with catalog.scope(16):
+    # cap 8: n_(1,0) and n_(0,1) stay shared, their dim-32 steps do not
+    with catalog.scope(64):
         one, again = canonical_map(1, 8), canonical_map(1, 8)
         assert one is not again and one == again
         assert one.src is not again.src
