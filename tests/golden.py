@@ -1,18 +1,23 @@
 """Golden CLI outputs: the exit code and the sha256 of stdout of each
 command in commands(), kept in tests/golden.json, one command a line.
 
-The commands are every `check r s s r` with r + s <= 14, plain and
---anti; every line of the README's CLI block; `verify-paper --seed 0
---verbose`, whose report names each criterion's failures; `build` of
-every extension chain of at most two steps up to module dimension 1024;
-and `table r s --format csv` of every catalog id.
-verify-paper output is compared with its timings masked.
+The commands are every `check r s s r` with r + s <= 16, plain and
+--anti, the degenerate (0,0) included; every line of the README's CLI
+block; `verify-paper --seed 0 --verbose`, whose report names each
+criterion's failures; `build` of every extension chain of at most two
+steps up to module dimension 1024; the sums, the two-step (8,0) chain,
+the SBG answers and the (0,0) refusals in EXTRA; and `table r s --format
+csv` of every catalog id.  verify-paper output is compared with its
+timings masked.  This manifest is the one place CLI output bytes are
+pinned: a test file holds no digest of an output.
 
     PYTHONPATH=src python tests/golden.py            # list what differs
     PYTHONPATH=src python tests/golden.py --regen    # rewrite golden.json
 
 A change that alters an output on purpose regenerates the manifest and
-names every changed line in CHANGES.md.
+names every changed line in CHANGES.md.  A change of written form also
+shows there that the parent's digests hold on the new output rewritten to
+the old form; it commits no shadow file of old digests.
 """
 
 import contextlib
@@ -32,6 +37,11 @@ from pseudoht.extension import ExtensionStep
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
 MAX_BUILD_DIM = 1024
+# outputs no rule reaches: sums, a two-step chain past MAX_BUILD_DIM,
+# plain SBG_NO answers and the refused signature (0,0)
+EXTRA = [line.split() for line in (
+    "build 2 3 --sum 2 1", "build 0 1 --sum 0 3", "build 8 0 --extend 8,0 8,0",
+    "sbg 3 2", "sbg 11 2", "build 0 0", "sbg 0 0")]
 # a criterion's "(0.15s)" on stdout and its "elapsed_s" in the report
 TIMINGS = re.compile(r'\(\d+\.\d+s\)|"elapsed_s": [-+.\deE]+')
 
@@ -46,7 +56,7 @@ def readme_commands() -> list[list[str]]:
 
 def commands() -> list[list[str]]:
     swaps = [["check", str(r), str(s), str(s), str(r), *anti]
-             for r in range(15) for s in range(15 - r) if r + s
+             for r in range(17) for s in range(17 - r)
              for anti in ((), ("--anti",))]
     builds = [["build", str(r), str(s), *(["--extend", *(st.value for st in chain)]
                                           if chain else [])]
@@ -56,7 +66,8 @@ def commands() -> list[list[str]]:
     tables = [["table", str(r), str(s), "--format", "csv"]
               for (r, s) in BASE_IDS]
     every = [*swaps, *readme_commands(),
-             ["verify-paper", "--seed", "0", "--verbose"], *builds, *tables]
+             ["verify-paper", "--seed", "0", "--verbose"], *builds, *EXTRA,
+             *tables]
     # README lines such as `check 3 2 2 3` are swap questions too
     return [list(argv) for argv in dict.fromkeys(map(tuple, every))]
 

@@ -4,8 +4,8 @@ versions.
 algebra_json writes each structure entry as an [i, j, k, sign] row.  Older
 versions wrote the same entry as {"i", "j", "k", "sign"}, and
 algebra_from_dict still reads that form.  object_entries turns the one form
-into the other, so the sha256 pins of the old text still check the same
-outputs, and the reader of the old form stays covered.
+into the other, so the tests of that reader parse the old form of every
+algebra tests/golden.json pins and compare it with the row form.
 """
 
 import json

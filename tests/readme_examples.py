@@ -1,23 +1,28 @@
 """Run every command of the README's CLI block and check what it documents.
 
-Each line is run with the installed `pseudoht` script and must exit with
-the code its comment names (0 if none); where the comment names a size,
-"N KB", the file written must be N thousand bytes, rounded.  The written
-reports, algebras and certificates are then read back: verify-paper's
-report is seed-free, a built algebra parses, satisfies the axioms and
-writes back to the same text, and each certificate rechecks from its
-JSON alone.  Run it from the
-repository root, with `pseudoht` on PATH:
+Each line is run with the `pseudoht` script on PATH, or with `python -m
+pseudoht.cli` where there is none, and must exit with the code its
+comment names (0 if none); where the comment names a size, "N KB", the
+file written must be N thousand bytes, rounded.  The written reports,
+algebras and certificates are then read back: verify-paper's report is
+seed-free, a built algebra parses, satisfies the axioms and writes back
+to the same text, and each certificate rechecks from its JSON alone.  Run
+it from the repository root, with `src` as the package if none is
+installed:
 
     python3 tests/readme_examples.py
 
 The name has no `test_` prefix, so pytest does not collect it.
 """
 
-import json, re, subprocess, tempfile
+import json, os, re, shutil, subprocess, sys, tempfile
 from pathlib import Path
 
-import pseudoht
+try:
+    import pseudoht
+except ModuleNotFoundError:  # not installed: the checkout's own source
+    sys.path.insert(0, str(Path("src").resolve()))
+    import pseudoht
 import pseudoht.catalog
 from pseudoht.algebra import algebra_json
 from pseudoht.obstruction import adjoint_rank
@@ -25,13 +30,20 @@ from pseudoht.obstruction import adjoint_rank
 readme = Path("README.md").read_text()
 block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
 tmp = Path(tempfile.mkdtemp())
+# the lines run in tmp, so a relative PYTHONPATH would not reach the package
+script, env = ["pseudoht"], None
+if shutil.which("pseudoht") is None:
+    script = [sys.executable, "-m", "pseudoht.cli"]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(pseudoht.__file__).resolve().parent.parent)}
 for n, line in enumerate(block.splitlines()):
     command, _, note = line.partition("#")
     argv = command.split()
     want = re.search(r"exit (\d)", note)
     want = int(want.group(1)) if want else 0
     out = tmp / f"{n}.out"
-    code = subprocess.run([*argv, "--out", str(out)], cwd=tmp).returncode
+    code = subprocess.run([*script, *argv[1:], "--out", str(out)],
+                          cwd=tmp, env=env).returncode
     print(f"{' '.join(argv)}: exit {code}, documented {want}")
     assert code == want
     size = re.search(r"(\d+) KB", note)
@@ -48,8 +60,8 @@ for n, line in enumerate(block.splitlines()):
         assert red == [7], red
         # no criterion samples: another seed gives the same report
         again = tmp / f"{n}.seed7.out"
-        code = subprocess.run([*argv, "--seed", "7", "--out", str(again)],
-                              cwd=tmp).returncode
+        code = subprocess.run([*script, *argv[1:], "--seed", "7",
+                               "--out", str(again)], cwd=tmp, env=env).returncode
         assert code == want
         reports = [json.loads(path.read_text()) for path in (out, again)]
         for rep in reports:

@@ -21,10 +21,14 @@ reader, builds a `Fraction`: the matrix kernel is integral.  One driver in
 code there builds or edits one.  Each name a value is kept under by
 `derived_value` is written at one call site, so two kept values cannot
 share an attribute.  The Bott steps, `ExtensionStep`, and the one search
-that reduces a signature by them are `catalog`'s alone.
+that reduces a signature by them are `catalog`'s alone.  No test file
+holds a sha256 hex digest: `tests/golden.json` is the one place CLI output
+bytes are pinned, and the one digest left, `REDUCTION_TABLE_SHA256`, pins
+a library table.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -254,6 +258,23 @@ def test_no_test_swaps_the_algebra_cache():
             if assigned or patched:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_test_pins_an_output_digest():
+    # an output's bytes are pinned once, by its line in tests/golden.json;
+    # the one digest a test may hold pins the catalog's reduction table
+    found = []
+    for path in sorted(Path(__file__).resolve().parent.glob("test_*.py")):
+        tree = _parse(path)
+        names = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.targets[0], ast.Name)}
+        found += [f"{path.name}:{names.get(id(node), node.lineno)}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and re.search(r"[0-9a-fA-F]{64}", node.value)]
+    assert [f for f in found
+            if f != "test_catalog.py:REDUCTION_TABLE_SHA256"] == []
 
 
 def test_each_kept_value_has_a_name_of_its_own():

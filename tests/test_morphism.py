@@ -1,4 +1,3 @@
-import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import strategies as st
 
 import pseudoht.catalog as catalog
 import pseudoht.morphism as morphism
-from pseudoht import jsonout
 from pseudoht.algebra import (
     OpaqueProvenance,
     PseudoHTypeAlgebra,
@@ -28,9 +26,7 @@ from pseudoht.morphism import (
     verify_conjugation,
     verify_homomorphism,
 )
-from pseudoht.obstruction import check_pair
 
-from dense_certificates import dense_center, densify
 from matrix_ops import column, mul, transpose
 
 
@@ -252,47 +248,6 @@ def test_block_shape_validation():
     # a block holds ints: a rational entry is refused before any morphism
     with pytest.raises(ValueError, match="must be ints"):
         ExactMatrix.from_rows([[Fraction(1, 2)]])
-
-
-# sha256 over every canonical ISO certificate with module dim <= 256 and
-# r, s <= 16, with A as dense rows: a change to a published map or to
-# _step_map shows here
-ISO_FAMILY_DIGEST = \
-    "2a212d6a2e10612427c9cb051f71d77eef2eff14ea1fdb2fb11342f74560c697"
-# the same certificates with A as {"image", "sign"} and C as dense rows
-ISO_FAMILY_COMPACT_DIGEST = \
-    "310ed4e45b37e280097c3431640408dd192f0751522cab9271f087d9f050b40f"
-# the same certificates as written, with A and C as {"image", "sign"}
-ISO_FAMILY_SIGNED_DIGEST = \
-    "117793ed9f9eb5fd0970943895698ae82e5864b069e99d7bf1b6e5e91a1eb47e"
-
-
-def test_canonical_iso_certificates_are_pinned():
-    digest = hashlib.sha256()
-    compact = hashlib.sha256()
-    signed = hashlib.sha256()
-    pairs = 0
-    for r in range(17):
-        for s in range(17):
-            if (r, s) == (0, 0):
-                continue
-            try:
-                if min_module_dim(r, s) > 256:
-                    continue
-            except UnsupportedSignatureError:
-                continue
-            if canonical_map(r, s) is None:
-                continue
-            pairs += 1
-            for anti in ((False, True) if r == s else (False,)):
-                cert = check_pair(r, s, s, r, anti_only=anti).json_dict()
-                signed.update(jsonout.dumps(cert).encode())
-                compact.update(jsonout.dumps(dense_center(cert)).encode())
-                digest.update(jsonout.dumps(densify(cert)).encode())
-    assert pairs == 38
-    assert digest.hexdigest() == ISO_FAMILY_DIGEST
-    assert compact.hexdigest() == ISO_FAMILY_COMPACT_DIGEST
-    assert signed.hexdigest() == ISO_FAMILY_SIGNED_DIGEST
 
 
 @pytest.mark.parametrize("r", [0, 3])

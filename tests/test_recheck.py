@@ -285,8 +285,8 @@ def test_an_integer_witness_rechecks_without_fractions(monkeypatch):
 
 @pytest.mark.parametrize("rs", [(3, 2), (9, 8)])
 def test_the_dense_sbg_no_text_of_older_certificates_rechecks(rs):
-    # densified_text gives the bytes sbg 3 2 and sbg 9 8 wrote before their
-    # vectors were sparse (the sha256 pins of test_cli and test_golden)
+    # densify gives the certificates sbg 3 2 and sbg 9 8 wrote before their
+    # vectors were sparse
     cert = _sbg_no(rs, "dense")
     a = standard_algebra(*rs)
     assert (len(cert["z0"]), len(cert["witness_v"])) == (a.dim_center,
