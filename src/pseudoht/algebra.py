@@ -242,23 +242,17 @@ class SignedPermutationOp(Frozen):
     @staticmethod
     def from_matrix(m: ExactMatrix) -> Optional["SignedPermutationOp"]:
         """The op whose matrix() is m, or None if m is not a signed
-        permutation matrix: one +-1 in every row and every column.
-
-        Recognized once per matrix and kept on it, so the relation, the
-        classification and the recheck of one morphism share the result.
-        """
-        return _kept_signed_op(m, _recognize_signed_permutation)
+        permutation matrix: one +-1 in every row and every column.  Only a
+        dense block from outside is recognized, once (LieMorphism)."""
+        found = signed_permutation(m.entries)
+        return None if found is None else SignedPermutationOp(*found)
 
     def matrix(self) -> ExactMatrix:
-        """The dense matrix of the op.  It keeps the op as its from_matrix
-        value, so it is never recognized."""
+        """The dense matrix of the op."""
         rows = [[0] * self.dim for _ in range(self.dim)]
-        for a in range(1, self.dim + 1):
-            b, s = self.apply_basis(a)
+        for a, (b, s) in enumerate(zip(self.image, self.sign), start=1):
             rows[b - 1][a - 1] = s
-        m = ExactMatrix.from_rows(rows)
-        _kept_signed_op(m, lambda _m: self)
-        return m
+        return ExactMatrix.from_rows(rows)
 
     @staticmethod
     def identity(n: int) -> "SignedPermutationOp":
@@ -288,20 +282,6 @@ def _unchecked_op(image: tuple[int, ...], sign: tuple[int, ...]
     op = object.__new__(SignedPermutationOp)
     op.__dict__.update(image=image, sign=sign)
     return op
-
-
-def _kept_signed_op(m: ExactMatrix, build: Callable
-                    ) -> Optional[SignedPermutationOp]:
-    """SignedPermutationOp.from_matrix(m), kept on m: on the first call
-    build(m), the recognition scan or the op whose matrix() made m."""
-    return derived_value(m, "_signed_op", build)
-
-
-def _recognize_signed_permutation(m: ExactMatrix
-                                  ) -> Optional[SignedPermutationOp]:
-    """SignedPermutationOp.from_matrix(m), computed by core's row scan."""
-    found = signed_permutation(m.entries)
-    return None if found is None else SignedPermutationOp(*found)
 
 
 class BlockSets(NamedTuple):
@@ -643,9 +623,9 @@ _UNSET = object()
 
 def derived_value(obj, name: str, build: Callable):
     """build(obj), computed once and kept on obj under name: a table or
-    verdict of an algebra, the recognized form of a matrix (None too), a
-    canonical map kept on its source algebra, or an outcome a caller
-    derives from obj alone (acceptance names the ones it keeps).
+    verdict of an algebra, a canonical map kept on its source algebra, or
+    an outcome a caller derives from obj alone (acceptance names the ones
+    it keeps).
 
     The fields are never reassigned, so the value cannot go stale, and it
     is not a field, so ==, hash, repr and the JSON form never see it.  Two

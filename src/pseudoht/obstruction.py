@@ -34,7 +34,8 @@ from .core import (
     exact_rank,
     gram_matrix,
 )
-from .extension import standard_algebra, standard_chain
+from .extension import (UnsupportedSignatureError, standard_algebra,
+                         standard_chain)
 from .morphism import (
     canonical_map,
     center_signature_obstruction,
@@ -165,8 +166,11 @@ def check_pair(r1: int, s1: int, r2: int, s2: int,
     Every answer but a morphism names the question: src, dst and the flag.
     An ISO answer writes the canonical map's kept morphism and reads its
     kept conjugation verdict (morphism.verified_morphism), so a kept map is
-    related once; the payload is built afresh on every call.
+    related once; the payload is built afresh on every call.  A (0,0) side
+    is refused in both modes, as build refuses it.
     """
+    if (r1, s1) == (0, 0) or (r2, s2) == (0, 0):
+        raise UnsupportedSignatureError(0, 0, what="construction")
     question = {"src": [r1, s1], "dst": [r2, s2],
                 "anti_isometric_center_only": anti_only}
 

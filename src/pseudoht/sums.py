@@ -125,7 +125,7 @@ def swap_isomorphism(a: PseudoHTypeAlgebra) -> LieMorphism:
     image = tuple(t * per + i for t in targets for i in range(1, per + 1))
     module = SignedPermutationOp(image, (1,) * len(image))
     center = SignedPermutationOp.identity(a.dim_center).negate()
-    return LieMorphism(a, target, module, center.matrix())
+    return LieMorphism(a, target, module, center)
 
 
 def sum_sbg(a: PseudoHTypeAlgebra) -> Certificate:

@@ -138,6 +138,19 @@ def test_check_automorphism_modes(capsys):
     assert "--auto" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("0", "0", "0", "0"),
+    ("0", "0", "0", "0", "--anti"),
+    ("0", "0", "1", "0"),
+    ("1", "0", "0", "0", "--anti"),
+])
+def test_check_refuses_the_signature_0_0_as_build_does(capsys, argv):
+    # n_(0,0) has no construction: one answer in both modes, on either side
+    refused = run_cli(capsys, "build", "0", "0")
+    assert refused[:2] == (3, "") and refused[2].count("\n") == 1
+    assert run_cli(capsys, "check", *argv) == refused
+
+
 def test_check_inconclusive_for_7_7_anti_automorphism(capsys):
     code, out, _ = run_cli(capsys, "check", "7", "7", "7", "7", "--anti")
     assert code == 2

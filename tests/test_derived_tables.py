@@ -8,10 +8,10 @@ fixture shows the table is derived lazily, once per object, and that
 keeping it changes neither equality, hashing nor the JSON form.
 A structure tensor stores its entries only (an extension's tensor keeps
 its recipe too, and its entries once read); its pair lookup bisects them,
-and the adjoint routines read the algebra's J table.  A matrix keeps
-its recognized signed-permutation form, so a morphism's dense center block
-is recognized once in certification and once in recheck; its module block
-is a signed permutation throughout and is never recognized.  A kept
+and the adjoint routines read the algebra's J table.  A morphism keeps
+both blocks as signed permutations from construction to recheck, so none
+is recognized; a dense block of an older certificate is recognized once,
+and nothing is kept on a matrix.  A kept
 canonical map keeps criterion 3's outcome the same way, so a later
 verify-paper relates none of its 22 maps again, and a replaced copy is
 checked afresh.  Criteria 1, 5, 6 and 7 keep their outcomes on the
@@ -64,10 +64,18 @@ from pseudoht.catalog import BASE_IDS, _build_base, base_algebra
 from pseudoht.core import ExactMatrix, SparseVector, basis_vector
 from pseudoht.extension import ExtensionStep, extend, standard_algebra
 from pseudoht.jsonout import dumps
-from pseudoht.morphism import canonical_map, verified_morphism
+from pseudoht.morphism import (
+    LieMorphism,
+    canonical_map,
+    classify_morphism,
+    morphism_to_dict,
+    verified_morphism,
+    verify_conjugation,
+    verify_homomorphism,
+)
 from pseudoht.obstruction import check_pair, sbg_decision, verify_sbg_no_witness
 from pseudoht.recheck import recheck_certificate
-from pseudoht.sums import build_sum
+from pseudoht.sums import build_sum, swap_isomorphism
 
 from dense_certificates import dense_center, densify
 
@@ -664,33 +672,58 @@ RECOGNITION_CASES = [
 @pytest.mark.parametrize("rows, want", RECOGNITION_CASES)
 def test_from_matrix_edge_cases_keep_their_results(rows, want):
     m = ExactMatrix.from_rows(rows)
-    got = SignedPermutationOp.from_matrix(m)
-    assert got == want
-    # kept on the matrix, None included, and invisible to == and hash
-    assert SignedPermutationOp.from_matrix(m) is got
-    assert vars(m)["_signed_op"] is got
-    fresh = ExactMatrix.from_rows(rows)
-    assert m == fresh and hash(m) == hash(fresh)
+    assert SignedPermutationOp.from_matrix(m) == want
+    # nothing is kept on the matrix: a morphism keeps its center's op
+    assert set(vars(m)) == set(m._fields)
+    if want is not None:
+        assert set(vars(want.matrix())) == set(m._fields)
 
 
 def test_certify_and_recheck_recognize_each_block_once(cache, monkeypatch):
     seen = []
-    inner = algebra._recognize_signed_permutation
-    monkeypatch.setattr(algebra, "_recognize_signed_permutation",
-                        lambda m: seen.append(m) or inner(m))
+    inner = algebra.signed_permutation
+    monkeypatch.setattr(algebra, "signed_permutation",
+                        lambda rows: seen.append(rows) or inner(rows))
     cert = check_pair(9, 1, 1, 9)
     assert cert.kind == "ISO"
-    # both blocks are signed permutations from construction to recheck: C
-    # is made dense from its op and keeps it, so nothing is recognized
+    # both blocks are signed permutations from construction to recheck:
+    # the morphism keeps C's op beside the matrix, so nothing is recognized
     assert check_pair(9, 1, 1, 9).json_dict() == cert.json_dict()
     assert recheck_certificate(json.loads(json.dumps(cert.json_dict()))).ok
     assert seen == []
     # the dense rows of older certificates are recognized once a block
     assert recheck_certificate(dense_center(cert.json_dict())).ok
-    assert [(m.rows, m.cols) for m in seen] == [(10, 10)]
+    assert [(len(rows), len(rows[0])) for rows in seen] == [(10, 10)]
     seen.clear()
     assert recheck_certificate(densify(cert.json_dict())).ok
-    assert [(m.rows, m.cols) for m in seen] == [(64, 64), (10, 10)]
+    assert [(len(rows), len(rows[0])) for rows in seen] == [(64, 64), (10, 10)]
+
+
+def _morphisms():
+    """Kept canonical maps, a block swap, and a map that is no morphism:
+    the (2,2) automorphism with C negated, still an anti-isometry, breaks
+    the relation."""
+    for rs in ((9, 1), (1, 9), (4, 4)):
+        cmap = canonical_map(*rs)
+        yield cmap.src, cmap.dst, cmap.module, cmap.center
+    f = swap_isomorphism(build_sum(base_algebra(2, 3), 2, 1))
+    yield f.src, f.dst, f.A, SignedPermutationOp.from_matrix(f.C)
+    cmap = canonical_map(2, 2)
+    yield cmap.src, cmap.dst, cmap.module, cmap.center.negate()
+
+
+@pytest.mark.parametrize("case", range(5),
+                         ids=["9,1", "1,9", "4,4", "swap", "not-a-morphism"])
+def test_a_morphism_of_ops_equals_one_of_their_matrices(case):
+    src, dst, a, c = list(_morphisms())[case]  # built here, not at collection
+    signed = LieMorphism(src, dst, a, c)
+    dense = LieMorphism(src, dst, a.matrix(), c.matrix())
+    assert signed == dense and hash(signed) == hash(dense)
+    assert repr(signed) == repr(dense) and signed.C == c.matrix()
+    assert classify_morphism(signed) == classify_morphism(dense)
+    assert morphism_to_dict(signed) == morphism_to_dict(dense)
+    for verify in (verify_homomorphism, verify_conjugation):
+        assert verify(signed) == verify(dense)
 
 
 # --- the kept axiom verdict and the compact rows -----------------------------

@@ -824,3 +824,119 @@ def test_iso_recheck_refuses_a_stated_signature_that_is_no_integer(value):
     missing = json.loads(json.dumps(cert))
     del missing["morphism"]["dst"]["r"]
     assert recheck_certificate(missing).ok is False
+
+
+# --- the parity precondition and the signature (0,0) ------------------------
+
+def _type_swaps(leaf) -> list:
+    """leaf as each other JSON type that Python's == takes for the same:
+    a boolean as an integer and a float, an integer as a float, and 0 or
+    1 as a boolean too."""
+    if type(leaf) is bool:
+        return [int(leaf), float(leaf)]
+    return [float(leaf), *([bool(leaf)] if leaf in (0, 1) else [])]
+
+
+@pytest.mark.parametrize("key", ["equivalence_holds", "dim_center",
+                                 "module_signature"])
+@pytest.mark.parametrize("args", [(3, 2, 2, 3), (3, 3, 3, 3, True)],
+                         ids=["plain", "anti"])
+def test_parity_recheck_compares_the_precondition_by_json_type(args, key):
+    cert = check_pair(*args).json_dict()
+    assert recheck_certificate(cert).ok
+    record = cert["parity"]["precondition"]
+    value = record[key]  # true, the center dimension or the metric [4, 4]
+    record[key] = ([_type_swaps(value[0])[0], *value[1:]]
+                   if type(value) is list else _type_swaps(value)[0])
+    assert record == check_pair(*args).json_dict()["parity"]["precondition"]
+    assert recheck_certificate(cert) == Verdict(
+        False, None, "recorded precondition is not the Witt-index record of "
+                     "the destination")
+
+
+@pytest.mark.parametrize("cert", [
+    # what check 0 0 1 0 wrote before (0,0) was refused
+    {"kind": "NOT_ISO_DIM", "reason": "center dimensions differ: 0 vs 1",
+     "src": [0, 0], "dst": [1, 0], "anti_isometric_center_only": False},
+    {"kind": "SBG_YES", "signature": [0, 0]},
+], ids=["NOT_ISO_DIM", "SBG_YES"])
+def test_recheck_refuses_a_certificate_naming_0_0(cert):
+    verdict = recheck_certificate(cert)
+    assert verdict.ok is False and "r + s from 1" in verdict.detail
+
+
+# --- a single-field mutation sweep over every certificate kind ---------------
+
+# one certificate of each kind, as certify writes it (an ISO one also in the
+# form with C as dense rows)
+SWEEP_CERTIFICATES = {
+    "ISO": lambda: check_pair(9, 1, 1, 9).json_dict(),
+    "ISO dense C": lambda: dense_center(check_pair(9, 1, 1, 9).json_dict()),
+    "NOT_ISO_DIM": lambda: check_pair(3, 0, 0, 3).json_dict(),
+    "NOT_ISO_SIGNATURE": lambda: check_pair(2, 0, 1, 1).json_dict(),
+    "NOT_ISO_PARITY": lambda: check_pair(3, 2, 2, 3).json_dict(),
+    "NOT_ISO_PARITY anti": lambda: check_pair(3, 3, 3, 3, True).json_dict(),
+    "SBG_YES": lambda: sbg_decision(base_algebra(8, 0)).json_dict(),
+    "SBG_NO": lambda: sbg_decision(base_algebra(3, 2)).json_dict(),
+    "SBG_NO sum": lambda: sum_sbg(build_sum(base_algebra(2, 3), 2, 1)
+                                  ).json_dict(),
+    "INCONCLUSIVE": lambda: check_pair(11, 2, 2, 11).json_dict(),
+}
+SWEEP_VALUES = (None, True, False, 0, 1, -1, 2, 10 ** 30, 0.5, 1.0, "", "1",
+                "x", "ISO", [], [1], [[1]], {}, {"a": 1})
+_DELETE = object()
+
+
+def _field_paths(value, path=()):
+    """The path of every field below value: each key of an object and the
+    first six items of a list."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value[:6]) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from _field_paths(item, path + (key,))
+
+
+def _mutant(cert, path, value):
+    """A copy of cert with the field at path set to value, or deleted."""
+    out = json.loads(json.dumps(cert))
+    holder = out
+    for key in path[:-1]:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return out
+
+
+def _outcome(cert):
+    """recheck_certificate's verdict, or the type of what it raised."""
+    try:
+        return recheck_certificate(cert)
+    except Exception as exc:  # the sweep reports whatever is raised
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", SWEEP_CERTIFICATES)
+def test_recheck_survives_every_single_field_mutation(name):
+    cert = SWEEP_CERTIFICATES[name]()
+    assert recheck_certificate(cert).ok
+    wrong = []
+    for path, leaf in _field_paths(cert):
+        for value in (*SWEEP_VALUES, _DELETE):
+            mutant = _mutant(cert, path, value)
+            got = _outcome(mutant)
+            # the identity defect (ROADMAP item 14 makes it a refusal): an
+            # ISO-kind payload with no morphism raises KeyError
+            want = (KeyError if mutant.get("kind") == "ISO"
+                    and "morphism" not in mutant else Verdict)
+            if not (got is want or isinstance(got, want)):
+                wrong.append((path, value, got))
+        # a swap of JSON type that Python's == does not see is refused
+        if type(leaf) in (int, bool) and name != "INCONCLUSIVE":
+            for value in _type_swaps(leaf):
+                got = _outcome(_mutant(cert, path, value))
+                if not isinstance(got, Verdict) or got.ok:
+                    wrong.append((path, value, got))
+    assert wrong == []
